@@ -13,7 +13,7 @@ from cayplex.cayley import (
     export_graph,
     import_graph,
 )
-from cayplex.cyclic import CycAlg, CycElem, GlobalMat, gamma_from_alpha
+from cayplex.cyclic import CycAlg, CycElem, gamma_from_alpha
 from cayplex.ffield import (
     ExtField,
     ExtFieldElem,
@@ -53,13 +53,11 @@ from cayplex.spectra import (
     ComparisonReport,
     MomentSeq,
     SpectrumReport,
-    WLCertificate,
     compare,
     dense_spectrum,
     isomorphism_search,
     walk_moments,
     walk_pattern_count,
-    wl_certificate,
 )
 
 __version__ = "0.1.0"

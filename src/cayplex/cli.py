@@ -741,7 +741,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compare two fingerprint or graph files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--mode", choices=("moments", "spectrum", "wl", "iso"),
+    p.add_argument("--mode", choices=("moments", "spectrum", "iso"),
                    default=None)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--out", default=None)

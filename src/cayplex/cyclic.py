@@ -7,50 +7,45 @@ D has basis z^0..z^{d-1} over E(t) with the twisted relations
     z * a = sigma(a) * z   (a in E(t), sigma fixing t),
     z^d   = 1 + t.
 
-Elements (``CycElem``) carry their z-coefficient vectors; the faithful
-d x d representation over E(t) (``GlobalMat``) is derived.  With the
-basis {1, z, ..., z^{d-1}} read as a right E(t)-vector space and
-matrices acting on coordinate columns, the representation sends a field
-coefficient c to diag(c, sigma^{-1}(c), ..., sigma^{-(d-1)}(c)) and z to
-the companion-style matrix with subdiagonal ones and 1+t in the top
-right corner.  (The inverse twists on the diagonal are forced by the
-relation z*c = sigma(c)*z; the two generator images then satisfy it
-exactly, which the test suite checks.)
+Every element the package handles (z, omega(u) = u (1 - z^{-1}) u^{-1},
+and products and inverses of these) has coordinates whose denominators
+are central monomials t^i (1+t)^j, so ``CycElem`` stores exactly that:
+one exponent pair (i, j) and d polynomial numerators over E,
+
+    a = (P_0 + P_1 z + ... + P_{d-1} z^{d-1}) / (t^i (1+t)^j).
+
+Products multiply the numerators with the twisted rule and add the
+exponent pairs; no polynomial gcd is ever taken.  Equality and hashing
+use the normal form with the common powers of t and (1+t) stripped.
+
+The faithful d x d representation over E[t] is read with the basis
+{1, z, ..., z^{d-1}} as a right vector space and matrices acting on
+coordinate columns: a field coefficient c goes to
+diag(c, sigma^{-1}(c), ..., sigma^{-(d-1)}(c)) and z to the
+companion-style matrix with subdiagonal ones and 1+t in the top right
+corner.  (The inverse twists on the diagonal are forced by the relation
+z*c = sigma(c)*z; the test suite checks both generator images.)  The
+reduced norm is the determinant of the numerator's matrix, found by
+fraction-free (Bareiss) elimination, over the d-th power of the
+denominator; the same elimination yields the adjugate column that gives
+the inverse.
 
 The specialization map sends t to gamma = Norm(1+alpha) - 1, a field
 coefficient c to the regular representation of c(gamma) over F_q, and z
 to regular_rep(1+alpha) * frobenius_matrix(E, s); it is a ring
-homomorphism into d x d matrices over F_q wherever no denominator
-vanishes at gamma.
-
-A parallel "cleared" kernel works on z-coefficient vectors whose entries
-are polynomials (central denominators multiplied away); products of the
-cleared generators stay polynomial, which makes large word enumerations
-cheap.  ``pc_canonical`` reduces a polynomial coefficient vector modulo
-the central scalars c * t^i * (1+t)^j (c in F_q^x) — exactly the scalar
-ambiguity that arises between cleared products of the same projective
-group element.
+homomorphism into d x d matrices over F_q.  ``gamma_from_alpha`` keeps
+gamma outside {0, -1}, so no denominator vanishes there.
 """
 
 from __future__ import annotations
+
+import math
 
 from cayplex.ffield import ExtField, frobenius_matrix, regular_rep
 from cayplex.projmat import mat_add, mat_eye, mat_mul
 from cayplex.ratfunc import Poly, RatFunc
 
-__all__ = [
-    "CycAlg",
-    "CycElem",
-    "GlobalMat",
-    "gamma_from_alpha",
-    "omega_cleared",
-    "pc_mul",
-    "pc_mul_omega",
-    "pc_canonical",
-    "pc_is_central_scalar",
-    "pc_to_elem",
-    "elem_cleared",
-]
+__all__ = ["CycAlg", "CycElem", "gamma_from_alpha"]
 
 
 def gamma_from_alpha(E: ExtField, alpha: int) -> int:
@@ -75,8 +70,6 @@ class CycAlg:
     """The cyclic algebra over E(t) with twist sigma = Frobenius^s."""
 
     def __init__(self, E: ExtField, s: int = 1):
-        import math
-
         s %= E.d
         if math.gcd(s, E.d) != 1:
             raise ValueError(f"s = {s} must be coprime to d = {E.d}")
@@ -84,8 +77,8 @@ class CycAlg:
         self.d = E.d
         self.s = s
         self.one_plus_t = Poly(E, (1, 1))
-        self._zero_rf = RatFunc.zero(E)
-        self._one_rf = RatFunc.one(E)
+        self._zero = Poly.zero(E)
+        self._one = Poly.one(E)
 
     # -- the twist --------------------------------------------------------
 
@@ -94,47 +87,47 @@ class CycAlg:
 
     def sigma_poly(self, p: Poly, k: int = 1) -> Poly:
         i = (self.s * k) % self.d
-        if i == 0:
+        if i == 0 or not p.coeffs:
             return p
         E = self.E
         return Poly(E, tuple(E.frob(c, i) for c in p.coeffs))
 
-    def sigma_rf(self, r: RatFunc, k: int = 1) -> RatFunc:
-        i = (self.s * k) % self.d
-        if i == 0:
-            return r
-        return RatFunc(self.sigma_poly(r.num, k), self.sigma_poly(r.den, k))
+    def _monomial(self, p: Poly, i: int, j: int) -> Poly:
+        """p * t^i * (1+t)^j for i, j >= 0."""
+        p = p.shift(i)
+        for _ in range(j):
+            p = p * self.one_plus_t
+        return p
 
     # -- element constructors ----------------------------------------------
 
-    def elem(self, coords) -> CycElem:
+    def elem(self, coords, den=(0, 0)) -> CycElem:
+        """sum_k coords[k] z^k / (t^den[0] (1+t)^den[1]), coords Polys."""
         coords = tuple(coords)
         if len(coords) != self.d:
             raise ValueError(f"need exactly {self.d} coefficients")
-        return CycElem(self, coords)
+        return CycElem(self, den, coords)
+
+    def _basis(self, k: int, p: Poly, den=(0, 0)) -> CycElem:
+        coords = [self._zero] * self.d
+        coords[k] = p
+        return CycElem(self, den, coords)
 
     def zero(self) -> CycElem:
-        return self.elem((self._zero_rf,) * self.d)
+        return self._basis(0, self._zero)
 
     def one(self) -> CycElem:
-        return self.elem((self._one_rf,) + (self._zero_rf,) * (self.d - 1))
-
-    def scalar(self, r: RatFunc) -> CycElem:
-        return self.elem((r,) + (self._zero_rf,) * (self.d - 1))
+        return self._basis(0, self._one)
 
     def from_field(self, code: int) -> CycElem:
-        return self.scalar(RatFunc.const(self.E, code))
+        return self._basis(0, Poly.const(self.E, code))
 
     def z(self) -> CycElem:
-        coords = [self._zero_rf] * self.d
-        coords[1 % self.d] = self._one_rf
-        return self.elem(coords)
+        return self._basis(1 % self.d, self._one)
 
     def z_inv(self) -> CycElem:
-        """z^{-1} = (1+t)^{-1} z^{d-1}."""
-        coords = [self._zero_rf] * self.d
-        coords[self.d - 1] = RatFunc(Poly.one(self.E), self.one_plus_t)
-        return self.elem(coords)
+        """z^{-1} = z^{d-1} / (1+t)."""
+        return self._basis(self.d - 1, self._one, (0, 1))
 
     def one_minus_z_inv(self) -> CycElem:
         return self.one() - self.z_inv()
@@ -146,40 +139,34 @@ class CycAlg:
         return self.E.mul(u, self.E.inv(self.sigma(u, -1)))
 
     def omega(self, u: int) -> CycElem:
-        """u (1 - z^{-1}) u^{-1} = 1 - (c_u/(1+t)) z^{d-1}."""
-        c = self.unit_ratio(u)
-        coords = [self._zero_rf] * self.d
-        coords[0] = self._one_rf
-        coords[self.d - 1] = RatFunc(
-            Poly.const(self.E, self.E.neg(c)), self.one_plus_t
-        )
-        return self.elem(coords)
+        """u (1 - z^{-1}) u^{-1} = ((1+t) - c_u z^{d-1}) / (1+t)."""
+        coords = [self._zero] * self.d
+        coords[0] = self.one_plus_t
+        coords[self.d - 1] = Poly.const(self.E, self.E.neg(self.unit_ratio(u)))
+        return CycElem(self, (0, 1), coords)
 
     # -- specialization -----------------------------------------------------
 
-    def specialize(self, a, alpha: int):
+    def specialize(self, a: CycElem, alpha: int):
         """Evaluate at t = gamma and represent over F_q (see module doc).
 
-        Accepts a CycElem or a cleared coefficient tuple of Polys.
         Returns a d x d row-tuple matrix over the base field.
         """
         E, F, d = self.E, self.E.base, self.d
         gamma = gamma_from_alpha(E, alpha)
-        coords = a.coords if isinstance(a, CycElem) else a
+        i, j = a.den
+        # 1 / (gamma^i (1+gamma)^j); nonzero since gamma is not 0 or -1
+        scale = F.inv(F.mul(F.pow_(gamma, i), F.pow_(F.add(gamma, 1), j)))
         one_plus_alpha = E.add(1, alpha)
         Z = mat_mul(F, regular_rep(E, one_plus_alpha), frobenius_matrix(E, self.s))
         out = None
         Zpow = mat_eye(F, d)
-        for j in range(d):
-            cj = coords[j]
-            try:
-                val = cj.eval_code(gamma)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"coefficient {j} has a pole at gamma") from exc
+        for k in range(d):
+            val = E.mul(a.coords[k].eval_code(gamma), scale)
             if val != 0:
                 term = mat_mul(F, regular_rep(E, val), Zpow)
                 out = term if out is None else mat_add(F, out, term)
-            if j + 1 < d:
+            if k + 1 < d:
                 Zpow = mat_mul(F, Zpow, Z)
         if out is None:
             out = tuple((0,) * d for _ in range(d))
@@ -197,387 +184,217 @@ class CycAlg:
         return f"CycAlg(E=F_{self.E.order}, s={self.s})"
 
 
+def _fraction_free(rows, rhs=None):
+    """Bareiss elimination of a square matrix over E[t].
+
+    Every intermediate entry is a minor of the input, so each division
+    by the previous pivot is exact; pivots of least degree keep those
+    divisions cheap.  Returns ``(det, adj)`` where ``adj`` is
+    adj(M) @ rhs, the polynomial vector with M @ adj = det * rhs (None
+    without ``rhs``).  With a right-hand side the elimination runs
+    Gauss-Jordan style, on the rows above each pivot too.
+    """
+    n = len(rows)
+    E = rows[0][0].field
+    M = [list(r) for r in rows]
+    if rhs is not None:
+        for r, x in zip(M, rhs):
+            r.append(x)
+    width = len(M[0])
+    prev = None  # the previous pivot; None stands for the constant 1
+    sign = 1
+    for k in range(n):
+        live = [r for r in range(k, n) if M[r][k].coeffs]
+        if not live:
+            return Poly.zero(E), None
+        piv = min(live, key=lambda r: len(M[r][k].coeffs))
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pk, pivot_row = M[k][k], M[k]
+        for r in range(n) if rhs is not None else range(k + 1, n):
+            if r == k:
+                continue
+            row = M[r]
+            nf = -row[k]
+            for c in range(k + 1, width):
+                x = pk * row[c] + nf * pivot_row[c] if nf.coeffs else pk * row[c]
+                if prev is None:
+                    row[c] = x
+                elif len(prev.coeffs) == 1:
+                    row[c] = x.scale(E.inv(prev.coeffs[0]))
+                else:
+                    row[c] = x.exact_div(prev)
+        prev = pk
+    det = M[n - 1][n - 1]
+    adj = None if rhs is None else [M[r][n] for r in range(n)]
+    if sign < 0:
+        det = -det
+        adj = None if adj is None else [-x for x in adj]
+    return det, adj
+
+
 class CycElem:
-    """Element sum_j c_j z^j of a cyclic algebra, c_j in E(t)."""
+    """Element sum_k P_k z^k / (t^i (1+t)^j) of a cyclic algebra, with
+    P_k in E[t] (``coords``) and ``den`` = (i, j)."""
 
-    __slots__ = ("alg", "coords")
+    __slots__ = ("alg", "den", "coords")
 
-    def __init__(self, alg: CycAlg, coords):
+    def __init__(self, alg: CycAlg, den, coords):
         self.alg = alg
+        self.den = tuple(den)
         self.coords = tuple(coords)
 
-    def _coerce(self, other):
-        if isinstance(other, CycElem):
-            if other.alg != self.alg:
-                raise ValueError("element of a different algebra")
-            return other
-        if isinstance(other, (RatFunc, Poly)):
-            return self.alg.scalar(
-                other if isinstance(other, RatFunc) else RatFunc(other)
-            )
-        if isinstance(other, int):
-            return self.alg.from_field(other % self.alg.E.p)
-        return NotImplemented
+    def _check(self, other) -> CycElem:
+        if not isinstance(other, CycElem) or other.alg != self.alg:
+            raise ValueError("operand is not an element of this algebra")
+        return other
+
+    def _over(self, i: int, j: int) -> tuple[Poly, ...]:
+        """Numerators over the larger denominator t^i (1+t)^j."""
+        di, dj = i - self.den[0], j - self.den[1]
+        if di == 0 and dj == 0:
+            return self.coords
+        return tuple(self.alg._monomial(p, di, dj) for p in self.coords)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycElem(
-            self.alg, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    __radd__ = __add__
+        other = self._check(other)
+        i = max(self.den[0], other.den[0])
+        j = max(self.den[1], other.den[1])
+        coords = tuple(a + b for a, b in zip(self._over(i, j), other._over(i, j)))
+        return CycElem(self.alg, (i, j), coords)
 
     def __neg__(self):
-        return CycElem(self.alg, tuple(-a for a in self.coords))
+        return CycElem(self.alg, self.den, tuple(-p for p in self.coords))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-self._check(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = self._check(other)
         alg = self.alg
-        d = alg.d
-        opt = RatFunc(alg.one_plus_t)
-        out = [RatFunc.zero(alg.E) for _ in range(d)]
+        d, opt = alg.d, alg.one_plus_t
+        out = [alg._zero] * d
         for i, a in enumerate(self.coords):
-            if a.is_zero():
+            if not a.coeffs:
                 continue
             for j, b in enumerate(other.coords):
-                if b.is_zero():
+                if not b.coeffs:
                     continue
-                term = a * alg.sigma_rf(b, i)
+                term = a * alg.sigma_poly(b, i)
                 if i + j >= d:
                     term = term * opt
                 k = (i + j) % d
                 out[k] = out[k] + term
-        return CycElem(alg, out)
+        den = (self.den[0] + other.den[0], self.den[1] + other.den[1])
+        return CycElem(alg, den, out)
 
-    __rmul__ = __mul__
-
-    def scale(self, r: RatFunc) -> CycElem:
-        return CycElem(self.alg, tuple(c * r for c in self.coords))
-
-    def conj_by_unit(self, u: int) -> CycElem:
-        """u a u^{-1}: coefficient j picks up the factor u / sigma^j(u)."""
-        E = self.alg.E
-        if u == 0:
-            raise ValueError("u must be a unit")
-        out = []
-        for j, c in enumerate(self.coords):
-            f = E.mul(u, E.inv(self.alg.sigma(u, j)))
-            out.append(c.scale(f) if f != 1 else c)
-        return CycElem(self.alg, out)
+    def _normal(self) -> CycElem:
+        """The same element with the common t and (1+t) factors of the
+        numerators and the denominator cancelled."""
+        nonzero = [p for p in self.coords if p.coeffs]
+        if not nonzero:
+            return CycElem(self.alg, (0, 0), self.coords)
+        i, j = self.den
+        coords = self.coords
+        vt = min([i] + [p.t_valuation() for p in nonzero])
+        if vt:
+            coords = tuple(Poly(p.field, p.coeffs[vt:]) for p in coords)
+        if j:
+            neg_one = self.alg.E.neg(1)
+            vs = min([j] + [p.root_multiplicity(neg_one) for p in coords if p.coeffs])
+            if vs:
+                coords = tuple(p.deflate(neg_one, vs) if p.coeffs else p
+                               for p in coords)
+                j -= vs
+        return CycElem(self.alg, (i - vt, j), coords)
 
     # -- representation -----------------------------------------------------
 
-    def matrix_rep(self) -> GlobalMat:
+    def matrix_rep(self):
+        """d x d row tuples of Polys: the representation of the numerator
+        sum_k P_k z^k (the element's own matrix is this over its
+        central denominator)."""
         alg, d = self.alg, self.alg.d
-        opt = RatFunc(alg.one_plus_t)
         rows = []
         for k in range(d):
             row = []
             for j in range(d):
-                entry = alg.sigma_rf(self.coords[(k - j) % d], -k)
-                if k < j and not entry.is_zero():
-                    entry = entry * opt
+                entry = alg.sigma_poly(self.coords[(k - j) % d], -k)
+                if k < j and entry.coeffs:
+                    entry = entry * alg.one_plus_t
                 row.append(entry)
             rows.append(tuple(row))
-        return GlobalMat(alg, tuple(rows))
+        return tuple(rows)
 
     def reduced_norm(self) -> RatFunc:
         """det of the representation, descended to F_q(t)."""
-        det = self.matrix_rep().det()
-        if not det.in_base():
+        E = self.alg.E
+        det, _ = _fraction_free(self.matrix_rep())
+        if not all(E.in_base(c) for c in det.coeffs):
             raise AssertionError(
                 "reduced norm failed to descend to the center — arithmetic bug"
             )
-        base = self.alg.E.base
-        return RatFunc(Poly(base, det.num.coeffs), Poly(base, det.den.coeffs))
+        base, d = E.base, self.alg.d
+        i, j = self.den
+        den = Poly.one(base).shift(d * i)
+        opt = Poly(base, (1, 1))
+        for _ in range(d * j):
+            den = den * opt
+        return RatFunc(Poly(base, det.coeffs), den)
 
     def inverse(self) -> CycElem:
-        alg, d = self.alg, self.alg.d
-        if all(c.is_zero() for c in self.coords):
+        """The two-sided inverse.  Raises ZeroDivisionError on zero and
+        ValueError when the reduced norm is not c t^a (1+t)^b, whose
+        inverse would leave this representation."""
+        alg, d, E = self.alg, self.alg.d, self.alg.E
+        if not any(p.coeffs for p in self.coords):
             raise ZeroDivisionError("inverse of zero")
-        M = [list(row) for row in self.matrix_rep().entries]
-        rhs = [RatFunc.one(alg.E) if i == 0 else RatFunc.zero(alg.E) for i in range(d)]
-        # Gauss-Jordan with the single right-hand side e_0
-        for col in range(d):
-            piv = next((r for r in range(col, d) if not M[r][col].is_zero()), None)
-            if piv is None:
-                raise ZeroDivisionError("element is not invertible")
-            if piv != col:
-                M[col], M[piv] = M[piv], M[col]
-                rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv_p = M[col][col].inverse()
-            M[col] = [x * inv_p for x in M[col]]
-            rhs[col] = rhs[col] * inv_p
-            for r in range(d):
-                if r != col and not M[r][col].is_zero():
-                    f = M[r][col]
-                    M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-                    rhs[r] = rhs[r] - f * rhs[col]
-        coords = tuple(alg.sigma_rf(rhs[k], k) for k in range(d))
-        out = CycElem(alg, coords)
+        e0 = [alg._one] + [alg._zero] * (d - 1)
+        det, adj = _fraction_free(self.matrix_rep(), e0)
+        if det.is_zero():
+            raise ZeroDivisionError("element is not invertible")
+        neg_one = E.neg(1)
+        a = det.t_valuation()
+        b = det.root_multiplicity(neg_one)
+        rest = Poly(E, det.coeffs[a:]).deflate(neg_one, b)
+        if rest.degree != 0:
+            raise ValueError("reduced norm is not c t^a (1+t)^b")
+        # numerator^{-1} has coordinates sigma^k(adj_k) / det; the
+        # element's own denominator t^i (1+t)^j moves to the numerator
+        c_inv = E.inv(rest.coeffs[0])
+        i, j = self.den
+        coords = tuple(
+            alg._monomial(alg.sigma_poly(adj[k], k).scale(c_inv),
+                         max(i - a, 0), max(j - b, 0))
+            for k in range(d)
+        )
+        out = CycElem(alg, (max(a - i, 0), max(b - j, 0)), coords)._normal()
         assert (self * out) == alg.one(), "inverse verification failed"
         return out
 
     def is_central_scalar(self) -> bool:
-        return all(c.is_zero() for c in self.coords[1:]) and self.coords[0].in_base()
-
-    # -- serialization ------------------------------------------------------
-
-    def to_lines(self) -> list[str]:
-        out = [f"version=1 d={self.alg.d} s={self.alg.s}"]
-        for c in self.coords:
-            num = ",".join(str(x) for x in c.num.coeffs) or "0"
-            den = ",".join(str(x) for x in c.den.coeffs)
-            out.append(f"num={num} den={den}")
-        return out
-
-    @classmethod
-    def from_lines(cls, alg: CycAlg, lines) -> CycElem:
-        head = lines[0].split()
-        if head[0] != "version=1":
-            raise ValueError("unsupported version")
-        coords = []
-        for line in lines[1 : alg.d + 1]:
-            kv = dict(tok.split("=", 1) for tok in line.split())
-            num = Poly(alg.E, [int(x) for x in kv["num"].split(",") if x != ""])
-            den = Poly(alg.E, [int(x) for x in kv["den"].split(",")])
-            coords.append(RatFunc(num, den))
-        return cls(alg, tuple(coords))
+        """True when the element lies in F_q(t)^x * 1."""
+        head = self.coords[0]
+        return (
+            bool(head.coeffs)
+            and not any(p.coeffs for p in self.coords[1:])
+            and all(self.alg.E.in_base(c) for c in head.coeffs)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, CycElem):
             return NotImplemented
-        return self.alg == other.alg and self.coords == other.coords
+        if self.alg != other.alg:
+            return False
+        a, b = self._normal(), other._normal()
+        return a.den == b.den and a.coords == b.coords
 
     def __hash__(self):
-        return hash((self.alg, self.coords))
+        a = self._normal()
+        return hash((self.alg, a.den, a.coords))
 
     def __repr__(self):
-        terms = [
-            f"({c!r})z^{j}" for j, c in enumerate(self.coords) if not c.is_zero()
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
-class GlobalMat:
-    """d x d matrix over E(t): the faithful image of a CycElem."""
-
-    __slots__ = ("alg", "entries")
-
-    def __init__(self, alg: CycAlg, entries):
-        self.alg = alg
-        self.entries = tuple(tuple(row) for row in entries)
-
-    def __matmul__(self, other: GlobalMat) -> GlobalMat:
-        A, B = self.entries, other.entries
-        d = len(A)
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = RatFunc.zero(self.alg.E)
-                for k in range(d):
-                    if not (A[i][k].is_zero() or B[k][j].is_zero()):
-                        acc = acc + A[i][k] * B[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return GlobalMat(self.alg, out)
-
-    def det(self) -> RatFunc:
-        d = len(self.entries)
-        M = [list(row) for row in self.entries]
-        det = RatFunc.one(self.alg.E)
-        sign = 1
-        for col in range(d):
-            piv = next((r for r in range(col, d) if not M[r][col].is_zero()), None)
-            if piv is None:
-                return RatFunc.zero(self.alg.E)
-            if piv != col:
-                M[col], M[piv] = M[piv], M[col]
-                sign = -sign
-            det = det * M[col][col]
-            inv_p = M[col][col].inverse()
-            for r in range(col + 1, d):
-                if not M[r][col].is_zero():
-                    f = M[r][col] * inv_p
-                    M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-        return det if sign == 1 else -det
-
-    def canonical(self) -> tuple[GlobalMat, RatFunc]:
-        """(canonical form, normalizing scalar): divide by the first
-        nonzero entry in row-major order."""
-        for row in self.entries:
-            for x in row:
-                if not x.is_zero():
-                    inv = x.inverse()
-                    return (
-                        GlobalMat(
-                            self.alg,
-                            tuple(tuple(e * inv for e in r) for r in self.entries),
-                        ),
-                        x,
-                    )
-        raise ValueError("zero matrix has no canonical form")
-
-    def proj_eq(self, other: GlobalMat) -> bool:
-        """Projective equality over the center F_q(t)^x: canonical forms
-        agree and the normalizing ratio descends to F_q(t)."""
-        ca, sa = self.canonical()
-        cb, sb = other.canonical()
-        return ca.entries == cb.entries and (sa / sb).in_base()
-
-    def to_lines(self) -> list[str]:
-        out = [f"version=1 d={len(self.entries)}"]
-        for row in self.entries:
-            for c in row:
-                num = ",".join(str(x) for x in c.num.coeffs) or "0"
-                den = ",".join(str(x) for x in c.den.coeffs)
-                out.append(f"num={num} den={den}")
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, GlobalMat):
-            return NotImplemented
-        return self.alg == other.alg and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.alg, self.entries))
-
-
-# ---------------------------------------------------------------------------
-# Cleared polynomial-coordinate kernel
-# ---------------------------------------------------------------------------
-
-
-def omega_cleared(alg: CycAlg, u: int) -> tuple[Poly, ...]:
-    """(1+t) * omega(u): polynomial coordinates ((1+t), 0, ..., 0, -c_u)."""
-    E = alg.E
-    c = alg.unit_ratio(u)
-    coords = [Poly.zero(E)] * alg.d
-    coords[0] = alg.one_plus_t
-    coords[alg.d - 1] = Poly.const(E, E.neg(c))
-    return tuple(coords)
-
-
-def pc_mul(alg: CycAlg, A, B):
-    """Twisted product of polynomial coordinate vectors."""
-    d = alg.d
-    E = alg.E
-    out = [Poly.zero(E) for _ in range(d)]
-    for i, a in enumerate(A):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(B):
-            if b.is_zero():
-                continue
-            term = a * alg.sigma_poly(b, i)
-            if i + j >= d:
-                term = term * alg.one_plus_t
-            k = (i + j) % d
-            out[k] = out[k] + term
-    return tuple(out)
-
-
-def pc_mul_omega(alg: CycAlg, A, u: int):
-    """Right-multiply a polynomial coordinate vector by the cleared
-    omega(u) = (1+t) - c_u z^{d-1}, exploiting its two-term sparsity."""
-    d, E = alg.d, alg.E
-    c = alg.unit_ratio(u)
-    opt = alg.one_plus_t
-    out = []
-    for k in range(d - 1):
-        out.append((A[k] - A[k + 1].scale(alg.sigma(c, k + 1))) * opt)
-    out.append(A[d - 1] * opt - A[0].scale(c))
-    return tuple(out)
-
-
-def pc_canonical(alg: CycAlg, A):
-    """Canonical form modulo central scalars c t^i (1+t)^j, c in F_q^x.
-
-    Strips the common power of t, then of (1+t), then scales by the
-    F_q^x element making the first nonzero coefficient's code minimal.
-    Returns a hashable tuple of coefficient tuples.
-    """
-    E = alg.E
-    neg_one = E.neg(1)
-    vt = min((p.t_valuation() for p in A if not p.is_zero()), default=None)
-    if vt is None:
-        raise ValueError("zero vector has no canonical form")
-    if vt:
-        A = tuple(Poly(E, p.coeffs[vt:]) for p in A)
-    vs = min(p.root_multiplicity(neg_one) for p in A if not p.is_zero())
-    if vs:
-        A = tuple(p.deflate(neg_one, vs) if not p.is_zero() else p for p in A)
-    first = next(
-        (p.coeffs[p.t_valuation()] for p in A if not p.is_zero()), None
-    )
-    best = None
-    for lam in range(1, E.q):
-        cand = E.mul(lam, first)
-        if best is None or cand < best[1]:
-            best = (lam, cand)
-    lam = best[0]
-    if lam != 1:
-        A = tuple(p.scale(lam) for p in A)
-    return tuple(p.coeffs for p in A)
-
-
-def pc_is_central_scalar(alg: CycAlg, A) -> bool:
-    """True when the vector represents an element of F_q(t)^x * 1."""
-    if any(not p.is_zero() for p in A[1:]):
-        return False
-    head = A[0]
-    return (not head.is_zero()) and all(alg.E.in_base(c) for c in head.coeffs)
-
-
-def pc_to_elem(alg: CycAlg, A) -> CycElem:
-    return CycElem(alg, tuple(RatFunc(p) for p in A))
-
-
-def elem_cleared(a: CycElem) -> tuple[Poly, ...]:
-    """Polynomial coordinates of a central-monomial multiple of a.
-
-    Requires every coefficient denominator to be of the form
-    t^i (1+t)^j (true for all products of omegas, z powers and their
-    inverses); raises otherwise.
-    """
-    alg = a.alg
-    E = alg.E
-    neg_one = E.neg(1)
-    facs = []
-    for c in a.coords:
-        if c.is_zero():
-            facs.append((0, 0))
-            continue
-        i = c.den.t_valuation()
-        j = c.den.root_multiplicity(neg_one)
-        rest = c.den.deflate(neg_one, j).deflate(0, i)
-        if rest.degree != 0:
-            raise ValueError("denominator is not a central monomial")
-        facs.append((i, j))
-    mi = max(i for i, _ in facs)
-    mj = max(j for _, j in facs)
-    out = []
-    for c, (i, j) in zip(a.coords, facs):
-        if c.is_zero():
-            out.append(Poly.zero(E))
-            continue
-        p = c.num.shift(mi - i)
-        for _ in range(mj - j):
-            p = p * alg.one_plus_t
-        # den's constant scale is 1 (monic, and a monomial in t, 1+t)
-        out.append(p)
-    return tuple(out)
+        terms = [f"({p!r})z^{k}" for k, p in enumerate(self.coords) if p.coeffs]
+        num = " + ".join(terms) if terms else "0"
+        return f"[{num}] / t^{self.den[0]}(1+t)^{self.den[1]}"

@@ -26,14 +26,7 @@ import os
 
 import numpy as np
 
-from .cyclic import (
-    CycAlg,
-    CycElem,
-    gamma_from_alpha,
-    omega_cleared,
-    pc_is_central_scalar,
-    pc_mul_omega,
-)
+from .cyclic import CycAlg, CycElem, gamma_from_alpha
 from .ffield import (
     frobenius_matrix,
     gaussian_binomial,
@@ -52,7 +45,6 @@ from .projmat import (
     mat_inv,
     mat_mul,
 )
-from .ratfunc import RatFunc
 from .util import ordered_chunked_map
 
 KIND_OMEGA = "omega"
@@ -335,10 +327,10 @@ class GenSet:
         head = _parse_kv(lines[0])
         if head.get("version") != "1":
             raise ValueError(f"unsupported version {head.get('version')!r}")
-        kind = head["kind"]
-        q, d, s = int(head["q"]), int(head["d"]), int(head["s"])
-        alpha = int(head["alpha"])
-        modulus = tuple(int(c) for c in head["mod"].split(","))
+        kind = _token(head, "kind", "header")
+        q, d, s = (int(_token(head, k, "header")) for k in ("q", "d", "s"))
+        alpha = int(_token(head, "alpha", "header"))
+        modulus = tuple(int(c) for c in _token(head, "mod", "header").split(","))
         base_modulus = None
         if "bmod" in head:
             base_modulus = tuple(int(c) for c in head["bmod"].split(","))
@@ -350,10 +342,11 @@ class GenSet:
         gens = []
         for i, ln in enumerate(lines[1:]):
             kv = _parse_kv(ln)
-            if int(kv["idx"]) != i:
+            where = f"generator line {i + 2}"
+            if int(_token(kv, "idx", where)) != i:
                 raise ValueError(f"generator indices out of order at line {i + 2}")
-            j, color, inv = int(kv["j"]), int(kv["color"]), int(kv["inv"])
-            raw = [int(x) for x in kv["mat"].split(",")]
+            j, color, inv = (int(_token(kv, k, where)) for k in ("j", "color", "inv"))
+            raw = [int(x) for x in _token(kv, "mat", where).split(",")]
             if len(raw) != d * d * f:
                 raise ValueError(f"matrix entry count mismatch at idx={i}")
             codes = (
@@ -413,6 +406,13 @@ def _parse_kv(line: str) -> dict:
         k, v = tok.split("=", 1)
         out[k] = v
     return out
+
+
+def _token(kv: dict, key: str, where: str) -> str:
+    """``kv[key]``, or a ValueError naming the missing token."""
+    if key not in kv:
+        raise ValueError(f"{where} lacks the required {key}= token")
+    return kv[key]
 
 
 def _word_lift(alg: CycAlg, params: GenParams, word) -> CycElem:
@@ -658,7 +658,7 @@ def build_omega_hat(
         )
     ms = MatSpace(F, d)
     O = ms.asbatch(base_set.finite_rows())
-    u_codes = [E.pow_(params.u, j) for j in range(n)]
+    omegas = [alg.omega(E.pow_(params.u, j)) for j in range(n)]
 
     levels = [O]
     for _ in range(a - 1):
@@ -688,14 +688,14 @@ def build_omega_hat(
         for w, v in chunk:
             if w != last_w:
                 wd = _digits(w, n, a)
-                pc = omega_cleared(alg, u_codes[wd[0]])
+                chain = omegas[wd[0]]
                 for j in wd[1:]:
-                    pc = pc_mul_omega(alg, pc, u_codes[j])
-                chain, last_w = pc, w
-            pc = chain
+                    chain = chain * omegas[j]
+                last_w = w
+            prod = chain
             for j in _digits(v, n, b):
-                pc = pc_mul_omega(alg, pc, u_codes[j])
-            out.append(pc_is_central_scalar(alg, pc))
+                prod = prod * omegas[j]
+            out.append(prod.is_central_scalar())
         return out
 
     flags = ordered_chunked_map(
@@ -796,14 +796,14 @@ def attach_subspace(g: Generator):
     lift = g.lift
     alg = lift.alg
     E, F, d = alg.E, alg.E.base, alg.d
-    vals = [c.valuation_at(0) for c in lift.coords if not c.is_zero()]
+    vals = [p.t_valuation() for p in lift.coords if not p.is_zero()]
     if not vals:
         raise ValueError("zero lift has no attached subspace")
-    vmin = min(vals)
-    coords = lift.coords
-    if vmin != 0:
-        tpow = RatFunc.t(E) ** (-vmin)
-        coords = tuple(c * tpow for c in coords)
+    # coordinate k is P_k / (t^i (1+t)^j): its t = 0 valuation is
+    # v(P_k) - i, and after scaling by t^(i - m) its value at t = 0 is the
+    # t^m coefficient of P_k, since (1+t)^j is 1 there
+    m = min(vals)
+    vmin = m - lift.den[0]
     det_val = _norm_valuation(lift) - d * vmin
     if not 1 <= det_val <= d - 1:
         raise ValueError(
@@ -818,8 +818,7 @@ def attach_subspace(g: Generator):
     acc = None
     phi_pow = mat_eye(F, d)
     for j in range(d):
-        cj = coords[j]
-        code = 0 if cj.is_zero() else cj.eval_code(0)
+        code = lift.coords[j].coeff(m)
         if code:
             term = mat_mul(F, regular_rep(E, code), phi_pow)
             acc = term if acc is None else mat_add(F, acc, term)

@@ -26,15 +26,12 @@ __all__ = [
     "mat_eye",
     "mat_transpose",
     "mat_add",
-    "mat_sub",
     "mat_scale",
     "mat_mul",
-    "mat_vec",
     "mat_pow",
     "mat_det",
     "mat_inv",
     "mat_rref",
-    "null_space",
     "column_space_rref",
     "canon_rows",
     "ProjMat",
@@ -61,12 +58,6 @@ def mat_add(F, A, B):
     )
 
 
-def mat_sub(F, A, B):
-    return tuple(
-        tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
 def mat_scale(F, A, c: int):
     return tuple(tuple(F.mul(a, c) for a in row) for row in A)
 
@@ -83,17 +74,6 @@ def mat_mul(F, A, B):
                     acc = F.add(acc, F.mul(a, b))
             orow.append(acc)
         out.append(tuple(orow))
-    return tuple(out)
-
-
-def mat_vec(F, A, v):
-    out = []
-    for row in A:
-        acc = 0
-        for a, x in zip(row, v):
-            if a and x:
-                acc = F.add(acc, F.mul(a, x))
-        out.append(acc)
     return tuple(out)
 
 
@@ -161,21 +141,6 @@ def mat_rref(F, A):
     pivots, _ = _eliminate(F, rows, len(A[0]) if A else 0)
     rows = [tuple(r) for r in rows if any(r)]
     return tuple(rows), tuple(pivots)
-
-
-def null_space(F, A):
-    """Basis of the right kernel {v : Av = 0}, as a tuple of vectors."""
-    d = len(A[0])
-    rref, pivots = mat_rref(F, A)
-    free = [c for c in range(d) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * d
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(rref[r][fc])
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def column_space_rref(F, A):

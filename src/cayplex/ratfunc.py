@@ -5,7 +5,8 @@ Coefficients are carried as field codes (see ``ffield``); the coefficient
 field may be a ``Field`` or an ``ExtField``, anything exposing code
 arithmetic.  ``Poly`` is trimmed and immutable, with the constant term
 first.  ``RatFunc`` keeps a reduced fraction whose denominator is monic,
-so equality and hashing are structural.
+so equality and hashing are structural; it carries reduced norms and
+their valuations.
 
 The degree of the zero polynomial is -inf and its valuations are +inf,
 using float infinities as sentinels next to exact integers everywhere
@@ -302,20 +303,12 @@ class RatFunc:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, field) -> RatFunc:
-        return cls(Poly.zero(field))
-
-    @classmethod
     def one(cls, field) -> RatFunc:
         return cls(Poly.one(field))
 
     @classmethod
     def t(cls, field) -> RatFunc:
         return cls(Poly.t(field))
-
-    @classmethod
-    def const(cls, field, code: int) -> RatFunc:
-        return cls(Poly.const(field, code))
 
     def _coerce(self, other) -> RatFunc:
         if isinstance(other, RatFunc):
@@ -386,44 +379,10 @@ class RatFunc:
             e >>= 1
         return out
 
-    def scale(self, code: int) -> RatFunc:
-        return RatFunc(self.num.scale(code), self.den)
-
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.den.degree == 0 and self.num.degree <= 0
-
-    def constant_code(self) -> int:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num.coeff(0)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num
-
-    def in_base(self) -> bool:
-        """True when every coefficient lies in the base field of an
-        extension-field coefficient domain."""
-        E = self.field
-        return all(E.in_base(c) for c in self.num.coeffs) and all(
-            E.in_base(c) for c in self.den.coeffs
-        )
-
-    def eval_code(self, x: int) -> int:
-        d = self.den.eval_code(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at code {x}")
-        F = self.field
-        return F.mul(self.num.eval_code(x), F.inv(d))
 
     def valuation_at(self, c: int):
         """Valuation at the place t = c (+inf for zero)."""

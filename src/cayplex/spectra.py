@@ -1,7 +1,7 @@
 """Spectral fingerprints of generator systems and their Cayley graphs:
 exact closed-walk moment sequences (computable even when the graph is
-far too large to store), dense verified spectra for small graphs,
-Weisfeiler-Leman refinement certificates, and comparison verdicts."""
+far too large to store), dense verified spectra for small graphs, an
+exact isomorphism search, and comparison verdicts."""
 
 from __future__ import annotations
 
@@ -462,60 +462,6 @@ def dense_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Weisfeiler-Leman refinement
-# ---------------------------------------------------------------------------
-
-
-class WLCertificate:
-    """Stabilized 1-dimensional color-refinement summary: the sorted
-    class-size histogram and the number of refinement rounds.  Equal
-    certificates are necessary, never sufficient, for isomorphism."""
-
-    __slots__ = ("sizes", "rounds")
-
-    def __init__(self, sizes, rounds: int):
-        self.sizes = tuple(sorted(int(s) for s in sizes))
-        self.rounds = int(rounds)
-
-    def __eq__(self, other):
-        if isinstance(other, WLCertificate):
-            return self.sizes == other.sizes and self.rounds == other.rounds
-        return NotImplemented
-
-    def __repr__(self):
-        return f"WLCertificate(classes={len(self.sizes)}, rounds={self.rounds})"
-
-
-def wl_certificate(G: CayleyGraph, max_rounds: int = 64) -> WLCertificate:
-    """Run 1-dimensional Weisfeiler-Leman refinement to stabilization.
-
-    Vertices start in one class; each round re-colors a vertex by its
-    own class and the sorted classes of its neighbors.  On
-    vertex-transitive graphs this stabilizes immediately with a single
-    class, which is precisely why equal certificates are never reported
-    as isomorphism.
-    """
-    h, classes, rounds = _wl_colors(G.nbr, max_rounds)
-    sizes = np.bincount(h, minlength=classes)
-    return WLCertificate(sizes[sizes > 0], rounds)
-
-
-def _wl_colors(nbr: np.ndarray, max_rounds: int = 64):
-    h = np.zeros(nbr.shape[0], dtype=np.int64)
-    classes = 1
-    rounds = 0
-    for _ in range(max_rounds):
-        sig = np.concatenate([h[:, None], np.sort(h[nbr], axis=1)], axis=1)
-        _, new_h = np.unique(sig, axis=0, return_inverse=True)
-        new_classes = int(new_h.max()) + 1
-        rounds += 1
-        if new_classes == classes:
-            break
-        h, classes = new_h.astype(np.int64), new_classes
-    return h, classes, rounds
-
-
-# ---------------------------------------------------------------------------
 # Isomorphism search
 # ---------------------------------------------------------------------------
 
@@ -533,8 +479,6 @@ def isomorphism_search(a: CayleyGraph, b: CayleyGraph, timeout: float = 10.0):
     if a.n != b.n or a.r != b.r:
         return "non-isomorphic", None
     deadline = time.monotonic() + timeout
-    if wl_certificate(a) != wl_certificate(b):
-        return "non-isomorphic", None
     adj_a = _adjacency_sets(a, deadline)
     adj_b = _adjacency_sets(b, deadline) if adj_a is not None else None
     order = _bfs_order(a, deadline) if adj_b is not None else None
@@ -675,8 +619,7 @@ def compare(a, b, mode: str, timeout: float = 10.0) -> ComparisonReport:
     ``moments``: exact per-k equality of two MomentSeqs of equal K;
     equality is labeled partial evidence up to that K, never full
     isospectrality.  ``spectrum``: multiset equality of dense verified
-    spectra within 1e-8 * r.  ``wl``: refinement certificates; equality
-    is reported only as "possibly-isomorphic".  ``iso``: exact search
+    spectra within 1e-8 * r.  ``iso``: exact search
     with verdict isomorphic / non-isomorphic / timeout.  Graphs of
     mismatched order or degree are reported trivially non-isospectral
     rather than raised.
@@ -698,7 +641,7 @@ def compare(a, b, mode: str, timeout: float = 10.0) -> ComparisonReport:
             "equal",
             {"K": a.K, "evidence": f"partial-up-to-K={a.K}"},
         )
-    if mode not in ("spectrum", "wl", "iso"):
+    if mode not in ("spectrum", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(a, CayleyGraph) or not isinstance(b, CayleyGraph):
         raise ValueError(f"{mode} mode compares CayleyGraph inputs")
@@ -720,17 +663,6 @@ def compare(a, b, mode: str, timeout: float = 10.0) -> ComparisonReport:
             mode,
             verdict,
             {"max_abs_difference": f"{worst:.3e}", "tolerance": f"{tol:.3e}"},
-        )
-    if mode == "wl":
-        ca = wl_certificate(a)
-        cb = wl_certificate(b)
-        verdict = (
-            "possibly-isomorphic" if ca == cb else "definitely-non-isomorphic"
-        )
-        return ComparisonReport(
-            mode,
-            verdict,
-            {"classes_a": len(ca.sizes), "classes_b": len(cb.sizes)},
         )
     verdict, witness = isomorphism_search(a, b, timeout=timeout)
     details = {}

@@ -19,8 +19,9 @@ def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
 
     ``fn`` receives a list slice and must return a list.  With
     ``threads <= 1`` the work runs serially; otherwise chunks are
-    dispatched to a thread pool but results are still merged in order,
-    so the output is independent of the worker count.
+    dispatched to a pool of at most ``os.cpu_count()`` threads but
+    results are still merged in order, so the output is independent of
+    the worker count.
     """
     items = list(items)
     if not items:
@@ -31,7 +32,7 @@ def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
         for c in chunks:
             out.extend(fn(c))
         return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         results = list(pool.map(fn, chunks))
     out = []
     for r in results:

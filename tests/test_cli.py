@@ -249,3 +249,42 @@ class TestVerifySuites:
             assert any(
                 l.startswith("PASS") and name in l for l in lines
             ), name
+
+
+_HEADER_TOKENS = ("kind", "q", "d", "s", "alpha", "mod")
+_LINE_TOKENS = ("idx", "j", "color", "inv", "mat")
+
+
+def _drop_token(line, key):
+    return " ".join(t for t in line.split() if not t.startswith(key + "="))
+
+
+def test_missing_gens_token_exit_2_without_traceback(workdir, tmp_path):
+    """Every required token of a generator file, when missing, is a usage
+    error (exit 2, one error line), never an uncaught exception."""
+    import subprocess
+    import sys
+
+    import cayplex
+
+    lines = open(workdir["gens"]).read().splitlines()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cayplex.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    cases = [(0, k) for k in _HEADER_TOKENS] + [(1, k) for k in _LINE_TOKENS]
+    for row, key in cases:
+        bad = list(lines)
+        bad[row] = _drop_token(bad[row], key)
+        path = tmp_path / f"no-{key}.gens"
+        path.write_text("\n".join(bad) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayplex.cli", "graph", "--gens", str(path),
+             "--out", str(tmp_path / "x.graph")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, (key, proc.stderr)
+        assert "Traceback" not in proc.stderr, (key, proc.stderr)
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and f"{key}=" in errors[0], (key, proc.stderr)

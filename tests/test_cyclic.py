@@ -1,5 +1,6 @@
-"""Tests for cyclic-algebra arithmetic, the matrix representation,
-reduced norms, specialization, and the cleared polynomial kernel."""
+"""Tests for cyclic-algebra arithmetic on polynomial coordinates over a
+central t^i (1+t)^j denominator: the matrix representation, reduced
+norms, inverses, normal forms, and specialization."""
 
 import random
 
@@ -8,18 +9,7 @@ import pytest
 from cayplex.ffield import get_ext_field, mult_generator, regular_rep
 from cayplex.projmat import mat_eye, mat_inv, mat_mul
 from cayplex.ratfunc import Poly, RatFunc
-from cayplex.cyclic import (
-    CycAlg,
-    CycElem,
-    elem_cleared,
-    gamma_from_alpha,
-    omega_cleared,
-    pc_canonical,
-    pc_is_central_scalar,
-    pc_mul,
-    pc_mul_omega,
-    pc_to_elem,
-)
+from cayplex.cyclic import CycAlg, CycElem, gamma_from_alpha
 
 E35 = get_ext_field(3, 1, 5)
 E53 = get_ext_field(5, 1, 3)
@@ -42,14 +32,30 @@ B2_REF = (
 
 
 def rand_elem(rng, alg, max_deg=2, max_den=False):
-    coords = []
-    for _ in range(alg.d):
-        num = Poly(alg.E, [rng.randrange(alg.E.order) for _ in range(rng.randrange(max_deg + 1))])
-        den = Poly.one(alg.E)
-        if max_den and rng.random() < 0.5:
-            den = alg.one_plus_t
-        coords.append(RatFunc(num, den))
-    return alg.elem(coords)
+    """Random polynomial coordinates; with ``max_den`` also a random
+    denominator t^i (1+t)^j with i, j <= 1."""
+    coords = [
+        Poly(alg.E, [rng.randrange(alg.E.order) for _ in range(rng.randrange(max_deg + 1))])
+        for _ in range(alg.d)
+    ]
+    den = (rng.randrange(2), rng.randrange(2)) if max_den else (0, 0)
+    return alg.elem(coords, den)
+
+
+def omega_word(alg, us):
+    out = alg.omega(us[0])
+    for u in us[1:]:
+        out = out * alg.omega(u)
+    return out
+
+
+def poly_matmul(A, B):
+    d = len(A)
+    zero = Poly.zero(A[0][0].field)
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(d)), zero) for j in range(d))
+        for i in range(d)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +77,7 @@ def test_defining_relations(alg35, alg53):
         zd = alg.one()
         for _ in range(d):
             zd = zd * z
-        expect = alg.scalar(RatFunc(alg.one_plus_t))
+        expect = alg.elem([alg.one_plus_t] + [Poly.zero(E)] * (d - 1))
         assert zd == expect
 
 
@@ -87,29 +93,25 @@ def test_representation_is_homomorphism(alg35):
     for _ in range(100):
         a = rand_elem(rng, alg35)
         b = rand_elem(rng, alg35)
-        assert (a * b).matrix_rep().entries == (
-            a.matrix_rep() @ b.matrix_rep()
-        ).entries
+        assert (a * b).matrix_rep() == poly_matmul(a.matrix_rep(), b.matrix_rep())
 
 
 def test_representation_generator_images(alg35):
     E = alg35.E
-    Mz = alg35.z().matrix_rep().entries
-    one = RatFunc.one(E)
-    opt = RatFunc(alg35.one_plus_t)
+    Mz = alg35.z().matrix_rep()
     for i in range(5):
         for j in range(5):
             if i == j + 1:
-                assert Mz[i][j] == one
+                assert Mz[i][j] == Poly.one(E)
             elif (i, j) == (0, 4):
-                assert Mz[i][j] == opt
+                assert Mz[i][j] == alg35.one_plus_t
             else:
                 assert Mz[i][j].is_zero()
     # diagonal twist: matrix of a field element is diag(sigma^{-k}(c))
     c = 137
-    Mc = alg35.from_field(c).matrix_rep().entries
+    Mc = alg35.from_field(c).matrix_rep()
     for k in range(5):
-        assert Mc[k][k] == RatFunc.const(E, alg35.sigma(c, -k))
+        assert Mc[k][k] == Poly.const(E, alg35.sigma(c, -k))
         assert all(Mc[k][j].is_zero() for j in range(5) if j != k)
 
 
@@ -120,6 +122,7 @@ def test_reduced_norm_reference_values(alg35, alg53):
         assert w.reduced_norm() == t / (1 + t)
         sign = 1 if (alg.d - 1) % 2 == 0 else -1
         assert alg.z().reduced_norm() == (1 + t) * sign
+        assert alg.z_inv().reduced_norm() == sign / (1 + t)
         assert alg.one().reduced_norm() == RatFunc.one(alg.E.base)
 
 
@@ -133,34 +136,59 @@ def test_reduced_norm_multiplicative_and_conj_invariant(alg35):
     w = alg35.one_minus_z_inv()
     for _ in range(10):
         u = rng.randrange(1, E35.order)
-        assert w.conj_by_unit(u).reduced_norm() == t / (1 + t)
-        assert alg35.omega(u) == w.conj_by_unit(u)
+        conj = alg35.from_field(u) * w * alg35.from_field(E35.inv(u))
+        assert conj.reduced_norm() == t / (1 + t)
+        assert alg35.omega(u) == conj
 
 
 def test_conj_by_unit_basics(alg35):
+    """u a u^{-1} for a field unit u: trivial for u = 1, and z picks up
+    the factor u / sigma(u)."""
     rng = random.Random(403)
-    a = rand_elem(rng, alg35)
-    assert a.conj_by_unit(1) == a
-    u = 99
+    a = rand_elem(rng, alg35, max_den=True)
     E = alg35.E
+
+    def conj(x, u):
+        return alg35.from_field(u) * x * alg35.from_field(u).inverse()
+
+    assert conj(a, 1) == a
+    u = 99
     factor = E.mul(u, E.inv(alg35.sigma(u, 1)))
-    assert alg35.z().conj_by_unit(u) == alg35.z().scale(RatFunc.const(E, factor))
-    with pytest.raises(ValueError):
-        a.conj_by_unit(0)
+    assert conj(alg35.z(), u) == alg35.from_field(factor) * alg35.z()
+    with pytest.raises(ZeroDivisionError):
+        alg35.from_field(0).inverse()
 
 
-def test_inverse(alg35):
+def test_inverse(alg35, alg53):
     w = alg35.one_minus_z_inv()
     wi = w.inverse()
     assert w * wi == alg35.one()
     assert wi * w == alg35.one()
     rng = random.Random(404)
-    for _ in range(5):
-        u = rng.randrange(1, E35.order)
-        om = alg35.omega(u)
-        assert om.inverse() * om == alg35.one()
+    for alg, alpha in ((alg35, 1), (alg53, 3)):
+        F = alg.E.base
+        for _ in range(5):
+            us = [rng.randrange(1, alg.E.order) for _ in range(rng.randrange(1, 4))]
+            x = omega_word(alg, us)
+            xi = x.inverse()
+            assert xi * x == alg.one() and x * xi == alg.one()
+            assert xi.inverse() == x
+            assert alg.specialize(xi, alpha) == mat_inv(F, alg.specialize(x, alpha))
     with pytest.raises(ZeroDivisionError):
         alg35.zero().inverse()
+
+
+def test_elem_cleared_requires_central_monomial_denominator(alg35):
+    """Only elements whose reduced norm is c t^a (1+t)^b have an inverse
+    with a central monomial denominator; others are rejected."""
+    # Nrd(2 - z) = 2^5 - (1+t) = 1 - t over F_3: a root at t = 1
+    bad = alg35.from_field(2) - alg35.z()
+    assert bad.reduced_norm() == 1 - RatFunc.t(E35.base)
+    with pytest.raises(ValueError):
+        bad.inverse()
+    # Nrd(1 - z) = -t is a central monomial, so 1 - z inverts
+    good = alg35.one() - alg35.z()
+    assert good.inverse() * good == alg35.one()
 
 
 def test_specialize_reproduces_printed_generators():
@@ -176,8 +204,8 @@ def test_specialize_is_homomorphism(alg35, alg53):
     for alg, alpha in ((alg35, 1), (alg53, 3)):  # 3 = -2 in F_5
         F = alg.E.base
         for _ in range(25):
-            a = rand_elem(rng, alg)
-            b = rand_elem(rng, alg)
+            a = rand_elem(rng, alg, max_den=True)
+            b = rand_elem(rng, alg, max_den=True)
             assert alg.specialize(a * b, alpha) == mat_mul(
                 F, alg.specialize(a, alpha), alg.specialize(b, alpha)
             )
@@ -196,6 +224,7 @@ def test_specialize_z_image_consistency(alg53):
     assert Zd == tuple(
         tuple(one_plus_gamma if i == j else 0 for j in range(3)) for i in range(3)
     )
+    assert alg53.specialize(alg53.z_inv(), alpha) == mat_inv(F, Z)
     rng = random.Random(406)
     for _ in range(20):
         v = rng.randrange(1, E.order)
@@ -211,92 +240,89 @@ def test_specialize_errors(alg35):
     # alpha with (1+alpha)^d = 1 makes gamma = 0
     with pytest.raises(ValueError):
         gamma_from_alpha(get_ext_field(2, 2, 3), 2)  # F_4, every cube is 1
-    # pole at gamma = 1: coefficient 1/(t-1)
-    bad = alg35.elem(
-        [RatFunc(Poly.one(E35), Poly(E35, (E35.neg(1), 1)))]
-        + [RatFunc.zero(E35)] * 4
-    )
     with pytest.raises(ValueError):
-        alg35.specialize(bad, 1)
+        alg35.specialize(alg35.one(), 0)
 
 
 def test_global_mat_projective_equality(alg35):
-    from cayplex.cyclic import GlobalMat
-
+    """Projective equality is a central-scalar quotient: scaling by an
+    element of F_q(t)^x keeps the class, scaling by tau does not."""
     rng = random.Random(407)
-    a = rand_elem(rng, alg35, max_den=True)
-    M = a.matrix_rep()
-    central = RatFunc(Poly(E35, (2, 0, 1)))  # 2 + t^2, coefficients in F_3
-    scaled = a.scale(central).matrix_rep()
-    assert M.proj_eq(scaled)
-    # scale the matrix itself by the non-central constant tau: canonical
-    # forms still agree, but the normalizing ratio leaves F_q(t)
-    tau = RatFunc.const(E35, E35.tau_code)
-    tau_scale = GlobalMat(alg35, tuple(tuple(e * tau for e in row) for row in M.entries))
-    assert M.canonical()[0].entries == tau_scale.canonical()[0].entries
-    assert not M.proj_eq(tau_scale)
+    a = omega_word(alg35, [rng.randrange(1, E35.order) for _ in range(3)])
+    zero = Poly.zero(E35)
+    central = alg35.elem([Poly(E35, (2, 0, 1))] + [zero] * 4, (1, 2))
+    assert (a.inverse() * (a * central)).is_central_scalar()
+    assert (a.inverse() * (central * a)).is_central_scalar()
+    tau = alg35.from_field(E35.tau_code)
+    assert not (a.inverse() * (a * tau)).is_central_scalar()
 
 
 def test_sigma_fixes_t_and_base(alg35):
-    t = RatFunc.t(E35)
-    assert alg35.sigma_rf(t, 1) == t
-    r = (1 + t) / (2 + t)
-    assert alg35.sigma_rf(r, 3) == r
+    t = Poly.t(E35)
+    assert alg35.sigma_poly(t, 1) == t
+    r = Poly(E35, (1, 2, 0, 1))  # coefficients in F_3
+    assert alg35.sigma_poly(r, 3) == r
+    # t is central: it commutes with z
+    t_elem = alg35.elem([t] + [Poly.zero(E35)] * 4)
+    assert t_elem * alg35.z() == alg35.z() * t_elem
 
 
 def test_pc_kernel_matches_elem_arithmetic(alg35):
+    """Words in the omega lifts: the product adds denominator exponents,
+    associates, and specializes to the product of the finite images."""
     rng = random.Random(408)
+    F = E35.base
     for _ in range(15):
         us = [rng.randrange(1, E35.order) for _ in range(3)]
-        pc = omega_cleared(alg35, us[0])
-        elem = alg35.omega(us[0])
-        for u in us[1:]:
-            pc = pc_mul_omega(alg35, pc, u)
-            elem = elem * alg35.omega(u)
-        assert pc == pc_mul(
-            alg35,
-            pc_mul(alg35, omega_cleared(alg35, us[0]), omega_cleared(alg35, us[1])),
-            omega_cleared(alg35, us[2]),
+        om = [alg35.omega(u) for u in us]
+        left = (om[0] * om[1]) * om[2]
+        assert left.den == (0, 3)
+        assert all(p.degree <= 3 for p in left.coords)
+        assert left == om[0] * (om[1] * om[2])
+        assert left.matrix_rep() == poly_matmul(
+            poly_matmul(om[0].matrix_rep(), om[1].matrix_rep()), om[2].matrix_rep()
         )
-        assert pc_canonical(alg35, pc) == pc_canonical(alg35, elem_cleared(elem))
-        # the cleared vector is a central multiple of the element
-        assert pc_to_elem(alg35, pc).matrix_rep().proj_eq(elem.matrix_rep())
+        spec = mat_mul(F, mat_mul(F, *(alg35.specialize(o, 1) for o in om[:2])),
+                       alg35.specialize(om[2], 1))
+        assert alg35.specialize(left, 1) == spec
 
 
 def test_pc_canonical_invariance(alg35):
-    A = pc_mul(
-        alg35, omega_cleared(alg35, 17), omega_cleared(alg35, 200)
+    """Equality and hashing see through common t and (1+t) factors of the
+    numerators and the denominator, and nothing else."""
+    A = alg35.omega(17) * alg35.omega(200)
+    i, j = A.den
+    rescaled = alg35.elem(
+        [(p * alg35.one_plus_t).shift(3) for p in A.coords], (i + 3, j + 1)
     )
-    ref = pc_canonical(alg35, A)
-    scaled = tuple((p * alg35.one_plus_t).shift(3).scale(2) for p in A)
-    assert pc_canonical(alg35, scaled) == ref
-    with pytest.raises(ValueError):
-        pc_canonical(alg35, tuple(Poly.zero(E35) for _ in range(5)))
+    assert rescaled == A and hash(rescaled) == hash(A)
+    doubled = alg35.elem([p.scale(2) for p in A.coords], A.den)
+    assert doubled != A
+    assert (A.inverse() * doubled).is_central_scalar()
+    zero = alg35.zero()
+    assert alg35.elem(zero.coords, (2, 5)) == zero
 
 
 def test_pc_central_scalar_detection(alg35):
     zero = Poly.zero(E35)
-    yes = (Poly(E35, (0, 1, 1)),) + (zero,) * 4
-    assert pc_is_central_scalar(alg35, yes)
-    no1 = (Poly(E35, (0, 1)), Poly.one(E35)) + (zero,) * 3
-    assert not pc_is_central_scalar(alg35, no1)
-    no2 = (Poly(E35, (E35.tau_code,)),) + (zero,) * 4
-    assert not pc_is_central_scalar(alg35, no2)
-
-
-def test_elem_cleared_requires_central_monomial_denominator(alg35):
-    bad = alg35.elem(
-        [RatFunc(Poly.one(E35), Poly(E35, (1, 1, 1)))] + [RatFunc.zero(E35)] * 4
-    )
-    with pytest.raises(ValueError):
-        elem_cleared(bad)
+    yes = alg35.elem((Poly(E35, (0, 1, 1)),) + (zero,) * 4, (2, 1))
+    assert yes.is_central_scalar()
+    no1 = alg35.elem((Poly(E35, (0, 1)), Poly.one(E35)) + (zero,) * 3)
+    assert not no1.is_central_scalar()
+    no2 = alg35.elem((Poly(E35, (E35.tau_code,)),) + (zero,) * 4)
+    assert not no2.is_central_scalar()
+    assert not alg35.zero().is_central_scalar()
 
 
 def test_cyc_elem_serialization_roundtrip(alg35):
+    """An element is determined by plain integer data: its denominator
+    exponents and the coefficient codes of its numerators."""
     rng = random.Random(409)
     for _ in range(5):
         a = rand_elem(rng, alg35, max_den=True)
-        assert CycElem.from_lines(alg35, a.to_lines()) == a
+        data = (a.den, tuple(p.coeffs for p in a.coords))
+        back = CycElem(alg35, data[0], (Poly(E35, c) for c in data[1]))
+        assert back == a and hash(back) == hash(a)
 
 
 def test_algebra_validation():
@@ -304,6 +330,10 @@ def test_algebra_validation():
         CycAlg(E53, 3)  # s = 0 mod 3
     with pytest.raises(ValueError):
         CycAlg(get_ext_field(3, 1, 4), 2)  # gcd(2,4) != 1
+    with pytest.raises(ValueError):
+        CycAlg(E53, 1).elem([Poly.zero(E53)] * 2)
+    with pytest.raises(ValueError):
+        CycAlg(E53, 1).one() * CycAlg(E53, 2).one()
     u = mult_generator(E35)
     alg = CycAlg(E35, 2)
     assert alg.omega(u.code).reduced_norm() == RatFunc.t(E35.base) / (

@@ -7,7 +7,6 @@ import re
 
 import pytest
 
-from cayplex.cyclic import omega_cleared, pc_is_central_scalar, pc_mul_omega
 from cayplex.ffield import gaussian_binomial, get_field
 from cayplex.genforge import (
     GenSet,
@@ -189,18 +188,16 @@ def test_omega_hat_words_brute_force(p53, omega53, hat53):
     # oracle: enumerate all 31^3 words and verify the product globally
     alg = p53.alg()
     E, n = p53.E, p53.n
-    u_codes = [E.pow_(p53.u, j) for j in range(n)]
-    base = [omega_cleared(alg, c) for c in u_codes]
+    base = [alg.omega(E.pow_(p53.u, j)) for j in range(n)]
     words = 0
     prefix1 = set()
     prefix2 = set()
     F = p53.base
     for i in range(n):
         for j in range(n):
-            pc2 = pc_mul_omega(alg, base[i], u_codes[j])
+            w2 = base[i] * base[j]
             for k in range(n):
-                pc3 = pc_mul_omega(alg, pc2, u_codes[k])
-                if pc_is_central_scalar(alg, pc3):
+                if (w2 * base[k]).is_central_scalar():
                     words += 1
                     prefix1.add(omega53[i].finite.packed())
                     m2 = mat_mul(F, omega53[i].finite.rows, omega53[j].finite.rows)

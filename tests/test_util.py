@@ -1,0 +1,31 @@
+"""Tests for the deterministic chunked map."""
+
+import os
+
+from cayplex import util
+
+
+def test_ordered_chunked_map_clamps_threads(monkeypatch):
+    """An oversized thread count is clamped to the CPU count before any
+    pool is created; the recording stand-in starts no threads."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(util, "ThreadPoolExecutor", RecordingPool)
+    out = util.ordered_chunked_map(
+        lambda c: [2 * x for x in c], range(10), threads=10**6, chunk=3
+    )
+    assert out == [2 * x for x in range(10)]
+    assert seen == [os.cpu_count() or 1]
