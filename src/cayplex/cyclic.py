@@ -86,11 +86,16 @@ class CycAlg:
         return self.E.frob(code, (self.s * k) % self.d)
 
     def sigma_poly(self, p: Poly, k: int = 1) -> Poly:
-        i = (self.s * k) % self.d
-        if i == 0 or not p.coeffs:
+        if (self.s * k) % self.d == 0 or not p.coeffs:
             return p
-        E = self.E
-        return Poly(E, tuple(E.frob(c, i) for c in p.coeffs))
+        return Poly._of(self.E, self._sigma_codes(p.coeffs, k))
+
+    def _sigma_codes(self, codes, k: int) -> list[int]:
+        i = (self.s * k) % self.d
+        if i == 0:
+            return list(codes)
+        frob = self.E.frob
+        return [frob(c, i) for c in codes]
 
     def _monomial(self, p: Poly, i: int, j: int) -> Poly:
         """p * t^i * (1+t)^j for i, j >= 0."""
@@ -273,21 +278,27 @@ class CycElem:
     def __mul__(self, other):
         other = self._check(other)
         alg = self.alg
-        d, opt = alg.d, alg.one_plus_t
-        out = [alg._zero] * d
+        E, d = alg.E, alg.d
+        add = E.add
+        # numerator coefficient codes of each z^k, accumulated in place
+        out = [[] for _ in range(d)]
         for i, a in enumerate(self.coords):
             if not a.coeffs:
                 continue
             for j, b in enumerate(other.coords):
                 if not b.coeffs:
                     continue
-                term = a * alg.sigma_poly(b, i)
-                if i + j >= d:
-                    term = term * opt
-                k = (i + j) % d
-                out[k] = out[k] + term
+                term = E.convolve(a.coeffs, alg._sigma_codes(b.coeffs, i))
+                if i + j >= d:  # z^d = 1 + t
+                    term = [add(x, y) for x, y in zip(term + [0], [0] + term)]
+                acc = out[(i + j) % d]
+                if len(acc) < len(term):
+                    acc.extend([0] * (len(term) - len(acc)))
+                for m, c in enumerate(term):
+                    if c:
+                        acc[m] = add(acc[m], c)
         den = (self.den[0] + other.den[0], self.den[1] + other.den[1])
-        return CycElem(alg, den, out)
+        return CycElem(alg, den, [Poly._of(E, cs) for cs in out])
 
     def _normal(self) -> CycElem:
         """The same element with the common t and (1+t) factors of the

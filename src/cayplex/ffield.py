@@ -43,6 +43,8 @@ __all__ = [
 # convolution, which is slow but exact.
 _EXPLOG_MAX = 1 << 16
 _ADDTAB_MAX = 2500
+# Order up to which a non-prime base field keeps add/mul lookup tables.
+_BASETAB_MAX = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -323,28 +325,62 @@ class Field:
         self.q = p**f
         self.order = self.q
         self._np_tables = None
+        # small non-prime fields keep addition, negation and multiplication
+        # tables (Python lists) so scalar ops skip the digit convolution
+        self._addtab = self._negtab = self._multab = None
+        if f > 1 and self.q <= _BASETAB_MAX:
+            e, rng = self._engine, range(self.q)
+            self._addtab = [[e.add(a, b) for b in rng] for a in rng]
+            self._negtab = [e.neg(a) for a in rng]
+            self._multab = [[e.mul(a, b) for b in rng] for a in rng]
 
     # -- code arithmetic ----------------------------------------------------
 
     def add(self, a, b):
         if self.f == 1:
             return (a + b) % self.p
+        if self._addtab is not None:
+            return self._addtab[a][b]
         return self._engine.add(a, b)
 
     def sub(self, a, b):
         if self.f == 1:
             return (a - b) % self.p
+        if self._addtab is not None:
+            return self._addtab[a][self._negtab[b]]
         return self._engine.sub(a, b)
 
     def neg(self, a):
         if self.f == 1:
             return (-a) % self.p
+        if self._negtab is not None:
+            return self._negtab[a]
         return self._engine.neg(a)
 
     def mul(self, a, b):
         if self.f == 1:
             return (a * b) % self.p
+        if self._multab is not None:
+            return self._multab[a][b]
         return self._engine.mul(a, b)
+
+    def convolve(self, a, b) -> list[int]:
+        """Coefficient codes of the product of two polynomials given as
+        code sequences (constant term first, both nonempty)."""
+        out = [0] * (len(a) + len(b) - 1)
+        if self.f == 1:
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            p = self.p
+            return [c % p for c in out]
+        add, mul = self.add, self.mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = add(out[i + j], mul(x, y))
+        return out
 
     def inv(self, a):
         if a == 0:
@@ -426,6 +462,8 @@ class Field:
         return f"p={self.p} f={self.f} mod={mod}"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (
             isinstance(other, Field)
             and not isinstance(other, ExtField)
@@ -542,7 +580,7 @@ class ExtField:
     Elements are integer codes 0..q^d-1 packing coordinate vectors in the
     power basis {1, t, ..., t^(d-1)}; codes below q are the base-field
     elements.  Small extensions keep exp/log and addition lookup tables,
-    so multiplication, inversion and Frobenius are O(1) array lookups.
+    so multiplication, inversion, negation and Frobenius are O(1) lookups.
     """
 
     def __init__(self, base: Field, d: int, modulus=None):
@@ -565,10 +603,13 @@ class ExtField:
         self._engine = _QuotEngine(base, modulus)
         self.order = self._engine.order
         self.tau_code = base.q if d >= 1 else 1
+        # Tables are Python lists: one scalar lookup in a list is several
+        # times faster than indexing a numpy array element by element.
         self._exp = None
         self._log = None
         self._addtab = None
-        self._frob: dict[int, np.ndarray] = {}
+        self._negtab = None
+        self._frob: dict[int, list[int]] = {}
         if self.order <= _EXPLOG_MAX:
             self._build_tables()
 
@@ -591,36 +632,40 @@ class ExtField:
         exp[n:] = exp[:n]
         log = np.zeros(self.order, dtype=np.int32)
         log[exp[:n]] = np.arange(n, dtype=np.int32)
-        self._exp, self._log = exp, log
+        self._exp, self._log = exp.tolist(), log.tolist()
         if self.order <= _ADDTAB_MAX:
-            add = np.empty((self.order, self.order), dtype=np.int32)
+            add = [[0] * self.order for _ in range(self.order)]
             for a in range(self.order):
+                row = add[a]
                 for b in range(a, self.order):
                     s = self._engine.add(a, b)
-                    add[a, b] = s
-                    add[b, a] = s
+                    row[b] = s
+                    add[b][a] = s
             self._addtab = add
+            self._negtab = [self._engine.neg(a) for a in range(self.order)]
 
     # -- code arithmetic ----------------------------------------------------
 
     def add(self, a, b):
         if self._addtab is not None:
-            return int(self._addtab[a, b])
+            return self._addtab[a][b]
         return self._engine.add(a, b)
 
     def neg(self, a):
+        if self._negtab is not None:
+            return self._negtab[a]
         return self._engine.neg(a)
 
     def sub(self, a, b):
         if self._addtab is not None:
-            return int(self._addtab[a, self._engine.neg(b)])
+            return self._addtab[a][self._negtab[b]]
         return self._engine.sub(a, b)
 
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
-            return int(self._exp[self._log[a] + self._log[b]])
+            return self._exp[self._log[a] + self._log[b]]
         return self._engine.mul(a, b)
 
     def inv(self, a):
@@ -628,7 +673,7 @@ class ExtField:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             n = self.order - 1
-            return int(self._exp[(n - self._log[a]) % n])
+            return self._exp[(n - self._log[a]) % n]
         return self._engine.inv(a)
 
     def pow_(self, a, e):
@@ -640,8 +685,28 @@ class ExtField:
             return 0
         if self._exp is not None:
             n = self.order - 1
-            return int(self._exp[(self._log[a] * e) % n])
+            return self._exp[(self._log[a] * e) % n]
         return self._engine.pow_(a, e)
+
+    def convolve(self, a, b) -> list[int]:
+        """Coefficient codes of the product of two polynomials given as
+        code sequences (constant term first, both nonempty)."""
+        out = [0] * (len(a) + len(b) - 1)
+        if self._addtab is None:
+            add, mul = self.add, self.mul
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] = add(out[i + j], mul(x, y))
+            return out
+        add, exp, log = self._addtab, self._exp, self._log
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add[out[i + j]][exp[lx + log[y]]]
+        return out
 
     def frob(self, a, i):
         """a^(q^i), the i-th power of the base-field Frobenius."""
@@ -649,20 +714,21 @@ class ExtField:
         if i == 0:
             return a
         if self._exp is not None:
-            return int(self.frob_array(i)[a])
+            return self._frob_table(i)[a]
         return self._engine.pow_(a, self.q**i)
 
-    def frob_array(self, i) -> np.ndarray:
+    def _frob_table(self, i) -> list[int]:
         i %= self.d
         if i not in self._frob:
             if i == 0:
-                self._frob[0] = np.arange(self.order, dtype=np.int32)
+                self._frob[0] = list(range(self.order))
+            elif self._exp is not None:
+                n, e = self.order - 1, self.q**i
+                exp, log = self._exp, self._log
+                self._frob[i] = [0] + [exp[(log[a] * e) % n] for a in range(1, self.order)]
             else:
                 e = self.q**i
-                arr = np.empty(self.order, dtype=np.int32)
-                for a in range(self.order):
-                    arr[a] = self._engine.pow_(a, e)
-                self._frob[i] = arr
+                self._frob[i] = [self._engine.pow_(a, e) for a in range(self.order)]
         return self._frob[i]
 
     def coerce(self, x) -> int:
@@ -730,6 +796,8 @@ class ExtField:
         return f"{self.base.descriptor()} d={self.d} emod={emod}"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (
             isinstance(other, ExtField)
             and (self.base, self.d, self.modulus) == (other.base, other.d, other.modulus)
@@ -937,11 +1005,21 @@ def parse_field_descriptor(line: str):
     return ExtField(base, d, emod)
 
 
-@functools.lru_cache(maxsize=None)
 def get_field(p: int, f: int = 1, modulus=None) -> Field:
+    return _cached_field(p, f, None if modulus is None else tuple(modulus))
+
+
+def get_ext_field(p: int, f: int, d: int, modulus=None) -> ExtField:
+    return _cached_ext_field(p, f, d, None if modulus is None else tuple(modulus))
+
+
+# The public getters pass every argument positionally, so a call with and
+# one without an explicit ``modulus=None`` share one cache entry.
+@functools.lru_cache(maxsize=None)
+def _cached_field(p, f, modulus):
     return Field(p, f, modulus)
 
 
 @functools.lru_cache(maxsize=None)
-def get_ext_field(p: int, f: int, d: int, modulus=None) -> ExtField:
+def _cached_ext_field(p, f, d, modulus):
     return ExtField(get_field(p, f), d, modulus)

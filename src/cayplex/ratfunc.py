@@ -34,6 +34,17 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _of(cls, field, cs: list) -> Poly:
+        """From a list of Python int codes, trimmed in place; the internal
+        constructor for arithmetic results, skipping the int() pass."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(cs)
+        return p
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -72,7 +83,7 @@ class Poly:
 
     def _coerce(self, other) -> Poly:
         if isinstance(other, Poly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("polynomial over a different field")
             return other
         if isinstance(other, int):
@@ -90,15 +101,16 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        add = F.add
         for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+            out[i] = add(out[i], c)
+        return Poly._of(F, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         F = self.field
-        return Poly(F, tuple(F.neg(c) for c in self.coeffs))
+        return Poly._of(F, [F.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -117,14 +129,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+        return Poly._of(F, F.convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -133,7 +138,7 @@ class Poly:
         F = self.field
         if code == 0:
             return Poly(F, ())
-        return Poly(F, tuple(F.mul(c, code) for c in self.coeffs))
+        return Poly._of(F, [F.mul(c, code) for c in self.coeffs])
 
     def shift(self, k: int) -> Poly:
         """Multiply by t^k (k >= 0)."""

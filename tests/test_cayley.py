@@ -161,21 +161,19 @@ def test_cells_53(graph53):
 
 def test_cells_53_triangle_oracle(graph53):
     # independent oracle: sum over directed edges (u,v) of the number of
-    # common neighbors of u and v equals 6 x triangle count
+    # common neighbors of u and v equals 6 x triangle count.  Neighbor
+    # rows are duplicate-free, so once the rows of u and v are sorted
+    # together, equal adjacent entries are exactly their common neighbors.
     G = graph53
-    n = G.n
-    nbr = G.nbr.astype(np.int64)
-    edge_keys = np.sort((np.repeat(np.arange(n, dtype=np.int64), G.r) * n) + nbr.ravel())
-    u_base = np.arange(n, dtype=np.int64) * n
+    srt = np.sort(G.nbr, axis=1)
+    assert not np.any(srt[:, 1:] == srt[:, :-1])
+    both = np.empty((G.n, 2 * G.r), dtype=srt.dtype)
     total = 0
     for g in range(G.r):
-        mid = nbr[:, g]
-        for h in range(G.r):
-            w = nbr[mid, h]
-            quer = u_base + w
-            pos = np.searchsorted(edge_keys, quer)
-            pos = np.minimum(pos, edge_keys.size - 1)
-            total += int(np.count_nonzero(edge_keys[pos] == quer))
+        both[:, : G.r] = srt
+        both[:, G.r :] = srt[G.nbr[:, g]]
+        both.sort(axis=1)
+        total += int(np.count_nonzero(both[:, 1:] == both[:, :-1]))
     assert total == 6 * clique_cells(G, 2).counts[2]
 
 

@@ -315,3 +315,40 @@ def test_int_coercion_is_ring_hom():
     assert (2 * a).code == 6
     E = get_ext_field(3, 1, 5)
     assert (E.one + 2).code == 0
+
+
+def test_lookup_tables_match_digit_arithmetic():
+    # the scalar lookup tables agree with the digit-convolution engine
+    rng = random.Random(11)
+    for fld in (get_field(2, 2), get_field(3, 2), get_ext_field(3, 1, 5),
+                get_ext_field(2, 2, 4)):
+        eng = fld._engine
+        for _ in range(400):
+            a, b = rng.randrange(fld.order), rng.randrange(fld.order)
+            assert fld.add(a, b) == eng.add(a, b)
+            assert fld.sub(a, b) == eng.sub(a, b)
+            assert fld.neg(a) == eng.neg(a)
+            assert fld.mul(a, b) == eng.mul(a, b)
+            if isinstance(fld, ExtField):
+                assert fld.frob(a, 2) == eng.pow_(a, fld.q**2)
+
+
+def test_convolve_is_polynomial_product():
+    rng = random.Random(12)
+    for fld in (get_field(7), get_field(2, 2), get_ext_field(3, 1, 5)):
+        for _ in range(50):
+            a = [rng.randrange(fld.order) for _ in range(rng.randint(1, 5))]
+            b = [rng.randrange(fld.order) for _ in range(rng.randint(1, 5))]
+            ref = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    ref[i + j] = fld.add(ref[i + j], fld.mul(x, y))
+            assert fld.convolve(a, b) == ref
+
+
+def test_getters_share_one_cache_entry():
+    assert get_field(2, 2) is get_field(2, 2, None)
+    assert get_ext_field(3, 1, 5) is get_ext_field(3, 1, 5, None)
+    assert get_ext_field(3, 1, 5, [2, 2, 0, 0, 0, 1]) is get_ext_field(
+        3, 1, 5, (2, 2, 0, 0, 0, 1)
+    )
