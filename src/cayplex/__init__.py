@@ -25,7 +25,6 @@ from cayplex.ffield import (
     get_ext_field,
     get_field,
     mult_generator,
-    parse_field_descriptor,
     regular_rep,
 )
 from cayplex.genforge import (

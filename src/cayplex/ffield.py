@@ -2,8 +2,20 @@
 
 Two layers are provided.  ``Field`` is F_q = F_p[x]/(m(x)) for a prime p
 and a monic irreducible m of degree f; f = 1 gives the prime field, where
-the modulus is x and elements are plain residues.  ``ExtField`` is a
-degree-d extension F_{q^d} = F_q[t]/(m(t)) on top of a ``Field``.
+the modulus is x and elements are plain residues under direct modular
+arithmetic.  ``ExtField`` is a degree-d extension F_{q^d} = F_q[t]/(m(t))
+on top of a ``Field``.
+
+Every field other than a prime field is a quotient ring F[x]/(m) over a
+coefficient field F (the prime field under a ``Field``, the base under an
+``ExtField``), and both classes run one implementation of it, ``_Quotient``:
+code packing, lookup tables made by one builder, scalar ops, polynomial
+products and Frobenius.  Up to ``_EXPLOG_MAX`` elements, multiplication,
+inversion, powers and Frobenius are exp/log lookups, and up to
+``_ADDTAB_MAX`` so are addition and negation; larger fields work on
+coefficient digits and reduce ``ratfunc.Poly`` products modulo m.
+``Poly`` is the only polynomial arithmetic here: the irreducibility test
+and the default moduli use it as well.
 
 Elements are carried as integer *codes*: the coefficient vector
 (c_0, ..., c_{k-1}) in the power basis packs into sum_i code(c_i) * B^i,
@@ -23,6 +35,8 @@ import functools
 
 import numpy as np
 
+from cayplex.ratfunc import Poly
+
 __all__ = [
     "Field",
     "FieldElem",
@@ -33,18 +47,15 @@ __all__ = [
     "frobenius_matrix",
     "regular_rep",
     "mult_generator",
-    "parse_field_descriptor",
     "get_field",
     "get_ext_field",
 ]
 
-# Orders up to which an extension keeps dense exp/log (multiplication) and
-# addition lookup tables.  Beyond these, arithmetic falls back to digit
-# convolution, which is slow but exact.
+# Orders up to which a quotient ring keeps dense exp/log (multiplication)
+# and addition lookup tables.  Beyond these, arithmetic works on digits
+# and reduces Poly products, which is slow but exact.
 _EXPLOG_MAX = 1 << 16
 _ADDTAB_MAX = 2500
-# Order up to which a non-prime base field keeps add/mul lookup tables.
-_BASETAB_MAX = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -77,213 +88,44 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Generic polynomial arithmetic over a coefficient field given by an "ops"
-# object exposing: order, add(a,b), sub(a,b), neg(a), mul(a,b), inv(a).
-# Polynomials are trimmed tuples of coefficient codes, constant term first.
-# ---------------------------------------------------------------------------
-
-
-class _PrimeOps:
-    __slots__ = ("order",)
-
-    def __init__(self, p: int):
-        self.order = p
-
-    def add(self, a, b):
-        return (a + b) % self.order
-
-    def sub(self, a, b):
-        return (a - b) % self.order
-
-    def neg(self, a):
-        return (-a) % self.order
-
-    def mul(self, a, b):
-        return (a * b) % self.order
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.order - 2, self.order)
-
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(ops, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = ops.add(out[i], x)
-    return _ptrim(out)
-
-
-def _psub(ops, a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] = ops.sub(out[i], x)
-    return _ptrim(out)
-
-
-def _pmul(ops, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = ops.add(out[i + j], ops.mul(x, y))
-    return _ptrim(out)
-
-
-def _pdivmod(ops, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    ilc = ops.inv(b[-1])
-    while len(a) >= len(b):
-        c = ops.mul(a[-1], ilc)
-        k = len(a) - len(b)
-        if c != 0:
-            q[k] = c
-            for i, y in enumerate(b):
-                a[k + i] = ops.sub(a[k + i], ops.mul(c, y))
-        a.pop()
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(ops, a, b):
-    while b:
-        a, b = b, _pdivmod(ops, a, b)[1]
-    if a:
-        ilc = ops.inv(a[-1])
-        a = tuple(ops.mul(c, ilc) for c in a)
-    return a
-
-
-def _ppowmod(ops, a, e, m):
-    r = (1,)
-    a = _pdivmod(ops, a, m)[1]
-    while e:
-        if e & 1:
-            r = _pdivmod(ops, _pmul(ops, r, a), m)[1]
-        a = _pdivmod(ops, _pmul(ops, a, a), m)[1]
-        e >>= 1
-    return r
-
-
-def _pirreducible(ops, m) -> bool:
-    """Rabin test: m (monic, degree n >= 1) is irreducible over the field
-    of order Q iff x^(Q^n) = x mod m and gcd(x^(Q^(n/r)) - x, m) = 1 for
+def _pirreducible(F, modulus) -> bool:
+    """Rabin test: a monic m of degree n >= 1 is irreducible over the field
+    F of order Q iff x^(Q^n) = x mod m and gcd(x^(Q^(n/r)) - x, m) = 1 for
     every prime divisor r of n."""
-    n = len(m) - 1
+    m = Poly(F, modulus)
+    n = m.degree
     if n < 1:
         return False
-    Q = ops.order
-    x = (0, 1)
-    h = _ppowmod(ops, x, Q**n, m)
-    if _psub(ops, h, x):
-        return False
-    for r in _factorize(n):
-        h = _ppowmod(ops, x, Q ** (n // r), m)
-        if len(_pgcd(ops, _psub(ops, h, x), m)) != 1:
-            return False
-    return True
+    x = Poly.t(F)
 
-
-class _QuotEngine:
-    """Code arithmetic in ops[_x]/(modulus) for a monic irreducible modulus.
-
-    Codes pack coefficient digits in base ops.order, constant digit first.
-    """
-
-    __slots__ = ("ops", "deg", "modulus", "B", "order", "_red")
-
-    def __init__(self, ops, modulus):
-        self.ops = ops
-        self.modulus = tuple(modulus)
-        self.deg = len(modulus) - 1
-        self.B = ops.order
-        self.order = ops.order**self.deg
-        # x^(deg+k) mod m for k = 0..deg-2, used to fold products down.
-        red = []
-        cur = _psub(ops, (), self.modulus[:-1])  # x^deg = -(lower part)
-        red.append(cur)
-        for _ in range(self.deg - 2):
-            cur = _ptrim((0,) + cur)
-            if len(cur) > self.deg:
-                lead = cur[-1]
-                cur = _padd(
-                    ops,
-                    cur[:-1],
-                    tuple(ops.mul(lead, c) for c in red[0]),
-                )
-            red.append(cur)
-        self._red = red
-
-    def decode(self, code: int):
-        out = []
-        B = self.B
-        for _ in range(self.deg):
-            code, r = divmod(code, B)
-            out.append(r)
-        return tuple(out)
-
-    def encode(self, digits) -> int:
-        code = 0
-        for c in reversed(tuple(digits)):
-            code = code * self.B + c
-        return code
-
-    def add(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        return self.encode(tuple(self.ops.add(x, y) for x, y in zip(da, db)))
-
-    def neg(self, a: int) -> int:
-        return self.encode(tuple(self.ops.neg(x) for x in self.decode(a)))
-
-    def sub(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        return self.encode(tuple(self.ops.sub(x, y) for x, y in zip(da, db)))
-
-    def mul(self, a: int, b: int) -> int:
-        pa = _ptrim(self.decode(a))
-        pb = _ptrim(self.decode(b))
-        prod = list(_pmul(self.ops, pa, pb))
-        for k in range(len(prod) - 1, self.deg - 1, -1):
-            lead = prod[k]
-            if lead:
-                for i, c in enumerate(self._red[k - self.deg]):
-                    prod[i] = self.ops.add(prod[i], self.ops.mul(lead, c))
-            prod.pop()
-        prod += [0] * (self.deg - len(prod))
-        return self.encode(prod)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow_(a, self.order - 2)
-
-    def pow_(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = 1
+    def x_pow(e):
+        r, b = Poly.one(F), x % m
         while e:
             if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = r * b % m
+            b = b * b % m
             e >>= 1
         return r
+
+    Q = F.order
+    if x_pow(Q**n) != x:
+        return False
+    return all((x_pow(Q ** (n // r)) - x).gcd(m).degree == 0 for r in _factorize(n))
+
+
+def _scan_irreducible(F, deg):
+    """First monic irreducible of the given degree over F, scanning the
+    lower coefficient vectors as ascending base-|F| integers."""
+    B = F.order
+    for m in range(B**deg):
+        digits = []
+        for _ in range(deg):
+            m, r = divmod(m, B)
+            digits.append(r)
+        cand = tuple(digits) + (1,)
+        if _pirreducible(F, cand):
+            return cand
+    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -291,84 +133,178 @@ class _QuotEngine:
 # ---------------------------------------------------------------------------
 
 
-class Field:
-    """Finite field F_q with q = p^f, as F_p[x]/(m(x)).
+class _Quotient:
+    """Code arithmetic in F[x]/(m) for a coefficient field F and a monic
+    irreducible m of degree k, shared by non-prime ``Field`` and ``ExtField``.
 
-    Elements are integer codes 0..q-1; see the module docstring for the
-    packing.  Instances are immutable and hashable; arithmetic methods
-    work on codes, ``element`` wraps a code into a ``FieldElem``.
+    Codes pack the k coefficient digits in base |F|, constant digit first.
+    The public scalar ops are table lookups; ``_init_quotient`` binds the
+    digit and ``Poly`` versions per instance when the order is too large
+    for a table, so a hot loop calls the op it needs with no dispatch.
+    A prime field overrides the scalar ops and the code packing, and
+    shares only ``convolve``.
     """
 
-    def __init__(self, p: int, f: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if f < 1:
-            raise ValueError("degree must be >= 1")
-        self.p = p
-        self.f = f
-        ops = _PrimeOps(p)
-        if f == 1:
-            if modulus is not None and tuple(modulus) != (0, 1):
-                raise ValueError("prime field modulus must be x")
-            self.modulus = (0, 1)
-            self._engine = None
+    def _init_quotient(self, coef, modulus):
+        if not _pirreducible(coef, modulus):
+            raise ValueError(f"modulus is reducible over {coef!r}")
+        self._coef = coef
+        self._k = len(modulus) - 1
+        self._mpoly = Poly(coef, modulus)
+        self.modulus = modulus
+        self.order = coef.order**self._k
+        self._addtab = self._np_tables = None
+        self._frob: dict[int, list[int]] = {}
+        if self.order <= _EXPLOG_MAX:
+            self._build_tables()
         else:
-            if modulus is None:
-                modulus = _scan_irreducible(ops, f)
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != f + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree f")
-            if not _pirreducible(ops, modulus):
-                raise ValueError("modulus is reducible")
-            self.modulus = modulus
-            self._engine = _QuotEngine(ops, modulus)
-        self.q = p**f
-        self.order = self.q
-        self._np_tables = None
-        # small non-prime fields keep addition, negation and multiplication
-        # tables (Python lists) so scalar ops skip the digit convolution
-        self._addtab = self._negtab = self._multab = None
-        if f > 1 and self.q <= _BASETAB_MAX:
-            e, rng = self._engine, range(self.q)
-            self._addtab = [[e.add(a, b) for b in rng] for a in rng]
-            self._negtab = [e.neg(a) for a in rng]
-            self._multab = [[e.mul(a, b) for b in rng] for a in rng]
+            self.mul, self.inv = self._untabled_mul, self._untabled_inv
+            self.pow_, self.frob = self._untabled_pow, self._untabled_frob
+        if self._addtab is None:
+            self.add, self.sub = self._untabled_add, self._untabled_sub
+            self.neg = self._untabled_neg
 
-    # -- code arithmetic ----------------------------------------------------
+    def _build_tables(self):
+        """exp/log tables over a generator of the unit group and, up to
+        ``_ADDTAB_MAX`` elements, addition and negation tables.  They are
+        Python lists: one scalar lookup in a list is several times faster
+        than indexing a numpy array element by element."""
+        N = self.order
+        n = N - 1
+        primes = list(_factorize(n))
+        g = next(
+            c for c in range(2, N) if all(self._untabled_pow(c, n // r) != 1 for r in primes)
+        )
+        chain = [1] * n
+        for i in range(1, n):
+            chain[i] = self._untabled_mul(chain[i - 1], g)
+        assert self._untabled_mul(chain[-1], g) == 1, "unit group order mismatch"
+        log = [0] * N
+        for i, c in enumerate(chain):
+            log[c] = i
+        # log[0] lies past every sum of two logs and exp is zero from there
+        # on, so a product with zero needs no test
+        log[0] = 2 * n - 1
+        self._exp = chain + chain[:-1] + [0] * (2 * n)
+        self._log = log
+        self._n = n
+        if N <= _ADDTAB_MAX:
+            # entries refer to one int object per code, so a table entry
+            # costs one pointer
+            codes = np.arange(N).astype(object)
+            add, neg = [], []
+            for blk in self._add_blocks():
+                add += codes[blk].tolist()
+                neg += (blk == 0).argmax(axis=1).tolist()
+            self._addtab, self._negtab = add, neg
+
+    def _add_blocks(self):
+        """The addition table (codes below 2^16) in uint16 row blocks of
+        about 2^14 entries, from uint8 digit arrays under coefficient-field
+        addition, so the build holds little besides the table it makes."""
+        F, B, N = self._coef, self._coef.order, self.order
+        pows = B ** np.arange(self._k, dtype=np.uint16)
+        digits = (np.arange(N)[:, None] // pows % B).astype(np.uint8)
+        cadd = np.array([[F.add(x, y) for y in range(B)] for x in range(B)], dtype=np.uint8)
+        step = max(1, (1 << 14) // N)
+        for lo in range(0, N, step):
+            rows = digits[lo : lo + step, None, :]
+            blk = np.zeros((len(rows), N), dtype=np.uint16)
+            for j in range(self._k):
+                blk += cadd[rows[:, :, j], digits[None, :, j]] * pows[j]
+            yield blk
+
+    # -- code arithmetic: table lookups ---------------------------------------
 
     def add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.p
-        if self._addtab is not None:
-            return self._addtab[a][b]
-        return self._engine.add(a, b)
+        return self._addtab[a][b]
 
     def sub(self, a, b):
-        if self.f == 1:
-            return (a - b) % self.p
-        if self._addtab is not None:
-            return self._addtab[a][self._negtab[b]]
-        return self._engine.sub(a, b)
+        return self._addtab[a][self._negtab[b]]
 
     def neg(self, a):
-        if self.f == 1:
-            return (-a) % self.p
-        if self._negtab is not None:
-            return self._negtab[a]
-        return self._engine.neg(a)
+        return self._negtab[a]
 
     def mul(self, a, b):
-        if self.f == 1:
-            return (a * b) % self.p
-        if self._multab is not None:
-            return self._multab[a][b]
-        return self._engine.mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._n - self._log[a]]
+
+    def pow_(self, a, e):
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 1 if e == 0 else 0
+        return self._exp[self._log[a] * e % self._n]
+
+    def frob(self, a, i):
+        """a^(|F|^i), the i-th power of the Frobenius over the coefficient
+        field F."""
+        i %= self._k
+        tab = self._frob.get(i)
+        if tab is None:
+            e, n, exp, log = self._coef.order**i, self._n, self._exp, self._log
+            tab = self._frob[i] = [0] + [exp[log[a] * e % n] for a in range(1, self.order)]
+        return tab[a]
+
+    # -- code arithmetic without tables ---------------------------------------
+
+    def _untabled_add(self, a, b):
+        add = self._coef.add
+        return self.encode([add(x, y) for x, y in zip(self.decode(a), self.decode(b))])
+
+    def _untabled_sub(self, a, b):
+        sub = self._coef.sub
+        return self.encode([sub(x, y) for x, y in zip(self.decode(a), self.decode(b))])
+
+    def _untabled_neg(self, a):
+        neg = self._coef.neg
+        return self.encode([neg(x) for x in self.decode(a)])
+
+    def _untabled_mul(self, a, b):
+        F = self._coef
+        prod = Poly(F, self.decode(a)) * Poly(F, self.decode(b))
+        return self.encode((prod % self._mpoly).coeffs)
+
+    def _untabled_inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._untabled_pow(a, self.order - 2)
+
+    def _untabled_pow(self, a, e):
+        if e < 0:
+            a, e = self._untabled_inv(a), -e
+        r = 1
+        while e:
+            if e & 1:
+                r = self._untabled_mul(r, a)
+            a = self._untabled_mul(a, a)
+            e >>= 1
+        return r
+
+    def _untabled_frob(self, a, i):
+        return self._untabled_pow(a, self._coef.order ** (i % self._k))
+
+    # -- polynomials and codes ------------------------------------------------
 
     def convolve(self, a, b) -> list[int]:
         """Coefficient codes of the product of two polynomials given as
         code sequences (constant term first, both nonempty)."""
         out = [0] * (len(a) + len(b) - 1)
-        if self.f == 1:
+        if self._addtab is not None:
+            add, exp, log = self._addtab, self._exp, self._log
+            for i, x in enumerate(a):
+                if x:
+                    lx = log[x]
+                    for j, y in enumerate(b):
+                        if y:
+                            out[i + j] = add[out[i + j]][exp[lx + log[y]]]
+            return out
+        if self._coef is None:
+            # a prime field: accumulate integer products, reduce once
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
@@ -382,19 +318,71 @@ class Field:
                     out[i + j] = add(out[i + j], mul(x, y))
         return out
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.f == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._engine.inv(a)
+    def decode(self, code) -> tuple[int, ...]:
+        B = self._coef.order
+        out = []
+        for _ in range(self._k):
+            code, r = divmod(code, B)
+            out.append(r)
+        return tuple(out)
 
-    def pow_(self, a, e):
-        if e < 0:
-            return self.pow_(self.inv(a), -e)
-        if self.f == 1:
-            return pow(a, e, self.p)
-        return self._engine.pow_(a, e)
+    def encode(self, digits) -> int:
+        B = self._coef.order
+        code = 0
+        for c in reversed(tuple(digits)):
+            code = code * B + c
+        return code
+
+    def np_tables(self):
+        """(add, mul, inv) lookup tables as numpy arrays, for vectorized
+        matrix kernels over a non-prime base field."""
+        if self._coef is None:
+            raise ValueError("prime fields use direct modular arithmetic")
+        if self.order > 4096:
+            raise ValueError("base field too large for dense tables")
+        if self._np_tables is None:
+            exp, log = np.array(self._exp), np.array(self._log)
+            add = np.concatenate(list(self._add_blocks()))
+            mul = exp[log[:, None] + log[None, :]]
+            inv = np.concatenate(([0], exp[self._n - log[1:]]))
+            self._np_tables = tuple(t.astype(np.int16) for t in (add, mul, inv))
+        return self._np_tables
+
+
+class Field(_Quotient):
+    """Finite field F_q with q = p^f, as F_p[x]/(m(x)).
+
+    Elements are integer codes 0..q-1; see the module docstring for the
+    packing.  Instances are immutable and hashable; arithmetic methods
+    work on codes, ``element`` wraps a code into a ``FieldElem``.
+    ``Field(p)`` is a prime field with direct modular arithmetic.
+    """
+
+    def __new__(cls, p: int, f: int = 1, modulus=None):
+        return super().__new__(_PrimeField if f == 1 else cls)
+
+    def __init__(self, p: int, f: int = 1, modulus=None):
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        if f < 1:
+            raise ValueError("degree must be >= 1")
+        self.p = p
+        self.f = f
+        if f == 1:
+            if modulus is not None and tuple(modulus) != (0, 1):
+                raise ValueError("prime field modulus must be x")
+            self.modulus = (0, 1)
+            self.order = p
+            self._coef = self._addtab = None
+        else:
+            prime = get_field(p)
+            if modulus is None:
+                modulus = _scan_irreducible(prime, f)
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != f + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree f")
+            self._init_quotient(prime, modulus)
+        self.q = self.order
 
     def coerce(self, x) -> int:
         """Accept a FieldElem of this field or an integer (image of the
@@ -408,16 +396,6 @@ class Field:
         raise TypeError(f"cannot coerce {type(x).__name__}")
 
     # -- structure ----------------------------------------------------------
-
-    def decode(self, code):
-        if self.f == 1:
-            return (code,)
-        return self._engine.decode(code)
-
-    def encode(self, digits):
-        if self.f == 1:
-            return digits[0] % self.p
-        return self._engine.encode(digits)
 
     def element(self, code) -> FieldElem:
         code = int(code)
@@ -433,30 +411,6 @@ class Field:
     def one(self) -> FieldElem:
         return FieldElem(self, 1)
 
-    def elements(self):
-        return (FieldElem(self, c) for c in range(self.q))
-
-    def np_tables(self):
-        """(add, mul, inv) lookup tables as numpy arrays, for vectorized
-        matrix kernels over a non-prime base field."""
-        if self.f == 1:
-            raise ValueError("prime fields use direct modular arithmetic")
-        if self.q > 4096:
-            raise ValueError("base field too large for dense tables")
-        if self._np_tables is None:
-            q = self.q
-            add = np.empty((q, q), dtype=np.int16)
-            mul = np.empty((q, q), dtype=np.int16)
-            inv = np.zeros(q, dtype=np.int16)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-                if a:
-                    inv[a] = self.inv(a)
-            self._np_tables = (add, mul, inv)
-        return self._np_tables
-
     def descriptor(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
         return f"p={self.p} f={self.f} mod={mod}"
@@ -466,7 +420,6 @@ class Field:
             return True
         return (
             isinstance(other, Field)
-            and not isinstance(other, ExtField)
             and (self.p, self.f, self.modulus) == (other.p, other.f, other.modulus)
         )
 
@@ -477,20 +430,36 @@ class Field:
         return f"F_{self.q}"
 
 
-def _scan_irreducible(ops, deg):
-    """First monic irreducible of the given degree, scanning constant
-    coefficient vectors as ascending base-(order) integers."""
-    B = ops.order
-    for m in range(B**deg):
-        digits = []
-        k = m
-        for _ in range(deg):
-            k, r = divmod(k, B)
-            digits.append(r)
-        cand = tuple(digits) + (1,)
-        if _pirreducible(ops, cand):
-            return cand
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+class _PrimeField(Field):
+    """F_p: codes are residues under direct modular arithmetic."""
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def pow_(self, a, e):
+        if e < 0:
+            return self.pow_(self.inv(a), -e)
+        return pow(a, e, self.p)
+
+    def decode(self, code):
+        return (code,)
+
+    def encode(self, digits):
+        return digits[0] % self.p
 
 
 class FieldElem:
@@ -574,7 +543,7 @@ def _poly_repr(coeffs, var):
     return " + ".join(terms) if terms else "0"
 
 
-class ExtField:
+class ExtField(_Quotient):
     """Degree-d extension F_{q^d} = F_q[t]/(m(t)) over a ``Field``.
 
     Elements are integer codes 0..q^d-1 packing coordinate vectors in the
@@ -597,139 +566,8 @@ class ExtField:
             raise ValueError("modulus must be monic of degree d")
         if not all(0 <= c < base.q for c in modulus):
             raise ValueError("modulus coefficients must be base-field codes")
-        if not _pirreducible(base, modulus):
-            raise ValueError("modulus is reducible over the base field")
-        self.modulus = modulus
-        self._engine = _QuotEngine(base, modulus)
-        self.order = self._engine.order
-        self.tau_code = base.q if d >= 1 else 1
-        # Tables are Python lists: one scalar lookup in a list is several
-        # times faster than indexing a numpy array element by element.
-        self._exp = None
-        self._log = None
-        self._addtab = None
-        self._negtab = None
-        self._frob: dict[int, list[int]] = {}
-        if self.order <= _EXPLOG_MAX:
-            self._build_tables()
-
-    def _build_tables(self):
-        n = self.order - 1
-        # a generator of the unit group, found by checking maximal orders
-        primes = list(_factorize(n))
-        g = None
-        for cand in range(2, self.order):
-            if all(self._engine.pow_(cand, n // r) != 1 for r in primes):
-                g = cand
-                break
-        assert g is not None
-        exp = np.empty(2 * n, dtype=np.int32)
-        cur = 1
-        for i in range(n):
-            exp[i] = cur
-            cur = self._engine.mul(cur, g)
-        assert cur == 1, "unit group order mismatch"
-        exp[n:] = exp[:n]
-        log = np.zeros(self.order, dtype=np.int32)
-        log[exp[:n]] = np.arange(n, dtype=np.int32)
-        self._exp, self._log = exp.tolist(), log.tolist()
-        if self.order <= _ADDTAB_MAX:
-            add = [[0] * self.order for _ in range(self.order)]
-            for a in range(self.order):
-                row = add[a]
-                for b in range(a, self.order):
-                    s = self._engine.add(a, b)
-                    row[b] = s
-                    add[b][a] = s
-            self._addtab = add
-            self._negtab = [self._engine.neg(a) for a in range(self.order)]
-
-    # -- code arithmetic ----------------------------------------------------
-
-    def add(self, a, b):
-        if self._addtab is not None:
-            return self._addtab[a][b]
-        return self._engine.add(a, b)
-
-    def neg(self, a):
-        if self._negtab is not None:
-            return self._negtab[a]
-        return self._engine.neg(a)
-
-    def sub(self, a, b):
-        if self._addtab is not None:
-            return self._addtab[a][self._negtab[b]]
-        return self._engine.sub(a, b)
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._engine.mul(a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(n - self._log[a]) % n]
-        return self._engine.inv(a)
-
-    def pow_(self, a, e):
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[a] * e) % n]
-        return self._engine.pow_(a, e)
-
-    def convolve(self, a, b) -> list[int]:
-        """Coefficient codes of the product of two polynomials given as
-        code sequences (constant term first, both nonempty)."""
-        out = [0] * (len(a) + len(b) - 1)
-        if self._addtab is None:
-            add, mul = self.add, self.mul
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = add(out[i + j], mul(x, y))
-            return out
-        add, exp, log = self._addtab, self._exp, self._log
-        for i, x in enumerate(a):
-            if x:
-                lx = log[x]
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add[out[i + j]][exp[lx + log[y]]]
-        return out
-
-    def frob(self, a, i):
-        """a^(q^i), the i-th power of the base-field Frobenius."""
-        i %= self.d
-        if i == 0:
-            return a
-        if self._exp is not None:
-            return self._frob_table(i)[a]
-        return self._engine.pow_(a, self.q**i)
-
-    def _frob_table(self, i) -> list[int]:
-        i %= self.d
-        if i not in self._frob:
-            if i == 0:
-                self._frob[0] = list(range(self.order))
-            elif self._exp is not None:
-                n, e = self.order - 1, self.q**i
-                exp, log = self._exp, self._log
-                self._frob[i] = [0] + [exp[(log[a] * e) % n] for a in range(1, self.order)]
-            else:
-                e = self.q**i
-                self._frob[i] = [self._engine.pow_(a, e) for a in range(self.order)]
-        return self._frob[i]
+        self._init_quotient(base, modulus)
+        self.tau_code = base.q
 
     def coerce(self, x) -> int:
         if isinstance(x, ExtFieldElem):
@@ -745,12 +583,6 @@ class ExtField:
         raise TypeError(f"cannot coerce {type(x).__name__}")
 
     # -- structure ----------------------------------------------------------
-
-    def decode(self, code) -> tuple[int, ...]:
-        return self._engine.decode(code)
-
-    def encode(self, digits) -> int:
-        return self._engine.encode(digits)
 
     def element(self, code) -> ExtFieldElem:
         code = int(code)
@@ -771,9 +603,6 @@ class ExtField:
         """The power-basis generator (the class of t)."""
         return ExtFieldElem(self, self.tau_code)
 
-    def elements(self):
-        return (ExtFieldElem(self, c) for c in range(self.order))
-
     def in_base(self, code) -> bool:
         return code < self.q
 
@@ -791,10 +620,6 @@ class ExtField:
         assert self.in_base(out)
         return out
 
-    def descriptor(self) -> str:
-        emod = ",".join(_base_coeff_str(self.base, c) for c in self.modulus)
-        return f"{self.base.descriptor()} d={self.d} emod={emod}"
-
     def __eq__(self, other):
         if other is self:
             return True
@@ -808,21 +633,6 @@ class ExtField:
 
     def __repr__(self):
         return f"F_{self.order}/F_{self.q}"
-
-
-def _base_coeff_str(base: Field, code: int) -> str:
-    if base.f == 1:
-        return str(code)
-    return ":".join(str(c) for c in base.decode(code))
-
-
-def _parse_base_coeff(base: Field, text: str) -> int:
-    if ":" in text:
-        return base.encode(tuple(int(c) for c in text.split(":")))
-    code = int(text)
-    if base.f == 1:
-        return code % base.p
-    return code
 
 
 class ExtFieldElem:
@@ -979,30 +789,6 @@ def mult_generator(E: ExtField) -> ExtFieldElem:
             assert E.in_base(E.pow_(code, n))
             return ExtFieldElem(E, code)
     raise RuntimeError("no generator found")  # pragma: no cover
-
-
-def parse_field_descriptor(line: str):
-    """Parse a field descriptor line back into a Field or ExtField.
-
-    Format: ``p=<int> f=<int> mod=<c0,...,cf>`` optionally followed by
-    ``d=<int> emod=<e0,...,ed>`` where each e is a base-field coefficient
-    tuple (':'-joined when the base is not prime).
-    """
-    kv = {}
-    for tok in line.split():
-        k, _, v = tok.partition("=")
-        if not v:
-            raise ValueError(f"malformed descriptor token {tok!r}")
-        kv[k] = v
-    p = int(kv["p"])
-    f = int(kv["f"])
-    mod = tuple(int(c) for c in kv["mod"].split(","))
-    base = Field(p, f, mod if f > 1 else None)
-    if "d" not in kv:
-        return base
-    d = int(kv["d"])
-    emod = tuple(_parse_base_coeff(base, c) for c in kv["emod"].split(","))
-    return ExtField(base, d, emod)
 
 
 def get_field(p: int, f: int = 1, modulus=None) -> Field:

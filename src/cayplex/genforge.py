@@ -211,6 +211,8 @@ def make_params(
         )
     if alpha is None:
         alpha = default_alpha(E)
+    elif not 0 <= alpha < q:
+        raise ValueError(f"alpha = {alpha} is not a code of F_{q} (0 <= alpha < {q})")
     return GenParams(base, E, s, alpha, warnings)
 
 
@@ -349,6 +351,10 @@ class GenSet:
             raw = [int(x) for x in _token(kv, "mat", where).split(",")]
             if len(raw) != d * d * f:
                 raise ValueError(f"matrix entry count mismatch at idx={i}")
+            if not all(0 <= x < base.p for x in raw):
+                raise ValueError(
+                    f"matrix digit out of range 0..{base.p - 1} at idx={i}"
+                )
             codes = (
                 raw
                 if f == 1
@@ -665,11 +671,16 @@ def build_omega_hat(
         levels.append(_outer_products(ms, levels[-1], O))
     pre_keys = ms.pack(ms.canon(levels[-1]))
 
-    suffix = O
+    # The suffix with letters (j_1, ..., j_b) has inverse O_{j_b}^-1 ...
+    # O_{j_1}^-1: the products of the inverted generators with the letter
+    # axes reversed.
+    O_inv = ms.asbatch([mat_inv(F, m) for m in base_set.finite_rows()])
+    inv_suffix = O_inv
     for _ in range(b - 1):
-        suffix = _outer_products(ms, suffix, O)
-    inv_rows = [mat_inv(F, m) for m in ms.astuples(suffix)]
-    suf_keys = ms.pack(ms.canon(ms.asbatch(inv_rows)))
+        inv_suffix = _outer_products(ms, inv_suffix, O_inv)
+    inv_suffix = inv_suffix.reshape((n,) * b + (d, d))
+    inv_suffix = inv_suffix.transpose(tuple(range(b - 1, -1, -1)) + (b, b + 1))
+    suf_keys = ms.pack(ms.canon(inv_suffix.reshape(-1, d, d)))
 
     order = np.argsort(suf_keys, kind="stable")
     sorted_suf = suf_keys[order]

@@ -3,10 +3,12 @@ finite field, with exact local valuations.
 
 Coefficients are carried as field codes (see ``ffield``); the coefficient
 field may be a ``Field`` or an ``ExtField``, anything exposing code
-arithmetic.  ``Poly`` is trimmed and immutable, with the constant term
-first.  ``RatFunc`` keeps a reduced fraction whose denominator is monic,
-so equality and hashing are structural; it carries reduced norms and
-their valuations.
+arithmetic.  This module imports nothing from ``ffield``, which builds
+its irreducibility test and untabled field products on ``Poly``.
+``Poly`` is trimmed and immutable, with the constant term first.
+``RatFunc`` keeps a reduced fraction whose denominator is monic, so
+equality and hashing are structural; it carries reduced norms and their
+valuations.
 
 The degree of the zero polynomial is -inf and its valuations are +inf,
 using float infinities as sentinels next to exact integers everywhere

@@ -259,32 +259,65 @@ def _drop_token(line, key):
     return " ".join(t for t in line.split() if not t.startswith(key + "="))
 
 
-def test_missing_gens_token_exit_2_without_traceback(workdir, tmp_path):
-    """Every required token of a generator file, when missing, is a usage
-    error (exit 2, one error line), never an uncaught exception."""
+def _run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
     import subprocess
     import sys
 
     import cayplex
 
-    lines = open(workdir["gens"]).read().splitlines()
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cayplex.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return subprocess.run(
+        [sys.executable, "-m", "cayplex.cli", *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def _assert_usage_error(proc, needle, case):
+    """Exit 2 with one ``error:`` line containing ``needle``, no traceback."""
+    assert proc.returncode == 2, (case, proc.stderr)
+    assert "Traceback" not in proc.stderr, (case, proc.stderr)
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and needle in errors[0], (case, proc.stderr)
+
+
+def test_missing_gens_token_exit_2_without_traceback(workdir, tmp_path):
+    """Every required token of a generator file, when missing, is a usage
+    error (exit 2, one error line), never an uncaught exception."""
+    lines = open(workdir["gens"]).read().splitlines()
     cases = [(0, k) for k in _HEADER_TOKENS] + [(1, k) for k in _LINE_TOKENS]
     for row, key in cases:
         bad = list(lines)
         bad[row] = _drop_token(bad[row], key)
         path = tmp_path / f"no-{key}.gens"
         path.write_text("\n".join(bad) + "\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "cayplex.cli", "graph", "--gens", str(path),
-             "--out", str(tmp_path / "x.graph")],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2, (key, proc.stderr)
-        assert "Traceback" not in proc.stderr, (key, proc.stderr)
-        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-        assert len(errors) == 1 and f"{key}=" in errors[0], (key, proc.stderr)
+        proc = _run_cli("graph", "--gens", str(path), "--out", str(tmp_path / "x.graph"))
+        _assert_usage_error(proc, f"{key}=", key)
+
+
+def test_gens_digit_out_of_range_exit_2_without_traceback(workdir, tmp_path):
+    """A matrix digit outside 0..p-1 in a file over F_4 is a usage error
+    naming the generator, not a crash or a silently different code."""
+    lines = open(workdir["gens"]).read().splitlines()
+    assert "bmod=" in lines[0]
+    for pair in ("3,1", "2,0"):
+        bad = list(lines)
+        head, _, mat = bad[2].partition("mat=")
+        bad[2] = head + "mat=" + pair + mat[3:]
+        path = tmp_path / "digit.gens"
+        path.write_text("\n".join(bad) + "\n")
+        proc = _run_cli("graph", "--gens", str(path), "--out", str(tmp_path / "x.graph"))
+        _assert_usage_error(proc, "digit out of range 0..1 at idx=1", pair)
+
+
+def test_alpha_out_of_range_exit_2_without_traceback(tmp_path):
+    """alpha must be a code of F_q: 0 <= alpha < q."""
+    for alpha in ("300", "-1", "7"):
+        proc = _run_cli("gens", "--q", "3", "--d", "5", "--alpha", alpha,
+                        "--out", str(tmp_path / "a.gens"))
+        _assert_usage_error(proc, f"alpha = {alpha} ", alpha)
+        assert not (tmp_path / "a.gens").exists()

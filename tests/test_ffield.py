@@ -14,7 +14,6 @@ from cayplex.ffield import (
     get_ext_field,
     get_field,
     mult_generator,
-    parse_field_descriptor,
     regular_rep,
 )
 
@@ -269,17 +268,6 @@ def test_default_extension_modulus_cases():
         assert val != 0
 
 
-def test_descriptor_roundtrip():
-    for fld in (
-        get_field(3),
-        get_field(5, 2),
-        get_ext_field(3, 1, 5),
-        get_ext_field(5, 1, 3),
-        ExtField(get_field(2, 2), 2),
-    ):
-        assert parse_field_descriptor(fld.descriptor()) == fld
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         Field(6)
@@ -318,19 +306,49 @@ def test_int_coercion_is_ring_hom():
 
 
 def test_lookup_tables_match_digit_arithmetic():
-    # the scalar lookup tables agree with the digit-convolution engine
+    # the scalar lookup tables agree with the untabled digit and Poly
+    # reduction path, which serves fields past the table sizes
     rng = random.Random(11)
-    for fld in (get_field(2, 2), get_field(3, 2), get_ext_field(3, 1, 5),
-                get_ext_field(2, 2, 4)):
-        eng = fld._engine
+    for fld in (get_field(2, 2), get_field(3, 2), get_field(2, 7),
+                get_ext_field(3, 1, 5), get_ext_field(2, 2, 4)):
+        assert not {"add", "sub", "neg", "mul", "inv", "pow_"} & vars(fld).keys()
         for _ in range(400):
             a, b = rng.randrange(fld.order), rng.randrange(fld.order)
-            assert fld.add(a, b) == eng.add(a, b)
-            assert fld.sub(a, b) == eng.sub(a, b)
-            assert fld.neg(a) == eng.neg(a)
-            assert fld.mul(a, b) == eng.mul(a, b)
+            e = rng.randrange(-fld.order, 2 * fld.order)
+            assert fld.add(a, b) == fld._untabled_add(a, b)
+            assert fld.sub(a, b) == fld._untabled_sub(a, b)
+            assert fld.neg(a) == fld._untabled_neg(a)
+            assert fld.mul(a, b) == fld._untabled_mul(a, b)
+            if a:
+                assert fld.inv(a) == fld._untabled_inv(a)
+                assert fld.pow_(a, e) == fld._untabled_pow(a, e)
             if isinstance(fld, ExtField):
-                assert fld.frob(a, 2) == eng.pow_(a, fld.q**2)
+                assert fld.frob(a, 2) == fld._untabled_pow(a, fld.q**2)
+        assert fld.pow_(0, 0) == fld._untabled_pow(0, 0) == 1
+        assert fld.pow_(0, 3) == fld._untabled_pow(0, 3) == 0
+
+
+def test_untabled_fields():
+    # orders past the table sizes: digit addition and Poly reduction
+    rng = random.Random(13)
+    for args in ((11, 1, 5), (2, 1, 17), (2, 2, 9)):
+        E = get_ext_field(*args)
+        assert E.order > 1 << 16 and E.mul == E._untabled_mul and E.add == E._untabled_add
+        for _ in range(30):
+            a, b, c = (rng.randrange(E.order) for _ in range(3))
+            assert E.add(E.add(a, b), c) == E.add(a, E.add(b, c))
+            assert E.mul(E.mul(a, b), c) == E.mul(a, E.mul(b, c))
+            assert E.mul(a, b) == E.mul(b, a)
+            assert E.mul(a, E.add(b, c)) == E.add(E.mul(a, b), E.mul(a, c))
+            assert E.add(a, E.neg(a)) == 0 and E.sub(E.add(a, b), b) == a
+            assert E.mul(a, 1) == a and E.add(a, 0) == a
+            if a:
+                assert E.mul(a, E.inv(a)) == 1
+                assert E.pow_(a, -2) == E.inv(E.mul(a, a))
+            i = rng.randrange(1, E.d)
+            assert E.frob(a, i) == E.pow_(a, E.q**i)
+            assert E.frob(E.add(a, b), i) == E.add(E.frob(a, i), E.frob(b, i))
+        assert [x for x in range(E.q + 3) if E.frob(x, 1) == x] == list(range(E.q))
 
 
 def test_convolve_is_polynomial_product():
