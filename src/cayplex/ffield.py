@@ -257,8 +257,7 @@ class _Quotient:
         return self.encode([add(x, y) for x, y in zip(self.decode(a), self.decode(b))])
 
     def _untabled_sub(self, a, b):
-        sub = self._coef.sub
-        return self.encode([sub(x, y) for x, y in zip(self.decode(a), self.decode(b))])
+        return self._untabled_add(a, self._untabled_neg(b))
 
     def _untabled_neg(self, a):
         neg = self._coef.neg
