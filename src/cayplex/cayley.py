@@ -17,6 +17,8 @@ from .util import atomic_write_bytes, atomic_write_text, ordered_chunked_map
 _MAGIC = b"CAYG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQIIIIBB")
+# largest q^(d*d) looked up through a direct int32 vertex table (64 MB)
+_VERTEX_TABLE_MAX = 1 << 24
 
 
 class VertexLimitError(RuntimeError):
@@ -185,19 +187,12 @@ def closure_from_matrices(
     if np.any(gen_keys == ident_key):
         raise ValueError("the identity cannot be a generator")
 
-    all_keys = ms.pack(ident)
-    sorted_keys = all_keys.copy()
-    sorted_ids = np.zeros(1, dtype=np.int64)
+    index = _VertexIndex(ms, ms.pack(ident))
     nbr_rows = []
     frontier = ident
 
     def products(blocks):
-        out = []
-        for block in blocks:
-            A = np.repeat(block, r, axis=0)
-            B = np.tile(O, (block.shape[0], 1, 1))
-            out.append(ms.pack(ms.canon(ms.mul(A, B))))
-        return out
+        return [ms.pack(ms.right_products(block, O)) for block in blocks]
 
     while frontier.shape[0]:
         m = frontier.shape[0]
@@ -205,40 +200,94 @@ def closure_from_matrices(
         flat = np.concatenate(
             ordered_chunked_map(products, blocks, threads=threads, chunk=1)
         )
-        pos = np.searchsorted(sorted_keys, flat)
-        pos_c = np.minimum(pos, len(sorted_keys) - 1)
-        known = sorted_keys[pos_c] == flat
-        fresh = np.nonzero(~known)[0]
+        ids = index.lookup(flat)
+        fresh = np.flatnonzero(ids < 0)
         if fresh.size:
-            uniq, first = np.unique(flat[fresh], return_index=True)
             # number new vertices by first appearance in the product
             # stream (frontier-major, generator-minor): true BFS
             # discovery order, identical for any chunking
-            disc = np.argsort(first, kind="stable")
-            new_keys = uniq[disc]
-            if len(all_keys) + len(new_keys) > max_vertices:
+            new_keys = index.first_seen(flat[fresh])
+            if index.n + len(new_keys) > max_vertices:
                 raise VertexLimitError(
                     f"closure exceeds max_vertices={max_vertices} "
-                    f"(at least {len(all_keys) + len(new_keys)} vertices)"
+                    f"(at least {index.n + len(new_keys)} vertices)"
                 )
-            all_keys = np.concatenate([all_keys, new_keys])
-            order = np.argsort(all_keys, kind="stable")
-            sorted_keys = all_keys[order]
-            sorted_ids = order.astype(np.int64)
+            index.add(new_keys)
+            ids[fresh] = index.lookup(flat[fresh])
             frontier = ms.unpack(new_keys)
         else:
             frontier = frontier[:0]
-        pos = np.searchsorted(sorted_keys, flat)
-        ids = sorted_ids[pos]
-        nbr_rows.append(ids.reshape(m, r).astype(np.int32))
+        nbr_rows.append(ids.reshape(m, r))
 
-    keys = all_keys
+    keys = index.keys()
     nbr = np.vstack(nbr_rows)
-    srt = np.sort(nbr, axis=1)
-    if np.any(srt[:, 1:] == srt[:, :-1]):
-        raise AssertionError("regularity violated: repeated out-neighbor")
+    del nbr_rows
+    for i in range(0, nbr.shape[0], 1 << 16):
+        srt = np.sort(nbr[i : i + (1 << 16)], axis=1)
+        if np.any(srt[:, 1:] == srt[:, :-1]):
+            raise AssertionError("regularity violated: repeated out-neighbor")
     symmetric = _verify_symmetry(ms, nbr, O)
     return CayleyGraph(F, d, keys, nbr, colors, symmetric, True)
+
+
+class _VertexIndex:
+    """Vertex numbers of packed keys, grown level by level.
+
+    When the keys are int64 and q^(d*d) is at most
+    ``_VERTEX_TABLE_MAX``, an int32 array indexed by packed key holds
+    each vertex number (-1 for unknown keys); otherwise the keys are
+    kept sorted and looked up by binary search.
+    """
+
+    def __init__(self, ms, keys):
+        self._blocks = [keys]
+        self.n = len(keys)
+        size = ms.q ** (ms.d * ms.d)
+        if ms.packable and size <= _VERTEX_TABLE_MAX:
+            self._table = np.full(size, -1, dtype=np.int32)
+            self._table[keys] = np.arange(self.n, dtype=np.int32)
+        else:
+            self._table = None
+            self._sorted = keys.copy()
+            self._ids = np.arange(self.n, dtype=np.int32)
+
+    def lookup(self, keys) -> np.ndarray:
+        """int32 vertex numbers of ``keys``, -1 where a key is unknown."""
+        if self._table is not None:
+            return self._table[keys]
+        pos = np.searchsorted(self._sorted, keys)
+        pos_c = np.minimum(pos, self.n - 1)
+        return np.where(self._sorted[pos_c] == keys, self._ids[pos_c], -1)
+
+    def first_seen(self, keys) -> np.ndarray:
+        """The distinct values of ``keys`` (all unknown) in order of
+        first appearance.  Until ``add`` numbers them, their table
+        entries hold positions in ``keys`` instead of -1."""
+        if self._table is None:
+            uniq, first = np.unique(keys, return_index=True)
+            return uniq[np.argsort(first, kind="stable")]
+        table = self._table
+        pos = np.arange(len(keys), dtype=np.int32)
+        table[keys] = len(keys)
+        np.minimum.at(table, keys, pos)
+        return keys[table[keys] == pos]
+
+    def add(self, keys) -> None:
+        """Number ``keys`` (all unknown, distinct) from n upwards."""
+        new_ids = np.arange(self.n, self.n + len(keys), dtype=np.int32)
+        self._blocks.append(keys)
+        self.n += len(keys)
+        if self._table is not None:
+            self._table[keys] = new_ids
+            return
+        all_keys = np.concatenate(self._blocks)
+        order = np.argsort(all_keys, kind="stable")
+        self._sorted = all_keys[order]
+        self._ids = order.astype(np.int32)
+
+    def keys(self) -> np.ndarray:
+        """Every key, in vertex order."""
+        return np.concatenate(self._blocks)
 
 
 def _verify_symmetry(ms, nbr, O) -> bool:
@@ -257,7 +306,13 @@ def _verify_symmetry(ms, nbr, O) -> bool:
         return False
     partner = order[pos_c]
     v = np.arange(nbr.shape[0], dtype=np.int64)
+    # Columns i and j = inv(i) are maps s_i, s_j of a finite vertex set.
+    # If s_j(s_i(v)) = v for every v, then s_i is injective, hence a
+    # bijection, and s_j is its inverse; so s_i(s_j(v)) = v follows and
+    # each pair {i, inv(i)} needs checking only once.
     for i in range(nbr.shape[1]):
+        if partner[i] < i:
+            continue
         if not np.array_equal(nbr[nbr[:, i], partner[i]], v):
             raise AssertionError(f"edge relation not symmetric at generator {i}")
     return True
@@ -583,18 +638,24 @@ def graph_to_bytes(G: CayleyGraph) -> bytes:
         parts.append(bytes(list(F.modulus)))
     parts.append(bytes(list(G.gen_colors)))
     width = _key_width(F.q, G.d)
-    for value in _keys_to_ints(G):
-        parts.append(value.to_bytes(width, "little"))
-    parts.append(np.ascontiguousarray(G.nbr.astype("<i4")).tobytes())
-    body = b"".join(parts)
-    digest = hashlib.blake2b(body, digest_size=8).digest()
-    return body + digest
+    if G.space().packable:
+        raw = np.ascontiguousarray(G.keys.astype("<i8")).view(np.uint8)
+        parts.append(raw.reshape(G.n, 8)[:, :width].tobytes())
+    else:
+        for value in _keys_to_ints(G):
+            parts.append(value.to_bytes(width, "little"))
+    parts.append(np.ascontiguousarray(G.nbr, dtype="<i4").data)
+    check = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        check.update(part)
+    parts.append(check.digest())
+    return b"".join(parts)
 
 
 def graph_from_bytes(blob: bytes) -> CayleyGraph:
     if len(blob) < _HEADER.size + 8:
         raise ValueError("truncated graph file")
-    body, digest = blob[:-8], blob[-8:]
+    body, digest = memoryview(blob)[:-8], blob[-8:]
     if hashlib.blake2b(body, digest_size=8).digest() != digest:
         raise ValueError("checksum mismatch: corrupted graph file")
     magic, version, n, r, q, d, f, sym, conn = _HEADER.unpack_from(body, 0)
@@ -617,12 +678,19 @@ def graph_from_bytes(blob: bytes) -> CayleyGraph:
     expected = off + n * width + n * r * 4
     if len(body) != expected:
         raise ValueError("truncated graph file")
-    values = [
-        int.from_bytes(body[off + i * width : off + (i + 1) * width], "little")
-        for i in range(n)
-    ]
+    if MatSpace(F, d).packable:
+        raw = np.zeros((n, 8), dtype=np.uint8)
+        raw[:, :width] = np.frombuffer(
+            body, dtype=np.uint8, offset=off, count=n * width
+        ).reshape(n, width)
+        keys = raw.view("<i8").reshape(n).astype(np.int64)
+    else:
+        values = [
+            int.from_bytes(body[off + i * width : off + (i + 1) * width], "little")
+            for i in range(n)
+        ]
+        keys = _keys_from_ints(F, d, values)
     off += n * width
-    keys = _keys_from_ints(F, d, values)
     nbr = np.frombuffer(body, dtype="<i4", offset=off, count=n * r)
     nbr = nbr.reshape(n, r).astype(np.int32)
     return _validated_graph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
@@ -638,6 +706,7 @@ def _validated_graph(F, d, keys, nbr, gen_colors, symmetric, connected):
     ident_key = ms.pack(ms.identity_batch(1))[0]
     if keys[0] != ident_key:
         raise ValueError("vertex 0 is not the identity")
-    if len(np.unique(keys)) != n:
+    srt = np.sort(keys)
+    if np.any(srt[1:] == srt[:-1]):
         raise ValueError("duplicate vertex keys")
     return CayleyGraph(F, d, keys, nbr, gen_colors, symmetric, connected)

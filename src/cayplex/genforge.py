@@ -594,21 +594,6 @@ def _digits(x: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _outer_products(ms: MatSpace, prev: np.ndarray, O: np.ndarray,
-                    out_rows_per_block: int = 1 << 18) -> np.ndarray:
-    """All products prev[i] @ O[j], row-major in (i, j), built blockwise
-    to bound peak memory."""
-    m, n = prev.shape[0], O.shape[0]
-    out = np.empty((m * n, ms.d, ms.d), dtype=ms.dtype)
-    step = max(1, out_rows_per_block // n)
-    for i0 in range(0, m, step):
-        i1 = min(m, i0 + step)
-        A = np.repeat(prev[i0:i1], n, axis=0)
-        B = np.tile(O, (i1 - i0, 1, 1))
-        out[i0 * n : i1 * n] = ms.mul(A, B)
-    return out
-
-
 def hat_class_sizes(d: int, q: int) -> list[int]:
     """Expected color-class sizes of the product system: the Gaussian
     binomial coefficients for colors 1..d-1."""
@@ -668,7 +653,7 @@ def build_omega_hat(
 
     levels = [O]
     for _ in range(a - 1):
-        levels.append(_outer_products(ms, levels[-1], O))
+        levels.append(ms.right_products(levels[-1], O))
     pre_keys = ms.pack(ms.canon(levels[-1]))
 
     # The suffix with letters (j_1, ..., j_b) has inverse O_{j_b}^-1 ...
@@ -677,7 +662,7 @@ def build_omega_hat(
     O_inv = ms.asbatch([mat_inv(F, m) for m in base_set.finite_rows()])
     inv_suffix = O_inv
     for _ in range(b - 1):
-        inv_suffix = _outer_products(ms, inv_suffix, O_inv)
+        inv_suffix = ms.right_products(inv_suffix, O_inv)
     inv_suffix = inv_suffix.reshape((n,) * b + (d, d))
     inv_suffix = inv_suffix.transpose(tuple(range(b - 1, -1, -1)) + (b, b + 1))
     suf_keys = ms.pack(ms.canon(inv_suffix.reshape(-1, d, d)))

@@ -236,6 +236,8 @@ class ProjMat:
 # ---------------------------------------------------------------------------
 
 _GEMM_MANTISSA = 1 << 24
+# products per float32 GEMM (or table product) inside right_products
+_PRODUCT_BLOCK = 1 << 18
 
 
 class MatSpace:
@@ -267,13 +269,18 @@ class MatSpace:
             )
             self._inv_table = inv_t.astype(np.int64)
             self._gemm_ok = False
+        if self.dtype == np.uint8:
+            # canon scales by a q x q product table: row offsets of the
+            # inverse of each possible leading entry, then one flat take
+            q = self.q
+            if self._tables is None:
+                prod = np.arange(q)[:, None] * np.arange(q)[None, :] % q
+            else:
+                prod = self._tables[1]
+            self._mul_u8 = prod.astype(np.uint8).ravel()
+            self._scale_row = (self._inv_table * q).astype(np.uint16)
         # packed int64 keys need q^(d*d) to fit; otherwise raw-byte keys
         self.packable = self.q ** (d * d) < (1 << 63)
-        self._pows = (
-            np.array([self.q**k for k in range(d * d)], dtype=np.int64)
-            if self.packable
-            else None
-        )
 
     # -- conversions ------------------------------------------------------
 
@@ -305,15 +312,14 @@ class MatSpace:
             C = np.matmul(A.astype(np.int64), B.astype(np.int64)) % p
             return C.astype(self.dtype)
         add_t, mul_t = self._tables
-        if A.ndim == 2:
-            A = A[None]
-        if B.ndim == 2:
-            B = B[None]
-        n = max(A.shape[0], B.shape[0])
-        out = np.zeros((n, self.d, self.d), dtype=np.int64)
-        for k in range(self.d):
-            term = mul_t[A[:, :, k, None].astype(np.int64), B[:, None, k, :].astype(np.int64)]
-            out = add_t[out, term]
+
+        def term(k):
+            a = A[..., :, k, None].astype(np.int64)
+            return mul_t[a, B[..., None, k, :].astype(np.int64)]
+
+        out = term(0)
+        for k in range(1, self.d):
+            out = add_t[out, term(k)]
         return out.astype(self.dtype)
 
     def canon(self, A: np.ndarray) -> np.ndarray:
@@ -322,9 +328,12 @@ class MatSpace:
         n = A.shape[0]
         flat = A.reshape(n, -1)
         first = np.argmax(flat != 0, axis=1)
-        lead = flat[np.arange(n), first].astype(np.int64)
+        lead = flat[np.arange(n), first]
         if np.any(lead == 0):
             raise ValueError("zero matrix has no projective class")
+        if self.dtype == np.uint8:
+            idx = self._scale_row[lead][:, None] + flat
+            return self._mul_u8.take(idx).reshape(A.shape)
         scale = self._inv_table[lead]
         if self._tables is None:
             out = (A.astype(np.int64) * scale[:, None, None]) % self.F.p
@@ -332,13 +341,59 @@ class MatSpace:
         _, mul_t = self._tables
         return mul_t[A.astype(np.int64), scale[:, None, None]].astype(self.dtype)
 
+    def right_products(self, A: np.ndarray, O: np.ndarray,
+                       rows_per_block: int = _PRODUCT_BLOCK) -> np.ndarray:
+        """Canonical products A[i] @ O[j] for every pair, row-major in
+        (i, j): a batch of shape (m * r, d, d).
+
+        Over a prime field within the GEMM bound each block of A is one
+        float32 product (m, d*d) @ (d*d, r*d*d) against the block-diagonal
+        stack of the O[j], whose rows come out already in (i, j, row, col)
+        order; the residues are taken exactly in float32 and cast after
+        reduction.  Other fields broadcast ``mul`` over the (i, j) grid.
+        Blocks of about ``rows_per_block`` products bound the temporaries.
+        """
+        m, r, d = A.shape[0], O.shape[0], self.d
+        out = np.empty((m * r, d, d), dtype=self.dtype)
+        step = max(1, rows_per_block // max(r, 1))
+        if self._gemm_ok:
+            p = np.float32(self.F.p)
+            # W[(a, k), (j, a, l)] = O[j, k, l]
+            W = np.zeros((d, d, r, d, d), dtype=np.float32)
+            Ot = O.transpose(1, 0, 2)
+            for a in range(d):
+                W[a, :, :, a, :] = Ot
+            W = W.reshape(d * d, r * d * d)
+        for i0 in range(0, m, step):
+            i1 = min(m, i0 + step)
+            block = A[i0:i1]
+            if self._gemm_ok:
+                # for integers x < 2^24 the float32 quotient x / p errs by
+                # less than 1/p, so its floor is exact and so is the residue
+                C = block.reshape(i1 - i0, d * d).astype(np.float32) @ W
+                t = np.divide(C, p)
+                np.floor(t, out=t)
+                t *= -p
+                t += C
+                P = t.astype(self.dtype).reshape(-1, d, d)
+                del C, t
+            else:
+                P = self.mul(block[:, None], O[None]).reshape(-1, d, d)
+            out[i0 * r : i1 * r] = self.canon(P)
+        return out
+
     def pack(self, A: np.ndarray) -> np.ndarray:
         """Pack each matrix into a hashable key: int64 radix-q when it
         fits, raw bytes (void dtype) otherwise."""
         n = A.shape[0]
         flat = A.reshape(n, -1)
         if self.packable:
-            return flat.astype(np.int64) @ self._pows
+            # Horner from the top digit: one int64 accumulator per matrix
+            acc = flat[:, -1].astype(np.int64)
+            for k in range(flat.shape[1] - 2, -1, -1):
+                acc *= self.q
+                acc += flat[:, k]
+            return acc
         elem = np.dtype(self.dtype).newbyteorder("<")
         raw = np.ascontiguousarray(flat.astype(elem))
         width = elem.itemsize * raw.shape[1]
@@ -347,8 +402,12 @@ class MatSpace:
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         n = keys.shape[0]
         if self.packable:
-            flat = (keys[:, None] // self._pows[None, :]) % self.q
-            return flat.reshape(n, self.d, self.d).astype(self.dtype)
+            # one digit at a time, so no (n, d*d) int64 temporary
+            out = np.empty((n, self.d * self.d), dtype=self.dtype)
+            rest = keys.astype(np.int64)
+            for k in range(self.d * self.d):
+                rest, out[:, k] = np.divmod(rest, self.q)
+            return out.reshape(n, self.d, self.d)
         elem = np.dtype(self.dtype).newbyteorder("<")
         flat = np.frombuffer(keys.tobytes(), dtype=elem).reshape(n, -1)
         return flat.reshape(n, self.d, self.d).astype(self.dtype)

@@ -11,12 +11,13 @@ import numpy as np
 
 from .cayley import CayleyGraph, closure_from_matrices, colored_subgraph
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget
-from .projmat import MatSpace, mat_inv
+from .projmat import _PRODUCT_BLOCK, MatSpace, mat_inv
 from .util import atomic_write_text, ordered_chunked_map
 
 _COUNTER_LIMIT = 1 << 62
 _DENSE_CAP = 5000
 _GROUP_CAP = 10_000_000
+_BALL_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +137,8 @@ def _reverse_columns(nbr: np.ndarray, cols) -> np.ndarray:
     """Inverse permutations of the chosen neighbor-table columns:
     rev[v, i] is the unique vertex whose cols[i]-step lands on v."""
     n = nbr.shape[0]
-    rev = np.empty((n, len(cols)), dtype=np.int64)
-    ar = np.arange(n, dtype=np.int64)
+    rev = np.empty((n, len(cols)), dtype=nbr.dtype)
+    ar = np.arange(n, dtype=nbr.dtype)
     for out_i, i in enumerate(cols):
         rev[nbr[:, i], out_i] = ar
     return rev
@@ -187,24 +188,39 @@ def walk_moments(
 
 
 def _moments_group_dp(gens, K, sel, graph, threads):
+    """N_k = sum_x f_a(x) h_b(x) with a = ceil(k/2), b = k - a, where
+    f_t(x) counts the length-t words with product x and h_t(x) those
+    with product x^-1.  Since x g_i is vertex nbr[x, i], h_{t+1}(x) =
+    sum_i h_t(nbr[x, i]) and f_{t+1}(x) = sum_i f_t(rev_i(x)) with rev_i
+    the inverse permutation of column i.  Reversing a word and inverting
+    its letters is a bijection onto words over the inverse multiset, so
+    f = h when the selected multiset is inverse-closed, and ceil(K/2)
+    gather passes suffice."""
     G = _graph_for(gens, graph)
-    rev = _reverse_columns(G.nbr, sel)
-    v = np.zeros(G.n, dtype=np.int64)
-    v[0] = 1
+    cols = G.nbr if len(sel) == G.r else np.ascontiguousarray(G.nbr[:, sel])
+    ms = G.space()
+    gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
+    rev = None if _multiset_symmetric(ms, gen_mats) else _reverse_columns(G.nbr, sel)
+    block = 1 << 14
+    starts = range(0, G.n, block)
+
+    def step(vec, table):
+        def gather(chunk):
+            return [vec[table[i : i + block]].sum(axis=1) for i in chunk]
+
+        parts = ordered_chunked_map(gather, starts, threads=threads, chunk=8)
+        return np.concatenate(parts)
+
+    h = np.zeros(G.n, dtype=np.int64)
+    h[0] = 1
+    f = h
     values = [1]
-
-    def gather(cols):
-        return [v[rev[:, i]] for i in cols]
-
-    for _ in range(K):
-        parts = ordered_chunked_map(
-            gather, range(rev.shape[1]), threads=threads, chunk=8
-        )
-        nxt = np.zeros(G.n, dtype=np.int64)
-        for part in parts:
-            nxt += part
-        v = nxt
-        values.append(int(v[0]))
+    for k in range(1, K + 1):
+        if k % 2:
+            f = step(f, cols if rev is None else rev)
+        else:
+            h = f if rev is None else step(h, cols)
+        values.append(int(np.dot(f, h)))
     return values
 
 
@@ -213,49 +229,56 @@ def _ball_levels(ms: MatSpace, gen_mats: np.ndarray, radius: int, threads: int):
     keys of the distinct products of exactly t generators together with
     their exact word counts."""
     r = gen_mats.shape[0]
-    frontier = ms.identity_batch(1)
-    counts = np.ones(1, dtype=np.int64)
-    levels = [(ms.pack(frontier), counts)]
+    levels = [(ms.pack(ms.identity_batch(1)), np.ones(1, dtype=np.int64))]
     for _ in range(radius):
+        frontier = ms.unpack(levels[-1][0])
         blocks = [
-            (frontier[i : i + 2048], counts[i : i + 2048])
-            for i in range(0, frontier.shape[0], 2048)
+            frontier[i : i + _BALL_BLOCK]
+            for i in range(0, frontier.shape[0], _BALL_BLOCK)
         ]
 
         def expand(items):
-            out = []
-            for bm, bc in items:
-                A = np.repeat(bm, r, axis=0)
-                B = np.tile(gen_mats, (bm.shape[0], 1, 1))
-                P = ms.canon(ms.mul(A, B))
-                out.append((ms.pack(P), np.repeat(bc, r), P))
-            return out
+            return [ms.pack(ms.right_products(bm, gen_mats)) for bm in items]
 
-        produced = ordered_chunked_map(expand, blocks, threads=threads, chunk=1)
-        all_keys = np.concatenate([p[0] for p in produced])
-        all_counts = np.concatenate([p[1] for p in produced])
-        all_mats = np.concatenate([p[2] for p in produced])
-        del produced
-        uniq, inverse = np.unique(all_keys, return_inverse=True)
-        merged = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(merged, inverse, all_counts)
-        order = np.argsort(inverse, kind="stable")
-        starts = np.searchsorted(inverse[order], np.arange(len(uniq)))
-        frontier = all_mats[order[starts]]
-        counts = merged
-        levels.append((uniq, merged))
+        keys = np.concatenate(
+            ordered_chunked_map(expand, blocks, threads=threads, chunk=1)
+        )
+        del frontier, blocks
+        # product w of the stream extends word w // r of the frontier
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys = keys[starts]
+        order //= r
+        counts = levels[-1][1][order]
+        del order
+        levels.append((keys, np.add.reduceat(counts, starts)))
     return levels
 
 
 def _ball_memory_estimate(r: int, radius: int, d: int) -> int:
-    """Bytes needed by the largest pre-consolidation product level."""
-    per_row = d * d + 8 + 8 + 16
-    words = 1
-    worst = 0
-    for _ in range(radius):
-        words *= r
-        worst = max(worst, words * per_row)
-    return worst
+    """Upper bound on the bytes held while the largest level of a
+    product ball is built and consolidated.
+
+    Per word of that level at most 32 bytes: its int64 key and sort
+    permutation, plus two of the sorted key copy, the gathered count and
+    the distinct keys with their start offsets.  Per element of earlier
+    levels its 16-byte key and count and, for the frontier, its matrix.
+    Per product of one frontier block its matrix and key, and per
+    product of one ``right_products`` GEMM block its float32 product and
+    quotient, residues, canon mask, indices and output: under
+    24 * d * d + 16 bytes.
+    """
+    words = r**radius
+    kept = sum(r**t for t in range(radius))
+    block = min(_BALL_BLOCK, r ** max(radius - 1, 0)) * r
+    gemm = min(block, max(r, _PRODUCT_BLOCK))
+    return (
+        32 * words
+        + (16 + d * d) * kept
+        + (8 + d * d) * block
+        + (24 * d * d + 16) * gemm
+    )
 
 
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):

@@ -1,9 +1,12 @@
 """Tests for Cayley graph construction, colored subgraphs, clique-cell
 counting, and serialization round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from cayplex import cayley
 from cayplex.cayley import (
     CliqueBudgetError,
     VertexLimitError,
@@ -19,7 +22,14 @@ from cayplex.cayley import (
     import_graph,
 )
 from cayplex.ffield import ExtField, get_field, regular_rep
-from cayplex.genforge import group_order_pgl, group_order_psl, predicted_group_order
+from cayplex.genforge import (
+    build_omega,
+    group_order_pgl,
+    group_order_psl,
+    make_params,
+    predicted_group_order,
+    symmetrize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +78,35 @@ def test_vertex_limit():
     mats = [regular_rep(E4, 2), regular_rep(E4, 3)]
     with pytest.raises(VertexLimitError):
         closure_from_matrices(F2, 2, mats, max_vertices=2)
+
+
+def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42):
+    bar33 = symmetrize(build_omega(make_params(3, 3)))
+    for gens, n in ((bar42, 60), (bar33, 5616)):
+        q, d = gens.params.q, gens.params.d
+        assert q ** (d * d) <= cayley._VERTEX_TABLE_MAX
+        table = bfs_build(gens, max_vertices=10_000)
+        with monkeypatch.context() as m:
+            m.setattr(cayley, "_VERTEX_TABLE_MAX", 0)
+            ordered = bfs_build(gens, max_vertices=10_000)
+            with pytest.raises(VertexLimitError):
+                bfs_build(gens, max_vertices=n - 1)
+        assert table.n == n
+        assert table == ordered
+        assert graph_to_bytes(table) == graph_to_bytes(ordered)
+        with pytest.raises(VertexLimitError):
+            bfs_build(gens, max_vertices=n - 1)
+
+
+def test_symmetry_check_catches_each_broken_column(graph42):
+    ms = graph42.space()
+    O = ms.asbatch([g.rows for g in graph42.generator_matrices()])
+    assert cayley._verify_symmetry(ms, graph42.nbr, O)
+    for i in range(graph42.r):
+        nbr = graph42.nbr.copy()
+        nbr[[3, 7], i] = nbr[[7, 3], i]
+        with pytest.raises(AssertionError, match="not symmetric"):
+            cayley._verify_symmetry(ms, nbr, O)
 
 
 def test_bfs_build_requires_symmetric_kind(omega53):
@@ -235,6 +274,17 @@ def test_binary_roundtrip_big(graph53):
     blob = graph_to_bytes(graph53)
     again = graph_from_bytes(blob)
     assert again == graph53
+
+
+def test_binary_bytes_pinned(graph53, graph42):
+    # the binary encoding is a file format: these digests pin it byte
+    # for byte for a prime-field and a non-prime-field graph
+    assert hashlib.sha256(graph_to_bytes(graph53)).hexdigest() == (
+        "1c41c363c9a732a334f240a5f0dbdb6fd00099546fd38c9c579ec84a39366873"
+    )
+    assert hashlib.sha256(graph_to_bytes(graph42)).hexdigest() == (
+        "f0205d097c860b6adbaa062249df7645c5450cc0666c91fff2458ac954b6b9d6"
+    )
 
 
 def test_binary_corruption_detected(graph42):

@@ -168,3 +168,51 @@ def test_matspace_byte_keys_when_int64_overflows():
     keys = ms.pack(batch)
     assert len(np.unique(keys)) == len({m for m in mats})
     assert np.array_equal(ms.unpack(keys), batch)
+
+
+def _repeat_tile_products(ms, A, O):
+    """Reference for right_products: every pair by repeat/tile, then the
+    batched mul and canon."""
+    r = O.shape[0]
+    return ms.canon(ms.mul(np.repeat(A, r, axis=0), np.tile(O, (A.shape[0], 1, 1))))
+
+
+@pytest.mark.parametrize(
+    "F, d, gemm",
+    [
+        (F5, 3, True),
+        # 3 * 2356^2 < 2^24: float32 GEMM with products far above 255
+        (get_field(2357), 3, True),
+        # above the GEMM bound: exact int64 matmul
+        (get_field(4099), 3, False),
+        (F4, 3, False),
+        (get_field(3, 2), 2, False),
+    ],
+)
+def test_right_products_match_repeat_tile(F, d, gemm):
+    rng = random.Random(313 + F.q)
+    ms = MatSpace(F, d)
+    assert ms._gemm_ok == gemm
+    A = ms.asbatch([rand_invertible(rng, F, d) for _ in range(37)])
+    O = ms.asbatch([rand_invertible(rng, F, d) for _ in range(11)])
+    want = _repeat_tile_products(ms, A, O)
+    # small blocks cross block boundaries inside one call
+    for rows in (1 << 18, 40, 1):
+        got = ms.right_products(A, O, rows_per_block=rows)
+        assert got.dtype == ms.dtype
+        assert np.array_equal(got, want)
+    for i, j in ((0, 0), (36, 10), (17, 4)):
+        expect = canon_rows(F, mat_mul(F, ms.astuples(A[i : i + 1])[0],
+                                       ms.astuples(O[j : j + 1])[0]))
+        assert ms.astuples(got[i * 11 + j : i * 11 + j + 1])[0] == expect
+
+
+def test_right_products_exact_at_gemm_bound():
+    # every entry of the integer product is 3 * 2356^2 = 16652208, just
+    # under 2^24, and reduces to 3 mod 2357; canonically all ones
+    F = get_field(2357)
+    ms = MatSpace(F, 3)
+    assert ms._gemm_ok
+    full = np.full((2, 3, 3), 2356, dtype=ms.dtype)
+    got = ms.right_products(full, full)
+    assert np.array_equal(got, np.ones((4, 3, 3), dtype=ms.dtype))

@@ -6,17 +6,29 @@ closed-walk counts, and cross-checks between two independent moment
 strategies.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cayplex.cayley import clique_cells, closure_from_matrices, colored_subgraph
 from cayplex.ffield import get_field
-from cayplex.genforge import MemoryBudgetError, family
+from cayplex.genforge import (
+    MemoryBudgetError,
+    build_omega,
+    family,
+    make_params,
+    symmetrize,
+)
 from cayplex.projmat import MatSpace
 from cayplex.spectra import (
     ComparisonReport,
     MomentSeq,
     SpectrumReport,
+    _ball_levels,
+    _ball_memory_estimate,
+    _reverse_columns,
+    _selected,
     compare,
     dense_spectrum,
     isomorphism_search,
@@ -148,6 +160,44 @@ class TestWalkMoments:
         assert pair_hits == len(bar35) == 242
         got = walk_moments(bar35, 2, "ball-mitm")
         assert got.values == (1, 0, 242)
+
+    def test_group_dp_matches_full_length_recurrence(
+        self, bar42, graph42, hat53, graph53_hat
+    ):
+        """Oracle: the K-pass recurrence along reverse columns, whose
+        value at the identity is N_k, against the half-length join."""
+        cases = [
+            (bar42, graph42, None),  # inverse-closed
+            (hat53, graph53_hat, None),  # inverse-closed
+            (hat53, graph53_hat, {1}),  # directed color
+        ]
+        for gens, G, colors in cases:
+            rev = _reverse_columns(G.nbr, _selected(gens, colors))
+            v = np.zeros(G.n, dtype=np.int64)
+            v[0] = 1
+            want = [1]
+            for _ in range(7):
+                v = v[rev].sum(axis=1)
+                want.append(int(v[0]))
+            for K in range(8):
+                got = walk_moments(gens, K, "group-dp", colors=colors, graph=G)
+                assert list(got.values) == want[: K + 1]
+
+    def test_ball_memory_estimate_bounds_traced_peak(self, bar53):
+        bar33 = symmetrize(build_omega(make_params(3, 3)))
+        for gens, radii in ((bar33, (2, 3, 4)), (bar53, (3,))):
+            d = gens.params.d
+            ms = MatSpace(gens.params.base, d)
+            gen_mats = ms.canon(ms.asbatch(gens.finite_rows()))
+            for radius in radii:
+                tracemalloc.start()
+                try:
+                    levels = _ball_levels(ms, gen_mats, radius, threads=1)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert int(levels[-1][1].sum()) == len(gens) ** radius
+                assert peak <= _ball_memory_estimate(len(gens), radius, d)
 
     def test_strategy_agreement_exhaustive_d3(self, bar53, graph53):
         dp = walk_moments(bar53, 8, "group-dp", graph=graph53)
