@@ -19,6 +19,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQIIIIBB")
 # largest q^(d*d) looked up through a direct int32 vertex table (64 MB)
 _VERTEX_TABLE_MAX = 1 << 24
+# frontier rows multiplied per product block of the closure
+_CLOSURE_BLOCK = 4096
 
 
 class VertexLimitError(RuntimeError):
@@ -187,37 +189,42 @@ def closure_from_matrices(
     if np.any(gen_keys == ident_key):
         raise ValueError("the identity cannot be a generator")
 
+    products = ms.key_products(O)
     index = _VertexIndex(ms, ms.pack(ident))
     nbr_rows = []
-    frontier = ident
+    frontier = index.keys()
+    # blocks of frontier rows, ``threads`` of them multiplied at a time
+    group = _CLOSURE_BLOCK * max(threads, 1)
 
-    def products(blocks):
-        return [ms.pack(ms.right_products(block, O)) for block in blocks]
+    def expand(blocks):
+        return [products(block) for block in blocks]
 
     while frontier.shape[0]:
-        m = frontier.shape[0]
-        blocks = [frontier[i : i + 4096] for i in range(0, m, 4096)]
-        flat = np.concatenate(
-            ordered_chunked_map(products, blocks, threads=threads, chunk=1)
-        )
-        ids = index.lookup(flat)
-        fresh = np.flatnonzero(ids < 0)
-        if fresh.size:
-            # number new vertices by first appearance in the product
-            # stream (frontier-major, generator-minor): true BFS
-            # discovery order, identical for any chunking
-            new_keys = index.first_seen(flat[fresh])
-            if index.n + len(new_keys) > max_vertices:
-                raise VertexLimitError(
-                    f"closure exceeds max_vertices={max_vertices} "
-                    f"(at least {index.n + len(new_keys)} vertices)"
-                )
-            index.add(new_keys)
-            ids[fresh] = index.lookup(flat[fresh])
-            frontier = ms.unpack(new_keys)
-        else:
-            frontier = frontier[:0]
-        nbr_rows.append(ids.reshape(m, r))
+        level = []
+        for g0 in range(0, frontier.shape[0], group):
+            blocks = [
+                frontier[i : i + _CLOSURE_BLOCK]
+                for i in range(g0, min(g0 + group, frontier.shape[0]), _CLOSURE_BLOCK)
+            ]
+            for flat in ordered_chunked_map(expand, blocks, threads=threads, chunk=1):
+                # blocks are numbered in stream order, so new vertices
+                # still take their first appearance in the level's
+                # frontier-major, generator-minor product stream: true
+                # BFS discovery order, identical for any chunking
+                ids = index.lookup(flat)
+                fresh = np.flatnonzero(ids < 0)
+                if fresh.size:
+                    new_keys = index.first_seen(flat[fresh])
+                    if index.n + len(new_keys) > max_vertices:
+                        raise VertexLimitError(
+                            f"closure exceeds max_vertices={max_vertices} "
+                            f"(at least {index.n + len(new_keys)} vertices)"
+                        )
+                    index.add(new_keys)
+                    ids[fresh] = index.lookup(flat[fresh])
+                    level.append(new_keys)
+                nbr_rows.append(ids.reshape(-1, r))
+        frontier = np.concatenate(level) if level else frontier[:0]
 
     keys = index.keys()
     nbr = np.vstack(nbr_rows)
@@ -231,12 +238,16 @@ def closure_from_matrices(
 
 
 class _VertexIndex:
-    """Vertex numbers of packed keys, grown level by level.
+    """Vertex numbers of packed keys, grown block by block.
 
     When the keys are int64 and q^(d*d) is at most
     ``_VERTEX_TABLE_MAX``, an int32 array indexed by packed key holds
-    each vertex number (-1 for unknown keys); otherwise the keys are
-    kept sorted and looked up by binary search.
+    each vertex number (-1 for unknown keys).  Otherwise the keys are
+    kept sorted, with their numbers, in a main run and a recent run:
+    ``add`` merges new keys into the recent run (one ``searchsorted``
+    plus insert), and the recent run is merged into the main one once it
+    is as long, so an add costs time linear in the recent run rather
+    than a sort of every key.  A lookup searches both runs.
     """
 
     def __init__(self, ms, keys):
@@ -248,16 +259,19 @@ class _VertexIndex:
             self._table[keys] = np.arange(self.n, dtype=np.int32)
         else:
             self._table = None
-            self._sorted = keys.copy()
-            self._ids = np.arange(self.n, dtype=np.int32)
+            empty = (keys[:0], np.zeros(0, dtype=np.int32))
+            self._main = _merged(empty, keys, np.arange(self.n, dtype=np.int32))
+            self._recent = empty
 
     def lookup(self, keys) -> np.ndarray:
         """int32 vertex numbers of ``keys``, -1 where a key is unknown."""
         if self._table is not None:
             return self._table[keys]
-        pos = np.searchsorted(self._sorted, keys)
-        pos_c = np.minimum(pos, self.n - 1)
-        return np.where(self._sorted[pos_c] == keys, self._ids[pos_c], -1)
+        ids = _search(self._main, keys)
+        miss = np.flatnonzero(ids < 0)
+        if miss.size and len(self._recent[0]):
+            ids[miss] = _search(self._recent, keys[miss])
+        return ids
 
     def first_seen(self, keys) -> np.ndarray:
         """The distinct values of ``keys`` (all unknown) in order of
@@ -280,14 +294,37 @@ class _VertexIndex:
         if self._table is not None:
             self._table[keys] = new_ids
             return
-        all_keys = np.concatenate(self._blocks)
-        order = np.argsort(all_keys, kind="stable")
-        self._sorted = all_keys[order]
-        self._ids = order.astype(np.int32)
+        self._recent = _merged(self._recent, keys, new_ids)
+        if len(self._recent[0]) >= len(self._main[0]):
+            self._main = _merged(self._main, *self._recent)
+            self._recent = (keys[:0], new_ids[:0])
 
     def keys(self) -> np.ndarray:
         """Every key, in vertex order."""
         return np.concatenate(self._blocks)
+
+
+def _search(run, keys) -> np.ndarray:
+    """Numbers of ``keys`` in a sorted (keys, numbers) run, -1 if absent."""
+    srt, ids = run
+    if not len(srt):
+        return np.full(len(keys), -1, dtype=np.int32)
+    # sorted needles walk the run in order: several times faster than
+    # binary searches from random starting points
+    order = np.argsort(keys)
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[order] = np.searchsorted(srt, keys[order])
+    np.minimum(pos, len(srt) - 1, out=pos)
+    return np.where(srt[pos] == keys, ids[pos], np.int32(-1))
+
+
+def _merged(run, keys, ids):
+    """A sorted (keys, numbers) run with distinct new ``keys`` merged in."""
+    srt, old_ids = run
+    order = np.argsort(keys, kind="stable")
+    keys, ids = keys[order], ids[order]
+    pos = np.searchsorted(srt, keys)
+    return np.insert(srt, pos, keys), np.insert(old_ids, pos, ids)
 
 
 def _verify_symmetry(ms, nbr, O) -> bool:
@@ -341,26 +378,25 @@ def colored_subgraph(G: CayleyGraph, colors) -> CayleyGraph:
     ms = G.space()
     O = ms.asbatch([G.vertex_matrix(int(v)).rows for v in nbr[0]])
     symmetric = _verify_symmetry(ms, nbr, O)
-    connected = _is_connected(nbr, symmetric)
+    connected = _is_connected(nbr)
     return CayleyGraph(G.F, G.d, G.keys, nbr, colors_kept, symmetric, connected)
 
 
-def _is_connected(nbr: np.ndarray, symmetric: bool) -> bool:
+def _is_connected(nbr: np.ndarray) -> bool:
     """Reachability of every vertex from vertex 0 in the undirected view.
 
     Right-multiplication by a fixed generator permutes the vertices, so
-    each neighbor-table column is a permutation and the reverse edges of
-    a directed view are its column-wise inverse permutations.
+    each neighbor-table column is a permutation; this is checked.  The
+    inverse of a permutation of a finite set is one of its powers, so a
+    reverse edge is a path of forward edges, and following forward
+    edges alone reaches every vertex of the undirected component.
     """
     n = nbr.shape[0]
-    if symmetric:
-        rev = None
-    else:
-        rev = np.full_like(nbr, -1)
-        ar = np.arange(n, dtype=nbr.dtype)
-        for i in range(nbr.shape[1]):
-            rev[nbr[:, i], i] = ar
-        if rev.min() < 0:
+    hit = np.zeros(n, dtype=bool)
+    for i in range(nbr.shape[1]):
+        hit[:] = False
+        hit[nbr[:, i]] = True
+        if not hit.all():
             raise AssertionError("a generator column is not a permutation")
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
@@ -368,14 +404,21 @@ def _is_connected(nbr: np.ndarray, symmetric: bool) -> bool:
     reached = 1
     while frontier.size:
         cand = nbr[frontier].ravel()
-        if rev is not None:
-            cand = np.concatenate([cand, rev[frontier].ravel()])
-        cand = np.unique(cand)
-        fresh = cand[~visited[cand]]
+        # unvisited first, then distinct by sorting: numpy's hashed
+        # np.unique is far slower on these integer arrays
+        fresh = _distinct(cand[~visited[cand]])
         visited[fresh] = True
         reached += fresh.size
         frontier = fresh
     return reached == n
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ carries batches of matrices as numpy arrays of codes for the hot paths
 (group multiplication, canonicalization, packed hashing); over a prime
 field it multiplies through float32 GEMM when the products provably fit
 in the 24-bit mantissa, falling back to exact integer matmul otherwise,
-and over a non-prime field it goes through dense lookup tables.
+and over a non-prime field it goes through dense lookup tables.  The
+closure and ball products skip matrices altogether: ``key_products``
+maps packed keys to packed product keys through row tables.
 
 Packed encoding: row-major entry codes are digits of a radix-q integer,
 entry (0,0) contributing the lowest digit.  The big-int form (``ProjMat
@@ -238,6 +240,8 @@ class ProjMat:
 _GEMM_MANTISSA = 1 << 24
 # products per float32 GEMM (or table product) inside right_products
 _PRODUCT_BLOCK = 1 << 18
+# largest (r + d*q) * q^d table entries of the key_products row tables
+_ROW_TABLE_MAX = 1 << 22
 
 
 class MatSpace:
@@ -381,6 +385,72 @@ class MatSpace:
                 P = self.mul(block[:, None], O[None]).reshape(-1, d, d)
             out[i0 * r : i1 * r] = self.canon(P)
         return out
+
+    def key_products(self, O: np.ndarray):
+        """A function from a block of packed keys to the packed canonical
+        keys of every product A[i] @ O[j], row-major in (i, j).
+
+        Row a of a packed key k is the code (k // q^(d*a)) % q^d, and row
+        a of A[i] @ O[j] is row a of A[i] times O[j].  Three tables built
+        here from O turn each product into integer gathers: T[v, j], the
+        code of row(v) @ O[j]; lam[c], the inverse of the lowest nonzero
+        digit of code c (for row 0 of an invertible product, the first
+        nonzero row-major entry) times q^d; and S[a, l*q^d + t], the code
+        of l * row(t) times q^(d*a).  A product key is then
+        sum_a S[a, lam[T[rc_0, j]] + T[rc_a, j]].  Unpackable keys, or
+        tables above ``_ROW_TABLE_MAX`` entries, take
+        pack(right_products(unpack(keys), O)) instead.  On either path a
+        product whose row 0 is zero (a singular input) raises ValueError.
+        """
+        d, q, r = self.d, self.q, O.shape[0]
+        Q = q**d
+        if not self.packable or (r + d * q) * Q > _ROW_TABLE_MAX:
+
+            def products(keys):
+                P = self.right_products(self.unpack(keys), O)
+                if not P[:, 0].any(axis=1).all():
+                    raise ValueError("a product has a zero first row")
+                return self.pack(P)
+
+            return products
+        # digits[v] is row(v); codes of 1 x d rows by their digit weights
+        digits = np.empty((Q, d), dtype=self.dtype)
+        rest = np.arange(Q)
+        for b in range(d):
+            rest, digits[:, b] = np.divmod(rest, q)
+        weights = q ** np.arange(d, dtype=np.int64)
+        T = np.empty((Q, r), dtype=np.intp)
+        step = max(1, _PRODUCT_BLOCK // r)
+        for v0 in range(0, Q, step):
+            rows = self.mul(digits[v0 : v0 + step, None, None, :], O[None])
+            T[v0 : v0 + step] = rows.reshape(-1, r, d) @ weights
+        first = np.argmax(digits != 0, axis=1)
+        lam = self._inv_table[digits[np.arange(Q), first]] * Q
+        lam[0] = 0
+        # l * row(t) as row(t) @ (l * I), for every scalar code l
+        scalars = self.identity_batch(q) * np.arange(q, dtype=self.dtype)[:, None, None]
+        scaled = self.mul(digits[None, :, None, :], scalars[:, None]) @ weights
+        S = scaled.reshape(1, q * Q) * (weights[:, None] ** d)
+
+        def products(keys):
+            rest = keys
+            acc = None
+            for a in range(d):
+                rest, code = np.divmod(rest, Q)
+                idx = T[code]
+                if a == 0:
+                    if not idx.all():
+                        raise ValueError("a product has a zero first row")
+                    base = lam[idx]
+                idx += base
+                term = S[a].take(idx)
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+            return acc.reshape(-1)
+
+        return products
 
     def pack(self, A: np.ndarray) -> np.ndarray:
         """Pack each matrix into a hashable key: int64 radix-q when it

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from .cayley import CayleyGraph, closure_from_matrices, colored_subgraph
+from .cayley import CayleyGraph, _distinct, closure_from_matrices, colored_subgraph
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget
 from .projmat import _PRODUCT_BLOCK, MatSpace, mat_inv
 from .util import atomic_write_text, ordered_chunked_map
@@ -18,6 +18,7 @@ _COUNTER_LIMIT = 1 << 62
 _DENSE_CAP = 5000
 _GROUP_CAP = 10_000_000
 _BALL_BLOCK = 2048
+_RUN_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +159,9 @@ def walk_moments(
     ``group-dp`` propagates the word-count distribution over the whole
     group along the neighbor table; the group must be enumerable (at
     most ~10^7 elements; pass ``graph`` to reuse a built closure).
-    ``ball-mitm`` enumerates consolidated product balls of radius
-    ceil(K/2) and joins each N_k as sum_g c_a(g) * c_b(g^-1) with
+    ``ball-mitm`` builds product balls of radius ceil(K/2), each level
+    the runs of its sorted word stream (distinct packed keys and their
+    word counts), and joins each N_k as sum_g c_a(g) * c_b(g^-1) with
     a = ceil(k/2); it never materializes the group.  All counters are
     64-bit integers with overflow checked up front from exact word-count
     bounds; both strategies produce identical values wherever both are
@@ -227,57 +229,99 @@ def _moments_group_dp(gens, K, sel, graph, threads):
 def _ball_levels(ms: MatSpace, gen_mats: np.ndarray, radius: int, threads: int):
     """Consolidated product balls: for t = 0..radius, the sorted packed
     keys of the distinct products of exactly t generators together with
-    their exact word counts."""
+    their exact word counts.
+
+    Level t is first its word stream, all r^t word keys in one
+    preallocated array: the products of level t-1's distinct keys with
+    every generator, each product row repeated as often as its key
+    occurs as a word.  Sorted in place, the stream's runs are the
+    level: distinct keys at the run starts, counts equal to the run
+    lengths.
+    """
     r = gen_mats.shape[0]
+    products = ms.key_products(gen_mats)
     levels = [(ms.pack(ms.identity_batch(1)), np.ones(1, dtype=np.int64))]
     for _ in range(radius):
-        frontier = ms.unpack(levels[-1][0])
-        blocks = [
-            frontier[i : i + _BALL_BLOCK]
-            for i in range(0, frontier.shape[0], _BALL_BLOCK)
-        ]
+        keys, counts = levels[-1]
+        starts = np.arange(0, len(keys), _BALL_BLOCK)
+        # stream offsets of the blocks: r words per word of the block
+        ends = np.cumsum(np.add.reduceat(counts, starts)) * r
+        stream = np.empty(int(ends[-1]), dtype=keys.dtype)
 
         def expand(items):
-            return [ms.pack(ms.right_products(bm, gen_mats)) for bm in items]
+            for b in items:
+                i = starts[b]
+                c = counts[i : i + _BALL_BLOCK]
+                rows = stream[ends[b] - r * int(c.sum()) : ends[b]].reshape(-1, r)
+                block = products(keys[i : i + _BALL_BLOCK]).reshape(-1, r)
+                word_of = np.repeat(np.arange(len(c)), c)
+                # mode="clip" writes straight into ``rows``, unbuffered
+                np.take(block, word_of, axis=0, out=rows, mode="clip")
+            return []
 
-        keys = np.concatenate(
-            ordered_chunked_map(expand, blocks, threads=threads, chunk=1)
-        )
-        del frontier, blocks
-        # product w of the stream extends word w // r of the frontier
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        keys = keys[starts]
-        order //= r
-        counts = levels[-1][1][order]
-        del order
-        levels.append((keys, np.add.reduceat(counts, starts)))
+        ordered_chunked_map(expand, range(len(starts)), threads=threads, chunk=1)
+        stream.sort()
+        levels.append(_runs(stream))
+        del stream
     return levels
 
 
-def _ball_memory_estimate(r: int, radius: int, d: int) -> int:
-    """Upper bound on the bytes held while the largest level of a
-    product ball is built and consolidated.
+def _runs(stream: np.ndarray):
+    """The distinct values of a sorted array and their run lengths.
 
-    Per word of that level at most 32 bytes: its int64 key and sort
-    permutation, plus two of the sorted key copy, the gathered count and
-    the distinct keys with their start offsets.  Per element of earlier
-    levels its 16-byte key and count and, for the frontier, its matrix.
-    Per product of one frontier block its matrix and key, and per
-    product of one ``right_products`` GEMM block its float32 product and
-    quotient, residues, canon mask, indices and output: under
-    24 * d * d + 16 bytes.
+    Two passes over chunks of ``_RUN_CHUNK`` values, counting then
+    filling, so that only the two outputs are allocated at their size.
+    """
+    n = len(stream)
+    bounds = [(i, min(i + _RUN_CHUNK, n)) for i in range(1, n, _RUN_CHUNK)]
+    distinct = 1 + sum(
+        int(np.count_nonzero(stream[i:j] != stream[i - 1 : j - 1]))
+        for i, j in bounds
+    )
+    keys = np.empty(distinct, dtype=stream.dtype)
+    counts = np.empty(distinct, dtype=np.int64)
+    keys[0] = stream[0]
+    counts[0] = 0
+    k = 1
+    for i, j in bounds:
+        at = np.flatnonzero(stream[i:j] != stream[i - 1 : j - 1])
+        at += i
+        keys[k : k + len(at)] = stream[at]
+        counts[k : k + len(at)] = at
+        k += len(at)
+    # counts holds the run starts; front to back, each becomes the gap to
+    # the next start, which a chunk reads before the next one rewrites it
+    for i in range(0, distinct - 1, _RUN_CHUNK):
+        j = min(i + _RUN_CHUNK, distinct - 1)
+        counts[i:j] = counts[i + 1 : j + 1] - counts[i:j]
+    counts[-1] = n - counts[-1]
+    return keys, counts
+
+
+def _ball_memory_estimate(r: int, radius: int, d: int, key_bytes: int = 8) -> int:
+    """Upper bound on the bytes held while the largest level of a
+    product ball is built and consolidated, for keys of ``key_bytes``.
+
+    Per word of that level its key in the stream, and at most one
+    distinct key and int64 count.  Per element of earlier levels its key
+    and count, plus the int64 word index that repeats product rows.  Per
+    product of one frontier block the int64 key, gathered term and two
+    gather indices of ``key_products`` or, on its fallback, the product
+    matrix and its pack; per product of one ``right_products`` GEMM
+    block its float32 product and quotient, residues, canon mask,
+    indices and output: under 24 * d * d + 16 bytes.  Per value of one
+    ``_runs`` chunk its mask, positions and gathered keys.
     """
     words = r**radius
     kept = sum(r**t for t in range(radius))
     block = min(_BALL_BLOCK, r ** max(radius - 1, 0)) * r
     gemm = min(block, max(r, _PRODUCT_BLOCK))
     return (
-        32 * words
-        + (16 + d * d) * kept
-        + (8 + d * d) * block
+        (2 * key_bytes + 8) * words
+        + (key_bytes + 16) * kept
+        + (32 + d * d) * block
         + (24 * d * d + 16) * gemm
+        + (key_bytes + 25) * min(_RUN_CHUNK, words)
     )
 
 
@@ -287,7 +331,8 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
     radius = (K + 1) // 2
     budget = default_mem_budget() if memory_budget is None else int(memory_budget)
-    est = _ball_memory_estimate(len(sel), radius, params.d)
+    key_bytes = ms.pack(gen_mats[:1]).dtype.itemsize
+    est = _ball_memory_estimate(len(sel), radius, params.d, key_bytes)
     if est > budget:
         raise MemoryBudgetError(
             f"radius-{radius} product ball needs ~{est} bytes "
@@ -565,8 +610,8 @@ def _bfs_order(G: CayleyGraph, deadline):
     while frontier.size:
         if time.monotonic() > deadline:
             return None
-        hood = np.unique(G.nbr[frontier])
-        fresh = hood[~seen[hood]]
+        hood = G.nbr[frontier].ravel()
+        fresh = _distinct(hood[~seen[hood]])
         seen[fresh] = True
         order.extend(fresh.tolist())
         frontier = fresh

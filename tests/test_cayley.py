@@ -168,6 +168,57 @@ def test_colored_subgraph_single_color(graph53_hat):
     assert sub.n == graph53_hat.n
 
 
+def _reaches_all(nbr):
+    """Plain breadth-first search of the undirected view of a neighbor
+    table: every stored edge, followed both ways."""
+    adj = [set() for _ in range(nbr.shape[0])]
+    for v, row in enumerate(nbr.tolist()):
+        for w in row:
+            adj[v].add(w)
+            adj[w].add(v)
+    seen, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        for w in adj[v] - seen:
+            seen.add(w)
+            todo.append(w)
+    return len(seen) == nbr.shape[0]
+
+
+def test_connectivity_of_colored_views_against_python_bfs():
+    # Z_12 by shift matrices: +2 (color 1), +-3 (color 2), +1 (color 3)
+    n = 12
+    shift = [
+        tuple(tuple(int(j == (i + k) % n) for j in range(n)) for i in range(n))
+        for k in (2, 3, 9, 1)
+    ]
+    G = closure_from_matrices(get_field(2), n, shift, colors=[1, 2, 2, 3])
+    assert G.n == n and G.connected
+    views = {
+        (1,): (False, False),  # +2 alone: two cosets, directed
+        (2,): (True, False),  # +-3: three cosets, undirected
+        (3,): (False, True),  # +1 alone: one directed cycle
+        (1, 2): (False, True),  # gcd(2, 3) = 1, still directed
+    }
+    for colors, (symmetric, connected) in views.items():
+        sub = colored_subgraph(G, set(colors))
+        assert sub.symmetric == symmetric
+        assert sub.connected == connected == _reaches_all(sub.nbr)
+    # directed permutation columns on two halves, then one joining them
+    rng = np.random.default_rng(405)
+    halves = [np.concatenate([rng.permutation(50), 50 + rng.permutation(50)])
+              for _ in range(3)]
+    split = np.stack(halves, axis=1).astype(np.int32)
+    joined = np.concatenate([split, rng.permutation(100)[:, None]], axis=1)
+    joined = joined.astype(np.int32)
+    for nbr in (split, joined):
+        assert cayley._is_connected(nbr) == _reaches_all(nbr)
+    assert not cayley._is_connected(split)
+    split[0, 1] = split[1, 1]
+    with pytest.raises(AssertionError, match="not a permutation"):
+        cayley._is_connected(split)
+
+
 def test_colored_subgraph_errors(graph53):
     with pytest.raises(ValueError):
         colored_subgraph(graph53, set())

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cayplex import projmat
 from cayplex.ffield import get_field
 from cayplex.projmat import (
     MatSpace,
@@ -216,3 +217,51 @@ def test_right_products_exact_at_gemm_bound():
     full = np.full((2, 3, 3), 2356, dtype=ms.dtype)
     got = ms.right_products(full, full)
     assert np.array_equal(got, np.ones((4, 3, 3), dtype=ms.dtype))
+
+
+def _key_products_case(F, d, seed, m=50, r=9):
+    rng = random.Random(seed)
+    ms = MatSpace(F, d)
+    O = ms.canon(ms.asbatch([rand_invertible(rng, F, d) for _ in range(r)]))
+    A = ms.asbatch([rand_invertible(rng, F, d) for _ in range(m)])
+    return ms, O, ms.pack(A)
+
+
+@pytest.mark.parametrize(
+    "F, d",
+    [(F5, 3), (get_field(3), 5), (F4, 2), (F4, 4), (get_field(3, 2), 2)],
+)
+def test_key_products_match_right_products(F, d):
+    ms, O, keys = _key_products_case(F, d, 401 + F.q * d)
+    want = ms.pack(ms.right_products(ms.unpack(keys), O))
+    products = ms.key_products(O)
+    assert np.array_equal(products(keys), want)
+    # blocks of any size, the empty one included
+    for lo, hi in ((0, 0), (0, 1), (17, 50)):
+        assert np.array_equal(products(keys[lo:hi]), want[lo * 9 : hi * 9])
+
+
+def test_key_products_fallback_paths(monkeypatch):
+    # tables above the bound: the right_products path, same keys
+    ms, O, keys = _key_products_case(get_field(3), 5, 402)
+    want = ms.key_products(O)(keys)
+    monkeypatch.setattr(projmat, "_ROW_TABLE_MAX", 0)
+    assert np.array_equal(ms.key_products(O)(keys), want)
+    # 3^49 does not fit int64: byte keys, against products of the tuples
+    ms, O, keys = _key_products_case(get_field(3), 7, 403, m=6, r=3)
+    assert not ms.packable
+    got = ms.unpack(ms.key_products(O)(keys))
+    A, Ot = ms.astuples(ms.unpack(keys)), ms.astuples(O)
+    want = [canon_rows(ms.F, mat_mul(ms.F, a, o)) for a in A for o in Ot]
+    assert ms.astuples(got) == want
+
+
+@pytest.mark.parametrize("table_max", [1 << 22, 0])
+def test_key_products_rejects_zero_first_row(monkeypatch, table_max):
+    monkeypatch.setattr(projmat, "_ROW_TABLE_MAX", table_max)
+    for F, d in ((F5, 3), (F4, 2)):
+        ms, O, keys = _key_products_case(F, d, 404)
+        A = ms.unpack(keys)
+        A[7, 0, :] = 0  # singular, first row zero
+        with pytest.raises(ValueError, match="zero first row"):
+            ms.key_products(O)(ms.pack(A))

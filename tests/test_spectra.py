@@ -37,6 +37,22 @@ from cayplex.spectra import (
 )
 
 
+def _consolidated_levels(ms, gen_mats, radius):
+    """Reference ball levels: the products of each level's distinct keys
+    with every generator, sorted by argsort and merged by reduceat."""
+    r = gen_mats.shape[0]
+    levels = [(ms.pack(ms.identity_batch(1)), np.ones(1, dtype=np.int64))]
+    for _ in range(radius):
+        prev_keys, prev_counts = levels[-1]
+        keys = ms.pack(ms.right_products(ms.unpack(prev_keys), gen_mats))
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        counts = prev_counts[order // r]
+        levels.append((keys[starts], np.add.reduceat(counts, starts)))
+    return levels
+
+
 def _rotation_rows(n, k):
     """The n-by-n permutation matrix of the cycle shift by k."""
     return tuple(
@@ -182,6 +198,26 @@ class TestWalkMoments:
             for K in range(8):
                 got = walk_moments(gens, K, "group-dp", colors=colors, graph=G)
                 assert list(got.values) == want[: K + 1]
+
+    def test_ball_levels_match_consolidated_reference(self, bar42, hat53):
+        """Oracle: every level as the distinct products of the previous
+        level's distinct keys, merged by argsort and reduceat."""
+        bar33 = symmetrize(build_omega(make_params(3, 3)))
+        cases = [(bar42, None), (bar33, None), (hat53, {1})]
+        for gens, colors in cases:
+            ms = MatSpace(gens.params.base, gens.params.d)
+            sel = _selected(gens, colors)
+            gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
+            want = _consolidated_levels(ms, gen_mats, 3)
+            for threads in (1, 2):
+                got = _ball_levels(ms, gen_mats, 3, threads=threads)
+                assert len(got) == len(want) == 4
+                for (gk, gc), (wk, wc) in zip(got, want):
+                    assert gk.dtype == wk.dtype and gc.dtype == np.int64
+                    assert np.array_equal(gk, wk) and np.array_equal(gc, wc)
+            # saturation: bar33 generates PGL_3(F_3) of order 5616
+            if gens is bar33:
+                assert len(want[3][0]) < len(gens) ** 3
 
     def test_ball_memory_estimate_bounds_traced_peak(self, bar53):
         bar33 = symmetrize(build_omega(make_params(3, 3)))
