@@ -15,7 +15,11 @@ one exponent pair (i, j) and d polynomial numerators over E,
     a = (P_0 + P_1 z + ... + P_{d-1} z^{d-1}) / (t^i (1+t)^j).
 
 Products multiply the numerators with the twisted rule and add the
-exponent pairs; no polynomial gcd is ever taken.  Equality and hashing
+exponent pairs; no polynomial gcd is ever taken.  Products of whole
+words over the base system omega(u^j) (the product system's candidate
+check and its witness lifts) do not run here but in
+``genforge.word_kernel``, as numpy gathers on arrays of E codes;
+``CycElem`` products are its test oracle.  Equality and hashing
 use the normal form with the common powers of t and (1+t) stripped.
 
 The faithful d x d representation over E[t] is read with the basis
@@ -79,6 +83,8 @@ class CycAlg:
         self.one_plus_t = Poly(E, (1, 1))
         self._zero = Poly.zero(E)
         self._one = Poly.one(E)
+        self._z_pows: dict[int, tuple] = {}
+        self._gammas: dict[int, int] = {}
 
     # -- the twist --------------------------------------------------------
 
@@ -152,27 +158,39 @@ class CycAlg:
 
     # -- specialization -----------------------------------------------------
 
+    def z_powers(self, c: int):
+        """Z^0, ..., Z^(d-1) for Z = regular_rep(c) * frobenius_matrix(E, s),
+        cached per code c.  With c = 1 + alpha, Z^k is the image of z^k
+        under specialization; with c = 1 these are the powers of the
+        twist's Frobenius matrix."""
+        pows = self._z_pows.get(c)
+        if pows is None:
+            F = self.E.base
+            Z = mat_mul(F, regular_rep(self.E, c), frobenius_matrix(self.E, self.s))
+            pows = [mat_eye(F, self.d)]
+            for _ in range(self.d - 1):
+                pows.append(mat_mul(F, pows[-1], Z))
+            pows = self._z_pows[c] = tuple(pows)
+        return pows
+
     def specialize(self, a: CycElem, alpha: int):
         """Evaluate at t = gamma and represent over F_q (see module doc).
 
         Returns a d x d row-tuple matrix over the base field.
         """
         E, F, d = self.E, self.E.base, self.d
-        gamma = gamma_from_alpha(E, alpha)
+        gamma = self._gammas.get(alpha)
+        if gamma is None:
+            gamma = self._gammas[alpha] = gamma_from_alpha(E, alpha)
         i, j = a.den
         # 1 / (gamma^i (1+gamma)^j); nonzero since gamma is not 0 or -1
         scale = F.inv(F.mul(F.pow_(gamma, i), F.pow_(F.add(gamma, 1), j)))
-        one_plus_alpha = E.add(1, alpha)
-        Z = mat_mul(F, regular_rep(E, one_plus_alpha), frobenius_matrix(E, self.s))
         out = None
-        Zpow = mat_eye(F, d)
-        for k in range(d):
-            val = E.mul(a.coords[k].eval_code(gamma), scale)
+        for P, Zpow in zip(a.coords, self.z_powers(E.add(1, alpha))):
+            val = E.mul(P.eval_code(gamma), scale)
             if val != 0:
                 term = mat_mul(F, regular_rep(E, val), Zpow)
                 out = term if out is None else mat_add(F, out, term)
-            if k + 1 < d:
-                Zpow = mat_mul(F, Zpow, Z)
         if out is None:
             out = tuple((0,) * d for _ in range(d))
         return out

@@ -56,6 +56,8 @@ __all__ = [
 # and reduces Poly products, which is slow but exact.
 _EXPLOG_MAX = 1 << 16
 _ADDTAB_MAX = 2500
+# Orders up to which ``np_tables`` builds dense numpy (add, mul, inv) tables.
+NP_TABLES_MAX = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -153,7 +155,7 @@ class _Quotient:
         self._mpoly = Poly(coef, modulus)
         self.modulus = modulus
         self.order = coef.order**self._k
-        self._addtab = self._np_tables = None
+        self._addtab = self._np_tables = self._np_explog = None
         self._frob: dict[int, list[int]] = {}
         if self.order <= _EXPLOG_MAX:
             self._build_tables()
@@ -337,7 +339,7 @@ class _Quotient:
         matrix kernels over a non-prime base field."""
         if self._coef is None:
             raise ValueError("prime fields use direct modular arithmetic")
-        if self.order > 4096:
+        if self.order > NP_TABLES_MAX:
             raise ValueError("base field too large for dense tables")
         if self._np_tables is None:
             exp, log = np.array(self._exp), np.array(self._log)
@@ -346,6 +348,24 @@ class _Quotient:
             inv = np.concatenate(([0], exp[self._n - log[1:]]))
             self._np_tables = tuple(t.astype(np.int16) for t in (add, mul, inv))
         return self._np_tables
+
+    def np_explog(self):
+        """(exp, log) lookup tables as int32 numpy arrays, with
+        exp[log[a] + log[b]] = a * b for every pair of codes, zero
+        included (see ``_build_tables``)."""
+        if self._coef is None:
+            raise ValueError("prime fields use direct modular arithmetic")
+        if self.order > _EXPLOG_MAX:
+            raise ValueError(
+                f"F_{self.order} has more than {_EXPLOG_MAX} elements and "
+                "keeps no exp/log tables"
+            )
+        if self._np_explog is None:
+            self._np_explog = (
+                np.array(self._exp, dtype=np.int32),
+                np.array(self._log, dtype=np.int32),
+            )
+        return self._np_explog
 
 
 class Field(_Quotient):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cyclic import CycAlg, CycElem, gamma_from_alpha
 from .ffield import (
-    frobenius_matrix,
+    NP_TABLES_MAX,
     gaussian_binomial,
     get_ext_field,
     get_field,
@@ -36,6 +36,7 @@ from .ffield import (
     regular_rep,
 )
 from .projmat import (
+    _PRODUCT_BLOCK,
     MatSpace,
     ProjMat,
     canon_rows,
@@ -45,6 +46,7 @@ from .projmat import (
     mat_inv,
     mat_mul,
 )
+from .ratfunc import Poly
 from .util import ordered_chunked_map
 
 KIND_OMEGA = "omega"
@@ -377,15 +379,20 @@ class GenSet:
         """Reconstruct global lifts from (j, word) data and verify each
         against its stored finite matrix."""
         E, F, n = params.E, params.base, params.n
+        if kind == KIND_OMEGAHAT:
+            words = [g[4] for g in raw_gens]
+            if None in words:
+                raise ValueError(
+                    f"product-system entry idx={words.index(None)} lacks word="
+                )
+            word_lifts = _word_lifts(params, words)
         out = []
         for i, (rows, j, color, inv, word) in enumerate(raw_gens):
             pm = ProjMat(F, rows)
             if pm.rows != rows:
                 raise ValueError(f"matrix at idx={i} is not in canonical form")
             if kind == KIND_OMEGAHAT:
-                if word is None:
-                    raise ValueError(f"product-system entry idx={i} lacks word=")
-                lift = _word_lift(alg, params, word)
+                lift = word_lifts[i]
             else:
                 if not (0 <= j < n):
                     raise ValueError(f"conjugation index {j} out of range at idx={i}")
@@ -421,30 +428,48 @@ def _token(kv: dict, key: str, where: str) -> str:
     return kv[key]
 
 
-def _word_lift(alg: CycAlg, params: GenParams, word) -> CycElem:
-    E = params.E
-    lift = None
-    for j in word:
-        factor = alg.omega(E.pow_(params.u, j))
-        lift = factor if lift is None else lift * factor
-    if lift is None:
-        raise ValueError("empty witnessing word")
-    return lift
+def _word_lifts(params: GenParams, words, kernel=None) -> list[CycElem]:
+    """Exact lifts of words over the base system: the product of the
+    lifts of their letters, with numerators from ``word_kernel`` (one
+    call per word length) over the denominator (1+t)^length."""
+    alg, E, n = params.alg(), params.E, params.n
+    by_length = {}
+    for i, word in enumerate(words):
+        if not word:
+            raise ValueError("empty witnessing word")
+        if not all(0 <= j < n for j in word):
+            raise ValueError(f"word letter out of range 0..{n - 1} in {word}")
+        by_length.setdefault(len(word), []).append(i)
+    kernel = kernel or word_kernel(params)
+    lifts = [None] * len(words)
+    for length, idx in by_length.items():
+        num = kernel(np.array([words[i] for i in idx]))
+        for i, coords in zip(idx, num.tolist()):
+            lifts[i] = alg.elem([Poly(E, c) for c in coords], (0, length))
+    return lifts
 
 
 def _check_inverse_partners(gs: GenSet) -> None:
+    """Each generator's partner must be its projective inverse (checked
+    as one batched product: A B is scalar exactly when B is A^-1 up to
+    a scalar), partnered back, with complementary color."""
     if not gs.is_symmetric():
         return
-    d = gs.params.d
-    for i, g in enumerate(gs.gens):
-        k = g.inv
-        if not (0 <= k < len(gs.gens)):
+    gens, d = gs.gens, gs.params.d
+    for i, g in enumerate(gens):
+        if not (0 <= g.inv < len(gens)):
             raise ValueError(f"generator {i} has no inverse partner")
-        if gs.gens[k].finite != g.finite.inverse():
+    ms = MatSpace(gs.params.base, d)
+    A = ms.asbatch(gs.finite_rows())
+    prod = ms.canon(ms.mul(A, A[[g.inv for g in gens]]))
+    wrong = (prod != ms.identity_batch(1)).any(axis=(1, 2))
+    for i, g in enumerate(gens):
+        k = g.inv
+        if wrong[i]:
             raise ValueError(f"inverse partner of generator {i} is wrong")
-        if gs.gens[k].inv != i:
+        if gens[k].inv != i:
             raise ValueError(f"inverse pairing is not symmetric at {i}")
-        if (g.color + gs.gens[k].color) % d != 0:
+        if (g.color + gens[k].color) % d != 0:
             raise ValueError(f"inverse colors of generator {i} do not complement")
 
 
@@ -586,12 +611,114 @@ def symmetrize(base_set: GenSet) -> GenSet:
 # ---------------------------------------------------------------------------
 
 
-def _digits(x: int, n: int, k: int) -> tuple[int, ...]:
-    """k base-n digits of x, most significant first (word letters)."""
-    out = [0] * k
+def _letters(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The k base-n digits of each key, most significant first: the
+    letters of the words that the keys number, as a (len(keys), k) array."""
+    out = np.empty((len(keys), k), dtype=np.intp)
+    rest = np.asarray(keys, dtype=np.int64)
     for i in range(k - 1, -1, -1):
-        x, out[i] = divmod(x, n)
-    return tuple(out)
+        rest, out[:, i] = np.divmod(rest, n)
+    return out
+
+
+def _array_ops(E):
+    """(add, mul) on int arrays of E codes, as numpy gathers on tables E
+    owns: its dense add and mul tables up to ``NP_TABLES_MAX`` elements,
+    its exp/log tables and digit-wise addition mod p beyond.  Raises
+    ValueError for a field that keeps no exp/log tables."""
+    N = E.order
+    if N <= NP_TABLES_MAX:
+        add_t, mul_t, _ = (t.ravel() for t in E.np_tables())
+
+        def gather(table):
+            return lambda x, y: table.take(x.astype(np.intp) * N + y)
+
+        return gather(add_t), gather(mul_t)
+    try:
+        exp, log = E.np_explog()
+    except ValueError as exc:
+        raise ValueError(f"the exact word verifier cannot run here: {exc}") from None
+    # a code packs d * f digits base p, and addition is digit-wise mod p
+    p = E.p
+    weights = [p**i for i in range(E.d * E.base.f)]
+
+    def add(x, y):
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int32)
+        for w in weights:
+            out += (x // w + y // w) % p * w
+        return out
+
+    def mul(x, y):
+        return exp.take(log.take(x) + log.take(y))
+
+    return add, mul
+
+
+def word_kernel(params: GenParams):
+    """The exact product numerators of words over the base system.
+
+    Letter j of a word stands for the base element omega(u^j) =
+    ((1+t) - c_j z^(d-1)) / (1+t), so a word of length L has product
+    N / (1+t)^L with numerator N = sum_k P_k z^k, each P_k in E[t] of
+    degree at most L.  Returns ``numerators(words)``: for an int array of
+    words of shape (B, L), L >= 1, an int array of shape (B, d, L+1)
+    whose entry [b, k, m] is the code of the t^m coefficient of P_k for
+    word b, the same numerator that ``CycElem`` products of the letters'
+    lifts carry.
+
+    The numerator starts at (1+t) z^0 - c_j z^(d-1) for the first letter.
+    Each later letter j right-multiplies it by (1+t) - c_j z^(d-1):
+    P_k z^k times that is (1+t) P_k z^k, plus -sigma^k(c_j) (1+t) P_k
+    z^(k-1) for k >= 1 (z^d = 1+t), plus -c_j P_0 z^(d-1) for k = 0.
+    Field arithmetic is ``_array_ops`` gathers; ValueError for a field
+    it cannot tabulate.
+    """
+    E, d, n = params.E, params.d, params.n
+    alg = params.alg()
+    add, mul = _array_ops(E)
+    # twist[j, k] = -sigma^(k+1)(c_j) multiplies P_(k+1 mod d) into
+    # coordinate k (sigma^d is the identity)
+    twist = np.empty((n, d), dtype=np.int32)
+    u = 1
+    for j in range(n):
+        c = alg.unit_ratio(u)
+        twist[j] = [E.neg(alg.sigma(c, k + 1)) for k in range(d)]
+        u = E.mul(u, params.u)
+
+    def numerators(words):
+        words = np.asarray(words)
+        B, L = words.shape
+        out = np.zeros((B, d, L + 1), dtype=np.int32)
+        out[:, 0, :2] = 1
+        out[:, d - 1, 0] = twist[words[:, 0], d - 1]
+        for i in range(1, L):
+            P = out[:, :, : i + 1]  # degree at most i
+            R = mul(np.roll(P, -1, axis=1), twist[words[:, i], :, None])
+            # X = P + R except on coordinate d-1, which takes R after (1+t)
+            X = np.concatenate((add(P[:, :-1], R[:, :-1]), P[:, -1:]), axis=1)
+            out[:, :, i + 1] = X[:, :, i]
+            out[:, :, 1 : i + 1] = add(X[:, :, 1:], X[:, :, :-1])
+            out[:, :, 0] = X[:, :, 0]
+            out[:, -1, : i + 1] = add(out[:, -1, : i + 1], R[:, -1])
+        return out
+
+    return numerators
+
+
+def central_numerators(num: np.ndarray, q: int) -> np.ndarray:
+    """Which numerators (an array of ``word_kernel``) are central scalars:
+    coordinates 1..d-1 zero, coordinate 0 nonzero with every code below q
+    (``CycElem.is_central_scalar`` on the same numerator)."""
+    head = num[:, 0]
+    return (
+        ~num[:, 1:].any(axis=(1, 2))
+        & head.any(axis=1)
+        & (head < q).all(axis=1)
+    )
+
+
+# candidate words per call of the exact verifier
+_VERIFY_BLOCK = 1 << 14
 
 
 def hat_class_sizes(d: int, q: int) -> list[int]:
@@ -600,16 +727,75 @@ def hat_class_sizes(d: int, q: int) -> list[int]:
     return [gaussian_binomial(d, l, q) for l in range(1, d)]
 
 
-def _hat_memory_estimate(n: int, d: int, a: int, b: int) -> int:
-    prefix_rows = sum(n**k for k in range(1, a + 1))
-    suffix_rows = sum(n**k for k in range(1, b + 1))
-    mat_bytes = d * d
-    est = 2 * prefix_rows * mat_bytes  # stored levels + canon copy
-    est += 16 * (n**a)  # packed keys + searchsorted bounds
-    est += 4 * suffix_rows * mat_bytes + 24 * (n**b)
-    est += (1 << 18) * mat_bytes * 28  # blockwise multiply temporaries
-    est += 64 * (n ** max(a, b))  # join bookkeeping, candidate tuples
-    return est
+def _flag_count(d: int, q: int) -> int:
+    """Complete flags of F_q^d: the number of identity words of length d
+    when the finite quotient adds no collisions."""
+    return math.prod((q**k - 1) // (q - 1) for k in range(1, d + 1))
+
+
+def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int:
+    """Upper estimate of the bytes ``build_omega_hat`` holds at once, for
+    ``words`` candidate words.
+
+    The prefix levels (n + ... + n^a matrices) and the verifier's field
+    tables (``np_tables`` with its int64 build temporaries, under 22
+    bytes per pair of codes, or ``np_explog``) stay to the end.  On top
+    of them comes the largest of the stages' own arrays:
+
+    * one ``right_products`` block: float32 GEMM or int64 table terms,
+      canon and output, under 28 bytes per entry;
+    * the prefix keys: a canonical copy with its uint16 scale index and
+      nonzero mask, and the int64 keys;
+    * the suffix side: prefix keys and both join bounds, the suffix
+      products, their reordered and canonical copies, keys, argsort and
+      sorted keys;
+    * the join: prefix keys, bounds and run bookkeeping, and per word W,
+      V and three int64 temporaries;
+    * the verifier: W, V, two flag arrays and the filtered W and V per
+      word, and per thread one ``_VERIFY_BLOCK`` of (d, d+1) numerators
+      with the kernel's letters, int64 gather indices and int16 terms,
+      under 40 bytes per entry;
+    * the collection: W, V, int64 indices, keys and sort arrays per word,
+      the gathered, running and canonical matrices, and the temporaries
+      of one ``MatSpace.mul`` over all words (30 bytes per entry).
+    """
+    n, d, q = params.n, params.d, params.q
+    a = (d + 1) // 2
+    b = d - a
+    N = q**d
+    tables = 22 * N * N if N <= NP_TABLES_MAX else 20 * N
+    m, sq = d * d * (1 if q < 256 else 4), d * d  # MatSpace entries
+    P, S = n**a, n**b
+    canon = m + 3 * sq
+    stages = (
+        min(P, max(n, _PRODUCT_BLOCK)) * sq * 28,
+        P * (canon + 8),
+        24 * P + sum(n**k for k in range(1, b + 1)) * m + S * (m + canon + 24),
+        56 * P + 16 * S + 40 * words,
+        34 * words + threads * min(words, _VERIFY_BLOCK) * d * (d + 1) * 40,
+        words * (72 + 2 * m + canon + 30 * sq),
+    )
+    return tables + sum(n**k for k in range(1, a + 1)) * m + max(stages)
+
+
+def _check_hat_budget(params, words, threads, budget) -> None:
+    est = _hat_memory_estimate(params, words, threads)
+    if est > budget:
+        raise MemoryBudgetError(
+            f"meet-in-the-middle needs ~{est} bytes (budget {budget}); "
+            "raise the budget or use smaller parameters"
+        )
+
+
+def _candidate_pairs(order, lo, hi):
+    """The candidate words (W[i], V[i]) of the join: each prefix w with
+    every suffix order[lo[w]:hi[w]] of its run of equal keys, sorted by
+    (w, v).  ``order`` is a stable argsort, so each run lists its
+    suffixes in ascending v already."""
+    runs = hi - lo
+    W = np.repeat(np.arange(len(runs)), runs)
+    shift = np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    return W, order[np.arange(len(W)) + shift]
 
 
 def build_omega_hat(
@@ -624,10 +810,11 @@ def build_omega_hat(
     prefix keys against inverted-suffix keys on canonical projective
     equality to produce candidate length-d identity words; (ii) verify
     every candidate globally — the exact product of the lifts must be a
-    central scalar of the algebra — discarding and counting failures;
-    (iii) collect all proper prefixes (lengths 1..d-1) of verified words,
-    deduplicated projectively, each with color = prefix length and the
-    lexicographically least witnessing word.
+    central scalar of the algebra — through ``word_kernel``, in blocks of
+    ``_VERIFY_BLOCK`` words on up to ``threads`` threads, discarding and
+    counting failures; (iii) collect all proper prefixes (lengths 1..d-1)
+    of verified words, deduplicated projectively, each with color =
+    prefix length and the lexicographically least witnessing word.
 
     Color-class sizes must equal the Gaussian binomials (fatal mismatch
     otherwise).  ``meta`` records candidate, verified-word, and rejected
@@ -636,20 +823,15 @@ def build_omega_hat(
     if base_set.kind != KIND_OMEGA:
         raise ValueError("the product system is built from the base system")
     params = base_set.params
-    E, F, d, n, q = params.E, params.base, params.d, params.n, params.q
-    alg = params.alg()
+    F, d, n, q = params.base, params.d, params.n, params.q
     budget = default_mem_budget() if memory_budget is None else memory_budget
     a = (d + 1) // 2
     b = d - a
-    est = _hat_memory_estimate(n, d, a, b)
-    if est > budget:
-        raise MemoryBudgetError(
-            f"meet-in-the-middle needs ~{est} bytes (budget {budget}); "
-            "raise the budget or use smaller parameters"
-        )
+    # the flag count stands in for the candidates until the join counts them
+    _check_hat_budget(params, _flag_count(d, q), threads, budget)
+    kernel = word_kernel(params)
     ms = MatSpace(F, d)
     O = ms.asbatch(base_set.finite_rows())
-    omegas = [alg.omega(E.pow_(params.u, j)) for j in range(n)]
 
     levels = [O]
     for _ in range(a - 1):
@@ -671,39 +853,30 @@ def build_omega_hat(
     sorted_suf = suf_keys[order]
     lo = np.searchsorted(sorted_suf, pre_keys, side="left")
     hi = np.searchsorted(sorted_suf, pre_keys, side="right")
-    candidates = []
-    for w in np.nonzero(hi > lo)[0]:
-        vs = np.sort(order[lo[w] : hi[w]])
-        for v in vs:
-            candidates.append((int(w), int(v)))
+    del sorted_suf, pre_keys, suf_keys
+    count = int((hi - lo).sum())
+    if count == 0:
+        raise ValueError("no identity words found; parameters are inconsistent")
+    _check_hat_budget(params, count, threads, budget)
+    W, V = _candidate_pairs(order, lo, hi)
+    count = len(W)
+    del order, lo, hi
 
-    def verify_chunk(chunk):
-        out = []
-        last_w = None
-        chain = None
-        for w, v in chunk:
-            if w != last_w:
-                wd = _digits(w, n, a)
-                chain = omegas[wd[0]]
-                for j in wd[1:]:
-                    chain = chain * omegas[j]
-                last_w = w
-            prod = chain
-            for j in _digits(v, n, b):
-                prod = prod * omegas[j]
-            out.append(prod.is_central_scalar())
-        return out
+    def letters(sel):
+        """The letters of the candidate words selected from W and V."""
+        return np.concatenate((_letters(W[sel], n, a), _letters(V[sel], n, b)), axis=1)
 
-    flags = ordered_chunked_map(
-        verify_chunk, candidates, threads=threads, chunk=4096
-    )
-    verified = [cand for cand, ok in zip(candidates, flags) if ok]
-    collisions = len(candidates) - len(verified)
-    if not verified:
+    def verify(blocks):
+        return [central_numerators(kernel(letters(slice(i, j))), q) for i, j in blocks]
+
+    blocks = [(i, min(i + _VERIFY_BLOCK, count))
+              for i in range(0, count, _VERIFY_BLOCK)]
+    ok = np.concatenate(ordered_chunked_map(verify, blocks, threads=threads, chunk=1))
+    W, V = W[ok], V[ok]
+    collisions = count - len(W)
+    if not len(W):
         raise ValueError("no identity words found; parameters are inconsistent")
 
-    W = np.array([w for w, _ in verified], dtype=np.int64)
-    V = np.array([v for _, v in verified], dtype=np.int64)
     elems = {}
     running = None
     for level in range(1, d):
@@ -724,22 +897,23 @@ def build_omega_hat(
                 f"color-{level} class has {len(uniq)} elements, expected "
                 f"{expect}: the product system is inconsistent"
             )
-        for key, fi in zip(uniq.tolist(), first.tolist()):
+        words = letters(first)[:, :level].tolist()
+        for key, word, rows in zip(uniq.tolist(), words, canon_arr[first].tolist()):
             if key in elems:
                 raise ValueError(
                     "one projective matrix appears in two color classes"
                 )
-            word = _digits(int(W[fi]), n, a) + _digits(int(V[fi]), n, b)
-            rows = tuple(tuple(int(x) for x in r) for r in canon_arr[fi])
-            elems[key] = (level, word[:level], rows)
+            elems[key] = (level, tuple(word), tuple(map(tuple, rows)))
 
     identity_rows = mat_eye(F, d)
+    found = sorted(elems.values(), key=lambda e: (e[0], e[1]))
+    lifts = _word_lifts(params, [word for _, word, _ in found], kernel)
+    alg = params.alg()
     gens = []
-    for level, word, rows in sorted(elems.values(), key=lambda e: (e[0], e[1])):
+    for (level, word, rows), lift in zip(found, lifts):
         if rows == identity_rows:
             raise ValueError("the identity appeared as a product-system element")
         pm = ProjMat(F, rows)
-        lift = _word_lift(alg, params, word)
         spec = canon_rows(F, alg.specialize(lift, params.alpha))
         if spec != pm.rows:
             raise AssertionError(
@@ -756,7 +930,7 @@ def build_omega_hat(
 
     index_of = {g.finite.packed(): i for i, g in enumerate(gens)}
     for g in gens:
-        key = g.finite.inverse().packed()
+        key = ms.packed_of(canon_rows(F, mat_inv(F, g.finite.rows)))
         if key not in index_of:
             raise ValueError("product system is not inverse-closed")
         g.inv = index_of[key]
@@ -765,8 +939,8 @@ def build_omega_hat(
         KIND_OMEGAHAT,
         gens,
         meta={
-            "candidates": len(candidates),
-            "identity_words": len(verified),
+            "candidates": count,
+            "identity_words": len(W),
             "collisions": collisions,
         },
     )
@@ -810,16 +984,12 @@ def attach_subspace(g: Generator):
         raise AssertionError(
             f"determinant valuation {det_val} disagrees with color {g.color}"
         )
-    phi = frobenius_matrix(E, alg.s)
     acc = None
-    phi_pow = mat_eye(F, d)
-    for j in range(d):
-        code = lift.coords[j].coeff(m)
+    for P, phi_pow in zip(lift.coords, alg.z_powers(1)):
+        code = P.coeff(m)
         if code:
             term = mat_mul(F, regular_rep(E, code), phi_pow)
             acc = term if acc is None else mat_add(F, acc, term)
-        if j + 1 < d:
-            phi_pow = mat_mul(F, phi_pow, phi)
     if acc is None:
         raise ValueError("lift reduces to zero at t = 0 after normalization")
     basis = column_space_rref(F, acc)

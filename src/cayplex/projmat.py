@@ -336,8 +336,10 @@ class MatSpace:
         if np.any(lead == 0):
             raise ValueError("zero matrix has no projective class")
         if self.dtype == np.uint8:
+            # indexing (unlike take) reads the uint16 indices without an
+            # intp copy of them
             idx = self._scale_row[lead][:, None] + flat
-            return self._mul_u8.take(idx).reshape(A.shape)
+            return self._mul_u8[idx].reshape(A.shape)
         scale = self._inv_table[lead]
         if self._tables is None:
             out = (A.astype(np.int64) * scale[:, None, None]) % self.F.p

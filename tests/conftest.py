@@ -77,6 +77,11 @@ def hat53(omega53):
 
 
 @pytest.fixture(scope="session")
+def hat44():
+    return build_omega_hat(build_omega(make_params(4, 4)))
+
+
+@pytest.fixture(scope="session")
 def bar53_s2():
     params = make_params(5, 3, s=2)
     return symmetrize(build_omega(params))

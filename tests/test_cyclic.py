@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from cayplex.ffield import get_ext_field, mult_generator, regular_rep
-from cayplex.projmat import mat_eye, mat_inv, mat_mul
+from cayplex.ffield import frobenius_matrix, get_ext_field, mult_generator, regular_rep
+from cayplex.projmat import mat_eye, mat_inv, mat_mul, mat_pow
 from cayplex.ratfunc import Poly, RatFunc
 from cayplex.cyclic import CycAlg, CycElem, gamma_from_alpha
 
@@ -242,6 +242,20 @@ def test_specialize_errors(alg35):
         gamma_from_alpha(get_ext_field(2, 2, 3), 2)  # F_4, every cube is 1
     with pytest.raises(ValueError):
         alg35.specialize(alg35.one(), 0)
+
+
+def test_z_powers_are_cached_exact_powers(alg53):
+    E, F = alg53.E, alg53.E.base
+    for c in (1, E.add(1, 3)):  # the twist's Frobenius, and Z at alpha = 3
+        Z = mat_mul(F, regular_rep(E, c), frobenius_matrix(E, alg53.s))
+        pows = alg53.z_powers(c)
+        assert pows == tuple(mat_pow(F, Z, k) for k in range(3))
+        assert alg53.z_powers(c) is pows
+    assert alg53.specialize(alg53.z(), 3) == alg53.z_powers(E.add(1, 3))[1]
+    # an inadmissible alpha is refused on every call, cached or not
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            alg53.specialize(alg53.one(), 0)
 
 
 def test_global_mat_projective_equality(alg35):

@@ -4,10 +4,13 @@ attachment, group membership, and the q-power family."""
 
 import itertools
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from cayplex.ffield import gaussian_binomial, get_field
+from cayplex import genforge
+from cayplex.ffield import NP_TABLES_MAX, gaussian_binomial, get_field
 from cayplex.genforge import (
     GenSet,
     Generator,
@@ -18,6 +21,7 @@ from cayplex.genforge import (
     attach_subspace,
     build_omega,
     build_omega_hat,
+    central_numerators,
     color_of,
     default_mem_budget,
     expected_index,
@@ -30,6 +34,7 @@ from cayplex.genforge import (
     predicted_group_order,
     psl_check,
     symmetrize,
+    word_kernel,
 )
 from cayplex.projmat import ProjMat, canon_rows, mat_inv, mat_mul, mat_rref
 
@@ -261,9 +266,12 @@ def test_omega_hat_inverse_closure(hat53):
         assert hat53[k].color == d - g.color
 
 
-def test_omega_hat_thread_determinism(omega53, hat53):
+def test_omega_hat_thread_determinism(monkeypatch, omega53, hat53):
+    # blocks of 50 words give the 186 candidates four verifier calls
+    monkeypatch.setattr(genforge, "_VERIFY_BLOCK", 50)
     rebuilt = build_omega_hat(omega53, threads=3)
     assert rebuilt.to_text() == hat53.to_text()
+    assert rebuilt.meta == hat53.meta
 
 
 def test_omega_hat_requires_base_kind(bar53):
@@ -286,6 +294,50 @@ def test_mem_budget_env(monkeypatch):
     assert default_mem_budget() == 4 << 30
 
 
+def test_omega_hat_rejects_injected_candidates(monkeypatch, omega53, hat53):
+    # no real case has a collision, so inject random non-identity words
+    # into the join and check that the verifier rejects exactly those
+    params = omega53.params
+    n = params.n
+    rng = np.random.default_rng(11)
+    extra_w = rng.integers(0, n * n, 40)
+    extra_v = rng.integers(0, n, 40)
+    words = np.stack((extra_w // n, extra_w % n, extra_v), axis=1)
+    assert not any(_lift_product(params, w).is_central_scalar() for w in words)
+    real = genforge._candidate_pairs
+
+    def injected(order, lo, hi):
+        W, V = real(order, lo, hi)
+        W, V = np.concatenate((W, extra_w)), np.concatenate((V, extra_v))
+        keep = np.lexsort((V, W))
+        return W[keep], V[keep]
+
+    monkeypatch.setattr(genforge, "_candidate_pairs", injected)
+    hat = build_omega_hat(omega53)
+    # identity_words = candidates - collisions
+    assert hat.meta == {"candidates": 226, "identity_words": 186, "collisions": 40}
+    assert hat.to_text() == hat53.to_text()
+
+
+def test_omega_hat_memory_estimate_bounds_peak():
+    params = make_params(4, 4)
+    base = build_omega(params)
+    tracemalloc.start()
+    try:
+        hat = build_omega_hat(base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    est = genforge._hat_memory_estimate(params, hat.meta["candidates"])
+    assert peak <= est <= 4 * peak
+
+
+def test_omega_hat_refuses_untabled_extension():
+    # |E| = 257^2 > 2^16: E keeps no exp/log tables for the verifier
+    with pytest.raises(ValueError, match="exact word verifier"):
+        word_kernel(make_params(257, 2))
+
+
 def test_omega_hat_big(hat35):
     assert len(hat35) == 2662
     sizes = [sum(1 for g in hat35 if g.color == c) for c in (1, 2, 3, 4)]
@@ -303,6 +355,95 @@ def test_omega_hat_big_color1_is_omega(omega35, hat35):
     assert {g.finite.packed() for g in hat35 if g.color == 1} == {
         g.finite.packed() for g in omega35
     }
+
+
+# ---------------------------------------------------------------------------
+# Exact word verifier
+# ---------------------------------------------------------------------------
+
+
+def _lift_product(params, word):
+    """Oracle: the product of the letters' CycElem lifts."""
+    alg, E = params.alg(), params.E
+    out = None
+    for j in word:
+        factor = alg.omega(E.pow_(params.u, int(j)))
+        out = factor if out is None else out * factor
+    return out
+
+
+def _assert_kernel_matches(params, words):
+    """The kernel's numerators and central flags equal the CycElem
+    products coefficient by coefficient; returns the flags."""
+    words = np.asarray(words)
+    num = word_kernel(params)(words)
+    flags = central_numerators(num, params.q)
+    L = words.shape[1]
+    assert num.shape == (len(words), params.d, L + 1)
+    for word, coords, flag in zip(words, num.tolist(), flags):
+        prod = _lift_product(params, word)
+        assert prod.den == (0, L)
+        for k, (p, row) in enumerate(zip(prod.coords, coords)):
+            assert row == list(p.coeffs) + [0] * (L + 1 - len(p.coeffs)), (word, k)
+        assert bool(flag) == prod.is_central_scalar()
+    return flags
+
+
+def _identity_words(hat):
+    """Length-d words of the product system with a scalar finite product:
+    a witness followed by its inverse partner's witness."""
+    return [g.word + hat[g.inv].word for g in hat]
+
+
+@pytest.mark.parametrize("fixture", ["hat53", "hat44"])
+def test_word_kernel_matches_cycelem(request, fixture):
+    hat = request.getfixturevalue(fixture)
+    params = hat.params
+    rng = np.random.default_rng(5)
+    for L in range(1, params.d + 2):
+        _assert_kernel_matches(params, rng.integers(0, params.n, (60, L)))
+    # with no collisions in the build, every word whose finite product is
+    # scalar is an identity word
+    assert hat.meta["collisions"] == 0
+    flags = _assert_kernel_matches(params, _identity_words(hat)[::7])
+    assert flags.all()
+
+
+def test_central_numerators_reads_the_scalar_test():
+    # (B, d, L+1) = (5, 3, 2) numerators over F_125 / F_5
+    num = np.zeros((5, 3, 2), dtype=np.int32)
+    num[1, 0] = [3, 4]  # base-field head: central
+    num[2, 0] = [3, 5]  # code 5 is tau, outside F_5
+    num[3, 0], num[3, 2, 1] = [3, 4], 1  # a z^2 term
+    num[4, 1, 0] = 2  # z only
+    flags = central_numerators(num, 5)
+    assert flags.tolist() == [False, True, False, False, False]
+
+
+def test_omega_hat_bytes_pinned(hat44):
+    # witnesses longer than the prefix half take their letters from the
+    # join's (w, v) order, which must stay sorted
+    assert hat44.content_hash() == (
+        "bb036e843e147b492826a752000bd49632f98762f7ac8eb52584ac3ac7a83f74"
+    )
+
+
+def test_word_kernel_beyond_dense_tables():
+    # |E| = 17^3 = 4913: exp/log products and digit-wise sums
+    params = make_params(17, 3)
+    assert params.E.order > NP_TABLES_MAX
+    rng = np.random.default_rng(3)
+    for L in (1, 2, 4):
+        _assert_kernel_matches(params, rng.integers(0, params.n, (4, L)))
+
+
+def test_word_kernel_single_letter(p53):
+    # omega(u^j) = ((1+t) - c_j z^(d-1)) / (1+t)
+    alg, E = p53.alg(), p53.E
+    num = word_kernel(p53)(np.array([[0], [4]]))
+    for row, j in zip(num, (0, 4)):
+        c = alg.unit_ratio(E.pow_(p53.u, j))
+        assert row.tolist() == [[1, 1], [0, 0], [E.neg(c), 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +696,35 @@ def test_genset_rejects_missing_word(hat53):
     lines[1] = lines[1].split(" word=")[0]
     with pytest.raises(ValueError):
         GenSet.from_text("\n".join(lines))
+
+
+def test_genset_rejects_word_letter_out_of_range(hat53):
+    n = hat53.params.n
+    lines = hat53.to_text().splitlines()
+    lines[1] = re.sub(r"word=\d+", f"word={n}", lines[1])
+    with pytest.raises(ValueError, match="out of range"):
+        GenSet.from_text("\n".join(lines))
+
+
+def test_inverse_partner_check_messages(hat53):
+    def tampered(i, **changes):
+        gens = []
+        for k, g in enumerate(hat53):
+            kw = dict(inv=g.inv, color=g.color)
+            if k == i:
+                kw.update(changes)
+            gens.append(Generator(g.finite, g.lift, g.j, kw["color"], kw["inv"], g.word))
+        return GenSet(hat53.params, KIND_OMEGAHAT, gens)
+
+    genforge._check_inverse_partners(tampered(-1))
+    cases = [
+        (dict(inv=len(hat53)), "generator 0 has no inverse partner"),
+        (dict(inv=0), "inverse partner of generator 0 is wrong"),
+        (dict(color=0), "inverse colors of generator 0 do not complement"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            genforge._check_inverse_partners(tampered(0, **changes))
 
 
 def test_genset_rejects_tampered_inverse(hat53):
