@@ -4,10 +4,8 @@ Cayley-graph and spectral-comparison tooling."""
 
 from cayplex.cayley import (
     CayleyGraph,
-    CliqueBudgetError,
     VertexLimitError,
     bfs_build,
-    clique_cells,
     closure_from_matrices,
     colored_subgraph,
     export_graph,
@@ -43,7 +41,6 @@ from cayplex.genforge import (
     hat_class_sizes,
     make_params,
     predicted_group_order,
-    psl_check,
     symmetrize,
 )
 from cayplex.projmat import MatSpace, ProjMat, canon_rows, mat_inv, mat_mul, mat_rref
@@ -56,7 +53,6 @@ from cayplex.spectra import (
     dense_spectrum,
     isomorphism_search,
     walk_moments,
-    walk_pattern_count,
 )
 
 __version__ = "0.1.0"

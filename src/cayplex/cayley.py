@@ -1,6 +1,6 @@
 """Cayley graphs of projective matrix groups: breadth-first closure from
-the identity, colored subgraph extraction, clique-complex cell counting,
-and text/binary serialization with round-trip guarantees."""
+the identity, colored subgraph extraction, and text/binary serialization
+with round-trip guarantees."""
 
 from __future__ import annotations
 
@@ -11,8 +11,13 @@ import numpy as np
 
 from .ffield import get_field
 from .genforge import KIND_OMEGABAR, KIND_OMEGAHAT, GenSet, _prime_power
-from .projmat import MatSpace, ProjMat, mat_inv
-from .util import atomic_write_bytes, atomic_write_text, ordered_chunked_map
+from .projmat import MatSpace, ProjMat
+from .util import (
+    atomic_write_bytes,
+    atomic_write_text,
+    check_manifest,
+    ordered_chunked_map,
+)
 
 _MAGIC = b"CAYG"
 _VERSION = 1
@@ -26,10 +31,6 @@ _CLOSURE_BLOCK = 4096
 class VertexLimitError(RuntimeError):
     """The breadth-first closure exceeded the vertex gate; no partial
     graph is emitted."""
-
-
-class CliqueBudgetError(RuntimeError):
-    """Clique enumeration exceeded its work budget."""
 
 
 class CayleyGraph:
@@ -57,8 +58,6 @@ class CayleyGraph:
         "symmetric",
         "connected",
         "_space",
-        "_sorted",
-        "_order",
     )
 
     def __init__(self, F, d, keys, nbr, gen_colors, symmetric, connected):
@@ -76,8 +75,6 @@ class CayleyGraph:
         self.symmetric = bool(symmetric)
         self.connected = bool(connected)
         self._space = None
-        self._sorted = None
-        self._order = None
 
     # -- vertex access ------------------------------------------------
 
@@ -89,21 +86,6 @@ class CayleyGraph:
     def vertex_matrix(self, v: int) -> ProjMat:
         rows = self.space().unpack(self.keys[v : v + 1])[0]
         return ProjMat(self.F, tuple(tuple(int(x) for x in row) for row in rows))
-
-    def vertex_index(self, mat: ProjMat) -> int:
-        if self._sorted is None:
-            self._order = np.argsort(self.keys, kind="stable")
-            self._sorted = self.keys[self._order]
-        key = self.space().pack(self.space().asbatch([mat.rows]))
-        pos = int(np.searchsorted(self._sorted, key[0]))
-        if pos == self.n or self._sorted[pos] != key[0]:
-            raise KeyError("matrix is not a vertex of this graph")
-        return int(self._order[pos])
-
-    def generator_matrices(self) -> list[ProjMat]:
-        """The generator list recovered from the identity vertex's
-        out-neighbors (vertex 0 is the identity, so 0 -> g lands on g)."""
-        return [self.vertex_matrix(int(v)) for v in self.nbr[0]]
 
     # -- comparison ----------------------------------------------------
 
@@ -330,12 +312,8 @@ def _merged(run, keys, ids):
 def _verify_symmetry(ms, nbr, O) -> bool:
     """True iff the generator set is inverse-closed, in which case the
     pairing nbr[nbr[v, i], inv(i)] == v is checked for every vertex."""
-    F = ms.F
     gen_keys = ms.pack(O)
-    inv_rows = [
-        mat_inv(F, tuple(tuple(int(x) for x in row) for row in m)) for m in O
-    ]
-    inv_keys = ms.pack(ms.canon(ms.asbatch(inv_rows)))
+    inv_keys = ms.pack(ms.inverse(O))
     order = np.argsort(gen_keys, kind="stable")
     pos = np.searchsorted(gen_keys[order], inv_keys)
     pos_c = np.minimum(pos, len(gen_keys) - 1)
@@ -422,119 +400,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Clique cells
-# ---------------------------------------------------------------------------
-
-
-class CellCounts:
-    """Exact counts of i-cells (complete (i+1)-vertex subgraphs) of the
-    clique complex, for i = 0..max_dim, each subset counted once."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        self.counts = tuple(int(c) for c in counts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i]
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        if isinstance(other, CellCounts):
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __repr__(self):
-        return f"CellCounts({list(self.counts)})"
-
-
-def clique_cells(G: CayleyGraph, max_dim: int, budget: int = 50_000_000) -> CellCounts:
-    """Cell counts of the clique complex up to dimension ``max_dim``.
-
-    Cliques through one vertex are enumerated on its neighbor-induced
-    subgraph; vertex-transitivity (every closure is one, and an edge- or
-    color-filtered closure stays one) turns the local count c_k of
-    k-cliques through a vertex into the global count n*c_k/k.  The local
-    count is recomputed at a second vertex and must agree, and every
-    division must be exact, so a non-transitive neighbor table fails
-    loudly rather than returning a wrong count.
-    """
-    if not G.symmetric:
-        raise ValueError("the clique complex needs an undirected graph")
-    if not 0 <= max_dim <= G.d:
-        raise ValueError(f"max_dim must lie in 0..{G.d}")
-    counts = [G.n]
-    if max_dim == 0:
-        return CellCounts(counts)
-    local0 = _local_clique_counts(G, 0, max_dim, budget)
-    if G.n > 1:
-        other = _local_clique_counts(G, G.n // 2, max_dim, budget)
-        if other != local0:
-            raise AssertionError(
-                "local clique counts differ between vertices; the graph "
-                "is not vertex-transitive"
-            )
-    for k in range(2, max_dim + 2):
-        c_k = local0[k - 1]
-        total = G.n * c_k
-        if total % k:
-            raise AssertionError(
-                f"clique count {total} not divisible by {k}; the graph "
-                "is not vertex-transitive"
-            )
-        counts.append(total // k)
-    return CellCounts(counts)
-
-
-def _local_clique_counts(G: CayleyGraph, v: int, max_dim: int, budget: int):
-    """Numbers of k-cliques, k = 1..max_dim, in the subgraph induced on
-    the out-neighbors of vertex v (sizes of cliques through v, shifted
-    down by one)."""
-    nb = G.nbr[v]
-    r = nb.shape[0]
-    masks = []
-    for i in range(r):
-        row = G.nbr[nb[i]]
-        hit = np.isin(nb, row)
-        hit[i] = False
-        mask = 0
-        for j in np.nonzero(hit)[0]:
-            mask |= 1 << int(j)
-        masks.append(mask)
-    counts = [0] * (max_dim + 1)
-    counts[1] = r if max_dim >= 1 else 0
-    work = 0
-
-    def grow(cand: int, size: int):
-        nonlocal work
-        rest = cand
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            work += 1
-            if work > budget:
-                raise CliqueBudgetError(
-                    f"clique enumeration exceeded budget={budget}"
-                )
-            counts[size + 1] += 1
-            if size + 1 < max_dim:
-                nxt = cand & masks[j] & ~((low << 1) - 1)
-                if nxt:
-                    grow(nxt, size + 1)
-
-    if max_dim >= 2:
-        for i in range(r):
-            above = ~((1 << (i + 1)) - 1)
-            cand = masks[i] & above
-            if cand:
-                grow(cand, 1)
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -582,11 +447,15 @@ def export_graph(G: CayleyGraph, path: str, format: str = "binary") -> None:
 
 
 def import_graph(path: str) -> CayleyGraph:
-    """Read a graph written by export_graph, auto-detecting the format."""
+    """Read a graph written by export_graph, auto-detecting the format.
+
+    A binary graph carries its own checksum; a text graph is checked
+    against ``<path>.manifest`` when that file exists."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if blob[:4] == _MAGIC:
         return graph_from_bytes(blob)
+    check_manifest(path, blob)
     return graph_from_text(blob.decode("utf-8"))
 
 

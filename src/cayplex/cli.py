@@ -12,13 +12,7 @@ import sys
 import time
 from collections import defaultdict
 
-from .cayley import (
-    CliqueBudgetError,
-    VertexLimitError,
-    bfs_build,
-    export_graph,
-    import_graph,
-)
+from .cayley import VertexLimitError, bfs_build, export_graph, import_graph
 from .ffield import frobenius_matrix, get_ext_field, regular_rep
 from .genforge import (
     GenSet,
@@ -138,6 +132,16 @@ class RunManifest:
     def save(self, path: str) -> None:
         atomic_write_text(path, self.to_text())
 
+    def record(self, start: float, out: str, inputs=()) -> None:
+        """Record the wall time since ``start``, hash ``inputs`` (None
+        entries skipped) and ``out``, and save the manifest as
+        ``<out>.manifest``."""
+        self.wall_seconds = time.perf_counter() - start
+        for path in filter(None, inputs):
+            self.add_input(path)
+        self.add_output(out)
+        self.save(out + ".manifest")
+
 
 # ---------------------------------------------------------------------------
 # Configuration plumbing
@@ -230,14 +234,11 @@ def _cmd_gens(ns) -> int:
     if ns.sym:
         gens = symmetrize(gens)
     gens.save(out)
-    manifest = RunManifest(
+    RunManifest(
         "gens",
         {"q": params.q, "d": params.d, "s": params.s, "alpha": params.alpha,
          "sym": bool(ns.sym), "out": out},
-    )
-    manifest.wall_seconds = time.perf_counter() - start
-    manifest.add_output(out)
-    manifest.save(out + ".manifest")
+    ).record(start, out)
     hist = defaultdict(int)
     for g in gens:
         hist[g.color] += 1
@@ -256,14 +257,11 @@ def _cmd_omega_hat(ns) -> int:
         threads=ns.threads or 1,
     )
     hat.save(out)
-    manifest = RunManifest(
+    RunManifest(
         "omega-hat",
         {"q": params.q, "d": params.d, "s": params.s, "alpha": params.alpha,
          "mem_budget": ns.mem_budget, "out": out},
-    )
-    manifest.wall_seconds = time.perf_counter() - start
-    manifest.add_output(out)
-    manifest.save(out + ".manifest")
+    ).record(start, out)
     meta = hat.meta
     print(
         f"kind={hat.kind} size={len(hat)} "
@@ -282,15 +280,11 @@ def _cmd_graph(ns) -> int:
     start = time.perf_counter()
     G = bfs_build(gens, max_vertices=max_vertices, threads=ns.threads or 1)
     export_graph(G, out, format=fmt)
-    manifest = RunManifest(
+    RunManifest(
         "graph",
         {"gens": gens_path, "format": fmt, "max_vertices": max_vertices,
          "out": out},
-    )
-    manifest.wall_seconds = time.perf_counter() - start
-    manifest.add_input(gens_path)
-    manifest.add_output(out)
-    manifest.save(out + ".manifest")
+    ).record(start, out, [gens_path])
     print(
         f"n={G.n} r={G.r} symmetric={G.symmetric} connected={G.connected} "
         f"out={out}"
@@ -318,18 +312,12 @@ def _cmd_moments(ns) -> int:
     print(seq.to_text(), end="")
     if ns.out:
         seq.save(ns.out)
-        manifest = RunManifest(
+        RunManifest(
             "moments",
             {"gens": gens_path, "graph": ns.graph, "kmax": kmax,
              "strategy": strategy, "colors": ns.colors,
              "mem_budget": ns.mem_budget, "out": ns.out},
-        )
-        manifest.wall_seconds = time.perf_counter() - start
-        manifest.add_input(gens_path)
-        if ns.graph:
-            manifest.add_input(ns.graph)
-        manifest.add_output(ns.out)
-        manifest.save(ns.out + ".manifest")
+        ).record(start, ns.out, [gens_path, ns.graph])
     return 0
 
 
@@ -343,15 +331,11 @@ def _cmd_spectrum(ns) -> int:
     print(report.to_text(), end="")
     if ns.out:
         report.save(ns.out)
-        manifest = RunManifest(
+        RunManifest(
             "spectrum",
             {"graph": graph_path, "colors": ns.colors, "cap": cap,
              "out": ns.out},
-        )
-        manifest.wall_seconds = time.perf_counter() - start
-        manifest.add_input(graph_path)
-        manifest.add_output(ns.out)
-        manifest.save(ns.out + ".manifest")
+        ).record(start, ns.out, [graph_path])
     return 0
 
 
@@ -369,16 +353,11 @@ def _cmd_compare(ns) -> int:
     print(report.to_text(), end="")
     if ns.out:
         report.save(ns.out)
-        manifest = RunManifest(
+        RunManifest(
             "compare",
             {"a": ns.a, "b": ns.b, "mode": mode, "timeout": timeout,
              "out": ns.out},
-        )
-        manifest.wall_seconds = time.perf_counter() - start
-        manifest.add_input(ns.a)
-        manifest.add_input(ns.b)
-        manifest.add_output(ns.out)
-        manifest.save(ns.out + ".manifest")
+        ).record(start, ns.out, [ns.a, ns.b])
     return 0
 
 
@@ -398,13 +377,10 @@ def _cmd_family(ns) -> int:
     print(text, end="")
     if ns.out:
         atomic_write_text(ns.out, text)
-        manifest = RunManifest(
+        RunManifest(
             "family",
             {"q": params.q, "d": params.d, "s": params.s, "out": ns.out},
-        )
-        manifest.wall_seconds = time.perf_counter() - start
-        manifest.add_output(ns.out)
-        manifest.save(ns.out + ".manifest")
+        ).record(start, ns.out)
     return 0
 
 
@@ -772,8 +748,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(ns)
         return ns.func(ns)
-    except (MemoryBudgetError, VertexLimitError, CliqueBudgetError,
-            MemoryError) as exc:
+    except (MemoryBudgetError, VertexLimitError, MemoryError) as exc:
         print(f"resource abort: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

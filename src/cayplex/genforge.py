@@ -47,7 +47,7 @@ from .projmat import (
     mat_mul,
 )
 from .ratfunc import Poly
-from .util import ordered_chunked_map
+from .util import atomic_write_text, ordered_chunked_map, read_checked_text
 
 KIND_OMEGA = "omega"
 KIND_OMEGABAR = "omegabar"
@@ -316,8 +316,6 @@ class GenSet:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
-        from .util import atomic_write_text
-
         atomic_write_text(path, self.to_text())
 
     def content_hash(self) -> str:
@@ -371,14 +369,19 @@ class GenSet:
 
     @classmethod
     def load(cls, path: str) -> "GenSet":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        return cls.from_text(read_checked_text(path))
 
     @classmethod
     def _rebuild(cls, params, kind, raw_gens, alg) -> "GenSet":
         """Reconstruct global lifts from (j, word) data and verify each
-        against its stored finite matrix."""
-        E, F, n = params.E, params.base, params.n
+        against its stored finite matrix.
+
+        Stored colors are checked without a reduced norm: Nrd(omega(u^j))
+        = t/(1+t) has valuation 1 at t = 0 and the norm is
+        multiplicative, so the color is 1 on the base system, d-1 on its
+        inverses and the word length on the product system.
+        """
+        E, F, n, d = params.E, params.base, params.n, params.d
         if kind == KIND_OMEGAHAT:
             words = [g[4] for g in raw_gens]
             if None in words:
@@ -388,6 +391,15 @@ class GenSet:
             word_lifts = _word_lifts(params, words)
         out = []
         for i, (rows, j, color, inv, word) in enumerate(raw_gens):
+            if kind == KIND_OMEGAHAT:
+                want = len(word)
+            else:
+                want = d - 1 if kind == KIND_OMEGABAR and i >= n else 1
+            if color != want:
+                raise ValueError(
+                    f"color {color} at idx={i} disagrees with the norm "
+                    f"valuation {want}"
+                )
             pm = ProjMat(F, rows)
             if pm.rows != rows:
                 raise ValueError(f"matrix at idx={i} is not in canonical form")
@@ -483,21 +495,6 @@ def _norm_valuation(lift: CycElem) -> int:
     if not isinstance(v, int):
         raise ValueError("lift has zero reduced norm")
     return v
-
-
-def color_of(g: Generator) -> int:
-    """Color of a generator: valuation at t = 0 of the reduced norm of
-    its lift, mod d.  Asserts agreement with the stored color (which for
-    product-system elements equals the witnessing-word length)."""
-    d = g.lift.alg.d
-    color = _norm_valuation(g.lift) % d
-    if not 1 <= color <= d - 1:
-        raise ValueError(f"element has central color {color}")
-    if color != g.color:
-        raise AssertionError(
-            f"stored color {g.color} disagrees with norm valuation {color}"
-        )
-    return color
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +838,7 @@ def build_omega_hat(
     # The suffix with letters (j_1, ..., j_b) has inverse O_{j_b}^-1 ...
     # O_{j_1}^-1: the products of the inverted generators with the letter
     # axes reversed.
-    O_inv = ms.asbatch([mat_inv(F, m) for m in base_set.finite_rows()])
+    O_inv = ms.inverse(O)
     inv_suffix = O_inv
     for _ in range(b - 1):
         inv_suffix = ms.right_products(inv_suffix, O_inv)
@@ -928,9 +925,9 @@ def build_omega_hat(
             )
         gens.append(Generator(pm, lift, -1, level, -1, word))
 
-    index_of = {g.finite.packed(): i for i, g in enumerate(gens)}
-    for g in gens:
-        key = ms.packed_of(canon_rows(F, mat_inv(F, g.finite.rows)))
+    A = ms.asbatch([g.finite.rows for g in gens])
+    index_of = {key: i for i, key in enumerate(ms.pack(A).tolist())}
+    for g, key in zip(gens, ms.pack(ms.inverse(A)).tolist()):
         if key not in index_of:
             raise ValueError("product system is not inverse-closed")
         g.inv = index_of[key]
@@ -1002,22 +999,8 @@ def attach_subspace(g: Generator):
 
 
 # ---------------------------------------------------------------------------
-# Group membership and index
+# Group order and index
 # ---------------------------------------------------------------------------
-
-
-def psl_check(M: ProjMat) -> bool:
-    """Whether a projective matrix lies in PSL_d(F_q) <= PGL_d(F_q).
-
-    Scalars change the determinant by d-th powers, so membership is
-    det in (F_q^x)^d, tested on the canonical representative.
-    """
-    F = M.F
-    g = math.gcd(M.d, F.q - 1)
-    if g == 1:
-        return True
-    e = (F.q - 1) // g
-    return F.pow_(M.det_class(), e) == 1
 
 
 def expected_index(params: GenParams) -> int:

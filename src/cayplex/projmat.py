@@ -211,11 +211,6 @@ class ProjMat:
     def __pow__(self, e: int) -> ProjMat:
         return ProjMat(self.F, mat_pow(self.F, self.rows, e))
 
-    def det_class(self) -> int:
-        """det of the canonical representative (defined up to d-th powers
-        of scalars across the projective class)."""
-        return mat_det(self.F, self.rows)
-
     def is_identity(self) -> bool:
         return self.rows == mat_eye(self.F, self.d)
 
@@ -346,6 +341,11 @@ class MatSpace:
             return out.astype(self.dtype)
         _, mul_t = self._tables
         return mul_t[A.astype(np.int64), scale[:, None, None]].astype(self.dtype)
+
+    def inverse(self, A: np.ndarray) -> np.ndarray:
+        """Canonical projective inverses of a batch of nonsingular
+        matrices, each by exact ``mat_inv``."""
+        return self.canon(self.asbatch([mat_inv(self.F, m) for m in self.astuples(A)]))
 
     def right_products(self, A: np.ndarray, O: np.ndarray,
                        rows_per_block: int = _PRODUCT_BLOCK) -> np.ndarray:

@@ -11,8 +11,8 @@ import numpy as np
 
 from .cayley import CayleyGraph, _distinct, closure_from_matrices, colored_subgraph
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget
-from .projmat import _PRODUCT_BLOCK, MatSpace, mat_inv
-from .util import atomic_write_text, ordered_chunked_map
+from .projmat import _PRODUCT_BLOCK, MatSpace
+from .util import atomic_write_text, ordered_chunked_map, read_checked_text
 
 _COUNTER_LIMIT = 1 << 62
 _DENSE_CAP = 5000
@@ -98,8 +98,7 @@ class MomentSeq:
 
     @classmethod
     def load(cls, path: str) -> "MomentSeq":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        return cls.from_text(read_checked_text(path))
 
 
 def _selected(gens: GenSet, colors):
@@ -202,7 +201,9 @@ def _moments_group_dp(gens, K, sel, graph, threads):
     cols = G.nbr if len(sel) == G.r else np.ascontiguousarray(G.nbr[:, sel])
     ms = G.space()
     gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
-    rev = None if _multiset_symmetric(ms, gen_mats) else _reverse_columns(G.nbr, sel)
+    rev = None
+    if _inverses_if_open(ms, gen_mats) is not None:
+        rev = _reverse_columns(G.nbr, sel)
     block = 1 << 14
     starts = range(0, G.n, block)
 
@@ -339,12 +340,10 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
             f"(budget {budget}); lower K or raise the budget"
         )
     levels = _ball_levels(ms, gen_mats, radius, threads)
-    if _multiset_symmetric(ms, gen_mats):
+    inv_mats = _inverses_if_open(ms, gen_mats)
+    if inv_mats is None:
         inv_levels = levels
     else:
-        inv_mats = ms.canon(
-            ms.asbatch([gens[i].finite.inverse().rows for i in sel])
-        )
         inv_levels = _ball_levels(ms, inv_mats, K // 2, threads)
     r = len(sel)
     values = [1]
@@ -365,48 +364,13 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     return values
 
 
-def _multiset_symmetric(ms: MatSpace, mats: np.ndarray) -> bool:
-    """Whether a canonical matrix batch is closed under inversion."""
-    keys = np.sort(ms.pack(mats))
-    inv_rows = [
-        mat_inv(ms.F, tuple(tuple(int(x) for x in row) for row in m))
-        for m in mats
-    ]
-    inv_keys = np.sort(ms.pack(ms.canon(ms.asbatch(inv_rows))))
-    return np.array_equal(keys, inv_keys)
-
-
-def walk_pattern_count(
-    gens: GenSet,
-    pattern,
-    graph: CayleyGraph | None = None,
-) -> int:
-    """Number of identity words whose i-th letter carries color
-    ``pattern[i]``: equivalently the trace of the product of the
-    corresponding directed colored operators divided by the group
-    order."""
-    pattern = [int(c) for c in pattern]
-    if not pattern:
-        return 1
-    cols_by_color = {c: _selected(gens, {c}) for c in set(pattern)}
-    bound = 1
-    for c in pattern:
-        bound *= len(cols_by_color[c])
-    if bound >= _COUNTER_LIMIT:
-        raise ValueError("pattern too long for 64-bit word counters")
-    G = _graph_for(gens, graph)
-    rev_by_color = {
-        c: _reverse_columns(G.nbr, cols) for c, cols in cols_by_color.items()
-    }
-    v = np.zeros(G.n, dtype=np.int64)
-    v[0] = 1
-    for c in pattern:
-        rev = rev_by_color[c]
-        nxt = np.zeros(G.n, dtype=np.int64)
-        for i in range(rev.shape[1]):
-            nxt += v[rev[:, i]]
-        v = nxt
-    return int(v[0])
+def _inverses_if_open(ms: MatSpace, mats: np.ndarray):
+    """The canonical inverses of a canonical matrix batch, or None when
+    the batch is closed under inversion as a multiset."""
+    inv = ms.inverse(mats)
+    if np.array_equal(np.sort(ms.pack(mats)), np.sort(ms.pack(inv))):
+        return None
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +445,7 @@ class SpectrumReport:
 
     @classmethod
     def load(cls, path: str) -> "SpectrumReport":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        return cls.from_text(read_checked_text(path))
 
     def __repr__(self):
         top = self.values[0] if self.values else None

@@ -1,5 +1,5 @@
-"""Small shared utilities: deterministic chunked parallel mapping and
-atomic file writes.
+"""Small shared utilities: deterministic chunked parallel mapping,
+atomic file writes, and manifest-checked reads.
 
 Parallel verification work is split into fixed chunks whose results are
 reassembled in submission order, so outputs are byte-identical for any
@@ -8,6 +8,7 @@ worker count (including the serial path).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -63,3 +64,31 @@ def _atomic_write(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def read_checked_text(path: str) -> str:
+    """The UTF-8 text of ``path``, checked by :func:`check_manifest`."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    check_manifest(path, data)
+    return data.decode("utf-8")
+
+
+def check_manifest(path: str, data: bytes) -> None:
+    """When ``<path>.manifest`` exists, require the sha256 of ``data``,
+    the contents of ``path``, to be one of the manifest's ``output.``
+    hashes; otherwise raise ValueError."""
+    try:
+        with open(path + ".manifest", "r", encoding="utf-8") as handle:
+            manifest = handle.read()
+    except FileNotFoundError:
+        return
+    outputs = {
+        line.rpartition("=")[2]
+        for line in manifest.splitlines()
+        if line.startswith("output.")
+    }
+    if hashlib.sha256(data).hexdigest() not in outputs:
+        raise ValueError(
+            f"{path} does not match the output hash in {path}.manifest"
+        )

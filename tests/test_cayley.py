@@ -1,5 +1,5 @@
-"""Tests for Cayley graph construction, colored subgraphs, clique-cell
-counting, and serialization round trips."""
+"""Tests for Cayley graph construction, colored subgraphs, triangle
+counts against the closed-walk moment, and serialization round trips."""
 
 import hashlib
 
@@ -8,10 +8,8 @@ import pytest
 
 from cayplex import cayley
 from cayplex.cayley import (
-    CliqueBudgetError,
     VertexLimitError,
     bfs_build,
-    clique_cells,
     closure_from_matrices,
     colored_subgraph,
     export_graph,
@@ -30,6 +28,8 @@ from cayplex.genforge import (
     predicted_group_order,
     symmetrize,
 )
+from cayplex.projmat import ProjMat
+from cayplex.spectra import walk_moments
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +56,10 @@ def test_toy_closure(toy3):
 
 def test_toy_vertex_lookup(toy3):
     for v in range(toy3.n):
-        assert toy3.vertex_index(toy3.vertex_matrix(v)) == v
-    gens = toy3.generator_matrices()
-    assert toy3.vertex_index(gens[0]) == 1
+        assert toy3.vertex_matrix(v).packed() == int(toy3.keys[v])
+    assert toy3.vertex_matrix(0).is_identity()
+    F2 = toy3.F
+    assert toy3.vertex_matrix(1) == ProjMat(F2, regular_rep(ExtField(F2, 2), 2))
 
 
 def test_closure_rejects_identity_and_duplicates():
@@ -100,7 +101,7 @@ def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42):
 
 def test_symmetry_check_catches_each_broken_column(graph42):
     ms = graph42.space()
-    O = ms.asbatch([g.rows for g in graph42.generator_matrices()])
+    O = ms.asbatch([graph42.vertex_matrix(int(v)).rows for v in graph42.nbr[0]])
     assert cayley._verify_symmetry(ms, graph42.nbr, O)
     for i in range(graph42.r):
         nbr = graph42.nbr.copy()
@@ -227,33 +228,22 @@ def test_colored_subgraph_errors(graph53):
 
 
 # ---------------------------------------------------------------------------
-# Clique cells
+# Triangles
 # ---------------------------------------------------------------------------
 
 
-def test_toy_cells(toy3):
-    assert clique_cells(toy3, 2).counts == (3, 3, 1)
+@pytest.fixture(scope="module")
+def n3_53(bar53, graph53):
+    """N_3 of the (5,3) inverse closure: each triangle through the
+    identity is two length-3 identity words, one per direction."""
+    return walk_moments(bar53, 3, "group-dp", graph=graph53)[3]
 
 
-def test_cells_42(graph42):
-    counts = clique_cells(graph42, 2).counts
-    assert counts[0] == 60
-    assert counts[1] == 60 * 5 // 2
-
-
-def test_cells_53(graph53):
-    counts = clique_cells(graph53, 3).counts
-    assert counts[0] == 372000
-    assert counts[1] == 372000 * 62 // 2  # handshake identity
-    assert counts[3] == 0  # no 3-cells in a quotient of a 2-dim building
-    assert counts[2] == 23064000
-
-
-def test_cells_53_triangle_oracle(graph53):
+def test_cells_53_triangle_oracle(graph53, n3_53):
     # independent oracle: sum over directed edges (u,v) of the number of
-    # common neighbors of u and v equals 6 x triangle count.  Neighbor
-    # rows are duplicate-free, so once the rows of u and v are sorted
-    # together, equal adjacent entries are exactly their common neighbors.
+    # common neighbors of u and v equals 6 x triangle count = n * N_3.
+    # Neighbor rows are duplicate-free, so once the rows of u and v are
+    # sorted together, equal adjacent entries are their common neighbors.
     G = graph53
     srt = np.sort(G.nbr, axis=1)
     assert not np.any(srt[:, 1:] == srt[:, :-1])
@@ -264,16 +254,16 @@ def test_cells_53_triangle_oracle(graph53):
         both[:, G.r :] = srt[G.nbr[:, g]]
         both.sort(axis=1)
         total += int(np.count_nonzero(both[:, 1:] == both[:, :-1]))
-    assert total == 6 * clique_cells(G, 2).counts[2]
+    assert total == G.n * n3_53
+    assert total // 6 == 23064000
 
 
-def test_cells_transitivity_sample(graph53):
-    # triangles through a vertex are constant: check a seeded sample by
-    # direct neighbor-set intersections
+def test_cells_transitivity_sample(graph53, n3_53):
+    # triangles through a vertex are constant, N_3 / 2: check a seeded
+    # sample by direct neighbor-set intersections
     G = graph53
     rng = np.random.default_rng(53)
     sample = rng.integers(0, G.n, size=40)
-    per_vertex = 3 * clique_cells(G, 2).counts[2] // G.n
     for v in sample:
         nb = G.nbr[int(v)]
         nbsets = {int(x): set(G.nbr[int(x)].tolist()) for x in nb}
@@ -283,17 +273,7 @@ def test_cells_transitivity_sample(graph53):
             for j in range(i + 1, len(nb))
             if int(nb[j]) in nbsets[int(nb[i])]
         )
-        assert tri == per_vertex
-
-
-def test_cells_budget_and_validation(graph53, graph53_hat):
-    with pytest.raises(CliqueBudgetError):
-        clique_cells(graph53, 3, budget=10)
-    with pytest.raises(ValueError):
-        clique_cells(graph53, 5)  # max_dim above d
-    directed = colored_subgraph(graph53_hat, {1})
-    with pytest.raises(ValueError):
-        clique_cells(directed, 2)
+        assert 2 * tri == n3_53
 
 
 # ---------------------------------------------------------------------------

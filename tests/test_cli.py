@@ -4,12 +4,14 @@ verification suites."""
 
 import hashlib
 import os
+import random
+import shutil
 
 import pytest
 
 from cayplex.cli import main
 from cayplex.genforge import GenSet
-from cayplex.spectra import MomentSeq
+from cayplex.spectra import MomentSeq, SpectrumReport
 
 
 def _sha(path):
@@ -321,3 +323,67 @@ def test_alpha_out_of_range_exit_2_without_traceback(tmp_path):
                         "--out", str(tmp_path / "a.gens"))
         _assert_usage_error(proc, f"alpha = {alpha} ", alpha)
         assert not (tmp_path / "a.gens").exists()
+
+
+def _swap_partner_colors(text):
+    """Generator 0 and its inverse partner with their stored colors
+    swapped: the colors still complement each other."""
+    lines = text.splitlines()
+    kv = dict(tok.split("=", 1) for tok in lines[1].split())
+    k = int(kv["inv"]) + 1
+    c0 = kv["color"]
+    ck = dict(tok.split("=", 1) for tok in lines[k].split())["color"]
+    lines[1] = lines[1].replace(f" color={c0} ", f" color={ck} ")
+    lines[k] = lines[k].replace(f" color={ck} ", f" color={c0} ")
+    return "\n".join(lines) + "\n"
+
+
+def test_swapped_partner_colors_exit_2_without_traceback(bar53, hat53, tmp_path):
+    """The load demands each stored color (1, d-1 on inverses, the word
+    length on the product system), so a swapped pair is a usage error
+    rather than a wrong color-restricted moment."""
+    for gs in (bar53, hat53):
+        path = tmp_path / f"{gs.kind}-swapped.gens"
+        path.write_text(_swap_partner_colors(gs.to_text()))
+        proc = _run_cli("moments", "--gens", str(path), "--colors", "1",
+                        "--kmax", "4", "--strategy", "ball-mitm")
+        _assert_usage_error(proc, "color 2 at idx=0", gs.kind)
+
+
+def test_corrupted_text_artifacts_exit_2_without_traceback(workdir, tmp_path):
+    """A text artifact truncated inside its last value, or with one byte
+    flipped, no longer matches the output hash of its manifest, so the
+    load rejects it instead of reading the damage as data."""
+    rng = random.Random(806)
+    moments = str(tmp_path / "m.moments")
+    spectrum = str(tmp_path / "s.spectrum")
+    graph = str(tmp_path / "g.txt")
+    assert main(["moments", "--gens", workdir["gens"], "--kmax", "6",
+                 "--strategy", "group-dp", "--out", moments]) == 0
+    assert main(["spectrum", "--graph", workdir["graph"], "--out", spectrum]) == 0
+    assert main(["graph", "--gens", workdir["gens"], "--format", "text",
+                 "--out", graph]) == 0
+    cases = (
+        ("moments", moments, lambda path: ("compare", path, moments, "--mode", "moments")),
+        ("gens", workdir["gens"], lambda path: ("moments", "--gens", path, "--kmax", "2")),
+        ("graph", graph, lambda path: ("spectrum", "--graph", path)),
+        ("spectrum", spectrum, None),
+    )
+    for fmt, src, argv in cases:
+        data = open(src, "rb").read()
+        last = data.rstrip(b"\n")
+        cut = rng.randrange(last.rfind(b" ") + 1, len(last))
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1
+        for name, blob in (("truncated", data[:cut]), ("flipped", bytes(flipped))):
+            path = str(tmp_path / f"{name}.{fmt}")
+            with open(path, "wb") as handle:
+                handle.write(blob)
+            shutil.copy(src + ".manifest", path + ".manifest")
+            if argv is None:
+                # no command reads a spectrum file back
+                with pytest.raises(ValueError, match="manifest"):
+                    SpectrumReport.load(path)
+            else:
+                _assert_usage_error(_run_cli(*argv(path)), "manifest", (fmt, name))
+    assert SpectrumReport.load(spectrum).n == 60

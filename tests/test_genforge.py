@@ -1,6 +1,6 @@
 """Tests for generator systems: construction, colors, inverse closure,
 the product system with its meet-in-the-middle search, subspace
-attachment, group membership, and the q-power family."""
+attachment, group index, and the q-power family."""
 
 import itertools
 import re
@@ -22,7 +22,6 @@ from cayplex.genforge import (
     build_omega,
     build_omega_hat,
     central_numerators,
-    color_of,
     default_mem_budget,
     expected_index,
     family,
@@ -32,7 +31,6 @@ from cayplex.genforge import (
     hat_class_sizes,
     make_params,
     predicted_group_order,
-    psl_check,
     symmetrize,
     word_kernel,
 )
@@ -451,16 +449,19 @@ def test_word_kernel_single_letter(p53):
 # ---------------------------------------------------------------------------
 
 
-def test_color_of(omega53, hat53):
-    assert all(color_of(g) == 1 for g in omega53)
-    assert all(color_of(g) == g.color for g in hat53)
-
-
-def test_color_of_detects_mismatch(omega53):
-    g = omega53[0]
-    bad = Generator(g.finite, g.lift, g.j, 2)
-    with pytest.raises(AssertionError):
-        color_of(bad)
+def test_load_color_rule_matches_norm_valuation(omega53, bar53, hat53):
+    # the colors GenSet.load demands, without a reduced norm: 1 on the
+    # base system, d-1 on its inverses, the word length on the product
+    # system
+    n, d = omega53.params.n, omega53.params.d
+    rules = (
+        (omega53, lambda i, g: 1),
+        (bar53, lambda i, g: 1 if i < n else d - 1),
+        (hat53, lambda i, g: len(g.word)),
+    )
+    for gs, rule in rules:
+        for i, g in enumerate(gs):
+            assert rule(i, g) == genforge._norm_valuation(g.lift) % d == g.color
 
 
 # ---------------------------------------------------------------------------
@@ -531,23 +532,11 @@ def test_attach_subspace_rejects_identity(p53):
 
 
 # ---------------------------------------------------------------------------
-# Group membership and index
+# Group order and index
 # ---------------------------------------------------------------------------
 
 
-def test_psl_check_basics():
-    F3 = get_field(3)
-    ident = ProjMat(F3, ((1, 0), (0, 1)))
-    assert psl_check(ident)
-    # det = 2 is not a square in F_3, and d = 2 squares the scalars
-    assert not psl_check(ProjMat(F3, ((1, 0), (0, 2))))
-    # gcd(d, q-1) = 1 makes every class trivially special
-    F5 = get_field(5)
-    assert psl_check(ProjMat(F5, ((2, 0, 0), (0, 1, 0), (0, 0, 1))))
-
-
 def test_bar_set_in_psl(bar35):
-    assert all(psl_check(g.finite) for g in bar35)
     assert expected_index(bar35.params) == 1
 
 

@@ -141,8 +141,10 @@ def test_matspace_canon_matches_scalar_canon():
         ms = MatSpace(F, d)
         mats = [rand_invertible(rng, F, d) for _ in range(25)]
         C = ms.canon(ms.asbatch(mats))
+        inv = ms.inverse(ms.asbatch(mats))
         for i, m in enumerate(mats):
             assert ms.astuples(C[i : i + 1])[0] == canon_rows(F, m)
+            assert ms.astuples(inv[i : i + 1])[0] == canon_rows(F, mat_inv(F, m))
 
 
 def test_matspace_pack_roundtrip_and_bigint_agreement():

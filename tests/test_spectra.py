@@ -1,9 +1,8 @@
 """Tests for moment fingerprints, dense spectra, and comparisons.
 
 Oracles: exhaustive pair/triple enumeration for small moment values,
-the circulant eigenvalue formula for dense spectra, clique counts for
-closed-walk counts, and cross-checks between two independent moment
-strategies.
+the circulant eigenvalue formula for dense spectra, and cross-checks
+between two independent moment strategies.
 """
 
 import tracemalloc
@@ -11,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex.cayley import clique_cells, closure_from_matrices, colored_subgraph
+from cayplex.cayley import closure_from_matrices, colored_subgraph
 from cayplex.ffield import get_field
 from cayplex.genforge import (
     MemoryBudgetError,
@@ -33,7 +32,6 @@ from cayplex.spectra import (
     dense_spectrum,
     isomorphism_search,
     walk_moments,
-    walk_pattern_count,
 )
 
 
@@ -257,14 +255,6 @@ class TestWalkMoments:
         assert m1.values == m2.values
         assert compare(m1, m2, "moments").verdict == "equal"
 
-    def test_triangle_count_consistency(self, bar53, graph53):
-        """Length-3 identity words are the two directed traversals of
-        the triangles at a vertex."""
-        m = walk_moments(bar53, 3, "group-dp", graph=graph53)
-        cells = clique_cells(graph53, 2)
-        per_vertex_triangles = 3 * cells[2] // graph53.n
-        assert m[3] == 2 * per_vertex_triangles
-
     def test_color_restriction_directed(self, hat53, graph53_hat):
         dp = walk_moments(hat53, 6, "group-dp", colors={1}, graph=graph53_hat)
         bm = walk_moments(hat53, 6, "ball-mitm", colors={1})
@@ -323,36 +313,6 @@ class TestWalkMoments:
         assert m.genset_hash == bar42.content_hash()
         assert m.colors == (1,)
         assert m.strategy == "group-dp"
-
-
-class TestWalkPatternCount:
-    def test_two_letter_patterns_partition_pair_count(self, bar53, graph53):
-        """Every length-2 identity word is an inverse pair, and inverses
-        carry complementary colors."""
-        counts = {
-            (c1, c2): walk_pattern_count(bar53, [c1, c2], graph=graph53)
-            for c1 in (1, 2)
-            for c2 in (1, 2)
-        }
-        assert counts[(1, 2)] == 31
-        assert counts[(2, 1)] == 31
-        assert counts[(1, 1)] == 0
-        assert counts[(2, 2)] == 0
-        full = walk_moments(bar53, 2, "group-dp", graph=graph53)
-        assert sum(counts.values()) == full[2]
-
-    def test_palindromic_patterns_match_transposed_colors(self, bar53, graph53):
-        """The color-l and color-(d-l) operators are mutually transpose,
-        so alternating patterns read in either color order agree."""
-        for m in (1, 2, 3):
-            fwd = walk_pattern_count(bar53, [1, 2] * m, graph=graph53)
-            swp = walk_pattern_count(bar53, [2, 1] * m, graph=graph53)
-            assert fwd == swp
-
-    def test_empty_pattern_and_guard(self, bar53, graph53, hat53):
-        assert walk_pattern_count(bar53, [], graph=graph53) == 1
-        with pytest.raises(ValueError, match="pattern too long"):
-            walk_pattern_count(hat53, [1] * 40)
 
 
 # ---------------------------------------------------------------------------
