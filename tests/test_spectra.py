@@ -255,6 +255,22 @@ class TestWalkMoments:
         assert m1.values == m2.values
         assert compare(m1, m2, "moments").verdict == "equal"
 
+    def test_triangle_count_consistency(self, bar53, graph53):
+        """Length-3 identity words are the two directed traversals of
+        the triangles at a vertex; count those at the identity vertex
+        by neighbor-set intersections."""
+        m = walk_moments(bar53, 3, "group-dp", graph=graph53)
+        nb = graph53.nbr[0].tolist()
+        nbsets = {x: set(graph53.nbr[x].tolist()) for x in nb}
+        per_vertex_triangles = sum(
+            1
+            for i in range(len(nb))
+            for j in range(i + 1, len(nb))
+            if nb[j] in nbsets[nb[i]]
+        )
+        assert per_vertex_triangles > 0
+        assert m[3] == 2 * per_vertex_triangles
+
     def test_color_restriction_directed(self, hat53, graph53_hat):
         dp = walk_moments(hat53, 6, "group-dp", colors={1}, graph=graph53_hat)
         bm = walk_moments(hat53, 6, "ball-mitm", colors={1})
