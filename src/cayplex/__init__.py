@@ -14,9 +14,7 @@ from cayplex.cayley import (
 from cayplex.cyclic import CycAlg, CycElem, gamma_from_alpha
 from cayplex.ffield import (
     ExtField,
-    ExtFieldElem,
     Field,
-    FieldElem,
     default_extension_modulus,
     frobenius_matrix,
     gaussian_binomial,
@@ -44,7 +42,7 @@ from cayplex.genforge import (
     symmetrize,
 )
 from cayplex.projmat import MatSpace, ProjMat, canon_rows, mat_inv, mat_mul, mat_rref
-from cayplex.ratfunc import Poly, RatFunc
+from cayplex.ratfunc import Poly
 from cayplex.spectra import (
     ComparisonReport,
     MomentSeq,

@@ -26,6 +26,9 @@ _HEADER = struct.Struct("<4sIQIIIIBB")
 _VERTEX_TABLE_MAX = 1 << 24
 # frontier rows multiplied per product block of the closure
 _CLOSURE_BLOCK = 4096
+# defaults shared by the library and the command line
+MAX_VERTICES = 1_000_000
+GRAPH_FORMAT = "binary"
 
 
 class VertexLimitError(RuntimeError):
@@ -144,7 +147,7 @@ def closure_from_matrices(
     d: int,
     mats,
     colors=None,
-    max_vertices: int = 1_000_000,
+    max_vertices: int = MAX_VERTICES,
     threads: int = 1,
 ) -> CayleyGraph:
     """Breadth-first closure of an explicit list of row-tuple matrices.
@@ -431,7 +434,7 @@ def _keys_from_ints(F, d: int, values) -> np.ndarray:
     return ms.pack(mats)
 
 
-def export_graph(G: CayleyGraph, path: str, format: str = "binary") -> None:
+def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> None:
     """Write a graph to disk; ``format`` is ``binary`` or ``text``.
 
     Both encodings are bit-exact round-trips including vertex numbering.
@@ -501,7 +504,10 @@ def graph_from_text(text: str) -> CayleyGraph:
         tag, _, hexval = ln.partition(" ")
         if tag != "v":
             raise ValueError("truncated vertex table")
-        values.append(int(hexval, 16))
+        value = int(hexval, 16)
+        if not 0 <= value < q ** (d * d):
+            raise ValueError(f"vertex value {hexval} outside 0..q^(d*d)-1")
+        values.append(value)
     if len(values) != n:
         raise ValueError("truncated vertex table")
     keys = _keys_from_ints(F, d, values)
@@ -525,9 +531,35 @@ def graph_from_text(text: str) -> CayleyGraph:
         count += 1
     if count != n * r or np.any(nbr < 0):
         raise ValueError("truncated edge table")
-    return _validated_graph(
+    G = _validated_graph(
         F, d, keys, nbr, gen_colors, head.get("sym") == "1", head.get("conn") == "1"
     )
+    _check_against_keys(G)
+    return G
+
+
+def _check_against_keys(G: CayleyGraph) -> None:
+    """Raise ValueError unless the vertex keys are canonical, the
+    generators (the neighbors of the identity) nonsingular, every edge
+    v -> nbr[v, i] the product of the keys of v and generator i, and the
+    stored symmetric and connected flags the ones the edges give.  Text
+    graphs carry no checksum, so their load runs this; binary graphs
+    keep their blake2b checksum instead."""
+    ms = G.space()
+    if not np.array_equal(ms.pack(ms.canon(ms.unpack(G.keys))), G.keys):
+        raise ValueError("a vertex key is not a canonical projective matrix")
+    O = ms.unpack(G.keys[G.nbr[0]])
+    for rows in ms.astuples(O):
+        ProjMat(G.F, rows)  # raises on a singular generator
+    products = ms.key_products(O)
+    for v0 in range(0, G.n, _CLOSURE_BLOCK):
+        block = slice(v0, v0 + _CLOSURE_BLOCK)
+        if not np.array_equal(products(G.keys[block]), G.keys[G.nbr[block]].ravel()):
+            raise ValueError("an edge target is not the product of its vertex keys")
+    if _verify_symmetry(ms, G.nbr, O) != G.symmetric:
+        raise ValueError(f"stored sym={int(G.symmetric)} disagrees with the generators")
+    if _is_connected(G.nbr) != G.connected:
+        raise ValueError(f"stored conn={int(G.connected)} disagrees with the edges")
 
 
 def graph_to_bytes(G: CayleyGraph) -> bytes:

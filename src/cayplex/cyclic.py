@@ -32,7 +32,11 @@ z*c = sigma(c)*z; the test suite checks both generator images.)  The
 reduced norm is the determinant of the numerator's matrix, found by
 fraction-free (Bareiss) elimination, over the d-th power of the
 denominator; the same elimination yields the adjugate column that gives
-the inverse.
+the inverse.  Reduced norms have one exact normal form, the triple
+(rest, a, b) with Nrd = rest * t^a * (1+t)^b and rest prime to t(1+t);
+for every element the package builds, rest is a constant.
+``_split_norm`` reads the triple off the determinant, for both
+``reduced_norm`` and ``inverse``, and no polynomial gcd is taken.
 
 The specialization map sends t to gamma = Norm(1+alpha) - 1, a field
 coefficient c to the regular representation of c(gamma) over F_q, and z
@@ -47,7 +51,7 @@ import math
 
 from cayplex.ffield import ExtField, frobenius_matrix, regular_rep
 from cayplex.projmat import mat_add, mat_eye, mat_mul
-from cayplex.ratfunc import Poly, RatFunc
+from cayplex.ratfunc import Poly
 
 __all__ = ["CycAlg", "CycElem", "gamma_from_alpha"]
 
@@ -257,6 +261,18 @@ def _fraction_free(rows, rhs=None):
     return det, adj
 
 
+def _split_norm(det: Poly) -> tuple[Poly, int, int]:
+    """(rest, a, b) with det = rest * t^a * (1+t)^b and rest prime to
+    t(1+t), for a nonzero polynomial det."""
+    if det.is_zero():
+        raise ValueError("zero reduced norm")
+    neg_one = det.field.neg(1)
+    a = det.t_valuation()
+    rest = Poly(det.field, det.coeffs[a:])
+    b = rest.root_multiplicity(neg_one)
+    return rest.deflate(neg_one, b), a, b
+
+
 class CycElem:
     """Element sum_k P_k z^k / (t^i (1+t)^j) of a cyclic algebra, with
     P_k in E[t] (``coords``) and ``den`` = (i, j)."""
@@ -356,21 +372,21 @@ class CycElem:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def reduced_norm(self) -> RatFunc:
-        """det of the representation, descended to F_q(t)."""
-        E = self.alg.E
+    def reduced_norm(self) -> tuple[Poly, int, int]:
+        """Nrd = rest * t^a * (1+t)^b as (rest, a, b): ``rest`` is a
+        polynomial over F_q prime to t(1+t), and a, b are integers.  The
+        determinant of the representation, descended to F_q[t], split,
+        and divided by the d-th power of the denominator.  Raises
+        ValueError on a zero norm."""
+        E, d = self.alg.E, self.alg.d
         det, _ = _fraction_free(self.matrix_rep())
         if not all(E.in_base(c) for c in det.coeffs):
             raise AssertionError(
                 "reduced norm failed to descend to the center — arithmetic bug"
             )
-        base, d = E.base, self.alg.d
+        rest, a, b = _split_norm(det)
         i, j = self.den
-        den = Poly.one(base).shift(d * i)
-        opt = Poly(base, (1, 1))
-        for _ in range(d * j):
-            den = den * opt
-        return RatFunc(Poly(base, det.coeffs), den)
+        return Poly(E.base, rest.coeffs), a - d * i, b - d * j
 
     def inverse(self) -> CycElem:
         """The two-sided inverse.  Raises ZeroDivisionError on zero and
@@ -383,10 +399,7 @@ class CycElem:
         det, adj = _fraction_free(self.matrix_rep(), e0)
         if det.is_zero():
             raise ZeroDivisionError("element is not invertible")
-        neg_one = E.neg(1)
-        a = det.t_valuation()
-        b = det.root_multiplicity(neg_one)
-        rest = Poly(E, det.coeffs[a:]).deflate(neg_one, b)
+        rest, a, b = _split_norm(det)
         if rest.degree != 0:
             raise ValueError("reduced norm is not c t^a (1+t)^b")
         # numerator^{-1} has coordinates sigma^k(adj_k) / det; the

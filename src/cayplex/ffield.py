@@ -22,7 +22,8 @@ Elements are carried as integer *codes*: the coefficient vector
 where B is the order of the coefficient ring and c_0 is the constant
 term.  Codes 0 and 1 are the additive and multiplicative identities, and
 in an extension the codes below q are exactly the base-field elements.
-``FieldElem`` and ``ExtFieldElem`` wrap codes with operator syntax.
+Codes are the only element values: there is no wrapper type, and every
+operation is a method of the field taking and returning codes.
 
 Matrices produced here (``frobenius_matrix``, ``regular_rep``) are tuples
 of rows over base-field codes and act on coordinate columns: column j
@@ -39,9 +40,7 @@ from cayplex.ratfunc import Poly
 
 __all__ = [
     "Field",
-    "FieldElem",
     "ExtField",
-    "ExtFieldElem",
     "gaussian_binomial",
     "default_extension_modulus",
     "frobenius_matrix",
@@ -373,7 +372,7 @@ class Field(_Quotient):
 
     Elements are integer codes 0..q-1; see the module docstring for the
     packing.  Instances are immutable and hashable; arithmetic methods
-    work on codes, ``element`` wraps a code into a ``FieldElem``.
+    work on codes.
     ``Field(p)`` is a prime field with direct modular arithmetic.
     """
 
@@ -402,33 +401,6 @@ class Field(_Quotient):
                 raise ValueError("modulus must be monic of degree f")
             self._init_quotient(prime, modulus)
         self.q = self.order
-
-    def coerce(self, x) -> int:
-        """Accept a FieldElem of this field or an integer (image of the
-        canonical map from the rational integers)."""
-        if isinstance(x, FieldElem):
-            if x.field != self:
-                raise ValueError("element of a different field")
-            return x.code
-        if isinstance(x, (int, np.integer)):
-            return int(x) % self.p
-        raise TypeError(f"cannot coerce {type(x).__name__}")
-
-    # -- structure ----------------------------------------------------------
-
-    def element(self, code) -> FieldElem:
-        code = int(code)
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for order {self.q}")
-        return FieldElem(self, code)
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, 1)
 
     def descriptor(self) -> str:
         mod = ",".join(str(c) for c in self.modulus)
@@ -481,87 +453,6 @@ class _PrimeField(Field):
         return digits[0] % self.p
 
 
-class FieldElem:
-    """Element of a ``Field``: a code with operator syntax."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _rhs(self, other) -> int:
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return FieldElem(self.field, self.field.add(self.code, self._rhs(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElem(self.field, self.field.sub(self.code, self._rhs(other)))
-
-    def __rsub__(self, other):
-        return FieldElem(self.field, self.field.sub(self._rhs(other), self.code))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other):
-        return FieldElem(self.field, self.field.mul(self.code, self._rhs(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElem(
-            self.field, self.field.mul(self.code, self.field.inv(self._rhs(other)))
-        )
-
-    def __rtruediv__(self, other):
-        return FieldElem(
-            self.field, self.field.mul(self._rhs(other), self.field.inv(self.code))
-        )
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.pow_(self.code, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, (int, np.integer)):
-            return self.code == self.field.coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        if self.field.f == 1:
-            return str(self.code)
-        return _poly_repr(self.coeffs, "x")
-
-
-def _poly_repr(coeffs, var):
-    terms = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        c = c if isinstance(c, int) else c
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-    return " + ".join(terms) if terms else "0"
-
-
 class ExtField(_Quotient):
     """Degree-d extension F_{q^d} = F_q[t]/(m(t)) over a ``Field``.
 
@@ -586,41 +477,8 @@ class ExtField(_Quotient):
         if not all(0 <= c < base.q for c in modulus):
             raise ValueError("modulus coefficients must be base-field codes")
         self._init_quotient(base, modulus)
+        # the code of t, the power-basis generator
         self.tau_code = base.q
-
-    def coerce(self, x) -> int:
-        if isinstance(x, ExtFieldElem):
-            if x.field != self:
-                raise ValueError("element of a different field")
-            return x.code
-        if isinstance(x, FieldElem):
-            if x.field != self.base:
-                raise ValueError("element of a different base field")
-            return x.code
-        if isinstance(x, (int, np.integer)):
-            return int(x) % self.base.p
-        raise TypeError(f"cannot coerce {type(x).__name__}")
-
-    # -- structure ----------------------------------------------------------
-
-    def element(self, code) -> ExtFieldElem:
-        code = int(code)
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for order {self.order}")
-        return ExtFieldElem(self, code)
-
-    @property
-    def zero(self) -> ExtFieldElem:
-        return ExtFieldElem(self, 0)
-
-    @property
-    def one(self) -> ExtFieldElem:
-        return ExtFieldElem(self, 1)
-
-    @property
-    def tau(self) -> ExtFieldElem:
-        """The power-basis generator (the class of t)."""
-        return ExtFieldElem(self, self.tau_code)
 
     def in_base(self, code) -> bool:
         return code < self.q
@@ -652,79 +510,6 @@ class ExtField(_Quotient):
 
     def __repr__(self):
         return f"F_{self.order}/F_{self.q}"
-
-
-class ExtFieldElem:
-    """Element of an ``ExtField``."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: ExtField, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[FieldElem, ...]:
-        return tuple(FieldElem(self.field.base, c) for c in self.field.decode(self.code))
-
-    def _rhs(self, other) -> int:
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return ExtFieldElem(self.field, self.field.add(self.code, self._rhs(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ExtFieldElem(self.field, self.field.sub(self.code, self._rhs(other)))
-
-    def __rsub__(self, other):
-        return ExtFieldElem(self.field, self.field.sub(self._rhs(other), self.code))
-
-    def __neg__(self):
-        return ExtFieldElem(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other):
-        return ExtFieldElem(self.field, self.field.mul(self.code, self._rhs(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ExtFieldElem(
-            self.field, self.field.mul(self.code, self.field.inv(self._rhs(other)))
-        )
-
-    def __rtruediv__(self, other):
-        return ExtFieldElem(
-            self.field, self.field.mul(self._rhs(other), self.field.inv(self.code))
-        )
-
-    def __pow__(self, e: int):
-        return ExtFieldElem(self.field, self.field.pow_(self.code, e))
-
-    def frob(self, i: int = 1) -> ExtFieldElem:
-        return ExtFieldElem(self.field, self.field.frob(self.code, i))
-
-    def in_base(self) -> bool:
-        return self.field.in_base(self.code)
-
-    def __eq__(self, other):
-        if isinstance(other, ExtFieldElem):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, (FieldElem, int, np.integer)):
-            return self.code == self.field.coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        if self.field.base.f == 1:
-            return _poly_repr(self.field.decode(self.code), "t")
-        return f"ext({self.code})"
 
 
 # ---------------------------------------------------------------------------
@@ -775,14 +560,9 @@ def frobenius_matrix(E: ExtField, i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][r] for j in range(d)) for r in range(d))
 
 
-def regular_rep(E: ExtField, a) -> tuple[tuple[int, ...], ...]:
-    """Matrix of multiplication by a on E over its base field (column j =
-    coordinates of a * tau^j).  Plain ints are element codes here, unlike
-    in operator arithmetic where they are images of rational integers."""
-    if isinstance(a, ExtFieldElem):
-        if a.field != E:
-            raise ValueError("element of a different field")
-        a = a.code
+def regular_rep(E: ExtField, a: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of multiplication by the element with code a on E over its
+    base field (column j = coordinates of a * tau^j)."""
     a = int(a)
     if not 0 <= a < E.order:
         raise ValueError(f"code {a} out of range for order {E.order}")
@@ -795,9 +575,9 @@ def regular_rep(E: ExtField, a) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][r] for j in range(d)) for r in range(d))
 
 
-def mult_generator(E: ExtField) -> ExtFieldElem:
-    """Smallest element (in code order) whose class generates the cyclic
-    quotient E^x / base^x, of order n = (q^d - 1)/(q - 1)."""
+def mult_generator(E: ExtField) -> int:
+    """Code of the smallest element (in code order) whose class generates
+    the cyclic quotient E^x / base^x, of order n = (q^d - 1)/(q - 1)."""
     n = (E.order - 1) // (E.q - 1)
     primes = list(_factorize(n))
     for code in range(2, E.order):
@@ -806,7 +586,7 @@ def mult_generator(E: ExtField) -> ExtFieldElem:
         if all(not E.in_base(E.pow_(code, n // r)) for r in primes):
             # the n-th power is the norm, so it always lands in the base
             assert E.in_base(E.pow_(code, n))
-            return ExtFieldElem(E, code)
+            return code
     raise RuntimeError("no generator found")  # pragma: no cover
 
 

@@ -123,7 +123,7 @@ class GenParams:
         self.s = s
         self.alpha = alpha
         self.gamma = gamma_from_alpha(E, alpha)
-        self.u = mult_generator(E).code
+        self.u = mult_generator(E)
         self.n = (base.q**E.d - 1) // (base.q - 1)
         self.warnings = tuple(warnings)
         self._alg = None
@@ -491,10 +491,9 @@ def _check_inverse_partners(gs: GenSet) -> None:
 
 
 def _norm_valuation(lift: CycElem) -> int:
-    v = lift.reduced_norm().valuation_at(0)
-    if not isinstance(v, int):
-        raise ValueError("lift has zero reduced norm")
-    return v
+    """Valuation at t = 0 of the reduced norm: the exponent a of
+    Nrd = rest * t^a * (1+t)^b (ValueError on a zero norm)."""
+    return lift.reduced_norm()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +562,10 @@ def symmetrize(base_set: GenSet) -> GenSet:
     params = base_set.params
     F, d = params.base, params.d
     alg = params.alg()
+    # one batched inversion finds the missing inverses and the partners
+    ms = MatSpace(F, d)
+    inverses = ms.astuples(ms.inverse(ms.asbatch(base_set.finite_rows())))
+    inv_pms = [ProjMat(F, rows, _canonical=True) for rows in inverses]
     gens = []
     index_of = {}
     for g in base_set.gens:
@@ -570,10 +573,9 @@ def symmetrize(base_set: GenSet) -> GenSet:
         index_of[g.finite.packed()] = len(gens)
         gens.append(ng)
     coincidences = []
-    for i in range(len(gens)):
-        g = gens[i]
-        inv_pm = g.finite.inverse()
-        key = inv_pm.packed()
+    inv_keys = [pm.packed() for pm in inv_pms]
+    back_keys = []  # each appended inverse's partner: the generator it inverts
+    for i, (g, inv_pm, key) in enumerate(zip(base_set.gens, inv_pms, inv_keys)):
         if key in index_of:
             coincidences.append((i, index_of[key]))
             continue
@@ -591,8 +593,9 @@ def symmetrize(base_set: GenSet) -> GenSet:
             )
         index_of[key] = len(gens)
         gens.append(Generator(inv_pm, inv_lift, g.j, color, -1, None))
-    for i, g in enumerate(gens):
-        g.inv = index_of[g.finite.inverse().packed()]
+        back_keys.append(g.finite.packed())
+    for g, key in zip(gens, inv_keys + back_keys):
+        g.inv = index_of[key]
     out = GenSet(
         params,
         KIND_OMEGABAR,

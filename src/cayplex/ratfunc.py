@@ -1,14 +1,15 @@
-"""Dense univariate polynomials and reduced rational functions over a
-finite field, with exact local valuations.
+"""Dense univariate polynomials over a finite field, with exact local
+valuations.
 
 Coefficients are carried as field codes (see ``ffield``); the coefficient
 field may be a ``Field`` or an ``ExtField``, anything exposing code
 arithmetic.  This module imports nothing from ``ffield``, which builds
 its irreducibility test and untabled field products on ``Poly``.
-``Poly`` is trimmed and immutable, with the constant term first.
-``RatFunc`` keeps a reduced fraction whose denominator is monic, so
-equality and hashing are structural; it carries reduced norms and their
-valuations.
+``Poly`` is trimmed and immutable, with the constant term first.  It is
+the only polynomial type: the cyclic algebra's coordinates are ``Poly``
+numerators over a central t^i (1+t)^j denominator, and reduced norms are
+split as rest * t^a * (1+t)^b with ``t_valuation`` and
+``root_multiplicity``, so no rational-function field is needed.
 
 The degree of the zero polynomial is -inf and its valuations are +inf,
 using float infinities as sentinels next to exact integers everywhere
@@ -17,7 +18,7 @@ else.
 
 from __future__ import annotations
 
-__all__ = ["INF", "NEG_INF", "Poly", "RatFunc"]
+__all__ = ["INF", "NEG_INF", "Poly"]
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -120,9 +121,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -170,9 +168,6 @@ class Poly:
                     rem[k + i] = F.sub(rem[k + i], F.mul(c, y))
             rem.pop()
         return Poly(F, quo), Poly(F, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -275,147 +270,3 @@ class Poly:
                 head = "" if c == 1 else f"[{c}]*"
                 terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
         return " + ".join(terms)
-
-
-class RatFunc:
-    """Reduced rational function num/den with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.one(num.field)
-        if num.field != den.field:
-            raise ValueError("numerator and denominator over different fields")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(num.field)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            if den.lead != 1:
-                ilc = num.field.inv(den.lead)
-                num = num.scale(ilc)
-                den = den.scale(ilc)
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def one(cls, field) -> RatFunc:
-        return cls(Poly.one(field))
-
-    @classmethod
-    def t(cls, field) -> RatFunc:
-        return cls(Poly.t(field))
-
-    def _coerce(self, other) -> RatFunc:
-        if isinstance(other, RatFunc):
-            if other.field != self.field:
-                raise ValueError("rational function over a different field")
-            return other
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise ValueError("polynomial over a different field")
-            return RatFunc(other)
-        if isinstance(other, int):
-            return RatFunc(Poly.const(self.field, other % self.field.p))
-        return NotImplemented
-
-    # -- field operations -----------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def inverse(self) -> RatFunc:
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = RatFunc.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def valuation_at(self, c: int):
-        """Valuation at the place t = c (+inf for zero)."""
-        if self.num.is_zero():
-            return INF
-        return self.num.root_multiplicity(c) - self.den.root_multiplicity(c)
-
-    def valuation_infty(self):
-        """Valuation at the place at infinity: deg(den) - deg(num)."""
-        if self.num.is_zero():
-            return INF
-        return self.den.degree - self.num.degree
-
-    def __eq__(self, other):
-        if isinstance(other, (RatFunc, Poly, int)):
-            other = self._coerce(other)
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __repr__(self):
-        if self.den.degree == 0:
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"

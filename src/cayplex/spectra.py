@@ -15,7 +15,10 @@ from .projmat import _PRODUCT_BLOCK, MatSpace
 from .util import atomic_write_text, ordered_chunked_map, read_checked_text
 
 _COUNTER_LIMIT = 1 << 62
-_DENSE_CAP = 5000
+# defaults shared by the library and the command line
+DENSE_CAP = 5000
+ISO_TIMEOUT = 10.0
+MOMENT_STRATEGY = "ball-mitm"
 _GROUP_CAP = 10_000_000
 _BALL_BLOCK = 2048
 _RUN_CHUNK = 1 << 16
@@ -147,7 +150,7 @@ def _reverse_columns(nbr: np.ndarray, cols) -> np.ndarray:
 def walk_moments(
     gens: GenSet,
     K: int,
-    strategy: str = "ball-mitm",
+    strategy: str = MOMENT_STRATEGY,
     colors=None,
     graph: CayleyGraph | None = None,
     threads: int = 1,
@@ -455,7 +458,7 @@ class SpectrumReport:
 def dense_spectrum(
     G: CayleyGraph,
     colors=None,
-    cap: int = _DENSE_CAP,
+    cap: int = DENSE_CAP,
 ) -> SpectrumReport:
     """Full verified spectrum of a small symmetric Cayley graph.
 
@@ -497,7 +500,7 @@ def dense_spectrum(
 # ---------------------------------------------------------------------------
 
 
-def isomorphism_search(a: CayleyGraph, b: CayleyGraph, timeout: float = 10.0):
+def isomorphism_search(a: CayleyGraph, b: CayleyGraph, timeout: float = ISO_TIMEOUT):
     """Exact graph-isomorphism decision by candidate-pruned backtracking.
 
     Returns (verdict, mapping) where verdict is "isomorphic" (mapping is
@@ -644,7 +647,7 @@ class ComparisonReport:
         return f"ComparisonReport(mode={self.mode!r}, verdict={self.verdict!r})"
 
 
-def compare(a, b, mode: str, timeout: float = 10.0) -> ComparisonReport:
+def compare(a, b, mode: str, timeout: float = ISO_TIMEOUT) -> ComparisonReport:
     """Compare two fingerprints or graphs.
 
     ``moments``: exact per-k equality of two MomentSeqs of equal K;

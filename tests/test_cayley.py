@@ -356,6 +356,27 @@ def test_text_errors(toy3):
         graph_from_text("\n".join(swapped))
 
 
+def test_text_load_checks_flags_and_keys(graph42, toy3):
+    """A text graph is checked against its vertex keys: each stored flag
+    must be the one the edges give, and each key a canonical matrix."""
+    text = graph_to_text(graph42)
+    for old, new in (("sym=1", "sym=0"), ("conn=1", "conn=0")):
+        with pytest.raises(ValueError, match=new.split("=")[0]):
+            graph_from_text(text.replace(old, new, 1))
+    # vertex 1 scaled by the scalar 2 of F_4: the same class, not canonical
+    F, ms = graph42.F, graph42.space()
+    rows = ms.unpack(graph42.keys[1:2])[0]
+    scaled = ms.packed_of([[F.mul(2, int(x)) for x in row] for row in rows])
+    lines = text.splitlines()
+    lines[2] = f"v {scaled:x}"
+    with pytest.raises(ValueError, match="canonical"):
+        graph_from_text("\n".join(lines))
+    # one generator of order 3 makes a directed cycle, and loads so
+    directed = closure_from_matrices(toy3.F, 2, [toy3.vertex_matrix(1).rows])
+    assert not directed.symmetric
+    assert graph_from_text(graph_to_text(directed)) == directed
+
+
 def test_export_unknown_format(toy3, tmp_path):
     with pytest.raises(ValueError):
         export_graph(toy3, str(tmp_path / "g.x"), format="xml")

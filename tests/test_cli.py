@@ -387,3 +387,55 @@ def test_corrupted_text_artifacts_exit_2_without_traceback(workdir, tmp_path):
             else:
                 _assert_usage_error(_run_cli(*argv(path)), "manifest", (fmt, name))
     assert SpectrumReport.load(spectrum).n == 60
+
+
+@pytest.fixture(scope="module")
+def text_graph(workdir):
+    """The lines of the (4,2) closure in text form."""
+    path = str(workdir["root"] / "g42.txt")
+    assert main(["graph", "--gens", workdir["gens"], "--format", "text",
+                 "--out", path]) == 0
+    return open(path).read().splitlines()
+
+
+def _retargeted_edge(lines, seed):
+    """One seeded edge line ``e u v i c`` with v moved to another vertex."""
+    rng = random.Random(seed)
+    n = int(dict(tok.split("=") for tok in lines[0].split())["n"])
+    bad = list(lines)
+    k = rng.randrange(n + 1, len(lines))
+    tag, u, v, i, c = bad[k].split()
+    w = (int(v) + rng.randrange(1, n)) % n
+    bad[k] = f"{tag} {u} {w} {i} {c}"
+    return bad
+
+
+def test_text_graph_wrong_edge_moments_exit_2(workdir, text_graph, tmp_path):
+    """With no manifest beside it, an edge target edited in a text graph
+    is found by recomputing the edges from the vertex keys, rather than
+    read as data into wrong group-dp moments."""
+    path = tmp_path / "edge.txt"
+    path.write_text("\n".join(_retargeted_edge(text_graph, 907)) + "\n")
+    proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", str(path),
+                    "--kmax", "6", "--strategy", "group-dp")
+    _assert_usage_error(proc, "edge target", "moments")
+
+
+def test_text_graph_wrong_edge_spectrum_exit_2(text_graph, tmp_path):
+    """The same edited graph is a usage error for the dense spectrum, not
+    an assertion failure on its asymmetric adjacency."""
+    path = tmp_path / "edge.txt"
+    path.write_text("\n".join(_retargeted_edge(text_graph, 907)) + "\n")
+    proc = _run_cli("spectrum", "--graph", str(path))
+    _assert_usage_error(proc, "edge target", "spectrum")
+
+
+def test_text_graph_vertex_value_out_of_range_exit_2(text_graph, tmp_path):
+    """A vertex value past q^(d*d) - 1 is rejected before it is packed
+    into an int64 key."""
+    bad = list(text_graph)
+    bad[2] = "v " + "f" * 20
+    path = tmp_path / "vertex.txt"
+    path.write_text("\n".join(bad) + "\n")
+    proc = _run_cli("spectrum", "--graph", str(path))
+    _assert_usage_error(proc, "outside 0..q^(d*d)-1", "vertex")

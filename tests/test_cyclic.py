@@ -8,7 +8,7 @@ import pytest
 
 from cayplex.ffield import frobenius_matrix, get_ext_field, mult_generator, regular_rep
 from cayplex.projmat import mat_eye, mat_inv, mat_mul, mat_pow
-from cayplex.ratfunc import Poly, RatFunc
+from cayplex.ratfunc import Poly
 from cayplex.cyclic import CycAlg, CycElem, gamma_from_alpha
 
 E35 = get_ext_field(3, 1, 5)
@@ -47,6 +47,11 @@ def omega_word(alg, us):
     for u in us[1:]:
         out = out * alg.omega(u)
     return out
+
+
+def norm_product(x, y):
+    """Product of two reduced norms in the (rest, a, b) normal form."""
+    return x[0] * y[0], x[1] + y[1], x[2] + y[2]
 
 
 def poly_matmul(A, B):
@@ -117,27 +122,32 @@ def test_representation_generator_images(alg35):
 
 def test_reduced_norm_reference_values(alg35, alg53):
     for alg in (alg35, alg53):
-        t = RatFunc.t(alg.E.base)
+        F = alg.E.base
+        one = Poly.one(F)
         w = alg.one_minus_z_inv()
-        assert w.reduced_norm() == t / (1 + t)
-        sign = 1 if (alg.d - 1) % 2 == 0 else -1
-        assert alg.z().reduced_norm() == (1 + t) * sign
-        assert alg.z_inv().reduced_norm() == sign / (1 + t)
-        assert alg.one().reduced_norm() == RatFunc.one(alg.E.base)
+        assert w.reduced_norm() == (one, 1, -1)  # t / (1+t)
+        sign = Poly.const(F, 1 if (alg.d - 1) % 2 == 0 else F.neg(1))
+        assert alg.z().reduced_norm() == (sign, 0, 1)
+        assert alg.z_inv().reduced_norm() == (sign, 0, -1)
+        assert alg.one().reduced_norm() == (one, 0, 0)
 
 
 def test_reduced_norm_multiplicative_and_conj_invariant(alg35):
     rng = random.Random(402)
-    t = RatFunc.t(E35.base)
     for _ in range(20):
         a = rand_elem(rng, alg35, max_den=True)
         b = rand_elem(rng, alg35, max_den=True)
-        assert (a * b).reduced_norm() == a.reduced_norm() * b.reduced_norm()
+        if alg35.zero() in (a, b):
+            # zero has no normal form
+            with pytest.raises(ValueError):
+                (a * b).reduced_norm()
+            continue
+        assert (a * b).reduced_norm() == norm_product(a.reduced_norm(), b.reduced_norm())
     w = alg35.one_minus_z_inv()
     for _ in range(10):
         u = rng.randrange(1, E35.order)
         conj = alg35.from_field(u) * w * alg35.from_field(E35.inv(u))
-        assert conj.reduced_norm() == t / (1 + t)
+        assert conj.reduced_norm() == (Poly.one(E35.base), 1, -1)
         assert alg35.omega(u) == conj
 
 
@@ -183,7 +193,10 @@ def test_elem_cleared_requires_central_monomial_denominator(alg35):
     with a central monomial denominator; others are rejected."""
     # Nrd(2 - z) = 2^5 - (1+t) = 1 - t over F_3: a root at t = 1
     bad = alg35.from_field(2) - alg35.z()
-    assert bad.reduced_norm() == 1 - RatFunc.t(E35.base)
+    assert bad.reduced_norm() == (Poly(E35.base, (1, 2)), 0, 0)
+    # the split keeps 1 - t apart from the monomial t / (1+t)
+    mixed = bad * alg35.one_minus_z_inv()
+    assert mixed.reduced_norm() == (Poly(E35.base, (1, 2)), 1, -1)
     with pytest.raises(ValueError):
         bad.inverse()
     # Nrd(1 - z) = -t is a central monomial, so 1 - z inverts
@@ -350,6 +363,4 @@ def test_algebra_validation():
         CycAlg(E53, 1).one() * CycAlg(E53, 2).one()
     u = mult_generator(E35)
     alg = CycAlg(E35, 2)
-    assert alg.omega(u.code).reduced_norm() == RatFunc.t(E35.base) / (
-        1 + RatFunc.t(E35.base)
-    )
+    assert alg.omega(u).reduced_norm() == (Poly.one(E35.base), 1, -1)

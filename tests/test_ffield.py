@@ -79,12 +79,12 @@ def test_f9_against_direct_polynomial_arithmetic():
 def test_f243_power_facts():
     E = get_ext_field(3, 1, 5)
     assert E.modulus == (2, 2, 0, 0, 0, 1)
-    t = E.tau
-    assert (t**5).coeffs == (t + 1).coeffs
-    assert E.decode((t**11).code) == (0, 1, 2, 1, 0)
-    assert (t**121).code == 1  # norm of t is -(-1) = 1, so order divides 121
-    assert all((t**k).code != 1 for k in (11, 1))
-    assert (t**242).code == 1
+    t = E.tau_code
+    assert E.pow_(t, 5) == E.add(t, 1)
+    assert E.decode(E.pow_(t, 11)) == (0, 1, 2, 1, 0)
+    assert E.pow_(t, 121) == 1  # norm of t is -(-1) = 1, so order divides 121
+    assert all(E.pow_(t, k) != 1 for k in (11, 1))
+    assert E.pow_(t, 242) == 1
 
 
 def test_frobenius_matrix_reference():
@@ -199,12 +199,12 @@ def test_gaussian_binomial_against_span_enumeration():
 def test_mult_generator_image_order_is_exact():
     E = get_ext_field(3, 1, 5)
     u = mult_generator(E)
-    assert u.code == E.tau_code  # t itself generates the quotient here
+    assert u == E.tau_code  # t itself generates the quotient here
     n = (E.order - 1) // (E.q - 1)
     k = 1
-    cur = u.code
+    cur = u
     while not E.in_base(cur):
-        cur = E.mul(cur, u.code)
+        cur = E.mul(cur, u)
         k += 1
     assert k == n
 
@@ -217,16 +217,16 @@ def test_mult_generator_image_order_is_exact():
         return k
 
     expected = next(c for c in range(2, E.order) if not E.in_base(c) and image_order(c) == n)
-    assert u.code == expected
+    assert u == expected
 
 
 def test_mult_generator_small_fields():
     E9 = ExtField(get_field(3), 2)
     u = mult_generator(E9)
     n = (9 - 1) // 2
-    cur, k = u.code, 1
+    cur, k = u, 1
     while not E9.in_base(cur):
-        cur = E9.mul(cur, u.code)
+        cur = E9.mul(cur, u)
         k += 1
     assert k == n
 
@@ -279,30 +279,6 @@ def test_validation_errors():
         get_field(7).inv(0)
     with pytest.raises(ZeroDivisionError):
         get_ext_field(3, 1, 5).inv(0)
-    with pytest.raises(ValueError):
-        get_field(7).element(7)
-
-
-def test_elem_operator_syntax():
-    E = get_ext_field(3, 1, 5)
-    t = E.tau
-    assert ((1 - t) + t).code == 1
-    assert (t * t**4).coeffs == (t**5).coeffs
-    assert (1 / t * t).code == 1
-    assert (t - t).code == 0
-    assert bool(t) and not bool(t - t)
-    x = E.element(200)
-    assert (x**-1 * x).code == 1
-    assert E.element(E.encode(tuple(c.code for c in x.coeffs))) == x
-
-
-def test_int_coercion_is_ring_hom():
-    F = get_field(7)
-    a = F.element(3)
-    assert (a + 11).code == (3 + 11) % 7
-    assert (2 * a).code == 6
-    E = get_ext_field(3, 1, 5)
-    assert (E.one + 2).code == 0
 
 
 def test_lookup_tables_match_digit_arithmetic():

@@ -513,7 +513,7 @@ def test_attach_subspace_trace_kernel(omega35):
     E, F = params.E, params.base
     sub = attach_subspace(omega35[0])
     assert len(sub) == 4
-    t_code = E.tau.code
+    t_code = E.tau_code
     basis_traces = [E.trace(E.pow_(t_code, i)) for i in range(5)]
     for row in sub:
         total = 0
