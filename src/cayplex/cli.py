@@ -271,7 +271,7 @@ def _cmd_omega_hat(ns) -> int:
     hat = build_omega_hat(
         build_omega(params),
         memory_budget=ns.mem_budget,
-        threads=ns.threads or 1,
+        threads=ns.threads,
     )
     hat.save(out)
     RunManifest(
@@ -295,7 +295,7 @@ def _cmd_graph(ns) -> int:
     max_vertices = _option(ns, "max_vertices", MAX_VERTICES)
     gens = GenSet.load(gens_path)
     start = time.perf_counter()
-    G = bfs_build(gens, max_vertices=max_vertices, threads=ns.threads or 1)
+    G = bfs_build(gens, max_vertices=max_vertices, threads=ns.threads)
     export_graph(G, out, format=fmt)
     RunManifest(
         "graph",
@@ -323,7 +323,7 @@ def _cmd_moments(ns) -> int:
         strategy,
         colors=colors,
         graph=graph,
-        threads=ns.threads or 1,
+        threads=ns.threads,
         memory_budget=ns.mem_budget,
     )
     print(seq.to_text(), end="")
@@ -426,7 +426,6 @@ def _suite_paper_d5q3(ns) -> int:
     matrices, multiplicative orders, power relations, cardinalities,
     reduced norms, and the subspace bijection."""
     results = []
-    threads = ns.threads or 1
     E = get_ext_field(3, 1, 5)
     _check(
         results,
@@ -495,7 +494,7 @@ def _suite_paper_d5q3(ns) -> int:
         "(b^(i))^q = b^(q*i mod d) over both small parameter sets",
     )
     bar1 = symmetrize(om1)
-    hat1 = build_omega_hat(om1, memory_budget=ns.mem_budget, threads=threads)
+    hat1 = build_omega_hat(om1, memory_budget=ns.mem_budget, threads=ns.threads)
     hist = defaultdict(int)
     for g in hat1:
         hist[g.color] += 1
@@ -547,7 +546,6 @@ def _suite_pipeline_d3q5(ns) -> int:
     order formula, regularity, connectivity, and an isomorphism-search
     report for the twist pair (outcome reported, not presumed)."""
     results = []
-    threads = ns.threads or 1
     params = make_params(5, 3, s=1)
     _check(
         results,
@@ -556,7 +554,7 @@ def _suite_pipeline_d3q5(ns) -> int:
         "alpha = -2 in F_5",
     )
     bar = symmetrize(build_omega(params))
-    G = bfs_build(bar, max_vertices=400_000, threads=threads)
+    G = bfs_build(bar, max_vertices=400_000, threads=ns.threads)
     order = group_order_pgl(3, 5)
     _check(
         results,
@@ -578,7 +576,7 @@ def _suite_pipeline_d3q5(ns) -> int:
         G.connected and G.symmetric,
     )
     bar2 = symmetrize(build_omega(make_params(5, 3, s=2)))
-    G2 = bfs_build(bar2, max_vertices=400_000, threads=threads)
+    G2 = bfs_build(bar2, max_vertices=400_000, threads=ns.threads)
     timeout = _option(ns, "timeout", 20.0)
     verdict, _ = isomorphism_search(G, G2, timeout=timeout)
     print(f"REPORT twist-pair-isomorphism-search verdict={verdict}")
@@ -590,19 +588,18 @@ def _suite_moments_d5q3(ns) -> int:
     meet-in-the-middle ball joins (partial evidence: the full graphs,
     at ~2.4e11 vertices, are far beyond desk scale)."""
     results = []
-    threads = ns.threads or 1
     m1 = walk_moments(
         symmetrize(build_omega(make_params(3, 5, s=1))),
         6,
         "ball-mitm",
-        threads=threads,
+        threads=ns.threads,
         memory_budget=ns.mem_budget,
     )
     m2 = walk_moments(
         symmetrize(build_omega(make_params(3, 5, s=2))),
         6,
         "ball-mitm",
-        threads=threads,
+        threads=ns.threads,
         memory_budget=ns.mem_budget,
     )
     print(f"twist-1 moments: {list(m1.values)}")
@@ -764,6 +761,10 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         _merge_config(ns)
+        if ns.threads is None:
+            ns.threads = 1
+        elif ns.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {ns.threads}")
         return ns.func(ns)
     except (MemoryBudgetError, VertexLimitError, MemoryError) as exc:
         print(f"resource abort: {exc}", file=sys.stderr)

@@ -31,12 +31,18 @@ corner.  (The inverse twists on the diagonal are forced by the relation
 z*c = sigma(c)*z; the test suite checks both generator images.)  The
 reduced norm is the determinant of the numerator's matrix, found by
 fraction-free (Bareiss) elimination, over the d-th power of the
-denominator; the same elimination yields the adjugate column that gives
-the inverse.  Reduced norms have one exact normal form, the triple
+denominator.  Reduced norms have one exact normal form, the triple
 (rest, a, b) with Nrd = rest * t^a * (1+t)^b and rest prime to t(1+t);
 for every element the package builds, rest is a constant.
-``_split_norm`` reads the triple off the determinant, for both
-``reduced_norm`` and ``inverse``, and no polynomial gcd is taken.
+``reduced_norm`` reads the triple off the determinant, and no
+polynomial gcd is taken.
+
+No general inverse is needed: since z^{-d} = 1/(1+t) is central,
+(1 - z^{-1})^{-1} is a finite geometric series, and
+
+    omega(u)^{-1} = ((1+t) + sum_{k=1}^{d-1} u sigma^k(u^{-1}) z^k) / t,
+
+which ``CycAlg.omega_inv`` builds directly and checks by one product.
 
 The specialization map sends t to gamma = Norm(1+alpha) - 1, a field
 coefficient c to the regular representation of c(gamma) over F_q, and z
@@ -107,13 +113,6 @@ class CycAlg:
         frob = self.E.frob
         return [frob(c, i) for c in codes]
 
-    def _monomial(self, p: Poly, i: int, j: int) -> Poly:
-        """p * t^i * (1+t)^j for i, j >= 0."""
-        p = p.shift(i)
-        for _ in range(j):
-            p = p * self.one_plus_t
-        return p
-
     # -- element constructors ----------------------------------------------
 
     def elem(self, coords, den=(0, 0)) -> CycElem:
@@ -145,7 +144,7 @@ class CycAlg:
         return self._basis(self.d - 1, self._one, (0, 1))
 
     def one_minus_z_inv(self) -> CycElem:
-        return self.one() - self.z_inv()
+        return self.omega(1)
 
     def unit_ratio(self, u: int) -> int:
         """c_u = u / sigma^{-1}(u), the coefficient in omega(u)."""
@@ -159,6 +158,19 @@ class CycAlg:
         coords[0] = self.one_plus_t
         coords[self.d - 1] = Poly.const(self.E, self.E.neg(self.unit_ratio(u)))
         return CycElem(self, (0, 1), coords)
+
+    def omega_inv(self, u: int) -> CycElem:
+        """omega(u)^{-1} = ((1+t) + sum_{k=1}^{d-1} u sigma^k(u^{-1}) z^k) / t,
+        from (1 - z^{-1})(1 + z^{-1} + ... + z^{-(d-1)}) = t/(1+t)
+        conjugated by u."""
+        E = self.E
+        u_inv = E.inv(u)
+        coords = [self.one_plus_t] + [
+            Poly.const(E, E.mul(u, self.sigma(u_inv, k))) for k in range(1, self.d)
+        ]
+        out = CycElem(self, (1, 0), coords)
+        assert self.omega(u) * out == self.one(), "omega inverse verification failed"
+        return out
 
     # -- specialization -----------------------------------------------------
 
@@ -211,40 +223,32 @@ class CycAlg:
         return f"CycAlg(E=F_{self.E.order}, s={self.s})"
 
 
-def _fraction_free(rows, rhs=None):
-    """Bareiss elimination of a square matrix over E[t].
+def _fraction_free(rows) -> Poly:
+    """The determinant of a square matrix over E[t], by Bareiss
+    elimination.
 
     Every intermediate entry is a minor of the input, so each division
     by the previous pivot is exact; pivots of least degree keep those
-    divisions cheap.  Returns ``(det, adj)`` where ``adj`` is
-    adj(M) @ rhs, the polynomial vector with M @ adj = det * rhs (None
-    without ``rhs``).  With a right-hand side the elimination runs
-    Gauss-Jordan style, on the rows above each pivot too.
+    divisions cheap.
     """
     n = len(rows)
     E = rows[0][0].field
     M = [list(r) for r in rows]
-    if rhs is not None:
-        for r, x in zip(M, rhs):
-            r.append(x)
-    width = len(M[0])
     prev = None  # the previous pivot; None stands for the constant 1
     sign = 1
     for k in range(n):
         live = [r for r in range(k, n) if M[r][k].coeffs]
         if not live:
-            return Poly.zero(E), None
+            return Poly.zero(E)
         piv = min(live, key=lambda r: len(M[r][k].coeffs))
         if piv != k:
             M[k], M[piv] = M[piv], M[k]
             sign = -sign
         pk, pivot_row = M[k][k], M[k]
-        for r in range(n) if rhs is not None else range(k + 1, n):
-            if r == k:
-                continue
+        for r in range(k + 1, n):
             row = M[r]
             nf = -row[k]
-            for c in range(k + 1, width):
+            for c in range(k + 1, n):
                 x = pk * row[c] + nf * pivot_row[c] if nf.coeffs else pk * row[c]
                 if prev is None:
                     row[c] = x
@@ -254,23 +258,7 @@ def _fraction_free(rows, rhs=None):
                     row[c] = x.exact_div(prev)
         prev = pk
     det = M[n - 1][n - 1]
-    adj = None if rhs is None else [M[r][n] for r in range(n)]
-    if sign < 0:
-        det = -det
-        adj = None if adj is None else [-x for x in adj]
-    return det, adj
-
-
-def _split_norm(det: Poly) -> tuple[Poly, int, int]:
-    """(rest, a, b) with det = rest * t^a * (1+t)^b and rest prime to
-    t(1+t), for a nonzero polynomial det."""
-    if det.is_zero():
-        raise ValueError("zero reduced norm")
-    neg_one = det.field.neg(1)
-    a = det.t_valuation()
-    rest = Poly(det.field, det.coeffs[a:])
-    b = rest.root_multiplicity(neg_one)
-    return rest.deflate(neg_one, b), a, b
+    return -det if sign < 0 else det
 
 
 class CycElem:
@@ -288,26 +276,6 @@ class CycElem:
         if not isinstance(other, CycElem) or other.alg != self.alg:
             raise ValueError("operand is not an element of this algebra")
         return other
-
-    def _over(self, i: int, j: int) -> tuple[Poly, ...]:
-        """Numerators over the larger denominator t^i (1+t)^j."""
-        di, dj = i - self.den[0], j - self.den[1]
-        if di == 0 and dj == 0:
-            return self.coords
-        return tuple(self.alg._monomial(p, di, dj) for p in self.coords)
-
-    def __add__(self, other):
-        other = self._check(other)
-        i = max(self.den[0], other.den[0])
-        j = max(self.den[1], other.den[1])
-        coords = tuple(a + b for a, b in zip(self._over(i, j), other._over(i, j)))
-        return CycElem(self.alg, (i, j), coords)
-
-    def __neg__(self):
-        return CycElem(self.alg, self.den, tuple(-p for p in self.coords))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
 
     def __mul__(self, other):
         other = self._check(other)
@@ -379,41 +347,20 @@ class CycElem:
         and divided by the d-th power of the denominator.  Raises
         ValueError on a zero norm."""
         E, d = self.alg.E, self.alg.d
-        det, _ = _fraction_free(self.matrix_rep())
+        det = _fraction_free(self.matrix_rep())
+        if det.is_zero():
+            raise ValueError("zero reduced norm")
         if not all(E.in_base(c) for c in det.coeffs):
             raise AssertionError(
                 "reduced norm failed to descend to the center — arithmetic bug"
             )
-        rest, a, b = _split_norm(det)
+        neg_one = E.neg(1)
+        a = det.t_valuation()
+        rest = Poly(E, det.coeffs[a:])
+        b = rest.root_multiplicity(neg_one)
+        rest = rest.deflate(neg_one, b)
         i, j = self.den
         return Poly(E.base, rest.coeffs), a - d * i, b - d * j
-
-    def inverse(self) -> CycElem:
-        """The two-sided inverse.  Raises ZeroDivisionError on zero and
-        ValueError when the reduced norm is not c t^a (1+t)^b, whose
-        inverse would leave this representation."""
-        alg, d, E = self.alg, self.alg.d, self.alg.E
-        if not any(p.coeffs for p in self.coords):
-            raise ZeroDivisionError("inverse of zero")
-        e0 = [alg._one] + [alg._zero] * (d - 1)
-        det, adj = _fraction_free(self.matrix_rep(), e0)
-        if det.is_zero():
-            raise ZeroDivisionError("element is not invertible")
-        rest, a, b = _split_norm(det)
-        if rest.degree != 0:
-            raise ValueError("reduced norm is not c t^a (1+t)^b")
-        # numerator^{-1} has coordinates sigma^k(adj_k) / det; the
-        # element's own denominator t^i (1+t)^j moves to the numerator
-        c_inv = E.inv(rest.coeffs[0])
-        i, j = self.den
-        coords = tuple(
-            alg._monomial(alg.sigma_poly(adj[k], k).scale(c_inv),
-                         max(i - a, 0), max(j - b, 0))
-            for k in range(d)
-        )
-        out = CycElem(alg, (max(a - i, 0), max(b - j, 0)), coords)._normal()
-        assert (self * out) == alg.one(), "inverse verification failed"
-        return out
 
     def is_central_scalar(self) -> bool:
         """True when the element lies in F_q(t)^x * 1."""

@@ -376,12 +376,21 @@ class GenSet:
         """Reconstruct global lifts from (j, word) data and verify each
         against its stored finite matrix.
 
-        Stored colors are checked without a reduced norm: Nrd(omega(u^j))
-        = t/(1+t) has valuation 1 at t = 0 and the norm is
-        multiplicative, so the color is 1 on the base system, d-1 on its
-        inverses and the word length on the product system.
+        The base system is complete and in order: an ``omega`` file has
+        exactly n entries, and entry i < n of an ``omega`` or ``omegabar``
+        file has j = i, with lift omega(u^i).  Entries from n on are
+        inverses, lifted by the closed form ``omega_inv(u^j)``; the
+        partner check ties each to the generator it inverts.  Stored
+        colors are checked without a reduced norm: Nrd(omega(u^j)) =
+        t/(1+t) has valuation 1 at t = 0 and the norm is multiplicative,
+        so the color is 1 on the base system, d-1 on its inverses and the
+        word length on the product system.
         """
         E, F, n, d = params.E, params.base, params.n, params.d
+        if kind == KIND_OMEGA and len(raw_gens) != n:
+            raise ValueError(
+                f"base system has {len(raw_gens)} entries, expected n = {n}"
+            )
         if kind == KIND_OMEGAHAT:
             words = [g[4] for g in raw_gens]
             if None in words:
@@ -408,9 +417,10 @@ class GenSet:
             else:
                 if not (0 <= j < n):
                     raise ValueError(f"conjugation index {j} out of range at idx={i}")
-                lift = alg.omega(E.pow_(params.u, j))
-                if kind == KIND_OMEGABAR and i >= n:
-                    lift = lift.inverse()
+                if i < n and j != i:
+                    raise ValueError(f"base entry idx={i} has j={j}, expected j={i}")
+                u_j = E.pow_(params.u, j)
+                lift = alg.omega_inv(u_j) if i >= n else alg.omega(u_j)
             spec = canon_rows(F, alg.specialize(lift, params.alpha))
             if spec != rows:
                 raise ValueError(
@@ -560,7 +570,7 @@ def symmetrize(base_set: GenSet) -> GenSet:
     if base_set.kind not in (KIND_OMEGA, KIND_OMEGABAR):
         raise ValueError("symmetrize expects the base system or its closure")
     params = base_set.params
-    F, d = params.base, params.d
+    E, F, d = params.E, params.base, params.d
     alg = params.alg()
     # one batched inversion finds the missing inverses and the partners
     ms = MatSpace(F, d)
@@ -579,7 +589,7 @@ def symmetrize(base_set: GenSet) -> GenSet:
         if key in index_of:
             coincidences.append((i, index_of[key]))
             continue
-        inv_lift = g.lift.inverse()
+        inv_lift = alg.omega_inv(E.pow_(params.u, g.j))
         spec = canon_rows(F, alg.specialize(inv_lift, params.alpha))
         if spec != inv_pm.rows:
             raise AssertionError(

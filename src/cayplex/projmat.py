@@ -80,11 +80,10 @@ def mat_mul(F, A, B):
 
 
 def mat_pow(F, A, e: int):
-    d = len(A)
+    """A^e for e >= 0."""
     if e < 0:
-        A = mat_inv(F, A)
-        e = -e
-    out = mat_eye(F, d)
+        raise ValueError("mat_pow takes an exponent >= 0")
+    out = mat_eye(F, len(A))
     while e:
         if e & 1:
             out = mat_mul(F, out, A)
@@ -180,10 +179,6 @@ class ProjMat:
         self.F = F
         self.rows = rows
 
-    @property
-    def d(self) -> int:
-        return len(self.rows)
-
     def packed(self) -> int:
         q = self.F.q
         out = 0
@@ -192,27 +187,8 @@ class ProjMat:
                 out = out * q + x
         return out
 
-    @classmethod
-    def from_packed(cls, F, d: int, value: int) -> ProjMat:
-        q = F.q
-        flat = []
-        for _ in range(d * d):
-            value, r = divmod(value, q)
-            flat.append(r)
-        rows = tuple(tuple(flat[i * d : (i + 1) * d]) for i in range(d))
-        return cls(F, rows)
-
-    def __matmul__(self, other: ProjMat) -> ProjMat:
-        return ProjMat(self.F, mat_mul(self.F, self.rows, other.rows))
-
-    def inverse(self) -> ProjMat:
-        return ProjMat(self.F, mat_inv(self.F, self.rows))
-
     def __pow__(self, e: int) -> ProjMat:
         return ProjMat(self.F, mat_pow(self.F, self.rows, e))
-
-    def is_identity(self) -> bool:
-        return self.rows == mat_eye(self.F, self.d)
 
     def __eq__(self, other):
         return (

@@ -140,14 +140,6 @@ class Poly:
             return Poly(F, ())
         return Poly._of(F, [F.mul(c, code) for c in self.coeffs])
 
-    def shift(self, k: int) -> Poly:
-        """Multiply by t^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
-
     def __divmod__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -350,6 +350,38 @@ def test_swapped_partner_colors_exit_2_without_traceback(bar53, hat53, tmp_path)
         _assert_usage_error(proc, "color 2 at idx=0", gs.kind)
 
 
+def test_truncated_base_system_exit_2_without_traceback(omega53, tmp_path):
+    """A base-system file must hold all n conjugates: without its last
+    line the moments would be those of a smaller, wrong system."""
+    path = tmp_path / "short.gens"
+    path.write_text("\n".join(omega53.to_text().splitlines()[:-1]) + "\n")
+    proc = _run_cli("moments", "--gens", str(path), "--kmax", "4",
+                    "--strategy", "ball-mitm")
+    _assert_usage_error(proc, "base system has 30 entries, expected n = 31",
+                        "truncated")
+
+
+def test_repeated_base_conjugate_exit_2_without_traceback(omega53, tmp_path):
+    """Entry i of a base system is the conjugate j = i: a copy of entry 0
+    standing in for entry 1 is rejected, not counted twice."""
+    lines = omega53.to_text().splitlines()
+    lines[2] = lines[1].replace("idx=0 ", "idx=1 ")
+    path = tmp_path / "repeated.gens"
+    path.write_text("\n".join(lines) + "\n")
+    proc = _run_cli("moments", "--gens", str(path), "--kmax", "4",
+                    "--strategy", "ball-mitm")
+    _assert_usage_error(proc, "base entry idx=1 has j=0, expected j=1", "repeated")
+
+
+def test_threads_below_one_exit_2(tmp_path):
+    for threads in ("-3", "0"):
+        proc = _run_cli("gens", "--q", "4", "--d", "2", "--threads", threads,
+                        "--out", str(tmp_path / "t.gens"))
+        _assert_usage_error(proc, f"--threads must be at least 1, got {threads}",
+                            threads)
+        assert not (tmp_path / "t.gens").exists()
+
+
 def test_corrupted_text_artifacts_exit_2_without_traceback(workdir, tmp_path):
     """A text artifact truncated inside its last value, or with one byte
     flipped, no longer matches the output hash of its manifest, so the

@@ -34,7 +34,7 @@ from cayplex.genforge import (
     symmetrize,
     word_kernel,
 )
-from cayplex.projmat import ProjMat, canon_rows, mat_inv, mat_mul, mat_rref
+from cayplex.projmat import ProjMat, canon_rows, mat_eye, mat_inv, mat_mul, mat_rref
 
 # Reference values for the q=3, d=5 construction with modulus t^5 - t - 1,
 # basis {1, t, ..., t^4}, alpha = 1: the specialized images of 1 - z^{-1}
@@ -120,7 +120,8 @@ def test_build_omega_structure(omega35, omega53):
     assert all(g.color == 1 for g in omega35)
     keys = {g.finite.packed() for g in omega35}
     assert len(keys) == 121
-    assert not any(g.finite.is_identity() for g in omega35)
+    eye = mat_eye(omega35.params.base, 5)
+    assert not any(g.finite.rows == eye for g in omega35)
 
 
 def test_omega_conjugation_consistency(omega35):
@@ -146,9 +147,10 @@ def test_symmetrize_sizes_and_partners(bar35, bar53):
     assert len(bar35) == 242 and bar35.kind == KIND_OMEGABAR
     assert bar35.meta["coincidences"] == []
     assert len(bar53) == 62
+    F = bar35.params.base
     for i, g in enumerate(bar35):
         k = g.inv
-        assert bar35[k].finite == g.finite.inverse()
+        assert bar35[k].finite.rows == canon_rows(F, mat_inv(F, g.finite.rows))
         assert bar35[k].inv == i
     assert all(g.color == 1 for g in bar35.gens[:121])
     assert all(g.color == 4 for g in bar35.gens[121:])
@@ -257,10 +259,10 @@ def test_omega_hat_witnesses_lex_min(p53, omega53, hat53):
 
 
 def test_omega_hat_inverse_closure(hat53):
-    d = hat53.params.d
+    F, d = hat53.params.base, hat53.params.d
     for i, g in enumerate(hat53):
         k = g.inv
-        assert hat53[k].finite == g.finite.inverse()
+        assert hat53[k].finite.rows == canon_rows(F, mat_inv(F, g.finite.rows))
         assert hat53[k].color == d - g.color
 
 
@@ -346,7 +348,8 @@ def test_omega_hat_big(hat35):
     for k in range(1, 6):
         expect *= (3**k - 1) // 2
     assert hat35.meta["identity_words"] == expect == 251680
-    assert not any(g.finite.is_identity() for g in hat35)
+    eye = mat_eye(hat35.params.base, 5)
+    assert not any(g.finite.rows == eye for g in hat35)
 
 
 def test_omega_hat_big_color1_is_omega(omega35, hat35):
