@@ -41,7 +41,7 @@ from cayplex.genforge import (
     predicted_group_order,
     symmetrize,
 )
-from cayplex.projmat import MatSpace, ProjMat, canon_rows, mat_inv, mat_mul, mat_rref
+from cayplex.projmat import MatSpace
 from cayplex.ratfunc import Poly
 from cayplex.spectra import (
     ComparisonReport,

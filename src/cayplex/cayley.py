@@ -11,7 +11,7 @@ import numpy as np
 
 from .ffield import get_field
 from .genforge import KIND_OMEGABAR, KIND_OMEGAHAT, GenSet, _prime_power
-from .projmat import MatSpace, ProjMat
+from .projmat import MatSpace
 from .util import (
     atomic_write_bytes,
     atomic_write_text,
@@ -86,10 +86,6 @@ class CayleyGraph:
             self._space = MatSpace(self.F, self.d)
         return self._space
 
-    def vertex_matrix(self, v: int) -> ProjMat:
-        rows = self.space().unpack(self.keys[v : v + 1])[0]
-        return ProjMat(self.F, tuple(tuple(int(x) for x in row) for row in rows))
-
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
@@ -135,7 +131,7 @@ def bfs_build(gens: GenSet, max_vertices: int, threads: int = 1) -> CayleyGraph:
     return closure_from_matrices(
         params.base,
         params.d,
-        gens.finite_rows(),
+        gens.mats,
         colors=[g.color for g in gens],
         max_vertices=max_vertices,
         threads=threads,
@@ -150,7 +146,8 @@ def closure_from_matrices(
     max_vertices: int = MAX_VERTICES,
     threads: int = 1,
 ) -> CayleyGraph:
-    """Breadth-first closure of an explicit list of row-tuple matrices.
+    """Breadth-first closure of an explicit list of matrices (a batch, or
+    rows of codes).
 
     The matrices must be nonsingular, canonical-form distinct, and none
     may be the identity (self-loops are not representable).  ``colors``
@@ -159,7 +156,9 @@ def closure_from_matrices(
     deterministic for every thread count.
     """
     ms = MatSpace(F, d)
-    O = ms.asbatch([ProjMat(F, m).rows for m in mats])
+    O = ms.canon(ms.asbatch(mats))
+    if ms.singular(O).any():
+        raise ValueError("projective matrices must be nonsingular")
     r = O.shape[0]
     if colors is None:
         colors = [0] * r
@@ -357,7 +356,7 @@ def colored_subgraph(G: CayleyGraph, colors) -> CayleyGraph:
     nbr = np.ascontiguousarray(G.nbr[:, keep])
     colors_kept = [G.gen_colors[i] for i in keep]
     ms = G.space()
-    O = ms.asbatch([G.vertex_matrix(int(v)).rows for v in nbr[0]])
+    O = ms.unpack(G.keys[nbr[0]])
     symmetric = _verify_symmetry(ms, nbr, O)
     connected = _is_connected(nbr)
     return CayleyGraph(G.F, G.d, G.keys, nbr, colors_kept, symmetric, connected)
@@ -413,7 +412,7 @@ def _key_width(q: int, d: int) -> int:
 
 def _keys_to_ints(G: CayleyGraph):
     """Vertex keys as arbitrary-precision packed values (radix q,
-    row-major, least-significant first), matching ProjMat.packed()."""
+    row-major, least-significant first), matching MatSpace.packed_of."""
     ms = G.space()
     if ms.packable:
         return [int(k) for k in G.keys]
@@ -549,8 +548,8 @@ def _check_against_keys(G: CayleyGraph) -> None:
     if not np.array_equal(ms.pack(ms.canon(ms.unpack(G.keys))), G.keys):
         raise ValueError("a vertex key is not a canonical projective matrix")
     O = ms.unpack(G.keys[G.nbr[0]])
-    for rows in ms.astuples(O):
-        ProjMat(G.F, rows)  # raises on a singular generator
+    if ms.singular(O).any():
+        raise ValueError("projective matrices must be nonsingular")
     products = ms.key_products(O)
     for v0 in range(0, G.n, _CLOSURE_BLOCK):
         block = slice(v0, v0 + _CLOSURE_BLOCK)

@@ -46,17 +46,23 @@ which ``CycAlg.omega_inv`` builds directly and checks by one product.
 
 The specialization map sends t to gamma = Norm(1+alpha) - 1, a field
 coefficient c to the regular representation of c(gamma) over F_q, and z
-to regular_rep(1+alpha) * frobenius_matrix(E, s); it is a ring
+to Z = regular_rep(1+alpha) * frobenius_matrix(E, s); it is a ring
 homomorphism into d x d matrices over F_q.  ``gamma_from_alpha`` keeps
 gamma outside {0, -1}, so no denominator vanishes there.
+``CycAlg.specialize`` takes a list of elements and returns one (B, d, d)
+``MatSpace`` batch.  It evaluates every coordinate at gamma, then applies
+one F_q-linear map, from the base-field digits of the d values to
+matrices, whose rows regular_rep(tau^e) * Z^k are built once per alpha.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from cayplex.ffield import ExtField, frobenius_matrix, regular_rep
-from cayplex.projmat import mat_add, mat_eye, mat_mul
+from cayplex.projmat import MatSpace
 from cayplex.ratfunc import Poly
 
 __all__ = ["CycAlg", "CycElem", "gamma_from_alpha"]
@@ -93,8 +99,9 @@ class CycAlg:
         self.one_plus_t = Poly(E, (1, 1))
         self._zero = Poly.zero(E)
         self._one = Poly.one(E)
-        self._z_pows: dict[int, tuple] = {}
+        self._image_maps: dict[int, np.ndarray] = {}
         self._gammas: dict[int, int] = {}
+        self._space = None
 
     # -- the twist --------------------------------------------------------
 
@@ -174,42 +181,75 @@ class CycAlg:
 
     # -- specialization -----------------------------------------------------
 
-    def z_powers(self, c: int):
-        """Z^0, ..., Z^(d-1) for Z = regular_rep(c) * frobenius_matrix(E, s),
-        cached per code c.  With c = 1 + alpha, Z^k is the image of z^k
-        under specialization; with c = 1 these are the powers of the
+    def space(self) -> MatSpace:
+        """The batch kernel of d x d matrices over the base field."""
+        if self._space is None:
+            self._space = MatSpace(self.E.base, self.d)
+        return self._space
+
+    def _image_map(self, c: int) -> np.ndarray:
+        """The (d*d, d*d) matrix whose row k*d + e is the flattened
+        regular_rep(tau^e) * Z^k for Z = regular_rep(c) *
+        frobenius_matrix(E, s), cached per code c.  With c = 1 + alpha, Z^k
+        is the image of z^k under specialization; with c = 1, Z is the
         twist's Frobenius matrix."""
-        pows = self._z_pows.get(c)
-        if pows is None:
-            F = self.E.base
-            Z = mat_mul(F, regular_rep(self.E, c), frobenius_matrix(self.E, self.s))
-            pows = [mat_eye(F, self.d)]
-            for _ in range(self.d - 1):
-                pows.append(mat_mul(F, pows[-1], Z))
-            pows = self._z_pows[c] = tuple(pows)
-        return pows
+        M = self._image_maps.get(c)
+        if M is None:
+            E, d, ms = self.E, self.d, self.space()
+            Z = ms.mul(ms.asbatch(regular_rep(E, c)),
+                       ms.asbatch(frobenius_matrix(E, self.s)))
+            pows = [ms.identity_batch(1)]
+            for _ in range(d - 1):
+                pows.append(ms.mul(pows[-1], Z))
+            basis = ms.asbatch(regular_rep(E, E.pow_(E.tau_code, e)) for e in range(d))
+            M = ms.mul(basis[None], np.concatenate(pows)[:, None])
+            M = self._image_maps[c] = M.reshape(d * d, d * d)
+        return M
 
-    def specialize(self, a: CycElem, alpha: int):
-        """Evaluate at t = gamma and represent over F_q (see module doc).
+    def image(self, digits: np.ndarray, c: int) -> np.ndarray:
+        """sum_k regular_rep(v_k) * Z^k (Z as in ``_image_map``) for a
+        batch of coordinate vectors (v_0, ..., v_{d-1}) over E, given by
+        their base-field digits: a (B, d, d) array whose entry [b, k, e]
+        is the tau^e digit of v_k.  The map is F_q-linear, so this is one
+        product with the cached (d*d, d*d) matrix; returns (B, d, d)."""
+        B, d = digits.shape[0], self.d
+        flat = digits.reshape(B, 1, d * d)
+        return self.space().mul(flat, self._image_map(c)).reshape(B, d, d)
 
-        Returns a d x d row-tuple matrix over the base field.
+    def specialize(self, lifts, alpha: int) -> np.ndarray:
+        """Evaluate a list of elements at t = gamma and represent them over
+        F_q (see module doc): a (B, d, d) batch of base-field codes.
+
+        Each coordinate P_k / (t^i (1+t)^j) is evaluated at gamma as the
+        F_q-combination sum_m w_m P_k[m] of its coefficients, with weights
+        w_m = gamma^m / (gamma^i (1+gamma)^j) per denominator; on base-field
+        digits that is one batched product.  ``image`` then maps the
+        values to matrices.
         """
-        E, F, d = self.E, self.E.base, self.d
+        E, F, d, q = self.E, self.E.base, self.d, self.E.q
         gamma = self._gammas.get(alpha)
         if gamma is None:
             gamma = self._gammas[alpha] = gamma_from_alpha(E, alpha)
-        i, j = a.den
-        # 1 / (gamma^i (1+gamma)^j); nonzero since gamma is not 0 or -1
-        scale = F.inv(F.mul(F.pow_(gamma, i), F.pow_(F.add(gamma, 1), j)))
-        out = None
-        for P, Zpow in zip(a.coords, self.z_powers(E.add(1, alpha))):
-            val = E.mul(P.eval_code(gamma), scale)
-            if val != 0:
-                term = mat_mul(F, regular_rep(E, val), Zpow)
-                out = term if out is None else mat_add(F, out, term)
-        if out is None:
-            out = tuple((0,) * d for _ in range(d))
-        return out
+        B = len(lifts)
+        L = max([1] + [len(P.coeffs) for a in lifts for P in a.coords])
+        powers = [F.pow_(gamma, m) for m in range(L)]
+        weights = {}
+        codes, w = [], []
+        for a in lifts:
+            codes.extend(list(P.coeffs) + [0] * (L - len(P.coeffs)) for P in a.coords)
+            row = weights.get(a.den)
+            if row is None:
+                i, j = a.den
+                # nonzero since gamma is not 0 or -1
+                scale = F.inv(F.mul(F.pow_(gamma, i), F.pow_(F.add(gamma, 1), j)))
+                row = weights[a.den] = [F.mul(x, scale) for x in powers]
+            w.append(row)
+        codes = np.array(codes, dtype=np.int64).reshape(B, d, L)
+        # digits[b, k, e, m]: the tau^e digit of the t^m coefficient of P_k
+        digits = codes[:, :, None, :] // q ** np.arange(d)[:, None] % q
+        ms = self.space()
+        vals = ms.mul(digits.reshape(B, d * d, L), np.array(w).reshape(B, L, 1))
+        return self.image(vals.reshape(B, d, d), E.add(1, alpha))
 
     def __eq__(self, other):
         return (

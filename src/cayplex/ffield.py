@@ -25,8 +25,10 @@ in an extension the codes below q are exactly the base-field elements.
 Codes are the only element values: there is no wrapper type, and every
 operation is a method of the field taking and returning codes.
 
-Matrices produced here (``frobenius_matrix``, ``regular_rep``) are tuples
-of rows over base-field codes and act on coordinate columns: column j
+The two matrices made here (``frobenius_matrix``, ``regular_rep``) are
+single d x d matrices, given as tuples of rows over base-field codes that
+``projmat.MatSpace.asbatch`` stacks into batches; all matrix arithmetic
+runs in that one batch kernel.  They act on coordinate columns: column j
 holds the coordinates of the image of the j-th power-basis vector.
 """
 
@@ -488,13 +490,6 @@ class ExtField(_Quotient):
         n = (self.order - 1) // (self.q - 1)
         out = self.pow_(code, n)
         assert self.in_base(out) or code == 0
-        return out
-
-    def trace(self, code) -> int:
-        out = 0
-        for i in range(self.d):
-            out = self.add(out, self.frob(code, i))
-        assert self.in_base(out)
         return out
 
     def __eq__(self, other):

@@ -35,17 +35,7 @@ from .ffield import (
     mult_generator,
     regular_rep,
 )
-from .projmat import (
-    _PRODUCT_BLOCK,
-    MatSpace,
-    ProjMat,
-    canon_rows,
-    column_space_rref,
-    mat_add,
-    mat_eye,
-    mat_inv,
-    mat_mul,
-)
+from .projmat import _PRODUCT_BLOCK, MatSpace
 from .ratfunc import Poly
 from .util import atomic_write_text, ordered_chunked_map, read_checked_text
 
@@ -224,7 +214,8 @@ def make_params(
 
 
 class Generator:
-    """One generator: finite projective matrix plus exact global lift.
+    """One generator: exact global lift plus bookkeeping; its finite
+    projective matrix is row i of the owning set's ``mats``.
 
     ``j`` is the conjugation exponent into the base system (-1 for
     product-system elements, whose provenance is the witnessing word).
@@ -235,11 +226,9 @@ class Generator:
     for product-system elements.
     """
 
-    __slots__ = ("finite", "lift", "j", "color", "inv", "word")
+    __slots__ = ("lift", "j", "color", "inv", "word")
 
-    def __init__(self, finite: ProjMat, lift: CycElem, j: int, color: int,
-                 inv: int = -1, word=None):
-        self.finite = finite
+    def __init__(self, lift: CycElem, j: int, color: int, inv: int = -1, word=None):
         self.lift = lift
         self.j = j
         self.color = color
@@ -257,17 +246,20 @@ class Generator:
 class GenSet:
     """An ordered generator system with serialization support.
 
-    ``meta`` carries build diagnostics (coincidence pairs for the
-    inverse closure; candidate/collision counts for the product system);
-    it is informational and not serialized.
+    ``mats`` is the (n, d, d) ``MatSpace`` batch of the generators'
+    canonical projective matrices, in set order.  ``meta`` carries build
+    diagnostics (coincidence pairs for the inverse closure;
+    candidate/collision counts for the product system); it is
+    informational and not serialized.
     """
 
-    def __init__(self, params: GenParams, kind: str, gens, meta=None):
+    def __init__(self, params: GenParams, kind: str, gens, mats, meta=None):
         if kind not in (KIND_OMEGA, KIND_OMEGABAR, KIND_OMEGAHAT):
             raise ValueError(f"unknown generator-set kind {kind!r}")
         self.params = params
         self.kind = kind
         self.gens = list(gens)
+        self.mats = mats
         self.meta = dict(meta or {})
 
     def __len__(self):
@@ -278,10 +270,6 @@ class GenSet:
 
     def __getitem__(self, i):
         return self.gens[i]
-
-    def finite_rows(self):
-        """Row-tuple matrices of all generators, in set order."""
-        return [g.finite.rows for g in self.gens]
 
     def is_symmetric(self) -> bool:
         return self.kind in (KIND_OMEGABAR, KIND_OMEGAHAT)
@@ -300,9 +288,9 @@ class GenSet:
         head.append("mod=" + ",".join(str(c) for c in p.E.modulus))
         lines = [" ".join(head)]
         f = p.base.f
-        for i, g in enumerate(self.gens):
+        for i, (g, mat) in enumerate(zip(self.gens, self.mats.tolist())):
             flat = []
-            for row in g.finite.rows:
+            for row in mat:
                 for code in row:
                     coeffs = p.base.decode(code) if f > 1 else (code,)
                     flat.extend(str(c) for c in coeffs)
@@ -339,9 +327,8 @@ class GenSet:
         params = make_params(
             q, d, s=s, alpha=alpha, modulus=modulus, base_modulus=base_modulus
         )
-        alg = params.alg()
         base, f = params.base, params.base.f
-        gens = []
+        gens, mats = [], []
         for i, ln in enumerate(lines[1:]):
             kv = _parse_kv(ln)
             where = f"generator line {i + 2}"
@@ -360,19 +347,21 @@ class GenSet:
                 if f == 1
                 else [base.encode(tuple(raw[k : k + f])) for k in range(0, len(raw), f)]
             )
-            rows = tuple(tuple(codes[r * d : (r + 1) * d]) for r in range(d))
             word = None
             if "word" in kv:
                 word = tuple(int(w) for w in kv["word"].split(","))
-            gens.append((rows, j, color, inv, word))
-        return cls._rebuild(params, kind, gens, alg)
+            gens.append((j, color, inv, word))
+            mats.append(codes)
+        ms = MatSpace(base, d)
+        mats = np.array(mats, dtype=ms.dtype).reshape(len(gens), d, d)
+        return cls._rebuild(params, kind, gens, mats)
 
     @classmethod
     def load(cls, path: str) -> "GenSet":
         return cls.from_text(read_checked_text(path))
 
     @classmethod
-    def _rebuild(cls, params, kind, raw_gens, alg) -> "GenSet":
+    def _rebuild(cls, params, kind, raw_gens, mats) -> "GenSet":
         """Reconstruct global lifts from (j, word) data and verify each
         against its stored finite matrix.
 
@@ -381,54 +370,68 @@ class GenSet:
         file has j = i, with lift omega(u^i).  Entries from n on are
         inverses, lifted by the closed form ``omega_inv(u^j)``; the
         partner check ties each to the generator it inverts.  Stored
-        colors are checked without a reduced norm: Nrd(omega(u^j)) =
-        t/(1+t) has valuation 1 at t = 0 and the norm is multiplicative,
-        so the color is 1 on the base system, d-1 on its inverses and the
-        word length on the product system.
+        colors must follow the valuation rule of ``_color``.  Each stored
+        matrix must be nonzero, nonsingular, canonical and equal to its
+        specialized lift.  The error names the first failing entry.
         """
         E, F, n, d = params.E, params.base, params.n, params.d
+        alg = params.alg()
         if kind == KIND_OMEGA and len(raw_gens) != n:
             raise ValueError(
                 f"base system has {len(raw_gens)} entries, expected n = {n}"
             )
         if kind == KIND_OMEGAHAT:
-            words = [g[4] for g in raw_gens]
+            words = [g[3] for g in raw_gens]
             if None in words:
                 raise ValueError(
                     f"product-system entry idx={words.index(None)} lacks word="
                 )
             word_lifts = _word_lifts(params, words)
+        errors = [None] * len(raw_gens)  # the first failure of each entry
         out = []
-        for i, (rows, j, color, inv, word) in enumerate(raw_gens):
-            if kind == KIND_OMEGAHAT:
-                want = len(word)
-            else:
-                want = d - 1 if kind == KIND_OMEGABAR and i >= n else 1
-            if color != want:
-                raise ValueError(
-                    f"color {color} at idx={i} disagrees with the norm "
-                    f"valuation {want}"
-                )
-            pm = ProjMat(F, rows)
-            if pm.rows != rows:
-                raise ValueError(f"matrix at idx={i} is not in canonical form")
+        for i, (j, color, inv, word) in enumerate(raw_gens):
+            lift = None
             if kind == KIND_OMEGAHAT:
                 lift = word_lifts[i]
+            elif not 0 <= j < n:
+                errors[i] = f"conjugation index {j} out of range at idx={i}"
+            elif i < n and j != i:
+                errors[i] = f"base entry idx={i} has j={j}, expected j={i}"
             else:
-                if not (0 <= j < n):
-                    raise ValueError(f"conjugation index {j} out of range at idx={i}")
-                if i < n and j != i:
-                    raise ValueError(f"base entry idx={i} has j={j}, expected j={i}")
                 u_j = E.pow_(params.u, j)
                 lift = alg.omega_inv(u_j) if i >= n else alg.omega(u_j)
-            spec = canon_rows(F, alg.specialize(lift, params.alpha))
-            if spec != rows:
-                raise ValueError(
-                    f"lift verification failed at idx={i}: stored matrix does "
-                    "not match the specialized lift"
+            if lift is not None and color != _color(lift, d):
+                errors[i] = (
+                    f"color {color} at idx={i} disagrees with the norm "
+                    f"valuation {_color(lift, d)}"
                 )
-            out.append(Generator(pm, lift, j, color, inv, word))
-        gs = cls(params, kind, out)
+                lift = None
+            out.append(Generator(lift, j, color, inv, word))
+        ms = MatSpace(F, d)
+        zero = ~mats.reshape(len(out), -1).any(axis=1)
+        singular = ms.singular(mats)
+        canon = mats.copy()
+        canon[~zero] = ms.canon(mats[~zero])
+        lifted = [i for i, g in enumerate(out) if g.lift is not None]
+        spec = mats.copy()
+        if lifted:
+            spec[lifted] = ms.canon(alg.specialize([out[i].lift for i in lifted],
+                                                   params.alpha))
+        checks = (
+            (zero, "matrix at idx={} is zero and has no projective class"),
+            (singular, "matrix at idx={} is singular"),
+            ((canon != mats).any(axis=(1, 2)), "matrix at idx={} is not in canonical form"),
+            ((spec != mats).any(axis=(1, 2)), "lift verification failed at idx={}: "
+             "stored matrix does not match the specialized lift"),
+        )
+        for bad, message in checks:
+            for i in np.flatnonzero(bad).tolist():
+                if errors[i] is None:
+                    errors[i] = message.format(i)
+        for error in errors:
+            if error is not None:
+                raise ValueError(error)
+        gs = cls(params, kind, out, mats)
         _check_inverse_partners(gs)
         return gs
 
@@ -482,7 +485,7 @@ def _check_inverse_partners(gs: GenSet) -> None:
         if not (0 <= g.inv < len(gens)):
             raise ValueError(f"generator {i} has no inverse partner")
     ms = MatSpace(gs.params.base, d)
-    A = ms.asbatch(gs.finite_rows())
+    A = gs.mats
     prod = ms.canon(ms.mul(A, A[[g.inv for g in gens]]))
     wrong = (prod != ms.identity_batch(1)).any(axis=(1, 2))
     for i, g in enumerate(gens):
@@ -496,14 +499,20 @@ def _check_inverse_partners(gs: GenSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Colors, norms
+# Colors
 # ---------------------------------------------------------------------------
 
 
-def _norm_valuation(lift: CycElem) -> int:
-    """Valuation at t = 0 of the reduced norm: the exponent a of
-    Nrd = rest * t^a * (1+t)^b (ValueError on a zero norm)."""
-    return lift.reduced_norm()[1]
+def _color(lift: CycElem, d: int) -> int:
+    """The valuation at t = 0 of the reduced norm of a lift, mod d.
+
+    Every lift built here is a product of omega(u)^(+-1) with its
+    denominator left as built: omega(u) has denominator 1+t and norm
+    t/(1+t), and omega(u)^-1 = (...)/t has norm (1+t)/t.  Norms are
+    multiplicative, so the valuation is den[1] - den[0]; the tests check
+    this against ``reduced_norm`` on every system they build.
+    """
+    return (lift.den[1] - lift.den[0]) % d
 
 
 # ---------------------------------------------------------------------------
@@ -523,39 +532,41 @@ def build_omega(params: GenParams) -> GenSet:
     """
     alg = params.alg()
     E, F, d, n = params.E, params.base, params.d, params.n
-    theta = regular_rep(E, params.u)
-    theta_inv = mat_inv(F, theta)
-    b = alg.specialize(alg.one_minus_z_inv(), params.alpha)
-    cur = mat_eye(F, d)
-    cur_inv = cur
+    ms = MatSpace(F, d)
+    b = alg.specialize([alg.one_minus_z_inv()], params.alpha)
+    # theta^0, ..., theta^(n-1) by doubling
+    theta = ms.asbatch(regular_rep(E, params.u))
+    pows = ms.identity_batch(1)
+    while len(pows) < n:
+        pows = np.concatenate((pows, ms.mul(pows, theta)))
+        theta = ms.mul(theta, theta)
+    pows = pows[:n]
+    mats = ms.canon(ms.mul(ms.mul(pows, b), ms.inverse(pows)))
+    lifts = []
     u_pow = 1
-    gens = []
+    for _ in range(n):
+        lifts.append(alg.omega(u_pow))
+        u_pow = E.mul(u_pow, params.u)
+    spec = ms.canon(alg.specialize(lifts, params.alpha))
+    bad = np.flatnonzero((spec != mats).any(axis=(1, 2)))
+    if bad.size:
+        raise AssertionError(
+            f"conjugate {bad[0]}: specialized lift disagrees with the "
+            "conjugated finite matrix"
+        )
     seen = {}
-    for j in range(n):
-        lift = alg.omega(u_pow)
-        rows = mat_mul(F, mat_mul(F, cur, b), cur_inv)
-        pm = ProjMat(F, rows)
-        spec = canon_rows(F, alg.specialize(lift, params.alpha))
-        if spec != pm.rows:
-            raise AssertionError(
-                f"conjugate {j}: specialized lift disagrees with the "
-                "conjugated finite matrix"
-            )
-        color = _norm_valuation(lift) % d
+    for j, (lift, key) in enumerate(zip(lifts, ms.pack(mats).tolist())):
+        color = _color(lift, d)
         if color != 1:
             raise AssertionError(f"conjugate {j} has color {color}, expected 1")
-        key = pm.packed()
         if key in seen:
             raise ValueError(
                 f"duplicate finite matrices at j={seen[key]} and j={j}: "
                 "the finite quotient is too small for this parameter set"
             )
         seen[key] = j
-        gens.append(Generator(pm, lift, j, color))
-        cur = mat_mul(F, cur, theta)
-        cur_inv = mat_mul(F, theta_inv, cur_inv)
-        u_pow = E.mul(u_pow, params.u)
-    return GenSet(params, KIND_OMEGA, gens)
+    gens = [Generator(lift, j, 1) for j, lift in enumerate(lifts)]
+    return GenSet(params, KIND_OMEGA, gens, mats)
 
 
 def symmetrize(base_set: GenSet) -> GenSet:
@@ -574,42 +585,43 @@ def symmetrize(base_set: GenSet) -> GenSet:
     alg = params.alg()
     # one batched inversion finds the missing inverses and the partners
     ms = MatSpace(F, d)
-    inverses = ms.astuples(ms.inverse(ms.asbatch(base_set.finite_rows())))
-    inv_pms = [ProjMat(F, rows, _canonical=True) for rows in inverses]
-    gens = []
-    index_of = {}
-    for g in base_set.gens:
-        ng = Generator(g.finite, g.lift, g.j, g.color, -1, g.word)
-        index_of[g.finite.packed()] = len(gens)
-        gens.append(ng)
+    inverses = ms.inverse(base_set.mats)
+    keys = ms.pack(base_set.mats).tolist()
+    inv_keys = ms.pack(inverses).tolist()
+    gens = [Generator(g.lift, g.j, g.color, -1, g.word) for g in base_set]
+    index_of = {key: i for i, key in enumerate(keys)}
     coincidences = []
-    inv_keys = [pm.packed() for pm in inv_pms]
-    back_keys = []  # each appended inverse's partner: the generator it inverts
-    for i, (g, inv_pm, key) in enumerate(zip(base_set.gens, inv_pms, inv_keys)):
+    added = []  # the generators whose inverses are appended, in order
+    for i, key in enumerate(inv_keys):
         if key in index_of:
             coincidences.append((i, index_of[key]))
             continue
-        inv_lift = alg.omega_inv(E.pow_(params.u, g.j))
-        spec = canon_rows(F, alg.specialize(inv_lift, params.alpha))
-        if spec != inv_pm.rows:
+        index_of[key] = len(gens) + len(added)
+        added.append(i)
+    inv_lifts = [alg.omega_inv(E.pow_(params.u, base_set[i].j)) for i in added]
+    if added:
+        spec = ms.canon(alg.specialize(inv_lifts, params.alpha))
+        bad = np.flatnonzero((spec != inverses[added]).any(axis=(1, 2)))
+        if bad.size:
             raise AssertionError(
-                f"inverse of generator {i}: specialized lift disagrees with "
-                "the inverted finite matrix"
+                f"inverse of generator {added[bad[0]]}: specialized lift "
+                "disagrees with the inverted finite matrix"
             )
-        color = _norm_valuation(inv_lift) % d
+    for i, inv_lift in zip(added, inv_lifts):
+        g = base_set[i]
+        color = _color(inv_lift, d)
         if color != (d - g.color) % d:
             raise AssertionError(
                 f"inverse of generator {i} has color {color}, expected {d - g.color}"
             )
-        index_of[key] = len(gens)
-        gens.append(Generator(inv_pm, inv_lift, g.j, color, -1, None))
-        back_keys.append(g.finite.packed())
-    for g, key in zip(gens, inv_keys + back_keys):
+        gens.append(Generator(inv_lift, g.j, color, -1, None))
+    for g, key in zip(gens, inv_keys + [keys[i] for i in added]):
         g.inv = index_of[key]
     out = GenSet(
         params,
         KIND_OMEGABAR,
         gens,
+        np.concatenate((base_set.mats, inverses[added])),
         meta={"coincidences": coincidences},
     )
     _check_inverse_partners(out)
@@ -754,8 +766,9 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
 
     * one ``right_products`` block: float32 GEMM or int64 table terms,
       canon and output, under 28 bytes per entry;
-    * the prefix keys: a canonical copy with its uint16 scale index and
-      nonzero mask, and the int64 keys;
+    * the prefix keys: the int64 keys, and per block of
+      ``_PRODUCT_BLOCK`` prefixes a canonical copy with its uint16 scale
+      index and nonzero mask;
     * the suffix side: prefix keys and both join bounds, the suffix
       products, their reordered and canonical copies, keys, argsort and
       sorted keys;
@@ -765,9 +778,12 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
       word, and per thread one ``_VERIFY_BLOCK`` of (d, d+1) numerators
       with the kernel's letters, int64 gather indices and int16 terms,
       under 40 bytes per entry;
-    * the collection: W, V, int64 indices, keys and sort arrays per word,
-      the gathered, running and canonical matrices, and the temporaries
-      of one ``MatSpace.mul`` over all words (30 bytes per entry).
+    * the collection: per word W, V, the flags, the int64 key of each of
+      its d-1 prefixes and the sort arrays of one level's ``np.unique``;
+      per word of one block of ``_PRODUCT_BLOCK`` words, int64 indices
+      and keys, the gathered, running and canonical matrices, and the
+      temporaries of one ``MatSpace.mul`` (float32 copies or int64 table
+      terms, under 26 bytes per entry).
     """
     n, d, q = params.n, params.d, params.q
     a = (d + 1) // 2
@@ -779,11 +795,12 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
     canon = m + 3 * sq
     stages = (
         min(P, max(n, _PRODUCT_BLOCK)) * sq * 28,
-        P * (canon + 8),
+        P * 8 + min(P, _PRODUCT_BLOCK) * (canon + 8),
         24 * P + sum(n**k for k in range(1, b + 1)) * m + S * (m + canon + 24),
         56 * P + 16 * S + 40 * words,
         34 * words + threads * min(words, _VERIFY_BLOCK) * d * (d + 1) * 40,
-        words * (72 + 2 * m + canon + 30 * sq),
+        words * (8 * d + 33)
+        + min(words, _PRODUCT_BLOCK) * (24 + 3 * m + canon + 26 * sq),
     )
     return tables + sum(n**k for k in range(1, a + 1)) * m + max(stages)
 
@@ -841,12 +858,15 @@ def build_omega_hat(
     _check_hat_budget(params, _flag_count(d, q), threads, budget)
     kernel = word_kernel(params)
     ms = MatSpace(F, d)
-    O = ms.asbatch(base_set.finite_rows())
+    O = base_set.mats
 
     levels = [O]
     for _ in range(a - 1):
         levels.append(ms.right_products(levels[-1], O))
-    pre_keys = ms.pack(ms.canon(levels[-1]))
+    pre_keys = np.concatenate([
+        ms.pack(ms.canon(levels[-1][i : i + _PRODUCT_BLOCK]))
+        for i in range(0, len(levels[-1]), _PRODUCT_BLOCK)
+    ])
 
     # The suffix with letters (j_1, ..., j_b) has inverse O_{j_b}^-1 ...
     # O_{j_1}^-1: the products of the inverted generators with the letter
@@ -887,60 +907,63 @@ def build_omega_hat(
     if not len(W):
         raise ValueError("no identity words found; parameters are inconsistent")
 
-    elems = {}
-    running = None
-    for level in range(1, d):
-        if level <= a:
-            ids = W // (n ** (a - level))
-            canon_arr = ms.canon(levels[level - 1][ids])
-        else:
-            if running is None:
-                running = levels[-1][W]
-            digit = (V // (n ** (b - (level - a)))) % n
+    # the key of every verified word's prefix of each length 1..d-1, with
+    # the products past the prefix half formed a block of words at a time
+    level_keys = [[] for _ in range(d - 1)]
+    for w0 in range(0, len(W), _PRODUCT_BLOCK):
+        Wb, Vb = W[w0 : w0 + _PRODUCT_BLOCK], V[w0 : w0 + _PRODUCT_BLOCK]
+        for level in range(1, a + 1):
+            prefix = levels[level - 1][Wb // (n ** (a - level))]
+            level_keys[level - 1].append(ms.pack(ms.canon(prefix)))
+        running = levels[-1][Wb]
+        for level in range(a + 1, d):
+            digit = (Vb // (n ** (b - (level - a)))) % n
             running = ms.mul(running, O[digit])
-            canon_arr = ms.canon(running)
-        keys = ms.pack(canon_arr)
-        uniq, first = np.unique(keys, return_index=True)
+            level_keys[level - 1].append(ms.pack(ms.canon(running)))
+        del running
+    # each class in (level, word) order, every element with its least word
+    mats, words, colors = [], [], []
+    for level in range(1, d):
+        uniq, first = np.unique(np.concatenate(level_keys[level - 1]), return_index=True)
+        level_keys[level - 1] = None
         expect = gaussian_binomial(d, level, q)
         if len(uniq) != expect:
             raise ValueError(
                 f"color-{level} class has {len(uniq)} elements, expected "
                 f"{expect}: the product system is inconsistent"
             )
-        words = letters(first)[:, :level].tolist()
-        for key, word, rows in zip(uniq.tolist(), words, canon_arr[first].tolist()):
-            if key in elems:
-                raise ValueError(
-                    "one projective matrix appears in two color classes"
-                )
-            elems[key] = (level, tuple(word), tuple(map(tuple, rows)))
+        prefixes = letters(first)[:, :level]
+        order = np.lexsort(prefixes.T[::-1])
+        mats.append(ms.unpack(uniq[order]))
+        words += map(tuple, prefixes[order].tolist())
+        colors += [level] * len(uniq)
+    mats = np.concatenate(mats)
+    keys = np.sort(ms.pack(mats))
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("one projective matrix appears in two color classes")
+    if (mats == ms.identity_batch(1)).all(axis=(1, 2)).any():
+        raise ValueError("the identity appeared as a product-system element")
 
-    identity_rows = mat_eye(F, d)
-    found = sorted(elems.values(), key=lambda e: (e[0], e[1]))
-    lifts = _word_lifts(params, [word for _, word, _ in found], kernel)
-    alg = params.alg()
+    lifts = _word_lifts(params, words, kernel)
+    spec = ms.canon(params.alg().specialize(lifts, params.alpha))
+    bad = np.flatnonzero((spec != mats).any(axis=(1, 2)))
+    if bad.size:
+        raise AssertionError(
+            f"witness {words[bad[0]]}: specialized lift disagrees with the "
+            "meet-in-the-middle matrix"
+        )
     gens = []
-    for (level, word, rows), lift in zip(found, lifts):
-        if rows == identity_rows:
-            raise ValueError("the identity appeared as a product-system element")
-        pm = ProjMat(F, rows)
-        spec = canon_rows(F, alg.specialize(lift, params.alpha))
-        if spec != pm.rows:
-            raise AssertionError(
-                f"witness {word}: specialized lift disagrees with the "
-                "meet-in-the-middle matrix"
-            )
-        color = _norm_valuation(lift) % d
+    for word, level, lift in zip(words, colors, lifts):
+        color = _color(lift, d)
         if color != level:
             raise AssertionError(
                 f"witness {word}: norm valuation color {color} != prefix "
                 f"length {level}"
             )
-        gens.append(Generator(pm, lift, -1, level, -1, word))
+        gens.append(Generator(lift, -1, level, -1, word))
 
-    A = ms.asbatch([g.finite.rows for g in gens])
-    index_of = {key: i for i, key in enumerate(ms.pack(A).tolist())}
-    for g, key in zip(gens, ms.pack(ms.inverse(A)).tolist()):
+    index_of = {key: i for i, key in enumerate(ms.pack(mats).tolist())}
+    for g, key in zip(gens, ms.pack(ms.inverse(mats)).tolist()):
         if key not in index_of:
             raise ValueError("product system is not inverse-closed")
         g.inv = index_of[key]
@@ -948,6 +971,7 @@ def build_omega_hat(
         params,
         KIND_OMEGAHAT,
         gens,
+        mats,
         meta={
             "candidates": count,
             "identity_words": len(W),
@@ -975,7 +999,7 @@ def attach_subspace(g: Generator):
     """
     lift = g.lift
     alg = lift.alg
-    E, F, d = alg.E, alg.E.base, alg.d
+    E, d = alg.E, alg.d
     vals = [p.t_valuation() for p in lift.coords if not p.is_zero()]
     if not vals:
         raise ValueError("zero lift has no attached subspace")
@@ -984,7 +1008,8 @@ def attach_subspace(g: Generator):
     # t^m coefficient of P_k, since (1+t)^j is 1 there
     m = min(vals)
     vmin = m - lift.den[0]
-    det_val = _norm_valuation(lift) - d * vmin
+    # the norm of the lift has valuation den[1] - den[0] (see ``_color``)
+    det_val = lift.den[1] - lift.den[0] - d * vmin
     if not 1 <= det_val <= d - 1:
         raise ValueError(
             f"normalized determinant valuation {det_val} outside 1..{d - 1}: "
@@ -994,21 +1019,17 @@ def attach_subspace(g: Generator):
         raise AssertionError(
             f"determinant valuation {det_val} disagrees with color {g.color}"
         )
-    acc = None
-    for P, phi_pow in zip(lift.coords, alg.z_powers(1)):
-        code = P.coeff(m)
-        if code:
-            term = mat_mul(F, regular_rep(E, code), phi_pow)
-            acc = term if acc is None else mat_add(F, acc, term)
-    if acc is None:
+    codes = np.array([P.coeff(m) for P in lift.coords])
+    acc = alg.image((codes[:, None] // E.q ** np.arange(d) % E.q)[None], 1)
+    if not acc.any():
         raise ValueError("lift reduces to zero at t = 0 after normalization")
-    basis = column_space_rref(F, acc)
-    if len(basis) != d - det_val:
+    basis, rank = alg.space().rref(acc.transpose(0, 2, 1))
+    if rank[0] != d - det_val:
         raise AssertionError(
-            f"attached subspace has dimension {len(basis)}, expected "
+            f"attached subspace has dimension {rank[0]}, expected "
             f"{d - det_val}"
         )
-    return basis
+    return tuple(map(tuple, basis[0, : rank[0]].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1117,7 @@ def family(params: GenParams, base: GenSet) -> list[GenSet]:
     if base.params != params:
         raise ValueError("params does not match the base set")
     m = family_order_m(params.q, params.d)
+    ms = MatSpace(params.base, params.d)
     sets = [base]
     for i in range(1, m):
         qe = params.q**i
@@ -1109,45 +1131,44 @@ def family(params: GenParams, base: GenSet) -> list[GenSet]:
             base_modulus=params.base.modulus if params.base.f > 1 else None,
         )
         omega_i = build_omega(params_i)
-        for j in range(params.n):
-            powered = base.gens[j].finite ** qe
-            if powered != omega_i.gens[j].finite:
-                raise ValueError(
-                    f"family mismatch at conjugate {j}: the q^{i}-power of "
-                    f"the twist-{params.s} element differs from the "
-                    f"independently built twist-{s_i} element"
-                )
+        powered = ms.canon(ms.power(base.mats, qe))
+        bad = np.flatnonzero((powered[: params.n] != omega_i.mats).any(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(
+                f"family mismatch at conjugate {bad[0]}: the q^{i}-power of "
+                f"the twist-{params.s} element differs from the "
+                f"independently built twist-{s_i} element"
+            )
         if base.kind == KIND_OMEGABAR:
             indep = symmetrize(omega_i)
-            for k, g in enumerate(base.gens):
-                powered = g.finite ** qe
-                if powered != indep.gens[k].finite:
-                    raise ValueError(
-                        f"family mismatch at element {k} of the inverse closure"
-                    )
+            bad = np.flatnonzero((powered != indep.mats).any(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(
+                    f"family mismatch at element {bad[0]} of the inverse closure"
+                )
         else:
             indep = build_omega_hat(omega_i)
             indep.meta["power_bijection"] = _power_bijection_report(
-                base, indep, qe
+                ms, base, indep, powered
             )
         sets.append(indep)
     return sets
 
 
-def _power_bijection_report(base: GenSet, indep: GenSet, qe: int) -> dict:
-    """Check whether element-wise q^i-powering maps the base product
-    system onto the independently built one, per color class."""
+def _power_bijection_report(ms, base: GenSet, indep: GenSet, powered) -> dict:
+    """Check whether element-wise q^i-powering (``powered``, the canonical
+    powers of the base set's matrices) maps the base product system onto
+    the independently built one, per color class."""
     target = {}
-    for g in indep.gens:
-        target.setdefault(g.color, set()).add(g.finite.packed())
+    for g, key in zip(indep, ms.pack(indep.mats).tolist()):
+        target.setdefault(g.color, set()).add(key)
+    powered_keys = ms.pack(powered).tolist()
     report = {}
     for color in sorted(target):
-        powered = {
-            (g.finite**qe).packed() for g in base.gens if g.color == color
-        }
+        got = {key for g, key in zip(base, powered_keys) if g.color == color}
         report[color] = {
-            "matched": len(powered & target[color]),
+            "matched": len(got & target[color]),
             "expected": len(target[color]),
-            "surjective": powered == target[color],
+            "surjective": got == target[color],
         }
     return report

@@ -1,207 +1,28 @@
-"""Matrices over finite fields: exact tuple arithmetic, canonical
-projective forms, packed encodings, and a vectorized batch kernel.
+"""Matrices over finite fields: one vectorized batch kernel, ``MatSpace``.
 
-Two layers with one convention.  The tuple layer works on immutable
-row-tuples of field codes and is exact for any supported field; it backs
-the cold paths (inverses, echelon forms, determinants).  ``MatSpace``
-carries batches of matrices as numpy arrays of codes for the hot paths
-(group multiplication, canonicalization, packed hashing); over a prime
-field it multiplies through float32 GEMM when the products provably fit
-in the 24-bit mantissa, falling back to exact integer matmul otherwise,
-and over a non-prime field it goes through dense lookup tables.  The
+A batch is a numpy array of shape (n, d, d) holding field codes, and
+every matrix operation of the package runs on whole batches: products,
+projective canonical forms, packed keys, powers, and one Gauss-Jordan
+reduction that gives ranks, inverses and column spaces.  Over a prime
+field products go through float32 GEMM when they provably fit in the
+24-bit mantissa and through exact integer matmul otherwise; over a
+non-prime field every operation goes through dense lookup tables.  The
 closure and ball products skip matrices altogether: ``key_products``
 maps packed keys to packed product keys through row tables.
 
-Packed encoding: row-major entry codes are digits of a radix-q integer,
-entry (0,0) contributing the lowest digit.  The big-int form (``ProjMat
-.packed``) and the batch int64 form (``MatSpace.pack``) agree whenever
-the latter is available.
+The projective canonical form scales a matrix so that its first nonzero
+entry in row-major order is 1.  Packed encoding: row-major entry codes
+are digits of a radix-q integer, entry (0,0) contributing the lowest
+digit.  ``MatSpace.pack`` gives int64 keys when q^(d*d) fits and raw
+bytes otherwise; ``MatSpace.packed_of`` gives the big-int value of one
+matrix, which equals the int64 key whenever that exists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cayplex.ffield import Field
-
-__all__ = [
-    "mat_eye",
-    "mat_transpose",
-    "mat_add",
-    "mat_scale",
-    "mat_mul",
-    "mat_pow",
-    "mat_det",
-    "mat_inv",
-    "mat_rref",
-    "column_space_rref",
-    "canon_rows",
-    "ProjMat",
-    "MatSpace",
-]
-
-
-# ---------------------------------------------------------------------------
-# Exact tuple-matrix layer (rows of field codes)
-# ---------------------------------------------------------------------------
-
-
-def mat_eye(F, d: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_transpose(A):
-    return tuple(zip(*A))
-
-
-def mat_add(F, A, B):
-    return tuple(
-        tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_scale(F, A, c: int):
-    return tuple(tuple(F.mul(a, c) for a in row) for row in A)
-
-
-def mat_mul(F, A, B):
-    Bt = tuple(zip(*B))
-    out = []
-    for row in A:
-        orow = []
-        for col in Bt:
-            acc = 0
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = F.add(acc, F.mul(a, b))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
-def mat_pow(F, A, e: int):
-    """A^e for e >= 0."""
-    if e < 0:
-        raise ValueError("mat_pow takes an exponent >= 0")
-    out = mat_eye(F, len(A))
-    while e:
-        if e & 1:
-            out = mat_mul(F, out, A)
-        A = mat_mul(F, A, A)
-        e >>= 1
-    return out
-
-
-def _eliminate(F, rows, width):
-    """In-place forward elimination to reduced row echelon form; returns
-    (pivot column list, determinant-of-left-square accumulator)."""
-    nrows = len(rows)
-    pivots = []
-    det = 1
-    r = 0
-    for c in range(width):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            det = F.neg(det)
-        lead = rows[r][c]
-        det = F.mul(det, lead)
-        il = F.inv(lead)
-        rows[r] = [F.mul(x, il) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, det
-
-
-def mat_det(F, A):
-    d = len(A)
-    rows = [list(r) for r in A]
-    pivots, det = _eliminate(F, rows, d)
-    return det if len(pivots) == d else 0
-
-
-def mat_inv(F, A):
-    d = len(A)
-    rows = [list(r) + [1 if i == j else 0 for j in range(d)] for i, r in enumerate(A)]
-    pivots, _ = _eliminate(F, rows, d)
-    if len(pivots) != d:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[d:]) for row in rows)
-
-
-def mat_rref(F, A):
-    rows = [list(r) for r in A]
-    pivots, _ = _eliminate(F, rows, len(A[0]) if A else 0)
-    rows = [tuple(r) for r in rows if any(r)]
-    return tuple(rows), tuple(pivots)
-
-
-def column_space_rref(F, A):
-    """Canonical form of the column space: RREF rows spanning it.
-
-    Subspaces compare equal iff these tuples compare equal.
-    """
-    rref, _ = mat_rref(F, mat_transpose(A))
-    return rref
-
-
-def canon_rows(F, A):
-    """Projective canonical form: scale so the first nonzero entry in
-    row-major order equals 1."""
-    for row in A:
-        for x in row:
-            if x:
-                if x == 1:
-                    return tuple(tuple(r) for r in A)
-                return mat_scale(F, A, F.inv(x))
-    raise ValueError("zero matrix has no projective class")
-
-
-class ProjMat:
-    """Canonical representative of a projective class of nonsingular
-    matrices over F_q (scalars = F_q^x, the full center of GL_d(F_q))."""
-
-    __slots__ = ("F", "rows")
-
-    def __init__(self, F, rows, *, _canonical=False):
-        if not _canonical:
-            rows = canon_rows(F, rows)
-            if mat_det(F, rows) == 0:
-                raise ValueError("projective matrices must be nonsingular")
-        self.F = F
-        self.rows = rows
-
-    def packed(self) -> int:
-        q = self.F.q
-        out = 0
-        for row in reversed(self.rows):
-            for x in reversed(row):
-                out = out * q + x
-        return out
-
-    def __pow__(self, e: int) -> ProjMat:
-        return ProjMat(self.F, mat_pow(self.F, self.rows, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjMat)
-            and self.F == other.F
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.F, self.rows))
-
-    def __repr__(self):
-        return f"ProjMat({self.rows})"
+__all__ = ["MatSpace"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +40,8 @@ class MatSpace:
     """Vectorized operations on batches of d x d matrices over F_q.
 
     Batches are numpy arrays of shape (n, d, d) holding codes.  All
-    operations are exact; the float32 GEMM path is used only when
-    d*(q-1)^2 provably fits the mantissa.
+    operations are exact; a float32 GEMM runs only when k*(p-1)^2, k the
+    inner dimension of the product, provably fits the mantissa.
     """
 
     def __init__(self, F, d: int):
@@ -243,6 +64,7 @@ class MatSpace:
                 mul_t.astype(np.int64),
             )
             self._inv_table = inv_t.astype(np.int64)
+            self._neg_table = (self._tables[0] == 0).argmax(axis=1)
             self._gemm_ok = False
         if self.dtype == np.uint8:
             # canon scales by a q x q product table: row offsets of the
@@ -266,9 +88,6 @@ class MatSpace:
             arr = arr[None, :, :]
         return arr
 
-    def astuples(self, batch: np.ndarray):
-        return [tuple(tuple(int(x) for x in row) for row in m) for m in batch]
-
     def identity_batch(self, n: int) -> np.ndarray:
         out = np.zeros((n, self.d, self.d), dtype=self.dtype)
         idx = np.arange(self.d)
@@ -278,24 +97,100 @@ class MatSpace:
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Batched matrix product (broadcasting over the batch axis)."""
+        """Batched matrix products A @ B, broadcasting over the leading
+        axes; the shared inner dimension may be any length k.  Over a
+        prime field this is one float32 GEMM when k*(p-1)^2 fits the
+        mantissa, exact int64 matmul otherwise."""
+        k = A.shape[-1]
         if self._tables is None:
             p = self.F.p
-            if self._gemm_ok:
+            if k * (p - 1) ** 2 < _GEMM_MANTISSA:
                 C = np.matmul(A.astype(np.float32), B.astype(np.float32))
-                return (C.astype(np.int64) % p).astype(self.dtype)
+                return self._residues(C)
             C = np.matmul(A.astype(np.int64), B.astype(np.int64)) % p
             return C.astype(self.dtype)
         add_t, mul_t = self._tables
 
-        def term(k):
-            a = A[..., :, k, None].astype(np.int64)
-            return mul_t[a, B[..., None, k, :].astype(np.int64)]
+        def term(j):
+            a = A[..., :, j, None].astype(np.int64)
+            return mul_t[a, B[..., None, j, :].astype(np.int64)]
 
         out = term(0)
-        for k in range(1, self.d):
-            out = add_t[out, term(k)]
+        for j in range(1, k):
+            out = add_t[out, term(j)]
         return out.astype(self.dtype)
+
+    def _residues(self, C: np.ndarray) -> np.ndarray:
+        """C mod p for a float32 array of integers below 2^24, in the
+        batch dtype.  The float32 quotient x / p of such an x errs by less
+        than 1/p, so its floor is exact and so is the residue."""
+        p = np.float32(self.F.p)
+        t = np.divide(C, p)
+        np.floor(t, out=t)
+        t *= -p
+        t += C
+        return t.astype(self.dtype)
+
+    def power(self, A: np.ndarray, e: int) -> np.ndarray:
+        """A^e for every matrix of a batch, e >= 0, by square and
+        multiply."""
+        if e < 0:
+            raise ValueError("power takes an exponent >= 0")
+        out = self.identity_batch(A.shape[0])
+        while e:
+            if e & 1:
+                out = self.mul(out, A)
+            e >>= 1
+            if e:
+                A = self.mul(A, A)
+        return out
+
+    def _emul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Entrywise products of int64 code arrays."""
+        if self._tables is None:
+            return x * y % self.F.p
+        return self._tables[1][x, y]
+
+    def _esub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Entrywise differences of int64 code arrays."""
+        if self._tables is None:
+            return (x - y) % self.F.p
+        return self._tables[0][x, self._neg_table[y]]
+
+    def rref(self, A: np.ndarray, cols: int | None = None):
+        """Reduced row echelon forms of a batch of r x c matrices, by one
+        Gauss-Jordan pass over the whole batch that looks for pivots in
+        the first ``cols`` columns only (all of them by default).
+
+        Returns (R, rank): R in the batch dtype, rank[i] the number of
+        pivots of matrix i.  Each column step picks, in every matrix that
+        has one, the first usable row with a nonzero entry there, swaps
+        it up, scales it to a leading 1 and clears the column elsewhere.
+        """
+        R = A.astype(np.int64)
+        n, r, c = R.shape
+        cols = c if cols is None else cols
+        rank = np.zeros(n, dtype=np.intp)
+        rows = np.arange(r)
+        for col in range(cols):
+            live = (R[:, :, col] != 0) & (rows >= rank[:, None])
+            sel = np.flatnonzero(live.any(axis=1))
+            if not sel.size:
+                continue
+            top, piv = rank[sel], live[sel].argmax(axis=1)
+            row = R[sel, piv]
+            R[sel, piv] = R[sel, top]
+            row = self._emul(row, self._inv_table[row[:, col]][:, None])
+            R[sel, top] = row
+            f = R[sel, :, col]
+            f[np.arange(sel.size), top] = 0
+            R[sel] = self._esub(R[sel], self._emul(f[:, :, None], row[:, None, :]))
+            rank[sel] += 1
+        return R.astype(self.dtype), rank
+
+    def singular(self, A: np.ndarray) -> np.ndarray:
+        """Which matrices of a batch of d x d matrices are singular."""
+        return self.rref(A)[1] < self.d
 
     def canon(self, A: np.ndarray) -> np.ndarray:
         """Batched projective canonicalization (first nonzero row-major
@@ -319,9 +214,14 @@ class MatSpace:
         return mul_t[A.astype(np.int64), scale[:, None, None]].astype(self.dtype)
 
     def inverse(self, A: np.ndarray) -> np.ndarray:
-        """Canonical projective inverses of a batch of nonsingular
-        matrices, each by exact ``mat_inv``."""
-        return self.canon(self.asbatch([mat_inv(self.F, m) for m in self.astuples(A)]))
+        """Canonical projective inverses of a batch, read off the
+        Gauss-Jordan form of [A | I].  Raises ValueError when a matrix is
+        singular."""
+        n, d = A.shape[0], self.d
+        R, rank = self.rref(np.concatenate((A, self.identity_batch(n)), axis=2), d)
+        if (rank < d).any():
+            raise ValueError(f"matrix {int(np.argmax(rank < d))} of the batch is singular")
+        return self.canon(R[:, :, d:])
 
     def right_products(self, A: np.ndarray, O: np.ndarray,
                        rows_per_block: int = _PRODUCT_BLOCK) -> np.ndarray:
@@ -339,7 +239,6 @@ class MatSpace:
         out = np.empty((m * r, d, d), dtype=self.dtype)
         step = max(1, rows_per_block // max(r, 1))
         if self._gemm_ok:
-            p = np.float32(self.F.p)
             # W[(a, k), (j, a, l)] = O[j, k, l]
             W = np.zeros((d, d, r, d, d), dtype=np.float32)
             Ot = O.transpose(1, 0, 2)
@@ -350,15 +249,9 @@ class MatSpace:
             i1 = min(m, i0 + step)
             block = A[i0:i1]
             if self._gemm_ok:
-                # for integers x < 2^24 the float32 quotient x / p errs by
-                # less than 1/p, so its floor is exact and so is the residue
                 C = block.reshape(i1 - i0, d * d).astype(np.float32) @ W
-                t = np.divide(C, p)
-                np.floor(t, out=t)
-                t *= -p
-                t += C
-                P = t.astype(self.dtype).reshape(-1, d, d)
-                del C, t
+                P = self._residues(C).reshape(-1, d, d)
+                del C
             else:
                 P = self.mul(block[:, None], O[None]).reshape(-1, d, d)
             out[i0 * r : i1 * r] = self.canon(P)
@@ -460,11 +353,10 @@ class MatSpace:
         flat = np.frombuffer(keys.tobytes(), dtype=elem).reshape(n, -1)
         return flat.reshape(n, self.d, self.d).astype(self.dtype)
 
-    def packed_of(self, mat_rows) -> int:
-        """Big-int packed value of one row-tuple matrix (matches
-        ProjMat.packed)."""
+    def packed_of(self, rows) -> int:
+        """Big-int packed value of one matrix given as rows of codes."""
         out = 0
-        for row in reversed(mat_rows):
+        for row in reversed(rows):
             for x in reversed(row):
                 out = out * self.q + x
         return out

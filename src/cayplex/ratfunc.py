@@ -183,13 +183,6 @@ class Poly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def eval_code(self, x: int) -> int:
-        F = self.field
-        out = 0
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, x), c)
-        return out
-
     # -- valuations ---------------------------------------------------------
 
     def t_valuation(self):

@@ -123,14 +123,14 @@ def _graph_for(gens: GenSet, graph: CayleyGraph | None) -> CayleyGraph:
         return closure_from_matrices(
             params.base,
             params.d,
-            gens.finite_rows(),
+            gens.mats,
             colors=[g.color for g in gens],
             max_vertices=_GROUP_CAP,
         )
     ms = graph.space()
     if graph.r != len(gens):
         raise ValueError("graph was not built from this generator system")
-    gen_keys = ms.pack(ms.canon(ms.asbatch(gens.finite_rows())))
+    gen_keys = ms.pack(gens.mats)
     if not np.array_equal(graph.keys[graph.nbr[0]], gen_keys):
         raise ValueError("graph was not built from this generator system")
     return graph
@@ -203,7 +203,7 @@ def _moments_group_dp(gens, K, sel, graph, threads):
     G = _graph_for(gens, graph)
     cols = G.nbr if len(sel) == G.r else np.ascontiguousarray(G.nbr[:, sel])
     ms = G.space()
-    gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
+    gen_mats = gens.mats[sel]
     rev = None
     if _inverses_if_open(ms, gen_mats) is not None:
         rev = _reverse_columns(G.nbr, sel)
@@ -332,7 +332,7 @@ def _ball_memory_estimate(r: int, radius: int, d: int, key_bytes: int = 8) -> in
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     params = gens.params
     ms = MatSpace(params.base, params.d)
-    gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
+    gen_mats = gens.mats[sel]
     radius = (K + 1) // 2
     budget = default_mem_budget() if memory_budget is None else int(memory_budget)
     key_bytes = ms.pack(gen_mats[:1]).dtype.itemsize

@@ -24,13 +24,14 @@ from cayplex.genforge import (
     make_params,
     predicted_group_order,
 )
-from cayplex.projmat import canon_rows, mat_mul
+from cayplex.projmat import MatSpace
 from cayplex.ratfunc import Poly
 from cayplex.spectra import dense_spectrum, walk_moments
 
 from test_cyclic import B1_REF, B2_REF
 from test_ffield import PHI1_REF, THETA_REF
 from test_genforge import _all_proper_subspaces
+from test_projmat import canon_rows, mat_mul
 
 
 def _report(capsys, name, ok, elapsed, budget, detail):
@@ -52,8 +53,8 @@ def test_a1_printed_matrix_forms(capsys):
     p2 = make_params(3, 5, s=2, alpha=1)
     om1 = build_omega(p1)
     om2 = build_omega(p2)
-    ok_b1 = om1[0].finite.rows == canon_rows(p1.base, B1_REF)
-    ok_b2 = om2[0].finite.rows == canon_rows(p2.base, B2_REF)
+    ok_b1 = om1.mats[0].tolist() == list(map(list, canon_rows(p1.base, B1_REF)))
+    ok_b2 = om2.mats[0].tolist() == list(map(list, canon_rows(p2.base, B2_REF)))
     elapsed = time.perf_counter() - start
     ok = ok_phi and ok_theta and ok_b1 and ok_b2
     _report(
@@ -85,14 +86,21 @@ def test_a2_multiplicative_orders(capsys):
 
 def test_a3_generator_power_relations(capsys, omega35):
     start = time.perf_counter()
-    b = {1: omega35[0].finite}
+
+    def power_is(x, e, y):
+        """The first generator of system x raised to e equals the first of
+        system y, projectively."""
+        ms = MatSpace(x.params.base, x.params.d)
+        return np.array_equal(ms.canon(ms.power(x.mats[:1], e)), y.mats[:1])
+
+    b = {1: omega35}
     for i in (2, 3, 4):
-        b[i] = build_omega(make_params(3, 5, s=i))[0].finite
-    c = {i: build_omega(make_params(5, 3, s=i))[0].finite for i in (1, 2)}
-    stated = b[1] ** 3 == b[2]
-    reverse = b[2] ** 3 == b[1]
-    general = all(b[i] ** 3 == b[(3 * i) % 5] for i in (1, 2, 3, 4)) and all(
-        c[i] ** 5 == c[(5 * i) % 3] for i in (1, 2)
+        b[i] = build_omega(make_params(3, 5, s=i))
+    c = {i: build_omega(make_params(5, 3, s=i)) for i in (1, 2)}
+    stated = power_is(b[1], 3, b[2])
+    reverse = power_is(b[2], 3, b[1])
+    general = all(power_is(b[i], 3, b[(3 * i) % 5]) for i in (1, 2, 3, 4)) and all(
+        power_is(c[i], 5, c[(5 * i) % 3]) for i in (1, 2)
     )
     elapsed = time.perf_counter() - start
     detail = (
@@ -288,14 +296,14 @@ def test_a10_property_bundle(capsys, bar42, graph42, tmp_path):
 
     p1 = make_params(3, 5, s=1, alpha=1)
     alg = p1.alg()
-    spec_ok = True
+    ms = MatSpace(F, 5)
     pool = [alg.z(), alg.one_minus_z_inv(), alg.omega(p1.u), alg.one()]
-    for _ in range(40):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
-        lhs = alg.specialize(x * y, 1)
-        rhs = mat_mul(F, alg.specialize(x, 1), alg.specialize(y, 1))
-        spec_ok = spec_ok and lhs == rhs
+    pairs = [(pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))])
+             for _ in range(40)]
+    lhs = alg.specialize([x * y for x, y in pairs], 1)
+    X = alg.specialize([x for x, _ in pairs], 1)
+    Y = alg.specialize([y for _, y in pairs], 1)
+    spec_ok = np.array_equal(lhs, ms.mul(X, Y))
 
     report = dense_spectrum(graph42)
     seq = walk_moments(bar42, 6, "group-dp", graph=graph42)

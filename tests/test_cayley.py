@@ -28,7 +28,6 @@ from cayplex.genforge import (
     predicted_group_order,
     symmetrize,
 )
-from cayplex.projmat import ProjMat, mat_eye
 from cayplex.spectra import walk_moments
 
 
@@ -55,11 +54,12 @@ def test_toy_closure(toy3):
 
 
 def test_toy_vertex_lookup(toy3):
+    ms = toy3.space()
+    mats = ms.unpack(toy3.keys)
     for v in range(toy3.n):
-        assert toy3.vertex_matrix(v).packed() == int(toy3.keys[v])
-    F2 = toy3.F
-    assert toy3.vertex_matrix(0).rows == mat_eye(F2, 2)
-    assert toy3.vertex_matrix(1) == ProjMat(F2, regular_rep(ExtField(F2, 2), 2))
+        assert ms.packed_of(mats[v].tolist()) == int(toy3.keys[v])
+    assert np.array_equal(mats[0], ms.identity_batch(1)[0])
+    assert np.array_equal(mats[1], ms.canon(ms.asbatch(regular_rep(ExtField(toy3.F, 2), 2)))[0])
 
 
 def test_closure_rejects_identity_and_duplicates():
@@ -101,7 +101,7 @@ def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42):
 
 def test_symmetry_check_catches_each_broken_column(graph42):
     ms = graph42.space()
-    O = ms.asbatch([graph42.vertex_matrix(int(v)).rows for v in graph42.nbr[0]])
+    O = ms.unpack(graph42.keys[graph42.nbr[0]])
     assert cayley._verify_symmetry(ms, graph42.nbr, O)
     for i in range(graph42.r):
         nbr = graph42.nbr.copy()
@@ -372,7 +372,7 @@ def test_text_load_checks_flags_and_keys(graph42, toy3):
     with pytest.raises(ValueError, match="canonical"):
         graph_from_text("\n".join(lines))
     # one generator of order 3 makes a directed cycle, and loads so
-    directed = closure_from_matrices(toy3.F, 2, [toy3.vertex_matrix(1).rows])
+    directed = closure_from_matrices(toy3.F, 2, toy3.space().unpack(toy3.keys[1:2]))
     assert not directed.symmetric
     assert graph_from_text(graph_to_text(directed)) == directed
 

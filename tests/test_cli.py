@@ -373,6 +373,26 @@ def test_repeated_base_conjugate_exit_2_without_traceback(omega53, tmp_path):
     _assert_usage_error(proc, "base entry idx=1 has j=0, expected j=1", "repeated")
 
 
+def test_zero_and_singular_matrix_exit_2_without_traceback(omega53, tmp_path):
+    """A gens file without a manifest whose entry idx=2 holds the zero
+    matrix, or a canonical but singular one, is rejected at load with the
+    entry named."""
+    lines = omega53.to_text().splitlines()
+    cases = (
+        ("zero", "0,0,0,0,0,0,0,0,0", "matrix at idx=2 is zero"),
+        # first nonzero entry 1, second row twice the first
+        ("singular", "1,2,0,2,4,0,0,0,1", "matrix at idx=2 is singular"),
+    )
+    for case, mat, needle in cases:
+        bad = list(lines)
+        bad[3] = bad[3].split("mat=")[0] + "mat=" + mat
+        path = tmp_path / f"{case}.gens"
+        path.write_text("\n".join(bad) + "\n")
+        proc = _run_cli("moments", "--gens", str(path), "--kmax", "4",
+                        "--strategy", "ball-mitm")
+        _assert_usage_error(proc, needle, case)
+
+
 def test_threads_below_one_exit_2(tmp_path):
     for threads in ("-3", "0"):
         proc = _run_cli("gens", "--q", "4", "--d", "2", "--threads", threads,

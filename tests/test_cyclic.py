@@ -4,10 +4,10 @@ norms, inverses, normal forms, and specialization."""
 
 import random
 
+import numpy as np
 import pytest
 
 from cayplex.ffield import frobenius_matrix, get_ext_field, mult_generator, regular_rep
-from cayplex.projmat import mat_eye, mat_inv, mat_mul, mat_pow
 from cayplex.ratfunc import Poly
 from cayplex.cyclic import CycAlg, CycElem, gamma_from_alpha
 from cayplex.genforge import make_params
@@ -187,13 +187,14 @@ def test_inverse(alg35, alg53):
     assert wi * w == alg35.one()
     rng = random.Random(404)
     for alg, alpha in ((alg35, 1), (alg53, 3)):
-        F = alg.E.base
+        ms = alg.space()
         for _ in range(5):
             us = [rng.randrange(1, alg.E.order) for _ in range(rng.randrange(1, 4))]
             x = omega_word(alg, us)
             xi = omega_word_inv(alg, us)
             assert xi * x == alg.one() and x * xi == alg.one()
-            assert alg.specialize(xi, alpha) == mat_inv(F, alg.specialize(x, alpha))
+            S = alg.specialize([x, xi], alpha)
+            assert np.array_equal(ms.mul(S[1:], S[:1]), ms.identity_batch(1))
 
 
 @pytest.mark.parametrize("q,d,s", [(5, 3, 1), (5, 3, 2), (3, 5, 1), (3, 5, 2),
@@ -205,14 +206,17 @@ def test_omega_inv_closed_form(q, d, s):
     params = make_params(q, d, s=s)
     alg, E, F = params.alg(), params.E, params.base
     one = alg.one()
+    ws, wis = [], []
     for j in range(params.n):
         u = E.pow_(params.u, j)
         w, wi = alg.omega(u), alg.omega_inv(u)
         assert w * wi == one and wi * w == one
-        assert alg.specialize(wi, params.alpha) == mat_inv(
-            F, alg.specialize(w, params.alpha)
-        )
         assert wi.reduced_norm() == (Poly.one(F), -1, 1)
+        ws.append(w)
+        wis.append(wi)
+    ms = alg.space()
+    S, Si = alg.specialize(ws, params.alpha), alg.specialize(wis, params.alpha)
+    assert np.array_equal(ms.mul(Si, S), ms.identity_batch(params.n))
 
 
 def test_elem_cleared_requires_central_monomial_denominator(alg35):
@@ -237,42 +241,36 @@ def test_elem_cleared_requires_central_monomial_denominator(alg35):
 def test_specialize_reproduces_printed_generators():
     alg1 = CycAlg(E35, 1)
     alg2 = CycAlg(E35, 2)
-    assert alg1.specialize(alg1.one_minus_z_inv(), 1) == B1_REF
-    assert alg2.specialize(alg2.one_minus_z_inv(), 1) == B2_REF
-    assert alg1.specialize(alg1.one(), 1) == mat_eye(E35.base, 5)
+    assert np.array_equal(alg1.specialize([alg1.one_minus_z_inv()], 1)[0], B1_REF)
+    assert np.array_equal(alg2.specialize([alg2.one_minus_z_inv()], 1)[0], B2_REF)
+    assert np.array_equal(alg1.specialize([alg1.one()], 1), alg1.space().identity_batch(1))
 
 
 def test_specialize_is_homomorphism(alg35, alg53):
     rng = random.Random(405)
     for alg, alpha in ((alg35, 1), (alg53, 3)):  # 3 = -2 in F_5
-        F = alg.E.base
-        for _ in range(25):
-            a = rand_elem(rng, alg, max_den=True)
-            b = rand_elem(rng, alg, max_den=True)
-            assert alg.specialize(a * b, alpha) == mat_mul(
-                F, alg.specialize(a, alpha), alg.specialize(b, alpha)
-            )
+        a = [rand_elem(rng, alg, max_den=True) for _ in range(25)]
+        b = [rand_elem(rng, alg, max_den=True) for _ in range(25)]
+        ab = alg.specialize([x * y for x, y in zip(a, b)], alpha)
+        A, B = alg.specialize(a, alpha), alg.specialize(b, alpha)
+        assert np.array_equal(ab, alg.space().mul(A, B))
 
 
 def test_specialize_z_image_consistency(alg53):
-    E, F = alg53.E, alg53.E.base
+    E, F, ms = alg53.E, alg53.E.base, alg53.space()
     alpha = 3  # -2 in F_5
     gamma = gamma_from_alpha(E, alpha)
     assert gamma == F.neg(2)  # d odd, alpha = -2  =>  gamma = -2
-    Z = alg53.specialize(alg53.z(), alpha)
-    Zd = mat_eye(F, 3)
-    for _ in range(3):
-        Zd = mat_mul(F, Zd, Z)
+    Z, Z_inv = alg53.specialize([alg53.z(), alg53.z_inv()], alpha)[:, None]
     one_plus_gamma = F.add(1, gamma)
-    assert Zd == tuple(
-        tuple(one_plus_gamma if i == j else 0 for j in range(3)) for i in range(3)
-    )
-    assert alg53.specialize(alg53.z_inv(), alpha) == mat_inv(F, Z)
+    assert np.array_equal(ms.power(Z, 3), ms.identity_batch(1) * one_plus_gamma)
+    assert np.array_equal(ms.mul(Z_inv, Z), ms.identity_batch(1))
     rng = random.Random(406)
-    for _ in range(20):
-        v = rng.randrange(1, E.order)
-        lhs = mat_mul(F, mat_mul(F, Z, regular_rep(E, v)), mat_inv(F, Z))
-        assert lhs == regular_rep(E, E.frob(v, alg53.s))
+    v = [rng.randrange(1, E.order) for _ in range(20)]
+    R = ms.asbatch(regular_rep(E, x) for x in v)
+    R_frob = ms.asbatch(regular_rep(E, E.frob(x, alg53.s)) for x in v)
+    # Z * regular_rep(v) * Z^-1 = regular_rep(sigma(v))
+    assert np.array_equal(ms.mul(Z, R), ms.mul(R_frob, Z))
 
 
 def test_specialize_errors(alg35):
@@ -284,21 +282,33 @@ def test_specialize_errors(alg35):
     with pytest.raises(ValueError):
         gamma_from_alpha(get_ext_field(2, 2, 3), 2)  # F_4, every cube is 1
     with pytest.raises(ValueError):
-        alg35.specialize(alg35.one(), 0)
+        alg35.specialize([alg35.one()], 0)
 
 
 def test_z_powers_are_cached_exact_powers(alg53):
-    E, F = alg53.E, alg53.E.base
+    """The cached image map: its rows for tau^0 are the powers Z^k, and
+    ``image`` is sum_k regular_rep(v_k) Z^k term by term."""
+    E, ms = alg53.E, alg53.space()
+    rng = random.Random(409)
+    values = [[rng.randrange(E.order) for _ in range(3)] for _ in range(10)]
+    digits = np.array([[E.decode(v) for v in vs] for vs in values])
     for c in (1, E.add(1, 3)):  # the twist's Frobenius, and Z at alpha = 3
-        Z = mat_mul(F, regular_rep(E, c), frobenius_matrix(E, alg53.s))
-        pows = alg53.z_powers(c)
-        assert pows == tuple(mat_pow(F, Z, k) for k in range(3))
-        assert alg53.z_powers(c) is pows
-    assert alg53.specialize(alg53.z(), 3) == alg53.z_powers(E.add(1, 3))[1]
+        Z = ms.mul(ms.asbatch(regular_rep(E, c)), ms.asbatch(frobenius_matrix(E, alg53.s)))
+        pows = np.concatenate([ms.power(Z, k) for k in range(3)])
+        M = alg53._image_map(c)
+        assert alg53._image_map(c) is M
+        assert np.array_equal(M.reshape(3, 3, 3, 3)[:, 0], pows)
+        want = sum(
+            ms.mul(ms.asbatch(regular_rep(E, vs[k]) for vs in values), pows[k]).astype(int)
+            for k in range(3)
+        ) % E.q
+        assert np.array_equal(alg53.image(digits, c), want)
+    Z = alg53._image_map(E.add(1, 3)).reshape(3, 3, 3, 3)[1, 0]
+    assert np.array_equal(alg53.specialize([alg53.z()], 3)[0], Z)
     # an inadmissible alpha is refused on every call, cached or not
     for _ in range(2):
         with pytest.raises(ValueError):
-            alg53.specialize(alg53.one(), 0)
+            alg53.specialize([alg53.one()], 0)
 
 
 def test_global_mat_projective_equality(alg35):
@@ -329,7 +339,7 @@ def test_pc_kernel_matches_elem_arithmetic(alg35):
     """Words in the omega lifts: the product adds denominator exponents,
     associates, and specializes to the product of the finite images."""
     rng = random.Random(408)
-    F = E35.base
+    ms = alg35.space()
     for _ in range(15):
         us = [rng.randrange(1, E35.order) for _ in range(3)]
         om = [alg35.omega(u) for u in us]
@@ -340,9 +350,8 @@ def test_pc_kernel_matches_elem_arithmetic(alg35):
         assert left.matrix_rep() == poly_matmul(
             poly_matmul(om[0].matrix_rep(), om[1].matrix_rep()), om[2].matrix_rep()
         )
-        spec = mat_mul(F, mat_mul(F, *(alg35.specialize(o, 1) for o in om[:2])),
-                       alg35.specialize(om[2], 1))
-        assert alg35.specialize(left, 1) == spec
+        S = alg35.specialize(om + [left], 1)[:, None]
+        assert np.array_equal(S[3], ms.mul(ms.mul(S[0], S[1]), S[2]))
 
 
 def test_pc_canonical_invariance(alg35):

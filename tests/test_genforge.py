@@ -34,7 +34,10 @@ from cayplex.genforge import (
     symmetrize,
     word_kernel,
 )
-from cayplex.projmat import ProjMat, canon_rows, mat_eye, mat_inv, mat_mul, mat_rref
+from cayplex.ffield import regular_rep
+from cayplex.projmat import MatSpace
+
+from test_projmat import canon_rows, mat_inv, mat_mul, tuples
 
 # Reference values for the q=3, d=5 construction with modulus t^5 - t - 1,
 # basis {1, t, ..., t^4}, alpha = 1: the specialized images of 1 - z^{-1}
@@ -106,11 +109,21 @@ def test_alpha_even_characteristic():
 # ---------------------------------------------------------------------------
 
 
+def space(gs):
+    return MatSpace(gs.params.base, gs.params.d)
+
+
+def keys_of(gs, colors=None):
+    """The packed keys of a set's matrices, of the given colors only."""
+    keys = space(gs).pack(gs.mats).tolist()
+    return {k for g, k in zip(gs, keys) if colors is None or g.color in colors}
+
+
 def test_build_omega_printed_reference(omega35):
-    F = omega35.params.base
-    assert omega35[0].finite.rows == canon_rows(F, B1_REF)
+    ms = space(omega35)
+    assert np.array_equal(omega35.mats[:1], ms.canon(ms.asbatch(B1_REF)))
     om2 = build_omega(make_params(3, 5, s=2))
-    assert om2[0].finite.rows == canon_rows(F, B2_REF)
+    assert np.array_equal(om2.mats[:1], ms.canon(ms.asbatch(B2_REF)))
 
 
 def test_build_omega_structure(omega35, omega53):
@@ -118,24 +131,22 @@ def test_build_omega_structure(omega35, omega53):
     assert len(omega53) == 31
     assert [g.j for g in omega35] == list(range(121))
     assert all(g.color == 1 for g in omega35)
-    keys = {g.finite.packed() for g in omega35}
-    assert len(keys) == 121
-    eye = mat_eye(omega35.params.base, 5)
-    assert not any(g.finite.rows == eye for g in omega35)
+    assert len(keys_of(omega35)) == 121
+    eye = space(omega35).identity_batch(1)
+    assert not (omega35.mats == eye).all(axis=(1, 2)).any()
 
 
 def test_omega_conjugation_consistency(omega35):
     # element j is theta^j (element 0) theta^{-j} projectively
-    from cayplex.ffield import regular_rep
-
     params = omega35.params
     F = params.base
     theta = regular_rep(params.E, params.u)
     theta_inv = mat_inv(F, theta)
-    cur = omega35[0].finite.rows
+    mats = tuples(omega35.mats)
+    cur = mats[0]
     for j in range(1, 5):
-        cur = mat_mul(F, theta, mat_mul(F, cur, theta_inv))
-        assert omega35[j].finite == ProjMat(F, cur)
+        cur = canon_rows(F, mat_mul(F, theta, mat_mul(F, cur, theta_inv)))
+        assert cur == mats[j]
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +158,10 @@ def test_symmetrize_sizes_and_partners(bar35, bar53):
     assert len(bar35) == 242 and bar35.kind == KIND_OMEGABAR
     assert bar35.meta["coincidences"] == []
     assert len(bar53) == 62
-    F = bar35.params.base
+    F, mats = bar35.params.base, tuples(bar35.mats)
     for i, g in enumerate(bar35):
-        k = g.inv
-        assert bar35[k].finite.rows == canon_rows(F, mat_inv(F, g.finite.rows))
-        assert bar35[k].inv == i
+        assert mats[g.inv] == canon_rows(F, mat_inv(F, mats[i]))
+        assert bar35[g.inv].inv == i
     assert all(g.color == 1 for g in bar35.gens[:121])
     assert all(g.color == 4 for g in bar35.gens[121:])
 
@@ -194,24 +204,31 @@ def test_omega_hat_words_brute_force(p53, omega53, hat53):
     alg = p53.alg()
     E, n = p53.E, p53.n
     base = [alg.omega(E.pow_(p53.u, j)) for j in range(n)]
+    key1, key2 = _prefix_keys(omega53)
     words = 0
     prefix1 = set()
     prefix2 = set()
-    F = p53.base
     for i in range(n):
         for j in range(n):
             w2 = base[i] * base[j]
             for k in range(n):
                 if (w2 * base[k]).is_central_scalar():
                     words += 1
-                    prefix1.add(omega53[i].finite.packed())
-                    m2 = mat_mul(F, omega53[i].finite.rows, omega53[j].finite.rows)
-                    prefix2.add(ProjMat(F, m2).packed())
+                    prefix1.add(key1[i])
+                    prefix2.add(key2[i][j])
     assert words == hat53.meta["identity_words"]
-    got1 = {g.finite.packed() for g in hat53 if g.color == 1}
-    got2 = {g.finite.packed() for g in hat53 if g.color == 2}
-    assert prefix1 == got1
-    assert prefix2 == got2
+    assert prefix1 == keys_of(hat53, {1})
+    assert prefix2 == keys_of(hat53, {2})
+
+
+def _prefix_keys(omega):
+    """Keys of the base elements, and of the products of every ordered
+    pair of them as a nested list [i][j]."""
+    ms, A = space(omega), omega.mats
+    n = len(A)
+    pairs = ms.canon(ms.mul(A[:, None], A[None]).reshape(n * n, *A.shape[1:]))
+    flat = ms.pack(pairs).tolist()
+    return ms.pack(A).tolist(), [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
 def test_omega_hat_flag_count_oracle(p53, hat53):
@@ -221,54 +238,47 @@ def test_omega_hat_flag_count_oracle(p53, hat53):
     dims = {}
     for r in (1, 2):
         dims[r] = [s for s in _all_proper_subspaces(F, 3) if len(s) == r]
-    chains = 0
-    for small in dims[1]:
-        for big in dims[2]:
-            stacked = tuple(big) + tuple(small)
-            _, pivots = mat_rref(F, stacked)
-            if len(pivots) == 2:
-                chains += 1
+    ms = MatSpace(F, 3)
+    stacked = ms.asbatch(big + small for small in dims[1] for big in dims[2])
+    chains = int((ms.rref(stacked)[1] == 2).sum())
     assert chains == hat53.meta["identity_words"] == 186
 
 
 def test_omega_hat_equals_closure_for_d3(bar53, hat53):
-    assert {g.finite.packed() for g in hat53} == {
-        g.finite.packed() for g in bar53
-    }
+    assert keys_of(hat53) == keys_of(bar53)
 
 
 def test_omega_hat_witnesses_lex_min(p53, omega53, hat53):
+    key1, key2 = _prefix_keys(omega53)
+    hat_keys = space(hat53).pack(hat53.mats).tolist()
     # color-1 witnesses are the conjugation indices themselves
-    by_key = {g.finite.packed(): j for j, g in enumerate(omega53)}
-    for g in hat53:
+    by_key = {key: j for j, key in enumerate(key1)}
+    for g, key in zip(hat53, hat_keys):
         if g.color == 1:
-            assert g.word == (by_key[g.finite.packed()],)
+            assert g.word == (by_key[key],)
     # color-2 witnesses: lexicographically least pair among all products
-    F = p53.base
     best = {}
     n = p53.n
     for i in range(n):
         for j in range(n):
-            rows = mat_mul(F, omega53[i].finite.rows, omega53[j].finite.rows)
-            key = ProjMat(F, rows).packed()
-            if key not in best:
-                best[key] = (i, j)
-    for g in hat53:
+            best.setdefault(key2[i][j], (i, j))
+    for g, key in zip(hat53, hat_keys):
         if g.color == 2:
-            assert g.word == best[g.finite.packed()]
+            assert g.word == best[key]
 
 
 def test_omega_hat_inverse_closure(hat53):
-    F, d = hat53.params.base, hat53.params.d
+    F, d, mats = hat53.params.base, hat53.params.d, tuples(hat53.mats)
     for i, g in enumerate(hat53):
-        k = g.inv
-        assert hat53[k].finite.rows == canon_rows(F, mat_inv(F, g.finite.rows))
-        assert hat53[k].color == d - g.color
+        assert mats[g.inv] == canon_rows(F, mat_inv(F, mats[i]))
+        assert hat53[g.inv].color == d - g.color
 
 
 def test_omega_hat_thread_determinism(monkeypatch, omega53, hat53):
-    # blocks of 50 words give the 186 candidates four verifier calls
+    # blocks of 50 give the 186 candidates four verifier calls and four
+    # collect blocks, and the 961 prefix keys twenty blocks
     monkeypatch.setattr(genforge, "_VERIFY_BLOCK", 50)
+    monkeypatch.setattr(genforge, "_PRODUCT_BLOCK", 50)
     rebuilt = build_omega_hat(omega53, threads=3)
     assert rebuilt.to_text() == hat53.to_text()
     assert rebuilt.meta == hat53.meta
@@ -348,14 +358,12 @@ def test_omega_hat_big(hat35):
     for k in range(1, 6):
         expect *= (3**k - 1) // 2
     assert hat35.meta["identity_words"] == expect == 251680
-    eye = mat_eye(hat35.params.base, 5)
-    assert not any(g.finite.rows == eye for g in hat35)
+    eye = space(hat35).identity_batch(1)
+    assert not (hat35.mats == eye).all(axis=(1, 2)).any()
 
 
 def test_omega_hat_big_color1_is_omega(omega35, hat35):
-    assert {g.finite.packed() for g in hat35 if g.color == 1} == {
-        g.finite.packed() for g in omega35
-    }
+    assert keys_of(hat35, {1}) == keys_of(omega35)
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +460,20 @@ def test_word_kernel_single_letter(p53):
 # ---------------------------------------------------------------------------
 
 
-def test_load_color_rule_matches_norm_valuation(omega53, bar53, hat53):
-    # the colors GenSet.load demands, without a reduced norm: 1 on the
-    # base system, d-1 on its inverses, the word length on the product
-    # system
-    n, d = omega53.params.n, omega53.params.d
-    rules = (
-        (omega53, lambda i, g: 1),
-        (bar53, lambda i, g: 1 if i < n else d - 1),
-        (hat53, lambda i, g: len(g.word)),
-    )
-    for gs, rule in rules:
-        for i, g in enumerate(gs):
-            assert rule(i, g) == genforge._norm_valuation(g.lift) % d == g.color
+GENS_FIXTURES = ("omega53", "bar53", "hat53", "bar53_s2", "omega35", "bar35",
+                 "hat35", "bar35_s2", "hat44", "omega42", "bar42")
+
+
+def test_load_color_rule_matches_norm_valuation(request):
+    # the valuation rule the builds and GenSet.load use for colors, with
+    # no reduced norm: den[1] - den[0] for every lift, against the norm
+    for name in GENS_FIXTURES:
+        gs = request.getfixturevalue(name)
+        d = gs.params.d
+        for g in gs:
+            valuation = g.lift.reduced_norm()[1]
+            assert valuation == g.lift.den[1] - g.lift.den[0], (name, g)
+            assert valuation % d == g.color, (name, g)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +525,15 @@ def test_attach_subspace_trace_kernel(omega35):
     E, F = params.E, params.base
     sub = attach_subspace(omega35[0])
     assert len(sub) == 4
+    def trace(code):
+        out = 0
+        for i in range(5):
+            out = E.add(out, E.frob(code, i))
+        assert E.in_base(out)
+        return out
+
     t_code = E.tau_code
-    basis_traces = [E.trace(E.pow_(t_code, i)) for i in range(5)]
+    basis_traces = [trace(E.pow_(t_code, i)) for i in range(5)]
     for row in sub:
         total = 0
         for c, tr in zip(row, basis_traces):
@@ -526,10 +542,7 @@ def test_attach_subspace_trace_kernel(omega35):
 
 
 def test_attach_subspace_rejects_identity(p53):
-    alg = p53.alg()
-    F = p53.base
-    ident = ProjMat(F, tuple(tuple(int(i == j) for j in range(3)) for i in range(3)))
-    g = Generator(ident, alg.one(), -1, 1)
+    g = Generator(p53.alg().one(), -1, 1)
     with pytest.raises(ValueError):
         attach_subspace(g)
 
@@ -595,8 +608,9 @@ def test_family_closure_sets(p35, bar35):
     assert len(sets) == 2
     assert [s.params.s for s in sets] == [1, 3]
     # the second member is the element-wise cube of the first
-    for g, h in zip(bar35, sets[1]):
-        assert g.finite**3 == h.finite
+    F = bar35.params.base
+    cubes = [canon_rows(F, mat_mul(F, mat_mul(F, m, m), m)) for m in tuples(bar35.mats)]
+    assert cubes == tuples(sets[1].mats)
     # and coincides with the independently built twist-3 closure
     indep = symmetrize(build_omega(make_params(3, 5, s=3)))
     assert sets[1].to_text() == indep.to_text()
@@ -629,11 +643,10 @@ def test_family_product_system(p35, hat35):
     report = sets[1].meta["power_bijection"]
     assert report[1]["surjective"] and report[4]["surjective"]
     assert report[2]["matched"] == 0 and report[3]["matched"] == 0
-    rebuilt_keys = {g.finite.packed() for g in sets[1]}
-    powered_mid = {
-        (g.finite**3).packed() for g in hat35 if g.color in (2, 3)
-    }
-    assert not powered_mid & rebuilt_keys
+    ms = space(hat35)
+    mid = [g.color in (2, 3) for g in hat35]
+    powered_mid = set(ms.pack(ms.canon(ms.power(hat35.mats[mid], 3))).tolist())
+    assert not powered_mid & keys_of(sets[1])
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +718,8 @@ def test_inverse_partner_check_messages(hat53):
             kw = dict(inv=g.inv, color=g.color)
             if k == i:
                 kw.update(changes)
-            gens.append(Generator(g.finite, g.lift, g.j, kw["color"], kw["inv"], g.word))
-        return GenSet(hat53.params, KIND_OMEGAHAT, gens)
+            gens.append(Generator(g.lift, g.j, kw["color"], kw["inv"], g.word))
+        return GenSet(hat53.params, KIND_OMEGAHAT, gens, hat53.mats)
 
     genforge._check_inverse_partners(tampered(-1))
     cases = [

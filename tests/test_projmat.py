@@ -1,5 +1,5 @@
-"""Tests for exact matrix ops, projective canonical forms, and the
-batched kernel."""
+"""Tests for the batched matrix kernel against a minimal exact tuple
+oracle kept here."""
 
 import random
 
@@ -8,27 +8,96 @@ import pytest
 
 from cayplex import projmat
 from cayplex.ffield import get_field
-from cayplex.projmat import (
-    MatSpace,
-    ProjMat,
-    canon_rows,
-    column_space_rref,
-    mat_det,
-    mat_eye,
-    mat_inv,
-    mat_mul,
-    mat_pow,
-    mat_rref,
-    mat_scale,
-    mat_transpose,
-)
+from cayplex.projmat import MatSpace
 
 F5 = get_field(5)
 F4 = get_field(2, 2)
 
 
-def rand_mat(rng, F, d):
-    return tuple(tuple(rng.randrange(F.q) for _ in range(d)) for _ in range(d))
+# ---------------------------------------------------------------------------
+# Oracle: matrices as row tuples of codes, one entry at a time
+# ---------------------------------------------------------------------------
+
+
+def mat_eye(d):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def mat_mul(F, A, B):
+    out = []
+    for row in A:
+        orow = []
+        for col in zip(*B):
+            acc = 0
+            for a, b in zip(row, col):
+                acc = F.add(acc, F.mul(a, b))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def mat_rref(F, A, cols=None):
+    """(reduced rows, pivot columns), pivots sought in the first ``cols``
+    columns; zero rows are kept at the bottom."""
+    rows = [list(r) for r in A]
+    cols = len(rows[0]) if cols is None else cols
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        il = F.inv(rows[r][c])
+        rows[r] = [F.mul(x, il) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def mat_det(F, A):
+    """Determinant by cofactor expansion along the first row."""
+    if len(A) == 1:
+        return A[0][0]
+    out = 0
+    for j, a in enumerate(A[0]):
+        minor = tuple(row[:j] + row[j + 1 :] for row in A[1:])
+        term = F.mul(a, mat_det(F, minor))
+        out = F.add(out, term) if j % 2 == 0 else F.sub(out, term)
+    return out
+
+
+def mat_inv(F, A):
+    d = len(A)
+    rows, pivots = mat_rref(F, [tuple(r) + e for r, e in zip(A, mat_eye(d))], d)
+    if len(pivots) != d:
+        raise ValueError("matrix is singular")
+    return tuple(row[d:] for row in rows)
+
+
+def mat_pow(F, A, e):
+    out = mat_eye(len(A))
+    for _ in range(e):
+        out = mat_mul(F, out, A)
+    return out
+
+
+def canon_rows(F, A):
+    """Scale so the first nonzero entry in row-major order equals 1."""
+    lead = next(x for row in A for x in row if x)
+    il = F.inv(lead)
+    return tuple(tuple(F.mul(x, il) for x in row) for row in A)
+
+
+def tuples(batch):
+    return [tuple(map(tuple, m)) for m in batch.tolist()]
+
+
+def rand_mat(rng, F, d, cols=None):
+    return tuple(tuple(rng.randrange(F.q) for _ in range(cols or d)) for _ in range(d))
 
 
 def rand_invertible(rng, F, d):
@@ -36,6 +105,16 @@ def rand_invertible(rng, F, d):
         A = rand_mat(rng, F, d)
         if mat_det(F, A) != 0:
             return A
+
+
+def rand_rank(rng, F, d, rank):
+    """A d x d matrix of rank at most ``rank``: a product through F^rank."""
+    return mat_mul(F, rand_mat(rng, F, d, rank), rand_mat(rng, F, rank, d))
+
+
+# ---------------------------------------------------------------------------
+# The oracle itself
+# ---------------------------------------------------------------------------
 
 
 def test_mat_mul_against_numpy():
@@ -56,68 +135,114 @@ def test_mat_det_against_numpy():
         assert mat_det(F5, A) == expect
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Jordan, inverses and powers
+# ---------------------------------------------------------------------------
+
+
 def test_mat_inv_and_pow():
     rng = random.Random(303)
-    for _ in range(30):
-        d = rng.choice((2, 3, 4))
-        A = rand_invertible(rng, F5, d)
-        assert mat_mul(F5, A, mat_inv(F5, A)) == mat_eye(F5, d)
-        assert mat_pow(F5, mat_inv(F5, A), 2) == mat_inv(F5, mat_mul(F5, A, A))
-        assert mat_pow(F5, A, 0) == mat_eye(F5, d)
+    for d in (2, 3, 4):
+        ms = MatSpace(F5, d)
+        mats = [rand_invertible(rng, F5, d) for _ in range(10)]
+        A = ms.asbatch(mats)
+        assert tuples(ms.inverse(A)) == [canon_rows(F5, mat_inv(F5, m)) for m in mats]
+        assert np.array_equal(ms.canon(ms.mul(A, ms.inverse(A))), ms.identity_batch(10))
+        for e in (0, 1, 2, 5):
+            assert tuples(ms.power(A, e)) == [mat_pow(F5, m, e) for m in mats]
     with pytest.raises(ValueError):
-        mat_pow(F5, mat_eye(F5, 2), -1)
-    with pytest.raises(ValueError):
-        mat_inv(F5, ((1, 2), (2, 4)))
-    assert mat_det(F5, ((1, 2), (2, 4))) == 0
+        ms.power(A, -1)
+    with pytest.raises(ValueError, match="matrix 1 of the batch is singular"):
+        MatSpace(F5, 2).inverse(np.array([[[1, 0], [0, 1]], [[1, 2], [2, 4]]], dtype=np.uint8))
 
 
 def test_rref_and_null_space():
     rng = random.Random(304)
-    for _ in range(40):
-        d = rng.choice((3, 4, 5))
-        A = rand_mat(rng, F5, d)
-        rref, pivots = mat_rref(F5, A)
-        assert mat_rref(F5, rref)[0] == rref  # idempotent
-        # one kernel vector per free column, read off the reduced rows
-        for fc in (c for c in range(d) if c not in pivots):
-            v = [0] * d
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = F5.neg(rref[r][fc])
-            assert mat_mul(F5, A, tuple((x,) for x in v)) == ((0,),) * d
+    for d in (3, 4, 5):
+        ms = MatSpace(F5, d)
+        mats = [rand_mat(rng, F5, d) for _ in range(8)]
+        mats += [rand_rank(rng, F5, d, r) for r in range(1, d)]
+        R, rank = ms.rref(ms.asbatch(mats))
+        again, _ = ms.rref(R)
+        assert np.array_equal(again, R)  # idempotent
+        for A, rows, rk in zip(mats, tuples(R), rank.tolist()):
+            want, pivots = mat_rref(F5, A)
+            assert rows == want and rk == len(pivots)
+            # one kernel vector per free column, read off the reduced rows
+            for fc in (c for c in range(d) if c not in pivots):
+                v = [0] * d
+                v[fc] = 1
+                for r, pc in enumerate(pivots):
+                    v[pc] = F5.neg(rows[r][fc])
+                assert mat_mul(F5, A, tuple((x,) for x in v)) == ((0,),) * d
+
+
+@pytest.mark.parametrize("F", [F5, get_field(7), F4, get_field(3, 2)])
+def test_matspace_rref_inverse_power_match_oracle(F):
+    rng = random.Random(320 + F.q)
+    d = 3
+    ms = MatSpace(F, d)
+    square = [rand_mat(rng, F, d) for _ in range(12)]
+    square += [rand_rank(rng, F, d, r) for r in (1, 2)] + [((0,) * d,) * d]
+    R, rank = ms.rref(ms.asbatch(square))
+    want = [mat_rref(F, A) for A in square]
+    assert tuples(R) == [rows for rows, _ in want]
+    assert rank.tolist() == [len(piv) for _, piv in want]
+    assert ms.singular(ms.asbatch(square)).tolist() == [mat_det(F, A) == 0 for A in square]
+    # d x 2d inputs, with pivots sought everywhere and in the left half
+    wide = [rand_mat(rng, F, d, 2 * d) for _ in range(12)]
+    wide.append(tuple(row + (0,) * d for row in rand_rank(rng, F, d, 1)))
+    for cols in (None, d):
+        R, rank = ms.rref(ms.asbatch(wide), cols)
+        want = [mat_rref(F, A, cols) for A in wide]
+        assert tuples(R) == [rows for rows, _ in want]
+        assert rank.tolist() == [len(piv) for _, piv in want]
+    inv = [A for A in square if mat_det(F, A)]
+    A = ms.asbatch(inv)
+    assert tuples(ms.inverse(A)) == [canon_rows(F, mat_inv(F, m)) for m in inv]
+    assert tuples(ms.power(A, 4)) == [mat_pow(F, m, 4) for m in inv]
+    with pytest.raises(ValueError, match="singular"):
+        ms.inverse(ms.asbatch(square))
 
 
 def test_column_space_invariant_under_right_multiplication():
     rng = random.Random(305)
-    for _ in range(30):
-        A = rand_mat(rng, F5, 4)
-        B = rand_invertible(rng, F5, 4)
-        assert column_space_rref(F5, A) == column_space_rref(F5, mat_mul(F5, A, B))
+    ms = MatSpace(F5, 4)
+    A = ms.asbatch([rand_rank(rng, F5, 4, rng.randrange(1, 5)) for _ in range(30)])
+    B = ms.asbatch([rand_invertible(rng, F5, 4) for _ in range(30)])
+    # the column space is the row space of the transpose
+    left, rank = ms.rref(A.transpose(0, 2, 1))
+    right, rank_ab = ms.rref(ms.mul(A, B).transpose(0, 2, 1))
+    assert np.array_equal(left, right) and np.array_equal(rank, rank_ab)
+
+
+# ---------------------------------------------------------------------------
+# Projective classes and packing
+# ---------------------------------------------------------------------------
 
 
 def test_projmat_scalar_invariance_and_packing():
     rng = random.Random(306)
-    for _ in range(30):
-        A = rand_invertible(rng, F5, 3)
-        for c in range(1, 5):
-            assert ProjMat(F5, A) == ProjMat(F5, mat_scale(F5, A, c))
-        m = ProjMat(F5, A)
-        ms = MatSpace(F5, 3)
-        assert ms.astuples(ms.unpack(np.array([m.packed()])))[0] == m.rows
-    with pytest.raises(ValueError):
-        ProjMat(F5, ((1, 2), (2, 4)))
+    ms = MatSpace(F5, 3)
+    A = ms.asbatch([rand_invertible(rng, F5, 3) for _ in range(30)])
+    C = ms.canon(A)
+    for c in range(1, 5):
+        assert np.array_equal(ms.canon(ms.mul(A, ms.identity_batch(1) * c)), C)
+    assert np.array_equal(ms.unpack(ms.pack(C)), C)
+    with pytest.raises(ValueError, match="no projective class"):
+        ms.canon(np.zeros((1, 3, 3), dtype=ms.dtype))
 
 
 def test_projmat_group_ops():
     rng = random.Random(307)
-    for _ in range(20):
-        A = rand_invertible(rng, F5, 3)
-        B = rand_invertible(rng, F5, 3)
-        AB = ProjMat(F5, mat_mul(F5, A, B))
-        # the class of a product depends only on the classes of its factors
-        assert AB == ProjMat(F5, mat_mul(F5, ProjMat(F5, A).rows, ProjMat(F5, B).rows))
-        assert canon_rows(F5, mat_mul(F5, AB.rows, mat_inv(F5, AB.rows))) == mat_eye(F5, 3)
-        assert ProjMat(F5, A) ** 3 == ProjMat(F5, mat_mul(F5, mat_mul(F5, A, A), A))
+    ms = MatSpace(F5, 3)
+    A = ms.asbatch([rand_invertible(rng, F5, 3) for _ in range(20)])
+    B = ms.asbatch([rand_invertible(rng, F5, 3) for _ in range(20)])
+    AB = ms.canon(ms.mul(A, B))
+    # the class of a product depends only on the classes of its factors
+    assert np.array_equal(ms.canon(ms.mul(ms.canon(A), ms.canon(B))), AB)
+    assert np.array_equal(ms.canon(ms.mul(AB, ms.inverse(AB))), ms.identity_batch(20))
+    assert np.array_equal(ms.canon(ms.power(A, 3)), ms.canon(ms.mul(ms.mul(A, A), A)))
 
 
 def test_matspace_prime_field_matches_tuples():
@@ -125,10 +250,8 @@ def test_matspace_prime_field_matches_tuples():
     ms = MatSpace(F5, 3)
     mats_a = [rand_mat(rng, F5, 3) for _ in range(40)]
     mats_b = [rand_mat(rng, F5, 3) for _ in range(40)]
-    A, B = ms.asbatch(mats_a), ms.asbatch(mats_b)
-    C = ms.mul(A, B)
-    for i in range(40):
-        assert ms.astuples(C[i : i + 1])[0] == mat_mul(F5, mats_a[i], mats_b[i])
+    C = ms.mul(ms.asbatch(mats_a), ms.asbatch(mats_b))
+    assert tuples(C) == [mat_mul(F5, a, b) for a, b in zip(mats_a, mats_b)]
 
 
 def test_matspace_table_field_matches_tuples():
@@ -137,8 +260,7 @@ def test_matspace_table_field_matches_tuples():
     mats_a = [rand_mat(rng, F4, 2) for _ in range(30)]
     mats_b = [rand_mat(rng, F4, 2) for _ in range(30)]
     C = ms.mul(ms.asbatch(mats_a), ms.asbatch(mats_b))
-    for i in range(30):
-        assert ms.astuples(C[i : i + 1])[0] == mat_mul(F4, mats_a[i], mats_b[i])
+    assert tuples(C) == [mat_mul(F4, a, b) for a, b in zip(mats_a, mats_b)]
 
 
 def test_matspace_canon_matches_scalar_canon():
@@ -146,11 +268,7 @@ def test_matspace_canon_matches_scalar_canon():
     for F, d in ((F5, 3), (F4, 2)):
         ms = MatSpace(F, d)
         mats = [rand_invertible(rng, F, d) for _ in range(25)]
-        C = ms.canon(ms.asbatch(mats))
-        inv = ms.inverse(ms.asbatch(mats))
-        for i, m in enumerate(mats):
-            assert ms.astuples(C[i : i + 1])[0] == canon_rows(F, m)
-            assert ms.astuples(inv[i : i + 1])[0] == canon_rows(F, mat_inv(F, m))
+        assert tuples(ms.canon(ms.asbatch(mats))) == [canon_rows(F, m) for m in mats]
 
 
 def test_matspace_pack_roundtrip_and_bigint_agreement():
@@ -163,8 +281,6 @@ def test_matspace_pack_roundtrip_and_bigint_agreement():
     assert np.array_equal(back, batch)
     for i, m in enumerate(mats):
         assert int(keys[i]) == ms.packed_of(m)
-        if mat_det(F5, m) != 0:
-            assert ms.packed_of(canon_rows(F5, m)) == ProjMat(F5, m).packed()
 
 
 def test_matspace_byte_keys_when_int64_overflows():
@@ -210,10 +326,9 @@ def test_right_products_match_repeat_tile(F, d, gemm):
         got = ms.right_products(A, O, rows_per_block=rows)
         assert got.dtype == ms.dtype
         assert np.array_equal(got, want)
+    A, O, got = tuples(A), tuples(O), tuples(got)
     for i, j in ((0, 0), (36, 10), (17, 4)):
-        expect = canon_rows(F, mat_mul(F, ms.astuples(A[i : i + 1])[0],
-                                       ms.astuples(O[j : j + 1])[0]))
-        assert ms.astuples(got[i * 11 + j : i * 11 + j + 1])[0] == expect
+        assert got[i * 11 + j] == canon_rows(F, mat_mul(F, A[i], O[j]))
 
 
 def test_right_products_exact_at_gemm_bound():
@@ -259,9 +374,9 @@ def test_key_products_fallback_paths(monkeypatch):
     ms, O, keys = _key_products_case(get_field(3), 7, 403, m=6, r=3)
     assert not ms.packable
     got = ms.unpack(ms.key_products(O)(keys))
-    A, Ot = ms.astuples(ms.unpack(keys)), ms.astuples(O)
+    A, Ot = tuples(ms.unpack(keys)), tuples(O)
     want = [canon_rows(ms.F, mat_mul(ms.F, a, o)) for a in A for o in Ot]
-    assert ms.astuples(got) == want
+    assert tuples(got) == want
 
 
 @pytest.mark.parametrize("table_max", [1 << 22, 0])

@@ -68,20 +68,11 @@ def test_poly_gcd_divides_and_is_monic():
             assert (h % g.monic()).is_zero() or g.degree == 0 or not (a % g).is_zero()
 
 
-def test_poly_eval_horner():
-    rng = random.Random(104)
-    for _ in range(50):
-        a = rand_poly(rng, F7, 6)
-        x = rng.randrange(7)
-        direct = sum(c * pow(x, i, 7) for i, c in enumerate(a.coeffs)) % 7
-        assert a.eval_code(x) == direct
-
-
 def test_poly_valuations_constructed():
     t = Poly.t(F7)
     c = 3
     u = Poly(F7, (2, 0, 5, 1))
-    assert u.eval_code(0) != 0 and u.eval_code(c) != 0
+    assert u.t_valuation() == 0 and u.root_multiplicity(c) == 0
     f = t * t * t * (t - c) * (t - c) * u
     assert f.t_valuation() == 3
     assert f.root_multiplicity(c) == 2
@@ -96,7 +87,6 @@ def test_poly_over_extension_field_codes():
     t = Poly.t(E243)
     tau = E243.tau_code
     f = (t - Poly.const(E243, tau)) * (t - Poly.const(E243, E243.frob(tau, 1)))
-    assert f.eval_code(tau) == 0
-    assert f.eval_code(E243.frob(tau, 1)) == 0
     assert f.root_multiplicity(tau) == 1
+    assert f.root_multiplicity(E243.frob(tau, 1)) == 1
 

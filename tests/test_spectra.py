@@ -146,7 +146,7 @@ class TestWalkMoments:
     def test_moments_by_brute_force_words(self, bar42):
         """Oracle: enumerate all words of length <= 4 directly."""
         ms = MatSpace(bar42.params.base, bar42.params.d)
-        gen = ms.canon(ms.asbatch(bar42.finite_rows()))
+        gen = bar42.mats
         ident = ms.pack(ms.identity_batch(1))[0]
         r = gen.shape[0]
         expected = [1]
@@ -163,7 +163,7 @@ class TestWalkMoments:
         """gh = 1 happens for exactly the inverse pairs, and no
         generator is the identity, so N_1 = 0 and N_2 = set size."""
         ms = MatSpace(bar35.params.base, bar35.params.d)
-        gen = ms.canon(ms.asbatch(bar35.finite_rows()))
+        gen = bar35.mats
         ident = ms.pack(ms.identity_batch(1))[0]
         keys = ms.pack(gen)
         assert int(np.sum(keys == ident)) == 0
@@ -205,7 +205,7 @@ class TestWalkMoments:
         for gens, colors in cases:
             ms = MatSpace(gens.params.base, gens.params.d)
             sel = _selected(gens, colors)
-            gen_mats = ms.canon(ms.asbatch([gens[i].finite.rows for i in sel]))
+            gen_mats = gens.mats[sel]
             want = _consolidated_levels(ms, gen_mats, 3)
             for threads in (1, 2):
                 got = _ball_levels(ms, gen_mats, 3, threads=threads)
@@ -222,7 +222,7 @@ class TestWalkMoments:
         for gens, radii in ((bar33, (2, 3, 4)), (bar53, (3,))):
             d = gens.params.d
             ms = MatSpace(gens.params.base, d)
-            gen_mats = ms.canon(ms.asbatch(gens.finite_rows()))
+            gen_mats = gens.mats
             for radius in radii:
                 tracemalloc.start()
                 try:
