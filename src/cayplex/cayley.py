@@ -5,15 +5,23 @@ with round-trip guarantees."""
 from __future__ import annotations
 
 import hashlib
+import io
+import os
 import struct
 
 import numpy as np
 
 from .ffield import get_field
-from .genforge import KIND_OMEGABAR, KIND_OMEGAHAT, GenSet, _prime_power
+from .genforge import (
+    KIND_OMEGABAR,
+    KIND_OMEGAHAT,
+    GenSet,
+    _prime_power,
+    group_order_pgl,
+)
 from .projmat import MatSpace
 from .util import (
-    atomic_write_bytes,
+    atomic_write_parts,
     atomic_write_text,
     check_manifest,
     ordered_chunked_map,
@@ -166,7 +174,7 @@ def closure_from_matrices(
     if len(colors) != r:
         raise ValueError("one color per generator is required")
     gen_keys = ms.pack(O)
-    if len(np.unique(gen_keys)) != r:
+    if _has_duplicates(gen_keys):
         raise ValueError("generators must be projectively distinct")
     ident = ms.identity_batch(1)
     ident_key = ms.pack(ident)[0]
@@ -175,7 +183,11 @@ def closure_from_matrices(
 
     products = ms.key_products(O)
     index = _VertexIndex(ms, ms.pack(ident))
-    nbr_rows = []
+    # one table for every row the closure can have (it is a subgroup of
+    # PGL_d(F_q)); its pages are committed only as rows are written
+    cap = max(1, min(max_vertices, group_order_pgl(d, ms.q)))
+    nbr = np.empty((cap, r), dtype=np.int32)
+    rows = 0
     frontier = index.keys()
     # blocks of frontier rows, ``threads`` of them multiplied at a time
     group = _CLOSURE_BLOCK * max(threads, 1)
@@ -207,18 +219,26 @@ def closure_from_matrices(
                     index.add(new_keys)
                     ids[fresh] = index.lookup(flat[fresh])
                     level.append(new_keys)
-                nbr_rows.append(ids.reshape(-1, r))
+                nbr[rows : rows + len(ids) // r] = ids.reshape(-1, r)
+                rows += len(ids) // r
         frontier = np.concatenate(level) if level else frontier[:0]
 
     keys = index.keys()
-    nbr = np.vstack(nbr_rows)
-    del nbr_rows
-    for i in range(0, nbr.shape[0], 1 << 16):
-        srt = np.sort(nbr[i : i + (1 << 16)], axis=1)
+    del index
+    nbr = nbr[:rows]
+    for i in range(0, nbr.shape[0], _CLOSURE_BLOCK):
+        srt = np.sort(nbr[i : i + _CLOSURE_BLOCK], axis=1)
         if np.any(srt[:, 1:] == srt[:, :-1]):
             raise AssertionError("regularity violated: repeated out-neighbor")
     symmetric = _verify_symmetry(ms, nbr, O)
     return CayleyGraph(F, d, keys, nbr, colors, symmetric, True)
+
+
+def _has_duplicates(keys: np.ndarray) -> bool:
+    """Whether an array of keys repeats a value, by sorting (a plain
+    ``np.unique`` imports ``numpy.ma``)."""
+    srt = np.sort(keys)
+    return bool(np.any(srt[1:] == srt[:-1]))
 
 
 class _VertexIndex:
@@ -443,7 +463,7 @@ def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> None:
     if format == "text":
         atomic_write_text(path, graph_to_text(G))
     elif format == "binary":
-        atomic_write_bytes(path, graph_to_bytes(G))
+        atomic_write_parts(path, _binary_parts(G))
     else:
         raise ValueError(f"unknown format {format!r}")
 
@@ -454,9 +474,11 @@ def import_graph(path: str) -> CayleyGraph:
     A binary graph carries its own checksum; a text graph is checked
     against ``<path>.manifest`` when that file exists."""
     with open(path, "rb") as handle:
+        if handle.read(4) == _MAGIC:
+            handle.seek(0)
+            return _read_binary(handle, os.fstat(handle.fileno()).st_size)
+        handle.seek(0)
         blob = handle.read()
-    if blob[:4] == _MAGIC:
-        return graph_from_bytes(blob)
     check_manifest(path, blob)
     return graph_from_text(blob.decode("utf-8"))
 
@@ -562,6 +584,12 @@ def _check_against_keys(G: CayleyGraph) -> None:
 
 
 def graph_to_bytes(G: CayleyGraph) -> bytes:
+    return b"".join(_binary_parts(G))
+
+
+def _binary_parts(G: CayleyGraph) -> list:
+    """The binary encoding as a list of byte buffers, the neighbor table
+    a view of ``G.nbr``, and last the blake2b checksum of the others."""
     F = G.F
     parts = [
         _HEADER.pack(
@@ -592,50 +620,67 @@ def graph_to_bytes(G: CayleyGraph) -> bytes:
     for part in parts:
         check.update(part)
     parts.append(check.digest())
-    return b"".join(parts)
+    return parts
 
 
 def graph_from_bytes(blob: bytes) -> CayleyGraph:
-    if len(blob) < _HEADER.size + 8:
+    return _read_binary(io.BytesIO(blob), len(blob))
+
+
+def _read_binary(handle, size: int) -> CayleyGraph:
+    """A binary graph from a file object of ``size`` bytes, read once:
+    the neighbor table straight into its int32 array, and each part fed
+    to the blake2b checksum as it is read.  The parts' lengths follow
+    from the header and ``size``, so nothing is allocated past the file,
+    and the rest of the header is read only once the checksum matches."""
+    check = hashlib.blake2b(digest_size=8)
+
+    def take(count):
+        if count > size - 8 - handle.tell():
+            raise ValueError("truncated graph file")
+        data = handle.read(count)
+        check.update(data)
+        return data
+
+    if size < _HEADER.size + 8:
         raise ValueError("truncated graph file")
-    body, digest = memoryview(blob)[:-8], blob[-8:]
-    if hashlib.blake2b(body, digest_size=8).digest() != digest:
-        raise ValueError("checksum mismatch: corrupted graph file")
-    magic, version, n, r, q, d, f, sym, conn = _HEADER.unpack_from(body, 0)
+    magic, version, n, r, q, d, f, sym, conn = _HEADER.unpack(take(_HEADER.size))
     if magic != _MAGIC:
         raise ValueError("not a binary graph file")
-    if version != _VERSION:
-        raise ValueError(f"unsupported version {version}")
-    off = _HEADER.size
     bmod = None
     if f > 1:
-        (mlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        bmod = tuple(body[off : off + mlen])
-        off += mlen
+        (mlen,) = struct.unpack("<H", take(2))
+        bmod = tuple(take(mlen))
+    gen_colors = list(take(r))
+    if n == 0:
+        raise ValueError("empty vertex table")
+    width, extra = divmod(size - 8 - handle.tell() - n * r * 4, n)
+    if width < 0 or extra:
+        raise ValueError("truncated graph file")
+    key_bytes = take(n * width)
+    nbr = np.empty((n, r), dtype="<i4")
+    view = memoryview(nbr).cast("B")
+    if handle.readinto(view) != len(view):
+        raise ValueError("truncated graph file")
+    check.update(view)
+    if check.digest() != handle.read(8):
+        raise ValueError("checksum mismatch: corrupted graph file")
+    if version != _VERSION:
+        raise ValueError(f"unsupported version {version}")
+    if width != _key_width(q, d):
+        raise ValueError("truncated graph file")
     p, _ = _prime_power(q)
     F = get_field(p, f, bmod)
-    gen_colors = list(body[off : off + r])
-    off += r
-    width = _key_width(q, d)
-    expected = off + n * width + n * r * 4
-    if len(body) != expected:
-        raise ValueError("truncated graph file")
     if MatSpace(F, d).packable:
         raw = np.zeros((n, 8), dtype=np.uint8)
-        raw[:, :width] = np.frombuffer(
-            body, dtype=np.uint8, offset=off, count=n * width
-        ).reshape(n, width)
-        keys = raw.view("<i8").reshape(n).astype(np.int64)
+        raw[:, :width] = np.frombuffer(key_bytes, dtype=np.uint8).reshape(n, width)
+        keys = raw.view("<i8").reshape(n).astype(np.int64, copy=False)
     else:
         values = [
-            int.from_bytes(body[off + i * width : off + (i + 1) * width], "little")
+            int.from_bytes(key_bytes[i * width : (i + 1) * width], "little")
             for i in range(n)
         ]
         keys = _keys_from_ints(F, d, values)
-    off += n * width
-    nbr = np.frombuffer(body, dtype="<i4", offset=off, count=n * r)
-    nbr = nbr.reshape(n, r).astype(np.int32)
     return _validated_graph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
 
 
@@ -643,13 +688,12 @@ def _validated_graph(F, d, keys, nbr, gen_colors, symmetric, connected):
     n = keys.shape[0]
     if n == 0:
         raise ValueError("empty vertex table")
-    if np.any(nbr < 0) or np.any(nbr >= n):
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
         raise ValueError("neighbor index out of range")
     ms = MatSpace(F, d)
     ident_key = ms.pack(ms.identity_batch(1))[0]
     if keys[0] != ident_key:
         raise ValueError("vertex 0 is not the identity")
-    srt = np.sort(keys)
-    if np.any(srt[1:] == srt[:-1]):
+    if _has_duplicates(keys):
         raise ValueError("duplicate vertex keys")
     return CayleyGraph(F, d, keys, nbr, gen_colors, symmetric, connected)

@@ -275,7 +275,7 @@ class MatSpace:
         """
         d, q, r = self.d, self.q, O.shape[0]
         Q = q**d
-        if not self.packable or (r + d * q) * Q > _ROW_TABLE_MAX:
+        if not self.row_tables(r):
 
             def products(keys):
                 P = self.right_products(self.unpack(keys), O)
@@ -322,6 +322,12 @@ class MatSpace:
             return acc.reshape(-1)
 
         return products
+
+    def row_tables(self, r: int) -> bool:
+        """Whether ``key_products`` of r matrices gathers from row tables
+        rather than falling back to ``right_products``."""
+        entries = (r + self.d * self.q) * self.q**self.d
+        return self.packable and entries <= _ROW_TABLE_MAX
 
     def pack(self, A: np.ndarray) -> np.ndarray:
         """Pack each matrix into a hashable key: int64 radix-q when it

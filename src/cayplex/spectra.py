@@ -6,6 +6,7 @@ exact isomorphism search, and comparison verdicts."""
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -161,12 +162,13 @@ def walk_moments(
     ``group-dp`` propagates the word-count distribution over the whole
     group along the neighbor table; the group must be enumerable (at
     most ~10^7 elements; pass ``graph`` to reuse a built closure).
-    ``ball-mitm`` builds product balls of radius ceil(K/2), each level
-    the runs of its sorted word stream (distinct packed keys and their
-    word counts), and joins each N_k as sum_g c_a(g) * c_b(g^-1) with
-    a = ceil(k/2); it never materializes the group.  All counters are
-    64-bit integers with overflow checked up front from exact word-count
-    bounds; both strategies produce identical values wherever both are
+    ``ball-mitm`` builds product balls of radius ceil(K/2), each lower
+    level the runs of its sorted word stream (distinct packed keys and
+    their word counts) and the top level the stream itself, and joins
+    each N_k as sum_g c_a(g) * c_b(g^-1) with a = ceil(k/2); it never
+    materializes the group.  All counters are 64-bit integers, and every
+    sum is checked against an exact word-count bound before it is
+    formed; both strategies produce identical values wherever both are
     feasible.
     """
     if K < 0:
@@ -233,63 +235,68 @@ def _moments_group_dp(gens, K, sel, graph, threads):
 def _ball_levels(ms: MatSpace, gen_mats: np.ndarray, radius: int, threads: int):
     """Consolidated product balls: for t = 0..radius, the sorted packed
     keys of the distinct products of exactly t generators together with
-    their exact word counts.
-
-    Level t is first its word stream, all r^t word keys in one
-    preallocated array: the products of level t-1's distinct keys with
-    every generator, each product row repeated as often as its key
-    occurs as a word.  Sorted in place, the stream's runs are the
-    level: distinct keys at the run starts, counts equal to the run
-    lengths.
-    """
-    r = gen_mats.shape[0]
-    products = ms.key_products(gen_mats)
+    their exact word counts, the runs of each level's word stream."""
     levels = [(ms.pack(ms.identity_batch(1)), np.ones(1, dtype=np.int64))]
     for _ in range(radius):
-        keys, counts = levels[-1]
-        starts = np.arange(0, len(keys), _BALL_BLOCK)
-        # stream offsets of the blocks: r words per word of the block
-        ends = np.cumsum(np.add.reduceat(counts, starts)) * r
-        stream = np.empty(int(ends[-1]), dtype=keys.dtype)
-
-        def expand(items):
-            for b in items:
-                i = starts[b]
-                c = counts[i : i + _BALL_BLOCK]
-                rows = stream[ends[b] - r * int(c.sum()) : ends[b]].reshape(-1, r)
-                block = products(keys[i : i + _BALL_BLOCK]).reshape(-1, r)
-                word_of = np.repeat(np.arange(len(c)), c)
-                # mode="clip" writes straight into ``rows``, unbuffered
-                np.take(block, word_of, axis=0, out=rows, mode="clip")
-            return []
-
-        ordered_chunked_map(expand, range(len(starts)), threads=threads, chunk=1)
-        stream.sort()
-        levels.append(_runs(stream))
-        del stream
+        levels.append(_runs(_ball_stream(ms, gen_mats, levels[-1], threads)))
     return levels
+
+
+def _ball_stream(ms: MatSpace, gen_mats: np.ndarray, level, threads: int):
+    """The sorted word stream of the level after ``level`` = (keys,
+    counts): all word keys in one preallocated array, the products of
+    the level's distinct keys with every generator, each product row
+    repeated as often as its key occurs as a word, sorted in place.
+    Its runs are the next level: distinct keys at the run starts, counts
+    equal to the run lengths."""
+    keys, counts = level
+    r = gen_mats.shape[0]
+    products = ms.key_products(gen_mats)
+    starts = np.arange(0, len(keys), _BALL_BLOCK)
+    # stream offsets of the blocks: r words per word of the block
+    ends = np.cumsum(np.add.reduceat(counts, starts)) * r
+    stream = np.empty(int(ends[-1]), dtype=keys.dtype)
+
+    def expand(items):
+        for b in items:
+            i = starts[b]
+            c = counts[i : i + _BALL_BLOCK]
+            rows = stream[ends[b] - r * int(c.sum()) : ends[b]].reshape(-1, r)
+            block = products(keys[i : i + _BALL_BLOCK]).reshape(-1, r)
+            word_of = np.repeat(np.arange(len(c)), c)
+            # mode="clip" writes straight into ``rows``, unbuffered
+            np.take(block, word_of, axis=0, out=rows, mode="clip")
+        return []
+
+    ordered_chunked_map(expand, range(len(starts)), threads=threads, chunk=1)
+    stream.sort()
+    return stream
+
+
+def _run_starts(stream: np.ndarray):
+    """The start of every run of a sorted array but the first, as arrays
+    over chunks of ``_RUN_CHUNK`` values."""
+    for i in range(1, len(stream), _RUN_CHUNK):
+        j = min(i + _RUN_CHUNK, len(stream))
+        at = np.flatnonzero(stream[i:j] != stream[i - 1 : j - 1])
+        at += i
+        yield at
 
 
 def _runs(stream: np.ndarray):
     """The distinct values of a sorted array and their run lengths.
 
-    Two passes over chunks of ``_RUN_CHUNK`` values, counting then
-    filling, so that only the two outputs are allocated at their size.
+    Two passes over the run starts, counting then filling, so that only
+    the two outputs are allocated at their size.
     """
     n = len(stream)
-    bounds = [(i, min(i + _RUN_CHUNK, n)) for i in range(1, n, _RUN_CHUNK)]
-    distinct = 1 + sum(
-        int(np.count_nonzero(stream[i:j] != stream[i - 1 : j - 1]))
-        for i, j in bounds
-    )
+    distinct = 1 + sum(len(at) for at in _run_starts(stream))
     keys = np.empty(distinct, dtype=stream.dtype)
     counts = np.empty(distinct, dtype=np.int64)
     keys[0] = stream[0]
     counts[0] = 0
     k = 1
-    for i, j in bounds:
-        at = np.flatnonzero(stream[i:j] != stream[i - 1 : j - 1])
-        at += i
+    for at in _run_starts(stream):
         keys[k : k + len(at)] = stream[at]
         counts[k : k + len(at)] = at
         k += len(at)
@@ -302,69 +309,137 @@ def _runs(stream: np.ndarray):
     return keys, counts
 
 
-def _ball_memory_estimate(r: int, radius: int, d: int, key_bytes: int = 8) -> int:
-    """Upper bound on the bytes held while the largest level of a
-    product ball is built and consolidated, for keys of ``key_bytes``.
+def _ball_memory_estimate(
+    ms: MatSpace, r: int, radius: int, inverse_radius: int | None = None
+) -> int:
+    """Upper bound on the bytes held by the ball-mitm join of r matrices
+    of ``ms`` at ``radius``; ``inverse_radius`` is the radius of the ball
+    of inverse generators that an open multiset also needs.
 
-    Per word of that level its key in the stream, and at most one
-    distinct key and int64 count.  Per element of earlier levels its key
-    and count, plus the int64 word index that repeats product rows.  Per
+    Per word of the top level its key in the stream, which is never
+    consolidated.  Per element of a lower level its key and count, plus
+    the int64 word index that repeats product rows.  An inverse top
+    level is consolidated: its stream, then its keys and counts.  Per
     product of one frontier block the int64 key, gathered term and two
-    gather indices of ``key_products`` or, on its fallback, the product
-    matrix and its pack; per product of one ``right_products`` GEMM
-    block its float32 product and quotient, residues, canon mask,
-    indices and output: under 24 * d * d + 16 bytes.  Per value of one
-    ``_runs`` chunk its mask, positions and gathered keys.
+    gather indices of ``key_products``.  On its row-table path, per row
+    code and generator or scalar the table entry and the row product it
+    is built from: under 24 * d + 16 bytes.  On its fallback, the
+    product matrix and its pack, and per product of one
+    ``right_products`` GEMM block its float32 product and quotient,
+    residues, canon mask, indices and output: under 24 * d * d + 16
+    bytes.  Per value of one ``_RUN_CHUNK`` chunk of a consolidation or
+    a join its mask, positions, counts and gathered keys.  And 64 KiB
+    for the small arrays whose size does not grow with the ball.
     """
+    d = ms.d
+    key_bytes = ms.pack(ms.identity_batch(1)).dtype.itemsize
     words = r**radius
     kept = sum(r**t for t in range(radius))
+    top = key_bytes * words
+    if inverse_radius is not None:
+        kept += sum(r**t for t in range(min(inverse_radius, radius)))
+        if inverse_radius >= radius:
+            top += (key_bytes + 8) * words
     block = min(_BALL_BLOCK, r ** max(radius - 1, 0)) * r
-    gemm = min(block, max(r, _PRODUCT_BLOCK))
+    if ms.row_tables(r):
+        products = (24 * d + 16) * ms.q**d * (r + d * ms.q)
+    else:
+        products = (24 * d * d + 16) * min(block, max(r, _PRODUCT_BLOCK))
     return (
-        (2 * key_bytes + 8) * words
+        top
         + (key_bytes + 16) * kept
         + (32 + d * d) * block
-        + (24 * d * d + 16) * gemm
+        + products
         + (key_bytes + 25) * min(_RUN_CHUNK, words)
+        + (1 << 16)
     )
 
 
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
+    """N_k = sum_g c_a(g) * c'_b(g) over the ball levels, with a =
+    ceil(k/2), b = k - a and c' the counts of the inverse generators
+    (c' = c for an inverse-closed multiset).  Levels 0..R-1, R =
+    ceil(K/2), are consolidated; the top level R stays its sorted word
+    stream, where a key's count is the length of its run."""
     params = gens.params
     ms = MatSpace(params.base, params.d)
     gen_mats = gens.mats[sel]
+    r = len(sel)
     radius = (K + 1) // 2
+    inv_mats = _inverses_if_open(ms, gen_mats)
     budget = default_mem_budget() if memory_budget is None else int(memory_budget)
-    key_bytes = ms.pack(gen_mats[:1]).dtype.itemsize
-    est = _ball_memory_estimate(len(sel), radius, params.d, key_bytes)
+    est = _ball_memory_estimate(ms, r, radius, None if inv_mats is None else K // 2)
     if est > budget:
         raise MemoryBudgetError(
             f"radius-{radius} product ball needs ~{est} bytes "
             f"(budget {budget}); lower K or raise the budget"
         )
-    levels = _ball_levels(ms, gen_mats, radius, threads)
-    inv_mats = _inverses_if_open(ms, gen_mats)
+    levels = _ball_levels(ms, gen_mats, radius - 1, threads)
     if inv_mats is None:
         inv_levels = levels
     else:
         inv_levels = _ball_levels(ms, inv_mats, K // 2, threads)
-    r = len(sel)
     values = [1]
+    top = None
     for k in range(1, K + 1):
         a = (k + 1) // 2
         b = k - a
-        ka, ca = levels[a]
-        kb, cb = inv_levels[b]
-        bound = (r**a) * int(cb.max())
-        if bound >= _COUNTER_LIMIT:
-            raise ValueError(
-                f"N_{k} join bound {bound} overflows 64-bit counters"
-            )
-        pos = np.searchsorted(ka, kb)
-        pos_c = np.minimum(pos, len(ka) - 1)
-        hit = ka[pos_c] == kb
-        values.append(int(np.sum(ca[pos_c[hit]] * cb[hit])))
+        if a < radius:
+            values.append(_join(r**a, levels[a], inv_levels[b], k))
+            continue
+        if top is None:
+            top = _ball_stream(ms, gen_mats, levels[-1], threads)
+        if b < len(inv_levels):
+            values.append(_join(r**a, top, inv_levels[b], k))
+        else:
+            # inverse-closed N_2R: c_R(g^-1) = c_R(g), a sum of squares
+            values.append(_square_run_sum(top, r**a, k))
     return values
+
+
+def _check_bound(words: int, largest: int, k: int) -> None:
+    """A sum of counts of ``words`` words, each weighted by at most
+    ``largest``, must stay below the 64-bit counter limit."""
+    bound = words * int(largest)
+    if bound >= _COUNTER_LIMIT:
+        raise ValueError(f"N_{k} join bound {bound} overflows 64-bit counters")
+
+
+def _join(words: int, level, stored, k: int) -> int:
+    """sum_g c(g) * c'(g): ``level`` is a (keys, counts) level or a sorted
+    word stream of ``words`` words, ``stored`` a (keys, counts) level.
+    Runs in chunks of ``_RUN_CHUNK`` stored keys."""
+    kb, cb = stored
+    _check_bound(words, cb.max(), k)
+    total = 0
+    for i in range(0, len(kb), _RUN_CHUNK):
+        keys = kb[i : i + _RUN_CHUNK]
+        if isinstance(level, tuple):
+            ka, ca = level
+            pos = np.searchsorted(ka, keys)
+            np.minimum(pos, len(ka) - 1, out=pos)
+            count = np.where(ka[pos] == keys, ca[pos], 0)
+        else:
+            count = np.searchsorted(level, keys, "right")
+            count -= np.searchsorted(level, keys, "left")
+        total += int(np.dot(count, cb[i : i + _RUN_CHUNK]))
+    return total
+
+
+def _square_run_sum(stream: np.ndarray, words: int, k: int) -> int:
+    """The sum of the squared run lengths of a sorted stream of ``words``
+    words, read over chunks of run starts; the run still open at the end
+    of a chunk is carried into the next."""
+    total = 0
+    start = 0
+    for at in chain(_run_starts(stream), [np.array([len(stream)])]):
+        if not len(at):
+            continue
+        lengths = np.diff(at, prepend=start)
+        start = at[-1]
+        _check_bound(words, lengths.max(), k)
+        total += int(np.dot(lengths, lengths))
+    return total
 
 
 def _inverses_if_open(ms: MatSpace, mats: np.ndarray):

@@ -43,20 +43,19 @@ def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename)."""
-    _atomic_write(path, text.encode("utf-8"))
+    atomic_write_parts(path, [text.encode("utf-8")])
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + rename)."""
-    _atomic_write(path, data)
-
-
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write_parts(path: str, parts) -> None:
+    """Write the byte buffers ``parts``, one after another, to ``path``
+    atomically (temp file + rename), so that they are never joined in
+    memory."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -2,12 +2,14 @@
 counts against the closed-walk moment, and serialization round trips."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cayplex import cayley
 from cayplex.cayley import (
+    CayleyGraph,
     VertexLimitError,
     bfs_build,
     closure_from_matrices,
@@ -340,6 +342,61 @@ def test_binary_corrupt_length_field(graph42):
     blob[8] ^= 0xFF  # low byte of the vertex count
     with pytest.raises(ValueError):
         graph_from_bytes(bytes(blob))
+
+
+def test_binary_file_rejections(graph42, tmp_path):
+    """import_graph reads a binary file part by part; every damaged file
+    is still refused: a flipped byte, a cut, trailing bytes, and (under
+    a valid checksum) an out-of-range neighbor or a repeated key."""
+    good = tmp_path / "good.bin"
+    export_graph(graph42, str(good))
+    blob = good.read_bytes()
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x40
+    damaged = {
+        "checksum": bytes(flipped),
+        "truncated": blob[:-5],
+        "header only": blob[:10],
+        "trailing": blob + b"\0" * 4,
+        "trailing row": blob + bytes(graph42.n),
+    }
+    for name, data in damaged.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            import_graph(str(path))
+    G = graph42
+    nbr = G.nbr.copy()
+    nbr[5, 0] = G.n
+    keys = G.keys.copy()
+    keys[3] = keys[2]
+    for bad, match in (((G.keys, nbr), "out of range"), ((keys, G.nbr), "duplicate")):
+        path = tmp_path / f"{match}.bin"
+        export_graph(CayleyGraph(G.F, G.d, *bad, G.gen_colors, True, True), str(path))
+        with pytest.raises(ValueError, match=match):
+            import_graph(str(path))
+
+
+def test_binary_export_import_hold_the_table_once(graph53, tmp_path):
+    """Export writes the neighbor table from the graph's own array and
+    import reads it straight into the array it returns, so neither
+    holds a second copy of it nor the whole file as one string."""
+    path = str(tmp_path / "g.bin")
+    slack = 8 << 20
+    tracemalloc.start()
+    try:
+        export_graph(graph53, path)
+        _, export_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        back = import_graph(path)
+        _, import_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == graph53
+    table = graph53.nbr.nbytes + graph53.keys.nbytes
+    assert export_peak < graph53.keys.nbytes + slack
+    assert import_peak - base < table + slack
 
 
 def test_text_errors(toy3):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cayplex import spectra
 from cayplex.cayley import closure_from_matrices, colored_subgraph
 from cayplex.ffield import get_field
 from cayplex.genforge import (
@@ -26,6 +27,8 @@ from cayplex.spectra import (
     SpectrumReport,
     _ball_levels,
     _ball_memory_estimate,
+    _inverses_if_open,
+    _moments_ball_mitm,
     _reverse_columns,
     _selected,
     compare,
@@ -49,6 +52,21 @@ def _consolidated_levels(ms, gen_mats, radius):
         counts = prev_counts[order // r]
         levels.append((keys[starts], np.add.reduceat(counts, starts)))
     return levels
+
+
+def _consolidated_join(ms, gen_mats, K):
+    """Reference N_0..N_K: every level of the ball and of the inverse
+    ball consolidated, joined on equal keys with Python integers."""
+    fwd = _consolidated_levels(ms, gen_mats, (K + 1) // 2)
+    inv = _consolidated_levels(ms, ms.inverse(gen_mats), K // 2)
+    values = [1]
+    for k in range(1, K + 1):
+        a = (k + 1) // 2
+        counts = dict(zip(fwd[a][0].tolist(), fwd[a][1].tolist()))
+        kb, cb = inv[k - a]
+        pairs = zip(kb.tolist(), cb.tolist())
+        values.append(sum(counts.get(x, 0) * c for x, c in pairs))
+    return values
 
 
 def _rotation_rows(n, k):
@@ -217,12 +235,63 @@ class TestWalkMoments:
             if gens is bar33:
                 assert len(want[3][0]) < len(gens) ** 3
 
-    def test_ball_memory_estimate_bounds_traced_peak(self, bar53):
+    def test_ball_mitm_matches_consolidated_join(self, monkeypatch, bar42, hat53):
+        """Oracle: every N_k joined over fully consolidated levels of the
+        ball and of the inverse ball, against the join that keeps the
+        top level as its sorted word stream.  A run chunk of 7 values
+        makes runs and stored keys cross chunk borders."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
-        for gens, radii in ((bar33, (2, 3, 4)), (bar53, (3,))):
-            d = gens.params.d
-            ms = MatSpace(gens.params.base, d)
-            gen_mats = gens.mats
+        cases = [(bar33, None), (bar42, None), (hat53, {1})]
+        for gens, colors in cases:
+            ms = MatSpace(gens.params.base, gens.params.d)
+            sel = _selected(gens, colors)
+            gen_mats = gens.mats[sel]
+            # hat53 colour 1 is an open multiset: its inverse ball differs
+            assert (_inverses_if_open(ms, gen_mats) is None) == (colors is None)
+            want = _consolidated_join(ms, gen_mats, 6)
+            for chunk in (spectra._RUN_CHUNK, 7):
+                monkeypatch.setattr(spectra, "_RUN_CHUNK", chunk)
+                for threads in (1, 2):
+                    for K in range(7):
+                        got = _moments_ball_mitm(gens, K, sel, threads, None)
+                        assert got == want[: K + 1]
+
+    def test_top_level_overflow_guard(self, monkeypatch, bar42, hat53):
+        """The top-level join bound is r^R times the longest run of the
+        top stream (inverse-closed N_2R) or the largest stored count
+        (open multisets): at that limit the join raises, one above it
+        the values are exact."""
+        for gens, colors, K in ((bar42, None, 4), (hat53, {1}, 4), (hat53, {1}, 3)):
+            ms = MatSpace(gens.params.base, gens.params.d)
+            sel = _selected(gens, colors)
+            gen_mats = gens.mats[sel]
+            radius = (K + 1) // 2
+            top = _consolidated_levels(ms, gen_mats, radius)[radius][1]
+            if colors is None:
+                largest = int(top.max())
+            else:
+                inv = _consolidated_levels(ms, ms.inverse(gen_mats), K // 2)
+                largest = max(int(c.max()) for _, c in inv)
+            limit = len(sel) ** radius * largest
+            monkeypatch.setattr(spectra, "_COUNTER_LIMIT", limit)
+            with pytest.raises(ValueError, match=f"N_{K} join bound .* overflows"):
+                _moments_ball_mitm(gens, K, sel, 1, None)
+            monkeypatch.setattr(spectra, "_COUNTER_LIMIT", limit + 1)
+            want = _consolidated_join(ms, gen_mats, K)
+            assert _moments_ball_mitm(gens, K, sel, 1, None) == want
+
+    def test_ball_memory_estimate_bounds_traced_peak(self, bar53, hat53):
+        """The whole ball-mitm join, lower levels, top stream and every
+        N_k, stays within the estimate.  So does ``_ball_levels``, whose
+        consolidated top level is what the estimate allows for the
+        inverse ball of an open multiset at even K."""
+        bar33 = symmetrize(build_omega(make_params(3, 3)))
+        cases = ((bar33, None, (2, 3, 4)), (bar53, None, (3,)), (hat53, {1}, (2, 3)))
+        for gens, colors, radii in cases:
+            ms = MatSpace(gens.params.base, gens.params.d)
+            sel = _selected(gens, colors)
+            gen_mats = gens.mats[sel]
+            r = len(sel)
             for radius in radii:
                 tracemalloc.start()
                 try:
@@ -230,8 +299,18 @@ class TestWalkMoments:
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert int(levels[-1][1].sum()) == len(gens) ** radius
-                assert peak <= _ball_memory_estimate(len(gens), radius, d)
+                assert int(levels[-1][1].sum()) == r**radius
+                assert peak <= _ball_memory_estimate(ms, r, radius, radius)
+                del levels
+                for K in (2 * radius - 1, 2 * radius):
+                    inverse_radius = None if colors is None else K // 2
+                    tracemalloc.start()
+                    try:
+                        _moments_ball_mitm(gens, K, sel, 1, None)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= _ball_memory_estimate(ms, r, radius, inverse_radius)
 
     def test_strategy_agreement_exhaustive_d3(self, bar53, graph53):
         dp = walk_moments(bar53, 8, "group-dp", graph=graph53)
