@@ -257,8 +257,8 @@ class _VertexIndex:
     def __init__(self, ms, keys):
         self._blocks = [keys]
         self.n = len(keys)
-        size = ms.q ** (ms.d * ms.d)
-        if ms.packable and size <= _VERTEX_TABLE_MAX:
+        size = _vertex_table_size(ms)
+        if size:
             self._table = np.full(size, -1, dtype=np.int32)
             self._table[keys] = np.arange(self.n, dtype=np.int32)
         else:
@@ -308,6 +308,13 @@ class _VertexIndex:
         return np.concatenate(self._blocks)
 
 
+def _vertex_table_size(ms) -> int:
+    """Entries of the direct int32 vertex table a closure over ``ms``
+    allocates up front, 0 when its keys are searched in sorted runs."""
+    size = ms.q ** (ms.d * ms.d)
+    return size if ms.packable and size <= _VERTEX_TABLE_MAX else 0
+
+
 def _search(run, keys) -> np.ndarray:
     """Numbers of ``keys`` in a sorted (keys, numbers) run, -1 if absent."""
     srt, ids = run
@@ -342,15 +349,21 @@ def _verify_symmetry(ms, nbr, O) -> bool:
     if not np.all(gen_keys[order][pos_c] == inv_keys):
         return False
     partner = order[pos_c]
-    v = np.arange(nbr.shape[0], dtype=np.int64)
+    n, r = nbr.shape
     # Columns i and j = inv(i) are maps s_i, s_j of a finite vertex set.
     # If s_j(s_i(v)) = v for every v, then s_i is injective, hence a
     # bijection, and s_j is its inverse; so s_i(s_j(v)) = v follows and
     # each pair {i, inv(i)} needs checking only once.
-    for i in range(nbr.shape[1]):
-        if partner[i] < i:
-            continue
-        if not np.array_equal(nbr[nbr[:, i], partner[i]], v):
+    cols = np.flatnonzero(partner >= np.arange(r))
+    back = partner[cols]
+    flat = nbr.ravel()
+    for v0 in range(0, n, _CLOSURE_BLOCK):
+        step = nbr[v0 : v0 + _CLOSURE_BLOCK][:, cols].astype(np.int64)
+        step *= r
+        step += back
+        bad = flat[step] != np.arange(v0, v0 + len(step))[:, None]
+        if bad.any():
+            i = cols[np.flatnonzero(bad.any(axis=0))[0]]
             raise AssertionError(f"edge relation not symmetric at generator {i}")
     return True
 

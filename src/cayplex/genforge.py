@@ -780,7 +780,7 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
       under 40 bytes per entry;
     * the collection: per word W, V, the flags, the int64 key of each of
       its d-1 prefixes and the sort arrays of one level's ``np.unique``;
-      per word of one block of ``_PRODUCT_BLOCK`` words, int64 indices
+      per word of one ``_collect_block`` of words, int64 indices
       and keys, the gathered, running and canonical matrices, and the
       temporaries of one ``MatSpace.mul`` (float32 copies or int64 table
       terms, under 26 bytes per entry).
@@ -800,9 +800,15 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
         56 * P + 16 * S + 40 * words,
         34 * words + threads * min(words, _VERIFY_BLOCK) * d * (d + 1) * 40,
         words * (8 * d + 33)
-        + min(words, _PRODUCT_BLOCK) * (24 + 3 * m + canon + 26 * sq),
+        + min(words, _collect_block(d)) * (24 + 3 * m + canon + 26 * sq),
     )
     return tables + sum(n**k for k in range(1, a + 1)) * m + max(stages)
+
+
+def _collect_block(d: int) -> int:
+    """Verified words per block of the collect phase: ``_PRODUCT_BLOCK``
+    matrix entries of (d, d) running products."""
+    return max(1, _PRODUCT_BLOCK // (d * d))
 
 
 def _check_hat_budget(params, words, threads, budget) -> None:
@@ -910,8 +916,9 @@ def build_omega_hat(
     # the key of every verified word's prefix of each length 1..d-1, with
     # the products past the prefix half formed a block of words at a time
     level_keys = [[] for _ in range(d - 1)]
-    for w0 in range(0, len(W), _PRODUCT_BLOCK):
-        Wb, Vb = W[w0 : w0 + _PRODUCT_BLOCK], V[w0 : w0 + _PRODUCT_BLOCK]
+    collect = _collect_block(d)
+    for w0 in range(0, len(W), collect):
+        Wb, Vb = W[w0 : w0 + collect], V[w0 : w0 + collect]
         for level in range(1, a + 1):
             prefix = levels[level - 1][Wb // (n ** (a - level))]
             level_keys[level - 1].append(ms.pack(ms.canon(prefix)))

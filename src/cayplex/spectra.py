@@ -10,8 +10,15 @@ from itertools import chain
 
 import numpy as np
 
-from .cayley import CayleyGraph, _distinct, closure_from_matrices, colored_subgraph
-from .genforge import GenSet, MemoryBudgetError, default_mem_budget
+from .cayley import (
+    CayleyGraph,
+    VertexLimitError,
+    _distinct,
+    _vertex_table_size,
+    closure_from_matrices,
+    colored_subgraph,
+)
+from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
 from .projmat import _PRODUCT_BLOCK, MatSpace
 from .util import atomic_write_text, ordered_chunked_map, read_checked_text
 
@@ -116,18 +123,41 @@ def _selected(gens: GenSet, colors):
     return sel
 
 
-def _graph_for(gens: GenSet, graph: CayleyGraph | None) -> CayleyGraph:
+def _graph_for(
+    gens: GenSet, graph: CayleyGraph | None, sel, memory_budget: int | None
+) -> CayleyGraph:
     """The closure graph of ``gens``, building it when not supplied and
-    verifying a supplied one really was built from this system."""
+    verifying a supplied one really was built from this system.
+
+    A closure built here holds at most the vertex rows that the memory
+    budget allows at ``_group_dp_row_bytes`` each, beside the closure's
+    direct vertex table.  The systems generate a group containing
+    PSL_d(F_q), so a budget short of that many rows is refused before
+    the closure starts, and one that the closure outgrows is refused
+    when it does."""
     if graph is None:
         params = gens.params
-        return closure_from_matrices(
-            params.base,
-            params.d,
-            gens.mats,
-            colors=[g.color for g in gens],
-            max_vertices=_GROUP_CAP,
+        budget = default_mem_budget() if memory_budget is None else int(memory_budget)
+        table = 4 * _vertex_table_size(MatSpace(params.base, params.d))
+        rows = max(budget - table, 0) // _group_dp_row_bytes(len(gens), len(sel))
+        refusal = MemoryBudgetError(
+            f"group-dp closure needs more than the {rows} vertex rows that "
+            f"budget {budget} holds; pass a built graph or raise the budget"
         )
+        if rows < group_order_psl(params.d, params.q):
+            raise refusal
+        try:
+            return closure_from_matrices(
+                params.base,
+                params.d,
+                gens.mats,
+                colors=[g.color for g in gens],
+                max_vertices=min(_GROUP_CAP, rows),
+            )
+        except VertexLimitError:
+            if rows >= _GROUP_CAP:
+                raise
+            raise refusal from None
     ms = graph.space()
     if graph.r != len(gens):
         raise ValueError("graph was not built from this generator system")
@@ -135,6 +165,15 @@ def _graph_for(gens: GenSet, graph: CayleyGraph | None) -> CayleyGraph:
     if not np.array_equal(graph.keys[graph.nbr[0]], gen_keys):
         raise ValueError("graph was not built from this generator system")
     return graph
+
+
+def _group_dp_row_bytes(r: int, s: int) -> int:
+    """Upper estimate of the bytes group-dp holds per vertex of a closure
+    it builds over r generators, s of them selected: the int32 neighbor
+    row; the int64 key in the vertex index, its merge copy and the final
+    key array; the int64 vectors f and h and one pass's output; and the
+    int32 copy of the selected columns and their inverse permutations."""
+    return 4 * r + 40 + 24 + 8 * s
 
 
 def _reverse_columns(nbr: np.ndarray, cols) -> np.ndarray:
@@ -159,9 +198,11 @@ def walk_moments(
 ) -> MomentSeq:
     """Exact moment sequence N_0..N_K of a generator system.
 
-    ``group-dp`` propagates the word-count distribution over the whole
-    group along the neighbor table; the group must be enumerable (at
-    most ~10^7 elements; pass ``graph`` to reuse a built closure).
+    ``group-dp`` propagates the word-count distribution along the
+    neighbor table, pass t over the radius-t ball only, a prefix of the
+    breadth-first vertex numbering; the group must be enumerable (at
+    most ~10^7 elements, and a closure built here within the memory
+    budget; pass ``graph`` to reuse a built closure).
     ``ball-mitm`` builds product balls of radius ceil(K/2), each lower
     level the runs of its sorted word stream (distinct packed keys and
     their word counts) and the top level the stream itself, and joins
@@ -180,7 +221,7 @@ def walk_moments(
                 f"K={K} overflows 64-bit word counters for {len(sel)} "
                 "generators under group-dp"
             )
-        values = _moments_group_dp(gens, K, sel, graph, threads)
+        values = _moments_group_dp(gens, K, sel, graph, threads, memory_budget)
     elif strategy == "ball-mitm":
         if len(sel) ** max((K + 1) // 2, 1) >= _COUNTER_LIMIT:
             raise ValueError(
@@ -193,7 +234,7 @@ def walk_moments(
     return MomentSeq(values, gens.content_hash(), colors, strategy)
 
 
-def _moments_group_dp(gens, K, sel, graph, threads):
+def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
     """N_k = sum_x f_a(x) h_b(x) with a = ceil(k/2), b = k - a, where
     f_t(x) counts the length-t words with product x and h_t(x) those
     with product x^-1.  Since x g_i is vertex nbr[x, i], h_{t+1}(x) =
@@ -201,8 +242,15 @@ def _moments_group_dp(gens, K, sel, graph, threads):
     the inverse permutation of column i.  Reversing a word and inverting
     its letters is a bijection onto words over the inverse multiset, so
     f = h when the selected multiset is inverse-closed, and ceil(K/2)
-    gather passes suffice."""
-    G = _graph_for(gens, graph)
+    gather passes suffice.
+
+    Pass t computes its vector only on rows [0, m_t): m_t = 1 +
+    max(T[:m_{t-1}]) bounds the support of a vector whose predecessor
+    lives on [0, m_{t-1}), where T steps forward from that support
+    (``cols`` for f, ``rev`` for h; ``cols`` again when f = h).  The
+    bound holds in any vertex numbering; in the breadth-first numbering
+    of a closure it is the radius-t ball, a prefix of the vertices."""
+    G = _graph_for(gens, graph, sel, memory_budget)
     cols = G.nbr if len(sel) == G.r else np.ascontiguousarray(G.nbr[:, sel])
     ms = G.space()
     gen_mats = gens.mats[sel]
@@ -210,26 +258,56 @@ def _moments_group_dp(gens, K, sel, graph, threads):
     if _inverses_if_open(ms, gen_mats) is not None:
         rev = _reverse_columns(G.nbr, sel)
     block = 1 << 14
-    starts = range(0, G.n, block)
 
-    def step(vec, table):
+    def step(vec, table, rows):
+        out = np.zeros(G.n, dtype=np.int64)
+
         def gather(chunk):
-            return [vec[table[i : i + block]].sum(axis=1) for i in chunk]
+            for i in chunk:
+                j = min(i + block, rows)
+                np.sum(vec[table[i:j]], axis=1, out=out[i:j])
+            return []
 
-        parts = ordered_chunked_map(gather, starts, threads=threads, chunk=8)
-        return np.concatenate(parts)
+        ordered_chunked_map(gather, range(0, rows, block), threads=threads, chunk=8)
+        return out
 
     h = np.zeros(G.n, dtype=np.int64)
     h[0] = 1
     f = h
+    f_rows = _support_bound(cols)
+    h_rows = None if rev is None else _support_bound(rev)
+    mf = mh = 1
     values = [1]
     for k in range(1, K + 1):
         if k % 2:
-            f = step(f, cols if rev is None else rev)
+            mf = f_rows(mf)
+            f = step(f, cols if rev is None else rev, mf)
+        elif rev is None:
+            h = f
         else:
-            h = f if rev is None else step(h, cols)
+            mh = h_rows(mh)
+            h = step(h, cols, mh)
         values.append(int(np.dot(f, h)))
     return values
+
+
+def _support_bound(table: np.ndarray):
+    """The bound m -> 1 + max(table[:m]) on the support of a vector one
+    step past a vector supported on [0, m), for nondecreasing m.  A
+    running max makes each row read once; once the bound reaches every
+    row, no row is read again."""
+    n = table.shape[0]
+    scanned = 0
+    top = 0
+
+    def bound(m):
+        nonlocal scanned, top
+        if top + 1 < n and m > scanned:
+            top = max(top, int(table[scanned:m].max()))
+            scanned = m
+        return top + 1
+
+    return bound
 
 
 def _ball_levels(ms: MatSpace, gen_mats: np.ndarray, radius: int, threads: int):

@@ -101,15 +101,22 @@ def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42):
             bfs_build(gens, max_vertices=n - 1)
 
 
-def test_symmetry_check_catches_each_broken_column(graph42):
+def test_symmetry_check_catches_each_broken_column(monkeypatch, graph42):
+    """A swap of two rows in any column breaks the pairing, in the first
+    row block, across a block border and in the last, partial block."""
     ms = graph42.space()
     O = ms.unpack(graph42.keys[graph42.nbr[0]])
-    assert cayley._verify_symmetry(ms, graph42.nbr, O)
-    for i in range(graph42.r):
-        nbr = graph42.nbr.copy()
-        nbr[[3, 7], i] = nbr[[7, 3], i]
-        with pytest.raises(AssertionError, match="not symmetric"):
-            cayley._verify_symmetry(ms, nbr, O)
+    n = graph42.n
+    for block in (cayley._CLOSURE_BLOCK, 16):
+        monkeypatch.setattr(cayley, "_CLOSURE_BLOCK", block)
+        assert cayley._verify_symmetry(ms, graph42.nbr, O)
+        for u, v in ((3, 7), (15, 16), (n - 2, n - 1)):
+            for i in range(graph42.r):
+                nbr = graph42.nbr.copy()
+                nbr[[u, v], i] = nbr[[v, u], i]
+                assert not np.array_equal(nbr, graph42.nbr)
+                with pytest.raises(AssertionError, match="not symmetric"):
+                    cayley._verify_symmetry(ms, nbr, O)
 
 
 def test_bfs_build_requires_symmetric_kind(omega53):

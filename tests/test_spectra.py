@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import spectra
-from cayplex.cayley import closure_from_matrices, colored_subgraph
+from cayplex import cayley, spectra
+from cayplex.cayley import CayleyGraph, closure_from_matrices, colored_subgraph
 from cayplex.ffield import get_field
 from cayplex.genforge import (
     MemoryBudgetError,
@@ -36,6 +36,18 @@ from cayplex.spectra import (
     isomorphism_search,
     walk_moments,
 )
+
+
+def _relabeled(G, seed):
+    """``G`` with vertices 1..n-1 renumbered by a seeded permutation; the
+    identity stays vertex 0."""
+    perm = np.random.default_rng(seed).permutation(G.n - 1) + 1
+    perm = np.concatenate(([0], perm)).astype(G.nbr.dtype)
+    keys = np.empty_like(G.keys)
+    keys[perm] = G.keys
+    nbr = np.empty_like(G.nbr)
+    nbr[perm] = perm[G.nbr]
+    return CayleyGraph(G.F, G.d, keys, nbr, G.gen_colors, G.symmetric, G.connected)
 
 
 def _consolidated_levels(ms, gen_mats, radius):
@@ -203,7 +215,7 @@ class TestWalkMoments:
             (hat53, graph53_hat, None),  # inverse-closed
             (hat53, graph53_hat, {1}),  # directed color
         ]
-        for gens, G, colors in cases:
+        for seed, (gens, G, colors) in enumerate(cases):
             rev = _reverse_columns(G.nbr, _selected(gens, colors))
             v = np.zeros(G.n, dtype=np.int64)
             v[0] = 1
@@ -211,9 +223,16 @@ class TestWalkMoments:
             for _ in range(7):
                 v = v[rev].sum(axis=1)
                 want.append(int(v[0]))
-            for K in range(8):
-                got = walk_moments(gens, K, "group-dp", colors=colors, graph=G)
-                assert list(got.values) == want[: K + 1]
+            # the ball bounds of the passes must not rely on the
+            # breadth-first numbering
+            for graph in (G, _relabeled(G, seed)):
+                for threads in (1, 2):
+                    for K in range(8):
+                        got = walk_moments(
+                            gens, K, "group-dp", colors=colors, graph=graph,
+                            threads=threads,
+                        )
+                        assert list(got.values) == want[: K + 1]
 
     def test_ball_levels_match_consolidated_reference(self, bar42, hat53):
         """Oracle: every level as the distinct products of the previous
@@ -398,6 +417,23 @@ class TestWalkMoments:
     def test_memory_budget_guard(self, bar53):
         with pytest.raises(MemoryBudgetError, match="budget"):
             walk_moments(bar53, 8, "ball-mitm", memory_budget=1000)
+
+    def test_group_dp_closure_within_memory_budget(self, monkeypatch, bar42, graph42):
+        """Without a graph, group-dp builds the closure only as far as the
+        budget holds its rows: a budget short of |PSL_2(F_4)| = 60 rows
+        is refused up front, one the closure outgrows when it does."""
+        want = walk_moments(bar42, 6, "group-dp", graph=graph42).values
+        assert walk_moments(bar42, 6, "group-dp").values == want
+        table = graph42.nbr.nbytes
+        with pytest.raises(MemoryBudgetError, match=f"budget {table - 1} holds"):
+            walk_moments(bar42, 6, "group-dp", memory_budget=table - 1)
+        fixed = 4 * cayley._vertex_table_size(graph42.space())
+        row = spectra._group_dp_row_bytes(len(bar42), len(bar42))
+        monkeypatch.setattr(spectra, "group_order_psl", lambda d, q: 1)
+        held = walk_moments(bar42, 6, "group-dp", memory_budget=fixed + 60 * row)
+        assert held.values == want
+        with pytest.raises(MemoryBudgetError, match="59 vertex rows"):
+            walk_moments(bar42, 6, "group-dp", memory_budget=fixed + 59 * row)
 
     def test_graph_from_other_system_rejected(self, bar53, graph42):
         with pytest.raises(ValueError, match="not built from"):
