@@ -466,34 +466,43 @@ def _keys_from_ints(F, d: int, values) -> np.ndarray:
     return ms.pack(mats)
 
 
-def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> None:
+def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> str:
     """Write a graph to disk; ``format`` is ``binary`` or ``text``.
+    Returns the sha256 hex digest of the file, taken as it is written.
 
     Both encodings are bit-exact round-trips including vertex numbering.
     The binary form is little-endian fixed-width records followed by a
     64-bit checksum of the preceding byte stream.
     """
     if format == "text":
-        atomic_write_text(path, graph_to_text(G))
-    elif format == "binary":
-        atomic_write_parts(path, _binary_parts(G))
-    else:
-        raise ValueError(f"unknown format {format!r}")
+        return atomic_write_text(path, graph_to_text(G))
+    if format == "binary":
+        return atomic_write_parts(path, _binary_parts(G))
+    raise ValueError(f"unknown format {format!r}")
 
 
-def import_graph(path: str) -> CayleyGraph:
+def import_graph(path: str, hashes: dict | None = None) -> CayleyGraph:
     """Read a graph written by export_graph, auto-detecting the format.
 
     A binary graph carries its own checksum; a text graph is checked
-    against ``<path>.manifest`` when that file exists."""
+    against ``<path>.manifest`` when that file exists.  When ``hashes``
+    is a dict, the sha256 hex digest of the file, taken as it is read,
+    is stored in it under ``path``."""
+    digest = hashlib.sha256()
     with open(path, "rb") as handle:
         if handle.read(4) == _MAGIC:
             handle.seek(0)
-            return _read_binary(handle, os.fstat(handle.fileno()).st_size)
-        handle.seek(0)
-        blob = handle.read()
-    check_manifest(path, blob)
-    return graph_from_text(blob.decode("utf-8"))
+            size = os.fstat(handle.fileno()).st_size
+            G = _read_binary(handle, size, None if hashes is None else digest)
+        else:
+            handle.seek(0)
+            blob = handle.read()
+            digest.update(blob)
+            check_manifest(path, digest.hexdigest())
+            G = graph_from_text(blob.decode("utf-8"))
+    if hashes is not None:
+        hashes[path] = digest.hexdigest()
+    return G
 
 
 def graph_to_text(G: CayleyGraph) -> str:
@@ -640,19 +649,25 @@ def graph_from_bytes(blob: bytes) -> CayleyGraph:
     return _read_binary(io.BytesIO(blob), len(blob))
 
 
-def _read_binary(handle, size: int) -> CayleyGraph:
+def _read_binary(handle, size: int, digest=None) -> CayleyGraph:
     """A binary graph from a file object of ``size`` bytes, read once:
     the neighbor table straight into its int32 array, and each part fed
-    to the blake2b checksum as it is read.  The parts' lengths follow
-    from the header and ``size``, so nothing is allocated past the file,
-    and the rest of the header is read only once the checksum matches."""
+    to the blake2b checksum, and to the hash object ``digest`` when one
+    is given, as it is read.  The parts' lengths follow from the header
+    and ``size``, so nothing is allocated past the file, and the rest of
+    the header is read only once the checksum matches."""
     check = hashlib.blake2b(digest_size=8)
+    hashers = [check] if digest is None else [check, digest]
+
+    def feed(data):
+        for h in hashers:
+            h.update(data)
 
     def take(count):
         if count > size - 8 - handle.tell():
             raise ValueError("truncated graph file")
         data = handle.read(count)
-        check.update(data)
+        feed(data)
         return data
 
     if size < _HEADER.size + 8:
@@ -675,8 +690,11 @@ def _read_binary(handle, size: int) -> CayleyGraph:
     view = memoryview(nbr).cast("B")
     if handle.readinto(view) != len(view):
         raise ValueError("truncated graph file")
-    check.update(view)
-    if check.digest() != handle.read(8):
+    feed(view)
+    stored = handle.read(8)
+    if digest is not None:
+        digest.update(stored)
+    if check.digest() != stored:
         raise ValueError("checksum mismatch: corrupted graph file")
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")

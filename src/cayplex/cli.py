@@ -123,12 +123,6 @@ class RunManifest:
         self.wall_seconds = 0.0
         self.seed = None
 
-    def add_input(self, path: str) -> None:
-        self.inputs[path] = _sha256_file(path)
-
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = _sha256_file(path)
-
     def to_text(self) -> str:
         lines = [f"version={TOOL_VERSION}", f"command={self.command}"]
         for k in sorted(self.params):
@@ -145,14 +139,21 @@ class RunManifest:
     def save(self, path: str) -> None:
         atomic_write_text(path, self.to_text())
 
-    def record(self, start: float, out: str, inputs=()) -> None:
-        """Record the wall time since ``start``, hash ``inputs`` (None
-        entries skipped) and ``out``, and save the manifest as
-        ``<out>.manifest``."""
+    def record(self, start: float, out: str, inputs=(), hashes=None) -> None:
+        """Record the wall time since ``start`` and the sha256 of
+        ``inputs`` (None entries skipped) and ``out``, and save the
+        manifest as ``<out>.manifest``.  ``hashes`` maps paths to digests
+        already taken as their bytes were read or written; any other path
+        is hashed from disk."""
         self.wall_seconds = time.perf_counter() - start
+        hashes = hashes or {}
+
+        def sha256(path):
+            return hashes.get(path) or _sha256_file(path)
+
         for path in filter(None, inputs):
-            self.add_input(path)
-        self.add_output(out)
+            self.inputs[path] = sha256(path)
+        self.outputs[out] = sha256(out)
         self.save(out + ".manifest")
 
 
@@ -299,12 +300,12 @@ def _cmd_graph(ns) -> int:
     gens = GenSet.load(gens_path)
     start = time.perf_counter()
     G = bfs_build(gens, max_vertices=max_vertices, threads=ns.threads)
-    export_graph(G, out, format=fmt)
+    digest = export_graph(G, out, format=fmt)
     RunManifest(
         "graph",
         {"gens": gens_path, "format": fmt, "max_vertices": max_vertices,
          "out": out},
-    ).record(start, out, [gens_path])
+    ).record(start, out, [gens_path], {out: digest})
     print(
         f"n={G.n} r={G.r} symmetric={G.symmetric} connected={G.connected} "
         f"out={out}"
@@ -318,7 +319,8 @@ def _cmd_moments(ns) -> int:
     strategy = _option(ns, "strategy", MOMENT_STRATEGY)
     colors = _parse_colors(ns.colors)
     gens = GenSet.load(gens_path)
-    graph = import_graph(ns.graph) if ns.graph else None
+    hashes = {}
+    graph = import_graph(ns.graph, hashes) if ns.graph else None
     start = time.perf_counter()
     seq = walk_moments(
         gens,
@@ -337,7 +339,7 @@ def _cmd_moments(ns) -> int:
             {"gens": gens_path, "graph": ns.graph, "kmax": kmax,
              "strategy": strategy, "colors": ns.colors,
              "mem_budget": ns.mem_budget, "out": ns.out},
-        ).record(start, ns.out, [gens_path, ns.graph])
+        ).record(start, ns.out, [gens_path, ns.graph], hashes)
     return 0
 
 
@@ -345,7 +347,8 @@ def _cmd_spectrum(ns) -> int:
     graph_path = _require(ns, "graph")
     colors = _parse_colors(ns.colors)
     cap = _option(ns, "cap", DENSE_CAP)
-    G = import_graph(graph_path)
+    hashes = {}
+    G = import_graph(graph_path, hashes)
     start = time.perf_counter()
     report = dense_spectrum(G, colors=colors, cap=cap)
     print(report.to_text(), end="")
@@ -355,19 +358,20 @@ def _cmd_spectrum(ns) -> int:
             "spectrum",
             {"graph": graph_path, "colors": ns.colors, "cap": cap,
              "out": ns.out},
-        ).record(start, ns.out, [graph_path])
+        ).record(start, ns.out, [graph_path], hashes)
     return 0
 
 
 def _cmd_compare(ns) -> int:
     mode = _require(ns, "mode")
     timeout = _option(ns, "timeout", ISO_TIMEOUT)
+    hashes = {}
     if mode == "moments":
         a = MomentSeq.load(ns.a)
         b = MomentSeq.load(ns.b)
     else:
-        a = import_graph(ns.a)
-        b = import_graph(ns.b)
+        a = import_graph(ns.a, hashes)
+        b = import_graph(ns.b, hashes)
     start = time.perf_counter()
     report = compare(a, b, mode, timeout=timeout)
     print(report.to_text(), end="")
@@ -377,7 +381,7 @@ def _cmd_compare(ns) -> int:
             "compare",
             {"a": ns.a, "b": ns.b, "mode": mode, "timeout": timeout,
              "out": ns.out},
-        ).record(start, ns.out, [ns.a, ns.b])
+        ).record(start, ns.out, [ns.a, ns.b], hashes)
     return 0
 
 

@@ -19,6 +19,7 @@ from .cayley import (
     colored_subgraph,
 )
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
+from .orbits import ThetaOrbits
 from .projmat import _PRODUCT_BLOCK, MatSpace
 from .util import atomic_write_text, ordered_chunked_map, read_checked_text
 
@@ -30,6 +31,8 @@ MOMENT_STRATEGY = "ball-mitm"
 _GROUP_CAP = 10_000_000
 _BALL_BLOCK = 2048
 _RUN_CHUNK = 1 << 16
+# products per orbit normal-form block
+_ORBIT_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +206,13 @@ def walk_moments(
     breadth-first vertex numbering; the group must be enumerable (at
     most ~10^7 elements, and a closure built here within the memory
     budget; pass ``graph`` to reuse a built closure).
-    ``ball-mitm`` builds product balls of radius ceil(K/2), each lower
-    level the runs of its sorted word stream (distinct packed keys and
-    their word counts) and the top level the stream itself, and joins
+    ``ball-mitm`` builds product balls of radius ceil(K/2) and joins
     each N_k as sum_g c_a(g) * c_b(g^-1) with a = ceil(k/2); it never
-    materializes the group.  All counters are 64-bit integers, and every
+    materializes the group.  When conjugation by theta permutes the
+    selected generators, each ball level is a list of theta-orbits with
+    their word counts; otherwise each lower level is the runs of its
+    sorted word stream (distinct packed keys and their word counts) and
+    the top level the stream itself.  All counters are 64-bit integers, and every
     sum is checked against an exact word-count bound before it is
     formed; both strategies produce identical values wherever both are
     feasible.
@@ -390,24 +395,21 @@ def _runs(stream: np.ndarray):
 def _ball_memory_estimate(
     ms: MatSpace, r: int, radius: int, inverse_radius: int | None = None
 ) -> int:
-    """Upper bound on the bytes held by the ball-mitm join of r matrices
-    of ``ms`` at ``radius``; ``inverse_radius`` is the radius of the ball
-    of inverse generators that an open multiset also needs.
+    """Upper bound on the bytes held by the word-stream path of the
+    ball-mitm join of r matrices of ``ms`` at ``radius``;
+    ``inverse_radius`` is the radius of the ball of inverse generators
+    that an open multiset also needs.
 
     Per word of the top level its key in the stream, which is never
     consolidated.  Per element of a lower level its key and count, plus
     the int64 word index that repeats product rows.  An inverse top
     level is consolidated: its stream, then its keys and counts.  Per
     product of one frontier block the int64 key, gathered term and two
-    gather indices of ``key_products``.  On its row-table path, per row
-    code and generator or scalar the table entry and the row product it
-    is built from: under 24 * d + 16 bytes.  On its fallback, the
-    product matrix and its pack, and per product of one
-    ``right_products`` GEMM block its float32 product and quotient,
-    residues, canon mask, indices and output: under 24 * d * d + 16
-    bytes.  Per value of one ``_RUN_CHUNK`` chunk of a consolidation or
-    a join its mask, positions, counts and gathered keys.  And 64 KiB
-    for the small arrays whose size does not grow with the ball.
+    gather indices of ``key_products``, and its tables or fallback
+    (``_key_products_bytes``).  Per value of one ``_RUN_CHUNK`` chunk of
+    a consolidation or a join its mask, positions, counts and gathered
+    keys.  And 64 KiB for the small arrays whose size does not grow with
+    the ball.
     """
     d = ms.d
     key_bytes = ms.pack(ms.identity_batch(1)).dtype.itemsize
@@ -419,26 +421,43 @@ def _ball_memory_estimate(
         if inverse_radius >= radius:
             top += (key_bytes + 8) * words
     block = min(_BALL_BLOCK, r ** max(radius - 1, 0)) * r
-    if ms.row_tables(r):
-        products = (24 * d + 16) * ms.q**d * (r + d * ms.q)
-    else:
-        products = (24 * d * d + 16) * min(block, max(r, _PRODUCT_BLOCK))
     return (
         top
         + (key_bytes + 16) * kept
         + (32 + d * d) * block
-        + products
+        + _key_products_bytes(ms, r, block)
         + (key_bytes + 25) * min(_RUN_CHUNK, words)
         + (1 << 16)
     )
 
 
+def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
+    """Upper bound on the bytes ``key_products`` of r matrices holds
+    beside its output, for blocks of ``block`` products.  On its
+    row-table path, per row code and generator or scalar the table entry
+    and the row product it is built from: under 24 * d + 16 bytes.  On
+    its fallback, the product matrix and its pack, and per product of
+    one ``right_products`` GEMM block its float32 product and quotient,
+    residues, canon mask, indices and output: under 24 * d * d + 16
+    bytes."""
+    d = ms.d
+    if ms.row_tables(r):
+        return (24 * d + 16) * ms.q**d * (r + d * ms.q)
+    return (24 * d * d + 16) * min(block, max(r, _PRODUCT_BLOCK))
+
+
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     """N_k = sum_g c_a(g) * c'_b(g) over the ball levels, with a =
     ceil(k/2), b = k - a and c' the counts of the inverse generators
-    (c' = c for an inverse-closed multiset).  Levels 0..R-1, R =
-    ceil(K/2), are consolidated; the top level R stays its sorted word
-    stream, where a key's count is the length of its run."""
+    (c' = c for an inverse-closed multiset).
+
+    When conjugation by theta permutes the selected generators (see
+    ``ThetaOrbits.for_system``), the counts are constant on theta-orbits
+    and both balls are carried as orbit levels (``_orbit_levels``):
+    N_k = sum_O W_a(O) * c'_b(O) with c'_b(O) = W'_b(O) / |O|.
+    Otherwise levels 0..R-1, R = ceil(K/2), are consolidated and the top
+    level R stays its sorted word stream, where a key's count is the
+    length of its run."""
     params = gens.params
     ms = MatSpace(params.base, params.d)
     gen_mats = gens.mats[sel]
@@ -446,6 +465,20 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     radius = (K + 1) // 2
     inv_mats = _inverses_if_open(ms, gen_mats)
     budget = default_mem_budget() if memory_budget is None else int(memory_budget)
+    orbits = ThetaOrbits.for_system(params, ms, gen_mats)
+    if orbits is not None:
+        levels = _orbit_levels(ms, orbits, gen_mats, radius, threads, budget)
+        inv_levels = levels
+        if inv_mats is not None:
+            held = sum(a.nbytes for level in levels for a in level)
+            inv_levels = _orbit_levels(ms, orbits, inv_mats, K // 2, threads, budget, held)
+        values = [1]
+        for k in range(1, K + 1):
+            a = (k + 1) // 2
+            ids_a, _, w_a, _ = levels[a]
+            ids_b, _, w_b, size_b = inv_levels[k - a]
+            values.append(_join(r**a, (ids_a, w_a), (ids_b, w_b // size_b), k))
+        return values
     est = _ball_memory_estimate(ms, r, radius, None if inv_mats is None else K // 2)
     if est > budget:
         raise MemoryBudgetError(
@@ -473,6 +506,94 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
             # inverse-closed N_2R: c_R(g^-1) = c_R(g), a sum of squares
             values.append(_square_run_sum(top, r**a, k))
     return values
+
+
+def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
+    """Orbit levels t = 0..radius of the product ball over ``gen_mats``,
+    a batch that conjugation by theta permutes: for each theta-orbit O
+    holding a product of exactly t generators, sorted by orbit id, the
+    id, one representative key, the weight W_t(O) = sum_(x in O) c_t(x)
+    and the size |O|.
+
+    Since conjugation by theta permutes the generators, the number of
+    generators s with x s in O' is the same for every x of an orbit O,
+    so W_(t+1)(O') = sum_O W_t(O) * #{s : rep_O s in O'}: the products
+    of the representatives alone, each carrying the weight of its
+    source, grouped by id and summed; any product of a group can
+    represent it.  Every level is checked to hold r^t words and weights
+    divisible by the orbit sizes.  Before a level is built, its
+    ``_orbit_memory_estimate`` from the previous level's orbit count,
+    plus ``held`` bytes and the levels already built, must fit the
+    budget."""
+    r = len(gen_mats)
+    ident = ms.pack(ms.identity_batch(1))
+    ids, sizes = orbits.ids(ident)
+    levels = [(ids, ident, np.ones(1, dtype=np.int64), sizes)]
+    products = ms.key_products(gen_mats)
+    step = max(1, _ORBIT_BLOCK // r)
+    for t in range(1, radius + 1):
+        _, keys, weights, _ = levels[-1]
+        m = len(keys)
+        held += sum(a.nbytes for a in levels[-1])
+        est = _orbit_memory_estimate(ms, orbits, r, m, held)
+        if est > budget:
+            raise MemoryBudgetError(
+                f"orbit level {t} of the product ball needs ~{est} bytes "
+                f"(budget {budget}); lower K or raise the budget"
+            )
+        out_ids = np.empty(m * r, dtype=np.int64)
+        out_keys = np.empty(m * r, dtype=keys.dtype)
+
+        def expand(items):
+            for i in items:
+                block = products(keys[i : i + step])
+                out_keys[i * r : i * r + len(block)] = block
+                out_ids[i * r : i * r + len(block)] = orbits.ids(block)[0]
+            return []
+
+        ordered_chunked_map(expand, range(0, m, step), threads=threads, chunk=1)
+        order = np.argsort(out_ids)
+        out_ids = out_ids[order]
+        new = np.empty(len(out_ids), dtype=bool)
+        new[0] = True
+        np.not_equal(out_ids[1:], out_ids[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        del new
+        ids = out_ids[starts]
+        del out_ids
+        reps = out_keys[order[starts]]
+        del out_keys
+        order //= r
+        level_weights = np.add.reduceat(weights[order], starts)
+        del order
+        sizes = orbits.sizes(ids)
+        if int(level_weights.sum()) != r**t or (level_weights % sizes).any():
+            raise AssertionError(f"orbit level {t} disagrees with its word count")
+        levels.append((ids, reps, level_weights, sizes))
+    return levels
+
+
+def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int) -> int:
+    """Upper bound on the bytes held while ``_orbit_levels`` builds one
+    level from m orbits over r generators: the ``held`` bytes of the
+    levels already built, and the following.  Per product, its id and
+    key, the argsort order, the sorted ids, the run starts and the
+    gathered weights; per orbit of the new level (at most one per
+    product), its id, key, weight and size.  Per product of one
+    ``_ORBIT_BLOCK`` block the normal form's temporaries, and
+    ``_key_products_bytes``.  The normal form's tables, and 64 KiB for
+    small arrays."""
+    d = ms.d
+    words = m * r
+    block = min(words, max(r, _ORBIT_BLOCK))
+    return (
+        held
+        + (48 + 32) * words
+        + (16 * d * d + 64 * d + 64) * block
+        + _key_products_bytes(ms, r, block)
+        + orbits.nbytes
+        + (1 << 16)
+    )
 
 
 def _check_bound(words: int, largest: int, k: int) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 
 def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
@@ -33,6 +32,10 @@ def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
         for c in chunks:
             out.extend(fn(c))
         return out
+    # imported here: the serial path is the common one, and the pool
+    # module costs a few milliseconds at startup
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         results = list(pool.map(fn, chunks))
     out = []
@@ -41,20 +44,24 @@ def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
     return out
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename)."""
-    atomic_write_parts(path, [text.encode("utf-8")])
+def atomic_write_text(path: str, text: str) -> str:
+    """Write ``text`` to ``path`` atomically (temp file + rename); return
+    the sha256 hex digest of the bytes written."""
+    return atomic_write_parts(path, [text.encode("utf-8")])
 
 
-def atomic_write_parts(path: str, parts) -> None:
+def atomic_write_parts(path: str, parts) -> str:
     """Write the byte buffers ``parts``, one after another, to ``path``
     atomically (temp file + rename), so that they are never joined in
-    memory."""
+    memory; return the sha256 hex digest of the bytes written, taken as
+    they are written."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    digest = hashlib.sha256()
     try:
         with os.fdopen(fd, "wb") as handle:
             for part in parts:
+                digest.update(part)
                 handle.write(part)
         os.replace(tmp, path)
     except BaseException:
@@ -63,20 +70,21 @@ def atomic_write_parts(path: str, parts) -> None:
         except OSError:
             pass
         raise
+    return digest.hexdigest()
 
 
 def read_checked_text(path: str) -> str:
     """The UTF-8 text of ``path``, checked by :func:`check_manifest`."""
     with open(path, "rb") as handle:
         data = handle.read()
-    check_manifest(path, data)
+    check_manifest(path, hashlib.sha256(data).hexdigest())
     return data.decode("utf-8")
 
 
-def check_manifest(path: str, data: bytes) -> None:
-    """When ``<path>.manifest`` exists, require the sha256 of ``data``,
-    the contents of ``path``, to be one of the manifest's ``output.``
-    hashes; otherwise raise ValueError."""
+def check_manifest(path: str, digest: str) -> None:
+    """When ``<path>.manifest`` exists, require ``digest``, the sha256
+    hex digest of the contents of ``path``, to be one of the manifest's
+    ``output.`` hashes; otherwise raise ValueError."""
     try:
         with open(path + ".manifest", "r", encoding="utf-8") as handle:
             manifest = handle.read()
@@ -87,7 +95,7 @@ def check_manifest(path: str, data: bytes) -> None:
         for line in manifest.splitlines()
         if line.startswith("output.")
     }
-    if hashlib.sha256(data).hexdigest() not in outputs:
+    if digest not in outputs:
         raise ValueError(
             f"{path} does not match the output hash in {path}.manifest"
         )

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from cayplex.cli import main
+from cayplex.cli import _sha256_file, main
 from cayplex.genforge import GenSet
 from cayplex.spectra import MomentSeq, SpectrumReport
 
@@ -68,6 +68,33 @@ class TestArtifactCommands:
         manifest = open(graph + ".manifest").read()
         assert f"input.{workdir['gens']}={_sha(workdir['gens'])}" in manifest
         assert f"output.{graph}={_sha(graph)}" in manifest
+
+    def test_graph_hashes_taken_as_bytes_pass(self, workdir, tmp_path):
+        """The graph step hashes its output as it writes it, and the
+        moments, spectrum and compare steps hash a graph as they read it;
+        every manifest hash is the file's sha256, in either format."""
+        gens = workdir["gens"]
+        for fmt in ("binary", "text"):
+            graph = str(tmp_path / f"g42.{fmt}")
+            other = str(tmp_path / f"copy.{fmt}")
+            assert main(["graph", "--gens", gens, "--format", fmt, "--out", graph]) == 0
+            assert main(["graph", "--gens", gens, "--format", fmt, "--out", other]) == 0
+            digest = _sha256_file(graph)
+            manifest = open(graph + ".manifest").read()
+            assert f"output.{graph}={digest}" in manifest
+            runs = {
+                "moments": ["moments", "--gens", gens, "--graph", graph, "--kmax", "4",
+                            "--strategy", "group-dp"],
+                "spectrum": ["spectrum", "--graph", graph],
+                "compare": ["compare", graph, other, "--mode", "spectrum"],
+            }
+            for name, argv in runs.items():
+                out = str(tmp_path / f"{name}.{fmt}")
+                assert main(argv + ["--out", out]) == 0
+                manifest = open(out + ".manifest").read()
+                assert f"input.{graph}={digest}" in manifest
+                assert f"output.{out}={_sha256_file(out)}" in manifest
+            assert f"input.{other}={_sha256_file(other)}" in manifest
 
     def test_graph_text_format(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "g42.txt")

@@ -20,6 +20,7 @@ from cayplex.genforge import (
     make_params,
     symmetrize,
 )
+from cayplex.orbits import ThetaOrbits
 from cayplex.projmat import MatSpace
 from cayplex.spectra import (
     ComparisonReport,
@@ -79,6 +80,26 @@ def _consolidated_join(ms, gen_mats, K):
         pairs = zip(kb.tolist(), cb.tolist())
         values.append(sum(counts.get(x, 0) * c for x, c in pairs))
     return values
+
+
+def _path_cases(bar33=None, bar42=None, hat53=None):
+    """(gens, sel, orbit) cases for both ball-mitm paths: whole systems
+    and colour 1 of hat53, which conjugation by theta permutes (orbit
+    levels), and generators 0 and 1 with their partners, or colour 1
+    without its first generator, which it does not (the word stream).
+    Each case is checked to take the path it names."""
+    cases = []
+    for gens in filter(None, (bar33, bar42)):
+        partners = sorted({0, 1, gens[0].inv, gens[1].inv})
+        cases += [(gens, list(range(len(gens))), True), (gens, partners, False)]
+    if hat53 is not None:
+        ones = _selected(hat53, {1})
+        cases += [(hat53, ones, True), (hat53, ones[1:], False)]
+    for gens, sel, orbit in cases:
+        ms = MatSpace(gens.params.base, gens.params.d)
+        found = ThetaOrbits.for_system(gens.params, ms, gens.mats[sel])
+        assert (found is not None) == orbit
+    return cases
 
 
 def _rotation_rows(n, k):
@@ -256,17 +277,15 @@ class TestWalkMoments:
 
     def test_ball_mitm_matches_consolidated_join(self, monkeypatch, bar42, hat53):
         """Oracle: every N_k joined over fully consolidated levels of the
-        ball and of the inverse ball, against the join that keeps the
-        top level as its sorted word stream.  A run chunk of 7 values
-        makes runs and stored keys cross chunk borders."""
+        ball and of the inverse ball, against both ball-mitm paths: orbit
+        levels where conjugation by theta permutes the selection, and the
+        join that keeps the top level as its sorted word stream where it
+        does not.  A run chunk of 7 values makes runs and stored keys
+        cross chunk borders."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
-        cases = [(bar33, None), (bar42, None), (hat53, {1})]
-        for gens, colors in cases:
+        for gens, sel, _ in _path_cases(bar33, bar42, hat53):
             ms = MatSpace(gens.params.base, gens.params.d)
-            sel = _selected(gens, colors)
             gen_mats = gens.mats[sel]
-            # hat53 colour 1 is an open multiset: its inverse ball differs
-            assert (_inverses_if_open(ms, gen_mats) is None) == (colors is None)
             want = _consolidated_join(ms, gen_mats, 6)
             for chunk in (spectra._RUN_CHUNK, 7):
                 monkeypatch.setattr(spectra, "_RUN_CHUNK", chunk)
@@ -276,60 +295,98 @@ class TestWalkMoments:
                         assert got == want[: K + 1]
 
     def test_top_level_overflow_guard(self, monkeypatch, bar42, hat53):
-        """The top-level join bound is r^R times the longest run of the
-        top stream (inverse-closed N_2R) or the largest stored count
-        (open multisets): at that limit the join raises, one above it
-        the values are exact."""
-        for gens, colors, K in ((bar42, None, 4), (hat53, {1}, 4), (hat53, {1}, 3)):
-            ms = MatSpace(gens.params.base, gens.params.d)
-            sel = _selected(gens, colors)
-            gen_mats = gens.mats[sel]
-            radius = (K + 1) // 2
-            top = _consolidated_levels(ms, gen_mats, radius)[radius][1]
-            if colors is None:
-                largest = int(top.max())
-            else:
-                inv = _consolidated_levels(ms, ms.inverse(gen_mats), K // 2)
-                largest = max(int(c.max()) for _, c in inv)
-            limit = len(sel) ** radius * largest
-            monkeypatch.setattr(spectra, "_COUNTER_LIMIT", limit)
-            with pytest.raises(ValueError, match=f"N_{K} join bound .* overflows"):
-                _moments_ball_mitm(gens, K, sel, 1, None)
-            monkeypatch.setattr(spectra, "_COUNTER_LIMIT", limit + 1)
-            want = _consolidated_join(ms, gen_mats, K)
-            assert _moments_ball_mitm(gens, K, sel, 1, None) == want
-
-    def test_ball_memory_estimate_bounds_traced_peak(self, bar53, hat53):
-        """The whole ball-mitm join, lower levels, top stream and every
-        N_k, stays within the estimate.  So does ``_ball_levels``, whose
-        consolidated top level is what the estimate allows for the
-        inverse ball of an open multiset at even K."""
+        """The top-level join bound is r^R times the largest count of the
+        top level (inverse-closed N_2R) or the largest stored count of
+        the inverse ball (open multisets), on both paths: at that limit
+        the join raises, one above it the values are exact."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
-        cases = ((bar33, None, (2, 3, 4)), (bar53, None, (3,)), (hat53, {1}, (2, 3)))
-        for gens, colors, radii in cases:
+        for gens, sel, _ in _path_cases(bar33, bar42, hat53):
             ms = MatSpace(gens.params.base, gens.params.d)
-            sel = _selected(gens, colors)
+            gen_mats = gens.mats[sel]
+            closed = _inverses_if_open(ms, gen_mats) is None
+            for K in (4,) if closed else (4, 3):
+                radius = (K + 1) // 2
+                top = _consolidated_levels(ms, gen_mats, radius)[radius][1]
+                if closed:
+                    largest = int(top.max())
+                else:
+                    inv = _consolidated_levels(ms, ms.inverse(gen_mats), K // 2)
+                    largest = max(int(c.max()) for _, c in inv)
+                limit = len(sel) ** radius * largest
+                monkeypatch.setattr(spectra, "_COUNTER_LIMIT", limit)
+                with pytest.raises(ValueError, match=f"N_{K} join bound .* overflows"):
+                    _moments_ball_mitm(gens, K, sel, 1, None)
+                monkeypatch.setattr(spectra, "_COUNTER_LIMIT", limit + 1)
+                want = _consolidated_join(ms, gen_mats, K)
+                assert _moments_ball_mitm(gens, K, sel, 1, None) == want
+
+    def test_ball_memory_estimate_bounds_traced_peak(self, monkeypatch, bar53, hat53):
+        """The whole ball-mitm join stays within the estimate of its path:
+        ``_ball_memory_estimate`` for the stream path, the largest
+        ``_orbit_memory_estimate`` of any level for the orbit path.  So
+        does ``_ball_levels``, whose consolidated top level is what the
+        stream estimate allows for the inverse ball of an open multiset
+        at even K."""
+        bar33 = symmetrize(build_omega(make_params(3, 3)))
+        estimates = []
+
+        def recorded(*args):
+            estimates.append(orbit_estimate(*args))
+            return estimates[-1]
+
+        orbit_estimate = spectra._orbit_memory_estimate
+        monkeypatch.setattr(spectra, "_orbit_memory_estimate", recorded)
+        cases = [(case, (2, 3)) for case in _path_cases(bar33, hat53=hat53)]
+        cases += [((bar53, list(range(len(bar53))), True), (3,))]
+        cases += [((bar33, list(range(len(bar33))), True), (4,))]
+        # a 60-generator word stream of 216,000 words at radius 3
+        rest = [i for i in range(len(bar53)) if i not in (0, bar53[0].inv)]
+        cases += [((bar53, rest, False), (3,))]
+        for (gens, sel, orbit), radii in cases:
+            ms = MatSpace(gens.params.base, gens.params.d)
             gen_mats = gens.mats[sel]
             r = len(sel)
+            found = ThetaOrbits.for_system(gens.params, ms, gen_mats)
+            assert (found is not None) == orbit
+            closed = _inverses_if_open(ms, gen_mats) is None
             for radius in radii:
-                tracemalloc.start()
-                try:
-                    levels = _ball_levels(ms, gen_mats, radius, threads=1)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert int(levels[-1][1].sum()) == r**radius
-                assert peak <= _ball_memory_estimate(ms, r, radius, radius)
-                del levels
+                if not orbit:
+                    tracemalloc.start()
+                    try:
+                        levels = _ball_levels(ms, gen_mats, radius, threads=1)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    assert int(levels[-1][1].sum()) == r**radius
+                    assert peak <= _ball_memory_estimate(ms, r, radius, radius)
+                    del levels
                 for K in (2 * radius - 1, 2 * radius):
-                    inverse_radius = None if colors is None else K // 2
+                    estimates.clear()
                     tracemalloc.start()
                     try:
                         _moments_ball_mitm(gens, K, sel, 1, None)
                         _, peak = tracemalloc.get_traced_memory()
                     finally:
                         tracemalloc.stop()
-                    assert peak <= _ball_memory_estimate(ms, r, radius, inverse_radius)
+                    if orbit:
+                        assert peak <= max(estimates)
+                    else:
+                        assert not estimates
+                        inverse_radius = None if closed else K // 2
+                        assert peak <= _ball_memory_estimate(ms, r, radius, inverse_radius)
+
+    def test_orbit_path_matches_group_dp_to_k10(self, bar53, graph53, hat53, graph53_hat):
+        """Oracle: group-dp over the closure, against the orbit path of
+        ball-mitm, for K <= 10 on the (5,3) omega-bar system and on each
+        colour of the (5,3) omega-hat system."""
+        cases = [(bar53, graph53, None, 10)]
+        cases += [(hat53, graph53_hat, {c}, 8) for c in (1, 2)]
+        for gens, G, colors, K in cases:
+            sel = _selected(gens, colors)
+            ms = MatSpace(gens.params.base, gens.params.d)
+            assert ThetaOrbits.for_system(gens.params, ms, gens.mats[sel]) is not None
+            dp = walk_moments(gens, K, "group-dp", colors=colors, graph=G)
+            assert list(dp.values) == _moments_ball_mitm(gens, K, sel, 1, None)
 
     def test_strategy_agreement_exhaustive_d3(self, bar53, graph53):
         dp = walk_moments(bar53, 8, "group-dp", graph=graph53)

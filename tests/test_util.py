@@ -1,5 +1,6 @@
 """Tests for the deterministic chunked map."""
 
+import concurrent.futures
 import os
 
 from cayplex import util
@@ -7,7 +8,9 @@ from cayplex import util
 
 def test_ordered_chunked_map_clamps_threads(monkeypatch):
     """An oversized thread count is clamped to the CPU count before any
-    pool is created; the recording stand-in starts no threads."""
+    pool is created; the recording stand-in starts no threads.  The pool
+    class is imported when a pool is needed, so the stand-in replaces it
+    in ``concurrent.futures``."""
     seen = []
 
     class RecordingPool:
@@ -23,7 +26,7 @@ def test_ordered_chunked_map_clamps_threads(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(util, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     out = util.ordered_chunked_map(
         lambda c: [2 * x for x in c], range(10), threads=10**6, chunk=3
     )
