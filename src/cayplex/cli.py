@@ -305,7 +305,7 @@ def _cmd_graph(ns) -> int:
         "graph",
         {"gens": gens_path, "format": fmt, "max_vertices": max_vertices,
          "out": out},
-    ).record(start, out, [gens_path], {out: digest})
+    ).record(start, out, [gens_path], {out: digest, gens_path: gens.content_hash()})
     print(
         f"n={G.n} r={G.r} symmetric={G.symmetric} connected={G.connected} "
         f"out={out}"
@@ -319,7 +319,7 @@ def _cmd_moments(ns) -> int:
     strategy = _option(ns, "strategy", MOMENT_STRATEGY)
     colors = _parse_colors(ns.colors)
     gens = GenSet.load(gens_path)
-    hashes = {}
+    hashes = {gens_path: gens.content_hash()}
     graph = import_graph(ns.graph, hashes) if ns.graph else None
     start = time.perf_counter()
     seq = walk_moments(

@@ -15,7 +15,8 @@ division algebra of :mod:`cayplex.cyclic`:
 
 Every finite matrix carries an exact global lift in the algebra, and the
 structural claims (cardinalities, colors, inverse closure, class sizes)
-are asserted at build time rather than trusted.
+are asserted at build time rather than trusted.  Every system, built or
+loaded, is made and checked by one constructor, ``GenSet._rebuild``.
 """
 
 from __future__ import annotations
@@ -261,6 +262,7 @@ class GenSet:
         self.gens = list(gens)
         self.mats = mats
         self.meta = dict(meta or {})
+        self._digest = None  # sha256 of the file ``load`` read
 
     def __len__(self):
         return len(self.gens)
@@ -307,7 +309,9 @@ class GenSet:
         atomic_write_text(path, self.to_text())
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
+        """The sha256 hex digest of the system's file: of the bytes
+        ``load`` read, or else of ``to_text()``."""
+        return self._digest or hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
     @classmethod
     def from_text(cls, text: str) -> "GenSet":
@@ -358,21 +362,26 @@ class GenSet:
 
     @classmethod
     def load(cls, path: str) -> "GenSet":
-        return cls.from_text(read_checked_text(path))
+        text, digest = read_checked_text(path)
+        gs = cls.from_text(text)
+        gs._digest = digest
+        return gs
 
     @classmethod
-    def _rebuild(cls, params, kind, raw_gens, mats) -> "GenSet":
-        """Reconstruct global lifts from (j, word) data and verify each
-        against its stored finite matrix.
+    def _rebuild(cls, params, kind, raw_gens, mats, meta=None, kernel=None) -> "GenSet":
+        """The one constructor of every system, built or loaded: each
+        row (j, color, inv, word) gets a global lift, checked against its
+        finite matrix.
 
-        The base system is complete and in order: an ``omega`` file has
+        The base system is complete and in order: an ``omega`` system has
         exactly n entries, and entry i < n of an ``omega`` or ``omegabar``
-        file has j = i, with lift omega(u^i).  Entries from n on are
+        system has j = i, with lift omega(u^i).  Entries from n on are
         inverses, lifted by the closed form ``omega_inv(u^j)``; the
-        partner check ties each to the generator it inverts.  Stored
-        colors must follow the valuation rule of ``_color``.  Each stored
-        matrix must be nonzero, nonsingular, canonical and equal to its
-        specialized lift.  The error names the first failing entry.
+        partner check ties each to the generator it inverts.  A
+        product-system entry has j = -1 and is lifted from its word by
+        ``kernel``.  Colors must follow the valuation rule of ``_color``.
+        Each matrix must be nonzero, nonsingular, canonical and equal to
+        its specialized lift.  The error names the first failing entry.
         """
         E, F, n, d = params.E, params.base, params.n, params.d
         alg = params.alg()
@@ -386,12 +395,14 @@ class GenSet:
                 raise ValueError(
                     f"product-system entry idx={words.index(None)} lacks word="
                 )
-            word_lifts = _word_lifts(params, words)
+            word_lifts = _word_lifts(params, words, kernel)
         errors = [None] * len(raw_gens)  # the first failure of each entry
         out = []
         for i, (j, color, inv, word) in enumerate(raw_gens):
             lift = None
-            if kind == KIND_OMEGAHAT:
+            if kind == KIND_OMEGAHAT and j != -1:
+                errors[i] = f"product-system entry idx={i} has j={j}, expected j=-1"
+            elif kind == KIND_OMEGAHAT:
                 lift = word_lifts[i]
             elif not 0 <= j < n:
                 errors[i] = f"conjugation index {j} out of range at idx={i}"
@@ -431,7 +442,7 @@ class GenSet:
         for error in errors:
             if error is not None:
                 raise ValueError(error)
-        gs = cls(params, kind, out, mats)
+        gs = cls(params, kind, out, mats, meta)
         _check_inverse_partners(gs)
         return gs
 
@@ -523,12 +534,12 @@ def _color(lift: CycElem, d: int) -> int:
 def build_omega(params: GenParams) -> GenSet:
     """The base system: conjugates of 1 - z^{-1} by powers of u.
 
-    Element j has global lift u^j (1 - z^{-1}) u^{-j} and finite matrix
-    theta^j b theta^{-j}, where theta is the regular representation of u
-    and b the specialization of 1 - z^{-1}.  The two constructions are
-    cross-checked per element; the n finite matrices must be pairwise
-    projectively distinct (a collision means the finite quotient is too
-    small to hold the system, and is a hard error).
+    Element j has finite matrix theta^j b theta^{-j}, where theta is the
+    regular representation of u and b the specialization of 1 - z^{-1};
+    ``GenSet._rebuild`` checks it against its lift u^j (1 - z^{-1}) u^{-j}.
+    The n finite matrices must be pairwise projectively distinct (a
+    collision means the finite quotient is too small to hold the system,
+    and is a hard error).
     """
     alg = params.alg()
     E, F, d, n = params.E, params.base, params.d, params.n
@@ -542,53 +553,36 @@ def build_omega(params: GenParams) -> GenSet:
         theta = ms.mul(theta, theta)
     pows = pows[:n]
     mats = ms.canon(ms.mul(ms.mul(pows, b), ms.inverse(pows)))
-    lifts = []
-    u_pow = 1
-    for _ in range(n):
-        lifts.append(alg.omega(u_pow))
-        u_pow = E.mul(u_pow, params.u)
-    spec = ms.canon(alg.specialize(lifts, params.alpha))
-    bad = np.flatnonzero((spec != mats).any(axis=(1, 2)))
-    if bad.size:
-        raise AssertionError(
-            f"conjugate {bad[0]}: specialized lift disagrees with the "
-            "conjugated finite matrix"
-        )
     seen = {}
-    for j, (lift, key) in enumerate(zip(lifts, ms.pack(mats).tolist())):
-        color = _color(lift, d)
-        if color != 1:
-            raise AssertionError(f"conjugate {j} has color {color}, expected 1")
+    for j, key in enumerate(ms.pack(mats).tolist()):
         if key in seen:
             raise ValueError(
                 f"duplicate finite matrices at j={seen[key]} and j={j}: "
                 "the finite quotient is too small for this parameter set"
             )
         seen[key] = j
-    gens = [Generator(lift, j, 1) for j, lift in enumerate(lifts)]
-    return GenSet(params, KIND_OMEGA, gens, mats)
+    return GenSet._rebuild(params, KIND_OMEGA, [(j, 1, -1, None) for j in range(n)], mats)
 
 
 def symmetrize(base_set: GenSet) -> GenSet:
     """Inverse closure of the base system.
 
     Returns the union of the input and its element-wise projective
-    inverses, deduplicated, with inverse-partner indices filled in.  The
-    expected size is 2n; coincidences (an inverse already present) are
-    collected in ``meta['coincidences']`` as (source index, existing
-    index) pairs and reported rather than treated as errors.
+    inverses, deduplicated, with inverse-partner indices filled in and
+    checked, with every lift, by ``GenSet._rebuild``.  The expected size
+    is 2n; coincidences (an inverse already present) are collected in
+    ``meta['coincidences']`` as (source index, existing index) pairs and
+    reported rather than treated as errors.
     """
     if base_set.kind not in (KIND_OMEGA, KIND_OMEGABAR):
         raise ValueError("symmetrize expects the base system or its closure")
     params = base_set.params
-    E, F, d = params.E, params.base, params.d
-    alg = params.alg()
+    d = params.d
     # one batched inversion finds the missing inverses and the partners
-    ms = MatSpace(F, d)
+    ms = MatSpace(params.base, d)
     inverses = ms.inverse(base_set.mats)
     keys = ms.pack(base_set.mats).tolist()
     inv_keys = ms.pack(inverses).tolist()
-    gens = [Generator(g.lift, g.j, g.color, -1, g.word) for g in base_set]
     index_of = {key: i for i, key in enumerate(keys)}
     coincidences = []
     added = []  # the generators whose inverses are appended, in order
@@ -596,36 +590,14 @@ def symmetrize(base_set: GenSet) -> GenSet:
         if key in index_of:
             coincidences.append((i, index_of[key]))
             continue
-        index_of[key] = len(gens) + len(added)
+        index_of[key] = len(keys) + len(added)
         added.append(i)
-    inv_lifts = [alg.omega_inv(E.pow_(params.u, base_set[i].j)) for i in added]
-    if added:
-        spec = ms.canon(alg.specialize(inv_lifts, params.alpha))
-        bad = np.flatnonzero((spec != inverses[added]).any(axis=(1, 2)))
-        if bad.size:
-            raise AssertionError(
-                f"inverse of generator {added[bad[0]]}: specialized lift "
-                "disagrees with the inverted finite matrix"
-            )
-    for i, inv_lift in zip(added, inv_lifts):
-        g = base_set[i]
-        color = _color(inv_lift, d)
-        if color != (d - g.color) % d:
-            raise AssertionError(
-                f"inverse of generator {i} has color {color}, expected {d - g.color}"
-            )
-        gens.append(Generator(inv_lift, g.j, color, -1, None))
-    for g, key in zip(gens, inv_keys + [keys[i] for i in added]):
-        g.inv = index_of[key]
-    out = GenSet(
-        params,
-        KIND_OMEGABAR,
-        gens,
-        np.concatenate((base_set.mats, inverses[added])),
-        meta={"coincidences": coincidences},
-    )
-    _check_inverse_partners(out)
-    return out
+    rows = [(g.j, g.color, index_of[key], None) for g, key in zip(base_set, inv_keys)]
+    rows += [(base_set[i].j, (d - base_set[i].color) % d, index_of[keys[i]], None)
+             for i in added]
+    mats = np.concatenate((base_set.mats, inverses[added]))
+    return GenSet._rebuild(params, KIND_OMEGABAR, rows, mats,
+                           meta={"coincidences": coincidences})
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +819,8 @@ def build_omega_hat(
     ``_VERIFY_BLOCK`` words on up to ``threads`` threads, discarding and
     counting failures; (iii) collect all proper prefixes (lengths 1..d-1)
     of verified words, deduplicated projectively, each with color =
-    prefix length and the lexicographically least witnessing word.
+    prefix length and the lexicographically least witnessing word, for
+    ``GenSet._rebuild`` to lift from the word and check.
 
     Color-class sizes must equal the Gaussian binomials (fatal mismatch
     otherwise).  ``meta`` records candidate, verified-word, and rejected
@@ -945,48 +918,22 @@ def build_omega_hat(
         words += map(tuple, prefixes[order].tolist())
         colors += [level] * len(uniq)
     mats = np.concatenate(mats)
-    keys = np.sort(ms.pack(mats))
+    packed = ms.pack(mats)
+    keys = np.sort(packed)
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("one projective matrix appears in two color classes")
     if (mats == ms.identity_batch(1)).all(axis=(1, 2)).any():
         raise ValueError("the identity appeared as a product-system element")
 
-    lifts = _word_lifts(params, words, kernel)
-    spec = ms.canon(params.alg().specialize(lifts, params.alpha))
-    bad = np.flatnonzero((spec != mats).any(axis=(1, 2)))
-    if bad.size:
-        raise AssertionError(
-            f"witness {words[bad[0]]}: specialized lift disagrees with the "
-            "meet-in-the-middle matrix"
-        )
-    gens = []
-    for word, level, lift in zip(words, colors, lifts):
-        color = _color(lift, d)
-        if color != level:
-            raise AssertionError(
-                f"witness {word}: norm valuation color {color} != prefix "
-                f"length {level}"
-            )
-        gens.append(Generator(lift, -1, level, -1, word))
-
-    index_of = {key: i for i, key in enumerate(ms.pack(mats).tolist())}
-    for g, key in zip(gens, ms.pack(ms.inverse(mats)).tolist()):
+    index_of = {key: i for i, key in enumerate(packed.tolist())}
+    partners = []
+    for key in ms.pack(ms.inverse(mats)).tolist():
         if key not in index_of:
             raise ValueError("product system is not inverse-closed")
-        g.inv = index_of[key]
-    out = GenSet(
-        params,
-        KIND_OMEGAHAT,
-        gens,
-        mats,
-        meta={
-            "candidates": count,
-            "identity_words": len(W),
-            "collisions": collisions,
-        },
-    )
-    _check_inverse_partners(out)
-    return out
+        partners.append(index_of[key])
+    rows = [(-1, c, k, w) for c, k, w in zip(colors, partners, words)]
+    meta = {"candidates": count, "identity_words": len(W), "collisions": collisions}
+    return GenSet._rebuild(params, KIND_OMEGAHAT, rows, mats, meta, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class MomentSeq:
 
     @classmethod
     def load(cls, path: str) -> "MomentSeq":
-        return cls.from_text(read_checked_text(path))
+        return cls.from_text(read_checked_text(path)[0])
 
 
 def _selected(gens: GenSet, colors):
@@ -722,7 +722,7 @@ class SpectrumReport:
 
     @classmethod
     def load(cls, path: str) -> "SpectrumReport":
-        return cls.from_text(read_checked_text(path))
+        return cls.from_text(read_checked_text(path)[0])
 
     def __repr__(self):
         top = self.values[0] if self.values else None

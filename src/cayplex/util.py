@@ -73,12 +73,14 @@ def atomic_write_parts(path: str, parts) -> str:
     return digest.hexdigest()
 
 
-def read_checked_text(path: str) -> str:
-    """The UTF-8 text of ``path``, checked by :func:`check_manifest`."""
+def read_checked_text(path: str) -> tuple[str, str]:
+    """The UTF-8 text of ``path`` and the sha256 hex digest of its
+    bytes, checked by :func:`check_manifest`."""
     with open(path, "rb") as handle:
         data = handle.read()
-    check_manifest(path, hashlib.sha256(data).hexdigest())
-    return data.decode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    check_manifest(path, digest)
+    return data.decode("utf-8"), digest
 
 
 def check_manifest(path: str, digest: str) -> None:

@@ -119,6 +119,25 @@ class TestArtifactCommands:
         assert seq[0] == 1 and seq[2] == 5
         assert seq.genset_hash == _sha(workdir["gens"])
 
+    def test_moments_stamps_the_gens_file_hash(self, workdir, tmp_path):
+        """A gens file that is not in canonical form (here, with a
+        trailing blank line) is stamped with its file hash, the same
+        value the moments and graph manifests record for it."""
+        gens = str(tmp_path / "edited.gens")
+        with open(gens, "w") as handle:
+            handle.write(open(workdir["gens"]).read() + "\n")
+        digest = _sha(gens)
+        assert GenSet.load(gens).content_hash() == digest
+        assert GenSet.load(gens).to_text() == open(workdir["gens"]).read()
+        out = str(tmp_path / "m.moments")
+        assert main(["moments", "--gens", gens, "--kmax", "4",
+                     "--strategy", "group-dp", "--out", out]) == 0
+        assert MomentSeq.load(out).genset_hash == digest
+        assert f"input.{gens}={digest}" in open(out + ".manifest").read()
+        graph = str(tmp_path / "g.graph")
+        assert main(["graph", "--gens", gens, "--out", graph]) == 0
+        assert f"input.{gens}={digest}" in open(graph + ".manifest").read()
+
     def test_moments_reuses_prebuilt_graph(self, workdir, tmp_path):
         out1 = str(tmp_path / "a.moments")
         out2 = str(tmp_path / "b.moments")

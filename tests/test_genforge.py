@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cayplex import genforge
+from cayplex.cyclic import CycAlg
 from cayplex.ffield import NP_TABLES_MAX, gaussian_binomial, get_field
 from cayplex.genforge import (
     GenSet,
@@ -429,12 +430,48 @@ def test_central_numerators_reads_the_scalar_test():
     assert flags.tolist() == [False, True, False, False, False]
 
 
-def test_omega_hat_bytes_pinned(hat44):
-    # witnesses longer than the prefix half take their letters from the
-    # join's (w, v) order, which must stay sorted
-    assert hat44.content_hash() == (
-        "bb036e843e147b492826a752000bd49632f98762f7ac8eb52584ac3ac7a83f74"
-    )
+# the sha256 of each built system's file; for hat44, witnesses longer
+# than the prefix half take their letters from the join's (w, v) order,
+# which must stay sorted
+BUILT_HASHES = {
+    "omega35": "724b783180a16447e4aca04325a25691a2cb593c0335867d95d92cdde66dd743",
+    "bar35": "5a328890703733a6315b10771d2721e53cad94f571d84dae569749333254c18a",
+    "bar53": "0c89ff706fb4f84aeb9df3dfa9896578ed25b6df1e5025746f196c683b294e28",
+    "hat53": "4a298501fa57268498bd9cd2363981ea10c73927688e29472b6292d5509a9d69",
+    "bar42": "a01f5752a59d3d26527c0574881208eda6c674838ba5f2d2b15bdd03c7e61d87",
+    "hat44": "bb036e843e147b492826a752000bd49632f98762f7ac8eb52584ac3ac7a83f74",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_HASHES))
+def test_build_bytes_pinned(request, name):
+    assert request.getfixturevalue(name).content_hash() == BUILT_HASHES[name]
+
+
+@pytest.mark.parametrize("builder, target", [
+    ("build_omega", 7),
+    ("symmetrize", 40),  # the inverse of generator 9
+    ("build_omega_hat", 33),  # a color-2 element
+])
+def test_builds_check_lifts_in_rebuild(monkeypatch, omega53, builder, target):
+    # a specialization that bends one lift's matrix into its neighbour's
+    # must fail the build with the loader's error for that entry
+    real = CycAlg.specialize
+
+    def bent(self, lifts, alpha):
+        out = real(self, lifts, alpha).copy()
+        if len(lifts) > 1:  # not build_omega's specialization of 1 - z^{-1}
+            out[target] = out[target - 1]
+        return out
+
+    monkeypatch.setattr(CycAlg, "specialize", bent)
+    build = {
+        "build_omega": lambda: build_omega(omega53.params),
+        "symmetrize": lambda: symmetrize(omega53),
+        "build_omega_hat": lambda: build_omega_hat(omega53),
+    }[builder]
+    with pytest.raises(ValueError, match=f"lift verification failed at idx={target}:"):
+        build()
 
 
 def test_word_kernel_beyond_dense_tables():
@@ -708,6 +745,16 @@ def test_genset_rejects_word_letter_out_of_range(hat53):
     lines = hat53.to_text().splitlines()
     lines[1] = re.sub(r"word=\d+", f"word={n}", lines[1])
     with pytest.raises(ValueError, match="out of range"):
+        GenSet.from_text("\n".join(lines))
+
+
+def test_genset_rejects_product_entry_with_j(hat44):
+    # a product-system entry is lifted from its word alone; a stored
+    # conjugation index would load, and change the file on re-save
+    lines = hat44.to_text().splitlines()
+    assert " j=-1 " in lines[1]
+    lines[1] = lines[1].replace(" j=-1 ", " j=7 ", 1)
+    with pytest.raises(ValueError, match="entry idx=0 has j=7, expected j=-1"):
         GenSet.from_text("\n".join(lines))
 
 
