@@ -5,7 +5,6 @@ with round-trip guarantees."""
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import struct
 
@@ -16,13 +15,16 @@ from .genforge import (
     KIND_OMEGABAR,
     KIND_OMEGAHAT,
     GenSet,
+    _ints,
     _prime_power,
     group_order_pgl,
 )
 from .projmat import MatSpace
 from .util import (
+    Tokens,
     atomic_write_parts,
     atomic_write_text,
+    check_canonical,
     check_manifest,
     ordered_chunked_map,
 )
@@ -512,71 +514,42 @@ def graph_to_text(G: CayleyGraph) -> str:
     if F.f > 1:
         head += " bmod=" + ",".join(str(c) for c in F.modulus)
     lines = [head]
-    for value in _keys_to_ints(G):
-        lines.append(f"v {value:x}")
-    nbr = G.nbr
-    for u in range(G.n):
-        row = nbr[u]
-        for i in range(G.r):
-            lines.append(f"e {u} {row[i]} {i} {G.gen_colors[i]}")
+    lines.extend(f"v {value:x}" for value in _keys_to_ints(G))
+    colors = G.gen_colors
+    lines.extend(
+        f"e {u} {v} {i} {colors[i]}"
+        for u, row in enumerate(G.nbr.tolist())
+        for i, v in enumerate(row)
+    )
     return "\n".join(lines) + "\n"
 
 
 def graph_from_text(text: str) -> CayleyGraph:
-    lines = text.splitlines()
+    """The graph of a file ``graph_to_text`` writes, checked against its
+    vertex keys; any other text raises ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
-    head = {}
-    for tok in lines[0].split():
-        k, _, val = tok.partition("=")
-        head[k] = val
-    if head.get("version") != str(_VERSION):
-        raise ValueError(f"unsupported version {head.get('version')!r}")
-    try:
-        n, r, q, d = (int(head[k]) for k in ("n", "r", "q", "d"))
-    except KeyError as missing:
-        raise ValueError(f"graph header lacks field {missing}") from None
+    head = Tokens(lines[0])
+    n, r, q, d = (int(head[k]) for k in ("n", "r", "q", "d"))
     p, f = _prime_power(q)
-    bmod = None
-    if "bmod" in head:
-        bmod = tuple(int(c) for c in head["bmod"].split(","))
-    F = get_field(p, f, bmod)
-    values = []
-    edge_at = n + 1
-    for ln in lines[1:edge_at]:
-        tag, _, hexval = ln.partition(" ")
-        if tag != "v":
-            raise ValueError("truncated vertex table")
-        value = int(hexval, 16)
-        if not 0 <= value < q ** (d * d):
-            raise ValueError(f"vertex value {hexval} outside 0..q^(d*d)-1")
-        values.append(value)
-    if len(values) != n:
-        raise ValueError("truncated vertex table")
-    keys = _keys_from_ints(F, d, values)
-    nbr = np.full((n, r), -1, dtype=np.int32)
-    gen_colors = [-1] * r
-    count = 0
-    for ln in lines[edge_at:]:
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if parts[0] != "e" or len(parts) != 5:
-            raise ValueError(f"malformed edge line {ln!r}")
-        u, v, i, c = (int(x) for x in parts[1:])
-        if not (0 <= u < n and 0 <= v < n and 0 <= i < r):
-            raise ValueError(f"edge endpoint out of range in {ln!r}")
-        if gen_colors[i] == -1:
-            gen_colors[i] = c
-        elif gen_colors[i] != c:
-            raise ValueError(f"generator {i} carries two colors")
-        nbr[u, i] = v
-        count += 1
-    if count != n * r or np.any(nbr < 0):
-        raise ValueError("truncated edge table")
+    F = get_field(p, f, _ints(head["bmod"]) if "bmod" in head else None)
+    values = [int(ln[2:], 16) for ln in lines[1 : n + 1]]
+    top = q ** (d * d)
+    for value in values:
+        if not 0 <= value < top:
+            raise ValueError(f"vertex value {value:x} outside 0..q^(d*d)-1")
+    edges = " ".join(lines[n + 1 :]).split()
+    try:
+        nbr = np.array(edges[2::5], dtype=np.int32).reshape(len(values), r)
+    except OverflowError:
+        raise ValueError("neighbor index out of range") from None
+    colors = [int(c) for c in edges[4 : 5 * r : 5]]
     G = _validated_graph(
-        F, d, keys, nbr, gen_colors, head.get("sym") == "1", head.get("conn") == "1"
+        F, d, _keys_from_ints(F, d, values), nbr, colors,
+        head["sym"] == "1", head["conn"] == "1",
     )
+    check_canonical(lines, graph_to_text(G), "graph file")
     _check_against_keys(G)
     return G
 
@@ -603,10 +576,6 @@ def _check_against_keys(G: CayleyGraph) -> None:
         raise ValueError(f"stored sym={int(G.symmetric)} disagrees with the generators")
     if _is_connected(G.nbr) != G.connected:
         raise ValueError(f"stored conn={int(G.connected)} disagrees with the edges")
-
-
-def graph_to_bytes(G: CayleyGraph) -> bytes:
-    return b"".join(_binary_parts(G))
 
 
 def _binary_parts(G: CayleyGraph) -> list:
@@ -643,10 +612,6 @@ def _binary_parts(G: CayleyGraph) -> list:
         check.update(part)
     parts.append(check.digest())
     return parts
-
-
-def graph_from_bytes(blob: bytes) -> CayleyGraph:
-    return _read_binary(io.BytesIO(blob), len(blob))
 
 
 def _read_binary(handle, size: int, digest=None) -> CayleyGraph:

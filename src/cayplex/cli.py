@@ -161,6 +161,16 @@ class RunManifest:
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
+
+def _flag(value: str) -> bool:
+    word = value.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"{value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
+
+
 _CONFIG_TYPES = {
     "q": int,
     "d": int,
@@ -172,7 +182,7 @@ _CONFIG_TYPES = {
     "threads": int,
     "cap": int,
     "timeout": float,
-    "sym": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
+    "sym": _flag,
     "strategy": str,
     "colors": str,
     "format": str,
@@ -196,7 +206,10 @@ def _load_config(path: str) -> dict:
                     f"{path}:{lineno}: configuration lines are key=value"
                 )
             key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: configuration key {key!r} given twice")
+            cfg[key] = value.strip()
     return cfg
 
 
@@ -205,11 +218,10 @@ def _merge_config(ns: argparse.Namespace) -> None:
     if getattr(ns, "config", None) is None:
         return
     for key, raw in _load_config(ns.config).items():
-        dest = key.replace("-", "_")
-        if dest not in _CONFIG_TYPES or not hasattr(ns, dest):
+        if key not in _CONFIG_TYPES or not hasattr(ns, key):
             raise ValueError(f"unknown configuration key {key!r}")
-        if getattr(ns, dest) is None:
-            setattr(ns, dest, _CONFIG_TYPES[dest](raw))
+        if getattr(ns, key) is None:
+            setattr(ns, key, _CONFIG_TYPES[key](raw))
 
 
 def _parse_colors(spec):

@@ -448,12 +448,6 @@ class _PrimeField(Field):
             return self.pow_(self.inv(a), -e)
         return pow(a, e, self.p)
 
-    def decode(self, code):
-        return (code,)
-
-    def encode(self, digits):
-        return digits[0] % self.p
-
 
 class ExtField(_Quotient):
     """Degree-d extension F_{q^d} = F_q[t]/(m(t)) over a ``Field``.

@@ -38,7 +38,13 @@ from .ffield import (
 )
 from .projmat import _PRODUCT_BLOCK, MatSpace
 from .ratfunc import Poly
-from .util import atomic_write_text, ordered_chunked_map, read_checked_text
+from .util import (
+    Tokens,
+    atomic_write_text,
+    check_canonical,
+    ordered_chunked_map,
+    read_checked_text,
+)
 
 KIND_OMEGA = "omega"
 KIND_OMEGABAR = "omegabar"
@@ -289,16 +295,13 @@ class GenSet:
             head.append(f"p={p.base.p} f={p.base.f} bmod={bmod}")
         head.append("mod=" + ",".join(str(c) for c in p.E.modulus))
         lines = [" ".join(head)]
-        f = p.base.f
-        for i, (g, mat) in enumerate(zip(self.gens, self.mats.tolist())):
-            flat = []
-            for row in mat:
-                for code in row:
-                    coeffs = p.base.decode(code) if f > 1 else (code,)
-                    flat.extend(str(c) for c in coeffs)
+        F = p.base
+        digits = self.mats[..., None] // F.p ** np.arange(F.f) % F.p
+        digits = digits.reshape(len(self), -1).tolist()
+        for i, (g, mat) in enumerate(zip(self.gens, digits)):
             line = (
                 f"idx={i} j={g.j} color={g.color} inv={g.inv} "
-                f"mat={','.join(flat)}"
+                f"mat={','.join(map(str, mat))}"
             )
             if g.word is not None:
                 line += " word=" + ",".join(str(w) for w in g.word)
@@ -315,50 +318,33 @@ class GenSet:
 
     @classmethod
     def from_text(cls, text: str) -> "GenSet":
+        """The system of a file ``to_text`` writes; any other text raises
+        ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty generator-set file")
-        head = _parse_kv(lines[0])
-        if head.get("version") != "1":
-            raise ValueError(f"unsupported version {head.get('version')!r}")
-        kind = _token(head, "kind", "header")
-        q, d, s = (int(_token(head, k, "header")) for k in ("q", "d", "s"))
-        alpha = int(_token(head, "alpha", "header"))
-        modulus = tuple(int(c) for c in _token(head, "mod", "header").split(","))
-        base_modulus = None
-        if "bmod" in head:
-            base_modulus = tuple(int(c) for c in head["bmod"].split(","))
+        head = Tokens(lines[0])
         params = make_params(
-            q, d, s=s, alpha=alpha, modulus=modulus, base_modulus=base_modulus
+            int(head["q"]), int(head["d"]), s=int(head["s"]),
+            alpha=int(head["alpha"]), modulus=_ints(head["mod"]),
+            base_modulus=_ints(head["bmod"]) if "bmod" in head else None,
         )
-        base, f = params.base, params.base.f
-        gens, mats = [], []
+        F, d = params.base, params.d
+        rows, digits = [], []
         for i, ln in enumerate(lines[1:]):
-            kv = _parse_kv(ln)
-            where = f"generator line {i + 2}"
-            if int(_token(kv, "idx", where)) != i:
-                raise ValueError(f"generator indices out of order at line {i + 2}")
-            j, color, inv = (int(_token(kv, k, where)) for k in ("j", "color", "inv"))
-            raw = [int(x) for x in _token(kv, "mat", where).split(",")]
-            if len(raw) != d * d * f:
+            kv = Tokens(ln)
+            word = _ints(kv["word"]) if "word" in kv else None
+            rows.append((int(kv["j"]), int(kv["color"]), int(kv["inv"]), word))
+            digits.append(_ints(kv["mat"]))
+            if len(digits[i]) != d * d * F.f:
                 raise ValueError(f"matrix entry count mismatch at idx={i}")
-            if not all(0 <= x < base.p for x in raw):
-                raise ValueError(
-                    f"matrix digit out of range 0..{base.p - 1} at idx={i}"
-                )
-            codes = (
-                raw
-                if f == 1
-                else [base.encode(tuple(raw[k : k + f])) for k in range(0, len(raw), f)]
-            )
-            word = None
-            if "word" in kv:
-                word = tuple(int(w) for w in kv["word"].split(","))
-            gens.append((j, color, inv, word))
-            mats.append(codes)
-        ms = MatSpace(base, d)
-        mats = np.array(mats, dtype=ms.dtype).reshape(len(gens), d, d)
-        return cls._rebuild(params, kind, gens, mats)
+            if not 0 <= min(digits[i]) <= max(digits[i]) < F.p:
+                raise ValueError(f"matrix digit out of range 0..{F.p - 1} at idx={i}")
+        digits = np.array(digits, dtype=np.int64).reshape(len(rows), d, d, F.f)
+        mats = (digits @ F.p ** np.arange(F.f)).astype(MatSpace(F, d).dtype)
+        gs = cls._rebuild(params, head["kind"], rows, mats)
+        check_canonical(lines, gs.to_text(), "generator-set file")
+        return gs
 
     @classmethod
     def load(cls, path: str) -> "GenSet":
@@ -379,7 +365,8 @@ class GenSet:
         inverses, lifted by the closed form ``omega_inv(u^j)``; the
         partner check ties each to the generator it inverts.  A
         product-system entry has j = -1 and is lifted from its word by
-        ``kernel``.  Colors must follow the valuation rule of ``_color``.
+        ``kernel``; no other entry has a word, and an ``omega`` entry has
+        inv = -1.  Colors must follow the valuation rule of ``_color``.
         Each matrix must be nonzero, nonsingular, canonical and equal to
         its specialized lift.  The error names the first failing entry.
         """
@@ -404,6 +391,10 @@ class GenSet:
                 errors[i] = f"product-system entry idx={i} has j={j}, expected j=-1"
             elif kind == KIND_OMEGAHAT:
                 lift = word_lifts[i]
+            elif word is not None:
+                errors[i] = f"{kind} entry idx={i} has word=, a product-system field"
+            elif kind == KIND_OMEGA and inv != -1:
+                errors[i] = f"base entry idx={i} has inv={inv}, expected inv=-1"
             elif not 0 <= j < n:
                 errors[i] = f"conjugation index {j} out of range at idx={i}"
             elif i < n and j != i:
@@ -447,21 +438,8 @@ class GenSet:
         return gs
 
 
-def _parse_kv(line: str) -> dict:
-    out = {}
-    for tok in line.split():
-        if "=" not in tok:
-            raise ValueError(f"malformed token {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
-
-
-def _token(kv: dict, key: str, where: str) -> str:
-    """``kv[key]``, or a ValueError naming the missing token."""
-    if key not in kv:
-        raise ValueError(f"{where} lacks the required {key}= token")
-    return kv[key]
+def _ints(field: str) -> tuple[int, ...]:
+    return tuple(map(int, field.split(",")))
 
 
 def _word_lifts(params: GenParams, words, kernel=None) -> list[CycElem]:

@@ -21,7 +21,13 @@ from .cayley import (
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
 from .orbits import ThetaOrbits
 from .projmat import _PRODUCT_BLOCK, MatSpace
-from .util import atomic_write_text, ordered_chunked_map, read_checked_text
+from .util import (
+    Tokens,
+    atomic_write_text,
+    check_canonical,
+    ordered_chunked_map,
+    read_checked_text,
+)
 
 _COUNTER_LIMIT = 1 << 62
 # defaults shared by the library and the command line
@@ -89,26 +95,17 @@ class MomentSeq:
 
     @classmethod
     def from_text(cls, text: str) -> "MomentSeq":
+        """The sequence of a file ``to_text`` writes; any other text
+        raises ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty moment file")
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
-        if head.get("version") != "1":
-            raise ValueError(f"unsupported version {head.get('version')!r}")
-        try:
-            colors = None if head["colors"] == "all" else head["colors"].split(",")
-            want = int(head["K"])
-        except KeyError as exc:
-            raise ValueError(f"moment header lacks field {exc}") from None
-        vals = []
-        for k, ln in enumerate(lines[1:]):
-            idx, val = ln.split()
-            if int(idx) != k:
-                raise ValueError("moment indices out of order")
-            vals.append(int(val))
-        if len(vals) != want + 1:
-            raise ValueError("moment count disagrees with header K")
-        return cls(vals, head.get("genset", ""), colors)
+        head = Tokens(lines[0])
+        colors = None if head["colors"] == "all" else head["colors"].split(",")
+        values = [ln.partition(" ")[2] for ln in lines[1:]]
+        seq = cls(values, head["genset"], colors)
+        check_canonical(lines, seq.to_text(), "moment file")
+        return seq
 
     @classmethod
     def load(cls, path: str) -> "MomentSeq":
@@ -696,33 +693,6 @@ class SpectrumReport:
 
     def save(self, path: str) -> None:
         atomic_write_text(path, self.to_text())
-
-    @classmethod
-    def from_text(cls, text: str) -> "SpectrumReport":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty spectrum file")
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
-        if head.get("version") != "1":
-            raise ValueError(f"unsupported version {head.get('version')!r}")
-        values = []
-        for ln in lines[1:]:
-            v, m = ln.split()
-            values.extend([float(v)] * int(m))
-        try:
-            return cls(
-                values,
-                head["method"],
-                float(head["residual"]),
-                int(head["n"]),
-                int(head["r"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"spectrum header lacks field {exc}") from None
-
-    @classmethod
-    def load(cls, path: str) -> "SpectrumReport":
-        return cls.from_text(read_checked_text(path)[0])
 
     def __repr__(self):
         top = self.values[0] if self.values else None

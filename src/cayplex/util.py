@@ -1,5 +1,6 @@
 """Small shared utilities: deterministic chunked parallel mapping,
-atomic file writes, and manifest-checked reads.
+atomic file writes, manifest-checked reads, and the check that a text
+file is exactly what its writer writes.
 
 Parallel verification work is split into fixed chunks whose results are
 reassembled in submission order, so outputs are byte-identical for any
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from itertools import zip_longest
 
 
 def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
@@ -101,3 +103,30 @@ def check_manifest(path: str, digest: str) -> None:
         raise ValueError(
             f"{path} does not match the output hash in {path}.manifest"
         )
+
+
+class Tokens(dict):
+    """The ``key=value`` tokens of one line of a text file; a key the
+    line lacks raises ValueError naming it."""
+
+    def __init__(self, line: str):
+        super().__init__(tok.partition("=")[::2] for tok in line.split())
+        self.line = line
+
+    def __missing__(self, key):
+        raise ValueError(f"no {key}= token in {self.line!r}")
+
+
+def check_canonical(lines, written: str, what: str) -> None:
+    """Raise ValueError unless ``lines``, the non-blank lines of a
+    ``what`` file, are the lines of ``written``, the text its writer
+    writes for what was read from them.  Each text format is defined by
+    its writer alone, so a reader accepts exactly what the writer writes
+    and names the first line that differs."""
+    want = written.splitlines()
+    for k, (read, wrote) in enumerate(zip_longest(lines, want, fillvalue="")):
+        if read != wrote:
+            raise ValueError(
+                f"{what} non-blank line {k + 1} reads {read!r}, where the "
+                f"writer writes {wrote!r}"
+            )

@@ -1,7 +1,6 @@
 """Tests for Cayley graph construction, colored subgraphs, triangle
 counts against the closed-walk moment, and serialization round trips."""
 
-import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,9 +14,7 @@ from cayplex.cayley import (
     closure_from_matrices,
     colored_subgraph,
     export_graph,
-    graph_from_bytes,
     graph_from_text,
-    graph_to_bytes,
     graph_to_text,
     import_graph,
 )
@@ -83,7 +80,7 @@ def test_vertex_limit():
         closure_from_matrices(F2, 2, mats, max_vertices=2)
 
 
-def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42):
+def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42, tmp_path):
     bar33 = symmetrize(build_omega(make_params(3, 3)))
     for gens, n in ((bar42, 60), (bar33, 5616)):
         q, d = gens.params.q, gens.params.d
@@ -96,7 +93,7 @@ def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42):
                 bfs_build(gens, max_vertices=n - 1)
         assert table.n == n
         assert table == ordered
-        assert graph_to_bytes(table) == graph_to_bytes(ordered)
+        assert _export(table, tmp_path / "a.bin") == _export(ordered, tmp_path / "b.bin")
         with pytest.raises(VertexLimitError):
             bfs_build(gens, max_vertices=n - 1)
 
@@ -153,11 +150,11 @@ def test_hat_graph_same_group(graph53, graph53_hat):
     assert graph53_hat.r == 2 * (5**3 - 1) // (5 - 1) == 62
 
 
-def test_thread_determinism(bar53):
+def test_thread_determinism(bar53, tmp_path):
     a = bfs_build(bar53, max_vertices=400_000, threads=1)
     b = bfs_build(bar53, max_vertices=400_000, threads=3)
     assert a == b
-    assert graph_to_bytes(a) == graph_to_bytes(b)
+    assert _export(a, tmp_path / "a.bin") == _export(b, tmp_path / "b.bin")
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +293,11 @@ def test_text_roundtrip_small(toy3, graph42):
         assert graph_from_text(text) == G
 
 
-def test_binary_roundtrip_small(toy3, graph42):
+def test_binary_roundtrip_small(toy3, graph42, tmp_path):
     for G in (toy3, graph42):
-        blob = graph_to_bytes(G)
-        assert graph_from_bytes(blob) == G
+        path = tmp_path / "g.bin"
+        _export(G, path)
+        assert import_graph(str(path)) == G
 
 
 def test_text_binary_agree(graph42, tmp_path):
@@ -310,45 +308,69 @@ def test_text_binary_agree(graph42, tmp_path):
     assert import_graph(str(t)) == import_graph(str(b)) == graph42
 
 
-def test_binary_roundtrip_big(graph53):
-    blob = graph_to_bytes(graph53)
-    again = graph_from_bytes(blob)
-    assert again == graph53
+def test_binary_roundtrip_big(graph53, tmp_path):
+    path = tmp_path / "g.bin"
+    _export(graph53, path)
+    assert import_graph(str(path)) == graph53
 
 
-def test_binary_bytes_pinned(graph53, graph42):
+def test_binary_bytes_pinned(graph53, graph42, tmp_path):
     # the binary encoding is a file format: these digests pin it byte
     # for byte for a prime-field and a non-prime-field graph
-    assert hashlib.sha256(graph_to_bytes(graph53)).hexdigest() == (
+    assert _export(graph53, tmp_path / "53.bin") == (
         "1c41c363c9a732a334f240a5f0dbdb6fd00099546fd38c9c579ec84a39366873"
     )
-    assert hashlib.sha256(graph_to_bytes(graph42)).hexdigest() == (
+    assert _export(graph42, tmp_path / "42.bin") == (
         "f0205d097c860b6adbaa062249df7645c5450cc0666c91fff2458ac954b6b9d6"
     )
 
 
-def test_binary_corruption_detected(graph42):
-    blob = bytearray(graph_to_bytes(graph42))
+def test_text_bytes_pinned(graph42, toy3, tmp_path):
+    # the text encoding is a file format too, over F_4 and over F_2
+    assert _export(graph42, tmp_path / "42.txt", "text") == (
+        "19a8dc3ebb406fce9e3c707b469fe9fb978afb328449f865bf3c1b66f15ecf94"
+    )
+    assert _export(toy3, tmp_path / "toy3.txt", "text") == (
+        "1cf2872892f4db8832917c5c0ba0340481ce6082987a59ba314f7c0443bd2213"
+    )
+
+
+def _export(G, path, format="binary"):
+    """The sha256 hex digest of the file ``export_graph`` writes."""
+    return export_graph(G, str(path), format=format)
+
+
+def _import_bytes(blob, tmp_path):
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(blob)
+    return import_graph(str(path))
+
+
+def test_binary_corruption_detected(graph42, tmp_path):
+    _export(graph42, tmp_path / "g.bin")
+    blob = bytearray((tmp_path / "g.bin").read_bytes())
     blob[len(blob) // 2] ^= 0x40
     with pytest.raises(ValueError):
-        graph_from_bytes(bytes(blob))
+        _import_bytes(bytes(blob), tmp_path)
 
 
-def test_binary_truncation_detected(graph42):
-    blob = graph_to_bytes(graph42)
+def test_binary_truncation_detected(graph42, tmp_path):
+    _export(graph42, tmp_path / "g.bin")
+    blob = (tmp_path / "g.bin").read_bytes()
     with pytest.raises(ValueError):
-        graph_from_bytes(blob[: len(blob) - 5])
+        _import_bytes(blob[: len(blob) - 5], tmp_path)
     with pytest.raises(ValueError):
-        graph_from_bytes(blob[:10])
+        _import_bytes(blob[:10], tmp_path)
 
 
-def test_binary_corrupt_length_field(graph42):
+def test_binary_corrupt_length_field(graph42, tmp_path):
     # enlarging the vertex count flips header bytes, so the checksum
     # fails before any partial parse
-    blob = bytearray(graph_to_bytes(graph42))
+    _export(graph42, tmp_path / "g.bin")
+    blob = bytearray((tmp_path / "g.bin").read_bytes())
     blob[8] ^= 0xFF  # low byte of the vertex count
     with pytest.raises(ValueError):
-        graph_from_bytes(bytes(blob))
+        _import_bytes(bytes(blob), tmp_path)
 
 
 def test_binary_file_rejections(graph42, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from cayplex.cli import _sha256_file, main
 from cayplex.genforge import GenSet
-from cayplex.spectra import MomentSeq, SpectrumReport
+from cayplex.spectra import MomentSeq
 
 
 def _sha(path):
@@ -223,6 +223,29 @@ class TestConfigAndErrors:
                    str(tmp_path / "x.gens")])
         assert rc == 2
         assert "unknown configuration key" in capsys.readouterr().err
+
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("q=3\nd=3\nq=5\n")
+        out = tmp_path / "x.gens"
+        rc = main(["gens", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "configuration key 'q' given twice" in capsys.readouterr().err
+
+    def test_config_booleans(self, tmp_path, capsys):
+        cfg = tmp_path / "sym.cfg"
+        out = tmp_path / "x.gens"
+        for value, kind in (("on", "omegabar"), ("TRUE", "omegabar"),
+                            ("off", "omega"), ("0", "omega")):
+            cfg.write_text(f"q=4\nd=2\nsym={value}\n")
+            assert main(["gens", "--config", str(cfg), "--out", str(out)]) == 0
+            assert GenSet.load(str(out)).kind == kind, value
+        out.unlink()
+        for value in ("banana", "2", ""):
+            cfg.write_text(f"q=4\nd=2\nsym={value}\n")
+            rc = main(["gens", "--config", str(cfg), "--out", str(out)])
+            assert rc == 2 and not out.exists(), value
+            assert f"{value!r} is not a boolean" in capsys.readouterr().err
 
     def test_invalid_parameters_exit_2_and_no_partial_output(self, tmp_path,
                                                              capsys):
@@ -454,18 +477,15 @@ def test_corrupted_text_artifacts_exit_2_without_traceback(workdir, tmp_path):
     load rejects it instead of reading the damage as data."""
     rng = random.Random(806)
     moments = str(tmp_path / "m.moments")
-    spectrum = str(tmp_path / "s.spectrum")
     graph = str(tmp_path / "g.txt")
     assert main(["moments", "--gens", workdir["gens"], "--kmax", "6",
                  "--strategy", "group-dp", "--out", moments]) == 0
-    assert main(["spectrum", "--graph", workdir["graph"], "--out", spectrum]) == 0
     assert main(["graph", "--gens", workdir["gens"], "--format", "text",
                  "--out", graph]) == 0
     cases = (
         ("moments", moments, lambda path: ("compare", path, moments, "--mode", "moments")),
         ("gens", workdir["gens"], lambda path: ("moments", "--gens", path, "--kmax", "2")),
         ("graph", graph, lambda path: ("spectrum", "--graph", path)),
-        ("spectrum", spectrum, None),
     )
     for fmt, src, argv in cases:
         data = open(src, "rb").read()
@@ -478,13 +498,7 @@ def test_corrupted_text_artifacts_exit_2_without_traceback(workdir, tmp_path):
             with open(path, "wb") as handle:
                 handle.write(blob)
             shutil.copy(src + ".manifest", path + ".manifest")
-            if argv is None:
-                # no command reads a spectrum file back
-                with pytest.raises(ValueError, match="manifest"):
-                    SpectrumReport.load(path)
-            else:
-                _assert_usage_error(_run_cli(*argv(path)), "manifest", (fmt, name))
-    assert SpectrumReport.load(spectrum).n == 60
+            _assert_usage_error(_run_cli(*argv(path)), "manifest", (fmt, name))
 
 
 @pytest.fixture(scope="module")
@@ -537,3 +551,29 @@ def test_text_graph_vertex_value_out_of_range_exit_2(text_graph, tmp_path):
     path.write_text("\n".join(bad) + "\n")
     proc = _run_cli("spectrum", "--graph", str(path))
     _assert_usage_error(proc, "outside 0..q^(d*d)-1", "vertex")
+
+
+def test_non_canonical_files_exit_2_without_traceback(workdir, text_graph, tmp_path):
+    """Each reader accepts exactly what its writer writes: a gens header
+    with a token the writer never writes, a moment header with a second
+    K=, and a text graph with two edge lines swapped are usage errors
+    that name the first line that differs."""
+    moments = str(tmp_path / "m.moments")
+    assert main(["moments", "--gens", workdir["gens"], "--kmax", "4",
+                 "--strategy", "group-dp", "--out", moments]) == 0
+    gens = open(workdir["gens"]).read().splitlines()
+    gens[0] += " foo=1"
+    seq = open(moments).read().splitlines()
+    seq[0] += " K=9"
+    graph = list(text_graph)
+    graph[-1], graph[-2] = graph[-2], graph[-1]
+    cases = (
+        ("gens", gens, lambda path: ("moments", "--gens", path, "--kmax", "2")),
+        ("moments", seq, lambda path: ("compare", path, moments, "--mode", "moments")),
+        ("graph", graph, lambda path: ("spectrum", "--graph", path)),
+    )
+    for fmt, lines, argv in cases:
+        path = str(tmp_path / f"bad.{fmt}")
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        _assert_usage_error(_run_cli(*argv(path)), "where the writer writes", fmt)

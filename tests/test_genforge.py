@@ -758,6 +758,22 @@ def test_genset_rejects_product_entry_with_j(hat44):
         GenSet.from_text("\n".join(lines))
 
 
+def test_genset_rejects_fields_of_another_kind(omega53, bar53):
+    # only product-system entries carry a word, and base entries no
+    # partner; the writer writes either back, so each is refused by name
+    cases = (
+        (omega53, lambda ln: ln.replace(" inv=-1 ", " inv=5 "),
+         "base entry idx=0 has inv=5, expected inv=-1"),
+        (omega53, lambda ln: ln + " word=3", "omega entry idx=0 has word="),
+        (bar53, lambda ln: ln + " word=3", "omegabar entry idx=0 has word="),
+    )
+    for gs, edit, message in cases:
+        lines = gs.to_text().splitlines()
+        lines[1] = edit(lines[1])
+        with pytest.raises(ValueError, match=message):
+            GenSet.from_text("\n".join(lines))
+
+
 def test_inverse_partner_check_messages(hat53):
     def tampered(i, **changes):
         gens = []
