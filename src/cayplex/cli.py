@@ -46,6 +46,7 @@ from .spectra import (
     ISO_TIMEOUT,
     MOMENT_STRATEGY,
     MomentSeq,
+    check_graph_of,
     compare,
     dense_spectrum,
     isomorphism_search,
@@ -359,8 +360,15 @@ def _cmd_spectrum(ns) -> int:
     graph_path = _require(ns, "graph")
     colors = _parse_colors(ns.colors)
     cap = _option(ns, "cap", DENSE_CAP)
+    if colors is not None and ns.gens is None:
+        # colours follow from the lifts, which only a gens file carries
+        raise ValueError("--colors needs --gens, the system the graph was built from")
     hashes = {}
     G = import_graph(graph_path, hashes)
+    if ns.gens is not None:
+        gens = GenSet.load(ns.gens)
+        hashes[ns.gens] = gens.content_hash()
+        check_graph_of(gens, G)
     start = time.perf_counter()
     report = dense_spectrum(G, colors=colors, cap=cap)
     print(report.to_text(), end="")
@@ -368,9 +376,9 @@ def _cmd_spectrum(ns) -> int:
         report.save(ns.out)
         RunManifest(
             "spectrum",
-            {"graph": graph_path, "colors": ns.colors, "cap": cap,
-             "out": ns.out},
-        ).record(start, ns.out, [graph_path], hashes)
+            {"gens": ns.gens, "graph": graph_path, "colors": ns.colors,
+             "cap": cap, "out": ns.out},
+        ).record(start, ns.out, [ns.gens, graph_path], hashes)
     return 0
 
 
@@ -745,6 +753,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="dense verified spectrum of a small graph")
+    p.add_argument("--gens", default=None)
     p.add_argument("--graph", default=None)
     p.add_argument("--colors", default=None)
     p.add_argument("--cap", type=int, default=None)

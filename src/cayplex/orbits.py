@@ -9,11 +9,22 @@ on theta-orbits, and a product ball can be carried as weights on orbits
 
 The normal form reads a matrix X, in the column convention of
 ``regular_rep``, as the F_q-linear map T of E = F_(q^d) whose column b
-is T(tau^b), and writes T(z) = sum_j a_j z^(q^j).  The map X -> a is one
-F_q-linear map, the inverse of a -> X, applied as a (d*d, d*d) matrix
-product.  Conjugation by theta scales a_j by u^(1 - q^j), and a scalar
-of F_q^x scales every a_j alike; in discrete logs of E (N = q^d - 1)
-both act as translations by the subgroup Gamma of (Z/N)^d generated by
+is T(tau^b), and writes T(z) = sum_j a_j z^(q^j).  The map X -> a is
+F_q-linear in the rows of X, and it is read straight from packed keys:
+a key is d row codes c_a (key = sum_a c_a * Q^a, Q = q^d), and one
+table per row gives, for each row code, that row's part of every a_j as
+the d*f F_p-digits of an E code (q = p^f) spaced in radix
+B = d(p - 1) + 1.  The d parts then add as plain integers with no
+carry, each digit sum s_k staying below B, and the E code of a_j is
+sum_k (s_k mod p) * p^k, additive over groups of digits: the digits are
+split into groups with B^h <= 2^16, each held in its own uint16 column
+of the row tables and reduced by one table.  The (d*d, d*d) matrix of
+X -> a, the inverse of a -> X, only builds these tables and checks them
+at build time.
+
+Conjugation by theta scales a_j by u^(1 - q^j), and a scalar of F_q^x
+scales every a_j alike; in discrete logs of E (N = q^d - 1) both act as
+translations by the subgroup Gamma of (Z/N)^d generated by
 log(u) * (1 - q^j)_j and n * (1, ..., 1), n = N / (q - 1).  The orbit id
 is the least log vector of the orbit in lexicographic order, found on
 the support pattern J of a (zero entries stay zero) in one table gather
@@ -57,9 +68,8 @@ class ThetaOrbits:
         R, rank = ms.rref(np.concatenate((fwd, eye), axis=1)[None], d * d)
         assert rank[0] == d * d, "the linearized coefficients are a basis"
         self._coeffs = R[0, :, d * d :]
-        self._digits = q ** np.arange(d, dtype=np.int64)
-        self._radix = (N + 1) ** np.arange(d, dtype=np.int64)
-        self._bits = 1 << np.arange(d)
+        self._Q = q**d
+        self._key_tables(q, d)
         self._tables(params.u, q, d, N)
 
     @classmethod
@@ -79,14 +89,27 @@ class ThetaOrbits:
         keys = ms.pack(mats)
         if not np.array_equal(np.sort(keys), np.sort(ms.pack(orbits.conjugate(mats)))):
             return None
+        orbits._check_key_tables(keys)
         orbits._check_cycles(_distinct(keys))
         return orbits
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the normal form's tables."""
-        tables = (self._log, self._coeffs, self._pos, self._shift, self._size)
+        tables = (self._log, self._coeffs, self._rows, *self._reduce,
+                  self._pos, self._base, self._shift, self._size)
         return sum(a.nbytes for a in tables)
+
+    @property
+    def bytes_per_key(self) -> int:
+        """Upper bound on the bytes ``ids`` holds per key beside its input,
+        G being the number of digit groups: 15d + 8 at the log gather
+        (codes, support, pattern, the gather's intp index copy and the
+        uint32 logs), 9d + 32 in a translation step, and 4Gd + 24 while
+        ``_codes`` adds the row parts (its reduction holds less).  83
+        bytes at (3,5)."""
+        d, G = self.d, len(self._reduce)
+        return max(15 * d + 8, 9 * d + 32, 4 * G * d + 24)
 
     def conjugate(self, mats: np.ndarray) -> np.ndarray:
         """canon(theta X theta^-1) for a canonical batch."""
@@ -94,21 +117,60 @@ class ThetaOrbits:
         theta, theta_inv = self._theta
         return ms.canon(ms.mul(ms.mul(theta, mats), theta_inv))
 
+    def _key_tables(self, q, d):
+        """``_rows[a]``, (Q, G*d) uint16: column g*d + j holds digit group
+        g of row a's part of a_j for each row code, the F_p-digits of the
+        group in radix B = d(p - 1) + 1; ``_reduce[g][s]``, the part of
+        an E code that the digit sums s of group g stand for,
+        sum_k (s_k mod p) * p^k over the digit positions k of the group.
+        Groups hold h digits, the most with B^h <= 2^16, so every group
+        sum of d parts fits a uint16 and indexes its reduction table."""
+        F = self.ms.F
+        p, f, Q = F.p, F.f, self._Q
+        B = d * (p - 1) + 1
+        h = 1
+        while B ** (h + 1) <= 1 << 16:
+            h += 1
+        entries = np.empty((Q, d), dtype=self.ms.dtype)
+        rest = np.arange(Q)
+        for b in range(d):
+            rest, entries[:, b] = np.divmod(rest, q)
+        # part[a, v, j, r]: coordinate r of row a's part of a_j when row a
+        # has code v; digit r*f + k of an E code is digit k of coordinate r
+        part = self.ms.mul(entries[None], self._coeffs.reshape(d, d, d * d))
+        digits = part.reshape(d, Q, d, d, 1) // p ** np.arange(f) % p
+        digits = digits.reshape(d, Q, d, d * f)
+        starts = range(0, d * f, h)
+        rows = np.empty((d, Q, len(starts), d), dtype=np.uint16)
+        self._reduce = []
+        for g, k0 in enumerate(starts):
+            width = min(h, d * f - k0)
+            rows[:, :, g] = digits[..., k0 : k0 + width] @ B ** np.arange(width)
+            sums = np.arange(B**width)
+            code = np.zeros(B**width, dtype=np.int64)
+            for k in range(k0, k0 + width):
+                sums, s_k = np.divmod(sums, B)
+                code += s_k % p * p**k
+            self._reduce.append(code.astype(np.uint16))
+        self._rows = rows.reshape(d, Q, len(starts) * d)
+
     def _tables(self, u, q, d, N):
         """Per support pattern p (bit j set when a_j != 0) and step s:
-        ``_pos[p, s]``, the s-th coordinate j_s of the pattern, and
-        ``_shift[(p * d + s) * N + x]``, a translation of Gamma that fixes
+        ``_pos[s, p]``, the s-th coordinate j_s of the pattern, and
+        ``_shift[_base[s, p] + x]``, a translation of Gamma that fixes
         j_0..j_(s-1) and takes the value x at j_s to the least value
-        reachable there.  ``_size[p]`` is the orbit size of every matrix
-        with pattern p."""
+        reachable there.  Steps past the last one with a nonzero
+        translation for some pattern are dropped: at (3,5) two of the
+        five remain.  ``_size[p]`` is the orbit size of every matrix with
+        pattern p."""
         n = N // (q - 1)
         step = (int(self._log[u]) * (1 - q ** np.arange(d))) % N
         k = np.arange(n)[:, None, None]
         m = np.arange(q - 1)[None, :, None]
         gamma = ((k * step + m * n) % N).reshape(-1, d)
         P = 1 << d
-        self._pos = np.zeros((P, d), dtype=np.intp)
-        shift = np.zeros((P, d, N, d), dtype=np.uint16)
+        pos = np.zeros((d, P), dtype=np.intp)
+        shift = np.zeros((d, P, N, d), dtype=np.uint16)
         self._size = np.zeros(P, dtype=np.int64)
         values = np.arange(N)
         for p in range(1, P):
@@ -121,7 +183,7 @@ class ThetaOrbits:
             self._size[p], rest = divmod(len(H), q - 1)
             assert not rest, "scalars act freely on a nonzero pattern"
             for s, j in enumerate(J):
-                self._pos[p, s] = j
+                pos[s, p] = j
                 col = H[:, s]
                 # the values at j_s form the subgroup g * Z/N
                 g = int(np.gcd.reduce(np.append(col, N)))
@@ -129,31 +191,76 @@ class ThetaOrbits:
                 row[col] = np.arange(len(H))
                 pick = row[(values % g - values) % N]
                 assert (pick >= 0).all()
-                shift[p, s][:, J] = H[pick]
+                shift[s, p][:, J] = H[pick]
                 H = H[col == 0]
-        self._shift = shift.reshape(P * d * N, d)
+        steps = 1 + np.flatnonzero(shift.reshape(d, -1).any(axis=1)).max(initial=-1)
+        self._pos = pos[:steps]
+        self._base = np.arange(steps * P).reshape(steps, P) * N
+        self._shift = shift[:steps].reshape(steps * P * N, d)
+
+    def _codes(self, keys: np.ndarray) -> np.ndarray:
+        """(n, d) uint16: the E code of a_j for each packed key."""
+        d, Q = self.d, self._Q
+        n = len(keys)
+        rest = keys
+        code = np.empty(n, dtype=np.int64)
+        sums = None
+        for a in range(d):
+            if a < d - 1:
+                # rest - (rest // Q) * Q: numpy divides by a scalar with
+                # a multiply and a shift, but takes remainders one
+                # hardware division at a time
+                high = rest // Q
+                np.multiply(high, Q, out=code)
+                np.subtract(rest, code, out=code)
+                rest = high
+            else:
+                code = rest
+            part = self._rows[a].take(code, axis=0)
+            if sums is None:
+                sums = part
+            else:
+                sums += part
+        del rest, code
+        # every digit sum stays below its group's table length, so "clip"
+        # never moves an index; it only spares the bounds check
+        codes = np.zeros((n, d), dtype=np.uint16)
+        for g, table in enumerate(self._reduce):
+            for j in range(d):
+                codes[:, j] += table.take(sums[:, g * d + j], mode="clip")
+        return codes
 
     def ids(self, keys: np.ndarray):
         """(ids, sizes): the orbit id and orbit size of each packed key of
         a nonzero matrix."""
-        ms, d, N = self.ms, self.d, self._N
+        d, N = self.d, self._N
         n = len(keys)
-        coeffs = ms.mul(ms.unpack(keys).reshape(n, d * d), self._coeffs)
-        codes = coeffs.reshape(n, d, d) @ self._digits
+        codes = self._codes(keys)
         support = codes != 0
-        pattern = support @ self._bits
-        e = self._log[codes]
-        e *= support
+        pattern = np.zeros(n, dtype=np.intp)
+        for j in range(d):
+            pattern += support[:, j].astype(np.intp) << j
+        # a zero coefficient's log is read but never used: no pattern
+        # reaches it and its id digit is 0
+        e = self._log.take(codes)
+        del codes
         flat = e.reshape(-1)
         cells = np.arange(0, n * d, d)
-        base = pattern * (d * N)
-        for s in range(d):
-            at = base + s * N
-            at += flat[cells + self._pos[pattern, s]]
+        for s in range(len(self._pos)):
+            at = self._pos[s].take(pattern)
+            at += cells
+            at = flat.take(at).astype(np.intp)
+            at += self._base[s].take(pattern)
             e += self._shift.take(at, axis=0)
             # e < 2N now; where e < N, e - N wraps around above e
             np.minimum(e, e - np.uint32(N), out=e)
-        ids = (e.astype(np.int64) + 1) * support @ self._radix
+        e += np.uint32(1)
+        e *= support
+        del support
+        ids = e[:, d - 1].astype(np.int64)
+        for j in reversed(range(d - 1)):
+            ids *= N + 1
+            ids += e[:, j]
         return ids, self._size[pattern]
 
     def sizes(self, ids: np.ndarray) -> np.ndarray:
@@ -164,6 +271,19 @@ class ThetaOrbits:
             rest, digit = np.divmod(rest, self._N + 1)
             pattern += (digit != 0) << j
         return self._size[pattern]
+
+    def _check_key_tables(self, keys: np.ndarray) -> None:
+        """Raise AssertionError unless ``_codes`` of ``keys`` and of every
+        key with a single nonzero row equal the codes of the (d*d, d*d)
+        product over the unpacked matrices.  The single-row keys read
+        every entry of every row table."""
+        ms, d, Q = self.ms, self.d, self._Q
+        single = np.arange(Q)[None, :] * Q ** np.arange(d, dtype=np.int64)[:, None]
+        keys = np.concatenate((keys, single.reshape(-1)))
+        coeffs = ms.mul(ms.unpack(keys).reshape(len(keys), d * d), self._coeffs)
+        codes = coeffs.reshape(-1, d, d) @ ms.q ** np.arange(d)
+        if not np.array_equal(self._codes(keys), codes):
+            raise AssertionError("the row tables disagree with the coefficient product")
 
     def _check_cycles(self, keys: np.ndarray) -> None:
         """Raise AssertionError unless two distinct keys share an id

@@ -158,13 +158,21 @@ def _graph_for(
             if rows >= _GROUP_CAP:
                 raise
             raise refusal from None
-    ms = graph.space()
-    if graph.r != len(gens):
-        raise ValueError("graph was not built from this generator system")
-    gen_keys = ms.pack(gens.mats)
-    if not np.array_equal(graph.keys[graph.nbr[0]], gen_keys):
-        raise ValueError("graph was not built from this generator system")
+    check_graph_of(gens, graph)
     return graph
+
+
+def check_graph_of(gens: GenSet, graph: CayleyGraph) -> None:
+    """Raise ValueError unless ``graph`` was built from ``gens``: as many
+    generators, the identity's neighbours the generators' keys in order,
+    and each generator's edges carrying its colour."""
+    ms = graph.space()
+    if graph.r != len(gens) or not np.array_equal(
+        graph.keys[graph.nbr[0]], ms.pack(gens.mats)
+    ):
+        raise ValueError("graph was not built from this generator system")
+    if graph.gen_colors != tuple(g.color for g in gens):
+        raise ValueError("graph edge colours disagree with the generator system")
 
 
 def _group_dp_row_bytes(r: int, s: int) -> int:
@@ -577,16 +585,15 @@ def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int) -> i
     key, the argsort order, the sorted ids, the run starts and the
     gathered weights; per orbit of the new level (at most one per
     product), its id, key, weight and size.  Per product of one
-    ``_ORBIT_BLOCK`` block the normal form's temporaries, and
-    ``_key_products_bytes``.  The normal form's tables, and 64 KiB for
-    small arrays."""
-    d = ms.d
+    ``_ORBIT_BLOCK`` block its 8-byte key, the normal form's temporaries
+    (``ThetaOrbits.bytes_per_key``), and ``_key_products_bytes``.  The
+    normal form's tables, and 64 KiB for small arrays."""
     words = m * r
     block = min(words, max(r, _ORBIT_BLOCK))
     return (
         held
         + (48 + 32) * words
-        + (16 * d * d + 64 * d + 64) * block
+        + (8 + orbits.bytes_per_key) * block
         + _key_products_bytes(ms, r, block)
         + orbits.nbytes
         + (1 << 16)

@@ -542,6 +542,36 @@ def test_text_graph_wrong_edge_spectrum_exit_2(text_graph, tmp_path):
     _assert_usage_error(proc, "edge target", "spectrum")
 
 
+def test_spectrum_colors_checked_against_gens(workdir, text_graph, tmp_path):
+    """Edge colours are read from the graph file but follow from the
+    generator system, so ``--colors`` needs ``--gens``, and a graph whose
+    generator 0 was recoloured from 1 to 2 on all its edge lines (a
+    canonical file that loads) is refused rather than restricted to a
+    4-regular subgraph."""
+    recoloured = []
+    for line in text_graph:
+        tag, *rest = line.split()
+        if tag == "e" and rest[2] == "0":
+            assert rest[3] == "1"
+            line = " ".join([tag, *rest[:3], "2"])
+        recoloured.append(line)
+    assert recoloured != text_graph
+    path = tmp_path / "recoloured.txt"
+    path.write_text("\n".join(recoloured) + "\n")
+    proc = _run_cli("spectrum", "--graph", str(path), "--colors", "1")
+    _assert_usage_error(proc, "--colors needs --gens", "no gens")
+    proc = _run_cli("spectrum", "--gens", workdir["gens"], "--graph", str(path),
+                    "--colors", "1")
+    _assert_usage_error(proc, "colours disagree", "recoloured")
+    proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", str(path),
+                    "--kmax", "4", "--strategy", "group-dp")
+    _assert_usage_error(proc, "colours disagree", "moments")
+    proc = _run_cli("spectrum", "--gens", workdir["gens"], "--graph", workdir["graph"],
+                    "--colors", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("version=1 n=60 r=5 ")
+
+
 def test_text_graph_vertex_value_out_of_range_exit_2(text_graph, tmp_path):
     """A vertex value past q^(d*d) - 1 is rejected before it is packed
     into an int64 key."""

@@ -44,7 +44,9 @@ def _samples(params, ms, rng, count):
     return ms.canon(np.concatenate((dense, np.array(sparse))))
 
 
-@pytest.mark.parametrize("q,d", [(5, 3), (3, 5), (3, 3), (4, 2)])
+@pytest.mark.parametrize(
+    "q,d", [(5, 3), (3, 5), (3, 3), (4, 2), (4, 4), (4, 5), (7, 3), (9, 3)]
+)
 def test_normal_form_against_enumerated_orbits(q, d):
     params = make_params(q, d)
     ms = MatSpace(params.base, d)
@@ -80,3 +82,59 @@ def test_for_system_refuses_unpermuted_and_unpackable():
     params = make_params(3, 7)
     ms = MatSpace(params.base, 7)
     assert ThetaOrbits.for_system(params, ms, ms.identity_batch(1)) is None
+
+
+def test_ids_read_keys_without_matrices(monkeypatch):
+    """ids works on packed keys alone: no unpack and no matrix product."""
+    params = make_params(3, 5)
+    ms = MatSpace(params.base, 5)
+    bar = symmetrize(build_omega(params))
+    orbits = ThetaOrbits.for_system(params, ms, bar.mats)
+    keys = ms.key_products(bar.mats)(ms.pack(bar.mats[:20]))
+    want = orbits.ids(keys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ids left key space")
+
+    monkeypatch.setattr(MatSpace, "unpack", refuse)
+    monkeypatch.setattr(MatSpace, "mul", refuse)
+    ids, sizes = orbits.ids(keys)
+    assert np.array_equal(ids, want[0]) and np.array_equal(sizes, want[1])
+
+
+# every (q, d) the tests build a system for; the orbit path takes those
+# with q^(d*d) < 2^63 and q^d <= 2^16
+_TEST_PARAMETERS = [(4, 2), (3, 3), (5, 3), (7, 3), (9, 3), (17, 3), (3, 5), (4, 4),
+                    (4, 5), (3, 7), (9, 6), (257, 2)]
+
+
+def test_reduction_tables_fit_uint16():
+    """Each digit group's sums index a table of at most 2^16 entries, and
+    the row tables, the sum of whose d parts is such an index, hold
+    nothing past it."""
+    accepted = []
+    for q, d in _TEST_PARAMETERS:
+        params = make_params(q, d)
+        ms = MatSpace(params.base, d)
+        # conjugation by theta fixes the identity
+        orbits = ThetaOrbits.for_system(params, ms, ms.identity_batch(1))
+        if orbits is None:
+            continue
+        accepted.append((q, d))
+        G = len(orbits._reduce)
+        assert G <= 2
+        for g, table in enumerate(orbits._reduce):
+            assert len(table) <= 1 << 16
+            parts = orbits._rows[:, :, g * d : (g + 1) * d].astype(np.int64)
+            assert int(parts.max(axis=1).sum(axis=0).max()) < len(table)
+    assert (3, 5) in accepted and (17, 3) in accepted and (257, 2) not in accepted
+
+
+def test_key_table_witness_catches_a_wrong_entry():
+    params = make_params(5, 3)
+    ms = MatSpace(params.base, 3)
+    bar = symmetrize(build_omega(params))
+    orbits = ThetaOrbits.for_system(params, ms, bar.mats)
+    orbits._rows[1, 7, 2] += 1
+    with pytest.raises(AssertionError, match="row tables disagree"):
+        orbits._check_key_tables(ms.pack(bar.mats))
