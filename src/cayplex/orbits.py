@@ -1,11 +1,13 @@
-"""Orbits of conjugation by theta, the regular representation of u, on
-projective matrices: a normal form that names each orbit by one integer.
+"""Orbits of conjugation by theta, the regular representation of u, and
+by a power of the Frobenius matrix Phi on projective matrices: a normal
+form that names each orbit by one integer.
 
 Every generator system of the package is a union of conjugates of one
 element by the powers of theta, so conjugation by theta permutes it, its
-inverses and each of its colour classes.  Word counts are then constant
-on theta-orbits, and a product ball can be carried as weights on orbits
-(``spectra._orbit_levels``).
+inverses and each of its colour classes; conjugation by Phi permutes
+the systems the package builds too.  Word counts are then constant on
+the orbits of the group these conjugations generate, and a product ball
+can be carried as weights on orbits (``spectra._orbit_levels``).
 
 The normal form reads a matrix X, in the column convention of
 ``regular_rep``, as the F_q-linear map T of E = F_(q^d) whose column b
@@ -25,11 +27,26 @@ at build time.
 Conjugation by theta scales a_j by u^(1 - q^j), and a scalar of F_q^x
 scales every a_j alike; in discrete logs of E (N = q^d - 1) both act as
 translations by the subgroup Gamma of (Z/N)^d generated by
-log(u) * (1 - q^j)_j and n * (1, ..., 1), n = N / (q - 1).  The orbit id
-is the least log vector of the orbit in lexicographic order, found on
-the support pattern J of a (zero entries stay zero) in one table gather
-per coordinate, and packed as sum_j (e_j + 1 or 0) * (N + 1)^j.  An
-orbit holds |Gamma restricted to J| / (q - 1) projective classes.
+log(u) * (1 - q^j)_j and n * (1, ..., 1), n = N / (q - 1).  The
+theta-id of a matrix is the least log vector of its theta-orbit in
+lexicographic order, found on the support pattern J of a (zero entries
+stay zero) in one table gather per coordinate, and packed as
+sum_j (e_j + 1 or 0) * (N + 1)^j.  A theta-orbit holds
+|Gamma restricted to J| / (q - 1) projective classes.
+
+Conjugation by the Frobenius matrix Phi (z -> z^q) sends a_j to a_j^q:
+it scales the logs by q mod N, leaves the support alone and normalizes
+theta (Phi theta Phi^-1 = theta^q), so it permutes theta-orbits.  The
+normal form names orbits of <theta, Phi^k>, k the least divisor of d
+for which conjugation by Phi^k permutes the generator system too
+(k = d: theta alone).  Such an orbit is the union of the theta-orbits
+of the d/k images Phi^(ik) X Phi^(-ik); its id is the least theta-id of
+the images, each image's logs scaled from the previous normal form (q
+scales Gamma onto itself) and run through the same translation
+tables, with a running minimum.  Its size is the theta-orbit size
+times the number of distinct theta-orbits among the images, counted
+per id, so an element that a power of Phi fixes has the smaller orbit
+it really has.
 """
 
 from __future__ import annotations
@@ -37,24 +54,34 @@ from __future__ import annotations
 import numpy as np
 
 from .cayley import _distinct
-from .ffield import regular_rep
+from .ffield import frobenius_matrix, regular_rep
 
 __all__ = ["ThetaOrbits"]
 
 
 class ThetaOrbits:
-    """The theta-orbit normal form over one ``MatSpace``; build it with
+    """The normal form of <theta, Phi^k>-orbits over one ``MatSpace``,
+    k a divisor of d (k = d: theta alone); build it with
     ``for_system``."""
 
-    def __init__(self, params, ms):
+    def __init__(self, params, ms, k: int):
         E, q, d = params.E, params.q, params.d
         self.ms = ms
         self.d = d
+        self.k = k
         N = E.order - 1
         self._N = N
+        # every orbit id is below (N + 1)^d
+        self.id_bound = (N + 1) ** d
+        self._images = d // k
+        # one Frobenius step of the images scales logs by q^k mod N
+        self._scale = np.uint32(pow(q, k, N))
+        # zero coefficients read log 0, which no translation or scaling
+        # moves, so they add nothing to a packed id
         self._log = E.np_explog()[1].astype(np.uint32)
-        theta = ms.asbatch(regular_rep(E, params.u))
-        self._theta = (theta, ms.inverse(theta))
+        self._log[0] = 0
+        self._theta = _with_inverse(ms, regular_rep(E, params.u))
+        self._phi = _with_inverse(ms, frobenius_matrix(E, k))
         # a -> X: coordinate r of column b is coordinate r of
         # tau^c * (tau^b)^(q^j) for a_j = tau^c
         tau = [E.pow_(E.tau_code, b) for b in range(d)]
@@ -77,18 +104,28 @@ class ThetaOrbits:
         """The normal form when conjugation by theta permutes the
         canonical batch ``mats`` as a multiset and every orbit id fits in
         an int64 ((N + 1)^d = q^(d*d) < 2^63, and E keeps exp/log
-        tables); otherwise None.  The ids of the distinct matrices of
-        ``mats`` are checked against the cycles of that permutation."""
+        tables); otherwise None.  Its k is the least divisor of d for
+        which conjugation by Phi^k permutes ``mats`` too.  The ids and
+        sizes of the distinct matrices of ``mats`` are checked against
+        the orbits of the two permutations."""
         if not ms.packable:
             return None
         try:
             params.E.np_explog()
         except ValueError:
             return None
-        orbits = cls(params, ms)
+        E, d = params.E, params.d
         keys = ms.pack(mats)
-        if not np.array_equal(np.sort(keys), np.sort(ms.pack(orbits.conjugate(mats)))):
+        want = np.sort(keys)
+
+        def permutes(g):
+            return np.array_equal(want, np.sort(ms.pack(_conjugated(ms, g, mats))))
+
+        if not permutes(_with_inverse(ms, regular_rep(E, params.u))):
             return None
+        k = next(k for k in range(1, d + 1) if d % k == 0 and (
+            k == d or permutes(_with_inverse(ms, frobenius_matrix(E, k)))))
+        orbits = cls(params, ms, k)
         orbits._check_key_tables(keys)
         orbits._check_cycles(_distinct(keys))
         return orbits
@@ -97,25 +134,24 @@ class ThetaOrbits:
     def nbytes(self) -> int:
         """Bytes held by the normal form's tables."""
         tables = (self._log, self._coeffs, self._rows, *self._reduce,
-                  self._pos, self._base, self._shift, self._size)
+                  self._pos, self._base, self._shift, self._size, self._offset)
         return sum(a.nbytes for a in tables)
 
     @property
     def bytes_per_key(self) -> int:
-        """Upper bound on the bytes ``ids`` holds per key beside its input,
-        G being the number of digit groups: 15d + 8 at the log gather
-        (codes, support, pattern, the gather's intp index copy and the
-        uint32 logs), 9d + 32 in a translation step, and 4Gd + 24 while
-        ``_codes`` adds the row parts (its reduction holds less).  83
-        bytes at (3,5)."""
+        """Upper bound on the bytes ``ids`` or ``sizes`` holds per key or
+        id beside its input, G being the number of digit groups:
+        4Gd + 24 while ``_codes`` adds the row parts (its reduction
+        holds less); 14d + 8 at the log gather (codes, pattern, the
+        gather's intp index copy and the uint32 logs); and, per image,
+        the logs, pattern and running least id (4d + 16 in ``ids``;
+        ``sizes`` holds a base id and a uint8 length instead, 4d + 17)
+        plus what ``_theta_ids`` adds: its 8-byte cell offsets and
+        either the largest translation step temporaries, max(20, 4d),
+        or the packed id, 8 bytes, or ``_frobenius``'s 4d.  78 bytes at
+        (3,5), where the log gather sets the bound."""
         d, G = self.d, len(self._reduce)
-        return max(15 * d + 8, 9 * d + 32, 4 * G * d + 24)
-
-    def conjugate(self, mats: np.ndarray) -> np.ndarray:
-        """canon(theta X theta^-1) for a canonical batch."""
-        ms = self.ms
-        theta, theta_inv = self._theta
-        return ms.canon(ms.mul(ms.mul(theta, mats), theta_inv))
+        return max(4 * G * d + 24, 14 * d + 8, 4 * d + 25 + max(20, 4 * d))
 
     def _key_tables(self, q, d):
         """``_rows[a]``, (Q, G*d) uint16: column g*d + j holds digit group
@@ -161,8 +197,9 @@ class ThetaOrbits:
         j_0..j_(s-1) and takes the value x at j_s to the least value
         reachable there.  Steps past the last one with a nonzero
         translation for some pattern are dropped: at (3,5) two of the
-        five remain.  ``_size[p]`` is the orbit size of every matrix with
-        pattern p."""
+        five remain.  ``_size[p]`` is the theta-orbit size of every
+        matrix with pattern p, and ``_offset[p]`` the sum of (N + 1)^j
+        over its coordinates j."""
         n = N // (q - 1)
         step = (int(self._log[u]) * (1 - q ** np.arange(d))) % N
         k = np.arange(n)[:, None, None]
@@ -193,6 +230,10 @@ class ThetaOrbits:
                 assert (pick >= 0).all()
                 shift[s, p][:, J] = H[pick]
                 H = H[col == 0]
+        # the +1 of every support digit of a packed id, per pattern
+        self._offset = np.zeros(P, dtype=np.int64)
+        for j in range(d):
+            self._offset[(np.arange(P) >> j & 1).astype(bool)] += (N + 1) ** j
         steps = 1 + np.flatnonzero(shift.reshape(d, -1).any(axis=1)).max(initial=-1)
         self._pos = pos[:steps]
         self._base = np.arange(steps * P).reshape(steps, P) * N
@@ -230,47 +271,78 @@ class ThetaOrbits:
                 codes[:, j] += table.take(sums[:, g * d + j], mode="clip")
         return codes
 
-    def ids(self, keys: np.ndarray):
-        """(ids, sizes): the orbit id and orbit size of each packed key of
-        a nonzero matrix."""
-        d, N = self.d, self._N
-        n = len(keys)
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        """The orbit id of each packed key of a nonzero matrix: the least
+        theta-id of its Frobenius images."""
+        d = self.d
         codes = self._codes(keys)
-        support = codes != 0
-        pattern = np.zeros(n, dtype=np.intp)
+        pattern = np.zeros(len(keys), dtype=np.intp)
         for j in range(d):
-            pattern += support[:, j].astype(np.intp) << j
-        # a zero coefficient's log is read but never used: no pattern
-        # reaches it and its id digit is 0
+            pattern += (codes[:, j] != 0).astype(np.intp) << j
         e = self._log.take(codes)
         del codes
+        best = self._theta_ids(e, pattern)
+        for _ in range(1, self._images):
+            self._frobenius(e)
+            np.minimum(best, self._theta_ids(e, pattern), out=best)
+        best += self._offset.take(pattern)
+        return best
+
+    def sizes(self, ids: np.ndarray) -> np.ndarray:
+        """The orbit sizes of orbit ids: the theta-orbit size of their
+        support times the number of distinct theta-orbits among their
+        Frobenius images.  Phi^k permutes those theta-orbits cyclically,
+        so that number is the least i >= 1 at which image i is back in
+        the theta-orbit of image 0, or d/k when none is."""
+        d, N = self.d, self._N
+        n = len(ids)
+        e = np.empty((n, d), dtype=np.uint32)
+        pattern = np.zeros(n, dtype=np.intp)
+        rest = ids
+        for j in range(d):
+            rest, digit = np.divmod(rest, N + 1)
+            pattern += (digit != 0).astype(np.intp) << j
+            e[:, j] = np.maximum(digit, 1) - 1
+        del rest, digit
+        base = self._theta_ids(e, pattern)
+        length = np.full(n, self._images, dtype=np.uint8)
+        for i in range(1, self._images):
+            self._frobenius(e)
+            length[(self._theta_ids(e, pattern) == base) & (length == self._images)] = i
+        return self._size.take(pattern) * length
+
+    def _theta_ids(self, e: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+        """Bring the logs ``e`` (n, d) uint32, zero coefficients holding
+        0, to their least theta-equivalent in place, and return them
+        packed as sum_j e_j * (N + 1)^j in int64: the theta-id less
+        ``_offset`` of the pattern."""
+        d, N = self.d, self._N
         flat = e.reshape(-1)
-        cells = np.arange(0, n * d, d)
+        cells = np.arange(0, len(e) * d, d)
         for s in range(len(self._pos)):
             at = self._pos[s].take(pattern)
             at += cells
             at = flat.take(at).astype(np.intp)
             at += self._base[s].take(pattern)
             e += self._shift.take(at, axis=0)
+            del at
             # e < 2N now; where e < N, e - N wraps around above e
             np.minimum(e, e - np.uint32(N), out=e)
-        e += np.uint32(1)
-        e *= support
-        del support
-        ids = e[:, d - 1].astype(np.int64)
+        del cells
+        packed = e[:, d - 1].astype(np.int64)
         for j in reversed(range(d - 1)):
-            ids *= N + 1
-            ids += e[:, j]
-        return ids, self._size[pattern]
+            packed *= N + 1
+            packed += e[:, j]
+        return packed
 
-    def sizes(self, ids: np.ndarray) -> np.ndarray:
-        """The orbit sizes of orbit ids, read from their support."""
-        pattern = np.zeros(len(ids), dtype=np.intp)
-        rest = ids
-        for j in range(self.d):
-            rest, digit = np.divmod(rest, self._N + 1)
-            pattern += (digit != 0) << j
-        return self._size[pattern]
+    def _frobenius(self, e: np.ndarray) -> None:
+        """Scale the logs ``e`` by q^k mod N in place: the logs of the
+        next Frobenius image.  e < N < 2^16, so e * q^k fits a uint32."""
+        N = np.uint32(self._N)
+        e *= self._scale
+        high = e // N
+        high *= N
+        e -= high
 
     def _check_key_tables(self, keys: np.ndarray) -> None:
         """Raise AssertionError unless ``_codes`` of ``keys`` and of every
@@ -286,24 +358,41 @@ class ThetaOrbits:
             raise AssertionError("the row tables disagree with the coefficient product")
 
     def _check_cycles(self, keys: np.ndarray) -> None:
-        """Raise AssertionError unless two distinct keys share an id
-        exactly when conjugation by theta cycles one to the other, and
-        each id's size is the length of its cycle."""
+        """Raise AssertionError unless two of the sorted distinct keys
+        ``keys``, a set that conjugation by theta and by Phi^k permutes,
+        share an id exactly when those permutations connect them, and
+        each id's size is the size of its connected set."""
         ms = self.ms
-        image = np.searchsorted(keys, ms.pack(self.conjugate(ms.unpack(keys))))
-        cycle = np.full(len(keys), -1)
-        length = np.zeros(len(keys), dtype=np.int64)
+        mats = ms.unpack(keys)
+        images = [np.searchsorted(keys, ms.pack(_conjugated(ms, g, mats)))
+                  for g in (self._theta, self._phi)]
+        orbit = np.full(len(keys), -1)
         for start in range(len(keys)):
-            if cycle[start] >= 0:
+            if orbit[start] >= 0:
                 continue
-            members = [start]
-            while image[members[-1]] != start:
-                members.append(image[members[-1]])
-            cycle[members] = start
-            length[members] = len(members)
-        ids, sizes = self.ids(keys)
-        pairs = len(set(zip(ids.tolist(), cycle.tolist())))
-        if not pairs == len(set(ids.tolist())) == len(set(cycle.tolist())):
-            raise AssertionError("theta-orbit ids disagree with the generator cycles")
-        if not np.array_equal(sizes, length):
-            raise AssertionError("theta-orbit sizes disagree with the generator cycles")
+            orbit[start] = start
+            todo = [start]
+            while todo:
+                x = todo.pop()
+                for image in images:
+                    if orbit[image[x]] < 0:
+                        orbit[image[x]] = start
+                        todo.append(image[x])
+        ids = self.ids(keys)
+        pairs = len(set(zip(ids.tolist(), orbit.tolist())))
+        if not pairs == len(set(ids.tolist())) == len(set(orbit.tolist())):
+            raise AssertionError("orbit ids disagree with the generator orbits")
+        if not np.array_equal(self.sizes(ids), np.bincount(orbit)[orbit]):
+            raise AssertionError("orbit sizes disagree with the generator orbits")
+
+
+def _with_inverse(ms, rows):
+    """(g, g^-1) as (1, d, d) batches of ``ms`` for one matrix given by
+    rows."""
+    g = ms.asbatch(rows)
+    return g, ms.inverse(g)
+
+
+def _conjugated(ms, g, mats: np.ndarray) -> np.ndarray:
+    """canon(g X g^-1) for a canonical batch, ``g`` = (g, g^-1)."""
+    return ms.canon(ms.mul(ms.mul(g[0], mats), g[1]))

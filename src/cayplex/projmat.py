@@ -34,6 +34,8 @@ _GEMM_MANTISSA = 1 << 24
 _PRODUCT_BLOCK = 1 << 18
 # largest (r + d*q) * q^d table entries of the key_products row tables
 _ROW_TABLE_MAX = 1 << 22
+# row products per block while key_products builds its row tables
+_ROW_BLOCK = 1 << 13
 
 
 class MatSpace:
@@ -284,24 +286,19 @@ class MatSpace:
                 return self.pack(P)
 
             return products
-        # digits[v] is row(v); codes of 1 x d rows by their digit weights
+        # digits[v] is row(v)
         digits = np.empty((Q, d), dtype=self.dtype)
         rest = np.arange(Q)
         for b in range(d):
             rest, digits[:, b] = np.divmod(rest, q)
-        weights = q ** np.arange(d, dtype=np.int64)
-        T = np.empty((Q, r), dtype=np.intp)
-        step = max(1, _PRODUCT_BLOCK // r)
-        for v0 in range(0, Q, step):
-            rows = self.mul(digits[v0 : v0 + step, None, None, :], O[None])
-            T[v0 : v0 + step] = rows.reshape(-1, r, d) @ weights
+        T = self._row_codes(digits, O)
         first = np.argmax(digits != 0, axis=1)
         lam = self._inv_table[digits[np.arange(Q), first]] * Q
         lam[0] = 0
         # l * row(t) as row(t) @ (l * I), for every scalar code l
         scalars = self.identity_batch(q) * np.arange(q, dtype=self.dtype)[:, None, None]
-        scaled = self.mul(digits[None, :, None, :], scalars[:, None]) @ weights
-        S = scaled.reshape(1, q * Q) * (weights[:, None] ** d)
+        scaled = self._row_codes(digits, scalars).T
+        S = scaled.reshape(1, q * Q) * (Q ** np.arange(d, dtype=np.int64)[:, None])
 
         def products(keys):
             rest = keys
@@ -322,6 +319,23 @@ class MatSpace:
             return acc.reshape(-1)
 
         return products
+
+    def _row_codes(self, digits: np.ndarray, O: np.ndarray) -> np.ndarray:
+        """(len(digits), r) intp: the code of row(v) @ O[j], for the rows
+        ``digits`` (v, d) and the r matrices O, built in blocks of about
+        ``_ROW_BLOCK`` row products, each code by Horner over the d
+        digits of its block."""
+        d, q, r = self.d, self.q, O.shape[0]
+        out = np.empty((len(digits), r), dtype=np.intp)
+        step = max(1, _ROW_BLOCK // r)
+        for v0 in range(0, len(digits), step):
+            rows = self.mul(digits[v0 : v0 + step, None, None, :], O[None])[:, :, 0]
+            codes = out[v0 : v0 + step]
+            codes[:] = rows[..., d - 1]
+            for b in reversed(range(d - 1)):
+                codes *= q
+                codes += rows[..., b]
+        return out
 
     def row_tables(self, r: int) -> bool:
         """Whether ``key_products`` of r matrices gathers from row tables

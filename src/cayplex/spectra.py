@@ -5,6 +5,8 @@ exact isomorphism search, and comparison verdicts."""
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from itertools import chain
 
@@ -20,7 +22,7 @@ from .cayley import (
 )
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
 from .orbits import ThetaOrbits
-from .projmat import _PRODUCT_BLOCK, MatSpace
+from .projmat import _PRODUCT_BLOCK, _ROW_BLOCK, MatSpace
 from .util import (
     Tokens,
     atomic_write_text,
@@ -39,6 +41,12 @@ _BALL_BLOCK = 2048
 _RUN_CHUNK = 1 << 16
 # products per orbit normal-form block
 _ORBIT_BLOCK = 1 << 15
+# top-level buckets are runs of the 2^_ID_BITS id ranges that the top
+# bits of an orbit id name; at most _TOP_PASSES of them
+_ID_BITS = 16
+_TOP_PASSES = 16
+# bytes per product of a top-level bucket (see _square_sum)
+_BUCKET_BYTES = 56
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +222,10 @@ def walk_moments(
     ``ball-mitm`` builds product balls of radius ceil(K/2) and joins
     each N_k as sum_g c_a(g) * c_b(g^-1) with a = ceil(k/2); it never
     materializes the group.  When conjugation by theta permutes the
-    selected generators, each ball level is a list of theta-orbits with
-    their word counts; otherwise each lower level is the runs of its
+    selected generators, each ball level is a list of orbits (of theta
+    and a power of the Frobenius matrix, see ``ThetaOrbits``) with their
+    word counts, and the top level is streamed from the products of the
+    level below it; otherwise each lower level is the runs of its
     sorted word stream (distinct packed keys and their word counts) and
     the top level the stream itself.  All counters are 64-bit integers, and every
     sum is checked against an exact word-count bound before it is
@@ -439,15 +449,21 @@ def _ball_memory_estimate(
 def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
     """Upper bound on the bytes ``key_products`` of r matrices holds
     beside its output, for blocks of ``block`` products.  On its
-    row-table path, per row code and generator or scalar the table entry
-    and the row product it is built from: under 24 * d + 16 bytes.  On
-    its fallback, the product matrix and its pack, and per product of
-    one ``right_products`` GEMM block its float32 product and quotient,
+    row-table path, its int64 tables (T, Q per generator; S, d per
+    scalar; lam) and, while S is built, the (Q, q) codes it is read from
+    and their transposed copy, the uint8 rows and a few Q-long index
+    arrays (under 32 bytes per row code), with the temporaries of one
+    ``_ROW_BLOCK`` block of row products: at most three int64 entries
+    per coordinate on the table kernel (24 * d bytes) plus 16.  On its
+    fallback, the product matrix and its pack, and per product of one
+    ``right_products`` GEMM block its float32 product and quotient,
     residues, canon mask, indices and output: under 24 * d * d + 16
     bytes."""
-    d = ms.d
+    d, q = ms.d, ms.q
     if ms.row_tables(r):
-        return (24 * d + 16) * ms.q**d * (r + d * ms.q)
+        Q = q**d
+        rows = max(r, q, _ROW_BLOCK)
+        return 8 * Q * (r + d * q + 2 * q) + (d + 32) * Q + (24 * d + 16) * rows
     return (24 * d * d + 16) * min(block, max(r, _PRODUCT_BLOCK))
 
 
@@ -457,12 +473,11 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     (c' = c for an inverse-closed multiset).
 
     When conjugation by theta permutes the selected generators (see
-    ``ThetaOrbits.for_system``), the counts are constant on theta-orbits
-    and both balls are carried as orbit levels (``_orbit_levels``):
-    N_k = sum_O W_a(O) * c'_b(O) with c'_b(O) = W'_b(O) / |O|.
-    Otherwise levels 0..R-1, R = ceil(K/2), are consolidated and the top
-    level R stays its sorted word stream, where a key's count is the
-    length of its run."""
+    ``ThetaOrbits.for_system``), the counts are constant on the orbits
+    of ``ThetaOrbits`` and both balls are carried as orbit levels
+    (``_orbit_moments``).  Otherwise levels 0..R-1, R = ceil(K/2), are
+    consolidated and the top level R stays its sorted word stream, where
+    a key's count is the length of its run."""
     params = gens.params
     ms = MatSpace(params.base, params.d)
     gen_mats = gens.mats[sel]
@@ -472,18 +487,7 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     budget = default_mem_budget() if memory_budget is None else int(memory_budget)
     orbits = ThetaOrbits.for_system(params, ms, gen_mats)
     if orbits is not None:
-        levels = _orbit_levels(ms, orbits, gen_mats, radius, threads, budget)
-        inv_levels = levels
-        if inv_mats is not None:
-            held = sum(a.nbytes for level in levels for a in level)
-            inv_levels = _orbit_levels(ms, orbits, inv_mats, K // 2, threads, budget, held)
-        values = [1]
-        for k in range(1, K + 1):
-            a = (k + 1) // 2
-            ids_a, _, w_a, _ = levels[a]
-            ids_b, _, w_b, size_b = inv_levels[k - a]
-            values.append(_join(r**a, (ids_a, w_a), (ids_b, w_b // size_b), k))
-        return values
+        return _orbit_moments(ms, orbits, gen_mats, inv_mats, K, threads, budget)
     est = _ball_memory_estimate(ms, r, radius, None if inv_mats is None else K // 2)
     if est > budget:
         raise MemoryBudgetError(
@@ -513,18 +517,52 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     return values
 
 
+def _orbit_moments(ms, orbits, gen_mats, inv_mats, K, threads, budget):
+    """N_0..N_K over orbit levels: N_k = sum_O W_a(O) * c'_b(O), with
+    c'_b(O) = W'_b(O) / |O|.  Levels 0..t, t = ceil(K/2) - 1, of the
+    ball are built (``_orbit_levels``), and levels 0..floor(K/2) of the
+    inverse ball of an open multiset; they give N_k for k <= 2t.  Level
+    t + 1 is never built: N_(2t+1) and, for even K, N_(2t+2) come from
+    the products of level t's representatives (``_top_stream``)."""
+    r = len(gen_mats)
+    values = [1]
+    if K == 0:
+        return values
+    t = (K - 1) // 2
+    levels = _orbit_levels(ms, orbits, gen_mats, t, threads, budget)
+    held = _nbytes(levels)
+    inv_levels = levels
+    if inv_mats is not None:
+        inv_levels = _orbit_levels(ms, orbits, inv_mats, K // 2, threads, budget, held)
+        held += _nbytes(inv_levels)
+    for k in range(1, 2 * t + 1):
+        a = (k + 1) // 2
+        ids_a, _, w_a, _ = levels[a]
+        ids_b, _, w_b, size_b = inv_levels[k - a]
+        values.append(_join(r**a, (ids_a, w_a), (ids_b, w_b // size_b), k))
+    lookups = [(k, inv_levels[k - t - 1]) for k in range(2 * t + 1, K + 1)
+               if k - t - 1 < len(inv_levels)]
+    square = K if K == 2 * t + 2 and inv_mats is None else None
+    return values + _top_stream(ms, orbits, gen_mats, levels, lookups, square,
+                                threads, budget, held)
+
+
+def _nbytes(levels) -> int:
+    return sum(a.nbytes for level in levels for a in level)
+
+
 def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
     """Orbit levels t = 0..radius of the product ball over ``gen_mats``,
-    a batch that conjugation by theta permutes: for each theta-orbit O
-    holding a product of exactly t generators, sorted by orbit id, the
-    id, one representative key, the weight W_t(O) = sum_(x in O) c_t(x)
-    and the size |O|.
+    a batch that the group of ``orbits`` permutes by conjugation: for
+    each orbit O holding a product of exactly t generators, sorted by
+    orbit id, the id, one representative key, the weight
+    W_t(O) = sum_(x in O) c_t(x) and the size |O|.
 
-    Since conjugation by theta permutes the generators, the number of
-    generators s with x s in O' is the same for every x of an orbit O,
-    so W_(t+1)(O') = sum_O W_t(O) * #{s : rep_O s in O'}: the products
-    of the representatives alone, each carrying the weight of its
-    source, grouped by id and summed; any product of a group can
+    Since conjugation by the group permutes the generators, the number
+    of generators s with x s in O' is the same for every x of an orbit
+    O, so W_(t+1)(O') = sum_O W_t(O) * #{s : rep_O s in O'}: the
+    products of the representatives alone, each carrying the weight of
+    its source, grouped by id and summed; any product of a group can
     represent it.  Every level is checked to hold r^t words and weights
     divisible by the orbit sizes.  Before a level is built, its
     ``_orbit_memory_estimate`` from the previous level's orbit count,
@@ -532,15 +570,15 @@ def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
     budget."""
     r = len(gen_mats)
     ident = ms.pack(ms.identity_batch(1))
-    ids, sizes = orbits.ids(ident)
-    levels = [(ids, ident, np.ones(1, dtype=np.int64), sizes)]
+    ids = orbits.ids(ident)
+    levels = [(ids, ident, np.ones(1, dtype=np.int64), orbits.sizes(ids))]
     products = ms.key_products(gen_mats)
     step = max(1, _ORBIT_BLOCK // r)
     for t in range(1, radius + 1):
         _, keys, weights, _ = levels[-1]
         m = len(keys)
-        held += sum(a.nbytes for a in levels[-1])
-        est = _orbit_memory_estimate(ms, orbits, r, m, held)
+        held += _nbytes(levels[-1:])
+        est = _orbit_memory_estimate(ms, orbits, r, m, held, None, threads)
         if est > budget:
             raise MemoryBudgetError(
                 f"orbit level {t} of the product ball needs ~{est} bytes "
@@ -553,7 +591,7 @@ def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
             for i in items:
                 block = products(keys[i : i + step])
                 out_keys[i * r : i * r + len(block)] = block
-                out_ids[i * r : i * r + len(block)] = orbits.ids(block)[0]
+                out_ids[i * r : i * r + len(block)] = orbits.ids(block)
             return []
 
         ordered_chunked_map(expand, range(0, m, step), threads=threads, chunk=1)
@@ -571,29 +609,243 @@ def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
         order //= r
         level_weights = np.add.reduceat(weights[order], starts)
         del order
-        sizes = orbits.sizes(ids)
+        sizes = _sizes(orbits, ids)
         if int(level_weights.sum()) != r**t or (level_weights % sizes).any():
             raise AssertionError(f"orbit level {t} disagrees with its word count")
         levels.append((ids, reps, level_weights, sizes))
     return levels
 
 
-def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int) -> int:
+def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
+    """``orbits.sizes`` of ``ids``, in blocks of ``_ORBIT_BLOCK`` ids."""
+    out = np.empty(len(ids), dtype=np.int64)
+    for i in range(0, len(ids), _ORBIT_BLOCK):
+        out[i : i + _ORBIT_BLOCK] = orbits.sizes(ids[i : i + _ORBIT_BLOCK])
+    return out
+
+
+def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, held):
+    """N_k for the k whose forward level is t + 1, t the last of
+    ``levels``, from the products of level t's representatives, each
+    carrying the weight of its source; level t + 1 is never held.
+
+    A lookup (k, stored level b) gives N_k = sum_O W_(t+1)(O) c'_b(O) =
+    sum over the products p of W_t(source) * c'_b(id(p)) (``_lookup``).
+    ``square``, the even top k = 2t + 2 of an inverse-closed multiset,
+    is N_k = sum_O W_(t+1)(O)^2 / |O|, with W_(t+1) grouped by id
+    (``_square_sum``) in buckets: runs of the 2^``_ID_BITS`` id ranges
+    that the top bits of an id name.  A bucket holds as many products as
+    the budget leaves beside the rest of the stream
+    (``_orbit_memory_estimate``).  When all of them fit, the pass of the
+    lookups collects them too.  Otherwise that pass counts the products
+    of each id range, and one more pass per bucket streams the products
+    again and keeps those in its ranges.  A budget whose buckets hold
+    fewer than 1/``_TOP_PASSES`` of the products is refused before any
+    pass.  The buckets' weights must add up to r^(t+1): every product
+    counted once."""
+    r = len(gen_mats)
+    t = len(levels) - 1
+    _, keys, weights, _ = levels[t]
+    m = len(keys)
+    words = m * r
+    stored = []
+    for k, (ids_b, _, w_b, size_b) in lookups:
+        c_b = w_b // size_b
+        _check_bound(r ** (t + 1), c_b.max(), k)
+        # a zero past the end, the count of ids outside the stored level
+        stored.append((ids_b, np.append(c_b, 0)))
+        held += stored[-1][1].nbytes
+    bucket = 0
+    if square is not None:
+        fixed = _orbit_memory_estimate(ms, orbits, r, m, held, 0, threads)
+        bucket = min(words, max(budget - fixed, 0) // _BUCKET_BYTES)
+        if bucket * _TOP_PASSES < words:
+            need = fixed + _BUCKET_BYTES * -(-words // _TOP_PASSES)
+            raise MemoryBudgetError(
+                f"top orbit level {t + 1} of the product ball needs ~{need} bytes "
+                f"for {_TOP_PASSES} passes (budget {budget}); lower K or raise "
+                "the budget"
+            )
+    est = _orbit_memory_estimate(ms, orbits, r, m, held, bucket, threads)
+    if est > budget:
+        raise MemoryBudgetError(
+            f"top orbit level {t + 1} of the product ball needs ~{est} bytes "
+            f"(budget {budget}); lower K or raise the budget"
+        )
+    products = ms.key_products(gen_mats)
+    step = max(1, _ORBIT_BLOCK // r)
+    shift = max(0, (orbits.id_bound - 1).bit_length() - _ID_BITS)
+    lock = threading.Lock()
+
+    def stream(visit):
+        """Call ``visit(ids, weights)`` on each block of products, from
+        up to ``threads`` threads at once."""
+
+        def run(items):
+            for i in items:
+                ids = orbits.ids(products(keys[i : i + step]))
+                visit(ids, np.repeat(weights[i : i + step], r))
+            return []
+
+        ordered_chunked_map(run, range(0, m, step), threads=threads, chunk=1)
+
+    sums = [0] * len(stored)
+    grouped = _Bucket(bucket, lock)
+    # the first pass collects every product when one bucket holds them
+    # all, and otherwise counts them per id range
+    collect = square is not None and bucket == words
+    counts = None
+    if square is not None and not collect:
+        counts = np.zeros(1 << _ID_BITS, dtype=np.int64)
+
+    def first(ids, w):
+        found = [_lookup(ids_b, c_b, ids, w) for ids_b, c_b in stored]
+        if collect:
+            grouped.add(ids, w)
+        part = None
+        if counts is not None:
+            part = np.bincount(ids >> shift, minlength=len(counts))
+        with lock:
+            for n, value in enumerate(found):
+                sums[n] += value
+            if part is not None:
+                counts[:] += part
+
+    stream(first)
+    if square is None:
+        return sums
+    parts = []
+    if collect:
+        parts.append(_square_sum(orbits, *grouped.items(), r ** (t + 1), square))
+    else:
+        for lo, hi in _id_ranges(counts, bucket, budget):
+            grouped.clear()
+
+            def keep(ids, w, lo=lo, hi=hi):
+                at = ids >> shift
+                inside = (at >= lo) & (at < hi)
+                grouped.add(ids[inside], w[inside])
+
+            stream(keep)
+            parts.append(_square_sum(orbits, *grouped.items(), r ** (t + 1), square))
+    if sum(weight for _, weight in parts) != r ** (t + 1):
+        raise AssertionError(f"top orbit level {t + 1} disagrees with its word count")
+    return sums + [sum(total for total, _ in parts)]
+
+
+class _Bucket:
+    """Up to ``size`` product ids with their weights, filled by block from
+    any thread."""
+
+    def __init__(self, size: int, lock):
+        self.ids = np.empty(size, dtype=np.int64)
+        self.weights = np.empty(size, dtype=np.int64)
+        self.filled = 0
+        self._lock = lock
+
+    def add(self, ids: np.ndarray, weights: np.ndarray) -> None:
+        with self._lock:
+            start = self.filled
+            self.filled += len(ids)
+        self.ids[start : start + len(ids)] = ids
+        self.weights[start : start + len(ids)] = weights
+
+    def items(self):
+        return self.ids[: self.filled], self.weights[: self.filled]
+
+    def clear(self) -> None:
+        self.filled = 0
+
+
+def _lookup(ids_b: np.ndarray, c_b: np.ndarray, ids: np.ndarray, w: np.ndarray) -> int:
+    """sum_i w_i * c(ids_i): c the counts ``c_b`` of the sorted ids
+    ``ids_b``, read by ``searchsorted``, and the zero ``c_b`` ends with
+    for an id not among them."""
+    pos = np.searchsorted(ids_b, ids)
+    np.minimum(pos, len(ids_b) - 1, out=pos)
+    pos[ids_b.take(pos) != ids] = len(ids_b)
+    return int(np.dot(c_b.take(pos), w))
+
+
+def _id_ranges(counts: np.ndarray, bucket: int, budget: int):
+    """Runs [lo, hi) of consecutive id ranges, each holding at most
+    ``bucket`` of the products that ``counts`` counts per range."""
+    if counts.max() > bucket:
+        raise MemoryBudgetError(
+            f"one id range of the top orbit level holds {int(counts.max())} products, "
+            f"more than the {bucket} a bucket holds (budget {budget}); raise the budget"
+        )
+    cum = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        below = int(cum[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(cum, below + bucket, side="right"))
+        yield lo, hi
+        lo = hi
+
+
+def _square_sum(orbits, ids: np.ndarray, weights: np.ndarray, words: int, k: int):
+    """(sum_O W(O)^2 / |O|, sum_O W(O)) over the orbits O of the product
+    ids ``ids``, W(O) the sum of the weights of its products; each W(O)
+    must be divisible by |O|, and words * max W(O) / |O| must fit the
+    counters.  Beside the inputs, per product: the argsort order and the
+    sorted ids and weights (24 bytes), then the run mask and starts (9),
+    then per orbit W, its id and size, and W / |O| (32)."""
+    if not len(ids):
+        return 0, 0
+    order = np.argsort(ids)
+    ids = ids[order]
+    weights = weights[order]
+    del order
+    new = np.empty(len(ids), dtype=bool)
+    new[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    W = np.add.reduceat(weights, starts)
+    del weights
+    ids = ids[starts]
+    del starts
+    sizes = _sizes(orbits, ids)
+    del ids
+    c = W // sizes
+    np.multiply(c, sizes, out=sizes)
+    if not np.array_equal(sizes, W):
+        raise AssertionError("top orbit weights are not divisible by the orbit sizes")
+    _check_bound(words, c.max(), k)
+    return int(np.dot(W, c)), int(W.sum())
+
+
+def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int,
+                           bucket: int | None = None, threads: int = 1) -> int:
     """Upper bound on the bytes held while ``_orbit_levels`` builds one
-    level from m orbits over r generators: the ``held`` bytes of the
-    levels already built, and the following.  Per product, its id and
-    key, the argsort order, the sorted ids, the run starts and the
-    gathered weights; per orbit of the new level (at most one per
-    product), its id, key, weight and size.  Per product of one
-    ``_ORBIT_BLOCK`` block its 8-byte key, the normal form's temporaries
-    (``ThetaOrbits.bytes_per_key``), and ``_key_products_bytes``.  The
-    normal form's tables, and 64 KiB for small arrays."""
+    level from m orbits over r generators (``bucket`` None), or while
+    ``_top_stream`` streams their products into a bucket of ``bucket``
+    products: the ``held`` bytes of the levels already built, and the
+    following.  Building a level, per product its id and key, the
+    argsort order, the sorted ids, the run starts and the gathered
+    weights; per orbit of the new level (at most one per product), its
+    id, key, weight and size.  Streaming, ``_BUCKET_BYTES`` per bucket
+    product: its id and weight and what ``_square_sum`` adds, 56 bytes
+    in all, and the int64 counts of the id ranges with one block's
+    share of them per thread.  Per product of one ``_ORBIT_BLOCK``
+    block, once per thread that ``ordered_chunked_map`` runs, its
+    8-byte key and the normal form's temporaries
+    (``ThetaOrbits.bytes_per_key``, which also bound the stream's after
+    them: the id, weight and a lookup's or a bucket selection's 27
+    bytes, 43 in all).  ``_key_products_bytes``, the normal form's
+    tables, and 64 KiB for small arrays."""
     words = m * r
     block = min(words, max(r, _ORBIT_BLOCK))
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    if bucket is None:
+        grouped = (48 + 32) * words
+    else:
+        grouped = _BUCKET_BYTES * bucket + (8 << _ID_BITS) * (1 + workers)
     return (
         held
-        + (48 + 32) * words
-        + (8 + orbits.bytes_per_key) * block
+        + grouped
+        + (8 + orbits.bytes_per_key) * block * workers
         + _key_products_bytes(ms, r, block)
         + orbits.nbytes
         + (1 << 16)

@@ -5,7 +5,9 @@ verification suites."""
 import hashlib
 import os
 import random
+import re
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -270,6 +272,34 @@ class TestConfigAndErrors:
         assert rc == 2
         assert "resource abort" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_moments_k9_k10_refuse_budget_before_allocating(self, tmp_path, capsys):
+        """moments at K=9 and K=10 on (3,5) refuse a budget they cannot
+        keep (exit 2) before they allocate what it cannot hold: a tiny
+        one at orbit level 1, and at K=10 one that holds orbit levels
+        0..4 but not the buckets of the top level 5 in 16 passes, before
+        any pass over its 197M products; the traced peak of that run
+        stays below the budget and below what the refusal says is
+        needed."""
+        gens = str(tmp_path / "bar35.gens")
+        assert main(["gens", "--q", "3", "--d", "5", "--sym", "--out", gens]) == 0
+        cases = [("9", 1000, "orbit level 1 "), ("10", 1000, "orbit level 1 "),
+                 ("10", 400 << 20, "top orbit level 5 ")]
+        for kmax, budget, where in cases:
+            out = tmp_path / f"k{kmax}.moments"
+            tracemalloc.start()
+            try:
+                rc = main(["moments", "--gens", gens, "--kmax", kmax,
+                           "--mem-budget", str(budget), "--out", str(out)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            err = capsys.readouterr().err
+            assert rc == 2 and not out.exists()
+            assert where in err and f"(budget {budget})" in err
+            if budget > 1000:
+                need = int(re.search(r"needs ~(\d+) bytes", err).group(1))
+                assert peak < budget < need
 
     def test_vertex_limit_abort_exit_2(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "tiny.graph")

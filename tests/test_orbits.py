@@ -1,14 +1,19 @@
-"""Tests for the theta-orbit normal form.
+"""Tests for the <theta, Phi^k> orbit normal form.
 
-Oracle: the orbit of a canonical matrix enumerated as all n of its
-conjugates theta^k X theta^-k, k < n = (q^d - 1)/(q - 1), on seeded
-random matrices: dense ones, and ones built from sparse linearized
-coefficients, whose supports give the smaller orbits.
+Oracle: the orbit of a canonical matrix enumerated as all its conjugates
+theta^t Phi^i X Phi^-i theta^-t, t < n = (q^d - 1)/(q - 1) and i a
+multiple of k below d, Phi^i built by ``frobenius_matrix``, on seeded
+random matrices: dense ones, ones built from sparse linearized
+coefficients, whose supports give the smaller theta-orbits, and ones
+whose coefficients lie in a subfield F_(q^m), m | d, which Phi^m fixes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cayplex.ffield import frobenius_matrix, regular_rep
 from cayplex.genforge import build_omega, make_params, symmetrize
 from cayplex.orbits import ThetaOrbits
 from cayplex.projmat import MatSpace
@@ -30,18 +35,46 @@ def _from_coefficients(E, ms, a):
 
 
 def _samples(params, ms, rng, count):
-    """``count`` dense random canonical matrices and ``count`` built
-    from coefficients with a random nonempty support."""
+    """``count`` dense random canonical matrices, ``count`` built from
+    coefficients with a random nonempty support, and ``count`` from
+    coefficients in a random proper subfield F_(q^m) of E, m | d."""
     E, q, d = params.E, params.q, params.d
     dense = rng.integers(0, q, size=(count, d, d)).astype(ms.dtype)
     dense[:, 0, 0] = 1
+    subfields = {m: [x for x in range(1, E.order) if E.frob(x, m) == x]
+                 for m in range(1, d) if d % m == 0}
     sparse = []
     for _ in range(count):
         support = rng.random(d) < 0.5
         support[rng.integers(d)] = True
         a = [int(rng.integers(1, E.order)) if s else 0 for s in support]
         sparse.append(_from_coefficients(E, ms, a))
+    for _ in range(count):
+        field = subfields[int(rng.choice(list(subfields)))]
+        support = rng.random(d) < 0.7
+        support[rng.integers(d)] = True
+        a = [int(rng.choice(field)) if s else 0 for s in support]
+        sparse.append(_from_coefficients(E, ms, a))
     return ms.canon(np.concatenate((dense, np.array(sparse))))
+
+
+def _conjugates(ms, rows, X):
+    """canon(g X g^-1) for the matrix g given by ``rows``."""
+    g = ms.asbatch(rows)
+    return ms.canon(ms.mul(ms.mul(g, X), ms.inverse(g)))
+
+
+def _enumerated_orbits(params, ms, orbits, X):
+    """(len(X), n * d/k) packed keys: every conjugate of each matrix of
+    ``X`` by theta^t Phi^i, i running over the multiples of k."""
+    theta = regular_rep(params.E, params.u)
+    conjugates = []
+    for i in range(0, params.d, orbits.k):
+        Y = _conjugates(ms, frobenius_matrix(params.E, i), X)
+        for _ in range(params.n):
+            conjugates.append(ms.pack(Y))
+            Y = _conjugates(ms, theta, Y)
+    return np.stack(conjugates, axis=1)
 
 
 @pytest.mark.parametrize(
@@ -51,25 +84,24 @@ def test_normal_form_against_enumerated_orbits(q, d):
     params = make_params(q, d)
     ms = MatSpace(params.base, d)
     orbits = ThetaOrbits.for_system(params, ms, symmetrize(build_omega(params)).mats)
-    assert orbits is not None
+    assert orbits is not None and orbits.k == 1
     rng = np.random.default_rng(q * 10 + d)
-    X = _samples(params, ms, rng, 150)
-    conjugates = [ms.pack(X)]
-    for _ in range(params.n - 1):
-        conjugates.append(ms.pack(orbits.conjugate(ms.unpack(conjugates[-1]))))
-    conjugates = np.stack(conjugates, axis=1)
+    X = _samples(params, ms, rng, 100)
+    conjugates = _enumerated_orbits(params, ms, orbits, X)
     label = conjugates.min(axis=1)
     size = np.array([len(set(row)) for row in conjugates.tolist()])
-    ids, sizes = orbits.ids(conjugates[:, 0])
+    ids = orbits.ids(conjugates[:, 0])
     # equal ids exactly when the enumerated orbits are equal
     assert np.array_equal(ids[:, None] == ids[None, :], label[:, None] == label[None, :])
-    assert np.array_equal(sizes, size)
     assert np.array_equal(orbits.sizes(ids), size)
-    # ids do not change under conjugation by any power of theta
-    k = rng.integers(1, params.n, size=len(X))
-    assert np.array_equal(orbits.ids(conjugates[np.arange(len(X)), k])[0], ids)
-    # the samples reach orbits of more than one size
+    # ids do not change under conjugation by any element of the group
+    k = rng.integers(1, conjugates.shape[1], size=len(X))
+    assert np.array_equal(orbits.ids(conjugates[np.arange(len(X)), k]), ids)
+    # the samples reach orbits of more than one size, and some of them
+    # are fixed by a power of Phi: their theta-orbits number fewer than d
     assert len(set(size.tolist())) > 1
+    theta_size = np.array([len(set(row)) for row in conjugates[:, : params.n].tolist()])
+    assert (size < theta_size * d).any()
 
 
 def test_for_system_refuses_unpermuted_and_unpackable():
@@ -85,21 +117,47 @@ def test_for_system_refuses_unpermuted_and_unpackable():
 
 
 def test_ids_read_keys_without_matrices(monkeypatch):
-    """ids works on packed keys alone: no unpack and no matrix product."""
+    """ids and sizes work on packed keys and ids alone: no unpack and no
+    matrix product."""
     params = make_params(3, 5)
     ms = MatSpace(params.base, 5)
     bar = symmetrize(build_omega(params))
     orbits = ThetaOrbits.for_system(params, ms, bar.mats)
     keys = ms.key_products(bar.mats)(ms.pack(bar.mats[:20]))
     want = orbits.ids(keys)
+    want_sizes = orbits.sizes(want)
 
     def refuse(*args, **kwargs):
         raise AssertionError("ids left key space")
 
     monkeypatch.setattr(MatSpace, "unpack", refuse)
     monkeypatch.setattr(MatSpace, "mul", refuse)
-    ids, sizes = orbits.ids(keys)
-    assert np.array_equal(ids, want[0]) and np.array_equal(sizes, want[1])
+    ids = orbits.ids(keys)
+    assert np.array_equal(ids, want) and np.array_equal(orbits.sizes(ids), want_sizes)
+
+
+@pytest.mark.parametrize("q,d", [(3, 5), (5, 3), (4, 4), (9, 3)])
+def test_ids_and_sizes_within_bytes_per_key(q, d):
+    """ids and sizes hold at most ``bytes_per_key`` per key beside their
+    input, and a few KiB of small arrays, on a block of product keys:
+    no matrices and no stacked Frobenius images."""
+    params = make_params(q, d)
+    ms = MatSpace(params.base, d)
+    bar = symmetrize(build_omega(params))
+    orbits = ThetaOrbits.for_system(params, ms, bar.mats)
+    products = ms.key_products(bar.mats)
+    keys = products(products(ms.pack(bar.mats[:60])))[: 1 << 15]
+    n = len(keys)
+    assert n > 20_000
+    for run in (orbits.ids, orbits.sizes):
+        arg = keys if run == orbits.ids else orbits.ids(keys)
+        tracemalloc.start()
+        try:
+            run(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= orbits.bytes_per_key * n + 4096
 
 
 # every (q, d) the tests build a system for; the orbit path takes those

@@ -101,6 +101,34 @@ def _path_cases(bar33=None, bar42=None, hat53=None):
     return cases
 
 
+def _theta_only(monkeypatch):
+    """Make ball-mitm name orbits of theta alone: ``for_system`` accepts
+    what it accepted and returns the normal form with k = d."""
+    found = ThetaOrbits.for_system.__func__
+
+    def theta_only(cls, params, ms, mats):
+        if found(cls, params, ms, mats) is None:
+            return None
+        return cls(params, ms, params.d)
+
+    monkeypatch.setattr(ThetaOrbits, "for_system", classmethod(theta_only))
+
+
+def _top_budget(gens, K, sel, parts, threads=1):
+    """A budget under which ball-mitm at K fills top-level buckets of
+    1/``parts`` of the top products: the top stream's estimate without a
+    bucket, plus ``_BUCKET_BYTES`` per product of such a bucket."""
+    calls = []
+    estimate = spectra._orbit_memory_estimate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_orbit_memory_estimate",
+                      lambda *args: calls.append(args) or estimate(*args))
+        _moments_ball_mitm(gens, K, sel, threads, None)
+    top = next(args for args in calls if args[5] == 0)
+    words = top[2] * top[3]
+    return estimate(*top) + spectra._BUCKET_BYTES * -(-words // parts)
+
+
 def _rotation_rows(n, k):
     """The n-by-n permutation matrix of the cycle shift by k."""
     return tuple(
@@ -322,10 +350,13 @@ class TestWalkMoments:
     def test_ball_memory_estimate_bounds_traced_peak(self, monkeypatch, bar53, hat53):
         """The whole ball-mitm join stays within the estimate of its path:
         ``_ball_memory_estimate`` for the stream path, the largest
-        ``_orbit_memory_estimate`` of any level for the orbit path.  So
-        does ``_ball_levels``, whose consolidated top level is what the
-        stream estimate allows for the inverse ball of an open multiset
-        at even K."""
+        ``_orbit_memory_estimate`` of any level or of the top stream for
+        the orbit path.  So does ``_ball_levels``, whose consolidated top
+        level is what the stream estimate allows for the inverse ball of
+        an open multiset at even K.  The orbit cases run odd and even
+        tops at (5,3) and (3,3), the even tops once more under a budget
+        that leaves buckets of a third of the top products, so that they
+        take several passes, and (5,3) at K=7 and 8 on two threads."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
         estimates = []
 
@@ -335,12 +366,28 @@ class TestWalkMoments:
 
         orbit_estimate = spectra._orbit_memory_estimate
         monkeypatch.setattr(spectra, "_orbit_memory_estimate", recorded)
+        passes = []
+        square_sum = spectra._square_sum
+        monkeypatch.setattr(spectra, "_square_sum",
+                            lambda *args: passes.append(1) or square_sum(*args))
         cases = [(case, (2, 3)) for case in _path_cases(bar33, hat53=hat53)]
         cases += [((bar53, list(range(len(bar53))), True), (3,))]
         cases += [((bar33, list(range(len(bar33))), True), (4,))]
         # a 60-generator word stream of 216,000 words at radius 3
         rest = [i for i in range(len(bar53)) if i not in (0, bar53[0].inv)]
         cases += [((bar53, rest, False), (3,))]
+
+        def traced(gens, K, sel, budget, threads=1):
+            estimates.clear()
+            passes.clear()
+            tracemalloc.start()
+            try:
+                values = _moments_ball_mitm(gens, K, sel, threads, budget)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return values, peak
+
         for (gens, sel, orbit), radii in cases:
             ms = MatSpace(gens.params.base, gens.params.d)
             gen_mats = gens.mats[sel]
@@ -360,19 +407,100 @@ class TestWalkMoments:
                     assert peak <= _ball_memory_estimate(ms, r, radius, radius)
                     del levels
                 for K in (2 * radius - 1, 2 * radius):
-                    estimates.clear()
-                    tracemalloc.start()
-                    try:
-                        _moments_ball_mitm(gens, K, sel, 1, None)
-                        _, peak = tracemalloc.get_traced_memory()
-                    finally:
-                        tracemalloc.stop()
-                    if orbit:
-                        assert peak <= max(estimates)
-                    else:
+                    values, peak = traced(gens, K, sel, None)
+                    if not orbit:
                         assert not estimates
                         inverse_radius = None if closed else K // 2
                         assert peak <= _ball_memory_estimate(ms, r, radius, inverse_radius)
+                        continue
+                    assert peak <= max(estimates)
+                    if K % 2 or not closed:
+                        continue
+                    assert len(passes) == 1
+                    budget = _top_budget(gens, K, sel, 3)
+                    again, peak = traced(gens, K, sel, budget)
+                    assert again == values and len(passes) >= 3
+                    assert peak <= max(estimates) <= budget
+        # two threads hold two blocks at once, and the estimate counts both
+        for K in (7, 8):
+            _, peak = traced(bar53, K, list(range(len(bar53))), None, threads=2)
+            assert peak <= max(estimates)
+
+    def test_key_products_tables_within_bound(self, bar35):
+        """At (3,5) the row tables of key_products hold about 0.5 MB, and
+        building them in blocks of ``_ROW_BLOCK`` row products keeps the
+        traced peak under 1 MiB (all 243 row codes at once took 3.4 MB),
+        within ``_key_products_bytes``."""
+        ms = MatSpace(bar35.params.base, bar35.params.d)
+        assert ms.row_tables(len(bar35))
+        tracemalloc.start()
+        try:
+            products = ms.key_products(bar35.mats)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 600_000 and peak < 1 << 20
+        assert peak <= spectra._key_products_bytes(ms, len(bar35), 1)
+        keys = ms.pack(bar35.mats[:3])
+        want = ms.pack(ms.right_products(bar35.mats[:3], bar35.mats))
+        assert np.array_equal(products(keys), want)
+
+    def test_top_level_buckets(self, monkeypatch, bar53):
+        """The even top of an inverse-closed multiset gives the same N_K
+        from one bucket as from several, on one thread and on two.  A
+        budget whose buckets would need more than 16 passes is refused
+        before the first pass."""
+        sel = list(range(len(bar53)))
+        want = _moments_ball_mitm(bar53, 8, sel, 1, None)
+        buckets = []
+        square_sum = spectra._square_sum
+        monkeypatch.setattr(spectra, "_square_sum",
+                            lambda *args: buckets.append(1) or square_sum(*args))
+        for threads in (1, 2):
+            budget = _top_budget(bar53, 8, sel, 5, threads)
+            buckets.clear()
+            assert _moments_ball_mitm(bar53, 8, sel, threads, budget) == want
+            assert len(buckets) >= 5
+        # key_products starts the levels, and then the top stream
+        starts = []
+        key_products = MatSpace.key_products
+        monkeypatch.setattr(MatSpace, "key_products",
+                            lambda ms, O: starts.append(1) or key_products(ms, O))
+        monkeypatch.setattr(spectra, "_TOP_PASSES", 2)
+        with pytest.raises(MemoryBudgetError, match="top orbit level 4 .* for 2 passes"):
+            _moments_ball_mitm(bar53, 8, sel, 2, budget)
+        assert len(starts) == 1
+
+    def test_frobenius_orbits_match_theta_orbits(self, monkeypatch, bar35, bar35_s2, hat44):
+        """Orbits of <theta, Phi^k> give the moments that theta-orbits
+        alone give, for k <= 6: at (3,5) for both twists (k = 1), and on
+        selections of omega-hat(4,4) colour 2: its 17-element theta-orbit,
+        which Phi fixes (k = 1), one of its 85-element theta-orbits, which
+        Phi moves and Phi^2 fixes (k = 2), and the whole colour, which Phi
+        permutes (k = 1)."""
+        params = hat44.params
+        ms = MatSpace(params.base, params.d)
+        colour = _selected(hat44, {2})
+        theta = ThetaOrbits(params, ms, params.d).ids(ms.pack(hat44.mats[colour]))
+        orbit = {}
+        for i, x in zip(colour, theta.tolist()):
+            orbit.setdefault(x, []).append(i)
+        small = next(o for o in orbit.values() if len(o) == 17)
+        large = next(o for o in orbit.values() if len(o) == 85)
+        assert sorted(map(len, orbit.values())) == [17, 85, 85, 85, 85]
+        cases = [(bar35, list(range(len(bar35))), 1), (bar35_s2, list(range(len(bar35_s2))), 1),
+                 (hat44, small, 1), (hat44, large, 2), (hat44, colour, 1)]
+        got = []
+        for gens, sel, k in cases:
+            ms = MatSpace(gens.params.base, gens.params.d)
+            assert ThetaOrbits.for_system(gens.params, ms, gens.mats[sel]).k == k
+            got.append(_moments_ball_mitm(gens, 6, sel, 1, None))
+        _theta_only(monkeypatch)
+        for (gens, sel, _), values in zip(cases, got):
+            ms = MatSpace(gens.params.base, gens.params.d)
+            assert ThetaOrbits.for_system(gens.params, ms, gens.mats[sel]).k == gens.params.d
+            assert _moments_ball_mitm(gens, 6, sel, 1, None) == values
+        assert got[0] == got[1]
 
     def test_orbit_path_matches_group_dp_to_k10(self, bar53, graph53, hat53, graph53_hat):
         """Oracle: group-dp over the closure, against the orbit path of
