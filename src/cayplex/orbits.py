@@ -7,7 +7,9 @@ element by the powers of theta, so conjugation by theta permutes it, its
 inverses and each of its colour classes; conjugation by Phi permutes
 the systems the package builds too.  Word counts are then constant on
 the orbits of the group these conjugations generate, and a product ball
-can be carried as weights on orbits (``spectra._orbit_levels``).
+can be carried as weights on orbits (``spectra._ball_levels``).  Where
+no normal form applies, ``orbits_for`` names each key by itself, the
+orbits of the trivial group.
 
 The normal form reads a matrix X, in the column convention of
 ``regular_rep``, as the F_q-linear map T of E = F_(q^d) whose column b
@@ -22,7 +24,7 @@ sum_k (s_k mod p) * p^k, additive over groups of digits: the digits are
 split into groups with B^h <= 2^16, each held in its own uint16 column
 of the row tables and reduced by one table.  The (d*d, d*d) matrix of
 X -> a, the inverse of a -> X, only builds these tables and checks them
-at build time.
+at build time; a -> X itself turns an id back into a key.
 
 Conjugation by theta scales a_j by u^(1 - q^j), and a scalar of F_q^x
 scales every a_j alike; in discrete logs of E (N = q^d - 1) both act as
@@ -56,13 +58,46 @@ import numpy as np
 from .cayley import _distinct
 from .ffield import frobenius_matrix, regular_rep
 
-__all__ = ["ThetaOrbits"]
+__all__ = ["ThetaOrbits", "TrivialOrbits", "orbits_for"]
+
+
+def orbits_for(params, ms, mats):
+    """``ThetaOrbits.for_system`` of the canonical batch ``mats``, or the
+    trivial naming where that returns None."""
+    found = ThetaOrbits.for_system(params, ms, mats)
+    return TrivialOrbits(ms) if found is None else found
+
+
+class TrivialOrbits:
+    """Each packed key of ``ms`` names itself, an orbit of size 1."""
+
+    nbytes = 0
+    # ``sizes`` returns 8 bytes per id; ``ids`` and ``keys`` return their
+    # input
+    bytes_per_key = 8
+    bytes_per_rep = 0
+
+    def __init__(self, ms):
+        self.dtype = ms.pack(ms.identity_batch(1)).dtype
+        # int64 keys are below q^(d*d); raw-byte keys have no bound
+        self.id_bound = ms.q ** (ms.d * ms.d) if ms.packable else None
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        return keys
+
+    def keys(self, ids: np.ndarray) -> np.ndarray:
+        return ids
+
+    def sizes(self, ids: np.ndarray) -> np.ndarray:
+        return np.ones(len(ids), dtype=np.int64)
 
 
 class ThetaOrbits:
     """The normal form of <theta, Phi^k>-orbits over one ``MatSpace``,
     k a divisor of d (k = d: theta alone); build it with
     ``for_system``."""
+
+    dtype = np.dtype(np.int64)
 
     def __init__(self, params, ms, k: int):
         E, q, d = params.E, params.q, params.d
@@ -80,6 +115,8 @@ class ThetaOrbits:
         # moves, so they add nothing to a packed id
         self._log = E.np_explog()[1].astype(np.uint32)
         self._log[0] = 0
+        # E code of a coefficient from its digit of a packed id
+        self._exp = np.append(0, E.np_explog()[0][:N])
         self._theta = _with_inverse(ms, regular_rep(E, params.u))
         self._phi = _with_inverse(ms, frobenius_matrix(E, k))
         # a -> X: coordinate r of column b is coordinate r of
@@ -90,9 +127,9 @@ class ThetaOrbits:
             for c in range(d):
                 for b in range(d):
                     fwd[j, c, :, b] = E.decode(E.mul(tau[c], E.frob(tau[b], j)))
-        fwd = fwd.reshape(d * d, d * d)
+        self._fwd = fwd.reshape(d * d, d * d)
         eye = np.eye(d * d, dtype=ms.dtype)
-        R, rank = ms.rref(np.concatenate((fwd, eye), axis=1)[None], d * d)
+        R, rank = ms.rref(np.concatenate((self._fwd, eye), axis=1)[None], d * d)
         assert rank[0] == d * d, "the linearized coefficients are a basis"
         self._coeffs = R[0, :, d * d :]
         self._Q = q**d
@@ -133,8 +170,9 @@ class ThetaOrbits:
     @property
     def nbytes(self) -> int:
         """Bytes held by the normal form's tables."""
-        tables = (self._log, self._coeffs, self._rows, *self._reduce,
-                  self._pos, self._base, self._shift, self._size, self._offset)
+        tables = (self._log, self._exp, self._fwd, self._coeffs, self._rows,
+                  *self._reduce, self._pos, self._base, self._shift, self._size,
+                  self._offset)
         return sum(a.nbytes for a in tables)
 
     @property
@@ -152,6 +190,14 @@ class ThetaOrbits:
         (3,5), where the log gather sets the bound."""
         d, G = self.d, len(self._reduce)
         return max(4 * G * d + 24, 14 * d + 8, 4 * d + 25 + max(20, 4 * d))
+
+    @property
+    def bytes_per_rep(self) -> int:
+        """Upper bound on the bytes ``keys`` holds per id beside its
+        input: the (d, d) coordinates, and what ``MatSpace.mul`` holds
+        for one row of d*d entries, at most three int64 copies, which
+        also bounds the id digits, ``canon`` and ``pack``: 25d^2 + 32."""
+        return 25 * self.d**2 + 32
 
     def _key_tables(self, q, d):
         """``_rows[a]``, (Q, G*d) uint16: column g*d + j holds digit group
@@ -311,6 +357,25 @@ class ThetaOrbits:
             length[(self._theta_ids(e, pattern) == base) & (length == self._images)] = i
         return self._size.take(pattern) * length
 
+    def keys(self, ids: np.ndarray) -> np.ndarray:
+        """A packed key of each orbit id, the inverse of ``ids``: the
+        coefficients a_j whose logs the id packs, mapped to the matrix of
+        sum_j a_j z^(q^j) by the matrix of a -> X, and canonicalized."""
+        ms, d, q = self.ms, self.d, self.ms.q
+        n = len(ids)
+        # coords[:, j, c]: coordinate c of a_j, an E code in radix q
+        coords = np.empty((n, d, d), dtype=ms.dtype)
+        rest = ids
+        for j in range(d):
+            rest, digit = np.divmod(rest, self._N + 1)
+            code = self._exp.take(digit)
+            for c in range(d):
+                code, coords[:, j, c] = np.divmod(code, q)
+        del rest, digit, code
+        X = ms.mul(coords.reshape(n, d * d), self._fwd)
+        del coords
+        return ms.pack(ms.canon(X.reshape(n, d, d)))
+
     def _theta_ids(self, e: np.ndarray, pattern: np.ndarray) -> np.ndarray:
         """Bring the logs ``e`` (n, d) uint32, zero coefficients holding
         0, to their least theta-equivalent in place, and return them
@@ -360,8 +425,9 @@ class ThetaOrbits:
     def _check_cycles(self, keys: np.ndarray) -> None:
         """Raise AssertionError unless two of the sorted distinct keys
         ``keys``, a set that conjugation by theta and by Phi^k permutes,
-        share an id exactly when those permutations connect them, and
-        each id's size is the size of its connected set."""
+        share an id exactly when those permutations connect them, each
+        id's size is the size of its connected set, and ``keys`` of each
+        id has that id."""
         ms = self.ms
         mats = ms.unpack(keys)
         images = [np.searchsorted(keys, ms.pack(_conjugated(ms, g, mats)))
@@ -384,6 +450,8 @@ class ThetaOrbits:
             raise AssertionError("orbit ids disagree with the generator orbits")
         if not np.array_equal(self.sizes(ids), np.bincount(orbit)[orbit]):
             raise AssertionError("orbit sizes disagree with the generator orbits")
+        if not np.array_equal(self.ids(self.keys(ids)), ids):
+            raise AssertionError("orbit keys disagree with their ids")
 
 
 def _with_inverse(ms, rows):

@@ -8,8 +8,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from itertools import chain
-
 import numpy as np
 
 from .cayley import (
@@ -21,7 +19,7 @@ from .cayley import (
     colored_subgraph,
 )
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
-from .orbits import ThetaOrbits
+from .orbits import orbits_for
 from .projmat import _PRODUCT_BLOCK, _ROW_BLOCK, MatSpace
 from .util import (
     Tokens,
@@ -37,16 +35,14 @@ DENSE_CAP = 5000
 ISO_TIMEOUT = 10.0
 MOMENT_STRATEGY = "ball-mitm"
 _GROUP_CAP = 10_000_000
-_BALL_BLOCK = 2048
-_RUN_CHUNK = 1 << 16
+# ids per searchsorted of a lookup
+_LOOKUP_CHUNK = 1 << 16
 # products per orbit normal-form block
 _ORBIT_BLOCK = 1 << 15
 # top-level buckets are runs of the 2^_ID_BITS id ranges that the top
 # bits of an orbit id name; at most _TOP_PASSES of them
 _ID_BITS = 16
 _TOP_PASSES = 16
-# bytes per product of a top-level bucket (see _square_sum)
-_BUCKET_BYTES = 56
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +215,16 @@ def walk_moments(
     breadth-first vertex numbering; the group must be enumerable (at
     most ~10^7 elements, and a closure built here within the memory
     budget; pass ``graph`` to reuse a built closure).
-    ``ball-mitm`` builds product balls of radius ceil(K/2) and joins
-    each N_k as sum_g c_a(g) * c_b(g^-1) with a = ceil(k/2); it never
-    materializes the group.  When conjugation by theta permutes the
-    selected generators, each ball level is a list of orbits (of theta
-    and a power of the Frobenius matrix, see ``ThetaOrbits``) with their
-    word counts, and the top level is streamed from the products of the
-    level below it; otherwise each lower level is the runs of its
-    sorted word stream (distinct packed keys and their word counts) and
-    the top level the stream itself.  All counters are 64-bit integers, and every
-    sum is checked against an exact word-count bound before it is
-    formed; both strategies produce identical values wherever both are
-    feasible.
+    ``ball-mitm`` joins product balls: N_k = sum_g c_a(g) * c_b(g^-1)
+    with a = ceil(k/2); it never materializes the group.  Each ball level
+    is a list of orbits with their word counts: orbits of theta and a
+    power of the Frobenius matrix (see ``ThetaOrbits``) when conjugation
+    by theta permutes the selected generators, single elements
+    otherwise.  Levels below ceil(K/2) are held, and the top level is
+    streamed from the products of the level below it.  All counters are
+    64-bit integers, and every sum is checked against an exact
+    word-count bound before it is formed; both strategies produce
+    identical values wherever both are feasible.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -330,122 +324,6 @@ def _support_bound(table: np.ndarray):
     return bound
 
 
-def _ball_levels(ms: MatSpace, gen_mats: np.ndarray, radius: int, threads: int):
-    """Consolidated product balls: for t = 0..radius, the sorted packed
-    keys of the distinct products of exactly t generators together with
-    their exact word counts, the runs of each level's word stream."""
-    levels = [(ms.pack(ms.identity_batch(1)), np.ones(1, dtype=np.int64))]
-    for _ in range(radius):
-        levels.append(_runs(_ball_stream(ms, gen_mats, levels[-1], threads)))
-    return levels
-
-
-def _ball_stream(ms: MatSpace, gen_mats: np.ndarray, level, threads: int):
-    """The sorted word stream of the level after ``level`` = (keys,
-    counts): all word keys in one preallocated array, the products of
-    the level's distinct keys with every generator, each product row
-    repeated as often as its key occurs as a word, sorted in place.
-    Its runs are the next level: distinct keys at the run starts, counts
-    equal to the run lengths."""
-    keys, counts = level
-    r = gen_mats.shape[0]
-    products = ms.key_products(gen_mats)
-    starts = np.arange(0, len(keys), _BALL_BLOCK)
-    # stream offsets of the blocks: r words per word of the block
-    ends = np.cumsum(np.add.reduceat(counts, starts)) * r
-    stream = np.empty(int(ends[-1]), dtype=keys.dtype)
-
-    def expand(items):
-        for b in items:
-            i = starts[b]
-            c = counts[i : i + _BALL_BLOCK]
-            rows = stream[ends[b] - r * int(c.sum()) : ends[b]].reshape(-1, r)
-            block = products(keys[i : i + _BALL_BLOCK]).reshape(-1, r)
-            word_of = np.repeat(np.arange(len(c)), c)
-            # mode="clip" writes straight into ``rows``, unbuffered
-            np.take(block, word_of, axis=0, out=rows, mode="clip")
-        return []
-
-    ordered_chunked_map(expand, range(len(starts)), threads=threads, chunk=1)
-    stream.sort()
-    return stream
-
-
-def _run_starts(stream: np.ndarray):
-    """The start of every run of a sorted array but the first, as arrays
-    over chunks of ``_RUN_CHUNK`` values."""
-    for i in range(1, len(stream), _RUN_CHUNK):
-        j = min(i + _RUN_CHUNK, len(stream))
-        at = np.flatnonzero(stream[i:j] != stream[i - 1 : j - 1])
-        at += i
-        yield at
-
-
-def _runs(stream: np.ndarray):
-    """The distinct values of a sorted array and their run lengths.
-
-    Two passes over the run starts, counting then filling, so that only
-    the two outputs are allocated at their size.
-    """
-    n = len(stream)
-    distinct = 1 + sum(len(at) for at in _run_starts(stream))
-    keys = np.empty(distinct, dtype=stream.dtype)
-    counts = np.empty(distinct, dtype=np.int64)
-    keys[0] = stream[0]
-    counts[0] = 0
-    k = 1
-    for at in _run_starts(stream):
-        keys[k : k + len(at)] = stream[at]
-        counts[k : k + len(at)] = at
-        k += len(at)
-    # counts holds the run starts; front to back, each becomes the gap to
-    # the next start, which a chunk reads before the next one rewrites it
-    for i in range(0, distinct - 1, _RUN_CHUNK):
-        j = min(i + _RUN_CHUNK, distinct - 1)
-        counts[i:j] = counts[i + 1 : j + 1] - counts[i:j]
-    counts[-1] = n - counts[-1]
-    return keys, counts
-
-
-def _ball_memory_estimate(
-    ms: MatSpace, r: int, radius: int, inverse_radius: int | None = None
-) -> int:
-    """Upper bound on the bytes held by the word-stream path of the
-    ball-mitm join of r matrices of ``ms`` at ``radius``;
-    ``inverse_radius`` is the radius of the ball of inverse generators
-    that an open multiset also needs.
-
-    Per word of the top level its key in the stream, which is never
-    consolidated.  Per element of a lower level its key and count, plus
-    the int64 word index that repeats product rows.  An inverse top
-    level is consolidated: its stream, then its keys and counts.  Per
-    product of one frontier block the int64 key, gathered term and two
-    gather indices of ``key_products``, and its tables or fallback
-    (``_key_products_bytes``).  Per value of one ``_RUN_CHUNK`` chunk of
-    a consolidation or a join its mask, positions, counts and gathered
-    keys.  And 64 KiB for the small arrays whose size does not grow with
-    the ball.
-    """
-    d = ms.d
-    key_bytes = ms.pack(ms.identity_batch(1)).dtype.itemsize
-    words = r**radius
-    kept = sum(r**t for t in range(radius))
-    top = key_bytes * words
-    if inverse_radius is not None:
-        kept += sum(r**t for t in range(min(inverse_radius, radius)))
-        if inverse_radius >= radius:
-            top += (key_bytes + 8) * words
-    block = min(_BALL_BLOCK, r ** max(radius - 1, 0)) * r
-    return (
-        top
-        + (key_bytes + 16) * kept
-        + (32 + d * d) * block
-        + _key_products_bytes(ms, r, block)
-        + (key_bytes + 25) * min(_RUN_CHUNK, words)
-        + (1 << 16)
-    )
-
-
 def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
     """Upper bound on the bytes ``key_products`` of r matrices holds
     beside its output, for blocks of ``block`` products.  On its
@@ -468,80 +346,45 @@ def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
 
 
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
-    """N_k = sum_g c_a(g) * c'_b(g) over the ball levels, with a =
-    ceil(k/2), b = k - a and c' the counts of the inverse generators
-    (c' = c for an inverse-closed multiset).
+    """N_0..N_K over ball levels of orbits: N_k = sum_O W_a(O) * c'_b(O),
+    a = ceil(k/2), b = k - a, W_a(O) the number of length-a words with
+    product in the orbit O and c'_b(O) = W'_b(O) / |O| the number of
+    length-b words over the inverse generators with any one product in O
+    (W' = W for an inverse-closed multiset).  The orbits are those of
+    ``orbits_for``: of theta and a power of Phi when conjugation by theta
+    permutes the selected generators, so that counts are constant on
+    them, and single keys otherwise.
 
-    When conjugation by theta permutes the selected generators (see
-    ``ThetaOrbits.for_system``), the counts are constant on the orbits
-    of ``ThetaOrbits`` and both balls are carried as orbit levels
-    (``_orbit_moments``).  Otherwise levels 0..R-1, R = ceil(K/2), are
-    consolidated and the top level R stays its sorted word stream, where
-    a key's count is the length of its run."""
+    Levels 0..t, t = ceil(K/2) - 1, of the ball are built
+    (``_ball_levels``), and levels 0..floor(K/2) of the inverse ball of
+    an open multiset; they give N_k for k <= 2t.  Level t + 1 is never
+    built: N_(2t+1) and, for even K, N_(2t+2) come from the products of
+    level t's orbits (``_top_stream``)."""
     params = gens.params
     ms = MatSpace(params.base, params.d)
     gen_mats = gens.mats[sel]
     r = len(sel)
-    radius = (K + 1) // 2
     inv_mats = _inverses_if_open(ms, gen_mats)
     budget = default_mem_budget() if memory_budget is None else int(memory_budget)
-    orbits = ThetaOrbits.for_system(params, ms, gen_mats)
-    if orbits is not None:
-        return _orbit_moments(ms, orbits, gen_mats, inv_mats, K, threads, budget)
-    est = _ball_memory_estimate(ms, r, radius, None if inv_mats is None else K // 2)
-    if est > budget:
-        raise MemoryBudgetError(
-            f"radius-{radius} product ball needs ~{est} bytes "
-            f"(budget {budget}); lower K or raise the budget"
-        )
-    levels = _ball_levels(ms, gen_mats, radius - 1, threads)
-    if inv_mats is None:
-        inv_levels = levels
-    else:
-        inv_levels = _ball_levels(ms, inv_mats, K // 2, threads)
-    values = [1]
-    top = None
-    for k in range(1, K + 1):
-        a = (k + 1) // 2
-        b = k - a
-        if a < radius:
-            values.append(_join(r**a, levels[a], inv_levels[b], k))
-            continue
-        if top is None:
-            top = _ball_stream(ms, gen_mats, levels[-1], threads)
-        if b < len(inv_levels):
-            values.append(_join(r**a, top, inv_levels[b], k))
-        else:
-            # inverse-closed N_2R: c_R(g^-1) = c_R(g), a sum of squares
-            values.append(_square_run_sum(top, r**a, k))
-    return values
-
-
-def _orbit_moments(ms, orbits, gen_mats, inv_mats, K, threads, budget):
-    """N_0..N_K over orbit levels: N_k = sum_O W_a(O) * c'_b(O), with
-    c'_b(O) = W'_b(O) / |O|.  Levels 0..t, t = ceil(K/2) - 1, of the
-    ball are built (``_orbit_levels``), and levels 0..floor(K/2) of the
-    inverse ball of an open multiset; they give N_k for k <= 2t.  Level
-    t + 1 is never built: N_(2t+1) and, for even K, N_(2t+2) come from
-    the products of level t's representatives (``_top_stream``)."""
-    r = len(gen_mats)
+    orbits = orbits_for(params, ms, gen_mats)
     values = [1]
     if K == 0:
         return values
     t = (K - 1) // 2
-    levels = _orbit_levels(ms, orbits, gen_mats, t, threads, budget)
+    levels = _ball_levels(ms, orbits, gen_mats, t, threads, budget)
     held = _nbytes(levels)
     inv_levels = levels
     if inv_mats is not None:
-        inv_levels = _orbit_levels(ms, orbits, inv_mats, K // 2, threads, budget, held)
+        inv_levels = _ball_levels(ms, orbits, inv_mats, K // 2, threads, budget, held)
         held += _nbytes(inv_levels)
+    counts = [(ids, w // _sizes(orbits, ids)) for ids, w in inv_levels]
+    held += sum(c.nbytes for _, c in counts)
     for k in range(1, 2 * t + 1):
         a = (k + 1) // 2
-        ids_a, _, w_a, _ = levels[a]
-        ids_b, _, w_b, size_b = inv_levels[k - a]
-        values.append(_join(r**a, (ids_a, w_a), (ids_b, w_b // size_b), k))
-    lookups = [(k, inv_levels[k - t - 1]) for k in range(2 * t + 1, K + 1)
-               if k - t - 1 < len(inv_levels)]
+        _check_bound(r**a, counts[k - a][1].max(), k)
+        values.append(_lookup(counts[k - a], *levels[a]))
+    lookups = [(k, counts[k - t - 1]) for k in range(2 * t + 1, K + 1)
+               if k - t - 1 < len(counts)]
     square = K if K == 2 * t + 2 and inv_mats is None else None
     return values + _top_stream(ms, orbits, gen_mats, levels, lookups, square,
                                 threads, budget, held)
@@ -551,32 +394,28 @@ def _nbytes(levels) -> int:
     return sum(a.nbytes for level in levels for a in level)
 
 
-def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
+def _ball_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
     """Orbit levels t = 0..radius of the product ball over ``gen_mats``,
     a batch that the group of ``orbits`` permutes by conjugation: for
     each orbit O holding a product of exactly t generators, sorted by
-    orbit id, the id, one representative key, the weight
-    W_t(O) = sum_(x in O) c_t(x) and the size |O|.
+    orbit id, the id and the weight W_t(O) = sum_(x in O) c_t(x).
 
     Since conjugation by the group permutes the generators, the number
     of generators s with x s in O' is the same for every x of an orbit
-    O, so W_(t+1)(O') = sum_O W_t(O) * #{s : rep_O s in O'}: the
-    products of the representatives alone, each carrying the weight of
-    its source, grouped by id and summed; any product of a group can
-    represent it.  Every level is checked to hold r^t words and weights
-    divisible by the orbit sizes.  Before a level is built, its
-    ``_orbit_memory_estimate`` from the previous level's orbit count,
-    plus ``held`` bytes and the levels already built, must fit the
-    budget."""
+    O, so W_(t+1)(O') = sum_O W_t(O) * #{s : x_O s in O'}: the products
+    of one key x_O of each orbit (``orbits.keys``), each carrying the
+    weight of its source, grouped by id and summed.  Every level is
+    checked to hold r^t words and weights divisible by the orbit sizes.
+    Before a level is built, its ``_orbit_memory_estimate`` from the
+    previous level's orbit count, plus ``held`` bytes and the levels
+    already built, must fit the budget."""
     r = len(gen_mats)
-    ident = ms.pack(ms.identity_batch(1))
-    ids = orbits.ids(ident)
-    levels = [(ids, ident, np.ones(1, dtype=np.int64), orbits.sizes(ids))]
+    levels = [(orbits.ids(ms.pack(ms.identity_batch(1))), np.ones(1, dtype=np.int64))]
     products = ms.key_products(gen_mats)
     step = max(1, _ORBIT_BLOCK // r)
     for t in range(1, radius + 1):
-        _, keys, weights, _ = levels[-1]
-        m = len(keys)
+        ids, weights = levels[-1]
+        m = len(ids)
         held += _nbytes(levels[-1:])
         est = _orbit_memory_estimate(ms, orbits, r, m, held, None, threads)
         if est > budget:
@@ -584,35 +423,30 @@ def _orbit_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
                 f"orbit level {t} of the product ball needs ~{est} bytes "
                 f"(budget {budget}); lower K or raise the budget"
             )
-        out_ids = np.empty(m * r, dtype=np.int64)
-        out_keys = np.empty(m * r, dtype=keys.dtype)
+        out = np.empty(m * r, dtype=orbits.dtype)
 
         def expand(items):
             for i in items:
-                block = products(keys[i : i + step])
-                out_keys[i * r : i * r + len(block)] = block
-                out_ids[i * r : i * r + len(block)] = orbits.ids(block)
+                block = orbits.ids(products(orbits.keys(ids[i : i + step])))
+                out[i * r : i * r + len(block)] = block
             return []
 
         ordered_chunked_map(expand, range(0, m, step), threads=threads, chunk=1)
-        order = np.argsort(out_ids)
-        out_ids = out_ids[order]
-        new = np.empty(len(out_ids), dtype=bool)
+        order = np.argsort(out)
+        out = out[order]
+        new = np.empty(len(out), dtype=bool)
         new[0] = True
-        np.not_equal(out_ids[1:], out_ids[:-1], out=new[1:])
+        new[1:] = out[1:] != out[:-1]
         starts = np.flatnonzero(new)
         del new
-        ids = out_ids[starts]
-        del out_ids
-        reps = out_keys[order[starts]]
-        del out_keys
+        out = out[starts]
         order //= r
         level_weights = np.add.reduceat(weights[order], starts)
-        del order
-        sizes = _sizes(orbits, ids)
+        del order, starts
+        sizes = _sizes(orbits, out)
         if int(level_weights.sum()) != r**t or (level_weights % sizes).any():
             raise AssertionError(f"orbit level {t} disagrees with its word count")
-        levels.append((ids, reps, level_weights, sizes))
+        levels.append((out, level_weights))
     return levels
 
 
@@ -626,45 +460,41 @@ def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
 
 def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, held):
     """N_k for the k whose forward level is t + 1, t the last of
-    ``levels``, from the products of level t's representatives, each
-    carrying the weight of its source; level t + 1 is never held.
+    ``levels``, from the products of one key of each orbit of level t,
+    each carrying the weight of its source; level t + 1 is never held.
 
-    A lookup (k, stored level b) gives N_k = sum_O W_(t+1)(O) c'_b(O) =
-    sum over the products p of W_t(source) * c'_b(id(p)) (``_lookup``).
-    ``square``, the even top k = 2t + 2 of an inverse-closed multiset,
-    is N_k = sum_O W_(t+1)(O)^2 / |O|, with W_(t+1) grouped by id
-    (``_square_sum``) in buckets: runs of the 2^``_ID_BITS`` id ranges
-    that the top bits of an id name.  A bucket holds as many products as
-    the budget leaves beside the rest of the stream
-    (``_orbit_memory_estimate``).  When all of them fit, the pass of the
-    lookups collects them too.  Otherwise that pass counts the products
-    of each id range, and one more pass per bucket streams the products
-    again and keeps those in its ranges.  A budget whose buckets hold
-    fewer than 1/``_TOP_PASSES`` of the products is refused before any
-    pass.  The buckets' weights must add up to r^(t+1): every product
-    counted once."""
+    A lookup (k, (ids, c') of stored level b) gives N_k =
+    sum_O W_(t+1)(O) c'_b(O) = sum over the products p of W_t(source) *
+    c'_b(id(p)) (``_lookup``).  ``square``, the even top k = 2t + 2 of an
+    inverse-closed multiset, is N_k = sum_O W_(t+1)(O)^2 / |O|, with
+    W_(t+1) grouped by id (``_square_sum``) in buckets: runs of the
+    2^``_ID_BITS`` id ranges that the top bits of an integer id name.  A
+    bucket holds as many products as the budget leaves beside the rest of
+    the stream (``_orbit_memory_estimate``).  When all of them fit, the
+    pass of the lookups collects them too.  Otherwise that pass counts
+    the products of each id range, and one more pass per bucket streams
+    the products again and keeps those in its ranges.  A budget whose
+    buckets hold fewer than 1/``_TOP_PASSES`` of the products, or, for
+    raw-byte ids, which have no top bits, fewer than all of them, is
+    refused before any pass.  The buckets' weights must add up to
+    r^(t+1): every product counted once."""
     r = len(gen_mats)
     t = len(levels) - 1
-    _, keys, weights, _ = levels[t]
-    m = len(keys)
+    ids, weights = levels[t]
+    m = len(ids)
     words = m * r
-    stored = []
-    for k, (ids_b, _, w_b, size_b) in lookups:
-        c_b = w_b // size_b
+    for k, (_, c_b) in lookups:
         _check_bound(r ** (t + 1), c_b.max(), k)
-        # a zero past the end, the count of ids outside the stored level
-        stored.append((ids_b, np.append(c_b, 0)))
-        held += stored[-1][1].nbytes
     bucket = 0
     if square is not None:
+        passes = _TOP_PASSES if orbits.id_bound else 1
         fixed = _orbit_memory_estimate(ms, orbits, r, m, held, 0, threads)
-        bucket = min(words, max(budget - fixed, 0) // _BUCKET_BYTES)
-        if bucket * _TOP_PASSES < words:
-            need = fixed + _BUCKET_BYTES * -(-words // _TOP_PASSES)
+        bucket = min(words, max(budget - fixed, 0) // _bucket_bytes(orbits))
+        if bucket * passes < words:
+            need = fixed + _bucket_bytes(orbits) * -(-words // passes)
             raise MemoryBudgetError(
                 f"top orbit level {t + 1} of the product ball needs ~{need} bytes "
-                f"for {_TOP_PASSES} passes (budget {budget}); lower K or raise "
-                "the budget"
+                f"for {passes} passes (budget {budget}); lower K or raise the budget"
             )
     est = _orbit_memory_estimate(ms, orbits, r, m, held, bucket, threads)
     if est > budget:
@@ -674,7 +504,6 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
         )
     products = ms.key_products(gen_mats)
     step = max(1, _ORBIT_BLOCK // r)
-    shift = max(0, (orbits.id_bound - 1).bit_length() - _ID_BITS)
     lock = threading.Lock()
 
     def stream(visit):
@@ -683,23 +512,24 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
 
         def run(items):
             for i in items:
-                ids = orbits.ids(products(keys[i : i + step]))
-                visit(ids, np.repeat(weights[i : i + step], r))
+                block = orbits.ids(products(orbits.keys(ids[i : i + step])))
+                visit(block, np.repeat(weights[i : i + step], r))
             return []
 
         ordered_chunked_map(run, range(0, m, step), threads=threads, chunk=1)
 
-    sums = [0] * len(stored)
-    grouped = _Bucket(bucket, lock)
+    sums = [0] * len(lookups)
+    grouped = _Bucket(bucket, orbits.dtype, lock)
     # the first pass collects every product when one bucket holds them
     # all, and otherwise counts them per id range
     collect = square is not None and bucket == words
-    counts = None
+    counts = shift = None
     if square is not None and not collect:
         counts = np.zeros(1 << _ID_BITS, dtype=np.int64)
+        shift = max(0, (orbits.id_bound - 1).bit_length() - _ID_BITS)
 
     def first(ids, w):
-        found = [_lookup(ids_b, c_b, ids, w) for ids_b, c_b in stored]
+        found = [_lookup(stored, ids, w) for _, stored in lookups]
         if collect:
             grouped.add(ids, w)
         part = None
@@ -734,11 +564,11 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
 
 
 class _Bucket:
-    """Up to ``size`` product ids with their weights, filled by block from
-    any thread."""
+    """Up to ``size`` product ids of ``dtype`` with their weights, filled
+    by block from any thread."""
 
-    def __init__(self, size: int, lock):
-        self.ids = np.empty(size, dtype=np.int64)
+    def __init__(self, size: int, dtype, lock):
+        self.ids = np.empty(size, dtype=dtype)
         self.weights = np.empty(size, dtype=np.int64)
         self.filled = 0
         self._lock = lock
@@ -757,14 +587,20 @@ class _Bucket:
         self.filled = 0
 
 
-def _lookup(ids_b: np.ndarray, c_b: np.ndarray, ids: np.ndarray, w: np.ndarray) -> int:
-    """sum_i w_i * c(ids_i): c the counts ``c_b`` of the sorted ids
-    ``ids_b``, read by ``searchsorted``, and the zero ``c_b`` ends with
-    for an id not among them."""
-    pos = np.searchsorted(ids_b, ids)
-    np.minimum(pos, len(ids_b) - 1, out=pos)
-    pos[ids_b.take(pos) != ids] = len(ids_b)
-    return int(np.dot(c_b.take(pos), w))
+def _lookup(stored, ids: np.ndarray, w: np.ndarray) -> int:
+    """sum_i w_i * c(ids_i): c the counts of ``stored`` = (sorted ids,
+    counts), read by ``searchsorted``, and 0 for an id not among them.
+    Runs in chunks of ``_LOOKUP_CHUNK`` ids."""
+    ids_b, c_b = stored
+    total = 0
+    for i in range(0, len(ids), _LOOKUP_CHUNK):
+        x = ids[i : i + _LOOKUP_CHUNK]
+        pos = np.searchsorted(ids_b, x)
+        np.minimum(pos, len(ids_b) - 1, out=pos)
+        c = c_b.take(pos)
+        c[ids_b.take(pos) != x] = 0
+        total += int(np.dot(c, w[i : i + _LOOKUP_CHUNK]))
+    return total
 
 
 def _id_ranges(counts: np.ndarray, bucket: int, budget: int):
@@ -788,9 +624,7 @@ def _square_sum(orbits, ids: np.ndarray, weights: np.ndarray, words: int, k: int
     """(sum_O W(O)^2 / |O|, sum_O W(O)) over the orbits O of the product
     ids ``ids``, W(O) the sum of the weights of its products; each W(O)
     must be divisible by |O|, and words * max W(O) / |O| must fit the
-    counters.  Beside the inputs, per product: the argsort order and the
-    sorted ids and weights (24 bytes), then the run mask and starts (9),
-    then per orbit W, its id and size, and W / |O| (32)."""
+    counters."""
     if not len(ids):
         return 0, 0
     order = np.argsort(ids)
@@ -799,7 +633,7 @@ def _square_sum(orbits, ids: np.ndarray, weights: np.ndarray, words: int, k: int
     del order
     new = np.empty(len(ids), dtype=bool)
     new[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    new[1:] = ids[1:] != ids[:-1]
     starts = np.flatnonzero(new)
     del new
     W = np.add.reduceat(weights, starts)
@@ -816,36 +650,52 @@ def _square_sum(orbits, ids: np.ndarray, weights: np.ndarray, words: int, k: int
     return int(np.dot(W, c)), int(W.sum())
 
 
+def _bucket_bytes(orbits) -> int:
+    """Bytes per product of a top-level bucket of w-byte ids: its id and
+    weight, and at most 2w + 24 more while ``_square_sum`` groups them:
+    the argsort order with the sorted id and weight, then the run mask
+    and starts, then the sorted id, the starts, the orbit's W and its
+    id (one orbit per product at most)."""
+    return 3 * orbits.dtype.itemsize + 32
+
+
 def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int,
                            bucket: int | None = None, threads: int = 1) -> int:
-    """Upper bound on the bytes held while ``_orbit_levels`` builds one
+    """Upper bound on the bytes held while ``_ball_levels`` builds one
     level from m orbits over r generators (``bucket`` None), or while
     ``_top_stream`` streams their products into a bucket of ``bucket``
     products: the ``held`` bytes of the levels already built, and the
-    following.  Building a level, per product its id and key, the
-    argsort order, the sorted ids, the run starts and the gathered
-    weights; per orbit of the new level (at most one per product), its
-    id, key, weight and size.  Streaming, ``_BUCKET_BYTES`` per bucket
-    product: its id and weight and what ``_square_sum`` adds, 56 bytes
-    in all, and the int64 counts of the id ranges with one block's
-    share of them per thread.  Per product of one ``_ORBIT_BLOCK``
-    block, once per thread that ``ordered_chunked_map`` runs, its
-    8-byte key and the normal form's temporaries
-    (``ThetaOrbits.bytes_per_key``, which also bound the stream's after
-    them: the id, weight and a lookup's or a bucket selection's 27
-    bytes, 43 in all).  ``_key_products_bytes``, the normal form's
-    tables, and 64 KiB for small arrays."""
+    following, for ids of w bytes and keys of v bytes.  Building a
+    level, per product its id, the sorted ids, the argsort order, the
+    run mask and starts and the gathered weights; per orbit of the new
+    level (at most one per product), its id, weight and size and the
+    sizes' quotient: 3w + 49 bytes.  Streaming, ``_bucket_bytes`` per
+    bucket product, and the int64 counts of the id ranges with one
+    block's share of them per thread.  Per product of one
+    ``_ORBIT_BLOCK`` block, once per thread that ``ordered_chunked_map``
+    runs, its key and the larger of the naming's temporaries
+    (``bytes_per_key``) and what the stream holds after them: the id,
+    the weight and a lookup's w + 17 bytes or a bucket selection's 27.
+    Per source of such a block its key and ``orbits.keys``'s
+    temporaries (``bytes_per_rep``).  ``_key_products_bytes``, the
+    naming's tables, and 64 KiB for small arrays."""
+    w = orbits.dtype.itemsize
+    v = ms.pack(ms.identity_batch(1)).itemsize
     words = m * r
     block = min(words, max(r, _ORBIT_BLOCK))
+    sources = min(m, max(1, _ORBIT_BLOCK // r))
     workers = max(1, min(threads, os.cpu_count() or 1))
     if bucket is None:
-        grouped = (48 + 32) * words
+        grouped = (3 * w + 49) * words
     else:
-        grouped = _BUCKET_BYTES * bucket + (8 << _ID_BITS) * (1 + workers)
+        grouped = _bucket_bytes(orbits) * bucket + (8 << _ID_BITS) * (1 + workers)
+    stream = w + 8 + max(w + 17, 27)
+    per_block = (v + max(orbits.bytes_per_key, stream)) * block
+    per_block += (v + orbits.bytes_per_rep) * sources
     return (
         held
         + grouped
-        + (8 + orbits.bytes_per_key) * block * workers
+        + per_block * workers
         + _key_products_bytes(ms, r, block)
         + orbits.nbytes
         + (1 << 16)
@@ -858,43 +708,6 @@ def _check_bound(words: int, largest: int, k: int) -> None:
     bound = words * int(largest)
     if bound >= _COUNTER_LIMIT:
         raise ValueError(f"N_{k} join bound {bound} overflows 64-bit counters")
-
-
-def _join(words: int, level, stored, k: int) -> int:
-    """sum_g c(g) * c'(g): ``level`` is a (keys, counts) level or a sorted
-    word stream of ``words`` words, ``stored`` a (keys, counts) level.
-    Runs in chunks of ``_RUN_CHUNK`` stored keys."""
-    kb, cb = stored
-    _check_bound(words, cb.max(), k)
-    total = 0
-    for i in range(0, len(kb), _RUN_CHUNK):
-        keys = kb[i : i + _RUN_CHUNK]
-        if isinstance(level, tuple):
-            ka, ca = level
-            pos = np.searchsorted(ka, keys)
-            np.minimum(pos, len(ka) - 1, out=pos)
-            count = np.where(ka[pos] == keys, ca[pos], 0)
-        else:
-            count = np.searchsorted(level, keys, "right")
-            count -= np.searchsorted(level, keys, "left")
-        total += int(np.dot(count, cb[i : i + _RUN_CHUNK]))
-    return total
-
-
-def _square_run_sum(stream: np.ndarray, words: int, k: int) -> int:
-    """The sum of the squared run lengths of a sorted stream of ``words``
-    words, read over chunks of run starts; the run still open at the end
-    of a chunk is carried into the next."""
-    total = 0
-    start = 0
-    for at in chain(_run_starts(stream), [np.array([len(stream)])]):
-        if not len(at):
-            continue
-        lengths = np.diff(at, prepend=start)
-        start = at[-1]
-        _check_bound(words, lengths.max(), k)
-        total += int(np.dot(lengths, lengths))
-    return total
 
 
 def _inverses_if_open(ms: MatSpace, mats: np.ndarray):

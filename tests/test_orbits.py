@@ -15,7 +15,7 @@ import pytest
 
 from cayplex.ffield import frobenius_matrix, regular_rep
 from cayplex.genforge import build_omega, make_params, symmetrize
-from cayplex.orbits import ThetaOrbits
+from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for
 from cayplex.projmat import MatSpace
 
 
@@ -94,6 +94,8 @@ def test_normal_form_against_enumerated_orbits(q, d):
     # equal ids exactly when the enumerated orbits are equal
     assert np.array_equal(ids[:, None] == ids[None, :], label[:, None] == label[None, :])
     assert np.array_equal(orbits.sizes(ids), size)
+    # keys inverts ids
+    assert np.array_equal(orbits.ids(orbits.keys(ids)), ids)
     # ids do not change under conjugation by any element of the group
     k = rng.integers(1, conjugates.shape[1], size=len(X))
     assert np.array_equal(orbits.ids(conjugates[np.arange(len(X)), k]), ids)
@@ -105,15 +107,27 @@ def test_normal_form_against_enumerated_orbits(q, d):
 
 
 def test_for_system_refuses_unpermuted_and_unpackable():
+    """Where ``for_system`` refuses, ``orbits_for`` names each key by
+    itself: int64 keys below q^(d*d) at (3,3), 49-byte keys at (3,7)."""
     params = make_params(3, 3)
     ms = MatSpace(params.base, 3)
     bar = symmetrize(build_omega(params))
     assert ThetaOrbits.for_system(params, ms, bar.mats) is not None
+    assert isinstance(orbits_for(params, ms, bar.mats), ThetaOrbits)
     assert ThetaOrbits.for_system(params, ms, bar.mats[:2]) is None
+    small = orbits_for(params, ms, bar.mats[:2])
+    assert isinstance(small, TrivialOrbits)
+    assert small.dtype == np.int64 and small.id_bound == 3**9
     # (3,7): q^(d*d) = 3^49 overflows int64 ids
     params = make_params(3, 7)
     ms = MatSpace(params.base, 7)
     assert ThetaOrbits.for_system(params, ms, ms.identity_batch(1)) is None
+    trivial = orbits_for(params, ms, ms.identity_batch(1))
+    assert trivial.dtype.itemsize == 49 and trivial.id_bound is None
+    for naming in (small, trivial):
+        keys = np.zeros(3, dtype=naming.dtype)
+        assert naming.ids(keys) is keys and naming.keys(keys) is keys
+        assert np.array_equal(naming.sizes(keys), np.ones(3)) and naming.nbytes == 0
 
 
 def test_ids_read_keys_without_matrices(monkeypatch):
@@ -158,6 +172,28 @@ def test_ids_and_sizes_within_bytes_per_key(q, d):
         finally:
             tracemalloc.stop()
         assert peak <= orbits.bytes_per_key * n + 4096
+
+
+@pytest.mark.parametrize("q,d", [(3, 5), (5, 3), (4, 4), (9, 3)])
+def test_keys_invert_ids_within_bytes_per_rep(q, d):
+    """keys turns the ids of a block of product keys back into keys with
+    those ids, holding at most ``bytes_per_rep`` per id beside its
+    input, and a few KiB of small arrays."""
+    params = make_params(q, d)
+    ms = MatSpace(params.base, d)
+    bar = symmetrize(build_omega(params))
+    orbits = ThetaOrbits.for_system(params, ms, bar.mats)
+    products = ms.key_products(bar.mats)
+    ids = orbits.ids(products(products(ms.pack(bar.mats[:60])))[: 1 << 13])
+    tracemalloc.start()
+    try:
+        keys = orbits.keys(ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= orbits.bytes_per_rep * len(ids) + 4096
+    assert np.array_equal(orbits.ids(keys), ids)
+    assert np.array_equal(keys, ms.pack(ms.canon(ms.unpack(keys))))
 
 
 # every (q, d) the tests build a system for; the orbit path takes those

@@ -20,13 +20,12 @@ from cayplex.genforge import (
     make_params,
     symmetrize,
 )
-from cayplex.orbits import ThetaOrbits
+from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for
 from cayplex.projmat import MatSpace
 from cayplex.spectra import (
     ComparisonReport,
     MomentSeq,
     _ball_levels,
-    _ball_memory_estimate,
     _inverses_if_open,
     _moments_ball_mitm,
     _reverse_columns,
@@ -82,11 +81,12 @@ def _consolidated_join(ms, gen_mats, K):
 
 
 def _path_cases(bar33=None, bar42=None, hat53=None):
-    """(gens, sel, orbit) cases for both ball-mitm paths: whole systems
-    and colour 1 of hat53, which conjugation by theta permutes (orbit
-    levels), and generators 0 and 1 with their partners, or colour 1
-    without its first generator, which it does not (the word stream).
-    Each case is checked to take the path it names."""
+    """(gens, sel, orbit) cases for both namings of ball-mitm: whole
+    systems and colour 1 of hat53, which conjugation by theta permutes
+    (levels of theta-orbits), and generators 0 and 1 with their
+    partners, or colour 1 without its first generator, which it does
+    not (levels of single keys, the trivial naming).  Each case is
+    checked to take the naming it names."""
     cases = []
     for gens in filter(None, (bar33, bar42)):
         partners = sorted({0, 1, gens[0].inv, gens[1].inv})
@@ -117,7 +117,7 @@ def _theta_only(monkeypatch):
 def _top_budget(gens, K, sel, parts, threads=1):
     """A budget under which ball-mitm at K fills top-level buckets of
     1/``parts`` of the top products: the top stream's estimate without a
-    bucket, plus ``_BUCKET_BYTES`` per product of such a bucket."""
+    bucket, plus ``_bucket_bytes`` per product of such a bucket."""
     calls = []
     estimate = spectra._orbit_memory_estimate
     with pytest.MonkeyPatch.context() as patch:
@@ -126,7 +126,7 @@ def _top_budget(gens, K, sel, parts, threads=1):
         _moments_ball_mitm(gens, K, sel, threads, None)
     top = next(args for args in calls if args[5] == 0)
     words = top[2] * top[3]
-    return estimate(*top) + spectra._BUCKET_BYTES * -(-words // parts)
+    return estimate(*top) + spectra._bucket_bytes(top[1]) * -(-words // parts)
 
 
 def _rotation_rows(n, k):
@@ -284,7 +284,10 @@ class TestWalkMoments:
 
     def test_ball_levels_match_consolidated_reference(self, bar42, hat53):
         """Oracle: every level as the distinct products of the previous
-        level's distinct keys, merged by argsort and reduceat."""
+        level's distinct keys, merged by argsort and reduceat.  Under the
+        trivial naming the levels are those (keys, counts) pairs exactly;
+        under the theta-orbit naming each orbit's weight is the sum of
+        the counts of its keys."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
         cases = [(bar42, None), (bar33, None), (hat53, {1})]
         for gens, colors in cases:
@@ -292,30 +295,39 @@ class TestWalkMoments:
             sel = _selected(gens, colors)
             gen_mats = gens.mats[sel]
             want = _consolidated_levels(ms, gen_mats, 3)
+            theta = ThetaOrbits.for_system(gens.params, ms, gen_mats)
+            assert theta is not None
             for threads in (1, 2):
-                got = _ball_levels(ms, gen_mats, 3, threads=threads)
+                got = _ball_levels(ms, TrivialOrbits(ms), gen_mats, 3, threads, 1 << 30)
                 assert len(got) == len(want) == 4
                 for (gk, gc), (wk, wc) in zip(got, want):
                     assert gk.dtype == wk.dtype and gc.dtype == np.int64
                     assert np.array_equal(gk, wk) and np.array_equal(gc, wc)
+                got = _ball_levels(ms, theta, gen_mats, 3, threads, 1 << 30)
+                assert len(got) == 4
+                for (gi, gw), (wk, wc) in zip(got, want):
+                    ids = theta.ids(wk)
+                    order = np.argsort(ids, kind="stable")
+                    distinct, starts = np.unique(ids[order], return_index=True)
+                    assert np.array_equal(gi, distinct)
+                    assert np.array_equal(gw, np.add.reduceat(wc[order], starts))
             # saturation: bar33 generates PGL_3(F_3) of order 5616
             if gens is bar33:
                 assert len(want[3][0]) < len(gens) ** 3
 
     def test_ball_mitm_matches_consolidated_join(self, monkeypatch, bar42, hat53):
         """Oracle: every N_k joined over fully consolidated levels of the
-        ball and of the inverse ball, against both ball-mitm paths: orbit
-        levels where conjugation by theta permutes the selection, and the
-        join that keeps the top level as its sorted word stream where it
-        does not.  A run chunk of 7 values makes runs and stored keys
-        cross chunk borders."""
+        ball and of the inverse ball, against ball-mitm under both
+        namings: theta-orbits where conjugation by theta permutes the
+        selection, single keys where it does not.  A lookup chunk of 7
+        ids makes levels and product blocks cross chunk borders."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
         for gens, sel, _ in _path_cases(bar33, bar42, hat53):
             ms = MatSpace(gens.params.base, gens.params.d)
             gen_mats = gens.mats[sel]
             want = _consolidated_join(ms, gen_mats, 6)
-            for chunk in (spectra._RUN_CHUNK, 7):
-                monkeypatch.setattr(spectra, "_RUN_CHUNK", chunk)
+            for chunk in (spectra._LOOKUP_CHUNK, 7):
+                monkeypatch.setattr(spectra, "_LOOKUP_CHUNK", chunk)
                 for threads in (1, 2):
                     for K in range(7):
                         got = _moments_ball_mitm(gens, K, sel, threads, None)
@@ -324,7 +336,7 @@ class TestWalkMoments:
     def test_top_level_overflow_guard(self, monkeypatch, bar42, hat53):
         """The top-level join bound is r^R times the largest count of the
         top level (inverse-closed N_2R) or the largest stored count of
-        the inverse ball (open multisets), on both paths: at that limit
+        the inverse ball (open multisets), under both namings: at that limit
         the join raises, one above it the values are exact."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
         for gens, sel, _ in _path_cases(bar33, bar42, hat53):
@@ -348,15 +360,14 @@ class TestWalkMoments:
                 assert _moments_ball_mitm(gens, K, sel, 1, None) == want
 
     def test_ball_memory_estimate_bounds_traced_peak(self, monkeypatch, bar53, hat53):
-        """The whole ball-mitm join stays within the estimate of its path:
-        ``_ball_memory_estimate`` for the stream path, the largest
-        ``_orbit_memory_estimate`` of any level or of the top stream for
-        the orbit path.  So does ``_ball_levels``, whose consolidated top
-        level is what the stream estimate allows for the inverse ball of
-        an open multiset at even K.  The orbit cases run odd and even
-        tops at (5,3) and (3,3), the even tops once more under a budget
-        that leaves buckets of a third of the top products, so that they
-        take several passes, and (5,3) at K=7 and 8 on two threads."""
+        """The whole ball-mitm join stays within the largest
+        ``_orbit_memory_estimate`` of any level or of the top stream,
+        under both namings.  The cases run odd and even tops at (5,3) and
+        (3,3), the even tops of inverse-closed selections once more under
+        a budget that leaves buckets of a third of the top products, so
+        that they take several passes, a 60-generator selection of single
+        keys whose top streams 216,000 products, and (5,3) at K=7 and 8
+        on two threads."""
         bar33 = symmetrize(build_omega(make_params(3, 3)))
         estimates = []
 
@@ -373,7 +384,6 @@ class TestWalkMoments:
         cases = [(case, (2, 3)) for case in _path_cases(bar33, hat53=hat53)]
         cases += [((bar53, list(range(len(bar53))), True), (3,))]
         cases += [((bar33, list(range(len(bar33))), True), (4,))]
-        # a 60-generator word stream of 216,000 words at radius 3
         rest = [i for i in range(len(bar53)) if i not in (0, bar53[0].inv)]
         cases += [((bar53, rest, False), (3,))]
 
@@ -391,28 +401,12 @@ class TestWalkMoments:
         for (gens, sel, orbit), radii in cases:
             ms = MatSpace(gens.params.base, gens.params.d)
             gen_mats = gens.mats[sel]
-            r = len(sel)
             found = ThetaOrbits.for_system(gens.params, ms, gen_mats)
             assert (found is not None) == orbit
             closed = _inverses_if_open(ms, gen_mats) is None
             for radius in radii:
-                if not orbit:
-                    tracemalloc.start()
-                    try:
-                        levels = _ball_levels(ms, gen_mats, radius, threads=1)
-                        _, peak = tracemalloc.get_traced_memory()
-                    finally:
-                        tracemalloc.stop()
-                    assert int(levels[-1][1].sum()) == r**radius
-                    assert peak <= _ball_memory_estimate(ms, r, radius, radius)
-                    del levels
                 for K in (2 * radius - 1, 2 * radius):
                     values, peak = traced(gens, K, sel, None)
-                    if not orbit:
-                        assert not estimates
-                        inverse_radius = None if closed else K // 2
-                        assert peak <= _ball_memory_estimate(ms, r, radius, inverse_radius)
-                        continue
                     assert peak <= max(estimates)
                     if K % 2 or not closed:
                         continue
@@ -470,6 +464,48 @@ class TestWalkMoments:
         with pytest.raises(MemoryBudgetError, match="top orbit level 4 .* for 2 passes"):
             _moments_ball_mitm(bar53, 8, sel, 2, budget)
         assert len(starts) == 1
+
+    def test_raw_byte_ids(self, monkeypatch):
+        """At (3,7), 3^49 overflows int64, so keys and ids are 49-byte
+        strings.  An open selection of three generators matches the
+        consolidated join to K=6 within the estimate, which counts the
+        49-byte ids.  The even top of an inverse-closed selection, whose
+        byte ids have no top bits to split into buckets by, runs in one
+        bucket, and a budget one byte below that is refused before any
+        pass."""
+        bar37 = symmetrize(build_omega(make_params(3, 7)))
+        ms = MatSpace(bar37.params.base, 7)
+        sel = [0, 1, 2]
+        gen_mats = bar37.mats[sel]
+        assert _inverses_if_open(ms, gen_mats) is not None
+        orbits = orbits_for(bar37.params, ms, gen_mats)
+        assert isinstance(orbits, TrivialOrbits) and orbits.dtype.itemsize == 49
+        assert spectra._bucket_bytes(orbits) == 3 * 49 + 32
+        estimates = []
+        estimate = spectra._orbit_memory_estimate
+
+        def recorded(*args):
+            estimates.append(estimate(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(spectra, "_orbit_memory_estimate", recorded)
+        want = _consolidated_join(ms, gen_mats, 6)
+        for K in range(1, 7):
+            estimates.clear()
+            tracemalloc.start()
+            try:
+                got = _moments_ball_mitm(bar37, K, sel, 1, None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == want[: K + 1]
+            assert peak <= max(estimates)
+        closed = sorted({0, 1, bar37[0].inv, bar37[1].inv})
+        want = _consolidated_join(ms, bar37.mats[closed], 4)
+        budget = _top_budget(bar37, 4, closed, 1)
+        assert _moments_ball_mitm(bar37, 4, closed, 1, budget) == want
+        with pytest.raises(MemoryBudgetError, match="top orbit level 2 .* for 1 passes"):
+            _moments_ball_mitm(bar37, 4, closed, 1, budget - 1)
 
     def test_frobenius_orbits_match_theta_orbits(self, monkeypatch, bar35, bar35_s2, hat44):
         """Orbits of <theta, Phi^k> give the moments that theta-orbits
