@@ -77,8 +77,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; intended for the small integers
-    (group orders, table sizes) that show up here."""
+    """Trial-division factorization, by 2 and the odd numbers up to the
+    square root of what is left."""
     out: dict[int, int] = {}
     k = 2
     while k * k <= n:

@@ -30,13 +30,14 @@ import numpy as np
 from .cyclic import CycAlg, CycElem, gamma_from_alpha
 from .ffield import (
     NP_TABLES_MAX,
+    _factorize,
     gaussian_binomial,
     get_ext_field,
     get_field,
     mult_generator,
     regular_rep,
 )
-from .projmat import _PRODUCT_BLOCK, MatSpace
+from .projmat import _PRODUCT_BLOCK, MatSpace, _key_products_bytes
 from .ratfunc import Poly
 from .util import (
     Tokens,
@@ -72,19 +73,12 @@ def default_mem_budget() -> int:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    """(p, f) with q = p^f for a prime p, or ValueError."""
+    factors = _factorize(q)
+    if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    m = q
-    for p in range(2, q + 1):
-        if m % p == 0:
-            f = 0
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, f
-    raise ValueError(f"q = {q} is not a prime power")
+    [(p, f)] = factors.items()
+    return p, f
 
 
 # ---------------------------------------------------------------------------
@@ -707,52 +701,53 @@ def _flag_count(d: int, q: int) -> int:
 
 def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int:
     """Upper estimate of the bytes ``build_omega_hat`` holds at once, for
-    ``words`` candidate words.
+    ``words`` candidate words, with keys of v bytes.
 
-    The prefix levels (n + ... + n^a matrices) and the verifier's field
+    The prefix key levels (n + ... + n^a keys) and the verifier's field
     tables (``np_tables`` with its int64 build temporaries, under 22
     bytes per pair of codes, or ``np_explog``) stay to the end.  On top
     of them comes the largest of the stages' own arrays:
 
-    * one ``right_products`` block: float32 GEMM or int64 table terms,
-      canon and output, under 28 bytes per entry;
-    * the prefix keys: the int64 keys, and per block of
-      ``_PRODUCT_BLOCK`` prefixes a canonical copy with its uint16 scale
-      index and nonzero mask;
-    * the suffix side: prefix keys and both join bounds, the suffix
-      products, their reordered and canonical copies, keys, argsort and
-      sorted keys;
-    * the join: prefix keys, bounds and run bookkeeping, and per word W,
-      V and three int64 temporaries;
+    * the key levels: the ``key_products`` tables of one generator
+      batch (the generators', then the inverted ones') and the
+      temporaries of one ``_PRODUCT_BLOCK`` block of products
+      (``_key_products_bytes``), with each block product's key and its
+      int64 row gathers (32 + v bytes); on the suffix side also every
+      suffix key level (n + ... + n^b), the reordered copy of the last,
+      its stable argsort and sorted keys, and both join bounds;
+    * the join: both bounds and run bookkeeping, and per word W, V and
+      three int64 temporaries;
     * the verifier: W, V, two flag arrays and the filtered W and V per
       word, and per thread one ``_VERIFY_BLOCK`` of (d, d+1) numerators
       with the kernel's letters, int64 gather indices and int16 terms,
       under 40 bytes per entry;
-    * the collection: per word W, V, the flags, the int64 key of each of
-      its d-1 prefixes and the sort arrays of one level's ``np.unique``;
-      per word of one ``_collect_block`` of words, int64 indices
-      and keys, the gathered, running and canonical matrices, and the
-      temporaries of one ``MatSpace.mul`` (float32 copies or int64 table
-      terms, under 26 bytes per entry).
+    * the collection: per word W, V, the flags, the key of each of its
+      d-1 prefixes and the sort arrays of one level's ``np.unique``; per
+      word of one ``_collect_block`` of words, int64 indices and keys,
+      the unpacked, running and canonical matrices, and the temporaries
+      of one ``MatSpace.mul`` (float32 copies or int64 table terms,
+      under 26 bytes per entry).
     """
     n, d, q = params.n, params.d, params.q
     a = (d + 1) // 2
     b = d - a
     N = q**d
     tables = 22 * N * N if N <= NP_TABLES_MAX else 20 * N
-    m, sq = d * d * (1 if q < 256 else 4), d * d  # MatSpace entries
+    ms = MatSpace(params.base, d)
+    v = ms.pack(ms.identity_batch(1)).itemsize
+    m, sq = d * d * np.dtype(ms.dtype).itemsize, d * d  # MatSpace entries
     P, S = n**a, n**b
     canon = m + 3 * sq
+    block = min(P, max(n, _PRODUCT_BLOCK))
+    key_levels = _key_products_bytes(ms, n, block) + block * (32 + v)
     stages = (
-        min(P, max(n, _PRODUCT_BLOCK)) * sq * 28,
-        P * 8 + min(P, _PRODUCT_BLOCK) * (canon + 8),
-        24 * P + sum(n**k for k in range(1, b + 1)) * m + S * (m + canon + 24),
-        56 * P + 16 * S + 40 * words,
+        key_levels + sum(n**k for k in range(1, b + 1)) * v + S * (2 * v + 16) + 16 * P,
+        48 * P + 16 * S + 40 * words,
         34 * words + threads * min(words, _VERIFY_BLOCK) * d * (d + 1) * 40,
-        words * (8 * d + 33)
+        words * (v * d + 33)
         + min(words, _collect_block(d)) * (24 + 3 * m + canon + 26 * sq),
     )
-    return tables + sum(n**k for k in range(1, a + 1)) * m + max(stages)
+    return tables + sum(n**k for k in range(1, a + 1)) * v + max(stages)
 
 
 def _collect_block(d: int) -> int:
@@ -768,6 +763,23 @@ def _check_hat_budget(params, words, threads, budget) -> None:
             f"meet-in-the-middle needs ~{est} bytes (budget {budget}); "
             "raise the budget or use smaller parameters"
         )
+
+
+def _key_levels(ms: MatSpace, O: np.ndarray, length: int) -> list:
+    """The packed keys of the products of 1..length letters of O, each
+    level row-major in its letters, from one ``key_products`` of O
+    called on blocks of about ``_PRODUCT_BLOCK`` products."""
+    n = len(O)
+    products = ms.key_products(O)
+    step = max(1, _PRODUCT_BLOCK // n)
+    levels = [ms.pack(O)]
+    for _ in range(length - 1):
+        prev = levels[-1]
+        out = np.empty(len(prev) * n, dtype=prev.dtype)
+        for i in range(0, len(prev), step):
+            out[i * n : (i + step) * n] = products(prev[i : i + step])
+        levels.append(out)
+    return levels
 
 
 def _candidate_pairs(order, lo, hi):
@@ -788,17 +800,20 @@ def build_omega_hat(
 ) -> GenSet:
     """The product system, by meet-in-the-middle over the finite quotient.
 
-    Steps: (i) enumerate all length-a prefix products (a = ceil(d/2)) and
-    all length-(d-a) suffix products in the finite quotient, joining
-    prefix keys against inverted-suffix keys on canonical projective
-    equality to produce candidate length-d identity words; (ii) verify
-    every candidate globally — the exact product of the lifts must be a
-    central scalar of the algebra — through ``word_kernel``, in blocks of
+    Steps: (i) enumerate the packed keys of all length-a prefix products
+    (a = ceil(d/2)) and all length-(d-a) inverted suffix products in the
+    finite quotient (``_key_levels``), joining prefix keys against
+    inverted-suffix keys on canonical projective equality to produce
+    candidate length-d identity words; (ii) verify every candidate
+    globally — the exact product of the lifts must be a central scalar
+    of the algebra — through ``word_kernel``, in blocks of
     ``_VERIFY_BLOCK`` words on up to ``threads`` threads, discarding and
     counting failures; (iii) collect all proper prefixes (lengths 1..d-1)
     of verified words, deduplicated projectively, each with color =
     prefix length and the lexicographically least witnessing word, for
-    ``GenSet._rebuild`` to lift from the word and check.
+    ``GenSet._rebuild`` to lift from the word and check.  The keys of
+    prefixes up to length a are read from the levels; longer ones are
+    products of the unpacked level-a keys with the suffix letters.
 
     Color-class sizes must equal the Gaussian binomials (fatal mismatch
     otherwise).  ``meta`` records candidate, verified-word, and rejected
@@ -817,30 +832,17 @@ def build_omega_hat(
     ms = MatSpace(F, d)
     O = base_set.mats
 
-    levels = [O]
-    for _ in range(a - 1):
-        levels.append(ms.right_products(levels[-1], O))
-    pre_keys = np.concatenate([
-        ms.pack(ms.canon(levels[-1][i : i + _PRODUCT_BLOCK]))
-        for i in range(0, len(levels[-1]), _PRODUCT_BLOCK)
-    ])
-
+    levels = _key_levels(ms, O, a)
     # The suffix with letters (j_1, ..., j_b) has inverse O_{j_b}^-1 ...
     # O_{j_1}^-1: the products of the inverted generators with the letter
     # axes reversed.
-    O_inv = ms.inverse(O)
-    inv_suffix = O_inv
-    for _ in range(b - 1):
-        inv_suffix = ms.right_products(inv_suffix, O_inv)
-    inv_suffix = inv_suffix.reshape((n,) * b + (d, d))
-    inv_suffix = inv_suffix.transpose(tuple(range(b - 1, -1, -1)) + (b, b + 1))
-    suf_keys = ms.pack(ms.canon(inv_suffix.reshape(-1, d, d)))
+    suf_keys = _key_levels(ms, ms.inverse(O), b)[-1].reshape((n,) * b).T.ravel()
 
     order = np.argsort(suf_keys, kind="stable")
     sorted_suf = suf_keys[order]
-    lo = np.searchsorted(sorted_suf, pre_keys, side="left")
-    hi = np.searchsorted(sorted_suf, pre_keys, side="right")
-    del sorted_suf, pre_keys, suf_keys
+    lo = np.searchsorted(sorted_suf, levels[-1], side="left")
+    hi = np.searchsorted(sorted_suf, levels[-1], side="right")
+    del sorted_suf, suf_keys
     count = int((hi - lo).sum())
     if count == 0:
         raise ValueError("no identity words found; parameters are inconsistent")
@@ -864,16 +866,14 @@ def build_omega_hat(
     if not len(W):
         raise ValueError("no identity words found; parameters are inconsistent")
 
-    # the key of every verified word's prefix of each length 1..d-1, with
-    # the products past the prefix half formed a block of words at a time
-    level_keys = [[] for _ in range(d - 1)]
+    # the key of every verified word's prefix of each length 1..d-1: read
+    # from the levels up to a, and past it formed a block of words at a time
+    level_keys = [[levels[level - 1][W // n ** (a - level)]] for level in range(1, a + 1)]
+    level_keys += [[] for _ in range(a + 1, d)]
     collect = _collect_block(d)
     for w0 in range(0, len(W), collect):
         Wb, Vb = W[w0 : w0 + collect], V[w0 : w0 + collect]
-        for level in range(1, a + 1):
-            prefix = levels[level - 1][Wb // (n ** (a - level))]
-            level_keys[level - 1].append(ms.pack(ms.canon(prefix)))
-        running = levels[-1][Wb]
+        running = ms.unpack(levels[-1][Wb])
         for level in range(a + 1, d):
             digit = (Vb // (n ** (b - (level - a)))) % n
             running = ms.mul(running, O[digit])
@@ -1026,26 +1026,17 @@ def family_order_m(q: int, d: int) -> int:
 
 
 def family(params: GenParams, base: GenSet) -> list[GenSet]:
-    """The q-power family of a symmetric generator system.
+    """The q-power family of an inverse closure.
 
-    Returns m = family_order_m(q, d) independently built sets, set i
-    carrying twist exponent s*q^i mod d.  The power identity is verified
-    element-wise on the base system (conjugate j of the twist-s system,
-    raised to the q^i-th power, must equal conjugate j of the
-    independently built twist-s*q^i system); a mismatch is fatal.  For
-    inverse closures this pins down the whole set: it equals the input
-    with every matrix raised to the power q^i.
-
-    For product systems the power map is additionally compared per color
-    class against the rebuilt system, with the outcome recorded in
-    ``meta['power_bijection']`` of each returned set.  Element-wise
-    powering reproduces the color-1 and color-(d-1) classes exactly but
-    (empirically, e.g. for q=3, d=5) sends the middle color classes to
-    elements outside the rebuilt system, so the rebuilt product system
-    is returned rather than the powered image.
+    Returns m = family_order_m(q, d) independently built inverse
+    closures, set i carrying twist exponent s*q^i mod d.  Each must
+    equal the base with every matrix raised to the power q^i, element by
+    element: conjugate j of the twist-s system (and its inverse) to the
+    q^i-th power is conjugate j of the twist-s*q^i system (and its
+    inverse); a mismatch is fatal.
     """
-    if base.kind not in (KIND_OMEGABAR, KIND_OMEGAHAT):
-        raise ValueError("the family is built from a symmetric system")
+    if base.kind != KIND_OMEGABAR:
+        raise ValueError("the family is built from an inverse closure")
     if base.params != params:
         raise ValueError("params does not match the base set")
     m = family_order_m(params.q, params.d)
@@ -1062,45 +1053,14 @@ def family(params: GenParams, base: GenSet) -> list[GenSet]:
             modulus=params.E.modulus,
             base_modulus=params.base.modulus if params.base.f > 1 else None,
         )
-        omega_i = build_omega(params_i)
+        indep = symmetrize(build_omega(params_i))
         powered = ms.canon(ms.power(base.mats, qe))
-        bad = np.flatnonzero((powered[: params.n] != omega_i.mats).any(axis=(1, 2)))
+        bad = np.flatnonzero((powered != indep.mats).any(axis=(1, 2)))
         if bad.size:
             raise ValueError(
-                f"family mismatch at conjugate {bad[0]}: the q^{i}-power of "
-                f"the twist-{params.s} element differs from the "
-                f"independently built twist-{s_i} element"
-            )
-        if base.kind == KIND_OMEGABAR:
-            indep = symmetrize(omega_i)
-            bad = np.flatnonzero((powered != indep.mats).any(axis=(1, 2)))
-            if bad.size:
-                raise ValueError(
-                    f"family mismatch at element {bad[0]} of the inverse closure"
-                )
-        else:
-            indep = build_omega_hat(omega_i)
-            indep.meta["power_bijection"] = _power_bijection_report(
-                ms, base, indep, powered
+                f"family mismatch at element {bad[0]}: the q^{i}-power of the "
+                f"twist-{params.s} element differs from the independently built "
+                f"twist-{s_i} element"
             )
         sets.append(indep)
     return sets
-
-
-def _power_bijection_report(ms, base: GenSet, indep: GenSet, powered) -> dict:
-    """Check whether element-wise q^i-powering (``powered``, the canonical
-    powers of the base set's matrices) maps the base product system onto
-    the independently built one, per color class."""
-    target = {}
-    for g, key in zip(indep, ms.pack(indep.mats).tolist()):
-        target.setdefault(g.color, set()).add(key)
-    powered_keys = ms.pack(powered).tolist()
-    report = {}
-    for color in sorted(target):
-        got = {key for g, key in zip(base, powered_keys) if g.color == color}
-        report[color] = {
-            "matched": len(got & target[color]),
-            "expected": len(target[color]),
-            "surjective": got == target[color],
-        }
-    return report

@@ -6,9 +6,10 @@ projective canonical forms, packed keys, powers, and one Gauss-Jordan
 reduction that gives ranks, inverses and column spaces.  Over a prime
 field products go through float32 GEMM when they provably fit in the
 24-bit mantissa and through exact integer matmul otherwise; over a
-non-prime field every operation goes through dense lookup tables.  The
-closure and ball products skip matrices altogether: ``key_products``
-maps packed keys to packed product keys through row tables.
+non-prime field every operation goes through dense lookup tables.
+``key_products`` is the one function that multiplies a batch of packed
+keys by a generator batch: through row tables where they fit, and
+otherwise by blocks of ``unpack``, ``mul``, ``canon`` and ``pack``.
 
 The projective canonical form scales a matrix so that its first nonzero
 entry in row-major order is 1.  Packed encoding: row-major entry codes
@@ -30,7 +31,7 @@ __all__ = ["MatSpace"]
 # ---------------------------------------------------------------------------
 
 _GEMM_MANTISSA = 1 << 24
-# products per float32 GEMM (or table product) inside right_products
+# products per block of the key_products fallback
 _PRODUCT_BLOCK = 1 << 18
 # largest (r + d*q) * q^d table entries of the key_products row tables
 _ROW_TABLE_MAX = 1 << 22
@@ -54,7 +55,6 @@ class MatSpace:
         self.dtype = np.uint8 if F.q < 256 else np.int32
         if F.f == 1:
             self._tables = None
-            self._gemm_ok = d * (F.p - 1) ** 2 < _GEMM_MANTISSA
             inv = np.zeros(F.p, dtype=np.int64)
             for a in range(1, F.p):
                 inv[a] = F.inv(a)
@@ -67,7 +67,6 @@ class MatSpace:
             )
             self._inv_table = inv_t.astype(np.int64)
             self._neg_table = (self._tables[0] == 0).argmax(axis=1)
-            self._gemm_ok = False
         if self.dtype == np.uint8:
             # canon scales by a q x q product table: row offsets of the
             # inverse of each possible leading entry, then one flat take
@@ -225,40 +224,6 @@ class MatSpace:
             raise ValueError(f"matrix {int(np.argmax(rank < d))} of the batch is singular")
         return self.canon(R[:, :, d:])
 
-    def right_products(self, A: np.ndarray, O: np.ndarray,
-                       rows_per_block: int = _PRODUCT_BLOCK) -> np.ndarray:
-        """Canonical products A[i] @ O[j] for every pair, row-major in
-        (i, j): a batch of shape (m * r, d, d).
-
-        Over a prime field within the GEMM bound each block of A is one
-        float32 product (m, d*d) @ (d*d, r*d*d) against the block-diagonal
-        stack of the O[j], whose rows come out already in (i, j, row, col)
-        order; the residues are taken exactly in float32 and cast after
-        reduction.  Other fields broadcast ``mul`` over the (i, j) grid.
-        Blocks of about ``rows_per_block`` products bound the temporaries.
-        """
-        m, r, d = A.shape[0], O.shape[0], self.d
-        out = np.empty((m * r, d, d), dtype=self.dtype)
-        step = max(1, rows_per_block // max(r, 1))
-        if self._gemm_ok:
-            # W[(a, k), (j, a, l)] = O[j, k, l]
-            W = np.zeros((d, d, r, d, d), dtype=np.float32)
-            Ot = O.transpose(1, 0, 2)
-            for a in range(d):
-                W[a, :, :, a, :] = Ot
-            W = W.reshape(d * d, r * d * d)
-        for i0 in range(0, m, step):
-            i1 = min(m, i0 + step)
-            block = A[i0:i1]
-            if self._gemm_ok:
-                C = block.reshape(i1 - i0, d * d).astype(np.float32) @ W
-                P = self._residues(C).reshape(-1, d, d)
-                del C
-            else:
-                P = self.mul(block[:, None], O[None]).reshape(-1, d, d)
-            out[i0 * r : i1 * r] = self.canon(P)
-        return out
-
     def key_products(self, O: np.ndarray):
         """A function from a block of packed keys to the packed canonical
         keys of every product A[i] @ O[j], row-major in (i, j).
@@ -271,19 +236,28 @@ class MatSpace:
         nonzero row-major entry) times q^d; and S[a, l*q^d + t], the code
         of l * row(t) times q^(d*a).  A product key is then
         sum_a S[a, lam[T[rc_0, j]] + T[rc_a, j]].  Unpackable keys, or
-        tables above ``_ROW_TABLE_MAX`` entries, take
-        pack(right_products(unpack(keys), O)) instead.  On either path a
-        product whose row 0 is zero (a singular input) raises ValueError.
+        tables above ``_ROW_TABLE_MAX`` entries, take blocks of about
+        ``_PRODUCT_BLOCK`` products instead, each the ``pack`` of the
+        ``canon`` of ``mul`` of its unpacked keys by every O[j].  On
+        either path a product whose row 0 is zero (a singular input)
+        raises ValueError.
         """
         d, q, r = self.d, self.q, O.shape[0]
         Q = q**d
         if not self.row_tables(r):
+            step = max(1, _PRODUCT_BLOCK // max(r, 1))
+            key_dtype = self.pack(O[:0]).dtype
 
             def products(keys):
-                P = self.right_products(self.unpack(keys), O)
-                if not P[:, 0].any(axis=1).all():
-                    raise ValueError("a product has a zero first row")
-                return self.pack(P)
+                out = np.empty(len(keys) * r, dtype=key_dtype)
+                for i in range(0, len(keys), step):
+                    P = self.mul(self.unpack(keys[i : i + step])[:, None], O[None])
+                    P = P.reshape(-1, d, d)
+                    if not P[:, 0].any(axis=1).all():
+                        raise ValueError("a product has a zero first row")
+                    out[i * r : i * r + len(P)] = self.pack(self.canon(P))
+                    del P
+                return out
 
             return products
         # digits[v] is row(v)
@@ -339,7 +313,7 @@ class MatSpace:
 
     def row_tables(self, r: int) -> bool:
         """Whether ``key_products`` of r matrices gathers from row tables
-        rather than falling back to ``right_products``."""
+        rather than falling back to blocks of ``mul``."""
         entries = (r + self.d * self.q) * self.q**self.d
         return self.packable and entries <= _ROW_TABLE_MAX
 
@@ -347,7 +321,7 @@ class MatSpace:
         """Pack each matrix into a hashable key: int64 radix-q when it
         fits, raw bytes (void dtype) otherwise."""
         n = A.shape[0]
-        flat = A.reshape(n, -1)
+        flat = A.reshape(n, self.d * self.d)
         if self.packable:
             # Horner from the top digit: one int64 accumulator per matrix
             acc = flat[:, -1].astype(np.int64)
@@ -370,7 +344,7 @@ class MatSpace:
                 rest, out[:, k] = np.divmod(rest, self.q)
             return out.reshape(n, self.d, self.d)
         elem = np.dtype(self.dtype).newbyteorder("<")
-        flat = np.frombuffer(keys.tobytes(), dtype=elem).reshape(n, -1)
+        flat = np.frombuffer(keys.tobytes(), dtype=elem)
         return flat.reshape(n, self.d, self.d).astype(self.dtype)
 
     def packed_of(self, rows) -> int:
@@ -380,3 +354,25 @@ class MatSpace:
             for x in reversed(row):
                 out = out * self.q + x
         return out
+
+
+def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
+    """Upper bound on the bytes ``key_products`` of r matrices holds
+    beside its output, for calls of ``block`` products.  On its
+    row-table path, its int64 tables (T, Q per generator; S, d per
+    scalar; lam) and, while S is built, the (Q, q) codes it is read from
+    and their transposed copy, the uint8 rows and a few Q-long index
+    arrays (under 32 bytes per row code), with the temporaries of one
+    ``_ROW_BLOCK`` block of row products: at most three int64 entries
+    per coordinate on the table kernel (24 * d bytes) plus 16.  On its
+    fallback, per product of one block the temporaries of ``mul``,
+    ``canon`` and ``pack`` (at most three int64 entries, 24 * d * d
+    bytes, plus 16), and per generator and unpacked key the copies
+    ``mul`` makes (under 20 * d * d bytes)."""
+    d, q = ms.d, ms.q
+    if ms.row_tables(r):
+        Q = q**d
+        rows = max(r, q, _ROW_BLOCK)
+        return 8 * Q * (r + d * q + 2 * q) + (d + 32) * Q + (24 * d + 16) * rows
+    n = min(block, max(r, _PRODUCT_BLOCK))
+    return (24 * d * d + 16) * n + 20 * d * d * (r + -(-n // max(r, 1)))

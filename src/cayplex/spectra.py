@@ -20,7 +20,7 @@ from .cayley import (
 )
 from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
 from .orbits import orbits_for
-from .projmat import _PRODUCT_BLOCK, _ROW_BLOCK, MatSpace
+from .projmat import MatSpace, _key_products_bytes
 from .util import (
     Tokens,
     atomic_write_text,
@@ -322,27 +322,6 @@ def _support_bound(table: np.ndarray):
         return top + 1
 
     return bound
-
-
-def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
-    """Upper bound on the bytes ``key_products`` of r matrices holds
-    beside its output, for blocks of ``block`` products.  On its
-    row-table path, its int64 tables (T, Q per generator; S, d per
-    scalar; lam) and, while S is built, the (Q, q) codes it is read from
-    and their transposed copy, the uint8 rows and a few Q-long index
-    arrays (under 32 bytes per row code), with the temporaries of one
-    ``_ROW_BLOCK`` block of row products: at most three int64 entries
-    per coordinate on the table kernel (24 * d bytes) plus 16.  On its
-    fallback, the product matrix and its pack, and per product of one
-    ``right_products`` GEMM block its float32 product and quotient,
-    residues, canon mask, indices and output: under 24 * d * d + 16
-    bytes."""
-    d, q = ms.d, ms.q
-    if ms.row_tables(r):
-        Q = q**d
-        rows = max(r, q, _ROW_BLOCK)
-        return 8 * Q * (r + d * q + 2 * q) + (d + 32) * Q + (24 * d + 16) * rows
-    return (24 * d * d + 16) * min(block, max(r, _PRODUCT_BLOCK))
 
 
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):

@@ -276,8 +276,8 @@ def test_omega_hat_inverse_closure(hat53):
 
 
 def test_omega_hat_thread_determinism(monkeypatch, omega53, hat53):
-    # blocks of 50 give the 186 candidates four verifier calls and four
-    # collect blocks, and the 961 prefix keys twenty blocks
+    # blocks of 50 give the 186 candidates four verifier calls, the collect
+    # phase blocks of 5 words, and the 961 prefix keys 31 blocks
     monkeypatch.setattr(genforge, "_VERIFY_BLOCK", 50)
     monkeypatch.setattr(genforge, "_PRODUCT_BLOCK", 50)
     rebuilt = build_omega_hat(omega53, threads=3)
@@ -617,6 +617,16 @@ def test_group_orders():
     assert predicted_group_order(make_params(5, 3)) == 372000
 
 
+def test_prime_power():
+    # one trial division up to the square root: 4294967291 = 2^32 - 5 is
+    # prime, and the graph readers pass such header values through here
+    assert genforge._prime_power(4294967291) == (4294967291, 1)
+    assert genforge._prime_power(3**20) == (3, 20)
+    for q in (0, 1, 6, 2 * 4294967291):
+        with pytest.raises(ValueError, match="not a prime power"):
+            genforge._prime_power(q)
+
+
 # ---------------------------------------------------------------------------
 # q-power family
 # ---------------------------------------------------------------------------
@@ -671,19 +681,24 @@ def test_family_requires_symmetric(p53, omega53):
         family(p53, omega53)
 
 
-def test_family_product_system(p35, hat35):
-    # powering reproduces the outer color classes of the rebuilt system
-    # exactly; the middle classes land outside it (recorded, not hidden)
-    sets = family(p35, hat35)
-    assert len(sets) == 2
-    assert len(sets[1]) == 2662
-    report = sets[1].meta["power_bijection"]
-    assert report[1]["surjective"] and report[4]["surjective"]
-    assert report[2]["matched"] == 0 and report[3]["matched"] == 0
+def test_family_refuses_product_system(p35, hat35):
+    with pytest.raises(ValueError, match="inverse closure"):
+        family(p35, hat35)
+
+
+def test_product_system_cubes_against_twist_three(hat35):
+    # cubing reproduces the outer color classes of the independently
+    # built twist-3 product system exactly; the middle classes land
+    # outside it
+    indep = build_omega_hat(build_omega(make_params(3, 5, s=3)))
+    assert len(indep) == 2662
     ms = space(hat35)
-    mid = [g.color in (2, 3) for g in hat35]
-    powered_mid = set(ms.pack(ms.canon(ms.power(hat35.mats[mid], 3))).tolist())
-    assert not powered_mid & keys_of(sets[1])
+    cubes = ms.pack(ms.canon(ms.power(hat35.mats, 3))).tolist()
+    for color in (1, 4):
+        got = {k for g, k in zip(hat35, cubes) if g.color == color}
+        assert got == keys_of(indep, {color})
+    mid = {k for g, k in zip(hat35, cubes) if g.color in (2, 3)}
+    assert not mid & keys_of(indep)
 
 
 # ---------------------------------------------------------------------------

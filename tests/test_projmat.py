@@ -296,49 +296,22 @@ def test_matspace_byte_keys_when_int64_overflows():
 
 
 def _repeat_tile_products(ms, A, O):
-    """Reference for right_products: every pair by repeat/tile, then the
-    batched mul and canon."""
-    r = O.shape[0]
-    return ms.canon(ms.mul(np.repeat(A, r, axis=0), np.tile(O, (A.shape[0], 1, 1))))
+    """Reference for key_products: every pair A[i] @ O[j], row-major in
+    (i, j), by one broadcast mul, then canon."""
+    d = ms.d
+    return ms.canon(ms.mul(A[:, None], O[None]).reshape(-1, d, d))
 
 
-@pytest.mark.parametrize(
-    "F, d, gemm",
-    [
-        (F5, 3, True),
-        # 3 * 2356^2 < 2^24: float32 GEMM with products far above 255
-        (get_field(2357), 3, True),
-        # above the GEMM bound: exact int64 matmul
-        (get_field(4099), 3, False),
-        (F4, 3, False),
-        (get_field(3, 2), 2, False),
-    ],
-)
-def test_right_products_match_repeat_tile(F, d, gemm):
-    rng = random.Random(313 + F.q)
-    ms = MatSpace(F, d)
-    assert ms._gemm_ok == gemm
-    A = ms.asbatch([rand_invertible(rng, F, d) for _ in range(37)])
-    O = ms.asbatch([rand_invertible(rng, F, d) for _ in range(11)])
-    want = _repeat_tile_products(ms, A, O)
-    # small blocks cross block boundaries inside one call
-    for rows in (1 << 18, 40, 1):
-        got = ms.right_products(A, O, rows_per_block=rows)
-        assert got.dtype == ms.dtype
-        assert np.array_equal(got, want)
-    A, O, got = tuples(A), tuples(O), tuples(got)
-    for i, j in ((0, 0), (36, 10), (17, 4)):
-        assert got[i * 11 + j] == canon_rows(F, mat_mul(F, A[i], O[j]))
-
-
-def test_right_products_exact_at_gemm_bound():
+def test_mul_exact_at_gemm_bound():
     # every entry of the integer product is 3 * 2356^2 = 16652208, just
-    # under 2^24, and reduces to 3 mod 2357; canonically all ones
+    # under 2^24 (so float32 GEMM), and reduces to 3 mod 2357;
+    # canonically all ones
     F = get_field(2357)
     ms = MatSpace(F, 3)
-    assert ms._gemm_ok
+    assert 3 * 2356**2 < projmat._GEMM_MANTISSA
     full = np.full((2, 3, 3), 2356, dtype=ms.dtype)
-    got = ms.right_products(full, full)
+    assert np.array_equal(ms.mul(full, full), np.full((2, 3, 3), 3, dtype=ms.dtype))
+    got = _repeat_tile_products(ms, full, full)
     assert np.array_equal(got, np.ones((4, 3, 3), dtype=ms.dtype))
 
 
@@ -351,21 +324,42 @@ def _key_products_case(F, d, seed, m=50, r=9):
 
 
 @pytest.mark.parametrize(
-    "F, d",
-    [(F5, 3), (get_field(3), 5), (F4, 2), (F4, 4), (get_field(3, 2), 2)],
+    "F, d, tables",
+    [
+        (F5, 3, True),
+        (get_field(3), 5, True),
+        (F4, 2, True),
+        (F4, 3, True),
+        (F4, 4, True),
+        (get_field(3, 2), 2, True),
+        # 3 * 2356^2 < 2^24: the fallback's mul is a float32 GEMM with
+        # products far above 255
+        (get_field(2357), 3, False),
+        # above the GEMM bound: the fallback's mul is exact int64 matmul
+        (get_field(4099), 3, False),
+    ],
+    ids=["q5-d3", "q3-d5", "q4-d2", "q4-d3", "q4-d4", "q9-d2", "q2357-d3", "q4099-d3"],
 )
-def test_key_products_match_right_products(F, d):
+def test_key_products_match_mul(monkeypatch, F, d, tables):
     ms, O, keys = _key_products_case(F, d, 401 + F.q * d)
-    want = ms.pack(ms.right_products(ms.unpack(keys), O))
-    products = ms.key_products(O)
-    assert np.array_equal(products(keys), want)
-    # blocks of any size, the empty one included
-    for lo, hi in ((0, 0), (0, 1), (17, 50)):
-        assert np.array_equal(products(keys[lo:hi]), want[lo * 9 : hi * 9])
+    assert ms.row_tables(9) == tables
+    want = ms.pack(_repeat_tile_products(ms, ms.unpack(keys), O))
+    # fallback blocks of 4 and of 1 keys cross block boundaries in a call
+    for block in (1 << 18, 40, 1):
+        monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", block)
+        products = ms.key_products(O)
+        got = products(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # blocks of any size, the empty one included
+        for lo, hi in ((0, 0), (0, 1), (17, 50)):
+            assert np.array_equal(products(keys[lo:hi]), want[lo * 9 : hi * 9])
+    A, Ot, got = tuples(ms.unpack(keys)), tuples(O), tuples(ms.unpack(got))
+    for i, j in ((0, 0), (49, 8), (17, 4)):
+        assert got[i * 9 + j] == canon_rows(F, mat_mul(F, A[i], Ot[j]))
 
 
 def test_key_products_fallback_paths(monkeypatch):
-    # tables above the bound: the right_products path, same keys
+    # tables above the bound: the blocks of mul, same keys
     ms, O, keys = _key_products_case(get_field(3), 5, 402)
     want = ms.key_products(O)(keys)
     monkeypatch.setattr(projmat, "_ROW_TABLE_MAX", 0)

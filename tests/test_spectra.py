@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import cayley, spectra
+from cayplex import cayley, projmat, spectra
 from cayplex.cayley import CayleyGraph, closure_from_matrices, colored_subgraph
 from cayplex.ffield import get_field
 from cayplex.genforge import (
@@ -36,6 +36,8 @@ from cayplex.spectra import (
     walk_moments,
 )
 
+from test_projmat import _repeat_tile_products
+
 
 def _relabeled(G, seed):
     """``G`` with vertices 1..n-1 renumbered by a seeded permutation; the
@@ -56,7 +58,7 @@ def _consolidated_levels(ms, gen_mats, radius):
     levels = [(ms.pack(ms.identity_batch(1)), np.ones(1, dtype=np.int64))]
     for _ in range(radius):
         prev_keys, prev_counts = levels[-1]
-        keys = ms.pack(ms.right_products(ms.unpack(prev_keys), gen_mats))
+        keys = ms.pack(_repeat_tile_products(ms, ms.unpack(prev_keys), gen_mats))
         order = np.argsort(keys)
         keys = keys[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -434,10 +436,34 @@ class TestWalkMoments:
         finally:
             tracemalloc.stop()
         assert held < 600_000 and peak < 1 << 20
-        assert peak <= spectra._key_products_bytes(ms, len(bar35), 1)
+        assert peak <= projmat._key_products_bytes(ms, len(bar35), 1)
         keys = ms.pack(bar35.mats[:3])
-        want = ms.pack(ms.right_products(bar35.mats[:3], bar35.mats))
+        want = ms.pack(_repeat_tile_products(ms, bar35.mats[:3], bar35.mats))
         assert np.array_equal(products(keys), want)
+
+    def test_key_products_fallback_within_bound(self):
+        """Past the row tables, key_products multiplies blocks of unpacked
+        keys by ``mul`` and holds no more than ``_key_products_bytes``
+        beside its output: for the six 64 x 64 shift matrices over F_2
+        (4096-byte keys) and for the 2186 generators of (3,7) omega-bar
+        (49-byte keys), on one key."""
+        F2 = get_field(2)
+        shifts = [_rotation_rows(64, k) for k in (1, 63, 5, 59, 11, 53)]
+        bar37 = symmetrize(build_omega(make_params(3, 7)))
+        cases = [(MatSpace(F2, 64), shifts), (MatSpace(bar37.params.base, 7), bar37.mats)]
+        for ms, O in cases:
+            O = ms.asbatch(O)
+            r = len(O)
+            assert not ms.row_tables(r)
+            key = ms.pack(O[:1])
+            tracemalloc.start()
+            try:
+                got = ms.key_products(O)(key)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= projmat._key_products_bytes(ms, r, r) + got.nbytes
+            assert np.array_equal(got, ms.pack(_repeat_tile_products(ms, O[:1], O)))
 
     def test_top_level_buckets(self, monkeypatch, bar53):
         """The even top of an inverse-closed multiset gives the same N_K
