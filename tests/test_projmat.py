@@ -332,16 +332,35 @@ def _key_products_case(F, d, seed, m=50, r=9):
         (F4, 3, True),
         (F4, 4, True),
         (get_field(3, 2), 2, True),
+        # packable keys with the tables switched off: the fallback's mul
+        # over a prime field and over a table field
+        (F5, 3, "off"),
+        (get_field(3, 2), 2, "off"),
         # 3 * 2356^2 < 2^24: the fallback's mul is a float32 GEMM with
         # products far above 255
         (get_field(2357), 3, False),
         # above the GEMM bound: the fallback's mul is exact int64 matmul
         (get_field(4099), 3, False),
     ],
-    ids=["q5-d3", "q3-d5", "q4-d2", "q4-d3", "q4-d4", "q9-d2", "q2357-d3", "q4099-d3"],
+    ids=[
+        "q5-d3",
+        "q3-d5",
+        "q4-d2",
+        "q4-d3",
+        "q4-d4",
+        "q9-d2",
+        "q5-d3-fallback",
+        "q9-d2-fallback",
+        "q2357-d3",
+        "q4099-d3",
+    ],
 )
 def test_key_products_match_mul(monkeypatch, F, d, tables):
     ms, O, keys = _key_products_case(F, d, 401 + F.q * d)
+    if tables == "off":
+        assert ms.row_tables(9)
+        monkeypatch.setattr(projmat, "_ROW_TABLE_MAX", 0)
+        tables = False
     assert ms.row_tables(9) == tables
     want = ms.pack(_repeat_tile_products(ms, ms.unpack(keys), O))
     # fallback blocks of 4 and of 1 keys cross block boundaries in a call
