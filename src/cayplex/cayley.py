@@ -26,7 +26,7 @@ from .util import (
     atomic_write_text,
     check_canonical,
     check_manifest,
-    ordered_chunked_map,
+    ordered_map,
 )
 
 _MAGIC = b"CAYG"
@@ -194,9 +194,6 @@ def closure_from_matrices(
     # blocks of frontier rows, ``threads`` of them multiplied at a time
     group = _CLOSURE_BLOCK * max(threads, 1)
 
-    def expand(blocks):
-        return [products(block) for block in blocks]
-
     while frontier.shape[0]:
         level = []
         for g0 in range(0, frontier.shape[0], group):
@@ -204,7 +201,7 @@ def closure_from_matrices(
                 frontier[i : i + _CLOSURE_BLOCK]
                 for i in range(g0, min(g0 + group, frontier.shape[0]), _CLOSURE_BLOCK)
             ]
-            for flat in ordered_chunked_map(expand, blocks, threads=threads, chunk=1):
+            for flat in ordered_map(products, blocks, threads):
                 # blocks are numbered in stream order, so new vertices
                 # still take their first appearance in the level's
                 # frontier-major, generator-minor product stream: true
@@ -317,18 +314,20 @@ def _vertex_table_size(ms) -> int:
     return size if ms.packable and size <= _VERTEX_TABLE_MAX else 0
 
 
-def _search(run, keys) -> np.ndarray:
-    """Numbers of ``keys`` in a sorted (keys, numbers) run, -1 if absent."""
+def _search(run, keys, missing=-1) -> np.ndarray:
+    """Numbers of ``keys`` in a sorted (keys, numbers) run, ``missing``
+    where a key is absent."""
     srt, ids = run
     if not len(srt):
-        return np.full(len(keys), -1, dtype=np.int32)
+        return np.full(len(keys), missing, dtype=ids.dtype)
     # sorted needles walk the run in order: several times faster than
     # binary searches from random starting points
     order = np.argsort(keys)
     pos = np.empty(len(keys), dtype=np.intp)
     pos[order] = np.searchsorted(srt, keys[order])
+    del order
     np.minimum(pos, len(srt) - 1, out=pos)
-    return np.where(srt[pos] == keys, ids[pos], np.int32(-1))
+    return np.where(srt[pos] == keys, ids[pos], ids.dtype.type(missing))
 
 
 def _merged(run, keys, ids):
@@ -652,7 +651,7 @@ def _read_binary(handle, size: int, digest=None) -> CayleyGraph:
         raise ValueError("truncated graph file")
     key_bytes = take(n * width)
     nbr = np.empty((n, r), dtype="<i4")
-    view = memoryview(nbr).cast("B")
+    view = memoryview(nbr.reshape(-1).view(np.uint8))
     if handle.readinto(view) != len(view):
         raise ValueError("truncated graph file")
     feed(view)
@@ -684,6 +683,8 @@ def _validated_graph(F, d, keys, nbr, gen_colors, symmetric, connected):
     n = keys.shape[0]
     if n == 0:
         raise ValueError("empty vertex table")
+    if nbr.shape[1] == 0:
+        raise ValueError("a graph needs at least one generator")
     if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
         raise ValueError("neighbor index out of range")
     ms = MatSpace(F, d)

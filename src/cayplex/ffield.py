@@ -61,21 +61,6 @@ _ADDTAB_MAX = 2500
 NP_TABLES_MAX = 4096
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
-
-
 def _factorize(n: int) -> dict[int, int]:
     """Trial-division factorization, by 2 and the odd numbers up to the
     square root of what is left."""
@@ -382,7 +367,7 @@ class Field(_Quotient):
         return super().__new__(_PrimeField if f == 1 else cls)
 
     def __init__(self, p: int, f: int = 1, modulus=None):
-        if not _is_prime(p):
+        if _factorize(p) != {p: 1}:
             raise ValueError(f"characteristic {p} is not prime")
         if f < 1:
             raise ValueError("degree must be >= 1")

@@ -43,7 +43,7 @@ from .util import (
     Tokens,
     atomic_write_text,
     check_canonical,
-    ordered_chunked_map,
+    ordered_map,
     read_checked_text,
 )
 
@@ -73,8 +73,10 @@ def default_mem_budget() -> int:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, f) with q = p^f for a prime p, or ValueError."""
-    factors = _factorize(q)
+    """(p, f) with q = p^f for a prime p, or ValueError.  A q of 2^32 or
+    more is refused before trial division, which would take up to
+    sqrt(q) steps: the binary graph header stores q in 32 bits."""
+    factors = _factorize(q) if q < 1 << 32 else {}
     if len(factors) != 1:
         raise ValueError(f"q = {q} is not a prime power")
     [(p, f)] = factors.items()
@@ -703,7 +705,8 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
     """Upper estimate of the bytes ``build_omega_hat`` holds at once, for
     ``words`` candidate words, with keys of v bytes.
 
-    The prefix key levels (n + ... + n^a keys) and the verifier's field
+    The prefix key levels (n + ... + n^a keys), the inverted-suffix key
+    levels below b (n + ... + n^(b-1) keys) and the verifier's field
     tables (``np_tables`` with its int64 build temporaries, under 22
     bytes per pair of codes, or ``np_explog``) stay to the end.  On top
     of them comes the largest of the stages' own arrays:
@@ -712,9 +715,9 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
       batch (the generators', then the inverted ones') and the
       temporaries of one ``_PRODUCT_BLOCK`` block of products
       (``_key_products_bytes``), with each block product's key and its
-      int64 row gathers (32 + v bytes); on the suffix side also every
-      suffix key level (n + ... + n^b), the reordered copy of the last,
-      its stable argsort and sorted keys, and both join bounds;
+      int64 row gathers (32 + v bytes); on the suffix side also the
+      suffix key level b, its reordered copy, its stable argsort and
+      sorted keys, and both join bounds;
     * the join: both bounds and run bookkeeping, and per word W, V and
       three int64 temporaries;
     * the verifier: W, V, two flag arrays and the filtered W and V per
@@ -722,11 +725,8 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
       with the kernel's letters, int64 gather indices and int16 terms,
       under 40 bytes per entry;
     * the collection: per word W, V, the flags, the key of each of its
-      d-1 prefixes and the sort arrays of one level's ``np.unique``; per
-      word of one ``_collect_block`` of words, int64 indices and keys,
-      the unpacked, running and canonical matrices, and the temporaries
-      of one ``MatSpace.mul`` (float32 copies or int64 table terms,
-      under 26 bytes per entry).
+      d-1 prefixes, read from a key level through an int64 index, and
+      the sort arrays of one level's ``np.unique``.
     """
     n, d, q = params.n, params.d, params.q
     a = (d + 1) // 2
@@ -735,25 +735,17 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
     tables = 22 * N * N if N <= NP_TABLES_MAX else 20 * N
     ms = MatSpace(params.base, d)
     v = ms.pack(ms.identity_batch(1)).itemsize
-    m, sq = d * d * np.dtype(ms.dtype).itemsize, d * d  # MatSpace entries
     P, S = n**a, n**b
-    canon = m + 3 * sq
     block = min(P, max(n, _PRODUCT_BLOCK))
     key_levels = _key_products_bytes(ms, n, block) + block * (32 + v)
     stages = (
-        key_levels + sum(n**k for k in range(1, b + 1)) * v + S * (2 * v + 16) + 16 * P,
+        key_levels + S * (3 * v + 16) + 16 * P,
         48 * P + 16 * S + 40 * words,
         34 * words + threads * min(words, _VERIFY_BLOCK) * d * (d + 1) * 40,
-        words * (v * d + 33)
-        + min(words, _collect_block(d)) * (24 + 3 * m + canon + 26 * sq),
+        words * (v * d + 33),
     )
-    return tables + sum(n**k for k in range(1, a + 1)) * v + max(stages)
-
-
-def _collect_block(d: int) -> int:
-    """Verified words per block of the collect phase: ``_PRODUCT_BLOCK``
-    matrix entries of (d, d) running products."""
-    return max(1, _PRODUCT_BLOCK // (d * d))
+    levels = sum(n**k for k in range(1, a + 1)) + sum(n**k for k in range(1, b))
+    return tables + levels * v + max(stages)
 
 
 def _check_hat_budget(params, words, threads, budget) -> None:
@@ -801,8 +793,8 @@ def build_omega_hat(
     """The product system, by meet-in-the-middle over the finite quotient.
 
     Steps: (i) enumerate the packed keys of all length-a prefix products
-    (a = ceil(d/2)) and all length-(d-a) inverted suffix products in the
-    finite quotient (``_key_levels``), joining prefix keys against
+    (a = ceil(d/2)) and all inverted suffix products of lengths 1..d-a in
+    the finite quotient (``_key_levels``), joining prefix keys against
     inverted-suffix keys on canonical projective equality to produce
     candidate length-d identity words; (ii) verify every candidate
     globally — the exact product of the lifts must be a central scalar
@@ -812,8 +804,10 @@ def build_omega_hat(
     of verified words, deduplicated projectively, each with color =
     prefix length and the lexicographically least witnessing word, for
     ``GenSet._rebuild`` to lift from the word and check.  The keys of
-    prefixes up to length a are read from the levels; longer ones are
-    products of the unpacked level-a keys with the suffix letters.
+    prefixes up to length a are read from the prefix levels.  A longer
+    prefix of an identity word is projectively the inverse of the rest
+    of the word, so its key is read from the inverted-suffix level of
+    that length; no matrix is multiplied past the key levels.
 
     Color-class sizes must equal the Gaussian binomials (fatal mismatch
     otherwise).  ``meta`` records candidate, verified-word, and rejected
@@ -833,10 +827,13 @@ def build_omega_hat(
     O = base_set.mats
 
     levels = _key_levels(ms, O, a)
-    # The suffix with letters (j_1, ..., j_b) has inverse O_{j_b}^-1 ...
+    # The suffix with letters (j_1, ..., j_L) has inverse O_{j_L}^-1 ...
     # O_{j_1}^-1: the products of the inverted generators with the letter
     # axes reversed.
-    suf_keys = _key_levels(ms, ms.inverse(O), b)[-1].reshape((n,) * b).T.ravel()
+    suffixes = _key_levels(ms, ms.inverse(O), b)
+    for L in range(1, b + 1):
+        suffixes[L - 1] = suffixes[L - 1].reshape((n,) * L).T.ravel()
+    suf_keys = suffixes.pop()
 
     order = np.argsort(suf_keys, kind="stable")
     sorted_suf = suf_keys[order]
@@ -855,34 +852,25 @@ def build_omega_hat(
         """The letters of the candidate words selected from W and V."""
         return np.concatenate((_letters(W[sel], n, a), _letters(V[sel], n, b)), axis=1)
 
-    def verify(blocks):
-        return [central_numerators(kernel(letters(slice(i, j))), q) for i, j in blocks]
+    def verify(i):
+        return central_numerators(kernel(letters(slice(i, i + _VERIFY_BLOCK))), q)
 
-    blocks = [(i, min(i + _VERIFY_BLOCK, count))
-              for i in range(0, count, _VERIFY_BLOCK)]
-    ok = np.concatenate(ordered_chunked_map(verify, blocks, threads=threads, chunk=1))
+    ok = np.concatenate(ordered_map(verify, range(0, count, _VERIFY_BLOCK), threads))
     W, V = W[ok], V[ok]
     collisions = count - len(W)
     if not len(W):
         raise ValueError("no identity words found; parameters are inconsistent")
 
-    # the key of every verified word's prefix of each length 1..d-1: read
-    # from the levels up to a, and past it formed a block of words at a time
-    level_keys = [[levels[level - 1][W // n ** (a - level)]] for level in range(1, a + 1)]
-    level_keys += [[] for _ in range(a + 1, d)]
-    collect = _collect_block(d)
-    for w0 in range(0, len(W), collect):
-        Wb, Vb = W[w0 : w0 + collect], V[w0 : w0 + collect]
-        running = ms.unpack(levels[-1][Wb])
-        for level in range(a + 1, d):
-            digit = (Vb // (n ** (b - (level - a)))) % n
-            running = ms.mul(running, O[digit])
-            level_keys[level - 1].append(ms.pack(ms.canon(running)))
-        del running
+    # the key of every verified word's prefix of each length 1..d-1: up to
+    # a read from the prefix levels; past a, the prefix of length d - L is
+    # projectively the inverse of the word's last L letters, a suffix key
+    level_keys = [levels[level - 1][W // n ** (a - level)] for level in range(1, a + 1)]
+    level_keys += [suffixes[L - 1][V % n**L] for L in range(b - 1, 0, -1)]
+    del suffixes
     # each class in (level, word) order, every element with its least word
     mats, words, colors = [], [], []
     for level in range(1, d):
-        uniq, first = np.unique(np.concatenate(level_keys[level - 1]), return_index=True)
+        uniq, first = np.unique(level_keys[level - 1], return_index=True)
         level_keys[level - 1] = None
         expect = gaussian_binomial(d, level, q)
         if len(uniq) != expect:

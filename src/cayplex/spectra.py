@@ -14,6 +14,7 @@ from .cayley import (
     CayleyGraph,
     VertexLimitError,
     _distinct,
+    _search,
     _vertex_table_size,
     closure_from_matrices,
     colored_subgraph,
@@ -25,7 +26,7 @@ from .util import (
     Tokens,
     atomic_write_text,
     check_canonical,
-    ordered_chunked_map,
+    ordered_map,
     read_checked_text,
 )
 
@@ -35,7 +36,7 @@ DENSE_CAP = 5000
 ISO_TIMEOUT = 10.0
 MOMENT_STRATEGY = "ball-mitm"
 _GROUP_CAP = 10_000_000
-# ids per searchsorted of a lookup
+# ids per ``_search`` of a lookup
 _LOOKUP_CHUNK = 1 << 16
 # products per orbit normal-form block
 _ORBIT_BLOCK = 1 << 15
@@ -276,13 +277,11 @@ def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
     def step(vec, table, rows):
         out = np.zeros(G.n, dtype=np.int64)
 
-        def gather(chunk):
-            for i in chunk:
-                j = min(i + block, rows)
-                np.sum(vec[table[i:j]], axis=1, out=out[i:j])
-            return []
+        def gather(i):
+            j = min(i + block, rows)
+            np.sum(vec[table[i:j]], axis=1, out=out[i:j])
 
-        ordered_chunked_map(gather, range(0, rows, block), threads=threads, chunk=8)
+        ordered_map(gather, range(0, rows, block), threads)
         return out
 
     h = np.zeros(G.n, dtype=np.int64)
@@ -381,52 +380,52 @@ def _ball_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
 
     Since conjugation by the group permutes the generators, the number
     of generators s with x s in O' is the same for every x of an orbit
-    O, so W_(t+1)(O') = sum_O W_t(O) * #{s : x_O s in O'}: the products
-    of one key x_O of each orbit (``orbits.keys``), each carrying the
-    weight of its source, grouped by id and summed.  Every level is
-    checked to hold r^t words and weights divisible by the orbit sizes.
-    Before a level is built, its ``_orbit_memory_estimate`` from the
-    previous level's orbit count, plus ``held`` bytes and the levels
-    already built, must fit the budget."""
+    O, so W_(t+1)(O') = sum_O W_t(O) * #{s : x_O s in O'}: the m * r
+    products of level t (``_stream``) go into one ``_Bucket``, each
+    with the weight of its source, and are grouped by id
+    (``_grouped``).  Every level is checked to hold r^t words and
+    weights divisible by the orbit sizes.  Before a level is built, its
+    ``_orbit_memory_estimate`` for a bucket of all its products, plus
+    ``held`` bytes and the levels already built, must fit the budget."""
     r = len(gen_mats)
     levels = [(orbits.ids(ms.pack(ms.identity_batch(1))), np.ones(1, dtype=np.int64))]
     products = ms.key_products(gen_mats)
-    step = max(1, _ORBIT_BLOCK // r)
+    lock = threading.Lock()
     for t in range(1, radius + 1):
-        ids, weights = levels[-1]
-        m = len(ids)
+        m = len(levels[-1][0])
         held += _nbytes(levels[-1:])
-        est = _orbit_memory_estimate(ms, orbits, r, m, held, None, threads)
+        est = _orbit_memory_estimate(ms, orbits, r, m, held, m * r, threads)
         if est > budget:
             raise MemoryBudgetError(
                 f"orbit level {t} of the product ball needs ~{est} bytes "
                 f"(budget {budget}); lower K or raise the budget"
             )
-        out = np.empty(m * r, dtype=orbits.dtype)
-
-        def expand(items):
-            for i in items:
-                block = orbits.ids(products(orbits.keys(ids[i : i + step])))
-                out[i * r : i * r + len(block)] = block
-            return []
-
-        ordered_chunked_map(expand, range(0, m, step), threads=threads, chunk=1)
-        order = np.argsort(out)
-        out = out[order]
-        new = np.empty(len(out), dtype=bool)
-        new[0] = True
-        new[1:] = out[1:] != out[:-1]
-        starts = np.flatnonzero(new)
-        del new
-        out = out[starts]
-        order //= r
-        level_weights = np.add.reduceat(weights[order], starts)
-        del order, starts
-        sizes = _sizes(orbits, out)
-        if int(level_weights.sum()) != r**t or (level_weights % sizes).any():
+        bucket = _Bucket(m * r, orbits.dtype, lock)
+        _stream(orbits, products, r, levels[-1], bucket.add, threads)
+        ids, weights = _grouped(*bucket.items())
+        del bucket
+        sizes = _sizes(orbits, ids)
+        if int(weights.sum()) != r**t or (weights % sizes).any():
             raise AssertionError(f"orbit level {t} disagrees with its word count")
-        levels.append((out, level_weights))
+        levels.append((ids, weights))
     return levels
+
+
+def _stream(orbits, products, r, level, visit, threads):
+    """Call ``visit(ids, weights)`` on the products of one key of each
+    orbit of ``level`` = (ids, weights) with the r generators of
+    ``products`` (``orbits.keys``, then ``products``, then
+    ``orbits.ids``), each product carrying the weight of its source: in
+    blocks of about ``_ORBIT_BLOCK`` products, from up to ``threads``
+    threads at once."""
+    ids, weights = level
+    step = max(1, _ORBIT_BLOCK // r)
+
+    def run(i):
+        block = orbits.ids(products(orbits.keys(ids[i : i + step])))
+        visit(block, np.repeat(weights[i : i + step], r))
+
+    ordered_map(run, range(0, len(ids), step), threads)
 
 
 def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
@@ -439,13 +438,15 @@ def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
 
 def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, held):
     """N_k for the k whose forward level is t + 1, t the last of
-    ``levels``, from the products of one key of each orbit of level t,
-    each carrying the weight of its source; level t + 1 is never held.
+    ``levels``, from the products of level t that ``_stream`` hands to a
+    visitor per pass, each carrying the weight of its source; level
+    t + 1 is never held.
 
     A lookup (k, (ids, c') of stored level b) gives N_k =
     sum_O W_(t+1)(O) c'_b(O) = sum over the products p of W_t(source) *
-    c'_b(id(p)) (``_lookup``).  ``square``, the even top k = 2t + 2 of an
-    inverse-closed multiset, is N_k = sum_O W_(t+1)(O)^2 / |O|, with
+    c'_b(id(p)) (``_lookup``, which sorts each block of product ids
+    before it searches the level).  ``square``, the even top k = 2t + 2
+    of an inverse-closed multiset, is N_k = sum_O W_(t+1)(O)^2 / |O|, with
     W_(t+1) grouped by id (``_square_sum``) in buckets: runs of the
     2^``_ID_BITS`` id ranges that the top bits of an integer id name.  A
     bucket holds as many products as the budget leaves beside the rest of
@@ -459,8 +460,7 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
     r^(t+1): every product counted once."""
     r = len(gen_mats)
     t = len(levels) - 1
-    ids, weights = levels[t]
-    m = len(ids)
+    m = len(levels[t][0])
     words = m * r
     for k, (_, c_b) in lookups:
         _check_bound(r ** (t + 1), c_b.max(), k)
@@ -482,21 +482,7 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
             f"(budget {budget}); lower K or raise the budget"
         )
     products = ms.key_products(gen_mats)
-    step = max(1, _ORBIT_BLOCK // r)
     lock = threading.Lock()
-
-    def stream(visit):
-        """Call ``visit(ids, weights)`` on each block of products, from
-        up to ``threads`` threads at once."""
-
-        def run(items):
-            for i in items:
-                block = orbits.ids(products(orbits.keys(ids[i : i + step])))
-                visit(block, np.repeat(weights[i : i + step], r))
-            return []
-
-        ordered_chunked_map(run, range(0, m, step), threads=threads, chunk=1)
-
     sums = [0] * len(lookups)
     grouped = _Bucket(bucket, orbits.dtype, lock)
     # the first pass collects every product when one bucket holds them
@@ -520,7 +506,7 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
             if part is not None:
                 counts[:] += part
 
-    stream(first)
+    _stream(orbits, products, r, levels[t], first, threads)
     if square is None:
         return sums
     parts = []
@@ -535,7 +521,7 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
                 inside = (at >= lo) & (at < hi)
                 grouped.add(ids[inside], w[inside])
 
-            stream(keep)
+            _stream(orbits, products, r, levels[t], keep, threads)
             parts.append(_square_sum(orbits, *grouped.items(), r ** (t + 1), square))
     if sum(weight for _, weight in parts) != r ** (t + 1):
         raise AssertionError(f"top orbit level {t + 1} disagrees with its word count")
@@ -568,16 +554,11 @@ class _Bucket:
 
 def _lookup(stored, ids: np.ndarray, w: np.ndarray) -> int:
     """sum_i w_i * c(ids_i): c the counts of ``stored`` = (sorted ids,
-    counts), read by ``searchsorted``, and 0 for an id not among them.
-    Runs in chunks of ``_LOOKUP_CHUNK`` ids."""
-    ids_b, c_b = stored
+    counts), 0 for an id not among them, read by ``cayley._search`` in
+    chunks of ``_LOOKUP_CHUNK`` ids."""
     total = 0
     for i in range(0, len(ids), _LOOKUP_CHUNK):
-        x = ids[i : i + _LOOKUP_CHUNK]
-        pos = np.searchsorted(ids_b, x)
-        np.minimum(pos, len(ids_b) - 1, out=pos)
-        c = c_b.take(pos)
-        c[ids_b.take(pos) != x] = 0
+        c = _search(stored, ids[i : i + _LOOKUP_CHUNK], 0)
         total += int(np.dot(c, w[i : i + _LOOKUP_CHUNK]))
     return total
 
@@ -606,19 +587,7 @@ def _square_sum(orbits, ids: np.ndarray, weights: np.ndarray, words: int, k: int
     counters."""
     if not len(ids):
         return 0, 0
-    order = np.argsort(ids)
-    ids = ids[order]
-    weights = weights[order]
-    del order
-    new = np.empty(len(ids), dtype=bool)
-    new[0] = True
-    new[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(new)
-    del new
-    W = np.add.reduceat(weights, starts)
-    del weights
-    ids = ids[starts]
-    del starts
+    ids, W = _grouped(ids, weights)
     sizes = _sizes(orbits, ids)
     del ids
     c = W // sizes
@@ -629,46 +598,62 @@ def _square_sum(orbits, ids: np.ndarray, weights: np.ndarray, words: int, k: int
     return int(np.dot(W, c)), int(W.sum())
 
 
+def _grouped(ids: np.ndarray, weights: np.ndarray):
+    """The distinct values of ``ids``, sorted, and the sum of the
+    weights of each.  The sorted weights are summed by run and dropped
+    before the distinct ids are gathered, so that at most 2w + 24 bytes
+    per id of w bytes are held beside the input (``_bucket_bytes``)."""
+    order = np.argsort(ids)
+    ids = ids[order]
+    weights = weights[order]
+    del order
+    new = np.empty(len(ids), dtype=bool)
+    new[0] = True
+    new[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new)
+    del new
+    sums = np.add.reduceat(weights, starts)
+    del weights
+    return ids[starts], sums
+
+
 def _bucket_bytes(orbits) -> int:
-    """Bytes per product of a top-level bucket of w-byte ids: its id and
-    weight, and at most 2w + 24 more while ``_square_sum`` groups them:
-    the argsort order with the sorted id and weight, then the run mask
-    and starts, then the sorted id, the starts, the orbit's W and its
-    id (one orbit per product at most)."""
+    """Bytes per product of a bucket of w-byte ids: its id and weight,
+    and at most 2w + 24 more while ``_grouped`` groups them: the argsort
+    order with the sorted id and weight, then the run mask and starts,
+    then the sorted id, the starts, the orbit's sum and its id (one
+    orbit per product at most), and after that the orbit's size and
+    quotient."""
     return 3 * orbits.dtype.itemsize + 32
 
 
 def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int,
-                           bucket: int | None = None, threads: int = 1) -> int:
-    """Upper bound on the bytes held while ``_ball_levels`` builds one
-    level from m orbits over r generators (``bucket`` None), or while
-    ``_top_stream`` streams their products into a bucket of ``bucket``
-    products: the ``held`` bytes of the levels already built, and the
-    following, for ids of w bytes and keys of v bytes.  Building a
-    level, per product its id, the sorted ids, the argsort order, the
-    run mask and starts and the gathered weights; per orbit of the new
-    level (at most one per product), its id, weight and size and the
-    sizes' quotient: 3w + 49 bytes.  Streaming, ``_bucket_bytes`` per
-    bucket product, and the int64 counts of the id ranges with one
+                           bucket: int, threads: int = 1) -> int:
+    """Upper bound on the bytes held while the products of m orbits over
+    r generators stream (``_stream``) into a bucket of ``bucket``
+    products: all m * r of them for a level that ``_ball_levels``
+    builds, as many as the budget leaves for the top level of
+    ``_top_stream`` (0 when it only looks them up).  Counted are the
+    ``held`` bytes of the levels already built, and the following, for
+    ids of w bytes and keys of v bytes: ``_bucket_bytes`` per bucket
+    product, and the int64 counts of the top level's id ranges with one
     block's share of them per thread.  Per product of one
-    ``_ORBIT_BLOCK`` block, once per thread that ``ordered_chunked_map``
-    runs, its key and the larger of the naming's temporaries
+    ``_ORBIT_BLOCK`` block, once per thread that ``ordered_map`` runs,
+    its key and the larger of the naming's temporaries
     (``bytes_per_key``) and what the stream holds after them: the id,
-    the weight and a lookup's w + 17 bytes or a bucket selection's 27.
-    Per source of such a block its key and ``orbits.keys``'s
-    temporaries (``bytes_per_rep``).  ``_key_products_bytes``, the
-    naming's tables, and 64 KiB for small arrays."""
+    the weight and a lookup's w + 24 bytes (``cayley._search``) or a
+    bucket selection's 27.  Per source of such a block its key and
+    ``orbits.keys``'s temporaries (``bytes_per_rep``).
+    ``_key_products_bytes``, the naming's tables, and 64 KiB for small
+    arrays."""
     w = orbits.dtype.itemsize
     v = ms.pack(ms.identity_batch(1)).itemsize
     words = m * r
     block = min(words, max(r, _ORBIT_BLOCK))
     sources = min(m, max(1, _ORBIT_BLOCK // r))
     workers = max(1, min(threads, os.cpu_count() or 1))
-    if bucket is None:
-        grouped = (3 * w + 49) * words
-    else:
-        grouped = _bucket_bytes(orbits) * bucket + (8 << _ID_BITS) * (1 + workers)
-    stream = w + 8 + max(w + 17, 27)
+    grouped = _bucket_bytes(orbits) * bucket + (8 << _ID_BITS) * (1 + workers)
+    stream = w + 8 + max(w + 24, 27)
     per_block = (v + max(orbits.bytes_per_key, stream)) * block
     per_block += (v + orbits.bytes_per_rep) * sources
     return (

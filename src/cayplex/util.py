@@ -1,10 +1,11 @@
-"""Small shared utilities: deterministic chunked parallel mapping,
-atomic file writes, manifest-checked reads, and the check that a text
-file is exactly what its writer writes.
+"""Small shared utilities: a deterministic parallel map, atomic file
+writes, manifest-checked reads, and the check that a text file is
+exactly what its writer writes.
 
-Parallel verification work is split into fixed chunks whose results are
-reassembled in submission order, so outputs are byte-identical for any
-worker count (including the serial path).
+Parallel work is split by the caller into fixed items (blocks of
+products, rows or candidate words) whose results are returned in item
+order, so outputs are byte-identical for any worker count (including the
+serial path).
 """
 
 from __future__ import annotations
@@ -15,35 +16,23 @@ import tempfile
 from itertools import zip_longest
 
 
-def ordered_chunked_map(fn, items, *, threads: int = 1, chunk: int = 1024):
-    """Apply ``fn`` to fixed-size chunks of ``items`` and concatenate the
-    per-chunk result lists in chunk order.
+def ordered_map(fn, items, threads: int = 1) -> list:
+    """``[fn(x) for x in items]``, in the order of ``items``.
 
-    ``fn`` receives a list slice and must return a list.  With
-    ``threads <= 1`` the work runs serially; otherwise chunks are
-    dispatched to a pool of at most ``os.cpu_count()`` threads but
-    results are still merged in order, so the output is independent of
-    the worker count.
+    With ``threads <= 1`` the work runs serially; otherwise the items
+    are dispatched to a pool of at most ``os.cpu_count()`` threads, and
+    the results still come back in item order, so the output is
+    independent of the worker count.
     """
     items = list(items)
-    if not items:
-        return []
-    chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    if threads <= 1 or len(chunks) == 1:
-        out = []
-        for c in chunks:
-            out.extend(fn(c))
-        return out
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     # imported here: the serial path is the common one, and the pool
     # module costs a few milliseconds at startup
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(fn, chunks))
-    out = []
-    for r in results:
-        out.extend(r)
-    return out
+        return list(pool.map(fn, items))
 
 
 def atomic_write_text(path: str, text: str) -> str:

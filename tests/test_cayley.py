@@ -19,6 +19,7 @@ from cayplex.cayley import (
     import_graph,
 )
 from cayplex.ffield import ExtField, get_field, regular_rep
+from cayplex.projmat import MatSpace
 from cayplex.genforge import (
     build_omega,
     group_order_pgl,
@@ -461,6 +462,53 @@ def test_text_load_checks_flags_and_keys(graph42, toy3):
     directed = closure_from_matrices(toy3.F, 2, toy3.space().unpack(toy3.keys[1:2]))
     assert not directed.symmetric
     assert graph_from_text(graph_to_text(directed)) == directed
+
+
+def test_graph_without_generators_refused(tmp_path):
+    """A graph with no generators is refused by both readers: its text
+    form passes the canonical-line check, and the edge check would then
+    divide by r = 0."""
+    F = get_field(5)
+    ms = MatSpace(F, 3)
+    nbr = np.empty((1, 0), dtype=np.int32)
+    G = CayleyGraph(F, 3, ms.pack(ms.identity_batch(1)), nbr, [], True, True)
+    text = graph_to_text(G)
+    assert text.startswith("version=1 n=1 r=0 q=5 d=3 sym=1 conn=1\nv ")
+    with pytest.raises(ValueError, match="at least one generator"):
+        graph_from_text(text)
+    for fmt in ("text", "binary"):
+        path = str(tmp_path / f"empty.{fmt}")
+        export_graph(G, path, format=fmt)
+        with pytest.raises(ValueError, match="at least one generator"):
+            import_graph(path)
+
+
+def test_search_matches_dict():
+    """``_search`` gives each key's number in a sorted run and ``missing``
+    for an absent key, against a dict: on int64 keys and on the 49-byte
+    keys of (3,7), for int32 vertex numbers and int64 counts, with
+    absent and repeated keys among the needles and on an empty run."""
+    rng = np.random.default_rng(5)
+    int_keys = rng.choice(1 << 40, size=600, replace=False).astype(np.int64)
+    ms = MatSpace(get_field(3), 7)
+    byte_keys = ms.pack(ms.asbatch(rng.integers(0, 3, size=(600, 7, 7))))
+    assert byte_keys.dtype.itemsize == 49 and len(set(byte_keys.tolist())) == 600
+    for keys in (int_keys, byte_keys):
+        stored, absent = keys[:400], keys[400:]
+        needles = rng.permutation(np.concatenate((stored, absent, stored[:50])))
+        for dtype in (np.int32, np.int64):
+            numbers = rng.permutation(len(stored)).astype(dtype)
+            order = np.argsort(stored)
+            run = (stored[order], numbers[order])
+            table = dict(zip(stored.tolist(), numbers.tolist()))
+            for missing in (-1, 0, 7777):
+                got = cayley._search(run, needles, missing)
+                assert got.dtype == dtype
+                assert got.tolist() == [table.get(key, missing) for key in needles.tolist()]
+            empty = (stored[:0], numbers[:0])
+            got = cayley._search(empty, needles, 3)
+            assert got.dtype == dtype and got.tolist() == [3] * len(needles)
+            assert cayley._search(run, needles[:0]).tolist() == []
 
 
 def test_export_unknown_format(toy3, tmp_path):

@@ -9,10 +9,14 @@ import re
 import shutil
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from cayplex.cayley import CayleyGraph, export_graph
 from cayplex.cli import _sha256_file, main
+from cayplex.ffield import get_field
 from cayplex.genforge import GenSet
+from cayplex.projmat import MatSpace
 from cayplex.spectra import MomentSeq
 
 
@@ -561,6 +565,21 @@ def test_text_graph_wrong_edge_moments_exit_2(workdir, text_graph, tmp_path):
     proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", str(path),
                     "--kmax", "6", "--strategy", "group-dp")
     _assert_usage_error(proc, "edge target", "moments")
+
+
+def test_graph_without_generators_exit_2(tmp_path):
+    """A graph of the identity alone with r = 0, text or binary, is a
+    usage error for ``spectrum`` and ``compare --mode iso``, not a
+    traceback from the edge check."""
+    F = get_field(5)
+    ms = MatSpace(F, 3)
+    nbr = np.empty((1, 0), dtype=np.int32)
+    G = CayleyGraph(F, 3, ms.pack(ms.identity_batch(1)), nbr, [], True, True)
+    for fmt in ("text", "binary"):
+        path = str(tmp_path / f"empty.{fmt}")
+        export_graph(G, path, format=fmt)
+        for args in (("spectrum", "--graph", path), ("compare", path, path, "--mode", "iso")):
+            _assert_usage_error(_run_cli(*args), "at least one generator", (fmt, args[0]))
 
 
 def test_text_graph_wrong_edge_spectrum_exit_2(text_graph, tmp_path):

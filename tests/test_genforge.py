@@ -622,7 +622,10 @@ def test_prime_power():
     # prime, and the graph readers pass such header values through here
     assert genforge._prime_power(4294967291) == (4294967291, 1)
     assert genforge._prime_power(3**20) == (3, 20)
-    for q in (0, 1, 6, 2 * 4294967291):
+    # a q of 2^32 or more is refused before trial division: 65537^2 is a
+    # prime power past the 32-bit header field, and 2^89 - 1, a prime,
+    # would take some 2^43 divisions
+    for q in (0, 1, 6, 2 * 4294967291, 65537**2, 2**89 - 1):
         with pytest.raises(ValueError, match="not a prime power"):
             genforge._prime_power(q)
 

@@ -1,4 +1,4 @@
-"""Tests for the deterministic chunked map."""
+"""Tests for the deterministic parallel map."""
 
 import concurrent.futures
 import os
@@ -6,7 +6,7 @@ import os
 from cayplex import util
 
 
-def test_ordered_chunked_map_clamps_threads(monkeypatch):
+def test_ordered_map_clamps_threads(monkeypatch):
     """An oversized thread count is clamped to the CPU count before any
     pool is created; the recording stand-in starts no threads.  The pool
     class is imported when a pool is needed, so the stand-in replaces it
@@ -23,12 +23,10 @@ def test_ordered_chunked_map_clamps_threads(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+        def map(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    out = util.ordered_chunked_map(
-        lambda c: [2 * x for x in c], range(10), threads=10**6, chunk=3
-    )
+    out = util.ordered_map(lambda x: 2 * x, range(10), threads=10**6)
     assert out == [2 * x for x in range(10)]
     assert seen == [os.cpu_count() or 1]
