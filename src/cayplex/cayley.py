@@ -32,7 +32,7 @@ from .util import (
 _MAGIC = b"CAYG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQIIIIBB")
-# largest q^(d*d) looked up through a direct int32 vertex table (64 MB)
+# most point ids looked up through a direct int32 vertex table (64 MB)
 _VERTEX_TABLE_MAX = 1 << 24
 # frontier rows multiplied per product block of the closure
 _CLOSURE_BLOCK = 4096
@@ -183,8 +183,8 @@ def closure_from_matrices(
     if np.any(gen_keys == ident_key):
         raise ValueError("the identity cannot be a generator")
 
-    products = ms.key_products(O)
     index = _VertexIndex(ms, ms.pack(ident))
+    products = ms.key_products(O, ids=index.by_id)
     # one table for every row the closure can have (it is a subgroup of
     # PGL_d(F_q)); its pages are committed only as rows are written
     cap = max(1, min(max_vertices, group_order_pgl(d, ms.q)))
@@ -209,15 +209,14 @@ def closure_from_matrices(
                 ids = index.lookup(flat)
                 fresh = np.flatnonzero(ids < 0)
                 if fresh.size:
-                    new_keys = index.first_seen(flat[fresh])
-                    if index.n + len(new_keys) > max_vertices:
+                    new = index.first_seen(flat[fresh])
+                    if index.n + len(new) > max_vertices:
                         raise VertexLimitError(
                             f"closure exceeds max_vertices={max_vertices} "
-                            f"(at least {index.n + len(new_keys)} vertices)"
+                            f"(at least {index.n + len(new)} vertices)"
                         )
-                    index.add(new_keys)
+                    level.append(index.add(new))
                     ids[fresh] = index.lookup(flat[fresh])
-                    level.append(new_keys)
                 nbr[rows : rows + len(ids) // r] = ids.reshape(-1, r)
                 rows += len(ids) // r
         frontier = np.concatenate(level) if level else frontier[:0]
@@ -241,25 +240,29 @@ def _has_duplicates(keys: np.ndarray) -> bool:
 
 
 class _VertexIndex:
-    """Vertex numbers of packed keys, grown block by block.
+    """Vertex numbers of canonical matrices, grown block by block.
 
-    When the keys are int64 and q^(d*d) is at most
-    ``_VERTEX_TABLE_MAX``, an int32 array indexed by packed key holds
-    each vertex number (-1 for unknown keys).  Otherwise the keys are
-    kept sorted, with their numbers, in a main run and a recent run:
-    ``add`` merges new keys into the recent run (one ``searchsorted``
-    plus insert), and the recent run is merged into the main one once it
-    is as long, so an add costs time linear in the recent run rather
-    than a sort of every key.  A lookup searches both runs.
+    When ``_vertex_table_size`` is not 0, the index works on point ids
+    (``MatSpace.point_ids``) and ``by_id`` is true: an int32 array
+    indexed by id holds each vertex number (-1 for unknown ids), and
+    only the ids ``add`` numbers are converted back to packed keys.
+    Otherwise it works on packed keys, kept sorted with their numbers in
+    a main run and a recent run: ``add`` merges new keys into the recent
+    run (one ``searchsorted`` plus insert), and the recent run is merged
+    into the main one once it is as long, so an add costs time linear in
+    the recent run rather than a sort of every key.  A lookup searches
+    both runs.
     """
 
     def __init__(self, ms, keys):
+        self._ms = ms
         self._blocks = [keys]
         self.n = len(keys)
         size = _vertex_table_size(ms)
+        self.by_id = bool(size)
         if size:
             self._table = np.full(size, -1, dtype=np.int32)
-            self._table[keys] = np.arange(self.n, dtype=np.int32)
+            self._table[ms.point_ids(keys)] = np.arange(self.n, dtype=np.int32)
         else:
             self._table = None
             empty = (keys[:0], np.zeros(0, dtype=np.int32))
@@ -267,7 +270,8 @@ class _VertexIndex:
             self._recent = empty
 
     def lookup(self, keys) -> np.ndarray:
-        """int32 vertex numbers of ``keys``, -1 where a key is unknown."""
+        """int32 vertex numbers of ``keys`` (ids when ``by_id``), -1
+        where a key is unknown."""
         if self._table is not None:
             return self._table[keys]
         ids = _search(self._main, keys)
@@ -289,18 +293,21 @@ class _VertexIndex:
         np.minimum.at(table, keys, pos)
         return keys[table[keys] == pos]
 
-    def add(self, keys) -> None:
-        """Number ``keys`` (all unknown, distinct) from n upwards."""
+    def add(self, keys) -> np.ndarray:
+        """Number ``keys`` (all unknown, distinct; ids when ``by_id``)
+        from n upwards, and return their packed keys."""
         new_ids = np.arange(self.n, self.n + len(keys), dtype=np.int32)
-        self._blocks.append(keys)
         self.n += len(keys)
         if self._table is not None:
             self._table[keys] = new_ids
-            return
-        self._recent = _merged(self._recent, keys, new_ids)
-        if len(self._recent[0]) >= len(self._main[0]):
-            self._main = _merged(self._main, *self._recent)
-            self._recent = (keys[:0], new_ids[:0])
+            keys = self._ms.point_keys(keys)
+        else:
+            self._recent = _merged(self._recent, keys, new_ids)
+            if len(self._recent[0]) >= len(self._main[0]):
+                self._main = _merged(self._main, *self._recent)
+                self._recent = (keys[:0], new_ids[:0])
+        self._blocks.append(keys)
+        return keys
 
     def keys(self) -> np.ndarray:
         """Every key, in vertex order."""
@@ -309,8 +316,10 @@ class _VertexIndex:
 
 def _vertex_table_size(ms) -> int:
     """Entries of the direct int32 vertex table a closure over ``ms``
-    allocates up front, 0 when its keys are searched in sorted runs."""
-    size = ms.q ** (ms.d * ms.d)
+    allocates up front, one per point id, so points * q^(d*(d-1)); 0
+    when there are more than ``_VERTEX_TABLE_MAX`` ids, or no int64
+    keys, and the keys are searched in sorted runs."""
+    size = ms.id_count
     return size if ms.packable and size <= _VERTEX_TABLE_MAX else 0
 
 

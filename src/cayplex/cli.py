@@ -310,6 +310,8 @@ def _cmd_graph(ns) -> int:
     gens_path = _require(ns, "gens")
     fmt = _option(ns, "format", GRAPH_FORMAT)
     max_vertices = _option(ns, "max_vertices", MAX_VERTICES)
+    if max_vertices < 1:
+        raise ValueError(f"--max-vertices must be at least 1, got {max_vertices}")
     gens = GenSet.load(gens_path)
     start = time.perf_counter()
     G = bfs_build(gens, max_vertices=max_vertices, threads=ns.threads)

@@ -16,7 +16,9 @@ entry in row-major order is 1.  Packed encoding: row-major entry codes
 are digits of a radix-q integer, entry (0,0) contributing the lowest
 digit.  ``MatSpace.pack`` gives int64 keys when q^(d*d) fits and raw
 bytes otherwise; ``MatSpace.packed_of`` gives the big-int value of one
-matrix, which equals the int64 key whenever that exists.
+matrix, which equals the int64 key whenever that exists.  A point id
+renumbers an int64 canonical key densely: row 0 by its rank among the
+points of P^(d-1)(F_q), the other rows as they are (``point_ids``).
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ class MatSpace:
             self._scale_row = (self._inv_table * q).astype(np.uint16)
         # packed int64 keys need q^(d*d) to fit; otherwise raw-byte keys
         self.packable = self.q ** (d * d) < (1 << 63)
+        # point ids: the rank of row 0 among the canonical rows, then the
+        # radix-q^d codes of rows 1..d-1; see point_ids
+        Q = self.q**d
+        self.points = (Q - 1) // (self.q - 1)
+        self.id_count = self.points * Q ** (d - 1)
+        self._rank = None
 
     # -- conversions ------------------------------------------------------
 
@@ -224,9 +232,10 @@ class MatSpace:
             raise ValueError(f"matrix {int(np.argmax(rank < d))} of the batch is singular")
         return self.canon(R[:, :, d:])
 
-    def key_products(self, O: np.ndarray):
+    def key_products(self, O: np.ndarray, ids: bool = False):
         """A function from a block of packed keys to the packed canonical
-        keys of every product A[i] @ O[j], row-major in (i, j).
+        keys of every product A[i] @ O[j], row-major in (i, j), or to
+        their ``point_ids`` when ``ids`` is true.
 
         Row a of a packed key k is the code (k // q^(d*a)) % q^d, and row
         a of A[i] @ O[j] is row a of A[i] times O[j].  Three tables built
@@ -235,15 +244,20 @@ class MatSpace:
         digit of code c (for row 0 of an invertible product, the first
         nonzero row-major entry) times q^d; and S[a, l*q^d + t], the code
         of l * row(t) times q^(d*a).  A product key is then
-        sum_a S[a, lam[T[rc_0, j]] + T[rc_a, j]].  Unpackable keys, or
+        sum_a S[a, lam[T[rc_0, j]] + T[rc_a, j]].  For point ids only S
+        changes: S[0] holds the point rank of the code and S[a], a >= 1,
+        the code times points * q^(d*(a-1)).  Unpackable keys, or
         tables above ``_ROW_TABLE_MAX`` entries, take blocks of about
         ``_PRODUCT_BLOCK`` products instead, each the ``pack`` of the
-        ``canon`` of ``mul`` of its unpacked keys by every O[j].  On
-        either path a product whose row 0 is zero (a singular input)
-        raises ValueError.
+        ``canon`` of ``mul`` of its unpacked keys by every O[j], and
+        convert the packed output to ids when asked.  On either path a
+        product whose row 0 is zero (a singular input) raises
+        ValueError.
         """
         d, q, r = self.d, self.q, O.shape[0]
         Q = q**d
+        if ids and not self.packable:
+            raise ValueError("point ids need int64 packed keys")
         if not self.row_tables(r):
             step = max(1, _PRODUCT_BLOCK // max(r, 1))
             key_dtype = self.pack(O[:0]).dtype
@@ -257,7 +271,7 @@ class MatSpace:
                         raise ValueError("a product has a zero first row")
                     out[i * r : i * r + len(P)] = self.pack(self.canon(P))
                     del P
-                return out
+                return self.point_ids(out) if ids else out
 
             return products
         # digits[v] is row(v)
@@ -273,6 +287,10 @@ class MatSpace:
         scalars = self.identity_batch(q) * np.arange(q, dtype=self.dtype)[:, None, None]
         scaled = self._row_codes(digits, scalars).T
         S = scaled.reshape(1, q * Q) * (Q ** np.arange(d, dtype=np.int64)[:, None])
+        if ids:
+            S[1:] //= Q
+            S[1:] *= self.points
+            S[0] = self._point_rank()[S[0]]
 
         def products(keys):
             rest = keys
@@ -346,6 +364,39 @@ class MatSpace:
         elem = np.dtype(self.dtype).newbyteorder("<")
         flat = np.frombuffer(keys.tobytes(), dtype=elem)
         return flat.reshape(n, self.d, self.d).astype(self.dtype)
+
+    def _point_rank(self) -> np.ndarray:
+        """(q^d,) int64: the rank, in code order, of each row code among
+        the ``points`` codes whose lowest nonzero digit is 1 (the
+        canonical rows, one per point of P^(d-1)(F_q)); -1 elsewhere."""
+        if self._rank is None:
+            q, Q = self.q, self.q**self.d
+            point = np.zeros(Q, dtype=bool)
+            for b in range(self.d):
+                # codes with digits 0..b-1 zero and digit b equal to 1
+                point[q**b :: q ** (b + 1)] = True
+            rank = np.cumsum(point) - 1
+            rank[~point] = -1
+            self._rank = rank
+        return self._rank
+
+    def point_ids(self, keys: np.ndarray) -> np.ndarray:
+        """int64 point ids of canonical int64 keys, in [0, ``id_count``):
+        rank(row 0) + points * (key // q^d).  Row 0 of a canonical
+        matrix, when nonzero, is a canonical row, so the canonical
+        matrices with a nonzero row 0 (the nonsingular ones among them)
+        take each id exactly once."""
+        rest, code = np.divmod(keys, self.q**self.d)
+        rest *= self.points
+        rest += self._point_rank()[code]
+        return rest
+
+    def point_keys(self, ids: np.ndarray) -> np.ndarray:
+        """int64 packed keys of point ids, the inverse of ``point_ids``."""
+        rest, rank = np.divmod(ids, self.points)
+        rest *= self.q**self.d
+        rest += np.flatnonzero(self._point_rank() >= 0)[rank]
+        return rest
 
     def packed_of(self, rows) -> int:
         """Big-int packed value of one matrix given as rows of codes."""

@@ -184,9 +184,10 @@ def _group_dp_row_bytes(r: int, s: int) -> int:
     """Upper estimate of the bytes group-dp holds per vertex of a closure
     it builds over r generators, s of them selected: the int32 neighbor
     row; the int64 key in the vertex index, its merge copy and the final
-    key array; the int64 vectors f and h and one pass's output; and the
-    int32 copy of the selected columns and their inverse permutations."""
-    return 4 * r + 40 + 24 + 8 * s
+    key array; the int64 vectors f and h and one pass's output, and the
+    uint32 copy a pass gathers from; and the int32 copy of the selected
+    columns and their inverse permutations."""
+    return 4 * r + 40 + 24 + 4 + 8 * s
 
 
 def _reverse_columns(nbr: np.ndarray, cols) -> np.ndarray:
@@ -276,10 +277,11 @@ def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
 
     def step(vec, table, rows):
         out = np.zeros(G.n, dtype=np.int64)
+        src = _gather_source(vec)
 
         def gather(i):
             j = min(i + block, rows)
-            np.sum(vec[table[i:j]], axis=1, out=out[i:j])
+            np.sum(src[table[i:j]], axis=1, dtype=np.int64, out=out[i:j])
 
         ordered_map(gather, range(0, rows, block), threads)
         return out
@@ -302,6 +304,15 @@ def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
             h = step(h, cols, mh)
         values.append(int(np.dot(f, h)))
     return values
+
+
+def _gather_source(vec: np.ndarray) -> np.ndarray:
+    """The nonnegative int64 counts ``vec`` as a uint32 copy when every
+    count is below 2^32, so that a random gather reads half the bytes;
+    ``vec`` itself otherwise."""
+    if int(vec.max()) < 1 << 32:
+        return vec.astype(np.uint32)
+    return vec
 
 
 def _support_bound(table: np.ndarray):

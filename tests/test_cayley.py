@@ -84,8 +84,7 @@ def test_vertex_limit():
 def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42, tmp_path):
     bar33 = symmetrize(build_omega(make_params(3, 3)))
     for gens, n in ((bar42, 60), (bar33, 5616)):
-        q, d = gens.params.q, gens.params.d
-        assert q ** (d * d) <= cayley._VERTEX_TABLE_MAX
+        assert cayley._vertex_table_size(MatSpace(gens.params.base, gens.params.d))
         table = bfs_build(gens, max_vertices=10_000)
         with monkeypatch.context() as m:
             m.setattr(cayley, "_VERTEX_TABLE_MAX", 0)
@@ -97,6 +96,22 @@ def test_vertex_table_and_sorted_paths_agree(monkeypatch, bar42, tmp_path):
         assert _export(table, tmp_path / "a.bin") == _export(ordered, tmp_path / "b.bin")
         with pytest.raises(VertexLimitError):
             bfs_build(gens, max_vertices=n - 1)
+
+
+def test_vertex_table_counts_point_ids():
+    """The closure's vertex table has one entry per point id: at (5,3)
+    31 * 125^2 ids where 5^9 keys took 1,953,125 entries, and (7,3),
+    whose 7^9 keys are over the cap, fits with 57 * 343^2 ids.  The
+    (5,3) graph built on this table is pinned byte for byte by
+    ``test_binary_bytes_pinned``."""
+    ms53 = MatSpace(get_field(5), 3)
+    assert cayley._vertex_table_size(ms53) == 484_375 == 31 * 125**2
+    ms73 = MatSpace(get_field(7), 3)
+    assert 7**9 > cayley._VERTEX_TABLE_MAX
+    assert cayley._vertex_table_size(ms73) == 6_705_993 == 57 * 343**2
+    # past the cap, or without int64 keys, the sorted runs serve
+    assert cayley._vertex_table_size(MatSpace(get_field(11), 3)) == 0
+    assert cayley._vertex_table_size(MatSpace(get_field(3), 7)) == 0
 
 
 def test_symmetry_check_catches_each_broken_column(monkeypatch, graph42):

@@ -505,6 +505,15 @@ def test_threads_below_one_exit_2(tmp_path):
         assert not (tmp_path / "t.gens").exists()
 
 
+def test_max_vertices_below_one_exit_2(workdir, tmp_path):
+    for cap in ("0", "-5"):
+        out = tmp_path / "g.bin"
+        proc = _run_cli("graph", "--gens", workdir["gens"], "--max-vertices", cap,
+                        "--out", str(out))
+        _assert_usage_error(proc, f"--max-vertices must be at least 1, got {cap}", cap)
+        assert not out.exists()
+
+
 def test_corrupted_text_artifacts_exit_2_without_traceback(workdir, tmp_path):
     """A text artifact truncated inside its last value, or with one byte
     flipped, no longer matches the output hash of its manifest, so the

@@ -372,6 +372,13 @@ def test_key_products_match_mul(monkeypatch, F, d, tables):
         # blocks of any size, the empty one included
         for lo, hi in ((0, 0), (0, 1), (17, 50)):
             assert np.array_equal(products(keys[lo:hi]), want[lo * 9 : hi * 9])
+        if ms.packable:
+            ids = ms.key_products(O, ids=True)(keys)
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, ms.point_ids(want))
+        else:
+            with pytest.raises(ValueError, match="int64 packed keys"):
+                ms.key_products(O, ids=True)
     A, Ot, got = tuples(ms.unpack(keys)), tuples(O), tuples(ms.unpack(got))
     for i, j in ((0, 0), (49, 8), (17, 4)):
         assert got[i * 9 + j] == canon_rows(F, mat_mul(F, A[i], Ot[j]))
@@ -399,5 +406,28 @@ def test_key_products_rejects_zero_first_row(monkeypatch, table_max):
         ms, O, keys = _key_products_case(F, d, 404)
         A = ms.unpack(keys)
         A[7, 0, :] = 0  # singular, first row zero
-        with pytest.raises(ValueError, match="zero first row"):
-            ms.key_products(O)(ms.pack(A))
+        for ids in (False, True):
+            with pytest.raises(ValueError, match="zero first row"):
+                ms.key_products(O, ids=ids)(ms.pack(A))
+
+
+@pytest.mark.parametrize(
+    "F, d", [(get_field(2), 3), (get_field(3), 2), (F4, 2), (get_field(3, 2), 2)],
+    ids=["q2-d3", "q3-d2", "q4-d2", "q9-d2"],
+)
+def test_point_ids_invert_packed_keys(F, d):
+    """Over all q^(d*d) matrices, the canonical ones with a nonzero first
+    row (every canonical nonsingular one among them) take the point ids
+    0..points * q^(d*(d-1)) - 1, each once, and ``point_keys`` gives
+    their keys back."""
+    ms = MatSpace(F, d)
+    q = F.q
+    mats = ms.unpack(np.arange(1, q ** (d * d), dtype=np.int64))
+    mats = mats[(ms.canon(mats) == mats).all(axis=(1, 2)) & mats[:, 0].any(axis=1)]
+    keys = ms.pack(mats)
+    assert ms.points == (q**d - 1) // (q - 1)
+    assert len(keys) == ms.id_count == ms.points * q ** (d * (d - 1))
+    ids = ms.point_ids(keys)
+    assert ids.dtype == np.int64
+    assert np.array_equal(np.sort(ids), np.arange(ms.id_count))
+    assert np.array_equal(ms.point_keys(ids), keys)

@@ -255,6 +255,15 @@ class TestWalkMoments:
         got = walk_moments(bar35, 2, "ball-mitm")
         assert got.values == (1, 0, 242)
 
+    def test_gather_source_narrows_only_below_2_32(self):
+        """A pass gathers from a uint32 copy of its counts while they fit;
+        a count of 2^32 keeps the int64 vector itself."""
+        vec = np.array([0, 5, (1 << 32) - 1], dtype=np.int64)
+        narrow = spectra._gather_source(vec)
+        assert narrow.dtype == np.uint32 and np.array_equal(narrow, vec)
+        wide = np.array([0, 5, 1 << 32], dtype=np.int64)
+        assert spectra._gather_source(wide) is wide
+
     def test_group_dp_matches_full_length_recurrence(
         self, bar42, graph42, hat53, graph53_hat
     ):
