@@ -30,7 +30,6 @@ from cayplex.genforge import (
     attach_subspace,
     build_omega,
     build_omega_hat,
-    default_mem_budget,
     expected_index,
     family,
     family_order_m,

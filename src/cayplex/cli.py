@@ -1,7 +1,14 @@
 """Command-line orchestration: build generator systems and graphs,
 compute spectral fingerprints, compare them, and run the packaged
 verification suites, emitting a reproducibility manifest beside every
-artifact."""
+artifact.
+
+The parser is the one definition of every option: its type, its
+``choices`` and its default, the library default it stands for.  A
+``--config`` file is read through the same parser, and a manifest
+records the parsed options as ``param.key=value`` lines, so without
+their prefix they are a config file that reruns the command
+(positionals aside)."""
 
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ from .cayley import (
 from .ffield import frobenius_matrix, get_ext_field, regular_rep
 from .genforge import (
     GenSet,
+    MEM_BUDGET,
     MemoryBudgetError,
     attach_subspace,
     build_omega,
@@ -110,15 +118,18 @@ def _peak_mem_bytes() -> int:
 
 class RunManifest:
     """Reproducibility record written beside every produced artifact:
-    tool version, full parameters, input/output hashes, wall clock and
-    peak memory.  Re-running the recorded command reproduces
-    byte-identical outputs."""
+    tool version, the parsed options (defaults included, options left
+    unset omitted), input/output hashes, wall clock and peak memory.
+    Re-running the recorded command reproduces byte-identical outputs."""
 
     __slots__ = ("command", "params", "inputs", "outputs", "wall_seconds", "seed")
 
-    def __init__(self, command: str, params: dict):
-        self.command = command
-        self.params = {k: v for k, v in params.items() if v is not None}
+    def __init__(self, ns: argparse.Namespace):
+        self.command = ns.command
+        self.params = {
+            k: v for k, v in vars(ns).items()
+            if v is not None and k not in ("func", "command", "config")
+        }
         self.inputs = {}
         self.outputs = {}
         self.wall_seconds = 0.0
@@ -172,31 +183,16 @@ def _flag(value: str) -> bool:
     raise ValueError(f"{value!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
 
 
-_CONFIG_TYPES = {
-    "q": int,
-    "d": int,
-    "s": int,
-    "alpha": int,
-    "kmax": int,
-    "max_vertices": int,
-    "mem_budget": int,
-    "threads": int,
-    "cap": int,
-    "timeout": float,
-    "sym": _flag,
-    "strategy": str,
-    "colors": str,
-    "format": str,
-    "mode": str,
-    "out": str,
-    "gens": str,
-    "graph": str,
-    "suite": str,
-}
-
-
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _config_args(path: str, parser: argparse.ArgumentParser) -> list:
+    """The ``key=value`` lines of a configuration file as options of
+    ``parser``: ``--key=value``, or for a boolean flag the flag or
+    nothing, so each value is checked as the flag would be."""
+    actions = {
+        action.dest: action for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    args = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -208,21 +204,18 @@ def _load_config(path: str) -> dict:
                 )
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key in cfg:
+            value = value.strip()
+            if key in seen:
                 raise ValueError(f"{path}:{lineno}: configuration key {key!r} given twice")
-            cfg[key] = value.strip()
-    return cfg
-
-
-def _merge_config(ns: argparse.Namespace) -> None:
-    """Fill in options from the configuration file; explicit flags win."""
-    if getattr(ns, "config", None) is None:
-        return
-    for key, raw in _load_config(ns.config).items():
-        if key not in _CONFIG_TYPES or not hasattr(ns, key):
-            raise ValueError(f"unknown configuration key {key!r}")
-        if getattr(ns, key) is None:
-            setattr(ns, key, _CONFIG_TYPES[key](raw))
+            seen.add(key)
+            if key not in actions:
+                raise ValueError(f"unknown configuration key {key!r}")
+            flag = actions[key].option_strings[0]
+            if actions[key].nargs != 0:
+                args.append(f"{flag}={value}")
+            elif _flag(value):
+                args.append(flag)
+    return args
 
 
 def _parse_colors(spec):
@@ -234,13 +227,6 @@ def _parse_colors(spec):
         raise ValueError(f"colors must be a comma-separated int list: {spec!r}")
 
 
-def _option(ns, name, default):
-    """An option from the flags or the configuration file, else the
-    library default it stands for."""
-    value = getattr(ns, name)
-    return default if value is None else value
-
-
 def _require(ns, name):
     value = getattr(ns, name)
     if value is None:
@@ -249,10 +235,7 @@ def _require(ns, name):
 
 
 def _build_params(ns):
-    q = _require(ns, "q")
-    d = _require(ns, "d")
-    s = _option(ns, "s", 1)
-    return make_params(q, d, s=s, alpha=ns.alpha)
+    return make_params(_require(ns, "q"), _require(ns, "d"), s=ns.s, alpha=ns.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +251,7 @@ def _cmd_gens(ns) -> int:
     if ns.sym:
         gens = symmetrize(gens)
     gens.save(out)
-    RunManifest(
-        "gens",
-        {"q": params.q, "d": params.d, "s": params.s, "alpha": params.alpha,
-         "sym": bool(ns.sym), "out": out},
-    ).record(start, out)
+    RunManifest(ns).record(start, out)
     hist = defaultdict(int)
     for g in gens:
         hist[g.color] += 1
@@ -291,11 +270,7 @@ def _cmd_omega_hat(ns) -> int:
         threads=ns.threads,
     )
     hat.save(out)
-    RunManifest(
-        "omega-hat",
-        {"q": params.q, "d": params.d, "s": params.s, "alpha": params.alpha,
-         "mem_budget": ns.mem_budget, "out": out},
-    ).record(start, out)
+    RunManifest(ns).record(start, out)
     meta = hat.meta
     print(
         f"kind={hat.kind} size={len(hat)} "
@@ -308,19 +283,15 @@ def _cmd_omega_hat(ns) -> int:
 def _cmd_graph(ns) -> int:
     out = _require(ns, "out")
     gens_path = _require(ns, "gens")
-    fmt = _option(ns, "format", GRAPH_FORMAT)
-    max_vertices = _option(ns, "max_vertices", MAX_VERTICES)
-    if max_vertices < 1:
-        raise ValueError(f"--max-vertices must be at least 1, got {max_vertices}")
+    if ns.max_vertices < 1:
+        raise ValueError(f"--max-vertices must be at least 1, got {ns.max_vertices}")
     gens = GenSet.load(gens_path)
     start = time.perf_counter()
-    G = bfs_build(gens, max_vertices=max_vertices, threads=ns.threads)
-    digest = export_graph(G, out, format=fmt)
-    RunManifest(
-        "graph",
-        {"gens": gens_path, "format": fmt, "max_vertices": max_vertices,
-         "out": out},
-    ).record(start, out, [gens_path], {out: digest, gens_path: gens.content_hash()})
+    G = bfs_build(gens, max_vertices=ns.max_vertices, threads=ns.threads)
+    digest = export_graph(G, out, format=ns.format)
+    RunManifest(ns).record(
+        start, out, [gens_path], {out: digest, gens_path: gens.content_hash()}
+    )
     print(
         f"n={G.n} r={G.r} symmetric={G.symmetric} connected={G.connected} "
         f"out={out}"
@@ -331,7 +302,6 @@ def _cmd_graph(ns) -> int:
 def _cmd_moments(ns) -> int:
     gens_path = _require(ns, "gens")
     kmax = _require(ns, "kmax")
-    strategy = _option(ns, "strategy", MOMENT_STRATEGY)
     colors = _parse_colors(ns.colors)
     gens = GenSet.load(gens_path)
     hashes = {gens_path: gens.content_hash()}
@@ -340,7 +310,7 @@ def _cmd_moments(ns) -> int:
     seq = walk_moments(
         gens,
         kmax,
-        strategy,
+        ns.strategy,
         colors=colors,
         graph=graph,
         threads=ns.threads,
@@ -349,19 +319,13 @@ def _cmd_moments(ns) -> int:
     print(seq.to_text(), end="")
     if ns.out:
         seq.save(ns.out)
-        RunManifest(
-            "moments",
-            {"gens": gens_path, "graph": ns.graph, "kmax": kmax,
-             "strategy": strategy, "colors": ns.colors,
-             "mem_budget": ns.mem_budget, "out": ns.out},
-        ).record(start, ns.out, [gens_path, ns.graph], hashes)
+        RunManifest(ns).record(start, ns.out, [gens_path, ns.graph], hashes)
     return 0
 
 
 def _cmd_spectrum(ns) -> int:
     graph_path = _require(ns, "graph")
     colors = _parse_colors(ns.colors)
-    cap = _option(ns, "cap", DENSE_CAP)
     if colors is not None and ns.gens is None:
         # colours follow from the lifts, which only a gens file carries
         raise ValueError("--colors needs --gens, the system the graph was built from")
@@ -372,21 +336,16 @@ def _cmd_spectrum(ns) -> int:
         hashes[ns.gens] = gens.content_hash()
         check_graph_of(gens, G)
     start = time.perf_counter()
-    report = dense_spectrum(G, colors=colors, cap=cap)
+    report = dense_spectrum(G, colors=colors, cap=ns.cap)
     print(report.to_text(), end="")
     if ns.out:
         report.save(ns.out)
-        RunManifest(
-            "spectrum",
-            {"gens": ns.gens, "graph": graph_path, "colors": ns.colors,
-             "cap": cap, "out": ns.out},
-        ).record(start, ns.out, [ns.gens, graph_path], hashes)
+        RunManifest(ns).record(start, ns.out, [ns.gens, graph_path], hashes)
     return 0
 
 
 def _cmd_compare(ns) -> int:
     mode = _require(ns, "mode")
-    timeout = _option(ns, "timeout", ISO_TIMEOUT)
     hashes = {}
     if mode == "moments":
         a = MomentSeq.load(ns.a)
@@ -395,15 +354,11 @@ def _cmd_compare(ns) -> int:
         a = import_graph(ns.a, hashes)
         b = import_graph(ns.b, hashes)
     start = time.perf_counter()
-    report = compare(a, b, mode, timeout=timeout)
+    report = compare(a, b, mode, timeout=ns.timeout)
     print(report.to_text(), end="")
     if ns.out:
         report.save(ns.out)
-        RunManifest(
-            "compare",
-            {"a": ns.a, "b": ns.b, "mode": mode, "timeout": timeout,
-             "out": ns.out},
-        ).record(start, ns.out, [ns.a, ns.b], hashes)
+        RunManifest(ns).record(start, ns.out, [ns.a, ns.b], hashes)
     return 0
 
 
@@ -423,10 +378,7 @@ def _cmd_family(ns) -> int:
     print(text, end="")
     if ns.out:
         atomic_write_text(ns.out, text)
-        RunManifest(
-            "family",
-            {"q": params.q, "d": params.d, "s": params.s, "out": ns.out},
-        ).record(start, ns.out)
+        RunManifest(ns).record(start, ns.out)
     return 0
 
 
@@ -611,8 +563,7 @@ def _suite_pipeline_d3q5(ns) -> int:
     )
     bar2 = symmetrize(build_omega(make_params(5, 3, s=2)))
     G2 = bfs_build(bar2, max_vertices=400_000, threads=ns.threads)
-    timeout = _option(ns, "timeout", 20.0)
-    verdict, _ = isomorphism_search(G, G2, timeout=timeout)
+    verdict, _ = isomorphism_search(G, G2, timeout=ns.timeout)
     print(f"REPORT twist-pair-isomorphism-search verdict={verdict}")
     return _finish(results)
 
@@ -683,12 +634,7 @@ _SUITES = {
 
 
 def _cmd_verify(ns) -> int:
-    suite = _require(ns, "suite")
-    if suite not in _SUITES:
-        raise ValueError(
-            f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
-        )
-    return _SUITES[suite](ns)
+    return _SUITES[_require(ns, "suite")](ns)
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +642,14 @@ def _cmd_verify(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name.  Each
+    option's default is the library default it stands for; an option
+    left at None has none (a required one, or one only passed on)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="key=value configuration file; flags override")
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="cayplex",
@@ -711,12 +660,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def system_options(p):
+        p.add_argument("--q", type=int, default=None)
+        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--s", type=int, default=1)
+        p.add_argument("--alpha", type=int, default=None)
+
     p = sub.add_parser("gens", parents=[common],
                        help="build a generator system")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
+    system_options(p)
     p.add_argument("--sym", action="store_const", const=True, default=None,
                    help="emit the inverse closure instead of the base system")
     p.add_argument("--out", default=None)
@@ -724,19 +676,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega-hat", parents=[common],
                        help="build the product system")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--mem-budget", type=int, default=None)
+    system_options(p)
+    p.add_argument("--mem-budget", type=int, default=MEM_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_omega_hat)
 
     p = sub.add_parser("graph", parents=[common],
                        help="build the Cayley closure of a generator file")
     p.add_argument("--gens", default=None)
-    p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--format", choices=("text", "binary"), default=None)
+    p.add_argument("--max-vertices", type=int, default=MAX_VERTICES)
+    p.add_argument("--format", choices=("text", "binary"), default=GRAPH_FORMAT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_graph)
 
@@ -747,9 +696,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reuse a built graph file (group-dp)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--strategy", choices=("group-dp", "ball-mitm"),
-                   default=None)
+                   default=MOMENT_STRATEGY)
     p.add_argument("--colors", default=None)
-    p.add_argument("--mem-budget", type=int, default=None)
+    p.add_argument("--mem-budget", type=int, default=MEM_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_moments)
 
@@ -758,7 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", default=None)
     p.add_argument("--graph", default=None)
     p.add_argument("--colors", default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=DENSE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -768,37 +717,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--mode", choices=("moments", "spectrum", "iso"),
                    default=None)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=float, default=ISO_TIMEOUT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("family", parents=[common],
                        help="build and report the q-power family")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
+    system_options(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a packaged verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), default=None)
-    p.add_argument("--mem-budget", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--mem-budget", type=int, default=MEM_BUDGET)
+    p.add_argument("--timeout", type=float, default=20.0)
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)
     try:
-        _merge_config(ns)
-        if ns.threads is None:
-            ns.threads = 1
-        elif ns.threads < 1:
+        if ns.config is not None:
+            # config lines go before the flags, so the flags win
+            config = _config_args(ns.config, commands[ns.command])
+            ns = parser.parse_args([ns.command, *config, *argv[1:]])
+        if ns.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {ns.threads}")
         return ns.func(ns)
     except (MemoryBudgetError, VertexLimitError, MemoryError) as exc:

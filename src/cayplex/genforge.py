@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 
 import numpy as np
 
@@ -51,25 +50,12 @@ KIND_OMEGA = "omega"
 KIND_OMEGABAR = "omegabar"
 KIND_OMEGAHAT = "omegahat"
 
-_DEFAULT_MEM_BUDGET = 4 << 30  # bytes
-_MEM_BUDGET_ENV = "CAYPLEX_MEM_BUDGET"
+# bytes a build may hold when the caller passes no budget (the CLI default)
+MEM_BUDGET = 4 << 30
 
 
 class MemoryBudgetError(MemoryError):
     """Raised when a build would exceed the configured memory budget."""
-
-
-def default_mem_budget() -> int:
-    """Memory budget in bytes (env override via CAYPLEX_MEM_BUDGET)."""
-    raw = os.environ.get(_MEM_BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{_MEM_BUDGET_ENV} must be an integer byte count, got {raw!r}"
-            ) from exc
-    return _DEFAULT_MEM_BUDGET
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -101,14 +87,12 @@ class GenParams:
         u: code of a fixed generator of E^x / F_q^x (smallest, so the
             choice is deterministic).
         n: (q^d - 1)/(q - 1), the size of the base system.
-        warnings: non-fatal parameter advisories (odd/co-primality of q
-            and d; the q > 4d^2 + 1 heuristic bound).
     """
 
     __slots__ = ("base", "E", "q", "d", "s", "alpha", "gamma", "u", "n",
-                 "warnings", "_alg")
+                 "_alg")
 
-    def __init__(self, base, E, s: int, alpha: int, warnings):
+    def __init__(self, base, E, s: int, alpha: int):
         self.base = base
         self.E = E
         self.q = base.q
@@ -118,7 +102,6 @@ class GenParams:
         self.gamma = gamma_from_alpha(E, alpha)
         self.u = mult_generator(E)
         self.n = (base.q**E.d - 1) // (base.q - 1)
-        self.warnings = tuple(warnings)
         self._alg = None
 
     def alg(self) -> CycAlg:
@@ -176,10 +159,7 @@ def make_params(
     """Validate and assemble generator-system parameters.
 
     Raises ValueError for q = 2 (the residue field is too small for any
-    admissible alpha), non-prime-power q, or gcd(s, d) != 1.  Parameter
-    combinations that merely fall outside the comfortable regime (q, d
-    not both odd and co-prime; q <= 4d^2 + 1) produce entries in
-    ``params.warnings`` instead of errors.
+    admissible alpha), non-prime-power q, or gcd(s, d) != 1.
     """
     p, f = _prime_power(q)
     if q == 2:
@@ -193,22 +173,11 @@ def make_params(
         raise ValueError(f"s = {s} must be invertible modulo d = {d}")
     base = get_field(p, f, tuple(base_modulus) if base_modulus else None)
     E = get_ext_field(p, f, d, tuple(modulus) if modulus else None)
-    warnings = []
-    if not (q % 2 == 1 and d % 2 == 1 and math.gcd(q, d) == 1):
-        warnings.append(
-            f"q = {q} and d = {d} are not both odd and co-prime; "
-            "constructed sets are verified explicitly rather than assumed"
-        )
-    if q <= 4 * d * d + 1:
-        warnings.append(
-            f"q = {q} <= 4d^2 + 1 = {4 * d * d + 1}; the size heuristic "
-            "does not apply, duplicate checks are enforced at build time"
-        )
     if alpha is None:
         alpha = default_alpha(E)
     elif not 0 <= alpha < q:
         raise ValueError(f"alpha = {alpha} is not a code of F_{q} (0 <= alpha < {q})")
-    return GenParams(base, E, s, alpha, warnings)
+    return GenParams(base, E, s, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +786,7 @@ def build_omega_hat(
         raise ValueError("the product system is built from the base system")
     params = base_set.params
     F, d, n, q = params.base, params.d, params.n, params.q
-    budget = default_mem_budget() if memory_budget is None else memory_budget
+    budget = MEM_BUDGET if memory_budget is None else memory_budget
     a = (d + 1) // 2
     b = d - a
     # the flag count stands in for the candidates until the join counts them

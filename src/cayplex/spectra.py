@@ -19,7 +19,7 @@ from .cayley import (
     closure_from_matrices,
     colored_subgraph,
 )
-from .genforge import GenSet, MemoryBudgetError, default_mem_budget, group_order_psl
+from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_psl
 from .orbits import orbits_for
 from .projmat import MatSpace, _key_products_bytes
 from .util import (
@@ -142,7 +142,7 @@ def _graph_for(
     when it does."""
     if graph is None:
         params = gens.params
-        budget = default_mem_budget() if memory_budget is None else int(memory_budget)
+        budget = MEM_BUDGET if memory_budget is None else int(memory_budget)
         table = 4 * _vertex_table_size(MatSpace(params.base, params.d))
         rows = max(budget - table, 0) // _group_dp_row_bytes(len(gens), len(sel))
         refusal = MemoryBudgetError(
@@ -218,28 +218,30 @@ def walk_moments(
     most ~10^7 elements, and a closure built here within the memory
     budget; pass ``graph`` to reuse a built closure).
     ``ball-mitm`` joins product balls: N_k = sum_g c_a(g) * c_b(g^-1)
-    with a = ceil(k/2); it never materializes the group.  Each ball level
-    is a list of orbits with their word counts: orbits of theta and a
-    power of the Frobenius matrix (see ``ThetaOrbits``) when conjugation
-    by theta permutes the selected generators, single elements
-    otherwise.  Levels below ceil(K/2) are held, and the top level is
-    streamed from the products of the level below it.  All counters are
-    64-bit integers, and every sum is checked against an exact
-    word-count bound before it is formed; both strategies produce
-    identical values wherever both are feasible.
+    with a = ceil(k/2); it never materializes the group and refuses a
+    ``graph``.  Each ball level is a list of orbits with their word
+    counts: orbits of theta and a power of the Frobenius matrix (see
+    ``ThetaOrbits``) when conjugation by theta permutes the selected
+    generators, single elements otherwise.  Levels below ceil(K/2) are
+    held, and the top level is streamed from the products of the level
+    below it.  All counters are 64-bit integers, and every sum is
+    checked against an exact word-count bound before it is formed; both
+    strategies produce identical values wherever both are feasible.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
     sel = _selected(gens, colors)
     if strategy == "group-dp":
-        if len(sel) ** max(K, 1) >= _COUNTER_LIMIT:
+        if _overflows(len(sel), K):
             raise ValueError(
                 f"K={K} overflows 64-bit word counters for {len(sel)} "
                 "generators under group-dp"
             )
         values = _moments_group_dp(gens, K, sel, graph, threads, memory_budget)
     elif strategy == "ball-mitm":
-        if len(sel) ** max((K + 1) // 2, 1) >= _COUNTER_LIMIT:
+        if graph is not None:
+            raise ValueError("a graph is read only by group-dp, not by ball-mitm")
+        if _overflows(len(sel), (K + 1) // 2):
             raise ValueError(
                 f"K={K} overflows 64-bit ball counters for {len(sel)} "
                 "generators under ball-mitm"
@@ -248,6 +250,13 @@ def walk_moments(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return MomentSeq(values, gens.content_hash(), colors, strategy)
+
+
+def _overflows(r: int, e: int) -> bool:
+    """Whether r^max(e, 1) words reach the counter limit, decided without
+    forming the power for a huge e: r >= 2 reaches it at e = 62."""
+    e = max(e, 1)
+    return r > 1 and (e >= 62 or r**e >= _COUNTER_LIMIT)
 
 
 def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
@@ -354,7 +363,7 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     gen_mats = gens.mats[sel]
     r = len(sel)
     inv_mats = _inverses_if_open(ms, gen_mats)
-    budget = default_mem_budget() if memory_budget is None else int(memory_budget)
+    budget = MEM_BUDGET if memory_budget is None else int(memory_budget)
     orbits = orbits_for(params, ms, gen_mats)
     values = [1]
     if K == 0:
@@ -799,8 +808,13 @@ def isomorphism_search(a: CayleyGraph, b: CayleyGraph, timeout: float = ISO_TIME
     Vertex 0 of ``a`` is anchored to vertex 0 of ``b`` without loss of
     generality: left translations act transitively on the vertices of a
     Cayley graph by graph automorphisms, so some isomorphism fixes the
-    identity whenever any isomorphism exists.
+    identity whenever any isomorphism exists.  A timeout that is not a
+    nonnegative number (NaN, which no clock passes) raises ValueError.
     """
+    if not timeout >= 0:
+        raise ValueError(
+            f"timeout must be a nonnegative number of seconds, got {timeout}"
+        )
     if a.n != b.n or a.r != b.r:
         return "non-isomorphic", None
     deadline = time.monotonic() + timeout

@@ -7,11 +7,13 @@ import os
 import random
 import re
 import shutil
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cayplex import cli
 from cayplex.cayley import CayleyGraph, export_graph
 from cayplex.cli import _sha256_file, main
 from cayplex.ffield import get_field
@@ -320,6 +322,124 @@ class TestConfigAndErrors:
             main(["verify", "--suite", "vibes"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def _parsed(monkeypatch, argv):
+    """The namespace ``main`` hands to the command for ``argv``, with
+    every command replaced by one that only keeps it."""
+    seen = []
+    build = cli._build_parser
+
+    def keeping():
+        parser, commands = build()
+        for p in commands.values():
+            p.set_defaults(func=lambda ns: seen.append(ns) or 0)
+        return parser, commands
+
+    monkeypatch.setattr(cli, "_build_parser", keeping)
+    assert main(argv) == 0
+    options = vars(seen[0])
+    return {k: v for k, v in options.items() if k not in ("func", "config")}
+
+
+_SAMPLES = {int: ("7", "8"), float: ("2.5", "3.5"), None: ("x.txt", "y.txt")}
+
+
+class TestParserDefinesOptions:
+    def test_config_line_equals_flag_and_flag_wins(self, monkeypatch, tmp_path):
+        """For every optional key of every subcommand, read from its
+        parser, a config line gives the namespace the flag gives, and a
+        flag given beside the line overrides it."""
+        _, commands = cli._build_parser()
+        cfg = tmp_path / "one.cfg"
+        checked = 0
+        for name, parser in commands.items():
+            base = [name] + (["a", "b"] if name == "compare" else [])
+            for action in parser._actions:
+                key = action.dest
+                if not action.option_strings or key in ("help", "config"):
+                    continue
+                flag = action.option_strings[0]
+                if action.nargs == 0:
+                    cfg.write_text(f"{key}=on\n")
+                    want = _parsed(monkeypatch, base + [flag])
+                    assert _parsed(monkeypatch, base + ["--config", str(cfg)]) == want
+                    cfg.write_text(f"{key}=off\n")
+                    got = _parsed(monkeypatch, base + ["--config", str(cfg), flag])
+                    assert got == want, (name, key)
+                    continue
+                values = action.choices or _SAMPLES[action.type]
+                first = next(v for v in values if v != action.default)
+                second = next(v for v in values if v != first)
+                cfg.write_text(f"{key}={first}\n")
+                want = _parsed(monkeypatch, base + [f"{flag}={first}"])
+                assert want[key] != action.default, (name, key)
+                got = _parsed(monkeypatch, base + ["--config", str(cfg)])
+                assert got == want, (name, key)
+                want = _parsed(monkeypatch, base + [flag, second])
+                got = _parsed(monkeypatch, base + ["--config", str(cfg), flag, second])
+                assert got == want, (name, key)
+                checked += 1
+        assert checked > 30
+
+    def test_config_values_checked_before_any_work(self, bar53, workdir, tmp_path,
+                                                   capsys):
+        """A config value that the flag's type or choices refuse exits 2
+        as the flag does, before any file is read or built."""
+        gens = str(tmp_path / "bar53.gens")
+        bar53.save(gens)
+        out = tmp_path / "out"
+        cases = (
+            ("format=xml", ["graph", "--gens", gens], "invalid choice: 'xml'"),
+            ("mode=bogus", ["compare", workdir["graph"], workdir["graph"]],
+             "invalid choice: 'bogus'"),
+            ("q=abc", ["gens", "--d", "3"], "invalid int value: 'abc'"),
+        )
+        for line, argv, needle in cases:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--config", str(cfg), "--out", str(out)])
+            assert time.perf_counter() - start < 1.0, line
+            assert info.value.code == 2 and not out.exists(), line
+            assert needle in capsys.readouterr().err, line
+
+    def test_family_manifest_records_given_alpha(self, tmp_path):
+        """The alpha changes the members, so a given one is a param line;
+        a default one is not, and the threads always are."""
+        lines = {}
+        for alpha in (None, "1"):
+            out = str(tmp_path / f"fam-{alpha}.txt")
+            argv = ["family", "--q", "5", "--d", "3", "--out", out]
+            assert main(argv + (["--alpha", alpha] if alpha else [])) == 0
+            manifest = open(out + ".manifest").read().splitlines()
+            lines[alpha] = [ln for ln in manifest if ln.startswith("param.")]
+            assert "param.threads=1" in lines[alpha]
+        assert open(tmp_path / "fam-1.txt").read() != open(tmp_path / "fam-None.txt").read()
+        assert "param.alpha=1" in lines["1"]
+        assert not any(ln.startswith("param.alpha=") for ln in lines[None])
+        # without their prefix, the param lines are a config that reruns it
+        out = str(tmp_path / "fam-1.txt")
+        first = open(out).read()
+        os.remove(out)
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text("".join(ln[len("param."):] + "\n" for ln in lines["1"]))
+        assert main(["family", "--config", str(cfg)]) == 0
+        assert open(out).read() == first
+        manifest = open(out + ".manifest").read().splitlines()
+        assert [ln for ln in manifest if ln.startswith("param.")] == lines["1"]
+
+    def test_budget_recorded_when_not_given(self, workdir, tmp_path):
+        runs = (
+            ["omega-hat", "--q", "4", "--d", "2"],
+            ["moments", "--gens", workdir["gens"], "--kmax", "2"],
+        )
+        for argv in runs:
+            out = str(tmp_path / f"{argv[0]}.out")
+            assert main(argv + ["--out", out]) == 0
+            manifest = open(out + ".manifest").read().splitlines()
+            assert f"param.mem_budget={4 << 30}" in manifest, argv[0]
 
 
 class TestVerifySuites:
@@ -665,3 +785,32 @@ def test_non_canonical_files_exit_2_without_traceback(workdir, text_graph, tmp_p
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         _assert_usage_error(_run_cli(*argv(path)), "where the writer writes", fmt)
+
+
+def test_huge_kmax_exit_2(workdir, tmp_path):
+    """Both strategies refuse K = 10^9 at once, from the exponent alone."""
+    for strategy in ("group-dp", "ball-mitm"):
+        out = tmp_path / "m.moments"
+        proc = _run_cli("moments", "--gens", workdir["gens"], "--kmax", str(10**9),
+                        "--strategy", strategy, "--out", str(out))
+        _assert_usage_error(proc, "overflows", strategy)
+        assert not out.exists()
+
+
+def test_ball_mitm_with_graph_exit_2(workdir, tmp_path):
+    """A graph is checked against the generators only by group-dp, so
+    ball-mitm refuses one instead of listing it as an unchecked input."""
+    out = tmp_path / "m.moments"
+    proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", workdir["graph"],
+                    "--kmax", "4", "--strategy", "ball-mitm", "--out", str(out))
+    _assert_usage_error(proc, "only by group-dp", "ball-mitm")
+    assert proc.stdout == ""
+    assert not out.exists() and not os.path.exists(str(out) + ".manifest")
+
+
+def test_nan_timeout_exit_2(workdir, tmp_path):
+    out = tmp_path / "iso.report"
+    proc = _run_cli("compare", workdir["graph"], workdir["graph"], "--mode", "iso",
+                    "--timeout", "nan", "--out", str(out))
+    _assert_usage_error(proc, "nonnegative", "nan")
+    assert not out.exists()

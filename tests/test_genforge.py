@@ -23,7 +23,6 @@ from cayplex.genforge import (
     build_omega,
     build_omega_hat,
     central_numerators,
-    default_mem_budget,
     expected_index,
     family,
     family_order_m,
@@ -88,14 +87,6 @@ def test_params_validation():
         make_params(9, 6, s=3)  # gcd(s, d) != 1
     # s is reduced mod d
     assert make_params(5, 3, s=4).s == 1
-
-
-def test_params_warnings():
-    # q and d not co-prime/odd, and q below the size heuristic, both warn
-    assert len(make_params(4, 2).warnings) == 2
-    # (3,5) is odd co-prime but small
-    w35 = make_params(3, 5).warnings
-    assert len(w35) == 1 and "4d^2" in w35[0]
 
 
 def test_alpha_even_characteristic():
@@ -293,16 +284,6 @@ def test_omega_hat_requires_base_kind(bar53):
 def test_omega_hat_memory_budget(omega53):
     with pytest.raises(MemoryBudgetError):
         build_omega_hat(omega53, memory_budget=1000)
-
-
-def test_mem_budget_env(monkeypatch):
-    monkeypatch.setenv("CAYPLEX_MEM_BUDGET", "12345")
-    assert default_mem_budget() == 12345
-    monkeypatch.setenv("CAYPLEX_MEM_BUDGET", "junk")
-    with pytest.raises(ValueError):
-        default_mem_budget()
-    monkeypatch.delenv("CAYPLEX_MEM_BUDGET")
-    assert default_mem_budget() == 4 << 30
 
 
 def test_omega_hat_rejects_injected_candidates(monkeypatch, omega53, hat53):

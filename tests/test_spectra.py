@@ -5,6 +5,7 @@ the circulant eigenvalue formula for dense spectra, and cross-checks
 between two independent moment strategies.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -669,6 +670,21 @@ class TestWalkMoments:
         with pytest.raises(ValueError, match="overflows"):
             walk_moments(bar53, 22, "ball-mitm")
 
+    def test_huge_kmax_refused_without_forming_the_power(self, bar53, graph53):
+        """At K = 10^9 the guard decides from the exponent alone, where
+        62^K would take far longer than the refusal may."""
+        for strategy, graph in (("group-dp", graph53), ("ball-mitm", None)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="overflows"):
+                walk_moments(bar53, 10**9, strategy, graph=graph)
+            assert time.perf_counter() - start < 1.0, strategy
+
+    def test_ball_mitm_refuses_a_graph(self, bar42, graph42):
+        """ball-mitm never reads a graph, so one passed to it is refused
+        rather than left unchecked against the generators."""
+        with pytest.raises(ValueError, match="only by group-dp"):
+            walk_moments(bar42, 4, "ball-mitm", graph=graph42)
+
     def test_memory_budget_guard(self, bar53):
         with pytest.raises(MemoryBudgetError, match="budget"):
             walk_moments(bar53, 8, "ball-mitm", memory_budget=1000)
@@ -800,6 +816,13 @@ class TestWLAndIsomorphism:
         b = _cyclic_shift_graph(64, [1, 63, 7, 57, 13, 51])
         verdict, witness = isomorphism_search(a, b, timeout=0.0)
         assert verdict == "timeout" and witness is None
+
+    def test_timeout_must_be_nonnegative(self, graph42):
+        """No clock passes a NaN deadline, so a NaN timeout would search
+        without bound; it is refused with a negative one."""
+        for timeout in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                isomorphism_search(graph42, graph42, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
