@@ -46,9 +46,9 @@ from cayplex.spectra import (
     ComparisonReport,
     MomentSeq,
     SpectrumReport,
+    cayley_isomorphism,
     compare,
     dense_spectrum,
-    isomorphism_search,
     walk_moments,
 )
 

@@ -1,19 +1,18 @@
 """Spectral fingerprints of generator systems and their Cayley graphs:
 exact closed-walk moment sequences (computable even when the graph is
 far too large to store), dense verified spectra for small graphs, an
-exact isomorphism search, and comparison verdicts."""
+automorphism certificate that maps one generator set onto another, and
+comparison verdicts."""
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 import numpy as np
 
 from .cayley import (
     CayleyGraph,
     VertexLimitError,
-    _distinct,
     _search,
     _vertex_table_size,
     closure_from_matrices,
@@ -33,7 +32,6 @@ from .util import (
 _COUNTER_LIMIT = 1 << 62
 # defaults shared by the library and the command line
 DENSE_CAP = 5000
-ISO_TIMEOUT = 10.0
 MOMENT_STRATEGY = "ball-mitm"
 _GROUP_CAP = 10_000_000
 # ids per ``_search`` of a lookup
@@ -796,135 +794,6 @@ def dense_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search
-# ---------------------------------------------------------------------------
-
-
-def isomorphism_search(a: CayleyGraph, b: CayleyGraph, timeout: float = ISO_TIMEOUT):
-    """Exact graph-isomorphism decision by candidate-pruned backtracking.
-
-    Returns (verdict, mapping) where verdict is "isomorphic" (mapping is
-    a re-verified vertex map a -> b), "non-isomorphic", or "timeout".
-    Vertex 0 of ``a`` is anchored to vertex 0 of ``b`` without loss of
-    generality: left translations act transitively on the vertices of a
-    Cayley graph by graph automorphisms, so some isomorphism fixes the
-    identity whenever any isomorphism exists.  A timeout that is not a
-    nonnegative number (NaN, which no clock passes) raises ValueError.
-    """
-    if not timeout >= 0:
-        raise ValueError(
-            f"timeout must be a nonnegative number of seconds, got {timeout}"
-        )
-    if a.n != b.n or a.r != b.r:
-        return "non-isomorphic", None
-    deadline = time.monotonic() + timeout
-    adj_a = _adjacency_sets(a, deadline)
-    adj_b = _adjacency_sets(b, deadline) if adj_a is not None else None
-    order = _bfs_order(a, deadline) if adj_b is not None else None
-    if order is None:
-        return "timeout", None
-    n = a.n
-    mapping = np.full(n, -1, dtype=np.int64)
-    inverse = np.full(n, -1, dtype=np.int64)
-    mapping[order[0]] = 0
-    inverse[0] = order[0]
-    if n == 1:
-        return "isomorphic", (0,)
-    iters = [None] * n
-    iters[1] = iter(_candidates(order[1], adj_a, adj_b, mapping, n))
-    pos = 1
-    while pos >= 1:
-        if time.monotonic() > deadline:
-            return "timeout", None
-        u = order[pos]
-        placed = False
-        for t in iters[pos]:
-            if inverse[t] >= 0:
-                continue
-            if not _consistent(u, t, adj_a, adj_b, mapping, inverse):
-                continue
-            mapping[u] = t
-            inverse[t] = u
-            pos += 1
-            placed = True
-            if pos == n:
-                final = tuple(int(x) for x in mapping)
-                _verify_mapping(adj_a, adj_b, final)
-                return "isomorphic", final
-            iters[pos] = iter(_candidates(order[pos], adj_a, adj_b, mapping, n))
-            break
-        if not placed:
-            pos -= 1
-            if pos >= 1:
-                t = mapping[order[pos]]
-                inverse[t] = -1
-                mapping[order[pos]] = -1
-    return "non-isomorphic", None
-
-
-def _adjacency_sets(G: CayleyGraph, deadline):
-    """Per-vertex neighbor sets, built in blocks so an expired deadline
-    aborts setup on large graphs (returns None) instead of stalling."""
-    out = []
-    for start in range(0, G.n, 4096):
-        if time.monotonic() > deadline:
-            return None
-        out.extend(set(row) for row in G.nbr[start:start + 4096].tolist())
-    return out
-
-
-def _bfs_order(G: CayleyGraph, deadline):
-    seen = np.zeros(G.n, dtype=bool)
-    seen[0] = True
-    order = [0]
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        if time.monotonic() > deadline:
-            return None
-        hood = G.nbr[frontier].ravel()
-        fresh = _distinct(hood[~seen[hood]])
-        seen[fresh] = True
-        order.extend(fresh.tolist())
-        frontier = fresh
-    if len(order) != G.n:
-        order.extend(np.flatnonzero(~seen).tolist())
-    return order
-
-
-def _candidates(u, adj_a, adj_b, mapping, n):
-    cands = None
-    for w in adj_a[u]:
-        mw = mapping[w]
-        if mw >= 0:
-            c = adj_b[mw]
-            cands = set(c) if cands is None else (cands & c)
-            if not cands:
-                return ()
-    if cands is None:
-        return range(n)
-    return sorted(cands)
-
-
-def _consistent(u, t, adj_a, adj_b, mapping, inverse):
-    for w in adj_a[u]:
-        mw = mapping[w]
-        if mw >= 0 and mw not in adj_b[t]:
-            return False
-    for x in adj_b[t]:
-        w = inverse[x]
-        if w >= 0 and w not in adj_a[u]:
-            return False
-    return True
-
-
-def _verify_mapping(adj_a, adj_b, mapping):
-    for u, nb in enumerate(adj_a):
-        image = {mapping[w] for w in nb}
-        if image != adj_b[mapping[u]]:
-            raise AssertionError("isomorphism witness failed re-verification")
-
-
-# ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
 
@@ -952,16 +821,17 @@ class ComparisonReport:
         return f"ComparisonReport(mode={self.mode!r}, verdict={self.verdict!r})"
 
 
-def compare(a, b, mode: str, timeout: float = ISO_TIMEOUT) -> ComparisonReport:
+def compare(a, b, mode: str) -> ComparisonReport:
     """Compare two fingerprints or graphs.
 
     ``moments``: exact per-k equality of two MomentSeqs of equal K;
     equality is labeled partial evidence up to that K, never full
     isospectrality.  ``spectrum``: multiset equality of dense verified
-    spectra within 1e-8 * r.  ``iso``: exact search
-    with verdict isomorphic / non-isomorphic / timeout.  Graphs of
-    mismatched order or degree are reported trivially non-isospectral
-    rather than raised.
+    spectra within 1e-8 * r.  ``iso``: ``cayley_isomorphism`` on the
+    neighbours of the identity, the generators, of two graphs over the
+    same field and dimension, with verdict isomorphic (and the witness)
+    or no-automorphism-induced-isomorphism.  Graphs of mismatched order
+    or degree are reported trivially non-isospectral rather than raised.
     """
     if mode == "moments":
         if not isinstance(a, MomentSeq) or not isinstance(b, MomentSeq):
@@ -1003,8 +873,100 @@ def compare(a, b, mode: str, timeout: float = ISO_TIMEOUT) -> ComparisonReport:
             verdict,
             {"max_abs_difference": f"{worst:.3e}", "tolerance": f"{tol:.3e}"},
         )
-    verdict, witness = isomorphism_search(a, b, timeout=timeout)
-    details = {}
-    if witness is not None:
-        details["witness_head"] = ",".join(str(x) for x in witness[:8])
-    return ComparisonReport(mode, verdict, details)
+    if a.F != b.F or a.d != b.d:
+        raise ValueError("iso mode compares graphs over one field and dimension")
+    ms = a.space()
+    found = cayley_isomorphism(
+        ms, ms.unpack(a.keys[a.nbr[0]]), ms.unpack(b.keys[b.nbr[0]])
+    )
+    if found is None:
+        return ComparisonReport(mode, "no-automorphism-induced-isomorphism")
+    X, transpose, power = found
+    witness = ";".join(",".join(map(str, row)) for row in X.tolist())
+    details = {"witness": witness, "transpose": int(transpose), "field_power": power}
+    return ComparisonReport(mode, "isomorphic", details)
+
+
+# ---------------------------------------------------------------------------
+# Automorphism certificate
+# ---------------------------------------------------------------------------
+
+# most projective solutions of one conjugacy system, and about the most
+# candidates tested in one block
+_ISO_POINTS = 1 << 16
+
+
+def cayley_isomorphism(ms: MatSpace, S1: np.ndarray, S2: np.ndarray):
+    """A witness (X, transpose, field_power) that an automorphism of
+    PGL_d(F_q) maps the distinct matrices S1 onto S2, or None.
+
+    With e the entrywise Frobenius x -> x^(p^field_power), after
+    transpose-inverse when ``transpose``, canon(X e(S1) X^-1) has the
+    sorted keys of S2, checked by one batched product before it is
+    returned.  The search covers PGammaL_d(F_q) with transpose-inverse,
+    Aut(PSL_d(F_q)) for d >= 3, so None means no automorphism-induced
+    isomorphism, not non-isomorphic graphs.  For g0 the first matrix of
+    e(S1), each h in S2 and l != 0 make X g0 = l h X a linear system,
+    all solved by one ``rref``; the nonsingular projective points of the
+    nullspaces are the candidates.  Unpackable keys, and a system with
+    over ``_ISO_POINTS`` projective solutions, raise ValueError.
+    """
+    if not ms.packable:
+        raise ValueError(f"the automorphism search needs int64 keys, not {ms.q}^{ms.d**2}")
+    d, q, n, r, F = ms.d, ms.q, ms.d**2, len(S1), ms.F
+    target = np.sort(ms.pack(ms.canon(S2)))
+    if r != len(target):
+        return None
+    twists = [(t, e) for t in (False, True) for e in range(F.f)]
+    images = np.stack([
+        ms.canon(np.array([F.pow_(x, F.p**e) for x in range(q)], dtype=ms.dtype)[E])
+        for E in (S1, ms.inverse(S1).transpose(0, 2, 1)) for e in range(F.f)
+    ])
+    # X g0 - l h X on row-major X, for each g0, h and l in that order:
+    # entry ((i, j), (a, b)) is [i = a] g0[b, j] - l h[i, a] [j = b]
+    eye = np.eye(d, dtype=np.int64)
+    g0 = eye[:, None, :, None] * images[:, 0].transpose(0, 2, 1)[:, None, :, None, :]
+    lh = ms._emul(np.arange(1, q)[:, None, None], S2[:, None].astype(np.int64))
+    M = ms._esub(g0[:, None, None], lh[None, ..., :, None, :, None] * eye[:, None, :])
+    R, rank = ms.rref(M.reshape(-1, n, n))
+    solvable = np.flatnonzero(rank < n)
+    points = (q ** (n - rank[solvable]) - 1) // (q - 1)
+    if (points > _ISO_POINTS).any():
+        raise ValueError(f"a conjugacy system has {points.max()} projective "
+                         f"solutions, over the bound {_ISO_POINTS}")
+    block = np.cumsum(points) // _ISO_POINTS
+    for b in np.unique(block):
+        systems = solvable[block == b]
+        X = np.concatenate([_nullspace_points(ms, R[s], rank[s]) for s in systems])
+        tw = np.repeat(systems * len(twists) // len(R), points[block == b])
+        keep = np.flatnonzero(~ms.singular(X))
+        inv = ms.inverse(X[keep])
+        for j in range(1, r):
+            keys = ms.pack(ms.canon(ms.mul(ms.mul(X[keep], images[tw[keep], j]), inv)))
+            hit = target[np.minimum(np.searchsorted(target, keys), r - 1)] == keys
+            keep, inv = keep[hit], inv[hit]
+            if not keep.size:
+                break
+        for i in keep:
+            t, e = twists[tw[i]]
+            W = ms.canon(X[i : i + 1])
+            P = ms.mul(ms.mul(W, images[tw[i]]), ms.inverse(W))
+            if np.array_equal(np.sort(ms.pack(ms.canon(P))), target):
+                return W[0], t, e
+    return None
+
+
+def _nullspace_points(ms: MatSpace, R: np.ndarray, rank: int) -> np.ndarray:
+    """The matrices of the projective points of the nullspace of a
+    reduced row echelon form R (d^2 x d^2): a basis vector per free
+    column, combined by each coefficient vector with leading entry 1."""
+    n, k = R.shape[1], R.shape[1] - rank
+    R = R[:rank].astype(np.int64)
+    piv = np.argmax(R != 0, axis=1)
+    free = np.setdiff1d(np.arange(n), piv)
+    basis = np.zeros((k, n), dtype=np.int64)
+    basis[np.arange(k), free] = 1
+    basis[:, piv] = ms._esub(0, R[:, free].T)
+    coef = np.indices((ms.q,) * k).reshape(k, -1).T
+    lead = coef[np.arange(len(coef)), np.argmax(coef != 0, axis=1)]
+    return ms.mul(coef[lead == 1], basis).reshape(-1, ms.d, ms.d)

@@ -187,8 +187,7 @@ class TestArtifactCommands:
 
     def test_compare_iso_mode_self(self, workdir, capsys):
         rc = main(
-            ["compare", workdir["graph"], workdir["graph"], "--mode", "iso",
-             "--timeout", "30"]
+            ["compare", workdir["graph"], workdir["graph"], "--mode", "iso"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -450,6 +449,20 @@ class TestVerifySuites:
         assert "PASS family-count-q3-d5" in out
         assert "PASS family-count-q3-d7" in out
         assert "failed=0" in out
+
+    def test_pipeline_suite_certifies_twist_pair(self, capsys):
+        """One closure, and the certificate in place of a search: twist 2
+        is -1 mod 3, so transpose-inverse relates the (5,3) pair."""
+        rc = main(["verify", "--suite", "pipeline-d3q5"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "checks=6 failed=0" in out
+        assert "PASS twist-pair-isomorphic-by-transpose-inverse" in out
+
+    def test_moments_suite_refutes_automorphism(self, capsys):
+        rc = main(["verify", "--suite", "moments-d5q3"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "checks=9 failed=0" in out
+        assert "PASS twist-pair-no-automorphism-induced-isomorphism" in out
 
     def test_paper_suite_reports_single_honest_failure(self, capsys):
         rc = main(["verify", "--suite", "paper-d5q3"])
@@ -799,18 +812,14 @@ def test_huge_kmax_exit_2(workdir, tmp_path):
 
 def test_ball_mitm_with_graph_exit_2(workdir, tmp_path):
     """A graph is checked against the generators only by group-dp, so
-    ball-mitm refuses one instead of listing it as an unchecked input."""
+    ball-mitm refuses one instead of listing it as an unchecked input,
+    before the graph is read: a path that does not exist gets the same
+    refusal."""
     out = tmp_path / "m.moments"
-    proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", workdir["graph"],
-                    "--kmax", "4", "--strategy", "ball-mitm", "--out", str(out))
-    _assert_usage_error(proc, "only by group-dp", "ball-mitm")
-    assert proc.stdout == ""
-    assert not out.exists() and not os.path.exists(str(out) + ".manifest")
+    for graph in (workdir["graph"], str(tmp_path / "missing.graph")):
+        proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", graph,
+                        "--kmax", "4", "--strategy", "ball-mitm", "--out", str(out))
+        _assert_usage_error(proc, "only by group-dp", graph)
+        assert proc.stdout == ""
+        assert not out.exists() and not os.path.exists(str(out) + ".manifest")
 
-
-def test_nan_timeout_exit_2(workdir, tmp_path):
-    out = tmp_path / "iso.report"
-    proc = _run_cli("compare", workdir["graph"], workdir["graph"], "--mode", "iso",
-                    "--timeout", "nan", "--out", str(out))
-    _assert_usage_error(proc, "nonnegative", "nan")
-    assert not out.exists()

@@ -31,9 +31,9 @@ from cayplex.spectra import (
     _moments_ball_mitm,
     _reverse_columns,
     _selected,
+    cayley_isomorphism,
     compare,
     dense_spectrum,
-    isomorphism_search,
     walk_moments,
 )
 
@@ -785,44 +785,71 @@ class TestDenseSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism
+# Automorphism certificate
 # ---------------------------------------------------------------------------
 
 
+def _identity_neighbours(G):
+    """The graph's space and its generators, the neighbours of vertex 0."""
+    ms = G.space()
+    return ms, ms.unpack(G.keys[G.nbr[0]])
+
+
+def _assert_witness(ms, S1, S2, found):
+    """canon(X e(S1) X^-1) has the keys of S2, formed here from the
+    definition of the witness."""
+    X, transpose, power = found
+    E = ms.inverse(S1).transpose(0, 2, 1) if transpose else S1
+    F = ms.F
+    frob = np.array([F.pow_(x, F.p**power) for x in range(ms.q)], dtype=ms.dtype)
+    P = ms.mul(ms.mul(X[None], frob[E]), ms.inverse(X[None]))
+    assert np.array_equal(np.sort(ms.pack(ms.canon(P))), np.sort(ms.pack(ms.canon(S2))))
+
+
 class TestWLAndIsomorphism:
-    def test_isomorphism_found_for_multiplier_pair(self):
-        """Shift sets related by multiplication by a unit give
-        isomorphic graphs; the search must find and verify a witness."""
-        a = _cyclic_shift_graph(16, [1, 15, 3, 13])
-        b = _cyclic_shift_graph(16, [3, 13, 9, 7])
-        verdict, witness = isomorphism_search(a, b, timeout=60)
-        assert verdict == "isomorphic"
-        assert witness is not None and witness[0] == 0
-        assert sorted(witness) == list(range(16))
-
-    def test_non_isomorphic_pair_refuted(self):
-        a = _cyclic_shift_graph(16, [1, 15, 2, 14])
-        b = _cyclic_shift_graph(16, [1, 15, 3, 13])
-        verdict, witness = isomorphism_search(a, b, timeout=60)
-        assert verdict == "non-isomorphic" and witness is None
-
     def test_self_isomorphism(self, graph42):
-        verdict, witness = isomorphism_search(graph42, graph42, timeout=60)
-        assert verdict == "isomorphic"
-        assert witness[0] == 0
+        ms, S = _identity_neighbours(graph42)
+        found = cayley_isomorphism(ms, S, S)
+        assert found is not None
+        _assert_witness(ms, S, S, found)
 
-    def test_timeout_verdict(self):
-        a = _cyclic_shift_graph(64, [1, 63, 5, 59, 11, 53])
-        b = _cyclic_shift_graph(64, [1, 63, 7, 57, 13, 51])
-        verdict, witness = isomorphism_search(a, b, timeout=0.0)
-        assert verdict == "timeout" and witness is None
+    def test_paper_pair_has_no_automorphism(self, bar35, bar35_s2):
+        """Twist 2 is neither 1 nor -1 mod 5: no automorphism of
+        PSL_5(F_3) maps one generator set onto the other."""
+        ms = MatSpace(bar35.params.base, 5)
+        assert cayley_isomorphism(ms, bar35.mats, bar35_s2.mats) is None
 
-    def test_timeout_must_be_nonnegative(self, graph42):
-        """No clock passes a NaN deadline, so a NaN timeout would search
-        without bound; it is refused with a negative one."""
-        for timeout in (float("nan"), -1.0):
-            with pytest.raises(ValueError, match="nonnegative"):
-                isomorphism_search(graph42, graph42, timeout=timeout)
+    def test_opposite_twists_related_by_transpose_inverse(self, bar35):
+        bar_s4 = symmetrize(build_omega(make_params(3, 5, s=4)))
+        ms = MatSpace(bar35.params.base, 5)
+        found = cayley_isomorphism(ms, bar35.mats, bar_s4.mats)
+        assert found is not None and found[1:] == (True, 0)
+        _assert_witness(ms, bar35.mats, bar_s4.mats, found)
+
+    def test_field_automorphism(self, bar42):
+        """The entrywise Frobenius image of a system over F_4 is reached
+        only through the field power."""
+        ms = MatSpace(bar42.params.base, 2)
+        F = ms.F
+        frob = np.array([F.pow_(x, 2) for x in range(4)], dtype=ms.dtype)
+        S2 = ms.canon(frob[bar42.mats])
+        found = cayley_isomorphism(ms, bar42.mats, S2)
+        assert found is not None and found[2] == 1
+        _assert_witness(ms, bar42.mats, S2, found)
+
+    def test_refusals(self, graph42, monkeypatch):
+        """Unpackable keys, graphs over another field, and a system past
+        the projective-solution bound raise ValueError."""
+        G = _cyclic_shift_graph(16, [1, 15])
+        with pytest.raises(ValueError, match="int64 keys"):
+            cayley_isomorphism(*_identity_neighbours(G), _identity_neighbours(G)[1])
+        H = CayleyGraph(get_field(3), G.d, G.keys, G.nbr, G.gen_colors, True, True)
+        with pytest.raises(ValueError, match="one field and dimension"):
+            compare(G, H, "iso")
+        monkeypatch.setattr(spectra, "_ISO_POINTS", 0)
+        ms, S = _identity_neighbours(graph42)
+        with pytest.raises(ValueError, match="projective solutions"):
+            cayley_isomorphism(ms, S, S)
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +897,16 @@ class TestCompare:
         assert rep.verdict == want
         assert compare(a, a, "spectrum").verdict == "isospectral"
 
-    def test_iso_mode_returns_witness_head(self, graph42):
-        rep = compare(graph42, graph42, "iso", timeout=60)
+    def test_iso_mode_returns_witness_head(self, graph53, graph53_s2):
+        """Twist 2 is -1 mod 3, so the (5,3) twist graphs are isomorphic
+        through transpose-inverse; the report carries the witness."""
+        rep = compare(graph53, graph53_s2, "iso")
         assert rep.verdict == "isomorphic"
-        assert rep.details["witness_head"].startswith("0,")
+        assert rep.details["transpose"] == 1 and rep.details["field_power"] == 0
+        X = np.array([row.split(",") for row in rep.details["witness"].split(";")],
+                     dtype=np.uint8)
+        ms, S1 = _identity_neighbours(graph53)
+        _assert_witness(ms, S1, _identity_neighbours(graph53_s2)[1], (X, True, 0))
 
     def test_unknown_mode_and_bad_inputs(self, graph42):
         with pytest.raises(ValueError, match="unknown mode"):
