@@ -7,7 +7,6 @@ from cayplex.cayley import (
     VertexLimitError,
     bfs_build,
     closure_from_matrices,
-    colored_subgraph,
     export_graph,
     import_graph,
 )

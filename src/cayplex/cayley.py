@@ -1,5 +1,5 @@
 """Cayley graphs of projective matrix groups: breadth-first closure from
-the identity, colored subgraph extraction, and text/binary serialization
+the identity, and text/binary serialization of graphs with int64 keys,
 with round-trip guarantees."""
 
 from __future__ import annotations
@@ -351,14 +351,9 @@ def _merged(run, keys, ids):
 def _verify_symmetry(ms, nbr, O) -> bool:
     """True iff the generator set is inverse-closed, in which case the
     pairing nbr[nbr[v, i], inv(i)] == v is checked for every vertex."""
-    gen_keys = ms.pack(O)
-    inv_keys = ms.pack(ms.inverse(O))
-    order = np.argsort(gen_keys, kind="stable")
-    pos = np.searchsorted(gen_keys[order], inv_keys)
-    pos_c = np.minimum(pos, len(gen_keys) - 1)
-    if not np.all(gen_keys[order][pos_c] == inv_keys):
+    partner = ms.inverse_index(O)
+    if (partner < 0).any():
         return False
-    partner = order[pos_c]
     n, r = nbr.shape
     # Columns i and j = inv(i) are maps s_i, s_j of a finite vertex set.
     # If s_j(s_i(v)) = v for every v, then s_i is injective, hence a
@@ -376,33 +371,6 @@ def _verify_symmetry(ms, nbr, O) -> bool:
             i = cols[np.flatnonzero(bad.any(axis=0))[0]]
             raise AssertionError(f"edge relation not symmetric at generator {i}")
     return True
-
-
-# ---------------------------------------------------------------------------
-# Colored subgraphs
-# ---------------------------------------------------------------------------
-
-
-def colored_subgraph(G: CayleyGraph, colors) -> CayleyGraph:
-    """Restriction of the graph to edges whose color lies in ``colors``.
-
-    Vertices are unchanged; generators (hence out-edges) are filtered.
-    The symmetric flag is recomputed from the surviving generator set
-    and connectivity is re-derived by traversal of the undirected view.
-    """
-    wanted = {int(c) for c in colors}
-    if not wanted:
-        raise ValueError("empty color set")
-    keep = [i for i, c in enumerate(G.gen_colors) if c in wanted]
-    if not keep:
-        raise ValueError(f"no generator carries a color in {sorted(wanted)}")
-    nbr = np.ascontiguousarray(G.nbr[:, keep])
-    colors_kept = [G.gen_colors[i] for i in keep]
-    ms = G.space()
-    O = ms.unpack(G.keys[nbr[0]])
-    symmetric = _verify_symmetry(ms, nbr, O)
-    connected = _is_connected(nbr)
-    return CayleyGraph(G.F, G.d, G.keys, nbr, colors_kept, symmetric, connected)
 
 
 def _is_connected(nbr: np.ndarray) -> bool:
@@ -453,27 +421,12 @@ def _key_width(q: int, d: int) -> int:
     return ((q ** (d * d) - 1).bit_length() + 7) // 8
 
 
-def _keys_to_ints(G: CayleyGraph):
-    """Vertex keys as arbitrary-precision packed values (radix q,
-    row-major, least-significant first), matching MatSpace.packed_of."""
-    ms = G.space()
-    if ms.packable:
-        return [int(k) for k in G.keys]
-    mats = ms.unpack(G.keys)
-    return [ms.packed_of(tuple(map(tuple, m))) for m in mats]
-
-
-def _keys_from_ints(F, d: int, values) -> np.ndarray:
-    ms = MatSpace(F, d)
-    if ms.packable:
-        return np.array(values, dtype=np.int64)
-    q = F.q
-    mats = np.zeros((len(values), d, d), dtype=ms.dtype)
-    for i, val in enumerate(values):
-        for k in range(d * d):
-            mats[i, k // d, k % d] = val % q
-            val //= q
-    return ms.pack(mats)
+def _check_int64_keys(q: int, d: int) -> None:
+    """Graph files hold int64 keys, so refuse a space where q^(d*d) does
+    not fit them (``MatSpace.packable``).  The test of d*d first spares a
+    corrupt header's d a huge power."""
+    if not (d * d < 63 and q ** (d * d) < 1 << 63):
+        raise ValueError(f"graph files hold int64 keys: q^(d*d) = {q}^{d * d} does not fit")
 
 
 def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> str:
@@ -482,8 +435,10 @@ def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> str:
 
     Both encodings are bit-exact round-trips including vertex numbering.
     The binary form is little-endian fixed-width records followed by a
-    64-bit checksum of the preceding byte stream.
+    64-bit checksum of the preceding byte stream.  A graph whose keys
+    do not fit int64 is refused before anything is written.
     """
+    _check_int64_keys(G.F.q, G.d)
     if format == "text":
         return atomic_write_text(path, graph_to_text(G))
     if format == "binary":
@@ -522,7 +477,7 @@ def graph_to_text(G: CayleyGraph) -> str:
     if F.f > 1:
         head += " bmod=" + ",".join(str(c) for c in F.modulus)
     lines = [head]
-    lines.extend(f"v {value:x}" for value in _keys_to_ints(G))
+    lines.extend(f"v {value:x}" for value in G.keys.tolist())
     colors = G.gen_colors
     lines.extend(
         f"e {u} {v} {i} {colors[i]}"
@@ -540,6 +495,7 @@ def graph_from_text(text: str) -> CayleyGraph:
         raise ValueError("empty graph file")
     head = Tokens(lines[0])
     n, r, q, d = (int(head[k]) for k in ("n", "r", "q", "d"))
+    _check_int64_keys(q, d)
     p, f = _prime_power(q)
     F = get_field(p, f, _ints(head["bmod"]) if "bmod" in head else None)
     values = [int(ln[2:], 16) for ln in lines[1 : n + 1]]
@@ -554,7 +510,7 @@ def graph_from_text(text: str) -> CayleyGraph:
         raise ValueError("neighbor index out of range") from None
     colors = [int(c) for c in edges[4 : 5 * r : 5]]
     G = _validated_graph(
-        F, d, _keys_from_ints(F, d, values), nbr, colors,
+        F, d, np.array(values, dtype=np.int64), nbr, colors,
         head["sym"] == "1", head["conn"] == "1",
     )
     check_canonical(lines, graph_to_text(G), "graph file")
@@ -607,13 +563,8 @@ def _binary_parts(G: CayleyGraph) -> list:
         parts.append(struct.pack("<H", len(F.modulus)))
         parts.append(bytes(list(F.modulus)))
     parts.append(bytes(list(G.gen_colors)))
-    width = _key_width(F.q, G.d)
-    if G.space().packable:
-        raw = np.ascontiguousarray(G.keys.astype("<i8")).view(np.uint8)
-        parts.append(raw.reshape(G.n, 8)[:, :width].tobytes())
-    else:
-        for value in _keys_to_ints(G):
-            parts.append(value.to_bytes(width, "little"))
+    raw = np.ascontiguousarray(G.keys.astype("<i8")).view(np.uint8)
+    parts.append(raw.reshape(G.n, 8)[:, :_key_width(F.q, G.d)].tobytes())
     parts.append(np.ascontiguousarray(G.nbr, dtype="<i4").data)
     check = hashlib.blake2b(digest_size=8)
     for part in parts:
@@ -671,20 +622,14 @@ def _read_binary(handle, size: int, digest=None) -> CayleyGraph:
         raise ValueError("checksum mismatch: corrupted graph file")
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
+    _check_int64_keys(q, d)
     if width != _key_width(q, d):
         raise ValueError("truncated graph file")
     p, _ = _prime_power(q)
     F = get_field(p, f, bmod)
-    if MatSpace(F, d).packable:
-        raw = np.zeros((n, 8), dtype=np.uint8)
-        raw[:, :width] = np.frombuffer(key_bytes, dtype=np.uint8).reshape(n, width)
-        keys = raw.view("<i8").reshape(n).astype(np.int64, copy=False)
-    else:
-        values = [
-            int.from_bytes(key_bytes[i * width : (i + 1) * width], "little")
-            for i in range(n)
-        ]
-        keys = _keys_from_ints(F, d, values)
+    raw = np.zeros((n, 8), dtype=np.uint8)
+    raw[:, :width] = np.frombuffer(key_bytes, dtype=np.uint8).reshape(n, width)
+    keys = raw.view("<i8").reshape(n).astype(np.int64, copy=False)
     return _validated_graph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
 
 

@@ -54,7 +54,6 @@ from .spectra import (
     MOMENT_STRATEGY,
     MomentSeq,
     cayley_isomorphism,
-    check_graph_of,
     compare,
     dense_spectrum,
     walk_moments,
@@ -264,7 +263,7 @@ def _cmd_omega_hat(ns) -> int:
     params = _build_params(ns)
     start = time.perf_counter()
     hat = build_omega_hat(
-        build_omega(params),
+        build_omega(params, memory_budget=ns.mem_budget),
         memory_budget=ns.mem_budget,
         threads=ns.threads,
     )
@@ -326,22 +325,14 @@ def _cmd_moments(ns) -> int:
 
 def _cmd_spectrum(ns) -> int:
     graph_path = _require(ns, "graph")
-    colors = _parse_colors(ns.colors)
-    if colors is not None and ns.gens is None:
-        # colours follow from the lifts, which only a gens file carries
-        raise ValueError("--colors needs --gens, the system the graph was built from")
     hashes = {}
     G = import_graph(graph_path, hashes)
-    if ns.gens is not None:
-        gens = GenSet.load(ns.gens)
-        hashes[ns.gens] = gens.content_hash()
-        check_graph_of(gens, G)
     start = time.perf_counter()
-    report = dense_spectrum(G, colors=colors, cap=ns.cap)
+    report = dense_spectrum(G, cap=ns.cap)
     print(report.to_text(), end="")
     if ns.out:
         report.save(ns.out)
-        RunManifest(ns).record(start, ns.out, [ns.gens, graph_path], hashes)
+        RunManifest(ns).record(start, ns.out, [graph_path], hashes)
     return 0
 
 
@@ -699,9 +690,7 @@ def _build_parser():
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="dense verified spectrum of a small graph")
-    p.add_argument("--gens", default=None)
     p.add_argument("--graph", default=None)
-    p.add_argument("--colors", default=None)
     p.add_argument("--cap", type=int, default=DENSE_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)

@@ -140,16 +140,6 @@ class CycAlg:
     def one(self) -> CycElem:
         return self._basis(0, self._one)
 
-    def from_field(self, code: int) -> CycElem:
-        return self._basis(0, Poly.const(self.E, code))
-
-    def z(self) -> CycElem:
-        return self._basis(1 % self.d, self._one)
-
-    def z_inv(self) -> CycElem:
-        """z^{-1} = z^{d-1} / (1+t)."""
-        return self._basis(self.d - 1, self._one, (0, 1))
-
     def one_minus_z_inv(self) -> CycElem:
         return self.omega(1)
 

@@ -474,7 +474,31 @@ def _color(lift: CycElem, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_omega(params: GenParams) -> GenSet:
+def _system_memory_estimate(d: int, count: int) -> int:
+    """Upper estimate of the bytes a build of ``count`` generators of
+    dimension d holds at once: per generator its exact lift and
+    bookkeeping (500-750 bytes measured up to d = 9) and one batched
+    Gauss-Jordan reduction of a d x 2d matrix (``MatSpace.inverse``),
+    whose int64 rows and temporaries take at most six int64 copies,
+    96 d^2 bytes; plus 1 MiB of fixed costs (the first allocator arenas
+    and lazily built tables)."""
+    return count * (1024 + 96 * d * d) + (1 << 20)
+
+
+def _check_system_budget(d: int, count: int, budget) -> None:
+    """Refuse, before anything proportional to it is allocated, a build
+    of ``count`` generators whose estimate exceeds the budget
+    (``MEM_BUDGET`` when None)."""
+    budget = MEM_BUDGET if budget is None else budget
+    est = _system_memory_estimate(d, count)
+    if est > budget:
+        raise MemoryBudgetError(
+            f"a system of {count} generators needs ~{est} bytes (budget "
+            f"{budget}); use smaller parameters"
+        )
+
+
+def build_omega(params: GenParams, memory_budget: int | None = None) -> GenSet:
     """The base system: conjugates of 1 - z^{-1} by powers of u.
 
     Element j has finite matrix theta^j b theta^{-j}, where theta is the
@@ -482,8 +506,10 @@ def build_omega(params: GenParams) -> GenSet:
     ``GenSet._rebuild`` checks it against its lift u^j (1 - z^{-1}) u^{-j}.
     The n finite matrices must be pairwise projectively distinct (a
     collision means the finite quotient is too small to hold the system,
-    and is a hard error).
+    and is a hard error).  A system past the memory budget is refused
+    (``MemoryBudgetError``) before its n matrices are formed.
     """
+    _check_system_budget(params.d, params.n, memory_budget)
     alg = params.alg()
     E, F, d, n = params.E, params.base, params.d, params.n
     ms = MatSpace(F, d)
@@ -507,7 +533,7 @@ def build_omega(params: GenParams) -> GenSet:
     return GenSet._rebuild(params, KIND_OMEGA, [(j, 1, -1, None) for j in range(n)], mats)
 
 
-def symmetrize(base_set: GenSet) -> GenSet:
+def symmetrize(base_set: GenSet, memory_budget: int | None = None) -> GenSet:
     """Inverse closure of the base system.
 
     Returns the union of the input and its element-wise projective
@@ -515,30 +541,25 @@ def symmetrize(base_set: GenSet) -> GenSet:
     checked, with every lift, by ``GenSet._rebuild``.  The expected size
     is 2n; coincidences (an inverse already present) are collected in
     ``meta['coincidences']`` as (source index, existing index) pairs and
-    reported rather than treated as errors.
+    reported rather than treated as errors.  The budget check counts the
+    system held and the up to 2n generators built from it.
     """
     if base_set.kind not in (KIND_OMEGA, KIND_OMEGABAR):
         raise ValueError("symmetrize expects the base system or its closure")
     params = base_set.params
+    _check_system_budget(params.d, len(base_set) + 2 * params.n, memory_budget)
     d = params.d
-    # one batched inversion finds the missing inverses and the partners
+    # one batched inversion finds the partners present; the inverses
+    # missing are appended, each the partner of the generator it inverts
     ms = MatSpace(params.base, d)
-    inverses = ms.inverse(base_set.mats)
-    keys = ms.pack(base_set.mats).tolist()
-    inv_keys = ms.pack(inverses).tolist()
-    index_of = {key: i for i, key in enumerate(keys)}
-    coincidences = []
-    added = []  # the generators whose inverses are appended, in order
-    for i, key in enumerate(inv_keys):
-        if key in index_of:
-            coincidences.append((i, index_of[key]))
-            continue
-        index_of[key] = len(keys) + len(added)
-        added.append(i)
-    rows = [(g.j, g.color, index_of[key], None) for g, key in zip(base_set, inv_keys)]
-    rows += [(base_set[i].j, (d - base_set[i].color) % d, index_of[keys[i]], None)
-             for i in added]
-    mats = np.concatenate((base_set.mats, inverses[added]))
+    partner = ms.inverse_index(base_set.mats).tolist()
+    coincidences = [(i, k) for i, k in enumerate(partner) if k >= 0]
+    added = [i for i, k in enumerate(partner) if k < 0]  # inverses appended
+    for slot, i in enumerate(added):
+        partner[i] = len(partner) + slot
+    rows = [(g.j, g.color, k, None) for g, k in zip(base_set, partner)]
+    rows += [(base_set[i].j, (d - base_set[i].color) % d, i, None) for i in added]
+    mats = np.concatenate((base_set.mats, ms.inverse(base_set.mats[added])))
     return GenSet._rebuild(params, KIND_OMEGABAR, rows, mats,
                            meta={"coincidences": coincidences})
 
@@ -853,20 +874,16 @@ def build_omega_hat(
         words += map(tuple, prefixes[order].tolist())
         colors += [level] * len(uniq)
     mats = np.concatenate(mats)
-    packed = ms.pack(mats)
-    keys = np.sort(packed)
+    keys = np.sort(ms.pack(mats))
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("one projective matrix appears in two color classes")
     if (mats == ms.identity_batch(1)).all(axis=(1, 2)).any():
         raise ValueError("the identity appeared as a product-system element")
 
-    index_of = {key: i for i, key in enumerate(packed.tolist())}
-    partners = []
-    for key in ms.pack(ms.inverse(mats)).tolist():
-        if key not in index_of:
-            raise ValueError("product system is not inverse-closed")
-        partners.append(index_of[key])
-    rows = [(-1, c, k, w) for c, k, w in zip(colors, partners, words)]
+    partners = ms.inverse_index(mats)
+    if (partners < 0).any():
+        raise ValueError("product system is not inverse-closed")
+    rows = [(-1, c, k, w) for c, k, w in zip(colors, partners.tolist(), words)]
     meta = {"candidates": count, "identity_words": len(W), "collisions": collisions}
     return GenSet._rebuild(params, KIND_OMEGAHAT, rows, mats, meta, kernel)
 

@@ -15,10 +15,9 @@ The projective canonical form scales a matrix so that its first nonzero
 entry in row-major order is 1.  Packed encoding: row-major entry codes
 are digits of a radix-q integer, entry (0,0) contributing the lowest
 digit.  ``MatSpace.pack`` gives int64 keys when q^(d*d) fits and raw
-bytes otherwise; ``MatSpace.packed_of`` gives the big-int value of one
-matrix, which equals the int64 key whenever that exists.  A point id
-renumbers an int64 canonical key densely: row 0 by its rank among the
-points of P^(d-1)(F_q), the other rows as they are (``point_ids``).
+bytes otherwise.  A point id renumbers an int64 canonical key densely:
+row 0 by its rank among the points of P^(d-1)(F_q), the other rows as
+they are (``point_ids``).
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ class MatSpace:
         """Batched projective canonicalization (first nonzero row-major
         entry scaled to 1)."""
         n = A.shape[0]
-        flat = A.reshape(n, -1)
+        flat = A.reshape(n, self.d * self.d)
         first = np.argmax(flat != 0, axis=1)
         lead = flat[np.arange(n), first]
         if np.any(lead == 0):
@@ -231,6 +230,17 @@ class MatSpace:
         if (rank < d).any():
             raise ValueError(f"matrix {int(np.argmax(rank < d))} of the batch is singular")
         return self.canon(R[:, :, d:])
+
+    def inverse_index(self, A: np.ndarray) -> np.ndarray:
+        """For each matrix of a batch of canonical matrices, the index in
+        A of its projective inverse (the lowest index of a repeated
+        matrix), -1 where A lacks it."""
+        keys = self.pack(A)
+        order = np.argsort(keys, kind="stable")
+        srt = keys[order]
+        inv = self.pack(self.inverse(A))
+        pos = np.minimum(np.searchsorted(srt, inv), len(srt) - 1)
+        return np.where(srt[pos] == inv, order[pos], -1)
 
     def key_products(self, O: np.ndarray, ids: bool = False):
         """A function from a block of packed keys to the packed canonical
@@ -397,14 +407,6 @@ class MatSpace:
         rest *= self.q**self.d
         rest += np.flatnonzero(self._point_rank() >= 0)[rank]
         return rest
-
-    def packed_of(self, rows) -> int:
-        """Big-int packed value of one matrix given as rows of codes."""
-        out = 0
-        for row in reversed(rows):
-            for x in reversed(row):
-                out = out * self.q + x
-        return out
 
 
 def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:

@@ -16,7 +16,6 @@ from .cayley import (
     _search,
     _vertex_table_size,
     closure_from_matrices,
-    colored_subgraph,
 )
 from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_psl
 from .orbits import orbits_for
@@ -59,9 +58,9 @@ class MomentSeq:
     power sums up to K.
     """
 
-    __slots__ = ("values", "genset_hash", "colors", "strategy")
+    __slots__ = ("values", "genset_hash", "colors")
 
-    def __init__(self, values, genset_hash: str, colors=None, strategy=""):
+    def __init__(self, values, genset_hash: str, colors=None):
         self.values = tuple(int(v) for v in values)
         if not self.values or self.values[0] != 1:
             raise ValueError("a moment sequence starts with N_0 = 1")
@@ -69,7 +68,6 @@ class MomentSeq:
             raise ValueError("moment counts are nonnegative")
         self.genset_hash = genset_hash
         self.colors = tuple(sorted(int(c) for c in colors)) if colors else None
-        self.strategy = strategy
 
     @property
     def K(self) -> int:
@@ -247,7 +245,7 @@ def walk_moments(
         values = _moments_ball_mitm(gens, K, sel, threads, memory_budget)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return MomentSeq(values, gens.content_hash(), colors, strategy)
+    return MomentSeq(values, gens.content_hash(), colors)
 
 
 def _overflows(r: int, e: int) -> bool:
@@ -719,9 +717,6 @@ class SpectrumReport:
         self.n = int(n)
         self.r = int(r)
 
-    def power_sum(self, k: int) -> float:
-        return float(sum(v**k for v in self.values))
-
     def multiplicities(self, tol: float | None = None):
         """Cluster the sorted eigenvalues into (value, multiplicity)
         pairs; values within ``tol`` of the running cluster head are
@@ -753,26 +748,21 @@ class SpectrumReport:
         return f"SpectrumReport(n={self.n}, r={self.r}, lambda_max={top})"
 
 
-def dense_spectrum(
-    G: CayleyGraph,
-    colors=None,
-    cap: int = DENSE_CAP,
-) -> SpectrumReport:
-    """Full verified spectrum of a small symmetric Cayley graph.
+def dense_spectrum(G: CayleyGraph, cap: int = DENSE_CAP) -> SpectrumReport:
+    """Full verified spectrum of a small symmetric Cayley graph, all of
+    its generators.
 
     The adjacency matrix is solved with the dense symmetric
     eigendecomposition and every eigenpair is re-verified: the largest
     residual ||Av - lambda*v|| must not exceed 1e-8 * r.  Directed
-    (color-restricted, non-inverse-closed) operators are rejected;
-    their fingerprints are exact integer moments, never floating
-    spectra.
+    graphs (of a generator set that is not inverse-closed) are
+    rejected; their fingerprints are exact integer moments, never
+    floating spectra.
     """
-    if colors is not None:
-        G = colored_subgraph(G, colors)
     if not G.symmetric:
         raise ValueError(
-            "directed colored operator: compare exact walk moments instead "
-            "of a floating spectrum"
+            "directed graph: compare exact walk moments instead of a "
+            "floating spectrum"
         )
     if G.n > cap:
         raise ValueError(f"graph order {G.n} exceeds the dense cap {cap}")

@@ -1,6 +1,8 @@
-"""Tests for Cayley graph construction, colored subgraphs, triangle
-counts against the closed-walk moment, and serialization round trips."""
+"""Tests for Cayley graph construction, connectivity, triangle counts
+against the closed-walk moment, and serialization round trips."""
 
+import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,6 @@ from cayplex.cayley import (
     VertexLimitError,
     bfs_build,
     closure_from_matrices,
-    colored_subgraph,
     export_graph,
     graph_from_text,
     graph_to_text,
@@ -29,6 +30,9 @@ from cayplex.genforge import (
     symmetrize,
 )
 from cayplex.spectra import walk_moments
+
+from test_projmat import packed_of
+from test_spectra import _cyclic_shift_graph
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,7 @@ def test_toy_vertex_lookup(toy3):
     ms = toy3.space()
     mats = ms.unpack(toy3.keys)
     for v in range(toy3.n):
-        assert ms.packed_of(mats[v].tolist()) == int(toy3.keys[v])
+        assert packed_of(ms.q, mats[v].tolist()) == int(toy3.keys[v])
     assert np.array_equal(mats[0], ms.identity_batch(1)[0])
     assert np.array_equal(mats[1], ms.canon(ms.asbatch(regular_rep(ExtField(toy3.F, 2), 2)))[0])
 
@@ -174,21 +178,8 @@ def test_thread_determinism(bar53, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Colored subgraphs
+# Connectivity
 # ---------------------------------------------------------------------------
-
-
-def test_colored_subgraph_full_set(graph53):
-    sub = colored_subgraph(graph53, {1, 2})
-    assert sub == graph53
-
-
-def test_colored_subgraph_single_color(graph53_hat):
-    sub = colored_subgraph(graph53_hat, {1})
-    assert sub.r == 31
-    assert not sub.symmetric  # inverses of color-1 elements live in color 2
-    assert sub.connected
-    assert sub.n == graph53_hat.n
 
 
 def _reaches_all(nbr):
@@ -217,6 +208,7 @@ def test_connectivity_of_colored_views_against_python_bfs():
     ]
     G = closure_from_matrices(get_field(2), n, shift, colors=[1, 2, 2, 3])
     assert G.n == n and G.connected
+    ms = G.space()
     views = {
         (1,): (False, False),  # +2 alone: two cosets, directed
         (2,): (True, False),  # +-3: three cosets, undirected
@@ -224,9 +216,11 @@ def test_connectivity_of_colored_views_against_python_bfs():
         (1, 2): (False, True),  # gcd(2, 3) = 1, still directed
     }
     for colors, (symmetric, connected) in views.items():
-        sub = colored_subgraph(G, set(colors))
-        assert sub.symmetric == symmetric
-        assert sub.connected == connected == _reaches_all(sub.nbr)
+        keep = [i for i, c in enumerate(G.gen_colors) if c in colors]
+        nbr = np.ascontiguousarray(G.nbr[:, keep])
+        O = ms.unpack(G.keys[nbr[0]])
+        assert cayley._verify_symmetry(ms, nbr, O) == symmetric
+        assert cayley._is_connected(nbr) == connected == _reaches_all(nbr)
     # directed permutation columns on two halves, then one joining them
     rng = np.random.default_rng(405)
     halves = [np.concatenate([rng.permutation(50), 50 + rng.permutation(50)])
@@ -240,13 +234,6 @@ def test_connectivity_of_colored_views_against_python_bfs():
     split[0, 1] = split[1, 1]
     with pytest.raises(AssertionError, match="not a permutation"):
         cayley._is_connected(split)
-
-
-def test_colored_subgraph_errors(graph53):
-    with pytest.raises(ValueError):
-        colored_subgraph(graph53, set())
-    with pytest.raises(ValueError):
-        colored_subgraph(graph53, {9})
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +455,7 @@ def test_text_load_checks_flags_and_keys(graph42, toy3):
     # vertex 1 scaled by the scalar 2 of F_4: the same class, not canonical
     F, ms = graph42.F, graph42.space()
     rows = ms.unpack(graph42.keys[1:2])[0]
-    scaled = ms.packed_of([[F.mul(2, int(x)) for x in row] for row in rows])
+    scaled = packed_of(F.q, [[F.mul(2, int(x)) for x in row] for row in rows])
     lines = text.splitlines()
     lines[2] = f"v {scaled:x}"
     with pytest.raises(ValueError, match="canonical"):
@@ -524,6 +511,47 @@ def test_search_matches_dict():
             got = cayley._search(empty, needles, 3)
             assert got.dtype == dtype and got.tolist() == [3] * len(needles)
             assert cayley._search(run, needles[:0]).tolist() == []
+
+
+def test_export_refuses_byte_keys(tmp_path):
+    """A graph whose keys need raw bytes (F_2, d = 16: 2^256 keys) is
+    refused in both formats before anything is written: no file and no
+    temporary file is left."""
+    G = _cyclic_shift_graph(16, [1, 15])
+    assert not G.space().packable
+    for fmt in ("text", "binary"):
+        path = tmp_path / f"g.{fmt}"
+        with pytest.raises(ValueError, match="int64 keys"):
+            export_graph(G, str(path), format=fmt)
+    assert os.listdir(tmp_path) == []
+
+
+def _binary_file(q, d, n=1, r=1, width=10):
+    """The bytes of a binary graph file with a valid checksum whose
+    header names (q, d), with ``width`` zero bytes per key."""
+    parts = [
+        cayley._HEADER.pack(cayley._MAGIC, cayley._VERSION, n, r, q, d, 1, 1, 1),
+        bytes([1] * r),
+        bytes(n * width),
+        bytes(4 * n * r),
+    ]
+    check = hashlib.blake2b(b"".join(parts), digest_size=8)
+    return b"".join(parts) + check.digest()
+
+
+def test_readers_refuse_byte_key_headers(graph42, tmp_path):
+    """A text header and a binary header that name q=3 d=7, whose keys
+    would need raw bytes, are refused before any key is read; so is a
+    header whose d is large enough to make q^(d*d) a huge power."""
+    text = graph_to_text(graph42).splitlines()
+    for q, d in ((3, 7), (3, 10**6)):
+        head = text[0].replace("q=4 d=2", f"q={q} d={d}").replace(" bmod=1,1,1", "")
+        with pytest.raises(ValueError, match="int64 keys"):
+            graph_from_text("\n".join([head, "v zz"] + text[2:]))
+        path = tmp_path / f"q{q}.graph"
+        path.write_bytes(_binary_file(q, d))
+        with pytest.raises(ValueError, match="int64 keys"):
+            import_graph(str(path))
 
 
 def test_export_unknown_format(toy3, tmp_path):

@@ -13,13 +13,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import cli
+from cayplex import cli, genforge
 from cayplex.cayley import CayleyGraph, export_graph
 from cayplex.cli import _sha256_file, main
 from cayplex.ffield import get_field
 from cayplex.genforge import GenSet
 from cayplex.projmat import MatSpace
 from cayplex.spectra import MomentSeq
+
+from test_cayley import _binary_file
 
 
 def _sha(path):
@@ -735,10 +737,9 @@ def test_text_graph_wrong_edge_spectrum_exit_2(text_graph, tmp_path):
 
 def test_spectrum_colors_checked_against_gens(workdir, text_graph, tmp_path):
     """Edge colours are read from the graph file but follow from the
-    generator system, so ``--colors`` needs ``--gens``, and a graph whose
-    generator 0 was recoloured from 1 to 2 on all its edge lines (a
-    canonical file that loads) is refused rather than restricted to a
-    4-regular subgraph."""
+    generator system, so a graph whose generator 0 was recoloured from 1
+    to 2 on all its edge lines (a canonical file that loads) is refused
+    by group-dp rather than read with the wrong colour classes."""
     recoloured = []
     for line in text_graph:
         tag, *rest = line.split()
@@ -749,18 +750,71 @@ def test_spectrum_colors_checked_against_gens(workdir, text_graph, tmp_path):
     assert recoloured != text_graph
     path = tmp_path / "recoloured.txt"
     path.write_text("\n".join(recoloured) + "\n")
-    proc = _run_cli("spectrum", "--graph", str(path), "--colors", "1")
-    _assert_usage_error(proc, "--colors needs --gens", "no gens")
-    proc = _run_cli("spectrum", "--gens", workdir["gens"], "--graph", str(path),
-                    "--colors", "1")
-    _assert_usage_error(proc, "colours disagree", "recoloured")
     proc = _run_cli("moments", "--gens", workdir["gens"], "--graph", str(path),
                     "--kmax", "4", "--strategy", "group-dp")
     _assert_usage_error(proc, "colours disagree", "moments")
-    proc = _run_cli("spectrum", "--gens", workdir["gens"], "--graph", workdir["graph"],
-                    "--colors", "1")
+
+
+def test_spectrum_takes_the_whole_graph(workdir, tmp_path):
+    """``spectrum`` has no colour restriction: ``--colors`` and ``--gens``
+    are unrecognized flags and unknown config keys (exit 2), and the
+    graph alone gives the spectrum of all its generators."""
+    for flag, value in (("--colors", "1"), ("--gens", workdir["gens"])):
+        proc = _run_cli("spectrum", "--graph", workdir["graph"], flag, value)
+        assert proc.returncode == 2, (flag, proc.stderr)
+        assert "unrecognized arguments" in proc.stderr, (flag, proc.stderr)
+        cfg = tmp_path / f"{flag[2:]}.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        proc = _run_cli("spectrum", "--graph", workdir["graph"], "--config", str(cfg))
+        _assert_usage_error(proc, "unknown configuration key", flag)
+    proc = _run_cli("spectrum", "--graph", workdir["graph"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("version=1 n=60 r=5 ")
+
+
+def test_spectrum_byte_key_graph_headers_exit_2(text_graph, tmp_path):
+    """A text header and a binary header that name q=3 d=7, whose keys
+    do not fit int64, are usage errors for ``spectrum``."""
+    head = text_graph[0].replace("q=4 d=2", "q=3 d=7").replace(" bmod=1,1,1", "")
+    text = tmp_path / "g37.txt"
+    text.write_text("\n".join([head] + text_graph[1:]) + "\n")
+    binary = tmp_path / "g37.graph"
+    binary.write_bytes(_binary_file(3, 7))
+    for path in (text, binary):
+        _assert_usage_error(_run_cli("spectrum", "--graph", str(path)), "int64 keys", path)
+
+
+def test_base_system_past_budget_exit_2(monkeypatch, capsys, tmp_path):
+    """A base system whose estimate is past the budget is a resource
+    abort (exit 2) before it is built, and nothing is written: (3,5)
+    under a budget patched below its estimate, and (3,13), n = 797,161,
+    under the default.  The (3,13) child runs under a 1 GiB
+    address-space limit, so a build that is not refused fails there
+    instead of exhausting the machine's memory."""
+    import resource
+    import subprocess
+    import sys
+
+    out = tmp_path / "x.gens"
+    monkeypatch.setattr(genforge, "MEM_BUDGET", 1 << 20)
+    assert main(["gens", "--q", "3", "--d", "5", "--out", str(out)]) == 2
+    assert "resource abort: a system of 121 generators" in capsys.readouterr().err
+    assert not out.exists()
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayplex.cli", "gens", "--q", "3", "--d", "13",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "resource abort: a system of 797161 generators" in proc.stderr
+    assert not out.exists()
 
 
 def test_text_graph_vertex_value_out_of_range_exit_2(text_graph, tmp_path):

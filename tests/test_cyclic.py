@@ -73,6 +73,27 @@ def poly_matmul(A, B):
     )
 
 
+def basis_elem(alg, k, p, den=(0, 0)):
+    """p z^k / (t^den[0] (1+t)^den[1]), built with ``alg.elem``."""
+    coords = [Poly.zero(alg.E)] * alg.d
+    coords[k] = p
+    return alg.elem(coords, den)
+
+
+def z_elem(alg):
+    return basis_elem(alg, 1, Poly.one(alg.E))
+
+
+def z_inv_elem(alg):
+    """z^{-1} = z^{d-1} / (1+t)."""
+    return basis_elem(alg, alg.d - 1, Poly.one(alg.E), (0, 1))
+
+
+def field_elem(alg, code):
+    """The element ``code`` of E, a constant coordinate of z^0."""
+    return basis_elem(alg, 0, Poly.const(alg.E, code))
+
+
 @pytest.fixture(scope="module")
 def alg35():
     return CycAlg(E35, 1)
@@ -86,9 +107,9 @@ def alg53():
 def test_defining_relations(alg35, alg53):
     for alg in (alg35, alg53):
         E, d = alg.E, alg.d
-        z = alg.z()
-        a = alg.from_field(E.tau_code)
-        assert z * a == alg.from_field(E.frob(E.tau_code, alg.s)) * z
+        z = z_elem(alg)
+        a = field_elem(alg, E.tau_code)
+        assert z * a == field_elem(alg, E.frob(E.tau_code, alg.s)) * z
         zd = alg.one()
         for _ in range(d):
             zd = zd * z
@@ -97,12 +118,12 @@ def test_defining_relations(alg35, alg53):
 
 
 def test_z_inverse(alg35):
-    assert alg35.z() * alg35.z_inv() == alg35.one()
-    assert alg35.z_inv() * alg35.z() == alg35.one()
+    assert z_elem(alg35) * z_inv_elem(alg35) == alg35.one()
+    assert z_inv_elem(alg35) * z_elem(alg35) == alg35.one()
     # (1 - z^{-1}) z = z - 1
     E, zero = alg35.E, Poly.zero(alg35.E)
     z_minus_one = alg35.elem([Poly.const(E, E.neg(1)), Poly.one(E)] + [zero] * 3)
-    assert alg35.one_minus_z_inv() * alg35.z() == z_minus_one
+    assert alg35.one_minus_z_inv() * z_elem(alg35) == z_minus_one
     assert alg35.one_minus_z_inv() == alg35.omega(1)
 
 
@@ -116,7 +137,7 @@ def test_representation_is_homomorphism(alg35):
 
 def test_representation_generator_images(alg35):
     E = alg35.E
-    Mz = alg35.z().matrix_rep()
+    Mz = z_elem(alg35).matrix_rep()
     for i in range(5):
         for j in range(5):
             if i == j + 1:
@@ -127,7 +148,7 @@ def test_representation_generator_images(alg35):
                 assert Mz[i][j].is_zero()
     # diagonal twist: matrix of a field element is diag(sigma^{-k}(c))
     c = 137
-    Mc = alg35.from_field(c).matrix_rep()
+    Mc = field_elem(alg35, c).matrix_rep()
     for k in range(5):
         assert Mc[k][k] == Poly.const(E, alg35.sigma(c, -k))
         assert all(Mc[k][j].is_zero() for j in range(5) if j != k)
@@ -140,8 +161,8 @@ def test_reduced_norm_reference_values(alg35, alg53):
         w = alg.one_minus_z_inv()
         assert w.reduced_norm() == (one, 1, -1)  # t / (1+t)
         sign = Poly.const(F, 1 if (alg.d - 1) % 2 == 0 else F.neg(1))
-        assert alg.z().reduced_norm() == (sign, 0, 1)
-        assert alg.z_inv().reduced_norm() == (sign, 0, -1)
+        assert z_elem(alg).reduced_norm() == (sign, 0, 1)
+        assert z_inv_elem(alg).reduced_norm() == (sign, 0, -1)
         assert alg.one().reduced_norm() == (one, 0, 0)
 
 
@@ -159,7 +180,7 @@ def test_reduced_norm_multiplicative_and_conj_invariant(alg35):
     w = alg35.one_minus_z_inv()
     for _ in range(10):
         u = rng.randrange(1, E35.order)
-        conj = alg35.from_field(u) * w * alg35.from_field(E35.inv(u))
+        conj = field_elem(alg35, u) * w * field_elem(alg35, E35.inv(u))
         assert conj.reduced_norm() == (Poly.one(E35.base), 1, -1)
         assert alg35.omega(u) == conj
 
@@ -172,12 +193,12 @@ def test_conj_by_unit_basics(alg35):
     E = alg35.E
 
     def conj(x, u):
-        return alg35.from_field(u) * x * alg35.from_field(E.inv(u))
+        return field_elem(alg35, u) * x * field_elem(alg35, E.inv(u))
 
     assert conj(a, 1) == a
     u = 99
     factor = E.mul(u, E.inv(alg35.sigma(u, 1)))
-    assert conj(alg35.z(), u) == alg35.from_field(factor) * alg35.z()
+    assert conj(z_elem(alg35), u) == field_elem(alg35, factor) * z_elem(alg35)
 
 
 def test_inverse(alg35, alg53):
@@ -261,7 +282,7 @@ def test_specialize_z_image_consistency(alg53):
     alpha = 3  # -2 in F_5
     gamma = gamma_from_alpha(E, alpha)
     assert gamma == F.neg(2)  # d odd, alpha = -2  =>  gamma = -2
-    Z, Z_inv = alg53.specialize([alg53.z(), alg53.z_inv()], alpha)[:, None]
+    Z, Z_inv = alg53.specialize([z_elem(alg53), z_inv_elem(alg53)], alpha)[:, None]
     one_plus_gamma = F.add(1, gamma)
     assert np.array_equal(ms.power(Z, 3), ms.identity_batch(1) * one_plus_gamma)
     assert np.array_equal(ms.mul(Z_inv, Z), ms.identity_batch(1))
@@ -304,7 +325,7 @@ def test_z_powers_are_cached_exact_powers(alg53):
         ) % E.q
         assert np.array_equal(alg53.image(digits, c), want)
     Z = alg53._image_map(E.add(1, 3)).reshape(3, 3, 3, 3)[1, 0]
-    assert np.array_equal(alg53.specialize([alg53.z()], 3)[0], Z)
+    assert np.array_equal(alg53.specialize([z_elem(alg53)], 3)[0], Z)
     # an inadmissible alpha is refused on every call, cached or not
     for _ in range(2):
         with pytest.raises(ValueError):
@@ -321,7 +342,7 @@ def test_global_mat_projective_equality(alg35):
     central = alg35.elem([Poly(E35, (2, 0, 1))] + [zero] * 4, (1, 2))
     assert (a_inv * (a * central)).is_central_scalar()
     assert (a_inv * (central * a)).is_central_scalar()
-    tau = alg35.from_field(E35.tau_code)
+    tau = field_elem(alg35, E35.tau_code)
     assert not (a_inv * (a * tau)).is_central_scalar()
 
 
@@ -332,7 +353,7 @@ def test_sigma_fixes_t_and_base(alg35):
     assert alg35.sigma_poly(r, 3) == r
     # t is central: it commutes with z
     t_elem = alg35.elem([t] + [Poly.zero(E35)] * 4)
-    assert t_elem * alg35.z() == alg35.z() * t_elem
+    assert t_elem * z_elem(alg35) == z_elem(alg35) * t_elem
 
 
 def test_pc_kernel_matches_elem_arithmetic(alg35):

@@ -177,6 +177,28 @@ def test_symmetrize_rejects_product_system(hat53):
         symmetrize(hat53)
 
 
+def test_system_budget_refused_before_building(monkeypatch, omega35, bar35):
+    """``build_omega`` and ``symmetrize`` build under a budget equal to
+    their estimate and refuse one byte less with MemoryBudgetError
+    before any matrix is formed (``MatSpace`` is not reached); the
+    closure counts the n generators it holds and the 2n it builds."""
+    p35 = omega35.params
+    est = genforge._system_memory_estimate(p35.d, p35.n)
+    est_sym = genforge._system_memory_estimate(p35.d, 3 * p35.n)
+    assert build_omega(p35, memory_budget=est).to_text() == omega35.to_text()
+    assert symmetrize(omega35, memory_budget=est_sym).to_text() == bar35.to_text()
+    # the estimate covers the matrix kernel's reduction of [A | I]
+    assert est > p35.n * 6 * 8 * p35.d * 2 * p35.d
+    monkeypatch.setattr(genforge, "MatSpace", None)
+    with pytest.raises(MemoryBudgetError, match="121 generators"):
+        build_omega(p35, memory_budget=est - 1)
+    with pytest.raises(MemoryBudgetError, match="363 generators"):
+        symmetrize(omega35, memory_budget=est_sym - 1)
+    monkeypatch.setattr(genforge, "MEM_BUDGET", est - 1)
+    with pytest.raises(MemoryBudgetError):
+        build_omega(p35)
+
+
 # ---------------------------------------------------------------------------
 # Product system
 # ---------------------------------------------------------------------------

@@ -92,6 +92,17 @@ def canon_rows(F, A):
     return tuple(tuple(F.mul(x, il) for x in row) for row in A)
 
 
+def packed_of(q, rows):
+    """Big-int packed value of one matrix given as rows of codes: the
+    reference for ``MatSpace.pack`` (radix q, row-major, entry (0,0)
+    the lowest digit)."""
+    out = 0
+    for row in reversed(rows):
+        for x in reversed(row):
+            out = out * q + int(x)
+    return out
+
+
 def tuples(batch):
     return [tuple(map(tuple, m)) for m in batch.tolist()]
 
@@ -280,7 +291,7 @@ def test_matspace_pack_roundtrip_and_bigint_agreement():
     back = ms.unpack(keys)
     assert np.array_equal(back, batch)
     for i, m in enumerate(mats):
-        assert int(keys[i]) == ms.packed_of(m)
+        assert int(keys[i]) == packed_of(ms.q, m)
 
 
 def test_matspace_byte_keys_when_int64_overflows():
@@ -293,6 +304,24 @@ def test_matspace_byte_keys_when_int64_overflows():
     keys = ms.pack(batch)
     assert len(np.unique(keys)) == len({m for m in mats})
     assert np.array_equal(ms.unpack(keys), batch)
+
+
+def test_inverse_index_matches_dict():
+    """``inverse_index`` gives the index of each matrix's projective
+    inverse, against a dict of canonical row tuples, and -1 where the
+    batch lacks it: on int64 keys (F_5, d=3) and on byte keys (F_3,
+    d=7)."""
+    rng = random.Random(313)
+    for F, d in ((F5, 3), (get_field(3), 7)):
+        ms = MatSpace(F, d)
+        mats = [canon_rows(F, rand_invertible(rng, F, d)) for _ in range(6)]
+        mats += [canon_rows(F, mat_inv(F, m)) for m in mats[:3]]
+        rng.shuffle(mats)
+        index = {m: i for i, m in enumerate(mats)}
+        assert len(index) == len(mats)
+        want = [index.get(canon_rows(F, mat_inv(F, m)), -1) for m in mats]
+        assert sorted(want).count(-1) == 3
+        assert ms.inverse_index(ms.asbatch(mats)).tolist() == want
 
 
 def _repeat_tile_products(ms, A, O):

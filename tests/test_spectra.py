@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cayplex import cayley, projmat, spectra
-from cayplex.cayley import CayleyGraph, closure_from_matrices, colored_subgraph
+from cayplex.cayley import CayleyGraph, closure_from_matrices
 from cayplex.ffield import get_field
 from cayplex.genforge import (
     MemoryBudgetError,
@@ -139,13 +139,13 @@ def _rotation_rows(n, k):
     )
 
 
-def _cyclic_shift_graph(n, shifts, colors=None):
+def _cyclic_shift_graph(n, shifts):
     """Cayley graph of the cyclic group of order n on the given shift
     amounts, realized as permutation matrices over the two-element
     field."""
     F2 = get_field(2)
     mats = [_rotation_rows(n, k) for k in shifts]
-    return closure_from_matrices(F2, n, mats, colors=colors, max_vertices=4 * n)
+    return closure_from_matrices(F2, n, mats, max_vertices=4 * n)
 
 
 def _circulant_eigenvalues(n, shifts):
@@ -714,7 +714,6 @@ class TestWalkMoments:
         m = walk_moments(bar42, 2, "group-dp", colors={1}, graph=graph42)
         assert m.genset_hash == bar42.content_hash()
         assert m.colors == (1,)
-        assert m.strategy == "group-dp"
 
 
 # ---------------------------------------------------------------------------
@@ -731,21 +730,27 @@ class TestDenseSpectrum:
         top_value, top_mult = sp.multiplicities()[0]
         assert abs(top_value - graph42.r) <= 1e-8 * graph42.r
         assert top_mult == 1
-        assert abs(sp.power_sum(1)) <= 1e-8 * graph42.n
-        assert abs(sp.power_sum(2) - graph42.n * graph42.r) <= 1e-6
+        assert abs(sum(sp.values)) <= 1e-8 * graph42.n
+        assert abs(sum(v**2 for v in sp.values) - graph42.n * graph42.r) <= 1e-6
 
     def test_moment_spectrum_consistency(self, bar42, graph42):
         sp = dense_spectrum(graph42)
         m = walk_moments(bar42, 6, "group-dp", graph=graph42)
         for k in range(7):
-            ps = sp.power_sum(k)
+            ps = sum(v**k for v in sp.values)
             want = graph42.n * m[k]
             assert abs(ps - want) <= 1e-6 * max(1.0, abs(want))
 
     def test_component_count_as_top_multiplicity(self):
-        G = _cyclic_shift_graph(64, [1, 63, 16, 48], colors=[0, 0, 1, 1])
-        sub = colored_subgraph(G, {1})
-        assert sub.symmetric and not sub.connected
+        """The shifts +-16 of Z_64 alone split it into 16 cycles of
+        length 4: the table of their two columns, taken from the
+        closure of Z_64, is a disconnected 2-regular graph."""
+        G = _cyclic_shift_graph(64, [1, 63, 16, 48])
+        nbr = np.ascontiguousarray(G.nbr[:, 2:])
+        ms = G.space()
+        assert cayley._verify_symmetry(ms, nbr, ms.unpack(G.keys[nbr[0]]))
+        assert not cayley._is_connected(nbr)
+        sub = CayleyGraph(G.F, G.d, G.keys, nbr, [0, 0], True, False)
         sp = dense_spectrum(sub)
         top_value, top_mult = sp.multiplicities()[0]
         assert abs(top_value - 2.0) <= 2e-8
@@ -759,19 +764,15 @@ class TestDenseSpectrum:
         want = _circulant_eigenvalues(64, shifts)
         assert np.max(np.abs(got - want)) <= 1e-8 * G.r
 
-    def test_colored_restriction(self, graph42):
-        sp = dense_spectrum(graph42, colors={1})
-        assert sp.n == graph42.n
-
     def test_cap_enforced(self, graph42):
         with pytest.raises(ValueError, match="dense cap"):
             dense_spectrum(graph42, cap=10)
 
-    def test_directed_operator_rejected(self, graph53_hat):
-        sub = colored_subgraph(graph53_hat, {1})
-        assert not sub.symmetric
+    def test_directed_operator_rejected(self):
+        G = _cyclic_shift_graph(16, [1])
+        assert G.n == 16 and not G.symmetric
         with pytest.raises(ValueError, match="walk moments"):
-            dense_spectrum(sub, cap=500_000)
+            dense_spectrum(G)
 
     def test_report_text(self, graph42, tmp_path):
         sp = dense_spectrum(graph42)
