@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,19 +15,21 @@ from .ffield import get_field
 from .genforge import (
     KIND_OMEGABAR,
     KIND_OMEGAHAT,
+    MEM_BUDGET,
     GenSet,
+    MemoryBudgetError,
     _ints,
     _prime_power,
     group_order_pgl,
 )
-from .projmat import MatSpace
+from .projmat import MatSpace, _block_rows
 from .util import (
     Tokens,
     atomic_write_parts,
     atomic_write_text,
     check_canonical,
     check_manifest,
-    ordered_map,
+    ordered_imap,
 )
 
 _MAGIC = b"CAYG"
@@ -34,11 +37,31 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQIIIIBB")
 # most point ids looked up through a direct int32 vertex table (64 MB)
 _VERTEX_TABLE_MAX = 1 << 24
-# frontier rows multiplied per product block of the closure
-_CLOSURE_BLOCK = 4096
+# bytes of a binary neighbor table read, hashed and range-checked at once
+_READ_CHUNK = 1 << 20
+# bytes held per byte of a text graph while it is parsed and checked:
+# the file, its lines and tokens as Python strings, and the writer's text
+# (25-26 measured on the (3,3), (7,2) and (9,2) closures)
+_TEXT_PARSE_BYTES = 32
 # defaults shared by the library and the command line
 MAX_VERTICES = 1_000_000
 GRAPH_FORMAT = "binary"
+
+
+class GraphHead(NamedTuple):
+    """What ``import_graph(..., head=True)`` keeps of a graph file: the
+    field, dimension and order of its group and the keys of its
+    generators, the fields of a ``CayleyGraph`` that ``compare`` reads
+    in ``iso`` mode."""
+
+    F: object
+    d: int
+    n: int
+    gen_keys: np.ndarray
+
+    @property
+    def r(self) -> int:
+        return len(self.gen_keys)
 
 
 class VertexLimitError(RuntimeError):
@@ -95,6 +118,12 @@ class CayleyGraph:
         if self._space is None:
             self._space = MatSpace(self.F, self.d)
         return self._space
+
+    @property
+    def gen_keys(self) -> np.ndarray:
+        """The packed keys of the identity's neighbours: the generators,
+        in generator order."""
+        return self.keys[self.nbr[0]]
 
     # -- comparison ----------------------------------------------------
 
@@ -191,41 +220,38 @@ def closure_from_matrices(
     nbr = np.empty((cap, r), dtype=np.int32)
     rows = 0
     frontier = index.keys()
-    # blocks of frontier rows, ``threads`` of them multiplied at a time
-    group = _CLOSURE_BLOCK * max(threads, 1)
+    step = _block_rows(r)
 
     while frontier.shape[0]:
         level = []
-        for g0 in range(0, frontier.shape[0], group):
-            blocks = [
-                frontier[i : i + _CLOSURE_BLOCK]
-                for i in range(g0, min(g0 + group, frontier.shape[0]), _CLOSURE_BLOCK)
-            ]
-            for flat in ordered_map(products, blocks, threads):
-                # blocks are numbered in stream order, so new vertices
-                # still take their first appearance in the level's
-                # frontier-major, generator-minor product stream: true
-                # BFS discovery order, identical for any chunking
-                ids = index.lookup(flat)
-                fresh = np.flatnonzero(ids < 0)
-                if fresh.size:
-                    new = index.first_seen(flat[fresh])
-                    if index.n + len(new) > max_vertices:
-                        raise VertexLimitError(
-                            f"closure exceeds max_vertices={max_vertices} "
-                            f"(at least {index.n + len(new)} vertices)"
-                        )
-                    level.append(index.add(new))
-                    ids[fresh] = index.lookup(flat[fresh])
-                nbr[rows : rows + len(ids) // r] = ids.reshape(-1, r)
-                rows += len(ids) // r
+        blocks = [frontier[i : i + step] for i in range(0, frontier.shape[0], step)]
+        # workers multiply the next blocks while this thread numbers the
+        # products of the current one
+        for flat in ordered_imap(products, blocks, threads):
+            # blocks come in stream order, so new vertices still take
+            # their first appearance in the level's frontier-major,
+            # generator-minor product stream: true BFS discovery order,
+            # identical for any chunking
+            ids = index.lookup(flat)
+            fresh = np.flatnonzero(ids < 0)
+            if fresh.size:
+                new = index.first_seen(flat[fresh])
+                if index.n + len(new) > max_vertices:
+                    raise VertexLimitError(
+                        f"closure exceeds max_vertices={max_vertices} "
+                        f"(at least {index.n + len(new)} vertices)"
+                    )
+                level.append(index.add(new))
+                ids[fresh] = index.lookup(flat[fresh])
+            nbr[rows : rows + len(ids) // r] = ids.reshape(-1, r)
+            rows += len(ids) // r
         frontier = np.concatenate(level) if level else frontier[:0]
 
     keys = index.keys()
     del index
     nbr = nbr[:rows]
-    for i in range(0, nbr.shape[0], _CLOSURE_BLOCK):
-        srt = np.sort(nbr[i : i + _CLOSURE_BLOCK], axis=1)
+    for i in range(0, nbr.shape[0], step):
+        srt = np.sort(nbr[i : i + step], axis=1)
         if np.any(srt[:, 1:] == srt[:, :-1]):
             raise AssertionError("regularity violated: repeated out-neighbor")
     symmetric = _verify_symmetry(ms, nbr, O)
@@ -362,8 +388,9 @@ def _verify_symmetry(ms, nbr, O) -> bool:
     cols = np.flatnonzero(partner >= np.arange(r))
     back = partner[cols]
     flat = nbr.ravel()
-    for v0 in range(0, n, _CLOSURE_BLOCK):
-        step = nbr[v0 : v0 + _CLOSURE_BLOCK][:, cols].astype(np.int64)
+    rows = _block_rows(r)
+    for v0 in range(0, n, rows):
+        step = nbr[v0 : v0 + rows][:, cols].astype(np.int64)
         step *= r
         step += back
         bad = flat[step] != np.arange(v0, v0 + len(step))[:, None]
@@ -446,25 +473,40 @@ def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def import_graph(path: str, hashes: dict | None = None) -> CayleyGraph:
+def import_graph(path: str, hashes: dict | None = None, head: bool = False,
+                 memory_budget: int | None = None):
     """Read a graph written by export_graph, auto-detecting the format.
 
     A binary graph carries its own checksum; a text graph is checked
     against ``<path>.manifest`` when that file exists.  When ``hashes``
     is a dict, the sha256 hex digest of the file, taken as it is read,
-    is stored in it under ``path``."""
+    is stored in it under ``path``.  With ``head`` true the result is
+    the file's ``GraphHead``: a binary file then runs every check of a
+    whole load but holds one row of its neighbor table, and a text file
+    is read whole.  A text file whose parse would hold more than
+    ``memory_budget`` bytes (``MEM_BUDGET`` when None) is refused with
+    MemoryBudgetError before it is read."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         if handle.read(4) == _MAGIC:
             handle.seek(0)
-            size = os.fstat(handle.fileno()).st_size
-            G = _read_binary(handle, size, None if hashes is None else digest)
+            G = _read_binary(handle, size, None if hashes is None else digest, head)
         else:
+            budget = MEM_BUDGET if memory_budget is None else memory_budget
+            if _TEXT_PARSE_BYTES * size > budget:
+                raise MemoryBudgetError(
+                    f"parsing the {size}-byte text graph {path} needs "
+                    f"~{_TEXT_PARSE_BYTES * size} bytes (budget {budget}); "
+                    "write the graph with --format binary"
+                )
             handle.seek(0)
             blob = handle.read()
             digest.update(blob)
             check_manifest(path, digest.hexdigest())
             G = graph_from_text(blob.decode("utf-8"))
+            if head:
+                G = GraphHead(G.F, G.d, G.n, G.gen_keys)
     if hashes is not None:
         hashes[path] = digest.hexdigest()
     return G
@@ -509,10 +551,9 @@ def graph_from_text(text: str) -> CayleyGraph:
     except OverflowError:
         raise ValueError("neighbor index out of range") from None
     colors = [int(c) for c in edges[4 : 5 * r : 5]]
-    G = _validated_graph(
-        F, d, np.array(values, dtype=np.int64), nbr, colors,
-        head["sym"] == "1", head["conn"] == "1",
-    )
+    keys = np.array(values, dtype=np.int64)
+    _check_graph(F, d, keys, r, _in_range(nbr, len(keys)))
+    G = CayleyGraph(F, d, keys, nbr, colors, head["sym"] == "1", head["conn"] == "1")
     check_canonical(lines, graph_to_text(G), "graph file")
     _check_against_keys(G)
     return G
@@ -528,12 +569,13 @@ def _check_against_keys(G: CayleyGraph) -> None:
     ms = G.space()
     if not np.array_equal(ms.pack(ms.canon(ms.unpack(G.keys))), G.keys):
         raise ValueError("a vertex key is not a canonical projective matrix")
-    O = ms.unpack(G.keys[G.nbr[0]])
+    O = ms.unpack(G.gen_keys)
     if ms.singular(O).any():
         raise ValueError("projective matrices must be nonsingular")
     products = ms.key_products(O)
-    for v0 in range(0, G.n, _CLOSURE_BLOCK):
-        block = slice(v0, v0 + _CLOSURE_BLOCK)
+    rows = _block_rows(G.r)
+    for v0 in range(0, G.n, rows):
+        block = slice(v0, v0 + rows)
         if not np.array_equal(products(G.keys[block]), G.keys[G.nbr[block]].ravel()):
             raise ValueError("an edge target is not the product of its vertex keys")
     if _verify_symmetry(ms, G.nbr, O) != G.symmetric:
@@ -573,13 +615,16 @@ def _binary_parts(G: CayleyGraph) -> list:
     return parts
 
 
-def _read_binary(handle, size: int, digest=None) -> CayleyGraph:
-    """A binary graph from a file object of ``size`` bytes, read once:
-    the neighbor table straight into its int32 array, and each part fed
-    to the blake2b checksum, and to the hash object ``digest`` when one
-    is given, as it is read.  The parts' lengths follow from the header
-    and ``size``, so nothing is allocated past the file, and the rest of
-    the header is read only once the checksum matches."""
+def _read_binary(handle, size: int, digest=None, head: bool = False):
+    """A binary graph from a file object of ``size`` bytes, read once,
+    each part fed to the blake2b checksum, and to the hash object
+    ``digest`` when one is given, as it is read.  The neighbor table is
+    read in chunks of about ``_READ_CHUNK`` bytes, each range-checked:
+    straight into its int32 array, or with ``head`` true into one chunk
+    buffer, keeping row 0 for the ``GraphHead`` returned.  The parts'
+    lengths follow from the header and ``size``, so nothing is allocated
+    past the file, and the rest of the header is read only once the
+    checksum matches."""
     check = hashlib.blake2b(digest_size=8)
     hashers = [check] if digest is None else [check, digest]
 
@@ -610,11 +655,19 @@ def _read_binary(handle, size: int, digest=None) -> CayleyGraph:
     if width < 0 or extra:
         raise ValueError("truncated graph file")
     key_bytes = take(n * width)
-    nbr = np.empty((n, r), dtype="<i4")
-    view = memoryview(nbr.reshape(-1).view(np.uint8))
-    if handle.readinto(view) != len(view):
-        raise ValueError("truncated graph file")
-    feed(view)
+    rows = max(1, _READ_CHUNK // (4 * max(r, 1)))
+    nbr = np.empty((1 if head else n, r), dtype="<i4")
+    chunk = np.empty((min(rows, n), r), dtype="<i4") if head else None
+    in_range = True
+    for v0 in range(0, n, rows):
+        part = nbr[v0 : v0 + rows] if chunk is None else chunk[: n - v0]
+        view = memoryview(part.reshape(-1).view(np.uint8))
+        if handle.readinto(view) != len(view):
+            raise ValueError("truncated graph file")
+        feed(view)
+        in_range = in_range and _in_range(part, n)
+        if head and v0 == 0:
+            nbr[:] = part[:1]
     stored = handle.read(8)
     if digest is not None:
         digest.update(stored)
@@ -630,16 +683,26 @@ def _read_binary(handle, size: int, digest=None) -> CayleyGraph:
     raw = np.zeros((n, 8), dtype=np.uint8)
     raw[:, :width] = np.frombuffer(key_bytes, dtype=np.uint8).reshape(n, width)
     keys = raw.view("<i8").reshape(n).astype(np.int64, copy=False)
-    return _validated_graph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
+    _check_graph(F, d, keys, r, in_range)
+    if head:
+        return GraphHead(F, d, n, keys[nbr[0]])
+    return CayleyGraph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
 
 
-def _validated_graph(F, d, keys, nbr, gen_colors, symmetric, connected):
-    n = keys.shape[0]
-    if n == 0:
+def _in_range(nbr: np.ndarray, n: int) -> bool:
+    """Whether every neighbor index of ``nbr`` names one of n vertices."""
+    return not nbr.size or bool(nbr.min() >= 0 and nbr.max() < n)
+
+
+def _check_graph(F, d, keys, r, in_range) -> None:
+    """Raise ValueError unless a graph read from a file has a vertex and
+    a generator, neighbor indices in range (``in_range``, checked by the
+    reader), the identity at vertex 0 and distinct keys."""
+    if keys.shape[0] == 0:
         raise ValueError("empty vertex table")
-    if nbr.shape[1] == 0:
+    if r == 0:
         raise ValueError("a graph needs at least one generator")
-    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
+    if not in_range:
         raise ValueError("neighbor index out of range")
     ms = MatSpace(F, d)
     ident_key = ms.pack(ms.identity_batch(1))[0]
@@ -647,4 +710,3 @@ def _validated_graph(F, d, keys, nbr, gen_colors, symmetric, connected):
         raise ValueError("vertex 0 is not the identity")
     if _has_duplicates(keys):
         raise ValueError("duplicate vertex keys")
-    return CayleyGraph(F, d, keys, nbr, gen_colors, symmetric, connected)

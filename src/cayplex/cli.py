@@ -305,7 +305,9 @@ def _cmd_moments(ns) -> int:
         raise ValueError("a graph is read only by group-dp, not by ball-mitm")
     gens = GenSet.load(gens_path)
     hashes = {gens_path: gens.content_hash()}
-    graph = import_graph(ns.graph, hashes) if ns.graph else None
+    graph = None
+    if ns.graph:
+        graph = import_graph(ns.graph, hashes, memory_budget=ns.mem_budget)
     start = time.perf_counter()
     seq = walk_moments(
         gens,
@@ -343,8 +345,9 @@ def _cmd_compare(ns) -> int:
         a = MomentSeq.load(ns.a)
         b = MomentSeq.load(ns.b)
     else:
-        a = import_graph(ns.a, hashes)
-        b = import_graph(ns.b, hashes)
+        # the certificate reads only the generators of a graph
+        a = import_graph(ns.a, hashes, head=mode == "iso")
+        b = import_graph(ns.b, hashes, head=mode == "iso")
     start = time.perf_counter()
     report = compare(a, b, mode)
     print(report.to_text(), end="")

@@ -36,7 +36,7 @@ from .ffield import (
     mult_generator,
     regular_rep,
 )
-from .projmat import _PRODUCT_BLOCK, MatSpace, _key_products_bytes
+from .projmat import MatSpace, _block_rows, _key_products_bytes
 from .ratfunc import Poly
 from .util import (
     Tokens,
@@ -703,7 +703,7 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
 
     * the key levels: the ``key_products`` tables of one generator
       batch (the generators', then the inverted ones') and the
-      temporaries of one ``_PRODUCT_BLOCK`` block of products
+      temporaries of one block of ``_block_rows(n)`` keys' products
       (``_key_products_bytes``), with each block product's key and its
       int64 row gathers (32 + v bytes); on the suffix side also the
       suffix key level b, its reordered copy, its stable argsort and
@@ -726,7 +726,7 @@ def _hat_memory_estimate(params: GenParams, words: int, threads: int = 1) -> int
     ms = MatSpace(params.base, d)
     v = ms.pack(ms.identity_batch(1)).itemsize
     P, S = n**a, n**b
-    block = min(P, max(n, _PRODUCT_BLOCK))
+    block = min(P, _block_rows(n) * n)
     key_levels = _key_products_bytes(ms, n, block) + block * (32 + v)
     stages = (
         key_levels + S * (3 * v + 16) + 16 * P,
@@ -750,10 +750,10 @@ def _check_hat_budget(params, words, threads, budget) -> None:
 def _key_levels(ms: MatSpace, O: np.ndarray, length: int) -> list:
     """The packed keys of the products of 1..length letters of O, each
     level row-major in its letters, from one ``key_products`` of O
-    called on blocks of about ``_PRODUCT_BLOCK`` products."""
+    called on blocks of ``_block_rows(n)`` keys."""
     n = len(O)
     products = ms.key_products(O)
-    step = max(1, _PRODUCT_BLOCK // n)
+    step = _block_rows(n)
     levels = [ms.pack(O)]
     for _ in range(length - 1):
         prev = levels[-1]

@@ -32,8 +32,9 @@ __all__ = ["MatSpace"]
 # ---------------------------------------------------------------------------
 
 _GEMM_MANTISSA = 1 << 24
-# products per block of the key_products fallback
-_PRODUCT_BLOCK = 1 << 18
+# products per key_products call of every product stream, and per block
+# of its fallback: a block's int64 temporaries stay within L2
+_PRODUCT_BLOCK = 1 << 15
 # largest (r + d*q) * q^d table entries of the key_products row tables
 _ROW_TABLE_MAX = 1 << 22
 # row products per block while key_products builds its row tables
@@ -257,8 +258,8 @@ class MatSpace:
         sum_a S[a, lam[T[rc_0, j]] + T[rc_a, j]].  For point ids only S
         changes: S[0] holds the point rank of the code and S[a], a >= 1,
         the code times points * q^(d*(a-1)).  Unpackable keys, or
-        tables above ``_ROW_TABLE_MAX`` entries, take blocks of about
-        ``_PRODUCT_BLOCK`` products instead, each the ``pack`` of the
+        tables above ``_ROW_TABLE_MAX`` entries, take blocks of
+        ``_block_rows(r)`` keys instead, each the ``pack`` of the
         ``canon`` of ``mul`` of its unpacked keys by every O[j], and
         convert the packed output to ids when asked.  On either path a
         product whose row 0 is zero (a singular input) raises
@@ -269,7 +270,7 @@ class MatSpace:
         if ids and not self.packable:
             raise ValueError("point ids need int64 packed keys")
         if not self.row_tables(r):
-            step = max(1, _PRODUCT_BLOCK // max(r, 1))
+            step = _block_rows(r)
             key_dtype = self.pack(O[:0]).dtype
 
             def products(keys):
@@ -409,6 +410,13 @@ class MatSpace:
         return rest
 
 
+def _block_rows(r: int) -> int:
+    """Rows of r products each that make one block of about
+    ``_PRODUCT_BLOCK`` products: the one block size of every caller that
+    streams products or walks a table of r columns."""
+    return max(1, _PRODUCT_BLOCK // max(r, 1))
+
+
 def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
     """Upper bound on the bytes ``key_products`` of r matrices holds
     beside its output, for calls of ``block`` products.  On its
@@ -427,5 +435,5 @@ def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
         Q = q**d
         rows = max(r, q, _ROW_BLOCK)
         return 8 * Q * (r + d * q + 2 * q) + (d + 32) * Q + (24 * d + 16) * rows
-    n = min(block, max(r, _PRODUCT_BLOCK))
+    n = min(block, _block_rows(r) * max(r, 1))
     return (24 * d * d + 16) * n + 20 * d * d * (r + -(-n // max(r, 1)))

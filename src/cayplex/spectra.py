@@ -12,6 +12,7 @@ import numpy as np
 
 from .cayley import (
     CayleyGraph,
+    GraphHead,
     VertexLimitError,
     _search,
     _vertex_table_size,
@@ -19,7 +20,7 @@ from .cayley import (
 )
 from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_psl
 from .orbits import orbits_for
-from .projmat import MatSpace, _key_products_bytes
+from .projmat import MatSpace, _block_rows, _key_products_bytes
 from .util import (
     Tokens,
     atomic_write_text,
@@ -35,8 +36,6 @@ MOMENT_STRATEGY = "ball-mitm"
 _GROUP_CAP = 10_000_000
 # ids per ``_search`` of a lookup
 _LOOKUP_CHUNK = 1 << 16
-# products per orbit normal-form block
-_ORBIT_BLOCK = 1 << 15
 # top-level buckets are runs of the 2^_ID_BITS id ranges that the top
 # bits of an orbit id name; at most _TOP_PASSES of them
 _ID_BITS = 16
@@ -168,9 +167,7 @@ def check_graph_of(gens: GenSet, graph: CayleyGraph) -> None:
     generators, the identity's neighbours the generators' keys in order,
     and each generator's edges carrying its colour."""
     ms = graph.space()
-    if graph.r != len(gens) or not np.array_equal(
-        graph.keys[graph.nbr[0]], ms.pack(gens.mats)
-    ):
+    if graph.r != len(gens) or not np.array_equal(graph.gen_keys, ms.pack(gens.mats)):
         raise ValueError("graph was not built from this generator system")
     if graph.gen_colors != tuple(g.color for g in gens):
         raise ValueError("graph edge colours disagree with the generator system")
@@ -278,7 +275,7 @@ def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
     rev = None
     if _inverses_if_open(ms, gen_mats) is not None:
         rev = _reverse_columns(G.nbr, sel)
-    block = 1 << 14
+    block = _block_rows(len(sel))
 
     def step(vec, table, rows):
         out = np.zeros(G.n, dtype=np.int64)
@@ -432,10 +429,10 @@ def _stream(orbits, products, r, level, visit, threads):
     orbit of ``level`` = (ids, weights) with the r generators of
     ``products`` (``orbits.keys``, then ``products``, then
     ``orbits.ids``), each product carrying the weight of its source: in
-    blocks of about ``_ORBIT_BLOCK`` products, from up to ``threads``
-    threads at once."""
+    blocks of ``_block_rows(r)`` orbits, from up to ``threads`` threads
+    at once."""
     ids, weights = level
-    step = max(1, _ORBIT_BLOCK // r)
+    step = _block_rows(r)
 
     def run(i):
         block = orbits.ids(products(orbits.keys(ids[i : i + step])))
@@ -445,10 +442,11 @@ def _stream(orbits, products, r, level, visit, threads):
 
 
 def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
-    """``orbits.sizes`` of ``ids``, in blocks of ``_ORBIT_BLOCK`` ids."""
+    """``orbits.sizes`` of ``ids``, in blocks of ``_block_rows(1)`` ids."""
     out = np.empty(len(ids), dtype=np.int64)
-    for i in range(0, len(ids), _ORBIT_BLOCK):
-        out[i : i + _ORBIT_BLOCK] = orbits.sizes(ids[i : i + _ORBIT_BLOCK])
+    step = _block_rows(1)
+    for i in range(0, len(ids), step):
+        out[i : i + step] = orbits.sizes(ids[i : i + step])
     return out
 
 
@@ -653,9 +651,9 @@ def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int,
     ``held`` bytes of the levels already built, and the following, for
     ids of w bytes and keys of v bytes: ``_bucket_bytes`` per bucket
     product, and the int64 counts of the top level's id ranges with one
-    block's share of them per thread.  Per product of one
-    ``_ORBIT_BLOCK`` block, once per thread that ``ordered_map`` runs,
-    its key and the larger of the naming's temporaries
+    block's share of them per thread.  Per product of one block of
+    ``_block_rows(r)`` sources, once per thread that ``ordered_map``
+    runs, its key and the larger of the naming's temporaries
     (``bytes_per_key``) and what the stream holds after them: the id,
     the weight and a lookup's w + 24 bytes (``cayley._search``) or a
     bucket selection's 27.  Per source of such a block its key and
@@ -664,9 +662,8 @@ def _orbit_memory_estimate(ms: MatSpace, orbits, r: int, m: int, held: int,
     arrays."""
     w = orbits.dtype.itemsize
     v = ms.pack(ms.identity_batch(1)).itemsize
-    words = m * r
-    block = min(words, max(r, _ORBIT_BLOCK))
-    sources = min(m, max(1, _ORBIT_BLOCK // r))
+    sources = min(m, _block_rows(r))
+    block = sources * r
     workers = max(1, min(threads, os.cpu_count() or 1))
     grouped = _bucket_bytes(orbits) * bucket + (8 << _ID_BITS) * (1 + workers)
     stream = w + 8 + max(w + 24, 27)
@@ -818,10 +815,11 @@ def compare(a, b, mode: str) -> ComparisonReport:
     equality is labeled partial evidence up to that K, never full
     isospectrality.  ``spectrum``: multiset equality of dense verified
     spectra within 1e-8 * r.  ``iso``: ``cayley_isomorphism`` on the
-    neighbours of the identity, the generators, of two graphs over the
-    same field and dimension, with verdict isomorphic (and the witness)
-    or no-automorphism-induced-isomorphism.  Graphs of mismatched order
-    or degree are reported trivially non-isospectral rather than raised.
+    neighbours of the identity, the generators, of two graphs (or their
+    ``GraphHead``s) over the same field and dimension, with verdict
+    isomorphic (and the witness) or no-automorphism-induced-isomorphism.
+    Graphs of mismatched order or degree are reported trivially
+    non-isospectral rather than raised.
     """
     if mode == "moments":
         if not isinstance(a, MomentSeq) or not isinstance(b, MomentSeq):
@@ -842,7 +840,8 @@ def compare(a, b, mode: str) -> ComparisonReport:
         )
     if mode not in ("spectrum", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(a, CayleyGraph) or not isinstance(b, CayleyGraph):
+    kinds = (CayleyGraph, GraphHead) if mode == "iso" else CayleyGraph
+    if not isinstance(a, kinds) or not isinstance(b, kinds):
         raise ValueError(f"{mode} mode compares CayleyGraph inputs")
     if a.n != b.n or a.r != b.r:
         return ComparisonReport(
@@ -865,10 +864,8 @@ def compare(a, b, mode: str) -> ComparisonReport:
         )
     if a.F != b.F or a.d != b.d:
         raise ValueError("iso mode compares graphs over one field and dimension")
-    ms = a.space()
-    found = cayley_isomorphism(
-        ms, ms.unpack(a.keys[a.nbr[0]]), ms.unpack(b.keys[b.nbr[0]])
-    )
+    ms = MatSpace(a.F, a.d)
+    found = cayley_isomorphism(ms, ms.unpack(a.gen_keys), ms.unpack(b.gen_keys))
     if found is None:
         return ComparisonReport(mode, "no-automorphism-induced-isomorphism")
     X, transpose, power = found

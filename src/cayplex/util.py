@@ -17,22 +17,44 @@ from itertools import zip_longest
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:
-    """``[fn(x) for x in items]``, in the order of ``items``.
+    """``[fn(x) for x in items]``, in the order of ``items``: the list of
+    ``ordered_imap``."""
+    return list(ordered_imap(fn, items, threads))
 
-    With ``threads <= 1`` the work runs serially; otherwise the items
-    are dispatched to a pool of at most ``os.cpu_count()`` threads, and
-    the results still come back in item order, so the output is
-    independent of the worker count.
+
+def ordered_imap(fn, items, threads: int = 1):
+    """``fn(x)`` for each of ``items``, yielded lazily in item order.
+
+    With ``threads <= 1`` the work runs serially, as it is consumed;
+    otherwise the items are dispatched to one pool of at most
+    ``os.cpu_count()`` threads, which runs at most one item per worker
+    ahead of the consumer, so the results held at once stay bounded and
+    still come back in item order: the output is independent of the
+    worker count.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     # imported here: the serial path is the common one, and the pool
     # module costs a few milliseconds at startup
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, items))
+    workers = min(threads, os.cpu_count() or 1)
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for x in items:
+                pending.append(pool.submit(fn, x))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # a consumer that stops early leaves no queued work behind
+            for future in pending:
+                future.cancel()
 
 
 def atomic_write_text(path: str, text: str) -> str:

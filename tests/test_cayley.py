@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import cayley
+from cayplex import cayley, projmat
 from cayplex.cayley import (
     CayleyGraph,
     VertexLimitError,
@@ -124,8 +124,8 @@ def test_symmetry_check_catches_each_broken_column(monkeypatch, graph42):
     ms = graph42.space()
     O = ms.unpack(graph42.keys[graph42.nbr[0]])
     n = graph42.n
-    for block in (cayley._CLOSURE_BLOCK, 16):
-        monkeypatch.setattr(cayley, "_CLOSURE_BLOCK", block)
+    for block in (projmat._PRODUCT_BLOCK, 16 * graph42.r):
+        monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", block)
         assert cayley._verify_symmetry(ms, graph42.nbr, O)
         for u, v in ((3, 7), (15, 16), (n - 2, n - 1)):
             for i in range(graph42.r):
@@ -170,11 +170,20 @@ def test_hat_graph_same_group(graph53, graph53_hat):
     assert graph53_hat.r == 2 * (5**3 - 1) // (5 - 1) == 62
 
 
-def test_thread_determinism(bar53, tmp_path):
-    a = bfs_build(bar53, max_vertices=400_000, threads=1)
-    b = bfs_build(bar53, max_vertices=400_000, threads=3)
-    assert a == b
-    assert _export(a, tmp_path / "a.bin") == _export(b, tmp_path / "b.bin")
+def test_thread_determinism(monkeypatch, bar53, graph53, tmp_path):
+    """Vertices take breadth-first discovery order for any product block
+    and thread count: the (5,3) closure with the default block and with
+    blocks of 16 rows, and the 5616-vertex (3,3) closure with blocks of
+    one row, each on one thread and on three."""
+    bar33 = symmetrize(build_omega(make_params(3, 3)))
+    graph33 = bfs_build(bar33, max_vertices=10_000)
+    for gens, want, rows in ((bar53, graph53, None), (bar53, graph53, 16), (bar33, graph33, 1)):
+        if rows is not None:
+            monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", rows * len(gens))
+        for threads in (1, 3):
+            got = bfs_build(gens, max_vertices=400_000, threads=threads)
+            assert got == want
+            assert _export(got, tmp_path / "a.bin") == _export(want, tmp_path / "b.bin")
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +385,15 @@ def test_binary_corrupt_length_field(graph42, tmp_path):
         _import_bytes(bytes(blob), tmp_path)
 
 
-def test_binary_file_rejections(graph42, tmp_path):
+def test_binary_file_rejections(monkeypatch, graph42, tmp_path):
     """import_graph reads a binary file part by part; every damaged file
     is still refused: a flipped byte, a cut, trailing bytes, and (under
-    a valid checksum) an out-of-range neighbor or a repeated key."""
+    a valid checksum) an out-of-range neighbor or a repeated key.  So is
+    each by a head load, which streams the neighbor table, and with
+    chunks of two rows, so that row 5 is in the third chunk."""
+    G = graph42
     good = tmp_path / "good.bin"
-    export_graph(graph42, str(good))
+    export_graph(G, str(good))
     blob = good.read_bytes()
     flipped = bytearray(blob)
     flipped[len(blob) // 2] ^= 0x40
@@ -390,23 +402,52 @@ def test_binary_file_rejections(graph42, tmp_path):
         "truncated": blob[:-5],
         "header only": blob[:10],
         "trailing": blob + b"\0" * 4,
-        "trailing row": blob + bytes(graph42.n),
+        "trailing row": blob + bytes(G.n),
     }
     for name, data in damaged.items():
-        path = tmp_path / f"{name}.bin"
-        path.write_bytes(data)
-        with pytest.raises(ValueError):
-            import_graph(str(path))
-    G = graph42
+        (tmp_path / f"{name}.bin").write_bytes(data)
     nbr = G.nbr.copy()
     nbr[5, 0] = G.n
     keys = G.keys.copy()
     keys[3] = keys[2]
-    for bad, match in (((G.keys, nbr), "out of range"), ((keys, G.nbr), "duplicate")):
-        path = tmp_path / f"{match}.bin"
-        export_graph(CayleyGraph(G.F, G.d, *bad, G.gen_colors, True, True), str(path))
-        with pytest.raises(ValueError, match=match):
-            import_graph(str(path))
+    invalid = (((G.keys, nbr), "out of range"), ((keys, G.nbr), "duplicate"))
+    for bad, match in invalid:
+        export_graph(CayleyGraph(G.F, G.d, *bad, G.gen_colors, True, True),
+                     str(tmp_path / f"{match}.bin"))
+    for chunk in (cayley._READ_CHUNK, 2 * 4 * G.r):
+        monkeypatch.setattr(cayley, "_READ_CHUNK", chunk)
+        for head in (False, True):
+            for name in damaged:
+                with pytest.raises(ValueError):
+                    import_graph(str(tmp_path / f"{name}.bin"), head=head)
+            for _, match in invalid:
+                with pytest.raises(ValueError, match=match):
+                    import_graph(str(tmp_path / f"{match}.bin"), head=head)
+            back = import_graph(str(good), head=head)
+            if head:
+                assert (back.F, back.d, back.n, back.r) == (G.F, G.d, G.n, G.r)
+                assert np.array_equal(back.gen_keys, G.gen_keys)
+            else:
+                assert back == G
+
+
+def test_head_load_holds_one_row(graph53, tmp_path):
+    """A head load gives the generators and the file's sha256 that a
+    whole load gives, holding the keys and one chunk of the neighbor
+    table (1 MB) where a whole load holds the 92 MB table."""
+    path = str(tmp_path / "g.bin")
+    export_graph(graph53, path)
+    whole, part = {}, {}
+    tracemalloc.start()
+    try:
+        head = import_graph(path, part, head=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(head.gen_keys, graph53.gen_keys) and head.n == graph53.n
+    assert import_graph(path, whole) == graph53
+    assert part == whole
+    assert peak < 4 * graph53.keys.nbytes + 2 * cayley._READ_CHUNK
 
 
 def test_binary_export_import_hold_the_table_once(graph53, tmp_path):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import cli, genforge
+from cayplex import cayley, cli, genforge
 from cayplex.cayley import CayleyGraph, export_graph
 from cayplex.cli import _sha256_file, main
 from cayplex.ffield import get_field
@@ -724,6 +724,33 @@ def test_graph_without_generators_exit_2(tmp_path):
         export_graph(G, path, format=fmt)
         for args in (("spectrum", "--graph", path), ("compare", path, path, "--mode", "iso")):
             _assert_usage_error(_run_cli(*args), "at least one generator", (fmt, args[0]))
+
+
+def test_text_graph_past_memory_budget_exit_2(monkeypatch, capsys, workdir, text_graph):
+    """A text graph whose parse would pass the memory budget is refused
+    before it is read, with exit 2 and a pointer to the binary format:
+    under ``moments --mem-budget``, and with the default budget patched
+    down for ``spectrum`` and ``compare``.  At the estimate it loads."""
+    path = str(workdir["root"] / "g42.txt")
+    budget = cayley._TEXT_PARSE_BYTES * os.path.getsize(path) - 1
+
+    def unread(text):
+        raise AssertionError("the text graph was parsed")
+
+    with monkeypatch.context() as m:
+        m.setattr(cayley, "graph_from_text", unread)
+        m.setattr(cayley, "MEM_BUDGET", budget)
+        for args in (
+            ("moments", "--gens", workdir["gens"], "--graph", path, "--kmax", "2",
+             "--strategy", "group-dp", "--mem-budget", str(budget)),
+            ("spectrum", "--graph", path),
+            ("compare", path, path, "--mode", "iso"),
+        ):
+            assert main(list(args)) == 2, args
+            err = capsys.readouterr().err
+            assert "resource abort" in err and "--format binary" in err, args
+    monkeypatch.setattr(cayley, "MEM_BUDGET", budget + 1)
+    assert main(["spectrum", "--graph", path]) == 0
 
 
 def test_text_graph_wrong_edge_spectrum_exit_2(text_graph, tmp_path):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import genforge
+from cayplex import genforge, projmat
 from cayplex.cyclic import CycAlg
 from cayplex.ffield import NP_TABLES_MAX, gaussian_binomial, get_field
 from cayplex.genforge import (
@@ -292,7 +292,7 @@ def test_omega_hat_thread_determinism(monkeypatch, omega53, hat53):
     # blocks of 50 give the 186 candidates four verifier calls, the collect
     # phase blocks of 5 words, and the 961 prefix keys 31 blocks
     monkeypatch.setattr(genforge, "_VERIFY_BLOCK", 50)
-    monkeypatch.setattr(genforge, "_PRODUCT_BLOCK", 50)
+    monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", 50)
     rebuilt = build_omega_hat(omega53, threads=3)
     assert rebuilt.to_text() == hat53.to_text()
     assert rebuilt.meta == hat53.meta

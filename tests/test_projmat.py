@@ -393,7 +393,7 @@ def test_key_products_match_mul(monkeypatch, F, d, tables):
     assert ms.row_tables(9) == tables
     want = ms.pack(_repeat_tile_products(ms, ms.unpack(keys), O))
     # fallback blocks of 4 and of 1 keys cross block boundaries in a call
-    for block in (1 << 18, 40, 1):
+    for block in (projmat._PRODUCT_BLOCK, 40, 1):
         monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", block)
         products = ms.key_products(O)
         got = products(keys)

@@ -652,6 +652,21 @@ class TestWalkMoments:
         b3 = walk_moments(bar42, 6, "ball-mitm", threads=3)
         assert b1.values == b3.values
 
+    def test_group_dp_identical_for_any_block(self, monkeypatch, bar42, graph42, bar53, graph53):
+        """group-dp gathers rows in blocks of ``_block_rows(r)``: blocks of
+        one row and of 16 rows give the default block's values, across
+        the partial last block of every pass's support bound."""
+        for gens, G, block_rows, threads in (
+            (bar42, graph42, (1, 16), (1, 3)),
+            (bar53, graph53, (16,), (1,)),
+        ):
+            want = walk_moments(gens, 6, "group-dp", graph=G).values
+            for rows in block_rows:
+                monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", rows * len(gens))
+                for t in threads:
+                    assert walk_moments(gens, 6, "group-dp", graph=G, threads=t).values == want
+            monkeypatch.undo()
+
     def test_k_edge_cases(self, bar42, graph42):
         assert walk_moments(bar42, 0, "group-dp", graph=graph42).values == (1,)
         assert walk_moments(bar42, 1, "ball-mitm").values == (1, 0)
