@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +27,6 @@ from .projmat import MatSpace, _block_rows
 from .util import (
     Tokens,
     atomic_write_parts,
-    atomic_write_text,
     check_canonical,
     check_manifest,
     ordered_imap,
@@ -193,6 +193,15 @@ def closure_from_matrices(
     defaults to zero labels.  Vertex numbering is by discovery order:
     frontier vertices in index order, generators in list order, which is
     deterministic for every thread count.
+
+    The neighbor table is column-major: each generator's column is one
+    contiguous int32 array, which the symmetry check walks.  It is
+    allocated for ``cap`` = min(``max_vertices``, |PGL_d(F_q)|) rows,
+    and its pages are committed only as rows are written, so a closure
+    that stops short of ``cap`` (a proper subgroup) keeps a view of the
+    first rows of each column whose untouched tails commit nothing: it
+    holds at most cap * r * 4 bytes, and group-dp's ``_graph_for`` caps
+    ``max_vertices`` at the rows its memory budget holds.
     """
     ms = MatSpace(F, d)
     O = ms.canon(ms.asbatch(mats))
@@ -217,7 +226,7 @@ def closure_from_matrices(
     # one table for every row the closure can have (it is a subgroup of
     # PGL_d(F_q)); its pages are committed only as rows are written
     cap = max(1, min(max_vertices, group_order_pgl(d, ms.q)))
-    nbr = np.empty((cap, r), dtype=np.int32)
+    nbr = np.empty((cap, r), dtype=np.int32, order="F")
     rows = 0
     frontier = index.keys()
     step = _block_rows(r)
@@ -243,17 +252,18 @@ def closure_from_matrices(
                     )
                 level.append(index.add(new))
                 ids[fresh] = index.lookup(flat[fresh])
-            nbr[rows : rows + len(ids) // r] = ids.reshape(-1, r)
-            rows += len(ids) // r
+            block = ids.reshape(-1, r)
+            # regularity, while the block is in cache
+            srt = np.sort(block, axis=1)
+            if np.any(srt[:, 1:] == srt[:, :-1]):
+                raise AssertionError("regularity violated: repeated out-neighbor")
+            nbr[rows : rows + len(block)] = block
+            rows += len(block)
         frontier = np.concatenate(level) if level else frontier[:0]
 
     keys = index.keys()
     del index
     nbr = nbr[:rows]
-    for i in range(0, nbr.shape[0], step):
-        srt = np.sort(nbr[i : i + step], axis=1)
-        if np.any(srt[:, 1:] == srt[:, :-1]):
-            raise AssertionError("regularity violated: repeated out-neighbor")
     symmetric = _verify_symmetry(ms, nbr, O)
     return CayleyGraph(F, d, keys, nbr, colors, symmetric, True)
 
@@ -299,7 +309,8 @@ class _VertexIndex:
         """int32 vertex numbers of ``keys`` (ids when ``by_id``), -1
         where a key is unknown."""
         if self._table is not None:
-            return self._table[keys]
+            # take: about twice as fast as indexing on these gathers
+            return self._table.take(keys)
         ids = _search(self._main, keys)
         miss = np.flatnonzero(ids < 0)
         if miss.size and len(self._recent[0]):
@@ -385,18 +396,19 @@ def _verify_symmetry(ms, nbr, O) -> bool:
     # If s_j(s_i(v)) = v for every v, then s_i is injective, hence a
     # bijection, and s_j is its inverse; so s_i(s_j(v)) = v follows and
     # each pair {i, inv(i)} needs checking only once.
-    cols = np.flatnonzero(partner >= np.arange(r))
-    back = partner[cols]
-    flat = nbr.ravel()
-    rows = _block_rows(r)
-    for v0 in range(0, n, rows):
-        step = nbr[v0 : v0 + rows][:, cols].astype(np.int64)
-        step *= r
-        step += back
-        bad = flat[step] != np.arange(v0, v0 + len(step))[:, None]
-        if bad.any():
-            i = cols[np.flatnonzero(bad.any(axis=0))[0]]
-            raise AssertionError(f"edge relation not symmetric at generator {i}")
+    # Each pair walks its two columns in slices of ``_block_rows(1)``
+    # vertices: on a column-major table both are contiguous, and the
+    # gathers stay within one column.  take reads the int32 indices
+    # through one intp copy, where indexing casts them in small buffers.
+    step = _block_rows(1)
+    span = np.arange(min(n, step), dtype=nbr.dtype)
+    for i in np.flatnonzero(partner >= np.arange(r)):
+        there, back = nbr[:, i], nbr[:, partner[i]]
+        for v0 in range(0, n, step):
+            home = back.take(there[v0 : v0 + step])
+            home -= v0
+            if not np.array_equal(home, span[: len(home)]):
+                raise AssertionError(f"edge relation not symmetric at generator {i}")
     return True
 
 
@@ -467,7 +479,7 @@ def export_graph(G: CayleyGraph, path: str, format: str = GRAPH_FORMAT) -> str:
     """
     _check_int64_keys(G.F.q, G.d)
     if format == "text":
-        return atomic_write_text(path, graph_to_text(G))
+        return atomic_write_parts(path, _text_parts(G))
     if format == "binary":
         return atomic_write_parts(path, _binary_parts(G))
     raise ValueError(f"unknown format {format!r}")
@@ -513,20 +525,41 @@ def import_graph(path: str, hashes: dict | None = None, head: bool = False,
 
 
 def graph_to_text(G: CayleyGraph) -> str:
+    """The text form of ``G`` as one string; ``export_graph`` writes it
+    part by part instead."""
+    return b"".join(_text_parts(G)).decode("utf-8")
+
+
+def _text_parts(G: CayleyGraph):
+    """The text form of ``G`` as UTF-8 byte strings, one per list of
+    ``_text_blocks``."""
+    for lines in _text_blocks(G):
+        yield ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _text_blocks(G: CayleyGraph):
+    """The lines of the text form of ``G``, without line ends, in
+    nonempty lists of about ``_chunk_rows(1)`` lines: the header, then
+    the vertex keys and the neighbor rows a block at a time, so that
+    only one list of lines is held at once."""
     F = G.F
     head = f"version={_VERSION} n={G.n} r={G.r} q={F.q} d={G.d}"
     head += f" sym={int(G.symmetric)} conn={int(G.connected)}"
     if F.f > 1:
         head += " bmod=" + ",".join(str(c) for c in F.modulus)
-    lines = [head]
-    lines.extend(f"v {value:x}" for value in G.keys.tolist())
+    yield [head]
+    step = _chunk_rows(1)
+    for v0 in range(0, G.n, step):
+        yield [f"v {value:x}" for value in G.keys[v0 : v0 + step].tolist()]
     colors = G.gen_colors
-    lines.extend(
-        f"e {u} {v} {i} {colors[i]}"
-        for u, row in enumerate(G.nbr.tolist())
-        for i, v in enumerate(row)
-    )
-    return "\n".join(lines) + "\n"
+    step = _chunk_rows(G.r)
+    # a graph without generators has no edge lines
+    for v0 in range(0, G.n if G.r else 0, step):
+        yield [
+            f"e {u} {v} {i} {colors[i]}"
+            for u, row in enumerate(G.nbr[v0 : v0 + step].tolist(), v0)
+            for i, v in enumerate(row)
+        ]
 
 
 def graph_from_text(text: str) -> CayleyGraph:
@@ -554,7 +587,7 @@ def graph_from_text(text: str) -> CayleyGraph:
     keys = np.array(values, dtype=np.int64)
     _check_graph(F, d, keys, r, _in_range(nbr, len(keys)))
     G = CayleyGraph(F, d, keys, nbr, colors, head["sym"] == "1", head["conn"] == "1")
-    check_canonical(lines, graph_to_text(G), "graph file")
+    check_canonical(lines, chain.from_iterable(_text_blocks(G)), "graph file")
     _check_against_keys(G)
     return G
 
@@ -584,9 +617,13 @@ def _check_against_keys(G: CayleyGraph) -> None:
         raise ValueError(f"stored conn={int(G.connected)} disagrees with the edges")
 
 
-def _binary_parts(G: CayleyGraph) -> list:
-    """The binary encoding as a list of byte buffers, the neighbor table
-    a view of ``G.nbr``, and last the blake2b checksum of the others."""
+def _binary_parts(G: CayleyGraph):
+    """The binary encoding as byte buffers, yielded one after another:
+    the header, the keys, the neighbor table in row-major chunks of
+    ``_chunk_rows(r)`` rows, and last the blake2b checksum of the
+    others.  Each chunk is copied from ``G.nbr``, of either layout, into
+    one reused buffer, so it is valid only until the next part is asked
+    for."""
     F = G.F
     parts = [
         _HEADER.pack(
@@ -605,14 +642,22 @@ def _binary_parts(G: CayleyGraph) -> list:
         parts.append(struct.pack("<H", len(F.modulus)))
         parts.append(bytes(list(F.modulus)))
     parts.append(bytes(list(G.gen_colors)))
-    raw = np.ascontiguousarray(G.keys.astype("<i8")).view(np.uint8)
+    # a view of the int64 keys: only their low bytes are copied
+    raw = np.ascontiguousarray(G.keys, dtype="<i8").view(np.uint8)
     parts.append(raw.reshape(G.n, 8)[:, :_key_width(F.q, G.d)].tobytes())
-    parts.append(np.ascontiguousarray(G.nbr, dtype="<i4").data)
+    del raw
     check = hashlib.blake2b(digest_size=8)
     for part in parts:
         check.update(part)
-    parts.append(check.digest())
-    return parts
+        yield part
+    rows = _chunk_rows(G.r)
+    buf = np.empty((min(rows, G.n), G.r), dtype="<i4")
+    for v0 in range(0, G.n, rows):
+        part = buf[: G.n - v0]
+        part[:] = G.nbr[v0 : v0 + rows]
+        check.update(part.data)
+        yield part.data
+    yield check.digest()
 
 
 def _read_binary(handle, size: int, digest=None, head: bool = False):
@@ -655,7 +700,7 @@ def _read_binary(handle, size: int, digest=None, head: bool = False):
     if width < 0 or extra:
         raise ValueError("truncated graph file")
     key_bytes = take(n * width)
-    rows = max(1, _READ_CHUNK // (4 * max(r, 1)))
+    rows = _chunk_rows(r)
     nbr = np.empty((1 if head else n, r), dtype="<i4")
     chunk = np.empty((min(rows, n), r), dtype="<i4") if head else None
     in_range = True
@@ -687,6 +732,12 @@ def _read_binary(handle, size: int, digest=None, head: bool = False):
     if head:
         return GraphHead(F, d, n, keys[nbr[0]])
     return CayleyGraph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
+
+
+def _chunk_rows(r: int) -> int:
+    """Rows of r int32 neighbors in about ``_READ_CHUNK`` bytes: the
+    chunk of every pass over a graph file's neighbor table."""
+    return max(1, _READ_CHUNK // (4 * max(r, 1)))
 
 
 def _in_range(nbr: np.ndarray, n: int) -> bool:

@@ -308,7 +308,7 @@ class GenSet:
         digits = np.array(digits, dtype=np.int64).reshape(len(rows), d, d, F.f)
         mats = (digits @ F.p ** np.arange(F.f)).astype(MatSpace(F, d).dtype)
         gs = cls._rebuild(params, head["kind"], rows, mats)
-        check_canonical(lines, gs.to_text(), "generator-set file")
+        check_canonical(lines, gs.to_text().splitlines(), "generator-set file")
         return gs
 
     @classmethod

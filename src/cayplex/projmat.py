@@ -249,17 +249,21 @@ class MatSpace:
         their ``point_ids`` when ``ids`` is true.
 
         Row a of a packed key k is the code (k // q^(d*a)) % q^d, and row
-        a of A[i] @ O[j] is row a of A[i] times O[j].  Three tables built
-        here from O turn each product into integer gathers: T[v, j], the
-        code of row(v) @ O[j]; lam[c], the inverse of the lowest nonzero
-        digit of code c (for row 0 of an invertible product, the first
-        nonzero row-major entry) times q^d; and S[a, l*q^d + t], the code
-        of l * row(t) times q^(d*a).  A product key is then
-        sum_a S[a, lam[T[rc_0, j]] + T[rc_a, j]].  For point ids only S
-        changes: S[0] holds the point rank of the code and S[a], a >= 1,
-        the code times points * q^(d*(a-1)).  Unpackable keys, or
-        tables above ``_ROW_TABLE_MAX`` entries, take blocks of
-        ``_block_rows(r)`` keys instead, each the ``pack`` of the
+        a of A[i] @ O[j] is row a of A[i] times O[j].  Tables built here
+        from O turn each product into integer gathers: T[c, j], the code
+        of row(c) @ O[j]; lam[c], the inverse of the lowest nonzero digit
+        of code c (for row 0 of an invertible product, the first nonzero
+        row-major entry) times q^d; and S[a, l*q^d + t], the code of
+        l * row(t) times q^(d*a).  Row 0 of a key fixes both the scale of
+        its products and their row-0 terms, so two more (q^d, r) tables
+        fold it in: B[c, j] = lam[T[c, j]], the scale offset, and R0[c, j]
+        = S[0, B[c, j] + T[c, j]], the finished row-0 term.  A product key
+        is then R0[c_0, j] + sum_(a>=1) S[a, B[c_0, j] + T[c_a, j]].  T, B
+        and R0 hold int16 when q * q^d < 2^15 and int32 otherwise.  For
+        point ids only S changes: S[0] holds the point rank of the code
+        and S[a], a >= 1, the code times points * q^(d*(a-1)).
+        Unpackable keys, or tables above ``_ROW_TABLE_MAX`` entries, take
+        blocks of ``_block_rows(r)`` keys instead, each the ``pack`` of the
         ``canon`` of ``mul`` of its unpacked keys by every O[j], and
         convert the packed output to ids when asked.  On either path a
         product whose row 0 is zero (a singular input) raises
@@ -290,7 +294,6 @@ class MatSpace:
         rest = np.arange(Q)
         for b in range(d):
             rest, digits[:, b] = np.divmod(rest, q)
-        T = self._row_codes(digits, O)
         first = np.argmax(digits != 0, axis=1)
         lam = self._inv_table[digits[np.arange(Q), first]] * Q
         lam[0] = 0
@@ -298,38 +301,46 @@ class MatSpace:
         scalars = self.identity_batch(q) * np.arange(q, dtype=self.dtype)[:, None, None]
         scaled = self._row_codes(digits, scalars).T
         S = scaled.reshape(1, q * Q) * (Q ** np.arange(d, dtype=np.int64)[:, None])
+        del scaled
         if ids:
             S[1:] //= Q
             S[1:] *= self.points
             S[0] = self._point_rank()[S[0]]
+        small = _row_table_dtype(q, d)
+        T = self._row_codes(digits, O, small)
+        # codes whose product with some O[j] has a zero row 0
+        zero = ~T.all(axis=1)
+        # B, and R0 gathered through B + T held in B's place
+        B = lam.astype(small)[T]
+        B += T
+        R0 = S[0].astype(small)[B]
+        B -= T
 
         def products(keys):
-            rest = keys
-            acc = None
-            for a in range(d):
+            rest, code = np.divmod(keys, Q)
+            if zero[code].any():
+                raise ValueError("a product has a zero first row")
+            acc = R0[code].astype(np.int64)
+            base = B[code]
+            # the narrow sums go into one intp index array, which take
+            # reads directly (narrow or mixed-width operands cost numpy
+            # a buffered cast, several times slower)
+            idx = np.empty(base.shape, dtype=np.intp)
+            for row in S[1:]:
                 rest, code = np.divmod(rest, Q)
-                idx = T[code]
-                if a == 0:
-                    if not idx.all():
-                        raise ValueError("a product has a zero first row")
-                    base = lam[idx]
-                idx += base
-                term = S[a].take(idx)
-                if acc is None:
-                    acc = term
-                else:
-                    acc += term
+                np.add(T[code], base, out=idx)
+                acc += row.take(idx)
             return acc.reshape(-1)
 
         return products
 
-    def _row_codes(self, digits: np.ndarray, O: np.ndarray) -> np.ndarray:
-        """(len(digits), r) intp: the code of row(v) @ O[j], for the rows
-        ``digits`` (v, d) and the r matrices O, built in blocks of about
-        ``_ROW_BLOCK`` row products, each code by Horner over the d
+    def _row_codes(self, digits: np.ndarray, O: np.ndarray, dtype=np.intp) -> np.ndarray:
+        """(len(digits), r) ``dtype``: the code of row(v) @ O[j], for the
+        rows ``digits`` (v, d) and the r matrices O, built in blocks of
+        about ``_ROW_BLOCK`` row products, each code by Horner over the d
         digits of its block."""
         d, q, r = self.d, self.q, O.shape[0]
-        out = np.empty((len(digits), r), dtype=np.intp)
+        out = np.empty((len(digits), r), dtype=dtype)
         step = max(1, _ROW_BLOCK // r)
         for v0 in range(0, len(digits), step):
             rows = self.mul(digits[v0 : v0 + step, None, None, :], O[None])[:, :, 0]
@@ -417,13 +428,20 @@ def _block_rows(r: int) -> int:
     return max(1, _PRODUCT_BLOCK // max(r, 1))
 
 
+def _row_table_dtype(q: int, d: int):
+    """The dtype of the (q^d, r) row tables of ``key_products``: every
+    entry of T, B and R0, and every sum B + T, is below q * q^d."""
+    return np.int16 if q ** (d + 1) < 1 << 15 else np.int32
+
+
 def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
     """Upper bound on the bytes ``key_products`` of r matrices holds
     beside its output, for calls of ``block`` products.  On its
-    row-table path, its int64 tables (T, Q per generator; S, d per
-    scalar; lam) and, while S is built, the (Q, q) codes it is read from
-    and their transposed copy, the uint8 rows and a few Q-long index
-    arrays (under 32 bytes per row code), with the temporaries of one
+    row-table path, its tables (T, B and R0, Q per generator each, of
+    ``_row_table_dtype``; int64 S, d per scalar; int64 lam) and, while S
+    is built, the (Q, q) codes it is read from and their transposed
+    copy, the uint8 rows and a few Q-long index arrays and masks (under
+    32 bytes per row code), with the temporaries of one
     ``_ROW_BLOCK`` block of row products: at most three int64 entries
     per coordinate on the table kernel (24 * d bytes) plus 16.  On its
     fallback, per product of one block the temporaries of ``mul``,
@@ -434,6 +452,7 @@ def _key_products_bytes(ms: MatSpace, r: int, block: int) -> int:
     if ms.row_tables(r):
         Q = q**d
         rows = max(r, q, _ROW_BLOCK)
-        return 8 * Q * (r + d * q + 2 * q) + (d + 32) * Q + (24 * d + 16) * rows
+        tables = 3 * np.dtype(_row_table_dtype(q, d)).itemsize * Q * r
+        return tables + 8 * Q * (d * q + 2 * q) + (d + 32) * Q + (24 * d + 16) * rows
     n = min(block, _block_rows(r) * max(r, 1))
     return (24 * d * d + 16) * n + 20 * d * d * (r + -(-n // max(r, 1)))

@@ -104,7 +104,7 @@ class MomentSeq:
         colors = None if head["colors"] == "all" else head["colors"].split(",")
         values = [ln.partition(" ")[2] for ln in lines[1:]]
         seq = cls(values, head["genset"], colors)
-        check_canonical(lines, seq.to_text(), "moment file")
+        check_canonical(lines, seq.to_text().splitlines(), "moment file")
         return seq
 
     @classmethod
@@ -283,7 +283,9 @@ def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
 
         def gather(i):
             j = min(i + block, rows)
-            np.sum(src[table[i:j]], axis=1, dtype=np.int64, out=out[i:j])
+            # take reads the int32 rows through one intp copy, where
+            # indexing casts them in small buffers
+            np.sum(src.take(table[i:j]), axis=1, dtype=np.int64, out=out[i:j])
 
         ordered_map(gather, range(0, rows, block), threads)
         return out
@@ -346,11 +348,13 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     permutes the selected generators, so that counts are constant on
     them, and single keys otherwise.
 
-    Levels 0..t, t = ceil(K/2) - 1, of the ball are built
-    (``_ball_levels``), and levels 0..floor(K/2) of the inverse ball of
-    an open multiset; they give N_k for k <= 2t.  Level t + 1 is never
+    Levels 0..floor(K/2) of the inverse ball of an open multiset, then
+    levels 0..t, t = ceil(K/2) - 1, of the ball are built
+    (``_ball_levels``); they give N_k for k <= 2t.  Level t + 1 is never
     built: N_(2t+1) and, for even K, N_(2t+2) come from the products of
-    level t's orbits (``_top_stream``)."""
+    level t's orbits (``_top_stream``).  The row tables of
+    ``key_products`` are built once per generator batch: the ball's
+    serve its levels and the top stream."""
     params = gens.params
     ms = MatSpace(params.base, params.d)
     gen_mats = gens.mats[sel]
@@ -362,12 +366,17 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     if K == 0:
         return values
     t = (K - 1) // 2
-    levels = _ball_levels(ms, orbits, gen_mats, t, threads, budget)
-    held = _nbytes(levels)
-    inv_levels = levels
+    held = 0
+    inv_levels = None
     if inv_mats is not None:
-        inv_levels = _ball_levels(ms, orbits, inv_mats, K // 2, threads, budget, held)
-        held += _nbytes(inv_levels)
+        inv_levels = _ball_levels(ms, orbits, ms.key_products(inv_mats), r, K // 2,
+                                  threads, budget)
+        held = _nbytes(inv_levels)
+    products = ms.key_products(gen_mats)
+    levels = _ball_levels(ms, orbits, products, r, t, threads, budget, held)
+    held += _nbytes(levels)
+    if inv_levels is None:
+        inv_levels = levels
     counts = [(ids, w // _sizes(orbits, ids)) for ids, w in inv_levels]
     held += sum(c.nbytes for _, c in counts)
     for k in range(1, 2 * t + 1):
@@ -377,7 +386,7 @@ def _moments_ball_mitm(gens, K, sel, threads, memory_budget):
     lookups = [(k, counts[k - t - 1]) for k in range(2 * t + 1, K + 1)
                if k - t - 1 < len(counts)]
     square = K if K == 2 * t + 2 and inv_mats is None else None
-    return values + _top_stream(ms, orbits, gen_mats, levels, lookups, square,
+    return values + _top_stream(ms, orbits, products, r, levels, lookups, square,
                                 threads, budget, held)
 
 
@@ -385,9 +394,10 @@ def _nbytes(levels) -> int:
     return sum(a.nbytes for level in levels for a in level)
 
 
-def _ball_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
-    """Orbit levels t = 0..radius of the product ball over ``gen_mats``,
-    a batch that the group of ``orbits`` permutes by conjugation: for
+def _ball_levels(ms, orbits, products, r, radius, threads, budget, held=0):
+    """Orbit levels t = 0..radius of the product ball over r generators,
+    whose ``key_products`` function is ``products``, a batch that the
+    group of ``orbits`` permutes by conjugation: for
     each orbit O holding a product of exactly t generators, sorted by
     orbit id, the id and the weight W_t(O) = sum_(x in O) c_t(x).
 
@@ -400,9 +410,7 @@ def _ball_levels(ms, orbits, gen_mats, radius, threads, budget, held=0):
     weights divisible by the orbit sizes.  Before a level is built, its
     ``_orbit_memory_estimate`` for a bucket of all its products, plus
     ``held`` bytes and the levels already built, must fit the budget."""
-    r = len(gen_mats)
     levels = [(orbits.ids(ms.pack(ms.identity_batch(1))), np.ones(1, dtype=np.int64))]
-    products = ms.key_products(gen_mats)
     lock = threading.Lock()
     for t in range(1, radius + 1):
         m = len(levels[-1][0])
@@ -450,11 +458,12 @@ def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, held):
+def _top_stream(ms, orbits, products, r, levels, lookups, square, threads, budget,
+                held):
     """N_k for the k whose forward level is t + 1, t the last of
-    ``levels``, from the products of level t that ``_stream`` hands to a
-    visitor per pass, each carrying the weight of its source; level
-    t + 1 is never held.
+    ``levels``, from the products of level t with the r generators of
+    ``products`` that ``_stream`` hands to a visitor per pass, each
+    carrying the weight of its source; level t + 1 is never held.
 
     A lookup (k, (ids, c') of stored level b) gives N_k =
     sum_O W_(t+1)(O) c'_b(O) = sum over the products p of W_t(source) *
@@ -472,7 +481,6 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
     raw-byte ids, which have no top bits, fewer than all of them, is
     refused before any pass.  The buckets' weights must add up to
     r^(t+1): every product counted once."""
-    r = len(gen_mats)
     t = len(levels) - 1
     m = len(levels[t][0])
     words = m * r
@@ -495,7 +503,6 @@ def _top_stream(ms, orbits, gen_mats, levels, lookups, square, threads, budget, 
             f"top orbit level {t + 1} of the product ball needs ~{est} bytes "
             f"(budget {budget}); lower K or raise the budget"
         )
-    products = ms.key_products(gen_mats)
     lock = threading.Lock()
     sums = [0] * len(lookups)
     grouped = _Bucket(bucket, orbits.dtype, lock)

@@ -128,14 +128,14 @@ class Tokens(dict):
         raise ValueError(f"no {key}= token in {self.line!r}")
 
 
-def check_canonical(lines, written: str, what: str) -> None:
+def check_canonical(lines, written, what: str) -> None:
     """Raise ValueError unless ``lines``, the non-blank lines of a
-    ``what`` file, are the lines of ``written``, the text its writer
-    writes for what was read from them.  Each text format is defined by
-    its writer alone, so a reader accepts exactly what the writer writes
-    and names the first line that differs."""
-    want = written.splitlines()
-    for k, (read, wrote) in enumerate(zip_longest(lines, want, fillvalue="")):
+    ``what`` file, are ``written``, an iterable of the lines its writer
+    writes for what was read from them, consumed as it is compared.
+    Each text format is defined by its writer alone, so a reader accepts
+    exactly what the writer writes and names the first line that
+    differs."""
+    for k, (read, wrote) in enumerate(zip_longest(lines, written, fillvalue="")):
         if read != wrote:
             raise ValueError(
                 f"{what} non-blank line {k + 1} reads {read!r}, where the "

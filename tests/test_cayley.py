@@ -29,7 +29,7 @@ from cayplex.genforge import (
     predicted_group_order,
     symmetrize,
 )
-from cayplex.spectra import walk_moments
+from cayplex.spectra import compare, walk_moments
 
 from test_projmat import packed_of
 from test_spectra import _cyclic_shift_graph
@@ -120,20 +120,81 @@ def test_vertex_table_counts_point_ids():
 
 def test_symmetry_check_catches_each_broken_column(monkeypatch, graph42):
     """A swap of two rows in any column breaks the pairing, in the first
-    row block, across a block border and in the last, partial block."""
+    slice, across a slice border and in the last, partial slice, of the
+    closure's column-major table and of a row-major copy."""
     ms = graph42.space()
     O = ms.unpack(graph42.keys[graph42.nbr[0]])
     n = graph42.n
-    for block in (projmat._PRODUCT_BLOCK, 16 * graph42.r):
+    assert graph42.nbr.flags.f_contiguous and not graph42.nbr.flags.c_contiguous
+    for block, order in ((projmat._PRODUCT_BLOCK, "F"), (16, "F"), (16, "C")):
         monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", block)
-        assert cayley._verify_symmetry(ms, graph42.nbr, O)
+        assert cayley._verify_symmetry(ms, graph42.nbr.copy(order=order), O)
         for u, v in ((3, 7), (15, 16), (n - 2, n - 1)):
             for i in range(graph42.r):
-                nbr = graph42.nbr.copy()
+                nbr = graph42.nbr.copy(order=order)
                 nbr[[u, v], i] = nbr[[v, u], i]
                 assert not np.array_equal(nbr, graph42.nbr)
                 with pytest.raises(AssertionError, match="not symmetric"):
                     cayley._verify_symmetry(ms, nbr, O)
+
+
+def test_layouts_give_identical_outputs(monkeypatch, bar42, graph42, tmp_path):
+    """The closure's column-major table and a row-major copy of it give
+    the same binary and text files (bytes and sha256 digest), load back
+    as the same graph, and give the same group-dp moments, symmetry and
+    connectivity verdicts and ``compare --mode iso`` report, on whole
+    graphs and on the heads of their files.  2-row chunks make export
+    and import cross chunk borders."""
+    assert graph42.nbr.flags.f_contiguous and not graph42.nbr.flags.c_contiguous
+    G = graph42
+    rows = CayleyGraph(G.F, G.d, G.keys, np.ascontiguousarray(G.nbr), G.gen_colors,
+                       G.symmetric, G.connected)
+    assert rows.nbr.flags.c_contiguous and rows == G
+    ms = G.space()
+    O = ms.unpack(G.gen_keys)
+    for chunk in (cayley._READ_CHUNK, 2 * 4 * G.r):
+        monkeypatch.setattr(cayley, "_READ_CHUNK", chunk)
+        seen = []
+        for name, H in (("cols", G), ("rows", rows)):
+            out = []
+            for format in ("binary", "text"):
+                path = tmp_path / f"{name}.{format}"
+                digest = _export(H, path, format)
+                blob = path.read_bytes()
+                assert digest == hashlib.sha256(blob).hexdigest()
+                hashes = {}
+                back = import_graph(str(path), hashes)
+                assert back == G and back.nbr.flags.c_contiguous
+                assert hashes[str(path)] == digest
+                head = import_graph(str(path), head=True)
+                out += [blob, compare(head, G, "iso").to_text()]
+            out.append(walk_moments(bar42, 8, "group-dp", graph=H).values)
+            out.append(cayley._verify_symmetry(ms, H.nbr, O))
+            out.append(cayley._is_connected(H.nbr))
+            out.append(compare(H, G, "iso").to_text())
+            seen.append(out)
+        assert seen[0] == seen[1]
+
+
+def test_proper_subgroup_closure_exports_like_row_major(tmp_path):
+    """A closure that stops short of its row cap, here the cyclic group
+    of order 4 that diag(1, 2, 1) generates in PGL_3(F_5), keeps the
+    first rows of each column of its cap-row column-major table (the
+    untouched tails commit no pages).  Its export is byte-identical to
+    that of a row-major copy, and loads back equal."""
+    F5 = get_field(5)
+    cap = group_order_pgl(3, 5)
+    mats = [((1, 0, 0), (0, 2, 0), (0, 0, 1)), ((1, 0, 0), (0, 3, 0), (0, 0, 1))]
+    G = closure_from_matrices(F5, 3, mats)
+    assert G.n == 4 < cap and G.symmetric and G.connected
+    assert G.nbr.strides == (4, 4 * cap)
+    rows = CayleyGraph(G.F, G.d, G.keys, np.ascontiguousarray(G.nbr), G.gen_colors,
+                       G.symmetric, G.connected)
+    for format in ("binary", "text"):
+        a, b = tmp_path / f"cols.{format}", tmp_path / f"rows.{format}"
+        assert _export(G, a, format) == _export(rows, b, format)
+        assert a.read_bytes() == b.read_bytes()
+        assert import_graph(str(a)) == G
 
 
 def test_bfs_build_requires_symmetric_kind(omega53):
@@ -262,8 +323,9 @@ def test_cells_53_triangle_oracle(graph53, n3_53):
     # common neighbors of u and v equals 6 x triangle count = n * N_3.
     # Neighbor rows are duplicate-free, so once the rows of u and v are
     # sorted together, equal adjacent entries are their common neighbors.
+    # The sorted rows are gathered by row, so they are held row-major.
     G = graph53
-    srt = np.sort(G.nbr, axis=1)
+    srt = np.sort(np.ascontiguousarray(G.nbr), axis=1)
     assert not np.any(srt[:, 1:] == srt[:, :-1])
     both = np.empty((G.n, 2 * G.r), dtype=srt.dtype)
     total = 0

@@ -370,6 +370,10 @@ def _key_products_case(F, d, seed, m=50, r=9):
         (get_field(2357), 3, False),
         # above the GEMM bound: the fallback's mul is exact int64 matmul
         (get_field(4099), 3, False),
+        # q * q^d = 17^4 >= 2^15: int32 row tables
+        (get_field(17), 3, True),
+        # q * q^d = 2^15 exactly: the first int32 width over F_32
+        (get_field(2, 5), 2, True),
     ],
     ids=[
         "q5-d3",
@@ -382,6 +386,8 @@ def _key_products_case(F, d, seed, m=50, r=9):
         "q9-d2-fallback",
         "q2357-d3",
         "q4099-d3",
+        "q17-d3-int32",
+        "q32-d2-int32",
     ],
 )
 def test_key_products_match_mul(monkeypatch, F, d, tables):
@@ -428,10 +434,22 @@ def test_key_products_fallback_paths(monkeypatch):
     assert tuples(got) == want
 
 
+def test_row_table_width_follows_the_data():
+    """The row tables of key_products are int16 while every entry, below
+    q * q^d, fits it, and int32 from q * q^d = 2^15 on."""
+    widths = {(5, 3): np.int16, (3, 5): np.int16, (31, 2): np.int16,
+              (13, 3): np.int16, (32, 2): np.int32, (17, 3): np.int32}
+    for (q, d), dtype in widths.items():
+        assert (q ** (d + 1) < 1 << 15) == (dtype is np.int16)
+        assert projmat._row_table_dtype(q, d) is dtype
+
+
 @pytest.mark.parametrize("table_max", [1 << 22, 0])
 def test_key_products_rejects_zero_first_row(monkeypatch, table_max):
+    """On the row tables of either width and on the fallback, for keys
+    and for point ids."""
     monkeypatch.setattr(projmat, "_ROW_TABLE_MAX", table_max)
-    for F, d in ((F5, 3), (F4, 2)):
+    for F, d in ((F5, 3), (F4, 2), (get_field(17), 3)):
         ms, O, keys = _key_products_case(F, d, 404)
         A = ms.unpack(keys)
         A[7, 0, :] = 0  # singular, first row zero

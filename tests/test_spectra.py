@@ -309,13 +309,15 @@ class TestWalkMoments:
             want = _consolidated_levels(ms, gen_mats, 3)
             theta = ThetaOrbits.for_system(gens.params, ms, gen_mats)
             assert theta is not None
+            products = ms.key_products(gen_mats)
+            r = len(gen_mats)
             for threads in (1, 2):
-                got = _ball_levels(ms, TrivialOrbits(ms), gen_mats, 3, threads, 1 << 30)
+                got = _ball_levels(ms, TrivialOrbits(ms), products, r, 3, threads, 1 << 30)
                 assert len(got) == len(want) == 4
                 for (gk, gc), (wk, wc) in zip(got, want):
                     assert gk.dtype == wk.dtype and gc.dtype == np.int64
                     assert np.array_equal(gk, wk) and np.array_equal(gc, wc)
-                got = _ball_levels(ms, theta, gen_mats, 3, threads, 1 << 30)
+                got = _ball_levels(ms, theta, products, r, 3, threads, 1 << 30)
                 assert len(got) == 4
                 for (gi, gw), (wk, wc) in zip(got, want):
                     ids = theta.ids(wk)
@@ -431,6 +433,26 @@ class TestWalkMoments:
         for K in (7, 8):
             _, peak = traced(bar53, K, list(range(len(bar53))), None, threads=2)
             assert peak <= max(estimates)
+
+    def test_row_tables_built_once_per_generator_batch(self, monkeypatch, bar53):
+        """ball-mitm builds the row tables of ``key_products`` once per
+        generator batch, for its levels and its top stream alike: once
+        for the inverse-closed bar53 at K=8, twice for the open
+        selection [0, 1, 2] (the selection and its inverses)."""
+        builds = []
+        key_products = MatSpace.key_products
+        monkeypatch.setattr(MatSpace, "key_products",
+                            lambda ms, O, ids=False: builds.append(len(O))
+                            or key_products(ms, O, ids))
+        everything = list(range(len(bar53)))
+        assert _moments_ball_mitm(bar53, 8, everything, 1, None) == [
+            1, 0, 62, 372, 11346, 159960, 3641198, 74134578, 1961764258]
+        assert builds == [62]
+        builds.clear()
+        ms = MatSpace(bar53.params.base, 3)
+        assert _inverses_if_open(ms, bar53.mats[[0, 1, 2]]) is not None
+        assert _moments_ball_mitm(bar53, 8, [0, 1, 2], 1, None)[0] == 1
+        assert builds == [3, 3]
 
     def test_key_products_tables_within_bound(self, bar35):
         """At (3,5) the row tables of key_products hold about 0.5 MB, and
