@@ -19,7 +19,7 @@ from .cayley import (
     closure_from_matrices,
 )
 from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_psl
-from .orbits import orbits_for
+from .orbits import orbits_for, theta_permutation
 from .projmat import MatSpace, _block_rows, _key_products_bytes
 from .util import (
     Tokens,
@@ -177,10 +177,18 @@ def _group_dp_row_bytes(r: int, s: int) -> int:
     """Upper estimate of the bytes group-dp holds per vertex of a closure
     it builds over r generators, s of them selected: the int32 neighbor
     row; the int64 key in the vertex index, its merge copy and the final
-    key array; the int64 vectors f and h and one pass's output, and the
-    uint32 copy a pass gathers from; and the int32 copy of the selected
-    columns and their inverse permutations."""
-    return 4 * r + 40 + 24 + 4 + 8 * s
+    key array; and the larger of what the two labellings of
+    ``_moments_group_dp`` hold.  The identity labelling holds the int64
+    vectors f and h and one pass's output, the uint32 copy a pass
+    gathers from, and the int32 inverse permutations of the selected
+    columns of a system that is not inverse-closed: 28 + 4s.  The orbit
+    labelling first holds the int32 map, the orbit minima and two
+    doubling buffers (16); then the int32 orbit index of each vertex
+    and, per orbit, the int64 representative and size and the int32
+    rows of both steps (20 + 8s); and in the passes the sizes, the rows
+    and the vectors of the identity labelling over orbits (36 + 8s).
+    There are at most as many orbits as vertices."""
+    return 4 * r + 40 + 36 + 8 * s
 
 
 def _reverse_columns(nbr: np.ndarray, cols) -> np.ndarray:
@@ -209,7 +217,12 @@ def walk_moments(
     neighbor table, pass t over the radius-t ball only, a prefix of the
     breadth-first vertex numbering; the group must be enumerable (at
     most ~10^7 elements, and a closure built here within the memory
-    budget; pass ``graph`` to reuse a built closure).
+    budget; pass ``graph`` to reuse a built closure).  Its passes run
+    over one row per orbit of conjugation by theta, read off the table
+    and checked on the row of every orbit's least vertex (a mismatch
+    raises AssertionError), when the system is inverse-closed, theta
+    permutes the selection and the numbering is breadth-first; over the
+    table itself otherwise.
     ``ball-mitm`` joins product balls: N_k = sum_g c_a(g) * c_b(g^-1)
     with a = ceil(k/2); it never materializes the group and refuses a
     ``graph``.  Each ball level is a list of orbits with their word
@@ -256,57 +269,100 @@ def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
     """N_k = sum_x f_a(x) h_b(x) with a = ceil(k/2), b = k - a, where
     f_t(x) counts the length-t words with product x and h_t(x) those
     with product x^-1.  Since x g_i is vertex nbr[x, i], h_{t+1}(x) =
-    sum_i h_t(nbr[x, i]) and f_{t+1}(x) = sum_i f_t(rev_i(x)) with rev_i
-    the inverse permutation of column i.  Reversing a word and inverting
-    its letters is a bijection onto words over the inverse multiset, so
-    f = h when the selected multiset is inverse-closed, and ceil(K/2)
-    gather passes suffice.
+    sum_i h_t(nbr[x, i]) and f_{t+1}(x) = sum_i f_t(x g_i^-1), read from
+    column inv(i) of an inverse-closed system's table and from the
+    inverse permutation of column i otherwise.  Reversing a word and
+    inverting its letters is a bijection onto words over the inverse
+    multiset, so f = h when the selected multiset is inverse-closed, and
+    ceil(K/2) gather passes suffice.
+
+    The passes run over one labelling of the vertices.  Where
+    conjugation by theta permutes the system, it is a graph automorphism
+    phi fixing vertex 0; where it permutes the selection too, every f_t
+    and h_t is constant on the <phi>-orbits.  The orbit labelling
+    (``_theta_orbits``) then gives each orbit O the row comp[nbr[rep,
+    i]] of its least vertex rep, comp naming orbits, and N_k = sum_O
+    |O| f_a(O) h_b(O).  The identity labelling, whose rows are the
+    table itself, serves a system that is not inverse-closed, a
+    selection that theta does not permute, and a vertex numbering that
+    is not breadth-first.
 
     Pass t computes its vector only on rows [0, m_t): m_t = 1 +
     max(T[:m_{t-1}]) bounds the support of a vector whose predecessor
-    lives on [0, m_{t-1}), where T steps forward from that support
-    (``cols`` for f, ``rev`` for h; ``cols`` again when f = h).  The
-    bound holds in any vertex numbering; in the breadth-first numbering
-    of a closure it is the radius-t ball, a prefix of the vertices."""
+    lives on [0, m_{t-1}), where T steps forward from that support (the
+    x g_i rows for f, the x g_i^-1 rows for h; the x g_i rows again when
+    f = h).  The bound holds in any numbering.  In the breadth-first
+    numbering of a closure it is the radius-t ball, a prefix of the
+    vertices, and the orbits, numbered in the order of their least
+    vertices, meet it in a prefix of the orbits."""
     G = _graph_for(gens, graph, sel, memory_budget)
-    cols = G.nbr if len(sel) == G.r else np.ascontiguousarray(G.nbr[:, sel])
     ms = G.space()
-    gen_mats = gens.mats[sel]
-    rev = None
-    if _inverses_if_open(ms, gen_mats) is not None:
-        rev = _reverse_columns(G.nbr, sel)
-    block = _block_rows(len(sel))
+    inv = ms.inverse_index(gens.mats)
+    sel = np.asarray(sel, dtype=np.intp)
+    closed = bool((inv >= 0).all())
+    # None when f = h; otherwise the columns of the x g_i^-1 steps
+    back_cols = None if _inverses_if_open(ms, gens.mats[sel]) is None else inv[sel]
+    orbits = _theta_orbits(gens, G, sel, inv) if closed else None
+    if orbits is None:
+        weights = None
+        fwd = (G.nbr, None if len(sel) == G.r else sel)
+        if back_cols is None:
+            back = None
+        elif closed:
+            back = (G.nbr, back_cols)
+        else:
+            back = (_reverse_columns(G.nbr, sel), None)
+    else:
+        comp, reps, weights = orbits
+        fwd = (_orbit_rows(G.nbr, comp, reps, sel), None)
+        if back_cols is None:
+            back = None
+        else:
+            back = (_orbit_rows(G.nbr, comp, reps, back_cols), None)
+        del comp, reps, orbits
+    return _walk(K, fwd, back, weights, threads)
 
-    def step(vec, table, rows):
-        out = np.zeros(G.n, dtype=np.int64)
+
+def _walk(K, fwd, back, weights, threads):
+    """N_0..N_K by the passes of ``_moments_group_dp`` over rows given as
+    (table, columns), columns None for all: ``fwd`` the x g_i rows,
+    ``back`` the x g_i^-1 rows or None when they are the same multiset.
+    Row x counts ``weights[x]`` vertices (one each when None)."""
+    n = fwd[0].shape[0]
+    block = _block_rows(fwd[0].shape[1] if fwd[1] is None else len(fwd[1]))
+
+    def step(vec, rows, bound):
+        table, cols = rows
+        out = np.zeros(n, dtype=np.int64)
         src = _gather_source(vec)
 
         def gather(i):
-            j = min(i + block, rows)
+            j = min(i + block, bound)
+            idx = table[i:j] if cols is None else table[i:j, cols]
             # take reads the int32 rows through one intp copy, where
             # indexing casts them in small buffers
-            np.sum(src.take(table[i:j]), axis=1, dtype=np.int64, out=out[i:j])
+            np.sum(src.take(idx), axis=1, dtype=np.int64, out=out[i:j])
 
-        ordered_map(gather, range(0, rows, block), threads)
+        ordered_map(gather, range(0, bound, block), threads)
         return out
 
-    h = np.zeros(G.n, dtype=np.int64)
+    h = np.zeros(n, dtype=np.int64)
     h[0] = 1
     f = h
-    f_rows = _support_bound(cols)
-    h_rows = None if rev is None else _support_bound(rev)
+    f_rows = _support_bound(*fwd)
+    h_rows = None if back is None else _support_bound(*back)
     mf = mh = 1
     values = [1]
     for k in range(1, K + 1):
         if k % 2:
             mf = f_rows(mf)
-            f = step(f, cols if rev is None else rev, mf)
-        elif rev is None:
+            f = step(f, fwd if back is None else back, mf)
+        elif back is None:
             h = f
         else:
             mh = h_rows(mh)
-            h = step(h, cols, mh)
-        values.append(int(np.dot(f, h)))
+            h = step(h, fwd, mh)
+        values.append(int(np.dot(f if weights is None else f * weights, h)))
     return values
 
 
@@ -319,23 +375,142 @@ def _gather_source(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _support_bound(table: np.ndarray):
-    """The bound m -> 1 + max(table[:m]) on the support of a vector one
-    step past a vector supported on [0, m), for nondecreasing m.  A
-    running max makes each row read once; once the bound reaches every
-    row, no row is read again."""
+def _support_bound(table: np.ndarray, cols=None):
+    """The bound m -> 1 + max(table[:m, cols]) on the support of a vector
+    one step past a vector supported on [0, m), for nondecreasing m
+    (``cols`` None: every column).  A running max makes each row read
+    once; once the bound reaches every row, no row is read again.  A
+    column selection is read in row blocks, so it is never copied
+    whole."""
     n = table.shape[0]
+    block = _block_rows(table.shape[1])
     scanned = 0
     top = 0
 
     def bound(m):
         nonlocal scanned, top
         if top + 1 < n and m > scanned:
-            top = max(top, int(table[scanned:m].max()))
+            if cols is None:
+                top = max(top, int(table[scanned:m].max()))
+            else:
+                for i in range(scanned, m, block):
+                    top = max(top, int(table[i : min(i + block, m), cols].max()))
             scanned = m
         return top + 1
 
     return bound
+
+
+def _theta_orbits(gens, G, sel, inv):
+    """The orbit labelling of ``_moments_group_dp`` on the closure ``G``
+    of the inverse-closed system ``gens`` (``inv`` its inverse columns):
+    (comp, reps, sizes), comp[v] the index of v's <phi>-orbit, reps the
+    least vertex of each orbit in increasing order and sizes the orbit
+    sizes.  None when conjugation by theta does not permute both the
+    system and the selection ``sel``, or when ``_theta_map`` finds the
+    vertex numbering not breadth-first.
+
+    theta^n is a scalar for n = (q^d - 1)/(q - 1), the order of u in
+    E^x / F_q^x, so every orbit size divides n and the orbit minima take
+    ceil(log2 n) doubling rounds.  Before any count is formed, the map
+    is checked on the row of every representative: nbr[phi(v), pi(i)]
+    = phi(nbr[v, i]) for each generator i."""
+    nbr = G.nbr
+    pi = theta_permutation(gens.params, G.space(), gens.mats)
+    if pi is None or not np.isin(pi[sel], sel).all():
+        return None
+    phi = _theta_map(nbr, pi[inv])
+    if phi is None:
+        return None
+    q, d = gens.params.q, gens.params.d
+    least = _orbit_minima(phi, ((q**d - 1) // (q - 1) - 1).bit_length())
+    is_rep = least == np.arange(len(least), dtype=least.dtype)
+    reps = np.flatnonzero(is_rep)
+    block = _block_rows(G.r)
+    for i in range(0, len(reps), block):
+        v = reps[i : i + block]
+        bad = np.flatnonzero((nbr[phi[v]][:, pi] != phi.take(nbr[v])).any(axis=0))
+        if bad.size:
+            raise AssertionError(
+                f"conjugation by theta does not map the edges of generator {bad[0]}"
+            )
+    del phi
+    # orbit indices in the order of their least vertices
+    index = np.cumsum(is_rep, dtype=least.dtype)
+    del is_rep
+    index -= 1
+    comp = least
+    block = _block_rows(1)
+    for i in range(0, len(comp), block):
+        np.take(index, comp[i : i + block], out=comp[i : i + block])
+    del index
+    return comp, reps, np.bincount(comp, minlength=len(reps))
+
+
+def _theta_map(nbr: np.ndarray, steps: np.ndarray):
+    """phi(v) = theta v theta^-1 for every vertex of a closure table, or
+    None when some vertex has no neighbour in an earlier level.
+
+    The levels come from the support bound: ball t is [0, b_t) with b_0
+    = 1 and b_(t+1) = 1 + max(nbr[:b_t]), and phi(0) = 0.  A vertex v
+    of [b_t, b_(t+1)) with a neighbour u = nbr[v, c] below b_t is
+    v = u g_c^-1, so phi(v) = nbr[phi(u), steps[c]] with steps[c] =
+    pi(inv(c)).  Rows are read in blocks, for either table layout."""
+    n, r = nbr.shape
+    phi = np.empty(n, dtype=nbr.dtype)
+    phi[0] = 0
+    bound = _support_bound(nbr)
+    block = _block_rows(1)
+    below = np.empty((min(block, n), r), dtype=bool)
+    lo = 1
+    while lo < n:
+        hi = bound(lo)
+        if hi <= lo:
+            return None
+        for a in range(lo, hi, block):
+            b = min(a + block, hi)
+            c = np.less(nbr[a:b], lo, out=below[: b - a]).argmax(axis=1)
+            u = nbr[np.arange(a, b), c]
+            if (u >= lo).any():
+                return None
+            phi[a:b] = nbr[phi[u], steps[c]]
+        lo = hi
+    return phi
+
+
+def _orbit_minima(phi: np.ndarray, rounds: int) -> np.ndarray:
+    """The least vertex of each vertex's <phi>-orbit, by doubling: round
+    k lowers least[v] to least[phi^(2^k)(v)] where that is smaller, so
+    after it least[v] is at most the minimum over phi^j(v), j < 2^(k+1),
+    and always a vertex of the orbit; ``rounds`` with 2^rounds at least
+    the order of phi make it the orbit minimum.  least is updated in
+    place, which only lowers it sooner."""
+    n = len(phi)
+    block = _block_rows(1)
+    least = np.arange(n, dtype=phi.dtype)
+    power = phi
+    spare = None
+    for k in range(rounds):
+        for i in range(0, n, block):
+            part = least[i : i + block]
+            np.minimum(part, least.take(power[i : i + block]), out=part)
+        if k + 1 < rounds:
+            square = np.empty_like(phi) if spare is None else spare
+            for i in range(0, n, block):
+                np.take(power, power[i : i + block], out=square[i : i + block])
+            spare = None if power is phi else power
+            power = square
+    return least
+
+
+def _orbit_rows(nbr: np.ndarray, comp: np.ndarray, reps: np.ndarray, cols) -> np.ndarray:
+    """comp[nbr[rep, cols]] for each representative: the rows of the
+    orbit labelling, read in blocks of representative rows."""
+    rows = np.empty((len(reps), len(cols)), dtype=comp.dtype)
+    block = _block_rows(nbr.shape[1])
+    for i in range(0, len(reps), block):
+        np.take(comp, nbr[reps[i : i + block]][:, cols], out=rows[i : i + block])
+    return rows
 
 
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):

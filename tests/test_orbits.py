@@ -15,7 +15,7 @@ import pytest
 
 from cayplex.ffield import frobenius_matrix, regular_rep
 from cayplex.genforge import build_omega, make_params, symmetrize
-from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for
+from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for, theta_permutation
 from cayplex.projmat import MatSpace
 
 
@@ -128,6 +128,24 @@ def test_for_system_refuses_unpermuted_and_unpackable():
         keys = np.zeros(3, dtype=naming.dtype)
         assert naming.ids(keys) is keys and naming.keys(keys) is keys
         assert np.array_equal(naming.sizes(keys), np.ones(3)) and naming.nbytes == 0
+
+
+def test_theta_permutation_matches_conjugates():
+    """Oracle: theta X theta^-1 of each generator, conjugated directly,
+    is the generator ``theta_permutation`` names; a repeated generator is
+    matched in index order, and a batch that conjugation by theta does
+    not permute gives None."""
+    params = make_params(3, 3)
+    ms = MatSpace(params.base, 3)
+    bar = symmetrize(build_omega(params))
+    theta = ms.asbatch(regular_rep(params.E, params.u))
+    for mats in (bar.mats, np.concatenate((bar.mats, bar.mats))):
+        pi = theta_permutation(params, ms, mats)
+        assert np.array_equal(np.sort(pi), np.arange(len(mats)))
+        conj = ms.canon(ms.mul(ms.mul(theta, mats), ms.inverse(theta)))
+        assert np.array_equal(ms.pack(conj), ms.pack(mats[pi]))
+    assert (pi[: len(bar)] < len(bar)).all()
+    assert theta_permutation(params, ms, bar.mats[:2]) is None
 
 
 def test_ids_read_keys_without_matrices(monkeypatch):

@@ -11,17 +11,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import cayley, projmat, spectra
+from cayplex import cayley, cli, projmat, spectra
 from cayplex.cayley import CayleyGraph, closure_from_matrices
-from cayplex.ffield import get_field
+from cayplex.ffield import get_field, regular_rep
 from cayplex.genforge import (
+    GenSet,
     MemoryBudgetError,
     build_omega,
     family,
     make_params,
     symmetrize,
 )
-from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for
+from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for, theta_permutation
 from cayplex.projmat import MatSpace
 from cayplex.spectra import (
     ComparisonReport,
@@ -50,6 +51,34 @@ def _relabeled(G, seed):
     nbr = np.empty_like(G.nbr)
     nbr[perm] = perm[G.nbr]
     return CayleyGraph(G.F, G.d, keys, nbr, G.gen_colors, G.symmetric, G.connected)
+
+
+def _group_dp_runs(monkeypatch):
+    """A list that records, for each group-dp run, the table its forward
+    rows come from and its orbit count, None under the identity
+    labelling."""
+    runs = []
+    walk = spectra._walk
+
+    def recorded(K, fwd, back, weights, threads):
+        runs.append((fwd[0], None if weights is None else len(weights)))
+        return walk(K, fwd, back, weights, threads)
+
+    monkeypatch.setattr(spectra, "_walk", recorded)
+    return runs
+
+
+def _identity_labelling(gens, K, colors, graph):
+    """group-dp's values with every orbit labelling refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_theta_orbits", lambda *args: None)
+        return walk_moments(gens, K, "group-dp", colors=colors, graph=graph).values
+
+
+def _theta_labels(gens, G):
+    """``_theta_orbits`` of the whole system ``gens`` on ``G``."""
+    inv = G.space().inverse_index(gens.mats)
+    return spectra._theta_orbits(gens, G, np.arange(len(gens)), inv)
 
 
 def _consolidated_levels(ms, gen_mats, radius):
@@ -293,6 +322,121 @@ class TestWalkMoments:
                             threads=threads,
                         )
                         assert list(got.values) == want[: K + 1]
+
+    def test_group_dp_orbit_labelling_matches_identity(
+        self, monkeypatch, tmp_path, bar42, graph42, bar53, graph53, bar53_s2,
+        graph53_s2, hat53, graph53_hat,
+    ):
+        """Oracle: the passes over theta-orbits give the values of the
+        passes over every vertex, for whole systems, an open colour class
+        ({1} of hat53) and a closed one, on 1 and 2 threads, over the
+        closure's column-major table, the reader's row-major one and the
+        closure built when no graph is given.  The identity labelling
+        passes the table itself."""
+        path = str(tmp_path / "g53.graph")
+        cayley.export_graph(graph53, path)
+        row_major = cayley.import_graph(path)
+        assert graph53.nbr.flags.f_contiguous and row_major.nbr.flags.c_contiguous
+        cases = [
+            (bar53, (graph53, row_major), None, 10),
+            (bar53_s2, (graph53_s2,), None, 10),
+            (bar42, (graph42, None), None, 8),
+            (hat53, (graph53_hat,), {1}, 8),
+            (hat53, (graph53_hat,), {1, 2}, 8),
+        ]
+        runs = _group_dp_runs(monkeypatch)
+        for gens, graphs, colors, K in cases:
+            want = _identity_labelling(gens, K, colors, graphs[0])
+            table, orbits = runs.pop()
+            assert table is graphs[0].nbr and orbits is None
+            for graph in graphs:
+                for threads in (1, 2):
+                    got = walk_moments(
+                        gens, K, "group-dp", colors=colors, graph=graph, threads=threads
+                    )
+                    assert got.values == want
+                    rows, orbits = runs.pop()
+                    assert orbits == len(rows)
+
+    def test_theta_orbits_of_the_53_closure(self, bar53, graph53):
+        """Oracle: the map read off the table is conjugation by theta on
+        every vertex's matrix, and the orbits are its cycles: 31 fixed
+        points (the centraliser of theta) and 11,999 orbits of ord theta
+        = 31, numbered in the order of their least vertices."""
+        ms = graph53.space()
+        inv = ms.inverse_index(bar53.mats)
+        pi = theta_permutation(bar53.params, ms, bar53.mats)
+        phi = spectra._theta_map(graph53.nbr, pi[inv])
+        theta = ms.asbatch(regular_rep(bar53.params.E, bar53.params.u))
+        mats = ms.unpack(graph53.keys)
+        conj = ms.canon(ms.mul(ms.mul(theta, mats), ms.inverse(theta)))
+        assert np.array_equal(graph53.keys[phi], ms.pack(conj))
+        comp, reps, sizes = _theta_labels(bar53, graph53)
+        assert len(reps) == 12_030 and reps[0] == 0 and (np.diff(reps) > 0).all()
+        assert np.array_equal(comp[phi], comp)
+        assert np.array_equal(comp[reps], np.arange(len(reps)))
+        least = np.full(len(reps), graph53.n)
+        np.minimum.at(least, comp, np.arange(graph53.n))
+        assert np.array_equal(least, reps)
+        assert np.array_equal(np.bincount(comp), sizes)
+        assert int(np.count_nonzero(phi == np.arange(graph53.n))) == 31
+        assert np.array_equal(np.unique(sizes, return_counts=True), [[1, 31], [31, 11_999]])
+
+    def test_graph_files_take_the_orbit_labelling(self, monkeypatch, tmp_path, graph53,
+                                                  bar53, graph53_s2, bar53_s2, graph53_hat,
+                                                  hat53):
+        """Every graph that ``graph`` writes is a breadth-first closure of
+        an inverse-closed system that theta permutes, so group-dp takes
+        the orbit labelling on it: the ``bfs_build`` closures of the (5,3)
+        systems, and the files that ``graph`` writes for the omega-bar and
+        omega-hat systems at (4,2) and (3,3)."""
+        cases = [(bar53, graph53), (bar53_s2, graph53_s2), (hat53, graph53_hat)]
+        for q, d in ((4, 2), (3, 3)):
+            for kind in ("gens", "omega-hat"):
+                gens_path = str(tmp_path / f"{kind}{q}{d}.gens")
+                graph_path = str(tmp_path / f"{kind}{q}{d}.graph")
+                flags = ["--sym"] if kind == "gens" else []
+                argv = [kind, "--q", str(q), "--d", str(d), *flags, "--out", gens_path]
+                assert cli.main(argv) == 0
+                assert cli.main(["graph", "--gens", gens_path, "--out", graph_path]) == 0
+                cases.append((GenSet.load(gens_path), cayley.import_graph(graph_path)))
+        runs = _group_dp_runs(monkeypatch)
+        for gens, G in cases:
+            comp, reps, sizes = _theta_labels(gens, G)
+            assert sizes.sum() == G.n and len(reps) < G.n
+            walk_moments(gens, 4, "group-dp", graph=G)
+            assert runs.pop()[1] == len(reps)
+
+    def test_group_dp_witness_refuses_a_broken_table(self, bar53, graph53):
+        """One entry of a representative's row changed in a copy of the
+        closure: the map check raises before any moment is formed."""
+        _, reps, _ = _theta_labels(bar53, graph53)
+        nbr = graph53.nbr.copy(order="F")
+        v = int(reps[100])
+        i = graph53.r - 1
+        nbr[v, i] = nbr[v, 0]
+        broken = CayleyGraph(graph53.F, graph53.d, graph53.keys, nbr,
+                             graph53.gen_colors, graph53.symmetric, graph53.connected)
+        with pytest.raises(AssertionError, match=f"edges of generator {i}"):
+            walk_moments(bar53, 10, "group-dp", graph=broken)
+
+    def test_group_dp_identity_labelling_fallbacks(self, monkeypatch, bar53, graph53):
+        """A numbering that is not breadth-first and a system that is not
+        inverse-closed take the identity labelling, over the table itself:
+        the (5,3) values that A9 reports, and ball-mitm's values for the
+        omega system at (3,3)."""
+        runs = _group_dp_runs(monkeypatch)
+        relabeled = _relabeled(graph53, 7)
+        got = walk_moments(bar53, 10, "group-dp", graph=relabeled)
+        table, orbits = runs.pop()
+        assert table is relabeled.nbr and orbits is None
+        assert got.values == (1, 0, 62, 372, 11346, 159960, 3641198, 74134578,
+                               1961764258, 64709223672, 2867781773322)
+        omega33 = build_omega(make_params(3, 3))
+        got = walk_moments(omega33, 8, "group-dp")
+        table, orbits = runs.pop()
+        assert orbits is None and table.shape == (5616, len(omega33))
+        assert got.values == walk_moments(omega33, 8, "ball-mitm").values
 
     def test_ball_levels_match_consolidated_reference(self, bar42, hat53):
         """Oracle: every level as the distinct products of the previous
