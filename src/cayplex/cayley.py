@@ -50,14 +50,15 @@ GRAPH_FORMAT = "binary"
 
 class GraphHead(NamedTuple):
     """What ``import_graph(..., head=True)`` keeps of a graph file: the
-    field, dimension and order of its group and the keys of its
-    generators, the fields of a ``CayleyGraph`` that ``compare`` reads
-    in ``iso`` mode."""
+    field, dimension and order of its group and the keys and colours of
+    its generators, the fields of a ``CayleyGraph`` that ``compare``
+    reads in ``iso`` mode and ``spectra.check_graph_of`` reads."""
 
     F: object
     d: int
     n: int
     gen_keys: np.ndarray
+    gen_colors: tuple
 
     @property
     def r(self) -> int:
@@ -200,8 +201,7 @@ def closure_from_matrices(
     and its pages are committed only as rows are written, so a closure
     that stops short of ``cap`` (a proper subgroup) keeps a view of the
     first rows of each column whose untouched tails commit nothing: it
-    holds at most cap * r * 4 bytes, and group-dp's ``_graph_for`` caps
-    ``max_vertices`` at the rows its memory budget holds.
+    holds at most cap * r * 4 bytes.
     """
     ms = MatSpace(F, d)
     O = ms.canon(ms.asbatch(mats))
@@ -287,14 +287,15 @@ class _VertexIndex:
     run (one ``searchsorted`` plus insert), and the recent run is merged
     into the main one once it is as long, so an add costs time linear in
     the recent run rather than a sort of every key.  A lookup searches
-    both runs.
+    both runs.  With ``ms`` None the values are any sortable ids, such
+    as orbit ids, always in sorted runs.
     """
 
     def __init__(self, ms, keys):
         self._ms = ms
         self._blocks = [keys]
         self.n = len(keys)
-        size = _vertex_table_size(ms)
+        size = 0 if ms is None else _vertex_table_size(ms)
         self.by_id = bool(size)
         if size:
             self._table = np.full(size, -1, dtype=np.int32)
@@ -518,7 +519,7 @@ def import_graph(path: str, hashes: dict | None = None, head: bool = False,
             check_manifest(path, digest.hexdigest())
             G = graph_from_text(blob.decode("utf-8"))
             if head:
-                G = GraphHead(G.F, G.d, G.n, G.gen_keys)
+                G = GraphHead(G.F, G.d, G.n, G.gen_keys, G.gen_colors)
     if hashes is not None:
         hashes[path] = digest.hexdigest()
     return G
@@ -730,7 +731,7 @@ def _read_binary(handle, size: int, digest=None, head: bool = False):
     keys = raw.view("<i8").reshape(n).astype(np.int64, copy=False)
     _check_graph(F, d, keys, r, in_range)
     if head:
-        return GraphHead(F, d, n, keys[nbr[0]])
+        return GraphHead(F, d, n, keys[nbr[0]], tuple(gen_colors))
     return CayleyGraph(F, d, keys, nbr, gen_colors, bool(sym), bool(conn))
 
 

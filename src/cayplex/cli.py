@@ -54,6 +54,7 @@ from .spectra import (
     MOMENT_STRATEGY,
     MomentSeq,
     cayley_isomorphism,
+    check_graph_of,
     compare,
     dense_spectrum,
     walk_moments,
@@ -305,16 +306,17 @@ def _cmd_moments(ns) -> int:
         raise ValueError("a graph is read only by group-dp, not by ball-mitm")
     gens = GenSet.load(gens_path)
     hashes = {gens_path: gens.content_hash()}
-    graph = None
     if ns.graph:
-        graph = import_graph(ns.graph, hashes, memory_budget=ns.mem_budget)
+        # the file is checked against the generators; the moments never
+        # read it, so its head is all that is kept
+        head = import_graph(ns.graph, hashes, head=True, memory_budget=ns.mem_budget)
+        check_graph_of(gens, head)
     start = time.perf_counter()
     seq = walk_moments(
         gens,
         kmax,
         ns.strategy,
         colors=colors,
-        graph=graph,
         threads=ns.threads,
         memory_budget=ns.mem_budget,
     )
@@ -682,7 +684,8 @@ def _build_parser():
                        help="exact closed-walk moment sequence")
     p.add_argument("--gens", default=None)
     p.add_argument("--graph", default=None,
-                   help="reuse a built graph file (group-dp)")
+                   help="a graph file of --gens, checked against it (group-dp); "
+                        "the moments never read it")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--strategy", choices=("group-dp", "ball-mitm"),
                    default=MOMENT_STRATEGY)

@@ -9,9 +9,8 @@ the systems the package builds too.  Word counts are then constant on
 the orbits of the group these conjugations generate, and a product ball
 can be carried as weights on orbits (``spectra._ball_levels``).  Where
 no normal form applies, ``orbits_for`` names each key by itself, the
-orbits of the trivial group.  ``theta_permutation`` gives the
-permutation of a generator batch under conjugation by theta, from
-which group-dp reads theta's action on the vertices of a closure.
+orbits of the trivial group.  Group-dp runs on the same namings: its
+quotient of a closure has one row per orbit (``spectra._quotient``).
 
 The normal form reads a matrix X, in the column convention of
 ``regular_rep``, as the F_q-linear map T of E = F_(q^d) whose column b
@@ -60,7 +59,7 @@ import numpy as np
 from .cayley import _distinct
 from .ffield import frobenius_matrix, regular_rep
 
-__all__ = ["ThetaOrbits", "TrivialOrbits", "orbits_for", "theta_permutation"]
+__all__ = ["ThetaOrbits", "TrivialOrbits", "orbits_for"]
 
 
 def orbits_for(params, ms, mats):
@@ -156,7 +155,8 @@ class ThetaOrbits:
         E, d = params.E, params.d
 
         def permutes(rows):
-            return _conjugate_keys(ms, _with_inverse(ms, rows), mats) is not None
+            images = _conjugated(ms, _with_inverse(ms, rows), mats)
+            return np.array_equal(np.sort(ms.pack(mats)), np.sort(ms.pack(images)))
 
         if not permutes(regular_rep(E, params.u)):
             return None
@@ -460,32 +460,6 @@ def _with_inverse(ms, rows):
     rows."""
     g = ms.asbatch(rows)
     return g, ms.inverse(g)
-
-
-def theta_permutation(params, ms, mats):
-    """The permutation pi of a canonical batch of packable ``mats`` with
-    canon(theta mats[i] theta^-1) = mats[pi[i]], when conjugation by
-    theta permutes the batch as a multiset; None otherwise.  Repeated
-    matrices are matched in index order."""
-    theta = _with_inverse(ms, regular_rep(params.E, params.u))
-    found = _conjugate_keys(ms, theta, mats)
-    if found is None:
-        return None
-    keys, images = found
-    pi = np.empty(len(keys), dtype=np.intp)
-    pi[np.argsort(images, kind="stable")] = np.argsort(keys, kind="stable")
-    return pi
-
-
-def _conjugate_keys(ms, g, mats: np.ndarray):
-    """The packed keys of a canonical batch and of its conjugates by
-    ``g`` = (g, g^-1), when that conjugation permutes the batch as a
-    multiset; None otherwise."""
-    keys = ms.pack(mats)
-    images = ms.pack(_conjugated(ms, g, mats))
-    if not np.array_equal(np.sort(keys), np.sort(images)):
-        return None
-    return keys, images
 
 
 def _conjugated(ms, g, mats: np.ndarray) -> np.ndarray:

@@ -10,21 +10,15 @@ import os
 import threading
 import numpy as np
 
-from .cayley import (
-    CayleyGraph,
-    GraphHead,
-    VertexLimitError,
-    _search,
-    _vertex_table_size,
-    closure_from_matrices,
-)
-from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_psl
-from .orbits import orbits_for, theta_permutation
+from .cayley import CayleyGraph, GraphHead, _search, _VertexIndex
+from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_pgl, group_order_psl
+from .orbits import orbits_for
 from .projmat import MatSpace, _block_rows, _key_products_bytes
 from .util import (
     Tokens,
     atomic_write_text,
     check_canonical,
+    ordered_imap,
     ordered_map,
     read_checked_text,
 )
@@ -33,7 +27,6 @@ _COUNTER_LIMIT = 1 << 62
 # defaults shared by the library and the command line
 DENSE_CAP = 5000
 MOMENT_STRATEGY = "ball-mitm"
-_GROUP_CAP = 10_000_000
 # ids per ``_search`` of a lookup
 _LOOKUP_CHUNK = 1 << 16
 # top-level buckets are runs of the 2^_ID_BITS id ranges that the top
@@ -95,8 +88,9 @@ class MomentSeq:
 
     @classmethod
     def from_text(cls, text: str) -> "MomentSeq":
-        """The sequence of a file ``to_text`` writes; any other text
-        raises ValueError."""
+        """The sequence of a file ``to_text`` writes, its ``genset`` a
+        sha256 hex digest (``GenSet.content_hash``); any other text raises
+        ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty moment file")
@@ -105,6 +99,8 @@ class MomentSeq:
         values = [ln.partition(" ")[2] for ln in lines[1:]]
         seq = cls(values, head["genset"], colors)
         check_canonical(lines, seq.to_text().splitlines(), "moment file")
+        if len(seq.genset_hash) != 64 or not set(seq.genset_hash) <= set("0123456789abcdef"):
+            raise ValueError(f"genset={seq.genset_hash!r} is not a sha256 hex digest")
         return seq
 
     @classmethod
@@ -123,83 +119,18 @@ def _selected(gens: GenSet, colors):
     return sel
 
 
-def _graph_for(
-    gens: GenSet, graph: CayleyGraph | None, sel, memory_budget: int | None
-) -> CayleyGraph:
-    """The closure graph of ``gens``, building it when not supplied and
-    verifying a supplied one really was built from this system.
-
-    A closure built here holds at most the vertex rows that the memory
-    budget allows at ``_group_dp_row_bytes`` each, beside the closure's
-    direct vertex table.  The systems generate a group containing
-    PSL_d(F_q), so a budget short of that many rows is refused before
-    the closure starts, and one that the closure outgrows is refused
-    when it does."""
-    if graph is None:
-        params = gens.params
-        budget = MEM_BUDGET if memory_budget is None else int(memory_budget)
-        table = 4 * _vertex_table_size(MatSpace(params.base, params.d))
-        rows = max(budget - table, 0) // _group_dp_row_bytes(len(gens), len(sel))
-        refusal = MemoryBudgetError(
-            f"group-dp closure needs more than the {rows} vertex rows that "
-            f"budget {budget} holds; pass a built graph or raise the budget"
-        )
-        if rows < group_order_psl(params.d, params.q):
-            raise refusal
-        try:
-            return closure_from_matrices(
-                params.base,
-                params.d,
-                gens.mats,
-                colors=[g.color for g in gens],
-                max_vertices=min(_GROUP_CAP, rows),
-            )
-        except VertexLimitError:
-            if rows >= _GROUP_CAP:
-                raise
-            raise refusal from None
-    check_graph_of(gens, graph)
-    return graph
-
-
-def check_graph_of(gens: GenSet, graph: CayleyGraph) -> None:
-    """Raise ValueError unless ``graph`` was built from ``gens``: as many
-    generators, the identity's neighbours the generators' keys in order,
-    and each generator's edges carrying its colour."""
-    ms = graph.space()
-    if graph.r != len(gens) or not np.array_equal(graph.gen_keys, ms.pack(gens.mats)):
+def check_graph_of(gens: GenSet, graph) -> None:
+    """Raise ValueError unless ``graph``, a ``CayleyGraph`` or the
+    ``GraphHead`` of a graph file, was built from ``gens``: the same
+    field and dimension, as many generators, the identity's neighbours
+    the generators' keys in order, and each generator's edges carrying
+    its colour."""
+    params = gens.params
+    if not (graph.F == params.base and graph.d == params.d and graph.r == len(gens)
+            and np.array_equal(graph.gen_keys, MatSpace(graph.F, graph.d).pack(gens.mats))):
         raise ValueError("graph was not built from this generator system")
     if graph.gen_colors != tuple(g.color for g in gens):
         raise ValueError("graph edge colours disagree with the generator system")
-
-
-def _group_dp_row_bytes(r: int, s: int) -> int:
-    """Upper estimate of the bytes group-dp holds per vertex of a closure
-    it builds over r generators, s of them selected: the int32 neighbor
-    row; the int64 key in the vertex index, its merge copy and the final
-    key array; and the larger of what the two labellings of
-    ``_moments_group_dp`` hold.  The identity labelling holds the int64
-    vectors f and h and one pass's output, the uint32 copy a pass
-    gathers from, and the int32 inverse permutations of the selected
-    columns of a system that is not inverse-closed: 28 + 4s.  The orbit
-    labelling first holds the int32 map, the orbit minima and two
-    doubling buffers (16); then the int32 orbit index of each vertex
-    and, per orbit, the int64 representative and size and the int32
-    rows of both steps (20 + 8s); and in the passes the sizes, the rows
-    and the vectors of the identity labelling over orbits (36 + 8s).
-    There are at most as many orbits as vertices."""
-    return 4 * r + 40 + 36 + 8 * s
-
-
-def _reverse_columns(nbr: np.ndarray, cols) -> np.ndarray:
-    """Inverse permutations of the chosen neighbor-table columns:
-    rev[v, i] is the unique vertex whose cols[i]-step lands on v."""
-    n = nbr.shape[0]
-    rev = np.empty((n, len(cols)), dtype=nbr.dtype)
-    ar = np.arange(n, dtype=nbr.dtype)
-    for out_i, i in enumerate(cols):
-        rev[nbr[:, i], out_i] = ar
-    return rev
 
 
 def walk_moments(
@@ -207,32 +138,31 @@ def walk_moments(
     K: int,
     strategy: str = MOMENT_STRATEGY,
     colors=None,
-    graph: CayleyGraph | None = None,
     threads: int = 1,
     memory_budget: int | None = None,
 ) -> MomentSeq:
     """Exact moment sequence N_0..N_K of a generator system.
 
-    ``group-dp`` propagates the word-count distribution along the
-    neighbor table, pass t over the radius-t ball only, a prefix of the
-    breadth-first vertex numbering; the group must be enumerable (at
-    most ~10^7 elements, and a closure built here within the memory
-    budget; pass ``graph`` to reuse a built closure).  Its passes run
-    over one row per orbit of conjugation by theta, read off the table
-    and checked on the row of every orbit's least vertex (a mismatch
-    raises AssertionError), when the system is inverse-closed, theta
-    permutes the selection and the numbering is breadth-first; over the
-    table itself otherwise.
+    ``group-dp`` propagates the word-count distribution over the orbit
+    quotient of the group the selected generators generate, built
+    breadth-first from the identity with no vertex table: one row per
+    orbit of the naming ball-mitm uses, pass t over the orbits of the
+    radius-t ball only.  The quotient is checked before any count is
+    formed (a mismatch raises AssertionError), and refused when the
+    memory budget cannot hold it.  No strategy reads a graph file:
+    ``moments --graph`` only checks one against the system
+    (``check_graph_of``).
     ``ball-mitm`` joins product balls: N_k = sum_g c_a(g) * c_b(g^-1)
-    with a = ceil(k/2); it never materializes the group and refuses a
-    ``graph``.  Each ball level is a list of orbits with their word
-    counts: orbits of theta and a power of the Frobenius matrix (see
-    ``ThetaOrbits``) when conjugation by theta permutes the selected
-    generators, single elements otherwise.  Levels below ceil(K/2) are
-    held, and the top level is streamed from the products of the level
-    below it.  All counters are 64-bit integers, and every sum is
-    checked against an exact word-count bound before it is formed; both
-    strategies produce identical values wherever both are feasible.
+    with a = ceil(k/2); it never materializes the group.  Each ball
+    level is a list of orbits with their word counts.  Levels below
+    ceil(K/2) are held, and the top level is streamed from the products
+    of the level below it.
+    Both strategies name orbits of theta and a power of the Frobenius
+    matrix (see ``ThetaOrbits``) when conjugation by theta permutes the
+    selected generators, single elements otherwise.  All counters are
+    64-bit integers, and every sum is checked against an exact
+    word-count bound before it is formed; both strategies produce
+    identical values wherever both are feasible.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -243,10 +173,8 @@ def walk_moments(
                 f"K={K} overflows 64-bit word counters for {len(sel)} "
                 "generators under group-dp"
             )
-        values = _moments_group_dp(gens, K, sel, graph, threads, memory_budget)
+        values = _moments_group_dp(gens, K, sel, threads, memory_budget)
     elif strategy == "ball-mitm":
-        if graph is not None:
-            raise ValueError("a graph is read only by group-dp, not by ball-mitm")
         if _overflows(len(sel), (K + 1) // 2):
             raise ValueError(
                 f"K={K} overflows 64-bit ball counters for {len(sel)} "
@@ -265,62 +193,173 @@ def _overflows(r: int, e: int) -> bool:
     return r > 1 and (e >= 62 or r**e >= _COUNTER_LIMIT)
 
 
-def _moments_group_dp(gens, K, sel, graph, threads, memory_budget):
+def _moments_group_dp(gens, K, sel, threads, memory_budget):
     """N_k = sum_x f_a(x) h_b(x) with a = ceil(k/2), b = k - a, where
     f_t(x) counts the length-t words with product x and h_t(x) those
-    with product x^-1.  Since x g_i is vertex nbr[x, i], h_{t+1}(x) =
-    sum_i h_t(nbr[x, i]) and f_{t+1}(x) = sum_i f_t(x g_i^-1), read from
-    column inv(i) of an inverse-closed system's table and from the
-    inverse permutation of column i otherwise.  Reversing a word and
-    inverting its letters is a bijection onto words over the inverse
-    multiset, so f = h when the selected multiset is inverse-closed, and
-    ceil(K/2) gather passes suffice.
+    with product x^-1: h_{t+1}(x) = sum_i h_t(x g_i) and f_{t+1}(x) =
+    sum_i f_t(x g_i^-1).  Reversing a word and inverting its letters is
+    a bijection onto words over the inverse multiset, so f = h when the
+    selected multiset is inverse-closed, and ceil(K/2) gather passes
+    suffice.
 
-    The passes run over one labelling of the vertices.  Where
-    conjugation by theta permutes the system, it is a graph automorphism
-    phi fixing vertex 0; where it permutes the selection too, every f_t
-    and h_t is constant on the <phi>-orbits.  The orbit labelling
-    (``_theta_orbits``) then gives each orbit O the row comp[nbr[rep,
-    i]] of its least vertex rep, comp naming orbits, and N_k = sum_O
-    |O| f_a(O) h_b(O).  The identity labelling, whose rows are the
-    table itself, serves a system that is not inverse-closed, a
-    selection that theta does not permute, and a vertex numbering that
-    is not breadth-first.
+    The passes run over the orbit quotient (``_quotient``) of the
+    selection, with the inverse batch appended when the selection is
+    not inverse-closed, so its last columns are the x g_i^-1 steps.
+    The naming is ball-mitm's, ``orbits_for`` of the selection, whose
+    group permutes the selection and its inverses by conjugation; every
+    f_t and h_t is then constant on its orbits, row O of the quotient
+    holds the orbits of x_O g_i for one x_O of O, a permutation of those
+    of any other, and N_k = sum_O |O| f_a(O) h_b(O).  The trivial naming
+    gives the closure itself.  ``_check_quotient`` runs on the rows and
+    sizes first, with the group order of a whole system.
 
     Pass t computes its vector only on rows [0, m_t): m_t = 1 +
     max(T[:m_{t-1}]) bounds the support of a vector whose predecessor
     lives on [0, m_{t-1}), where T steps forward from that support (the
     x g_i rows for f, the x g_i^-1 rows for h; the x g_i rows again when
-    f = h).  The bound holds in any numbering.  In the breadth-first
-    numbering of a closure it is the radius-t ball, a prefix of the
-    vertices, and the orbits, numbered in the order of their least
-    vertices, meet it in a prefix of the orbits."""
-    G = _graph_for(gens, graph, sel, memory_budget)
-    ms = G.space()
-    inv = ms.inverse_index(gens.mats)
-    sel = np.asarray(sel, dtype=np.intp)
-    closed = bool((inv >= 0).all())
-    # None when f = h; otherwise the columns of the x g_i^-1 steps
-    back_cols = None if _inverses_if_open(ms, gens.mats[sel]) is None else inv[sel]
-    orbits = _theta_orbits(gens, G, sel, inv) if closed else None
-    if orbits is None:
-        weights = None
-        fwd = (G.nbr, None if len(sel) == G.r else sel)
-        if back_cols is None:
-            back = None
-        elif closed:
-            back = (G.nbr, back_cols)
-        else:
-            back = (_reverse_columns(G.nbr, sel), None)
-    else:
-        comp, reps, weights = orbits
-        fwd = (_orbit_rows(G.nbr, comp, reps, sel), None)
-        if back_cols is None:
-            back = None
-        else:
-            back = (_orbit_rows(G.nbr, comp, reps, back_cols), None)
-        del comp, reps, orbits
-    return _walk(K, fwd, back, weights, threads)
+    f = h).  The orbits are numbered breadth-first, so the bound is the
+    radius-t ball, a prefix of the orbits."""
+    params = gens.params
+    ms = MatSpace(params.base, params.d)
+    mats = gens.mats[sel]
+    s = len(sel)
+    inv_mats = _inverses_if_open(ms, mats)
+    steps = mats if inv_mats is None else np.concatenate((mats, inv_mats))
+    budget = MEM_BUDGET if memory_budget is None else int(memory_budget)
+    rows, sizes = _quotient(ms, orbits_for(params, ms, mats), steps, threads, budget)
+    orders = None
+    if s == len(gens):
+        orders = (group_order_psl(params.d, params.q), group_order_pgl(params.d, params.q))
+    _check_quotient(rows, sizes, orders)
+    if inv_mats is None:
+        return _walk(K, (rows, None), None, sizes, threads)
+    return _walk(K, (rows, np.arange(s)), (rows, np.arange(s, 2 * s)), sizes, threads)
+
+
+def _quotient(ms, orbits, steps, threads, budget):
+    """(rows, sizes): the orbits of the naming ``orbits`` on the closure
+    of the canonical batch ``steps`` from the identity, numbered
+    breadth-first, rows[O, i] the int32 index of the orbit of x_O g_i,
+    x_O the key ``orbits.keys`` gives for O, and sizes the int64 orbit
+    sizes.  Each frontier orbit's key is multiplied by the steps
+    (``key_products``) and the products named (``orbits.ids``) in blocks
+    of ``_block_rows(c)`` orbits, c = len(steps), from up to ``threads``
+    threads; new ids are numbered in order of first appearance in that
+    stream (``cayley._VertexIndex`` on sorted runs), so the numbering is
+    the same for any thread count.
+
+    The quotient holds ``_quotient_row_bytes`` per orbit beside the
+    stream's fixed share (``_orbit_memory_estimate`` of one block).  It
+    is refused before it starts when the orbits of a group containing
+    PSL_d(F_q) could not fit the budget, none holding more than
+    n * d elements (theta has order n = (q^d - 1)/(q - 1) in PGL_d(F_q),
+    and there are at most d Frobenius images), and as soon as the
+    orbits found outgrow it."""
+    q, d, c = ms.q, ms.d, len(steps)
+    per_orbit = _quotient_row_bytes(c, orbits.dtype.itemsize)
+    fixed = _orbit_memory_estimate(ms, orbits, c, _block_rows(c), 0, 0, threads)
+
+    def fits(count):
+        need = fixed + count * per_orbit
+        if need > budget:
+            raise MemoryBudgetError(
+                f"the group-dp quotient of at least {count} orbits needs ~{need} "
+                f"bytes (budget {budget}); use ball-mitm or raise the budget"
+            )
+
+    fits(-(-group_order_psl(d, q) // ((q**d - 1) // (q - 1) * d)))
+    products = ms.key_products(steps)
+    index = _VertexIndex(None, orbits.ids(ms.pack(ms.identity_batch(1))))
+    frontier = index.keys()
+    rows = []
+    step = _block_rows(c)
+
+    def named(ids):
+        return orbits.ids(products(orbits.keys(ids)))
+
+    while len(frontier):
+        level = []
+        blocks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
+        for block in ordered_imap(named, blocks, threads):
+            nums = index.lookup(block)
+            fresh = np.flatnonzero(nums < 0)
+            if fresh.size:
+                new = index.first_seen(block[fresh])
+                fits(index.n + len(new))
+                level.append(index.add(new))
+                nums[fresh] = index.lookup(block[fresh])
+            rows.append(nums.reshape(-1, c))
+        frontier = np.concatenate(level) if level else frontier[:0]
+    return np.concatenate(rows), _sizes(orbits, index.keys())
+
+
+def _quotient_row_bytes(c: int, w: int) -> int:
+    """Upper estimate of the bytes group-dp holds per orbit of a quotient
+    over c steps with w-byte ids: the int32 row, and beside it the
+    witness's int64 codes of the row's entries in the reverse order,
+    the distinct codes and counts of the forward order, and what
+    ``_runs`` holds for the reverse one (at most 4c + 8c + 16c + c +
+    24c = 53c); the id in the index's blocks, in its sorted runs with
+    an int32 number and in a merge copy of those, and in the ids the
+    sizes are read from (4w + 8); the int64 size; and the passes' int64
+    vectors f, h, a pass's output and the weighted copy of f with the
+    uint32 copy a pass gathers from (36)."""
+    return 53 * c + 4 * w + 52
+
+
+def _check_quotient(rows, sizes, orders) -> None:
+    """Raise AssertionError unless the quotient ``rows``, ``sizes`` of an
+    inverse-closed step batch counts every edge between two orbits
+    alike from both ends: |O| B[O, O'] = |O'| B[O', O], B[O, O'] the
+    number of entries O' in row O, the steps that take x_O into O'
+    (each of the |O| B[O, O'] edges from O into O' is an edge from O'
+    into O by the inverse step).  Unless ``orders`` is None, sum |O|
+    must also be a multiple of its first entry, |PSL_d(F_q)|, that
+    divides its second, |PGL_d(F_q)|.  The entries are read as int64 codes O m + O'
+    (m orbits) and as the reverse codes O' m + O, both sorted: the two
+    must hold the same distinct codes, code O m + O' B[O, O'] times
+    among the first and B[O', O] times among the second."""
+    m = len(sizes)
+    index = np.arange(m, dtype=np.int64)[:, None]
+    fwd = rows.astype(np.int64)
+    rev = fwd * m
+    rev += index
+    fwd += index * m
+    fwd = fwd.reshape(-1)
+    rev = rev.reshape(-1)
+    fwd.sort()
+    pairs, there = _runs(fwd)
+    del fwd
+    rev.sort()
+    back, here = _runs(rev)
+    del rev
+    if not np.array_equal(pairs, back):
+        raise AssertionError("the quotient has an orbit step that no step reverses")
+    there *= sizes.take(pairs // m)
+    here *= sizes.take(pairs % m)
+    if not np.array_equal(there, here):
+        raise AssertionError("the quotient counts the edges between two orbits "
+                             "differently from each end")
+    total = int(sizes.sum())
+    if orders is not None and (total % orders[0] or orders[1] % total):
+        raise AssertionError(
+            f"the orbits hold {total} elements, not the order of a group "
+            "between PSL_d(F_q) and PGL_d(F_q)"
+        )
+
+
+def _runs(values: np.ndarray):
+    """The distinct values of a sorted array and the length of each
+    run."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = len(values) - starts[-1:]
+    return values[starts], counts
 
 
 def _walk(K, fwd, back, weights, threads):
@@ -399,118 +438,6 @@ def _support_bound(table: np.ndarray, cols=None):
         return top + 1
 
     return bound
-
-
-def _theta_orbits(gens, G, sel, inv):
-    """The orbit labelling of ``_moments_group_dp`` on the closure ``G``
-    of the inverse-closed system ``gens`` (``inv`` its inverse columns):
-    (comp, reps, sizes), comp[v] the index of v's <phi>-orbit, reps the
-    least vertex of each orbit in increasing order and sizes the orbit
-    sizes.  None when conjugation by theta does not permute both the
-    system and the selection ``sel``, or when ``_theta_map`` finds the
-    vertex numbering not breadth-first.
-
-    theta^n is a scalar for n = (q^d - 1)/(q - 1), the order of u in
-    E^x / F_q^x, so every orbit size divides n and the orbit minima take
-    ceil(log2 n) doubling rounds.  Before any count is formed, the map
-    is checked on the row of every representative: nbr[phi(v), pi(i)]
-    = phi(nbr[v, i]) for each generator i."""
-    nbr = G.nbr
-    pi = theta_permutation(gens.params, G.space(), gens.mats)
-    if pi is None or not np.isin(pi[sel], sel).all():
-        return None
-    phi = _theta_map(nbr, pi[inv])
-    if phi is None:
-        return None
-    q, d = gens.params.q, gens.params.d
-    least = _orbit_minima(phi, ((q**d - 1) // (q - 1) - 1).bit_length())
-    is_rep = least == np.arange(len(least), dtype=least.dtype)
-    reps = np.flatnonzero(is_rep)
-    block = _block_rows(G.r)
-    for i in range(0, len(reps), block):
-        v = reps[i : i + block]
-        bad = np.flatnonzero((nbr[phi[v]][:, pi] != phi.take(nbr[v])).any(axis=0))
-        if bad.size:
-            raise AssertionError(
-                f"conjugation by theta does not map the edges of generator {bad[0]}"
-            )
-    del phi
-    # orbit indices in the order of their least vertices
-    index = np.cumsum(is_rep, dtype=least.dtype)
-    del is_rep
-    index -= 1
-    comp = least
-    block = _block_rows(1)
-    for i in range(0, len(comp), block):
-        np.take(index, comp[i : i + block], out=comp[i : i + block])
-    del index
-    return comp, reps, np.bincount(comp, minlength=len(reps))
-
-
-def _theta_map(nbr: np.ndarray, steps: np.ndarray):
-    """phi(v) = theta v theta^-1 for every vertex of a closure table, or
-    None when some vertex has no neighbour in an earlier level.
-
-    The levels come from the support bound: ball t is [0, b_t) with b_0
-    = 1 and b_(t+1) = 1 + max(nbr[:b_t]), and phi(0) = 0.  A vertex v
-    of [b_t, b_(t+1)) with a neighbour u = nbr[v, c] below b_t is
-    v = u g_c^-1, so phi(v) = nbr[phi(u), steps[c]] with steps[c] =
-    pi(inv(c)).  Rows are read in blocks, for either table layout."""
-    n, r = nbr.shape
-    phi = np.empty(n, dtype=nbr.dtype)
-    phi[0] = 0
-    bound = _support_bound(nbr)
-    block = _block_rows(1)
-    below = np.empty((min(block, n), r), dtype=bool)
-    lo = 1
-    while lo < n:
-        hi = bound(lo)
-        if hi <= lo:
-            return None
-        for a in range(lo, hi, block):
-            b = min(a + block, hi)
-            c = np.less(nbr[a:b], lo, out=below[: b - a]).argmax(axis=1)
-            u = nbr[np.arange(a, b), c]
-            if (u >= lo).any():
-                return None
-            phi[a:b] = nbr[phi[u], steps[c]]
-        lo = hi
-    return phi
-
-
-def _orbit_minima(phi: np.ndarray, rounds: int) -> np.ndarray:
-    """The least vertex of each vertex's <phi>-orbit, by doubling: round
-    k lowers least[v] to least[phi^(2^k)(v)] where that is smaller, so
-    after it least[v] is at most the minimum over phi^j(v), j < 2^(k+1),
-    and always a vertex of the orbit; ``rounds`` with 2^rounds at least
-    the order of phi make it the orbit minimum.  least is updated in
-    place, which only lowers it sooner."""
-    n = len(phi)
-    block = _block_rows(1)
-    least = np.arange(n, dtype=phi.dtype)
-    power = phi
-    spare = None
-    for k in range(rounds):
-        for i in range(0, n, block):
-            part = least[i : i + block]
-            np.minimum(part, least.take(power[i : i + block]), out=part)
-        if k + 1 < rounds:
-            square = np.empty_like(phi) if spare is None else spare
-            for i in range(0, n, block):
-                np.take(power, power[i : i + block], out=square[i : i + block])
-            spare = None if power is phi else power
-            power = square
-    return least
-
-
-def _orbit_rows(nbr: np.ndarray, comp: np.ndarray, reps: np.ndarray, cols) -> np.ndarray:
-    """comp[nbr[rep, cols]] for each representative: the rows of the
-    orbit labelling, read in blocks of representative rows."""
-    rows = np.empty((len(reps), len(cols)), dtype=comp.dtype)
-    block = _block_rows(nbr.shape[1])
-    for i in range(0, len(reps), block):
-        np.take(comp, nbr[reps[i : i + block]][:, cols], out=rows[i : i + block])
-    return rows
 
 
 def _moments_ball_mitm(gens, K, sel, threads, memory_budget):

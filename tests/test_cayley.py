@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayplex import cayley, projmat
+from cayplex import cayley, projmat, spectra
 from cayplex.cayley import (
     CayleyGraph,
     VertexLimitError,
@@ -141,7 +141,7 @@ def test_symmetry_check_catches_each_broken_column(monkeypatch, graph42):
 def test_layouts_give_identical_outputs(monkeypatch, bar42, graph42, tmp_path):
     """The closure's column-major table and a row-major copy of it give
     the same binary and text files (bytes and sha256 digest), load back
-    as the same graph, and give the same group-dp moments, symmetry and
+    as the same graph, and give the same walk counts, symmetry and
     connectivity verdicts and ``compare --mode iso`` report, on whole
     graphs and on the heads of their files.  2-row chunks make export
     and import cross chunk borders."""
@@ -168,7 +168,7 @@ def test_layouts_give_identical_outputs(monkeypatch, bar42, graph42, tmp_path):
                 assert hashes[str(path)] == digest
                 head = import_graph(str(path), head=True)
                 out += [blob, compare(head, G, "iso").to_text()]
-            out.append(walk_moments(bar42, 8, "group-dp", graph=H).values)
+            out.append(spectra._walk(8, (H.nbr, None), None, None, 1))
             out.append(cayley._verify_symmetry(ms, H.nbr, O))
             out.append(cayley._is_connected(H.nbr))
             out.append(compare(H, G, "iso").to_text())
@@ -312,10 +312,10 @@ def test_connectivity_of_colored_views_against_python_bfs():
 
 
 @pytest.fixture(scope="module")
-def n3_53(bar53, graph53):
+def n3_53(bar53):
     """N_3 of the (5,3) inverse closure: each triangle through the
     identity is two length-3 identity words, one per direction."""
-    return walk_moments(bar53, 3, "group-dp", graph=graph53)[3]
+    return walk_moments(bar53, 3, "group-dp")[3]
 
 
 def test_cells_53_triangle_oracle(graph53, n3_53):

@@ -148,7 +148,10 @@ class TestArtifactCommands:
         assert main(["graph", "--gens", gens, "--out", graph]) == 0
         assert f"input.{gens}={digest}" in open(graph + ".manifest").read()
 
-    def test_moments_reuses_prebuilt_graph(self, workdir, tmp_path):
+    def test_moments_reuses_prebuilt_graph(self, workdir, tmp_path, capsys):
+        """``--graph`` is checked against ``--gens`` and changes nothing
+        else: the moment file is byte-identical to the one written
+        without it, and the graph of another system exits 2."""
         out1 = str(tmp_path / "a.moments")
         out2 = str(tmp_path / "b.moments")
         base = ["moments", "--gens", workdir["gens"], "--kmax", "4",
@@ -157,7 +160,16 @@ class TestArtifactCommands:
         assert main(
             base + ["--graph", workdir["graph"], "--out", out2]
         ) == 0
-        assert open(out1).read() == open(out2).read()
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+        other_gens = str(tmp_path / "bar33.gens")
+        other = str(tmp_path / "g33.graph")
+        assert main(["gens", "--q", "3", "--d", "3", "--sym", "--out", other_gens]) == 0
+        assert main(["graph", "--gens", other_gens, "--out", other]) == 0
+        capsys.readouterr()
+        out3 = tmp_path / "c.moments"
+        assert main(base + ["--graph", other, "--out", str(out3)]) == 2
+        assert "not built from" in capsys.readouterr().err
+        assert not out3.exists()
 
     def test_spectrum_command(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "s.spectrum")

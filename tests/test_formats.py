@@ -87,12 +87,18 @@ def test_gens_mutants_refused(request, name, count):
             GenSet.from_text(mutant)
 
 
-def test_moment_mutants_refused_or_canonical(bar42, graph42):
+def test_moment_mutants_refused_or_canonical(bar42):
     """A moment value edited into another valid count still loads (the
     manifest is what catches it), but only as the text the writer
-    writes for it; any other edit raises ValueError."""
-    seq = walk_moments(bar42, 8, "group-dp", graph=graph42)
+    writes for it; any other edit raises ValueError, and so does a
+    genset= field that is not 64 lowercase hex digits, in a file the
+    writer would write for it."""
+    seq = walk_moments(bar42, 8, "group-dp")
     _refused_or_canonical(seq.to_text(), MomentSeq.from_text, MomentSeq.to_text, 200)
+    genset = seq.genset_hash
+    for bad in ("xyz", genset[:-1], genset + "0", genset.upper(), "g" + genset[1:]):
+        with pytest.raises(ValueError, match="genset"):
+            MomentSeq.from_text(seq.to_text().replace(genset, bad))
 
 
 def test_graph_mutants_refused_or_canonical(graph42):

@@ -13,7 +13,7 @@ import pytest
 
 from cayplex import cayley, cli, projmat, spectra
 from cayplex.cayley import CayleyGraph, closure_from_matrices
-from cayplex.ffield import get_field, regular_rep
+from cayplex.ffield import get_field
 from cayplex.genforge import (
     GenSet,
     MemoryBudgetError,
@@ -22,7 +22,7 @@ from cayplex.genforge import (
     make_params,
     symmetrize,
 )
-from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for, theta_permutation
+from cayplex.orbits import ThetaOrbits, TrivialOrbits, orbits_for
 from cayplex.projmat import MatSpace
 from cayplex.spectra import (
     ComparisonReport,
@@ -30,9 +30,9 @@ from cayplex.spectra import (
     _ball_levels,
     _inverses_if_open,
     _moments_ball_mitm,
-    _reverse_columns,
     _selected,
     cayley_isomorphism,
+    check_graph_of,
     compare,
     dense_spectrum,
     walk_moments,
@@ -41,44 +41,47 @@ from cayplex.spectra import (
 from test_projmat import _repeat_tile_products
 
 
-def _relabeled(G, seed):
-    """``G`` with vertices 1..n-1 renumbered by a seeded permutation; the
-    identity stays vertex 0."""
-    perm = np.random.default_rng(seed).permutation(G.n - 1) + 1
-    perm = np.concatenate(([0], perm)).astype(G.nbr.dtype)
-    keys = np.empty_like(G.keys)
-    keys[perm] = G.keys
-    nbr = np.empty_like(G.nbr)
-    nbr[perm] = perm[G.nbr]
-    return CayleyGraph(G.F, G.d, keys, nbr, G.gen_colors, G.symmetric, G.connected)
+# a genset= field the moment reader accepts: 64 lowercase hex digits
+_GENSET = "0123456789abcdef" * 4
 
 
-def _group_dp_runs(monkeypatch):
-    """A list that records, for each group-dp run, the table its forward
-    rows come from and its orbit count, None under the identity
-    labelling."""
-    runs = []
-    walk = spectra._walk
-
-    def recorded(K, fwd, back, weights, threads):
-        runs.append((fwd[0], None if weights is None else len(weights)))
-        return walk(K, fwd, back, weights, threads)
-
-    monkeypatch.setattr(spectra, "_walk", recorded)
-    return runs
+def _reverse_rows(nbr, cols):
+    """The inverse permutations of the chosen columns of a closure
+    table: row v holds, for each column, the vertex that its step takes
+    to v."""
+    rev = np.empty((nbr.shape[0], len(cols)), dtype=nbr.dtype)
+    for k, i in enumerate(cols):
+        rev[nbr[:, i], k] = np.arange(nbr.shape[0], dtype=nbr.dtype)
+    return rev
 
 
-def _identity_labelling(gens, K, colors, graph):
-    """group-dp's values with every orbit labelling refused."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra, "_theta_orbits", lambda *args: None)
-        return walk_moments(gens, K, "group-dp", colors=colors, graph=graph).values
+def _table_walk(gens, G, K, colors=None):
+    """Reference N_0..N_K: the passes of ``spectra._walk`` over every
+    vertex of the closure table ``G`` of ``gens``, with no orbits and no
+    normal form: the selected columns forward, and back the columns of
+    their inverses, or the inverse permutations of the selected columns
+    when the system is not inverse-closed."""
+    sel = np.asarray(_selected(gens, colors))
+    ms = G.space()
+    back = None
+    if _inverses_if_open(ms, gens.mats[sel]) is not None:
+        inv = ms.inverse_index(gens.mats)
+        back = (_reverse_rows(G.nbr, sel), None) if (inv < 0).any() else (G.nbr, inv[sel])
+    return spectra._walk(K, (G.nbr, sel), back, None, 1)
 
 
-def _theta_labels(gens, G):
-    """``_theta_orbits`` of the whole system ``gens`` on ``G``."""
-    inv = G.space().inverse_index(gens.mats)
-    return spectra._theta_orbits(gens, G, np.arange(len(gens)), inv)
+def _recorded_quotients(monkeypatch):
+    """A list that records the (rows, sizes) of each quotient that
+    group-dp builds."""
+    built = []
+    quotient = spectra._quotient
+
+    def recorded(*args):
+        built.append(quotient(*args))
+        return built[-1]
+
+    monkeypatch.setattr(spectra, "_quotient", recorded)
+    return built
 
 
 def _consolidated_levels(ms, gen_mats, radius):
@@ -203,16 +206,16 @@ class TestMomentSeq:
         assert seq.colors == (1, 2)
 
     def test_text_round_trip(self):
-        seq = MomentSeq([1, 0, 5, 0, 45], "abc123", colors=[1])
+        seq = MomentSeq([1, 0, 5, 0, 45], _GENSET, colors=[1])
         text = seq.to_text()
-        assert text.splitlines()[0] == "version=1 genset=abc123 colors=1 K=4"
+        assert text.splitlines()[0] == f"version=1 genset={_GENSET} colors=1 K=4"
         back = MomentSeq.from_text(text)
         assert back == seq
         assert back.colors == (1,)
-        assert back.genset_hash == "abc123"
+        assert back.genset_hash == _GENSET
 
     def test_text_round_trip_all_colors(self):
-        seq = MomentSeq([1, 0, 7], "xyz")
+        seq = MomentSeq([1, 0, 7], _GENSET)
         back = MomentSeq.from_text(seq.to_text())
         assert back == seq and back.colors is None
 
@@ -234,7 +237,7 @@ class TestMomentSeq:
             MomentSeq.from_text("\n".join(lines[:-1]))
 
     def test_file_round_trip(self, tmp_path):
-        seq = MomentSeq([1, 0, 62, 372], "deadbeef")
+        seq = MomentSeq([1, 0, 62, 372], _GENSET)
         path = str(tmp_path / "moments.txt")
         seq.save(path)
         assert MomentSeq.load(path) == seq
@@ -246,8 +249,8 @@ class TestMomentSeq:
 
 
 class TestWalkMoments:
-    def test_strategies_agree_small(self, bar42, graph42):
-        dp = walk_moments(bar42, 6, "group-dp", graph=graph42)
+    def test_strategies_agree_small(self, bar42):
+        dp = walk_moments(bar42, 6, "group-dp")
         bm = walk_moments(bar42, 6, "ball-mitm")
         assert dp.values == bm.values
         assert dp[0] == 1 and dp[1] == 0
@@ -294,102 +297,87 @@ class TestWalkMoments:
         wide = np.array([0, 5, 1 << 32], dtype=np.int64)
         assert spectra._gather_source(wide) is wide
 
-    def test_group_dp_matches_full_length_recurrence(
-        self, bar42, graph42, hat53, graph53_hat
-    ):
-        """Oracle: the K-pass recurrence along reverse columns, whose
-        value at the identity is N_k, against the half-length join."""
+    def test_group_dp_matches_full_length_recurrence(self, bar42, graph42, hat53,
+                                                     graph53_hat):
+        """Oracle: the K-pass recurrence along reverse columns of the
+        closure table, whose value at the identity is N_k, against the
+        half-length join over the orbit quotient."""
         cases = [
             (bar42, graph42, None),  # inverse-closed
             (hat53, graph53_hat, None),  # inverse-closed
             (hat53, graph53_hat, {1}),  # directed color
         ]
-        for seed, (gens, G, colors) in enumerate(cases):
-            rev = _reverse_columns(G.nbr, _selected(gens, colors))
+        for gens, G, colors in cases:
+            rev = _reverse_rows(G.nbr, _selected(gens, colors))
             v = np.zeros(G.n, dtype=np.int64)
             v[0] = 1
             want = [1]
             for _ in range(7):
                 v = v[rev].sum(axis=1)
                 want.append(int(v[0]))
-            # the ball bounds of the passes must not rely on the
-            # breadth-first numbering
-            for graph in (G, _relabeled(G, seed)):
-                for threads in (1, 2):
-                    for K in range(8):
-                        got = walk_moments(
-                            gens, K, "group-dp", colors=colors, graph=graph,
-                            threads=threads,
-                        )
-                        assert list(got.values) == want[: K + 1]
+            for threads in (1, 2):
+                for K in range(8):
+                    got = walk_moments(gens, K, "group-dp", colors=colors, threads=threads)
+                    assert list(got.values) == want[: K + 1]
 
     def test_group_dp_orbit_labelling_matches_identity(
-        self, monkeypatch, tmp_path, bar42, graph42, bar53, graph53, bar53_s2,
-        graph53_s2, hat53, graph53_hat,
+        self, monkeypatch, bar42, graph42, bar53, graph53, bar53_s2, graph53_s2, hat53,
+        graph53_hat,
     ):
-        """Oracle: the passes over theta-orbits give the values of the
-        passes over every vertex, for whole systems, an open colour class
-        ({1} of hat53) and a closed one, on 1 and 2 threads, over the
-        closure's column-major table, the reader's row-major one and the
-        closure built when no graph is given.  The identity labelling
-        passes the table itself."""
-        path = str(tmp_path / "g53.graph")
-        cayley.export_graph(graph53, path)
-        row_major = cayley.import_graph(path)
-        assert graph53.nbr.flags.f_contiguous and row_major.nbr.flags.c_contiguous
+        """Oracle: group-dp from the generators, over an orbit quotient,
+        gives the values of a walk over every vertex of the closure table
+        (``_table_walk``, which shares no normal form with the quotient):
+        whole systems at K=10, an open colour class ({1} of hat53) and a
+        closed one ({1, 2}) at K=8, on 1 and 2 threads, and the omega
+        system at (3,3), which is not inverse-closed.  Every quotient has
+        fewer rows than the closure has vertices."""
+        omega33 = build_omega(make_params(3, 3))
+        graph33 = closure_from_matrices(omega33.params.base, 3, omega33.mats)
         cases = [
-            (bar53, (graph53, row_major), None, 10),
-            (bar53_s2, (graph53_s2,), None, 10),
-            (bar42, (graph42, None), None, 8),
-            (hat53, (graph53_hat,), {1}, 8),
-            (hat53, (graph53_hat,), {1, 2}, 8),
+            (bar42, graph42, None, 10),
+            (bar53, graph53, None, 10),
+            (bar53_s2, graph53_s2, None, 10),
+            (hat53, graph53_hat, {1}, 8),
+            (hat53, graph53_hat, {1, 2}, 8),
+            (omega33, graph33, None, 8),
         ]
-        runs = _group_dp_runs(monkeypatch)
-        for gens, graphs, colors, K in cases:
-            want = _identity_labelling(gens, K, colors, graphs[0])
-            table, orbits = runs.pop()
-            assert table is graphs[0].nbr and orbits is None
-            for graph in graphs:
-                for threads in (1, 2):
-                    got = walk_moments(
-                        gens, K, "group-dp", colors=colors, graph=graph, threads=threads
-                    )
-                    assert got.values == want
-                    rows, orbits = runs.pop()
-                    assert orbits == len(rows)
+        built = _recorded_quotients(monkeypatch)
+        for gens, G, colors, K in cases:
+            want = _table_walk(gens, G, K, colors)
+            for threads in (1, 2):
+                got = walk_moments(gens, K, "group-dp", colors=colors, threads=threads)
+                assert list(got.values) == want
+                rows, sizes = built.pop()
+                assert len(rows) == len(sizes) < G.n
+        assert want == list(walk_moments(omega33, 8, "ball-mitm").values)
 
-    def test_theta_orbits_of_the_53_closure(self, bar53, graph53):
-        """Oracle: the map read off the table is conjugation by theta on
-        every vertex's matrix, and the orbits are its cycles: 31 fixed
-        points (the centraliser of theta) and 11,999 orbits of ord theta
-        = 31, numbered in the order of their least vertices."""
-        ms = graph53.space()
-        inv = ms.inverse_index(bar53.mats)
-        pi = theta_permutation(bar53.params, ms, bar53.mats)
-        phi = spectra._theta_map(graph53.nbr, pi[inv])
-        theta = ms.asbatch(regular_rep(bar53.params.E, bar53.params.u))
-        mats = ms.unpack(graph53.keys)
-        conj = ms.canon(ms.mul(ms.mul(theta, mats), ms.inverse(theta)))
-        assert np.array_equal(graph53.keys[phi], ms.pack(conj))
-        comp, reps, sizes = _theta_labels(bar53, graph53)
-        assert len(reps) == 12_030 and reps[0] == 0 and (np.diff(reps) > 0).all()
-        assert np.array_equal(comp[phi], comp)
-        assert np.array_equal(comp[reps], np.arange(len(reps)))
-        least = np.full(len(reps), graph53.n)
-        np.minimum.at(least, comp, np.arange(graph53.n))
-        assert np.array_equal(least, reps)
-        assert np.array_equal(np.bincount(comp), sizes)
-        assert int(np.count_nonzero(phi == np.arange(graph53.n))) == 31
-        assert np.array_equal(np.unique(sizes, return_counts=True), [[1, 31], [31, 11_999]])
+    def test_quotient_of_the_53_closure(self, monkeypatch, bar53, graph53):
+        """Oracle: the (5,3) quotient holds the 372,000 vertices of the
+        closure in 4,026 orbits of <theta, Phi>, numbered breadth-first
+        from the identity's orbit of size 1: the orbits of each ball
+        form a prefix whose sizes add up to the closure's ball, a prefix
+        of its vertices, since conjugation keeps word lengths."""
+        built = _recorded_quotients(monkeypatch)
+        walk_moments(bar53, 2, "group-dp")
+        rows, sizes = built.pop()
+        assert rows.shape == (4026, len(bar53)) and rows.dtype == np.int32
+        assert sizes[0] == 1 and sizes.sum() == graph53.n
+        orbit_ball = spectra._support_bound(rows)
+        vertex_ball = spectra._support_bound(graph53.nbr)
+        m = n = 1
+        while n < graph53.n:
+            m, n = orbit_ball(m), vertex_ball(n)
+            assert sizes[:m].sum() == n
+        assert m == len(sizes)
 
     def test_graph_files_take_the_orbit_labelling(self, monkeypatch, tmp_path, graph53,
                                                   bar53, graph53_s2, bar53_s2, graph53_hat,
                                                   hat53):
-        """Every graph that ``graph`` writes is a breadth-first closure of
-        an inverse-closed system that theta permutes, so group-dp takes
-        the orbit labelling on it: the ``bfs_build`` closures of the (5,3)
-        systems, and the files that ``graph`` writes for the omega-bar and
-        omega-hat systems at (4,2) and (3,3)."""
+        """Every system that ``graph`` closes gets an orbit quotient with
+        fewer rows than its graph has vertices, and as many elements: the
+        (5,3) systems, and those that ``graph`` writes files for, omega-bar
+        and omega-hat at (4,2) and (3,3).  Its values are those of a
+        walk over every vertex of the graph."""
         cases = [(bar53, graph53), (bar53_s2, graph53_s2), (hat53, graph53_hat)]
         for q, d in ((4, 2), (3, 3)):
             for kind in ("gens", "omega-hat"):
@@ -400,43 +388,40 @@ class TestWalkMoments:
                 assert cli.main(argv) == 0
                 assert cli.main(["graph", "--gens", gens_path, "--out", graph_path]) == 0
                 cases.append((GenSet.load(gens_path), cayley.import_graph(graph_path)))
-        runs = _group_dp_runs(monkeypatch)
+        built = _recorded_quotients(monkeypatch)
         for gens, G in cases:
-            comp, reps, sizes = _theta_labels(gens, G)
-            assert sizes.sum() == G.n and len(reps) < G.n
-            walk_moments(gens, 4, "group-dp", graph=G)
-            assert runs.pop()[1] == len(reps)
+            got = walk_moments(gens, 4, "group-dp")
+            _, sizes = built.pop()
+            assert sizes.sum() == G.n and len(sizes) < G.n
+            assert list(got.values) == _table_walk(gens, G, 4)
 
-    def test_group_dp_witness_refuses_a_broken_table(self, bar53, graph53):
-        """One entry of a representative's row changed in a copy of the
-        closure: the map check raises before any moment is formed."""
-        _, reps, _ = _theta_labels(bar53, graph53)
-        nbr = graph53.nbr.copy(order="F")
-        v = int(reps[100])
-        i = graph53.r - 1
-        nbr[v, i] = nbr[v, 0]
-        broken = CayleyGraph(graph53.F, graph53.d, graph53.keys, nbr,
-                             graph53.gen_colors, graph53.symmetric, graph53.connected)
-        with pytest.raises(AssertionError, match=f"edges of generator {i}"):
-            walk_moments(bar53, 10, "group-dp", graph=broken)
+    def test_group_dp_witness_refuses_a_broken_table(self, monkeypatch, bar53):
+        """One entry of one quotient row moved to another orbit, or one
+        orbit size changed: the edge counts from both ends disagree.
+        Every size doubled keeps them in proportion, but the orbits then
+        hold twice the group.  Each raises before any count is formed."""
 
-    def test_group_dp_identity_labelling_fallbacks(self, monkeypatch, bar53, graph53):
-        """A numbering that is not breadth-first and a system that is not
-        inverse-closed take the identity labelling, over the table itself:
-        the (5,3) values that A9 reports, and ball-mitm's values for the
-        omega system at (3,3)."""
-        runs = _group_dp_runs(monkeypatch)
-        relabeled = _relabeled(graph53, 7)
-        got = walk_moments(bar53, 10, "group-dp", graph=relabeled)
-        table, orbits = runs.pop()
-        assert table is relabeled.nbr and orbits is None
-        assert got.values == (1, 0, 62, 372, 11346, 159960, 3641198, 74134578,
-                               1961764258, 64709223672, 2867781773322)
-        omega33 = build_omega(make_params(3, 3))
-        got = walk_moments(omega33, 8, "group-dp")
-        table, orbits = runs.pop()
-        assert orbits is None and table.shape == (5616, len(omega33))
-        assert got.values == walk_moments(omega33, 8, "ball-mitm").values
+        def moved(rows, sizes):
+            rows[100, -1] = rows[100, 0]
+            return rows, sizes
+
+        def resized(rows, sizes):
+            sizes[100] += 1
+            return rows, sizes
+
+        def doubled(rows, sizes):
+            return rows, 2 * sizes
+
+        def never(*args):
+            raise AssertionError("a count was formed")
+
+        quotient = spectra._quotient
+        monkeypatch.setattr(spectra, "_walk", never)
+        for corrupt, match in ((moved, "quotient"), (resized, "quotient"),
+                               (doubled, "744000 elements")):
+            monkeypatch.setattr(spectra, "_quotient", lambda *args: corrupt(*quotient(*args)))
+            with pytest.raises(AssertionError, match=match):
+                walk_moments(bar53, 10, "group-dp")
 
     def test_ball_levels_match_consolidated_reference(self, bar42, hat53):
         """Oracle: every level as the distinct products of the previous
@@ -740,29 +725,28 @@ class TestWalkMoments:
             assert _moments_ball_mitm(gens, 6, sel, 1, None) == values
         assert got[0] == got[1]
 
-    def test_orbit_path_matches_group_dp_to_k10(self, bar53, graph53, hat53, graph53_hat):
-        """Oracle: group-dp over the closure, against the orbit path of
-        ball-mitm, for K <= 10 on the (5,3) omega-bar system and on each
-        colour of the (5,3) omega-hat system."""
-        cases = [(bar53, graph53, None, 10)]
-        cases += [(hat53, graph53_hat, {c}, 8) for c in (1, 2)]
-        for gens, G, colors, K in cases:
+    def test_orbit_path_matches_group_dp_to_k10(self, bar53, hat53):
+        """Oracle: group-dp's passes over the orbit quotient, against the
+        joined ball levels of ball-mitm, for K <= 10 on the (5,3)
+        omega-bar system and on each colour of the (5,3) omega-hat
+        system."""
+        cases = [(bar53, None, 10)]
+        cases += [(hat53, {c}, 8) for c in (1, 2)]
+        for gens, colors, K in cases:
             sel = _selected(gens, colors)
             ms = MatSpace(gens.params.base, gens.params.d)
             assert ThetaOrbits.for_system(gens.params, ms, gens.mats[sel]) is not None
-            dp = walk_moments(gens, K, "group-dp", colors=colors, graph=G)
+            dp = walk_moments(gens, K, "group-dp", colors=colors)
             assert list(dp.values) == _moments_ball_mitm(gens, K, sel, 1, None)
 
-    def test_strategy_agreement_exhaustive_d3(self, bar53, graph53):
-        dp = walk_moments(bar53, 8, "group-dp", graph=graph53)
+    def test_strategy_agreement_exhaustive_d3(self, bar53):
+        dp = walk_moments(bar53, 8, "group-dp")
         bm = walk_moments(bar53, 8, "ball-mitm")
         assert dp.values == bm.values
 
-    def test_small_case_twist_pair_equal_to_k10(
-        self, bar53, graph53, bar53_s2, graph53_s2
-    ):
-        m1 = walk_moments(bar53, 10, "group-dp", graph=graph53)
-        m2 = walk_moments(bar53_s2, 10, "group-dp", graph=graph53_s2)
+    def test_small_case_twist_pair_equal_to_k10(self, bar53, bar53_s2):
+        m1 = walk_moments(bar53, 10, "group-dp")
+        m2 = walk_moments(bar53_s2, 10, "group-dp")
         assert m1.values == m2.values
         assert all(m1[2 * k] > 0 for k in range(6))
         rep = compare(m1, m2, "moments")
@@ -779,7 +763,7 @@ class TestWalkMoments:
         """Length-3 identity words are the two directed traversals of
         the triangles at a vertex; count those at the identity vertex
         by neighbor-set intersections."""
-        m = walk_moments(bar53, 3, "group-dp", graph=graph53)
+        m = walk_moments(bar53, 3, "group-dp")
         nb = graph53.nbr[0].tolist()
         nbsets = {x: set(graph53.nbr[x].tolist()) for x in nb}
         per_vertex_triangles = sum(
@@ -791,16 +775,16 @@ class TestWalkMoments:
         assert per_vertex_triangles > 0
         assert m[3] == 2 * per_vertex_triangles
 
-    def test_color_restriction_directed(self, hat53, graph53_hat):
-        dp = walk_moments(hat53, 6, "group-dp", colors={1}, graph=graph53_hat)
+    def test_color_restriction_directed(self, hat53):
+        dp = walk_moments(hat53, 6, "group-dp", colors={1})
         bm = walk_moments(hat53, 6, "ball-mitm", colors={1})
         assert dp.values == bm.values
         assert dp[1] == 0 and dp[2] == 0
         assert dp[3] > 0
 
-    def test_all_colors_equals_union(self, bar53, graph53):
-        full = walk_moments(bar53, 4, "group-dp", graph=graph53)
-        both = walk_moments(bar53, 4, "group-dp", colors={1, 2}, graph=graph53)
+    def test_all_colors_equals_union(self, bar53):
+        full = walk_moments(bar53, 4, "group-dp")
+        both = walk_moments(bar53, 4, "group-dp", colors={1, 2})
         assert full.values == both.values
 
     def test_family_related_sets_equal_via_compare(self, p35, bar35):
@@ -810,89 +794,96 @@ class TestWalkMoments:
         m1 = walk_moments(fam[1], 4, "ball-mitm")
         assert compare(m0, m1, "moments").verdict == "equal"
 
-    def test_thread_count_does_not_change_values(self, bar42, graph42):
-        one = walk_moments(bar42, 6, "group-dp", graph=graph42, threads=1)
-        three = walk_moments(bar42, 6, "group-dp", graph=graph42, threads=3)
+    def test_thread_count_does_not_change_values(self, bar42):
+        one = walk_moments(bar42, 6, "group-dp", threads=1)
+        three = walk_moments(bar42, 6, "group-dp", threads=3)
         assert one.values == three.values
         b1 = walk_moments(bar42, 6, "ball-mitm", threads=1)
         b3 = walk_moments(bar42, 6, "ball-mitm", threads=3)
         assert b1.values == b3.values
 
-    def test_group_dp_identical_for_any_block(self, monkeypatch, bar42, graph42, bar53, graph53):
-        """group-dp gathers rows in blocks of ``_block_rows(r)``: blocks of
+    def test_group_dp_identical_for_any_block(self, monkeypatch, bar42, bar53):
+        """group-dp names the products of ``_block_rows(r)`` frontier
+        orbits at a time and gathers rows in blocks of as many: blocks of
         one row and of 16 rows give the default block's values, across
-        the partial last block of every pass's support bound."""
-        for gens, G, block_rows, threads in (
-            (bar42, graph42, (1, 16), (1, 3)),
-            (bar53, graph53, (16,), (1,)),
+        the partial last block of every level and of every pass's
+        support bound."""
+        for gens, block_rows, threads in (
+            (bar42, (1, 16), (1, 3)),
+            (bar53, (16,), (1,)),
         ):
-            want = walk_moments(gens, 6, "group-dp", graph=G).values
+            want = walk_moments(gens, 6, "group-dp").values
             for rows in block_rows:
                 monkeypatch.setattr(projmat, "_PRODUCT_BLOCK", rows * len(gens))
                 for t in threads:
-                    assert walk_moments(gens, 6, "group-dp", graph=G, threads=t).values == want
+                    assert walk_moments(gens, 6, "group-dp", threads=t).values == want
             monkeypatch.undo()
 
-    def test_k_edge_cases(self, bar42, graph42):
-        assert walk_moments(bar42, 0, "group-dp", graph=graph42).values == (1,)
+    def test_k_edge_cases(self, bar42):
+        assert walk_moments(bar42, 0, "group-dp").values == (1,)
         assert walk_moments(bar42, 1, "ball-mitm").values == (1, 0)
         with pytest.raises(ValueError, match="nonnegative"):
             walk_moments(bar42, -1, "ball-mitm")
 
-    def test_unknown_strategy_and_colors(self, bar42, graph42):
+    def test_unknown_strategy_and_colors(self, bar42):
         with pytest.raises(ValueError, match="strategy"):
             walk_moments(bar42, 2, "magic")
         with pytest.raises(ValueError, match="color"):
-            walk_moments(bar42, 2, "group-dp", colors={9}, graph=graph42)
+            walk_moments(bar42, 2, "group-dp", colors={9})
 
-    def test_counter_overflow_guards(self, bar53, graph53):
+    def test_counter_overflow_guards(self, bar53):
         with pytest.raises(ValueError, match="overflows"):
-            walk_moments(bar53, 11, "group-dp", graph=graph53)
+            walk_moments(bar53, 11, "group-dp")
         with pytest.raises(ValueError, match="overflows"):
             walk_moments(bar53, 22, "ball-mitm")
 
-    def test_huge_kmax_refused_without_forming_the_power(self, bar53, graph53):
+    def test_huge_kmax_refused_without_forming_the_power(self, bar53):
         """At K = 10^9 the guard decides from the exponent alone, where
         62^K would take far longer than the refusal may."""
-        for strategy, graph in (("group-dp", graph53), ("ball-mitm", None)):
+        for strategy in ("group-dp", "ball-mitm"):
             start = time.perf_counter()
             with pytest.raises(ValueError, match="overflows"):
-                walk_moments(bar53, 10**9, strategy, graph=graph)
+                walk_moments(bar53, 10**9, strategy)
             assert time.perf_counter() - start < 1.0, strategy
-
-    def test_ball_mitm_refuses_a_graph(self, bar42, graph42):
-        """ball-mitm never reads a graph, so one passed to it is refused
-        rather than left unchecked against the generators."""
-        with pytest.raises(ValueError, match="only by group-dp"):
-            walk_moments(bar42, 4, "ball-mitm", graph=graph42)
 
     def test_memory_budget_guard(self, bar53):
         with pytest.raises(MemoryBudgetError, match="budget"):
             walk_moments(bar53, 8, "ball-mitm", memory_budget=1000)
 
-    def test_group_dp_closure_within_memory_budget(self, monkeypatch, bar42, graph42):
-        """Without a graph, group-dp builds the closure only as far as the
-        budget holds its rows: a budget short of |PSL_2(F_4)| = 60 rows
-        is refused up front, one the closure outgrows when it does."""
-        want = walk_moments(bar42, 6, "group-dp", graph=graph42).values
-        assert walk_moments(bar42, 6, "group-dp").values == want
-        table = graph42.nbr.nbytes
-        with pytest.raises(MemoryBudgetError, match=f"budget {table - 1} holds"):
-            walk_moments(bar42, 6, "group-dp", memory_budget=table - 1)
-        fixed = 4 * cayley._vertex_table_size(graph42.space())
-        row = spectra._group_dp_row_bytes(len(bar42), len(bar42))
-        monkeypatch.setattr(spectra, "group_order_psl", lambda d, q: 1)
-        held = walk_moments(bar42, 6, "group-dp", memory_budget=fixed + 60 * row)
-        assert held.values == want
-        with pytest.raises(MemoryBudgetError, match="59 vertex rows"):
-            walk_moments(bar42, 6, "group-dp", memory_budget=fixed + 59 * row)
+    def test_group_dp_closure_within_memory_budget(self, monkeypatch, bar42):
+        """group-dp builds its quotient only as far as the budget holds
+        its orbits: a budget short of the 6 orbits that the 60 elements of
+        PSL_2(F_4) fill at least (none holds more than ord theta * d = 10)
+        is refused before the quotient starts, and one short of the
+        quotient's own orbits when they outgrow it."""
+        built = _recorded_quotients(monkeypatch)
+        want = walk_moments(bar42, 6, "group-dp").values
+        _, sizes = built.pop()
+        m, r = len(sizes), len(bar42)
+        params = bar42.params
+        ms = MatSpace(params.base, params.d)
+        orbits = orbits_for(params, ms, bar42.mats)
+        fixed = spectra._orbit_memory_estimate(ms, orbits, r, projmat._block_rows(r), 0, 0)
+        row = spectra._quotient_row_bytes(r, orbits.dtype.itemsize)
+        assert 6 < m < 60
+        with pytest.raises(MemoryBudgetError, match="at least 6 orbits"):
+            walk_moments(bar42, 6, "group-dp", memory_budget=fixed + 6 * row - 1)
+        assert walk_moments(bar42, 6, "group-dp", memory_budget=fixed + m * row).values == want
+        with pytest.raises(MemoryBudgetError, match=f"at least {m} orbits"):
+            walk_moments(bar42, 6, "group-dp", memory_budget=fixed + m * row - 1)
 
-    def test_graph_from_other_system_rejected(self, bar53, graph42):
-        with pytest.raises(ValueError, match="not built from"):
-            walk_moments(bar53, 2, "group-dp", graph=graph42)
+    def test_graph_from_other_system_rejected(self, tmp_path, bar42, bar53, graph42):
+        """``check_graph_of`` accepts a system's own graph, whole or as the
+        head of its file, and refuses another system's."""
+        path = str(tmp_path / "g42.graph")
+        cayley.export_graph(graph42, path)
+        for G in (graph42, cayley.import_graph(path, head=True)):
+            check_graph_of(bar42, G)
+            with pytest.raises(ValueError, match="not built from"):
+                check_graph_of(bar53, G)
 
-    def test_result_carries_provenance(self, bar42, graph42):
-        m = walk_moments(bar42, 2, "group-dp", colors={1}, graph=graph42)
+    def test_result_carries_provenance(self, bar42):
+        m = walk_moments(bar42, 2, "group-dp", colors={1})
         assert m.genset_hash == bar42.content_hash()
         assert m.colors == (1,)
 
@@ -916,7 +907,7 @@ class TestDenseSpectrum:
 
     def test_moment_spectrum_consistency(self, bar42, graph42):
         sp = dense_spectrum(graph42)
-        m = walk_moments(bar42, 6, "group-dp", graph=graph42)
+        m = walk_moments(bar42, 6, "group-dp")
         for k in range(7):
             ps = sum(v**k for v in sp.values)
             want = graph42.n * m[k]
