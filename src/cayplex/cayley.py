@@ -191,9 +191,9 @@ def closure_from_matrices(
 
     The matrices must be nonsingular, canonical-form distinct, and none
     may be the identity (self-loops are not representable).  ``colors``
-    defaults to zero labels.  Vertex numbering is by discovery order:
-    frontier vertices in index order, generators in list order, which is
-    deterministic for every thread count.
+    defaults to zero labels.  Vertex numbering is by discovery order
+    (``_closure``): frontier vertices in index order, generators in list
+    order, which is deterministic for every thread count.
 
     The neighbor table is column-major: each generator's column is one
     contiguous int32 array, which the symmetry check walks.  It is
@@ -222,50 +222,58 @@ def closure_from_matrices(
         raise ValueError("the identity cannot be a generator")
 
     index = _VertexIndex(ms, ms.pack(ident))
-    products = ms.key_products(O, ids=index.by_id)
     # one table for every row the closure can have (it is a subgroup of
     # PGL_d(F_q)); its pages are committed only as rows are written
     cap = max(1, min(max_vertices, group_order_pgl(d, ms.q)))
     nbr = np.empty((cap, r), dtype=np.int32, order="F")
     rows = 0
-    frontier = index.keys()
-    step = _block_rows(r)
 
-    while frontier.shape[0]:
-        level = []
-        blocks = [frontier[i : i + step] for i in range(0, frontier.shape[0], step)]
-        # workers multiply the next blocks while this thread numbers the
-        # products of the current one
-        for flat in ordered_imap(products, blocks, threads):
-            # blocks come in stream order, so new vertices still take
-            # their first appearance in the level's frontier-major,
-            # generator-minor product stream: true BFS discovery order,
-            # identical for any chunking
-            ids = index.lookup(flat)
-            fresh = np.flatnonzero(ids < 0)
-            if fresh.size:
-                new = index.first_seen(flat[fresh])
-                if index.n + len(new) > max_vertices:
-                    raise VertexLimitError(
-                        f"closure exceeds max_vertices={max_vertices} "
-                        f"(at least {index.n + len(new)} vertices)"
-                    )
-                level.append(index.add(new))
-                ids[fresh] = index.lookup(flat[fresh])
-            block = ids.reshape(-1, r)
-            # regularity, while the block is in cache
-            srt = np.sort(block, axis=1)
-            if np.any(srt[:, 1:] == srt[:, :-1]):
-                raise AssertionError("regularity violated: repeated out-neighbor")
-            nbr[rows : rows + len(block)] = block
-            rows += len(block)
-        frontier = np.concatenate(level) if level else frontier[:0]
+    def admit(count):
+        if count > max_vertices:
+            raise VertexLimitError(
+                f"closure exceeds max_vertices={max_vertices} (at least {count} vertices)"
+            )
+
+    products = ms.key_products(O, ids=index.by_id)
+    for block in _closure(index, products, r, admit, threads):
+        # regularity, while the block is in cache
+        srt = np.sort(block, axis=1)
+        if np.any(srt[:, 1:] == srt[:, :-1]):
+            raise AssertionError("regularity violated: repeated out-neighbor")
+        nbr[rows : rows + len(block)] = block
+        rows += len(block)
 
     keys = index.keys()
     del index
     nbr = nbr[:rows]
     symmetric = _verify_symmetry(ms, nbr, O)
     return CayleyGraph(F, d, keys, nbr, colors, symmetric, True)
+
+
+def _closure(index, products, c, admit, threads):
+    """Number the breadth-first closure of the ``_VertexIndex`` ``index``
+    and yield, block by block, the (rows, c) int32 numbers of the c
+    products of each key: row v of their concatenation is key v's.
+    ``products`` maps a block of ``_block_rows(c)`` frontier keys to
+    what ``index.lookup`` reads, key-major, on up to ``threads`` threads
+    that run ahead of the numbering.  New values take their order of
+    first appearance in that stream, after ``admit(count)`` has taken
+    the count they bring the index to, for any thread count."""
+    frontier = index.keys()
+    step = _block_rows(c)
+    while len(frontier):
+        level = []
+        blocks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
+        for flat in ordered_imap(products, blocks, threads):
+            ids = index.lookup(flat)
+            fresh = np.flatnonzero(ids < 0)
+            if fresh.size:
+                new = index.first_seen(flat[fresh])
+                admit(index.n + len(new))
+                level.append(index.add(new))
+                ids[fresh] = index.lookup(flat[fresh])
+            yield ids.reshape(-1, c)
+        frontier = np.concatenate(level) if level else frontier[:0]
 
 
 def _has_duplicates(keys: np.ndarray) -> bool:
@@ -445,11 +453,18 @@ def _is_connected(nbr: np.ndarray) -> bool:
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of an integer array."""
+    """The sorted distinct entries of an array."""
     values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[_run_starts(values)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted array starts (by a
+    comparison: raw-byte keys have no ``np.not_equal`` loop)."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    new[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(new)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +540,6 @@ def import_graph(path: str, hashes: dict | None = None, head: bool = False,
     return G
 
 
-def graph_to_text(G: CayleyGraph) -> str:
-    """The text form of ``G`` as one string; ``export_graph`` writes it
-    part by part instead."""
-    return b"".join(_text_parts(G)).decode("utf-8")
-
-
 def _text_parts(G: CayleyGraph):
     """The text form of ``G`` as UTF-8 byte strings, one per list of
     ``_text_blocks``."""
@@ -564,8 +573,9 @@ def _text_blocks(G: CayleyGraph):
 
 
 def graph_from_text(text: str) -> CayleyGraph:
-    """The graph of a file ``graph_to_text`` writes, checked against its
-    vertex keys; any other text raises ValueError."""
+    """The graph of the text that ``export_graph`` writes in ``text``
+    format, checked against its vertex keys; any other text raises
+    ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")

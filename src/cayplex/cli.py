@@ -25,6 +25,7 @@ from .cayley import (
     GRAPH_FORMAT,
     MAX_VERTICES,
     VertexLimitError,
+    _check_int64_keys,
     bfs_build,
     export_graph,
     import_graph,
@@ -285,6 +286,8 @@ def _cmd_graph(ns) -> int:
     if ns.max_vertices < 1:
         raise ValueError(f"--max-vertices must be at least 1, got {ns.max_vertices}")
     gens = GenSet.load(gens_path)
+    # the file could not hold the keys: refuse before the closure runs
+    _check_int64_keys(gens.params.q, gens.params.d)
     start = time.perf_counter()
     G = bfs_build(gens, max_vertices=ns.max_vertices, threads=ns.threads)
     digest = export_graph(G, out, format=ns.format)

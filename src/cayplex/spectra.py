@@ -10,7 +10,7 @@ import os
 import threading
 import numpy as np
 
-from .cayley import CayleyGraph, GraphHead, _search, _VertexIndex
+from .cayley import CayleyGraph, GraphHead, _closure, _run_starts, _search, _VertexIndex
 from .genforge import MEM_BUDGET, GenSet, MemoryBudgetError, group_order_pgl, group_order_psl
 from .orbits import orbits_for
 from .projmat import MatSpace, _block_rows, _key_products_bytes
@@ -18,7 +18,6 @@ from .util import (
     Tokens,
     atomic_write_text,
     check_canonical,
-    ordered_imap,
     ordered_map,
     read_checked_text,
 )
@@ -241,12 +240,8 @@ def _quotient(ms, orbits, steps, threads, budget):
     of the canonical batch ``steps`` from the identity, numbered
     breadth-first, rows[O, i] the int32 index of the orbit of x_O g_i,
     x_O the key ``orbits.keys`` gives for O, and sizes the int64 orbit
-    sizes.  Each frontier orbit's key is multiplied by the steps
-    (``key_products``) and the products named (``orbits.ids``) in blocks
-    of ``_block_rows(c)`` orbits, c = len(steps), from up to ``threads``
-    threads; new ids are numbered in order of first appearance in that
-    stream (``cayley._VertexIndex`` on sorted runs), so the numbering is
-    the same for any thread count.
+    sizes.  The graph's loop (``cayley._closure``) numbers the ids of
+    ``_named_products`` of the c = len(steps) steps in sorted runs.
 
     The quotient holds ``_quotient_row_bytes`` per orbit beside the
     stream's fixed share (``_orbit_memory_estimate`` of one block).  It
@@ -268,28 +263,9 @@ def _quotient(ms, orbits, steps, threads, budget):
             )
 
     fits(-(-group_order_psl(d, q) // ((q**d - 1) // (q - 1) * d)))
-    products = ms.key_products(steps)
     index = _VertexIndex(None, orbits.ids(ms.pack(ms.identity_batch(1))))
-    frontier = index.keys()
-    rows = []
-    step = _block_rows(c)
-
-    def named(ids):
-        return orbits.ids(products(orbits.keys(ids)))
-
-    while len(frontier):
-        level = []
-        blocks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
-        for block in ordered_imap(named, blocks, threads):
-            nums = index.lookup(block)
-            fresh = np.flatnonzero(nums < 0)
-            if fresh.size:
-                new = index.first_seen(block[fresh])
-                fits(index.n + len(new))
-                level.append(index.add(new))
-                nums[fresh] = index.lookup(block[fresh])
-            rows.append(nums.reshape(-1, c))
-        frontier = np.concatenate(level) if level else frontier[:0]
+    named = _named_products(orbits, ms.key_products(steps))
+    rows = list(_closure(index, named, c, fits, threads))
     return np.concatenate(rows), _sizes(orbits, index.keys())
 
 
@@ -351,11 +327,7 @@ def _check_quotient(rows, sizes, orders) -> None:
 def _runs(values: np.ndarray):
     """The distinct values of a sorted array and the length of each
     run."""
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    del new
+    starts = _run_starts(values)
     counts = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1:] = len(values) - starts[-1:]
@@ -535,20 +507,24 @@ def _ball_levels(ms, orbits, products, r, radius, threads, budget, held=0):
 
 
 def _stream(orbits, products, r, level, visit, threads):
-    """Call ``visit(ids, weights)`` on the products of one key of each
-    orbit of ``level`` = (ids, weights) with the r generators of
-    ``products`` (``orbits.keys``, then ``products``, then
-    ``orbits.ids``), each product carrying the weight of its source: in
-    blocks of ``_block_rows(r)`` orbits, from up to ``threads`` threads
-    at once."""
+    """Call ``visit(ids, weights)`` on the ``_named_products`` of the
+    orbits of ``level`` = (ids, weights) with the r generators of
+    ``products``, each carrying the weight of its source: in blocks of
+    ``_block_rows(r)`` orbits, from up to ``threads`` threads at once."""
     ids, weights = level
     step = _block_rows(r)
+    named = _named_products(orbits, products)
 
     def run(i):
-        block = orbits.ids(products(orbits.keys(ids[i : i + step])))
-        visit(block, np.repeat(weights[i : i + step], r))
+        visit(named(ids[i : i + step]), np.repeat(weights[i : i + step], r))
 
     ordered_map(run, range(0, len(ids), step), threads)
+
+
+def _named_products(orbits, products):
+    """The ids of the products of one key of each orbit of a block of
+    ids, key-major: ``orbits.keys``, ``products``, ``orbits.ids``."""
+    return lambda ids: orbits.ids(products(orbits.keys(ids)))
 
 
 def _sizes(orbits, ids: np.ndarray) -> np.ndarray:
@@ -730,11 +706,7 @@ def _grouped(ids: np.ndarray, weights: np.ndarray):
     ids = ids[order]
     weights = weights[order]
     del order
-    new = np.empty(len(ids), dtype=bool)
-    new[0] = True
-    new[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(new)
-    del new
+    starts = _run_starts(ids)
     sums = np.add.reduceat(weights, starts)
     del weights
     return ids[starts], sums

@@ -16,7 +16,6 @@ from cayplex.cayley import (
     closure_from_matrices,
     export_graph,
     graph_from_text,
-    graph_to_text,
     import_graph,
 )
 from cayplex.ffield import ExtField, get_field, regular_rep
@@ -361,9 +360,9 @@ def test_cells_transitivity_sample(graph53, n3_53):
 # ---------------------------------------------------------------------------
 
 
-def test_text_roundtrip_small(toy3, graph42):
+def test_text_roundtrip_small(toy3, graph42, tmp_path):
     for G in (toy3, graph42):
-        text = graph_to_text(G)
+        text = _graph_text(G, tmp_path / "g.txt")
         assert graph_from_text(text) == G
 
 
@@ -412,6 +411,13 @@ def test_text_bytes_pinned(graph42, toy3, tmp_path):
 def _export(G, path, format="binary"):
     """The sha256 hex digest of the file ``export_graph`` writes."""
     return export_graph(G, str(path), format=format)
+
+
+def _graph_text(G, path):
+    """The text form of ``G``: what ``export_graph`` writes at ``path``."""
+    _export(G, path, format="text")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _import_bytes(blob, tmp_path):
@@ -534,8 +540,8 @@ def test_binary_export_import_hold_the_table_once(graph53, tmp_path):
     assert import_peak - base < table + slack
 
 
-def test_text_errors(toy3):
-    text = graph_to_text(toy3)
+def test_text_errors(toy3, tmp_path):
+    text = _graph_text(toy3, tmp_path / "g.txt")
     with pytest.raises(ValueError):
         graph_from_text(text.replace("version=1", "version=7", 1))
     # drop one edge line -> truncated edge table
@@ -548,10 +554,10 @@ def test_text_errors(toy3):
         graph_from_text("\n".join(swapped))
 
 
-def test_text_load_checks_flags_and_keys(graph42, toy3):
+def test_text_load_checks_flags_and_keys(graph42, toy3, tmp_path):
     """A text graph is checked against its vertex keys: each stored flag
     must be the one the edges give, and each key a canonical matrix."""
-    text = graph_to_text(graph42)
+    text = _graph_text(graph42, tmp_path / "g.txt")
     for old, new in (("sym=1", "sym=0"), ("conn=1", "conn=0")):
         with pytest.raises(ValueError, match=new.split("=")[0]):
             graph_from_text(text.replace(old, new, 1))
@@ -566,7 +572,7 @@ def test_text_load_checks_flags_and_keys(graph42, toy3):
     # one generator of order 3 makes a directed cycle, and loads so
     directed = closure_from_matrices(toy3.F, 2, toy3.space().unpack(toy3.keys[1:2]))
     assert not directed.symmetric
-    assert graph_from_text(graph_to_text(directed)) == directed
+    assert graph_from_text(_graph_text(directed, tmp_path / "d.txt")) == directed
 
 
 def test_graph_without_generators_refused(tmp_path):
@@ -577,7 +583,7 @@ def test_graph_without_generators_refused(tmp_path):
     ms = MatSpace(F, 3)
     nbr = np.empty((1, 0), dtype=np.int32)
     G = CayleyGraph(F, 3, ms.pack(ms.identity_batch(1)), nbr, [], True, True)
-    text = graph_to_text(G)
+    text = _graph_text(G, tmp_path / "g.txt")
     assert text.startswith("version=1 n=1 r=0 q=5 d=3 sym=1 conn=1\nv ")
     with pytest.raises(ValueError, match="at least one generator"):
         graph_from_text(text)
@@ -646,7 +652,7 @@ def test_readers_refuse_byte_key_headers(graph42, tmp_path):
     """A text header and a binary header that name q=3 d=7, whose keys
     would need raw bytes, are refused before any key is read; so is a
     header whose d is large enough to make q^(d*d) a huge power."""
-    text = graph_to_text(graph42).splitlines()
+    text = _graph_text(graph42, tmp_path / "g.txt").splitlines()
     for q, d in ((3, 7), (3, 10**6)):
         head = text[0].replace("q=4 d=2", f"q={q} d={d}").replace(" bmod=1,1,1", "")
         with pytest.raises(ValueError, match="int64 keys"):
@@ -662,8 +668,8 @@ def test_export_unknown_format(toy3, tmp_path):
         export_graph(toy3, str(tmp_path / "g.x"), format="xml")
 
 
-def test_nonprime_field_roundtrip(graph42):
+def test_nonprime_field_roundtrip(graph42, tmp_path):
     # base field F_4 serializes its modulus in both encodings
-    text = graph_to_text(graph42)
+    text = _graph_text(graph42, tmp_path / "g.txt")
     assert "bmod=" in text.splitlines()[0]
     assert graph_from_text(text) == graph42

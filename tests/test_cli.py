@@ -823,6 +823,24 @@ def test_spectrum_byte_key_graph_headers_exit_2(text_graph, tmp_path):
         _assert_usage_error(_run_cli("spectrum", "--graph", str(path)), "int64 keys", path)
 
 
+def test_graph_of_byte_key_system_exit_2(monkeypatch, capsys, tmp_path):
+    """``graph`` on the (3,7) omega-bar system, whose keys do not fit
+    int64, is a usage error naming them before any closure runs, and it
+    writes neither a graph nor a manifest."""
+    gens = str(tmp_path / "bar37.gens")
+    assert main(["gens", "--q", "3", "--d", "7", "--sym", "--out", gens]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(cli, "bfs_build", never)
+    out = tmp_path / "g37.graph"
+    capsys.readouterr()
+    assert main(["graph", "--gens", gens, "--out", str(out)]) == 2
+    assert "int64 keys" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bar37.gens", "bar37.gens.manifest"]
+
+
 def test_base_system_past_budget_exit_2(monkeypatch, capsys, tmp_path):
     """A base system whose estimate is past the budget is a resource
     abort (exit 2) before it is built, and nothing is written: (3,5)

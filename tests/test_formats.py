@@ -7,9 +7,11 @@ import random
 
 import pytest
 
-from cayplex.cayley import graph_from_text, graph_to_text
+from cayplex.cayley import graph_from_text
 from cayplex.genforge import GenSet, build_omega, make_params, symmetrize
 from cayplex.spectra import MomentSeq, walk_moments
+
+from test_cayley import _graph_text
 
 
 def _mutants(text, count, seed):
@@ -101,5 +103,8 @@ def test_moment_mutants_refused_or_canonical(bar42):
             MomentSeq.from_text(seq.to_text().replace(genset, bad))
 
 
-def test_graph_mutants_refused_or_canonical(graph42):
-    _refused_or_canonical(graph_to_text(graph42), graph_from_text, graph_to_text, 150)
+def test_graph_mutants_refused_or_canonical(graph42, tmp_path):
+    def write(G):
+        return _graph_text(G, tmp_path / "g.txt")
+
+    _refused_or_canonical(write(graph42), graph_from_text, write, 150)

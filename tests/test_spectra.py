@@ -370,6 +370,24 @@ class TestWalkMoments:
             assert sizes[:m].sum() == n
         assert m == len(sizes)
 
+    def test_trivial_naming_gives_the_closure(self, bar42, graph42):
+        """Oracle: under the trivial naming the quotient is the closure
+        itself, row for row, with every orbit of size 1, though the
+        closure numbers point ids in its direct table and the quotient
+        numbers keys in sorted runs: bar42 and the (3,3) omega-bar
+        system, with 5,616 vertices, on 1 and 2 threads."""
+        bar33 = symmetrize(build_omega(make_params(3, 3)))
+        graph33 = closure_from_matrices(bar33.params.base, 3, bar33.mats)
+        for gens, G in ((bar42, graph42), (bar33, graph33)):
+            ms = G.space()
+            assert cayley._vertex_table_size(ms)
+            for threads in (1, 2):
+                rows, sizes = spectra._quotient(ms, TrivialOrbits(ms), gens.mats, threads,
+                                                spectra.MEM_BUDGET)
+                assert np.array_equal(rows, G.nbr)
+                assert np.array_equal(sizes, np.ones(G.n, dtype=np.int64))
+        assert graph33.n == 5616
+
     def test_graph_files_take_the_orbit_labelling(self, monkeypatch, tmp_path, graph53,
                                                   bar53, graph53_s2, bar53_s2, graph53_hat,
                                                   hat53):
